@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pombm::sweep::{
-    dynamic_shift_plan, dynamic_task_times, run_dynamic_sweep, sweep_instance, DynamicSweepConfig,
+    dynamic_shift_plan, dynamic_task_times, run_sweep, sweep_instance, DynamicSweepConfig,
 };
 use pombm::{dynamic_offline_optimum_with_threads, registry, run_dynamic_spec, DynamicConfig};
 use std::hint::black_box;
@@ -98,7 +98,7 @@ fn bench_dynamic_sweep_sharding(c: &mut Criterion) {
     };
     for shards in [1, cores] {
         group.bench_function(BenchmarkId::new("shards", shards), |b| {
-            b.iter(|| black_box(run_dynamic_sweep(&config(shards)).expect("valid config")))
+            b.iter(|| black_box(run_sweep(&config(shards)).expect("valid config")))
         });
     }
     group.finish();

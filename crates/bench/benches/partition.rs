@@ -4,7 +4,7 @@
 //! the checkpoint log's append/resume overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pombm::merge::merge_static;
+use pombm::merge::merge;
 use pombm::sweep::{
     run_sweep, run_sweep_partition, sweep_job_count, PartitionPlan, PartitionRun, SweepConfig,
 };
@@ -68,7 +68,7 @@ fn bench_merge(c: &mut Criterion) {
             })
             .collect();
         group.bench_function(BenchmarkId::new("partials", n), |b| {
-            b.iter(|| black_box(merge_static(&partials).expect("full coverage")))
+            b.iter(|| black_box(merge(&partials).expect("full coverage")))
         });
     }
     group.finish();

@@ -5,13 +5,12 @@
 //! is unit-testable without spawning processes.
 
 use crate::args::Args;
-use pombm::sweep::{DYNAMIC_FLAVOR, STATIC_FLAVOR};
 use pombm::{
-    dynamic_competitive_ratio, merge_dynamic, merge_static, registry, run_dynamic_spec,
-    run_dynamic_sweep, run_dynamic_sweep_partition, run_spec, run_sweep, run_sweep_partition,
-    AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicPartialSweepReport,
-    DynamicSweepConfig, DynamicSweepReport, EpochConfig, PartialRunStats, PartialSweepReport,
-    PartitionPlan, PartitionRun, PipelineConfig, Role, SweepConfig, SweepReport, DEFAULT_SCENARIO,
+    dynamic_competitive_ratio, merge, registry, run_dynamic_spec, run_spec, run_sweep,
+    run_sweep_partition, AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicSweepCell,
+    DynamicSweepConfig, DynamicSweepReport, EpochConfig, FlavorReport, Partial, PartialRunStats,
+    PartitionPlan, PartitionRun, PipelineConfig, Role, SweepCell, SweepConfig, SweepFlavor,
+    SweepReport, DEFAULT_SCENARIO,
 };
 use pombm_geom::{seeded_rng, Point};
 use pombm_hst::wire;
@@ -581,17 +580,9 @@ pub fn dynamic(args: &Args) -> Result<String, String> {
     };
     let mechanism = {
         let name: String = args.get_or("mechanism", "hst".to_string())?;
-        registry().mechanism(&name).ok_or_else(|| {
-            format!(
-                "unknown mechanism `{name}`; expected one of: {}",
-                registry()
-                    .mechanisms()
-                    .iter()
-                    .map(|m| m.name())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-        })?
+        registry()
+            .require_mechanism(&name)
+            .map_err(|e| e.to_string())?
     };
     let matcher = {
         let name: String = args.get_or("matcher", "hst-greedy".to_string())?;
@@ -887,7 +878,26 @@ pub fn sweep(args: &Args) -> Result<String, String> {
                         pinned by golden fingerprints"
                 .to_string());
         }
-        return dynamic_sweep(args, shards, timings, partitioning);
+        if args.switch("reps") {
+            return Err("--reps does not apply to `sweep --dynamic` \
+                        (each cell replays one deterministic timeline)"
+                .to_string());
+        }
+        let defaults = DynamicSweepConfig::default();
+        let config = DynamicSweepConfig {
+            mechanisms: parse_name_list(args, "mechanisms")?,
+            matchers: parse_name_list(args, "matchers")?,
+            scenarios: parse_name_list(args, "scenarios")?,
+            shift_plans: parse_name_list(args, "shift-plans")?,
+            sizes: parse_number_list(args, "sizes", defaults.sizes)?,
+            epsilons: parse_number_list(args, "epsilons", defaults.epsilons)?,
+            shards,
+            timings,
+            ratio: args.switch("ratio"),
+            grid_side: args.get_or("grid-side", 32)?,
+            seed: args.get_or("seed", 0)?,
+        };
+        return run_and_render(args, &config, partitioning);
     }
     if args.switch("shift-plans") {
         return Err("--shift-plans only applies to `sweep --dynamic`".to_string());
@@ -917,86 +927,46 @@ pub fn sweep(args: &Args) -> Result<String, String> {
             ..PipelineConfig::default()
         },
     };
-    let Some(partitioning) = partitioning else {
-        let report = run_sweep(&config).map_err(|e| e.to_string())?;
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
-        }
-        return Ok(render_static_report(&report));
-    };
-    let (partial, stats) =
-        run_sweep_partition(&config, &partitioning).map_err(|e| e.to_string())?;
-    log_checkpoint(&partitioning, stats);
-    if args.switch("partition") {
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&partial).map_err(|e| e.to_string());
-        }
-        return Ok(render_static_partial(&partial));
-    }
-    // --checkpoint without --partition: a resumable full run whose output
-    // is exactly the ordinary sweep report.
-    let report = SweepReport {
-        seed: partial.seed,
-        repetitions: partial.repetitions,
-        cells: partial.cells,
-    };
-    if args.switch("json") {
-        return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
-    }
-    Ok(render_static_report(&report))
+    run_and_render(args, &config, partitioning)
 }
 
-/// `pombm sweep --dynamic`: the dynamic-fleet sweep product.
-fn dynamic_sweep(
+/// Runs a sweep of either flavour and prints its report — or, under
+/// `--partition`, its partial report — as a table or `--json`.
+fn run_and_render<F: SweepFlavor>(
     args: &Args,
-    shards: usize,
-    timings: bool,
+    config: &F,
     partitioning: Option<PartitionRun>,
+) -> Result<String, String>
+where
+    F::Report: Render,
+{
+    let report = match partitioning {
+        None => run_sweep(config).map_err(|e| e.to_string())?,
+        Some(run) => {
+            let (partial, stats) = run_sweep_partition(config, &run).map_err(|e| e.to_string())?;
+            log_checkpoint(&run, stats);
+            if args.switch("partition") {
+                return emit(args, &partial, render_partial);
+            }
+            // --checkpoint without --partition: a resumable full run whose
+            // output is exactly the ordinary sweep report.
+            partial.report
+        }
+    };
+    emit(args, &report, Render::render)
+}
+
+/// Pretty JSON under `--json`, the console rendering otherwise.
+fn emit<T: serde::Serialize>(
+    args: &Args,
+    value: &T,
+    render: impl FnOnce(&T) -> String,
 ) -> Result<String, String> {
-    if args.switch("reps") {
-        return Err("--reps does not apply to `sweep --dynamic` \
-                    (each cell replays one deterministic timeline)"
-            .to_string());
-    }
-    let defaults = DynamicSweepConfig::default();
-    let config = DynamicSweepConfig {
-        mechanisms: parse_name_list(args, "mechanisms")?,
-        matchers: parse_name_list(args, "matchers")?,
-        scenarios: parse_name_list(args, "scenarios")?,
-        shift_plans: parse_name_list(args, "shift-plans")?,
-        sizes: parse_number_list(args, "sizes", defaults.sizes)?,
-        epsilons: parse_number_list(args, "epsilons", defaults.epsilons)?,
-        shards,
-        timings,
-        ratio: args.switch("ratio"),
-        grid_side: args.get_or("grid-side", 32)?,
-        seed: args.get_or("seed", 0)?,
-    };
-    let Some(partitioning) = partitioning else {
-        let report = run_dynamic_sweep(&config).map_err(|e| e.to_string())?;
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
-        }
-        return Ok(render_dynamic_report(&report));
-    };
-    let (partial, stats) =
-        run_dynamic_sweep_partition(&config, &partitioning).map_err(|e| e.to_string())?;
-    log_checkpoint(&partitioning, stats);
-    if args.switch("partition") {
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&partial).map_err(|e| e.to_string());
-        }
-        return Ok(render_dynamic_partial(&partial));
-    }
-    let report = DynamicSweepReport {
-        seed: partial.seed,
-        horizon: partial.horizon,
-        cells: partial.cells,
-    };
     if args.switch("json") {
-        return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
+        serde_json::to_string_pretty(value).map_err(|e| e.to_string())
+    } else {
+        Ok(render(value))
     }
-    Ok(render_dynamic_report(&report))
 }
 
 /// Resolves the `--partition` / `--checkpoint` / `--max-cells` trio into
@@ -1038,51 +1008,103 @@ fn log_checkpoint(run: &PartitionRun, stats: PartialRunStats) {
     }
 }
 
-/// The static sweep cell table (shared by `sweep` and `merge` output);
-/// the `wall_ms` column appears iff any cell carries a timing.
-fn static_cell_table(cells: &[pombm::SweepCell]) -> String {
-    let timings = cells.iter().any(|c| c.wall_ms.is_some());
-    // The scenario column appears iff any cell left the default scenario,
-    // mirroring the conditional `wall_ms` column: legacy sweeps render
-    // byte-identically to the pre-scenario table.
-    let scenarios = cells.iter().any(|c| c.scenario.is_some());
-    let mut out = String::new();
-    let scenario_header = if scenarios {
-        format!("{:<16} ", "scenario")
-    } else {
-        String::new()
-    };
-    let _ = writeln!(
-        out,
-        "{scenario_header}{:<10} {:<12} {:>6} {:>6} {:>9} {:>9} {:>9} {:>12}{}",
-        "mechanism",
-        "matcher",
-        "tasks",
-        "eps",
-        "ratio",
-        "min",
-        "max",
-        "opt_dist",
-        if timings { "    wall_ms" } else { "" }
-    );
-    for cell in cells {
-        let wall = cell
-            .wall_ms
-            .map(|ms| format!(" {ms:>10.2}"))
-            .unwrap_or_default();
-        let scenario = if scenarios {
-            format!(
-                "{:<16} ",
-                cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
-            )
+/// Console rendering of one sweep flavour's report, shared by `sweep`,
+/// `sweep --partition` and `merge`.
+trait Render: FlavorReport {
+    /// The cell table.
+    fn table(cells: &[Self::Cell]) -> String;
+
+    /// The run parameters a partial's summary line names.
+    fn params(&self) -> String;
+
+    /// The run parameters the full report's summary line names.
+    fn report_params(&self) -> String {
+        self.params()
+    }
+
+    /// Table plus summary line.
+    fn render(&self) -> String {
+        format!(
+            "{}{} cells measured, {} skipped ({})\n",
+            Self::table(self.cells()),
+            self.measured().count(),
+            self.failed().count(),
+            self.report_params()
+        )
+    }
+}
+
+/// The optional columns both sweep tables share, each present iff some
+/// cell fills it, so legacy tables render byte-identically: a leading
+/// scenario column and a trailing `wall_ms` column.
+struct SharedColumns {
+    scenarios: bool,
+    timings: bool,
+}
+
+impl SharedColumns {
+    fn of<'a>(cells: impl Iterator<Item = (&'a Option<String>, Option<f64>)>) -> Self {
+        let mut cols = SharedColumns {
+            scenarios: false,
+            timings: false,
+        };
+        for (scenario, wall_ms) in cells {
+            cols.scenarios |= scenario.is_some();
+            cols.timings |= wall_ms.is_some();
+        }
+        cols
+    }
+
+    fn scenario(&self, name: Option<&str>) -> String {
+        if self.scenarios {
+            format!("{:<16} ", name.unwrap_or(DEFAULT_SCENARIO))
         } else {
             String::new()
-        };
-        match (&cell.report, &cell.error) {
-            (Some(r), _) => {
-                let _ = writeln!(
+        }
+    }
+
+    fn wall_header(&self) -> &'static str {
+        if self.timings {
+            "    wall_ms"
+        } else {
+            ""
+        }
+    }
+
+    fn wall(wall_ms: Option<f64>) -> String {
+        wall_ms.map(|ms| format!(" {ms:>10.2}")).unwrap_or_default()
+    }
+}
+
+/// The message of a cell without a measurement.
+fn skipped(error: Option<&str>) -> &str {
+    error.unwrap_or("no measurement recorded")
+}
+
+impl Render for SweepReport {
+    fn table(cells: &[SweepCell]) -> String {
+        let cols = SharedColumns::of(cells.iter().map(|c| (&c.scenario, c.wall_ms)));
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{}{:<10} {:<12} {:>6} {:>6} {:>9} {:>9} {:>9} {:>12}{}",
+            cols.scenario(Some("scenario")),
+            "mechanism",
+            "matcher",
+            "tasks",
+            "eps",
+            "ratio",
+            "min",
+            "max",
+            "opt_dist",
+            cols.wall_header()
+        );
+        for cell in cells {
+            let scenario = cols.scenario(cell.scenario.as_deref());
+            let _ = match &cell.report {
+                Some(r) => writeln!(
                     out,
-                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} {:>9.4} {:>9.4} {:>9.4} {:>12.2}{wall}",
+                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} {:>9.4} {:>9.4} {:>9.4} {:>12.2}{}",
                     cell.mechanism,
                     cell.matcher,
                     cell.num_tasks,
@@ -1090,130 +1112,79 @@ fn static_cell_table(cells: &[pombm::SweepCell]) -> String {
                     r.ratio,
                     r.min_ratio,
                     r.max_ratio,
-                    r.opt_distance
-                );
-            }
-            (None, Some(e)) => {
-                let _ = writeln!(
+                    r.opt_distance,
+                    SharedColumns::wall(cell.wall_ms)
+                ),
+                None => writeln!(
                     out,
-                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} skipped: {e}",
-                    cell.mechanism, cell.matcher, cell.num_tasks, cell.epsilon
-                );
-            }
-            (None, None) => unreachable!("every cell has a report or an error"),
-        }
-    }
-    out
-}
-
-/// The full static sweep console report: table plus summary footer.
-fn render_static_report(report: &SweepReport) -> String {
-    let mut out = static_cell_table(&report.cells);
-    let _ = writeln!(
-        out,
-        "{} cells measured, {} skipped ({} reps each, seed {})",
-        report.measured().count(),
-        report.failed().count(),
-        report.repetitions,
-        report.seed
-    );
-    out
-}
-
-/// Console rendering of one static partition's partial report.
-fn render_static_partial(partial: &PartialSweepReport) -> String {
-    let covers = partial.covers();
-    let mut out = format!(
-        "partition {}/{} (static sweep): jobs {}..{} of {}, fingerprint {}\n",
-        partial.partition_index,
-        partial.partition_count,
-        covers.start,
-        covers.end,
-        partial.total_jobs,
-        partial.fingerprint
-    );
-    out.push_str(&static_cell_table(&partial.cells));
-    let _ = writeln!(
-        out,
-        "{} cells covered ({} reps each, seed {}); merge with `pombm merge`",
-        partial.cells.len(),
-        partial.repetitions,
-        partial.seed
-    );
-    out
-}
-
-/// The dynamic sweep cell table (shared by `sweep --dynamic` and `merge`).
-fn dynamic_cell_table(cells: &[pombm::DynamicSweepCell]) -> String {
-    let timings = cells.iter().any(|c| c.wall_ms.is_some());
-    // Conditional column, as in [`static_cell_table`]: absent on
-    // all-default-scenario sweeps so the legacy table survives unchanged.
-    let scenarios = cells.iter().any(|c| c.scenario.is_some());
-    // Ratio and drop-latency columns appear iff the sweep ran with
-    // --ratio, so plain dynamic tables stay byte-identical.
-    let ratios = cells.iter().any(|c| c.competitive_ratio.is_some());
-    let mut out = String::new();
-    let scenario_header = if scenarios {
-        format!("{:<16} ", "scenario")
-    } else {
-        String::new()
-    };
-    let ratio_header = if ratios {
-        format!(" {:>8} {:>9} {:>9}", "ratio", "drop_p50", "drop_p95")
-    } else {
-        String::new()
-    };
-    let _ = writeln!(
-        out,
-        "{scenario_header}{:<10} {:<11} {:<10} {:>6} {:>5} {:>8} {:>8} {:>8} {:>12} {:>6}\
-         {ratio_header}{}",
-        "mechanism",
-        "matcher",
-        "plan",
-        "tasks",
-        "eps",
-        "rate",
-        "assigned",
-        "dropped",
-        "distance",
-        "peak",
-        if timings { "    wall_ms" } else { "" }
-    );
-    for cell in cells {
-        let wall = cell
-            .wall_ms
-            .map(|ms| format!(" {ms:>10.2}"))
-            .unwrap_or_default();
-        let scenario = if scenarios {
-            format!(
-                "{:<16} ",
-                cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
-            )
-        } else {
-            String::new()
-        };
-        let ratio_cols = if ratios {
-            let fmt = |v: Option<f64>, width: usize| match v {
-                Some(v) => format!(" {v:>width$.4}"),
-                // A ratio cell whose latency percentile is undefined
-                // (nothing dropped, or drops with no later shift).
-                None => format!(" {:>width$}", "-"),
+                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} skipped: {}",
+                    cell.mechanism,
+                    cell.matcher,
+                    cell.num_tasks,
+                    cell.epsilon,
+                    skipped(cell.error.as_deref())
+                ),
             };
-            format!(
-                "{}{}{}",
-                fmt(cell.competitive_ratio, 8),
-                fmt(cell.drop_latency_p50, 9),
-                fmt(cell.drop_latency_p95, 9)
-            )
+        }
+        out
+    }
+
+    fn params(&self) -> String {
+        format!("{} reps each, seed {}", self.repetitions, self.seed)
+    }
+}
+
+impl Render for DynamicSweepReport {
+    fn table(cells: &[DynamicSweepCell]) -> String {
+        let cols = SharedColumns::of(cells.iter().map(|c| (&c.scenario, c.wall_ms)));
+        // Ratio and drop-latency columns appear iff the sweep ran with
+        // --ratio, so plain dynamic tables stay byte-identical.
+        let ratios = cells.iter().any(|c| c.competitive_ratio.is_some());
+        let ratio_header = if ratios {
+            format!(" {:>8} {:>9} {:>9}", "ratio", "drop_p50", "drop_p95")
         } else {
             String::new()
         };
-        match (&cell.measurement, &cell.error) {
-            (Some(m), _) => {
-                let _ = writeln!(
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{}{:<10} {:<11} {:<10} {:>6} {:>5} {:>8} {:>8} {:>8} {:>12} {:>6}{ratio_header}{}",
+            cols.scenario(Some("scenario")),
+            "mechanism",
+            "matcher",
+            "plan",
+            "tasks",
+            "eps",
+            "rate",
+            "assigned",
+            "dropped",
+            "distance",
+            "peak",
+            cols.wall_header()
+        );
+        for cell in cells {
+            let scenario = cols.scenario(cell.scenario.as_deref());
+            let ratio_cols = if ratios {
+                let fmt = |v: Option<f64>, width: usize| match v {
+                    Some(v) => format!(" {v:>width$.4}"),
+                    // A ratio cell whose latency percentile is undefined
+                    // (nothing dropped, or drops with no later shift).
+                    None => format!(" {:>width$}", "-"),
+                };
+                format!(
+                    "{}{}{}",
+                    fmt(cell.competitive_ratio, 8),
+                    fmt(cell.drop_latency_p50, 9),
+                    fmt(cell.drop_latency_p95, 9)
+                )
+            } else {
+                String::new()
+            };
+            let _ = match &cell.measurement {
+                Some(m) => writeln!(
                     out,
                     "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} {:>8.4} {:>8} {:>8} \
-                     {:>12.2} {:>6}{ratio_cols}{wall}",
+                     {:>12.2} {:>6}{ratio_cols}{}",
                     cell.mechanism,
                     cell.matcher,
                     cell.plan,
@@ -1223,56 +1194,51 @@ fn dynamic_cell_table(cells: &[pombm::DynamicSweepCell]) -> String {
                     m.assigned,
                     m.dropped,
                     m.total_distance,
-                    m.peak_available
-                );
-            }
-            (None, Some(e)) => {
-                let _ = writeln!(
+                    m.peak_available,
+                    SharedColumns::wall(cell.wall_ms)
+                ),
+                None => writeln!(
                     out,
-                    "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} skipped: {e}",
-                    cell.mechanism, cell.matcher, cell.plan, cell.num_tasks, cell.epsilon
-                );
-            }
-            (None, None) => unreachable!("every cell has a measurement or an error"),
+                    "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} skipped: {}",
+                    cell.mechanism,
+                    cell.matcher,
+                    cell.plan,
+                    cell.num_tasks,
+                    cell.epsilon,
+                    skipped(cell.error.as_deref())
+                ),
+            };
         }
+        out
     }
-    out
+
+    fn params(&self) -> String {
+        format!("seed {}", self.seed)
+    }
+
+    fn report_params(&self) -> String {
+        format!("horizon {}, seed {}", self.horizon, self.seed)
+    }
 }
 
-/// The full dynamic sweep console report: table plus summary footer.
-fn render_dynamic_report(report: &DynamicSweepReport) -> String {
-    let mut out = dynamic_cell_table(&report.cells);
-    let _ = writeln!(
-        out,
-        "{} cells measured, {} skipped (horizon {}, seed {})",
-        report.measured().count(),
-        report.failed().count(),
-        report.horizon,
-        report.seed
-    );
-    out
-}
-
-/// Console rendering of one dynamic partition's partial report.
-fn render_dynamic_partial(partial: &DynamicPartialSweepReport) -> String {
+/// Console rendering of one partition's partial report.
+fn render_partial<R: Render>(partial: &Partial<R>) -> String {
     let covers = partial.covers();
-    let mut out = format!(
-        "partition {}/{} (dynamic sweep): jobs {}..{} of {}, fingerprint {}\n",
+    let cells = partial.report.cells();
+    format!(
+        "partition {}/{} ({} sweep): jobs {}..{} of {}, fingerprint {}\n{}\
+         {} cells covered ({}); merge with `pombm merge`\n",
         partial.partition_index,
         partial.partition_count,
+        R::FLAVOR,
         covers.start,
         covers.end,
         partial.total_jobs,
-        partial.fingerprint
-    );
-    out.push_str(&dynamic_cell_table(&partial.cells));
-    let _ = writeln!(
-        out,
-        "{} cells covered (seed {}); merge with `pombm merge`",
-        partial.cells.len(),
-        partial.seed
-    );
-    out
+        partial.fingerprint,
+        R::table(cells),
+        cells.len(),
+        partial.report.params()
+    )
 }
 
 /// `pombm merge <partials..> [--json]`: validate partial reports from
@@ -1299,50 +1265,42 @@ pub fn merge_cmd(args: &Args) -> Result<String, String> {
             .to_string();
         parsed.push((file, value, flavor));
     }
-    let flavor = parsed[0].2.clone();
-    if let Some((file, _, other)) = parsed.iter().find(|(_, _, f)| *f != flavor) {
+    let flavor = parsed[0].2.as_str();
+    if let Some((file, _, other)) = parsed.iter().find(|(_, _, f)| f != flavor) {
         return Err(format!(
-            "cannot merge mixed flavours: {} is `{}` but {file} is `{other}` \
+            "cannot merge mixed flavours: {} is `{flavor}` but {file} is `{other}` \
              (merge static and dynamic partials separately)",
-            parsed[0].0, flavor
+            parsed[0].0
         ));
     }
-    match flavor.as_str() {
-        f if f == STATIC_FLAVOR => {
-            let partials: Vec<PartialSweepReport> = parsed
-                .iter()
-                .map(|(file, value, _)| {
-                    PartialSweepReport::from_value(value).map_err(|e| format!("parse {file}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let report = merge_static(&partials).map_err(|e| e.to_string())?;
-            if args.switch("json") {
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
-            } else {
-                Ok(render_static_report(&report))
-            }
-        }
-        f if f == DYNAMIC_FLAVOR => {
-            let partials: Vec<DynamicPartialSweepReport> = parsed
-                .iter()
-                .map(|(file, value, _)| {
-                    DynamicPartialSweepReport::from_value(value)
-                        .map_err(|e| format!("parse {file}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let report = merge_dynamic(&partials).map_err(|e| e.to_string())?;
-            if args.switch("json") {
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
-            } else {
-                Ok(render_dynamic_report(&report))
-            }
-        }
-        other => Err(format!(
-            "{}: unknown partial flavour `{other}` (expected `{STATIC_FLAVOR}` or \
-             `{DYNAMIC_FLAVOR}`)",
-            parsed[0].0
-        )),
+    if flavor == SweepReport::FLAVOR {
+        merge_parsed::<SweepReport>(args, &parsed)
+    } else if flavor == DynamicSweepReport::FLAVOR {
+        merge_parsed::<DynamicSweepReport>(args, &parsed)
+    } else {
+        Err(format!(
+            "{}: unknown partial flavour `{flavor}` (expected `{}` or `{}`)",
+            parsed[0].0,
+            SweepReport::FLAVOR,
+            DynamicSweepReport::FLAVOR
+        ))
     }
+}
+
+/// Decodes parsed partial files of flavour `R`, merges them and renders
+/// the merged report.
+fn merge_parsed<R: Render>(
+    args: &Args,
+    parsed: &[(&String, serde_json::Value, String)],
+) -> Result<String, String> {
+    let partials = parsed
+        .iter()
+        .map(|(file, value, _)| {
+            Partial::<R>::from_value(value).map_err(|e| format!("parse {file}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = merge(&partials).map_err(|e| e.to_string())?;
+    emit(args, &report, R::render)
 }
 
 /// The flag's comma-separated value, requiring a value when the flag is

@@ -32,9 +32,9 @@
 //! The event-driven half mirrors this: shifting fleets pair any mechanism
 //! with any registered [`DynamicAssignStrategy`](algorithm::DynamicAssignStrategy)
 //! (`hst-greedy`, `kd-rebuild`, `random`) through [`run_dynamic_spec`], and
-//! [`sweep::run_dynamic_sweep`] measures the whole product under named
-//! shift plans — see the [`dynamic`] module docs for a worked example of
-//! adding a custom dynamic matcher.
+//! [`run_sweep`] over a [`DynamicSweepConfig`] measures the whole product
+//! under named shift plans — see the [`dynamic`] module docs for a worked
+//! example of adding a custom dynamic matcher.
 //!
 //! Where the workload *comes from* is a third registry axis: a named
 //! [`Scenario`] bundles worker placement, task placement and the demand
@@ -88,7 +88,7 @@
 //! deterministically (`pombm sweep` on the CLI):
 //!
 //! ```
-//! use pombm::sweep::{run_sweep, SweepConfig};
+//! use pombm::sweep::{run_sweep, FlavorReport, SweepConfig};
 //!
 //! let config = SweepConfig {
 //!     mechanisms: vec!["identity".into()],
@@ -116,14 +116,16 @@
 //! (`pombm dynamic --ratio` / `pombm sweep --dynamic --ratio` on the
 //! CLI; plain reports stay byte-identical).
 //!
-//! Sweeps also scale past one process: [`sweep::run_sweep_partition`]
-//! computes an `i/N` slice of the job-index space into a self-describing
-//! [`PartialSweepReport`] (optionally checkpointed so an interrupted run
-//! resumes instead of recomputing), and [`merge::merge_static`] /
-//! [`merge::merge_dynamic`] validate a partial set (identical config
-//! fingerprints, disjoint full coverage) and reassemble JSON
-//! byte-identical to a single-process run — `pombm sweep --partition i/N
-//! [--checkpoint DIR]` and `pombm merge <partials..>` on the CLI.
+//! Both sweeps run on one engine: [`SweepConfig`] and
+//! [`DynamicSweepConfig`] each implement [`SweepFlavor`], and everything
+//! downstream is generic over it. Sweeps also scale past one process:
+//! [`run_sweep_partition`] computes an `i/N` slice of the job-index space
+//! into a self-describing [`Partial`] (optionally checkpointed so an
+//! interrupted run resumes instead of recomputing), and [`merge()`]
+//! validates a partial set (identical config fingerprints, disjoint full
+//! coverage) and reassembles JSON byte-identical to a single-process run —
+//! `pombm sweep [--dynamic] --partition i/N [--checkpoint DIR]` and
+//! `pombm merge <partials..>` on the CLI.
 
 pub mod algorithm;
 pub mod arrivals;
@@ -131,6 +133,7 @@ pub mod case_study;
 pub mod dynamic;
 pub mod epochs;
 pub mod fault;
+pub mod fingerprint;
 pub mod merge;
 pub mod pipeline;
 pub mod ratio;
@@ -149,7 +152,7 @@ pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
 pub use dynamic::{run_dynamic, run_dynamic_spec, run_dynamic_with, DynamicConfig, DynamicOutcome};
 pub use epochs::{run_epochs, run_epochs_with, EpochConfig, EpochMetrics, EpochReport};
 pub use fault::{FaultPlan, ShedPolicy};
-pub use merge::{merge_dynamic, merge_static, MergeError};
+pub use merge::{merge, MergeError};
 pub use pipeline::{
     run, run_spec, run_spec_with_server, run_with_server, Algorithm, CommonConfig, PipelineConfig,
     RunMetrics, RunResult,
@@ -167,8 +170,8 @@ pub use serve::{
 };
 pub use server::{Server, TreeConstruction};
 pub use sweep::{
-    run_dynamic_sweep, run_dynamic_sweep_partition, run_sweep, run_sweep_partition,
-    DynamicMeasurement, DynamicPartialSweepReport, DynamicSweepCell, DynamicSweepConfig,
-    DynamicSweepReport, PartialRunStats, PartialSweepReport, PartitionPlan, PartitionRun,
-    SweepCell, SweepConfig, SweepReport,
+    run_sweep, run_sweep_partition, run_sweep_range, sweep_fingerprint, sweep_job_count,
+    DynamicMeasurement, DynamicSweepCell, DynamicSweepConfig, DynamicSweepReport, FlavorReport,
+    Partial, PartialRunStats, PartitionPlan, PartitionRun, SweepCell, SweepConfig, SweepFlavor,
+    SweepReport,
 };

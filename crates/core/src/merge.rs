@@ -1,42 +1,25 @@
 //! Byte-exact reassembly of partitioned sweep runs.
 //!
 //! [`crate::sweep::run_sweep_partition`] splits a sweep's job-index space
-//! across processes; this module is the other half of that contract:
-//! given the partials, [`merge_static`] / [`merge_dynamic`] validate that
-//! they belong together and cover the space exactly, then reassemble the
-//! cells in job-index order into a report whose JSON serialization is
-//! **byte-identical** to what a single-process [`crate::sweep::run_sweep`]
-//! / [`crate::sweep::run_dynamic_sweep`] of the same configuration would
-//! have produced. Once partials merge byte-exactly, scheduling them on
-//! different machines is just transport — the merge is the trust anchor
-//! of the distributed harness, and CI re-proves it on every run.
+//! across processes; [`merge`] is the other half of that contract. One
+//! generic merge serves every flavour (the partials' [`FlavorReport`] type
+//! picks it): it validates that the partials belong together and cover
+//! the space exactly, then reassembles the cells in job-index order into
+//! the report a single-process [`crate::sweep::run_sweep`] would have
+//! produced, **byte-identical** once serialized. Per-cell `wall_ms`
+//! columns (`--timings`) are machine-dependent, so the merge strips them.
 //!
-//! # Validation
-//!
-//! A partial set is merged only if:
-//!
-//! * it is non-empty and every partial carries the expected flavour tag,
-//! * all config [fingerprints](crate::sweep::sweep_fingerprint) are
-//!   identical (same resolved pairings, grids, seed and output-relevant
-//!   pipeline settings — parallelism knobs are excluded since they never
-//!   change cell content),
-//! * the shared metadata (`total_jobs`, `seed`, `repetitions` /
-//!   `horizon`) agrees,
-//! * every covered range lies inside the job space, no job index is
-//!   covered twice ([`MergeError::Overlap`]), and none is missed
-//!   ([`MergeError::Gap`]) — silent cell loss is structurally impossible.
-//!
-//! # Timings
-//!
-//! Per-cell `wall_ms` columns (the `--timings` flag) are inherently
-//! machine-dependent, so the merge strips them: merged output always
-//! matches a single-process run *without* timings, keeping the byte-exact
-//! contract meaningful across heterogeneous fleets.
+//! Partials are outside input (files handed to `pombm merge`), so every
+//! inconsistency is a typed [`MergeError`], never a panic. A set merges
+//! only if it is non-empty, every partial carries the expected flavour tag
+//! and the same config [fingerprint](crate::sweep::sweep_fingerprint) and
+//! metadata (`total_jobs`, `seed`, `repetitions` / `horizon`), and the
+//! covered ranges tile the job space: inside it (checked arithmetic, so a
+//! hostile `start` cannot wrap), never twice ([`MergeError::Overlap`]),
+//! none missed ([`MergeError::Gap`]). Coverage is checked over the sorted
+//! ranges, so a hostile `total_jobs` costs no allocation.
 
-use crate::sweep::{
-    DynamicPartialSweepReport, DynamicSweepReport, PartialSweepReport, SweepReport, DYNAMIC_FLAVOR,
-    STATIC_FLAVOR,
-};
+use crate::sweep::{FlavorReport, Partial};
 
 /// Why a partial set cannot be merged. Every variant names the offending
 /// partial (by position in the input list) or job index, so a failed
@@ -46,7 +29,7 @@ pub enum MergeError {
     /// The input list was empty.
     NoPartials,
     /// A partial's flavour tag is not the one being merged (e.g. a
-    /// dynamic partial handed to [`merge_static`], or mixed files).
+    /// dynamic partial in a static merge, or mixed files).
     WrongFlavor {
         /// Position of the offending partial in the input list.
         partial: usize,
@@ -141,161 +124,95 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Validates flavour/fingerprint/metadata agreement and assembles the
-/// cells of all partials into one job-index-ordered vector — the shared
-/// skeleton of both merges. `meta_check` compares flavour-specific fields
-/// of each partial against the first.
-///
-/// The accessor-per-field shape (rather than a trait) keeps the two
-/// partial types plain serializable structs; the argument count is the
-/// cost of that.
-// One accessor argument per compared field — see the doc note above.
-#[allow(clippy::too_many_arguments)]
-fn assemble<'a, P, C>(
-    partials: &'a [P],
-    expected_flavor: &'static str,
-    flavor: impl Fn(&P) -> &str,
-    fingerprint: impl Fn(&P) -> &str,
-    total_jobs: impl Fn(&P) -> usize,
-    start: impl Fn(&P) -> usize,
-    cells: impl Fn(&'a P) -> &'a [C],
-    meta_check: impl Fn(&P, &P) -> Option<&'static str>,
-) -> Result<Vec<&'a C>, MergeError> {
+/// Merges a disjoint, fully covering set of partials (in any order) into
+/// the report a single-process run of the same configuration would
+/// produce, stripping machine-dependent `wall_ms` columns. Serializing the
+/// result yields byte-identical JSON to `pombm sweep --json` without
+/// `--timings`.
+pub fn merge<R: FlavorReport>(partials: &[Partial<R>]) -> Result<R, MergeError> {
     let first = partials.first().ok_or(MergeError::NoPartials)?;
-    let total = total_jobs(first);
+    let total = first.total_jobs;
+    // Non-empty covered ranges, tagged with their partial's position.
+    let mut ranges = Vec::with_capacity(partials.len());
     for (i, partial) in partials.iter().enumerate() {
-        if flavor(partial) != expected_flavor {
+        if partial.flavor != R::FLAVOR {
             return Err(MergeError::WrongFlavor {
                 partial: i,
-                expected: expected_flavor,
-                found: flavor(partial).to_string(),
+                expected: R::FLAVOR,
+                found: partial.flavor.clone(),
             });
         }
-        if fingerprint(partial) != fingerprint(first) {
+        if partial.fingerprint != first.fingerprint {
             return Err(MergeError::FingerprintMismatch {
                 partial: i,
-                expected: fingerprint(first).to_string(),
-                found: fingerprint(partial).to_string(),
+                expected: first.fingerprint.clone(),
+                found: partial.fingerprint.clone(),
             });
         }
-        if total_jobs(partial) != total {
+        if partial.total_jobs != total {
             return Err(MergeError::MetadataMismatch {
                 partial: i,
                 field: "total_jobs",
             });
         }
-        if let Some(field) = meta_check(first, partial) {
+        if let Some(field) = first.report.mismatch(&partial.report) {
             return Err(MergeError::MetadataMismatch { partial: i, field });
         }
-        let end = start(partial) + cells(partial).len();
-        if end > total {
-            return Err(MergeError::OutOfBounds {
+        let len = partial.report.cells().len();
+        let end = partial
+            .start
+            .checked_add(len)
+            .filter(|&end| end <= total)
+            .ok_or(MergeError::OutOfBounds {
                 partial: i,
-                end,
+                end: partial.start.saturating_add(len),
                 total,
+            })?;
+        if len > 0 {
+            ranges.push((partial.start..end, i));
+        }
+    }
+    ranges.sort_by_key(|(range, _)| range.start);
+    // Sorted by start, the ranges are disjoint iff every neighbouring pair
+    // is; a later range starting inside an earlier one double-covers its
+    // first job.
+    for pair in ranges.windows(2) {
+        if pair[1].0.start < pair[0].0.end {
+            return Err(MergeError::Overlap {
+                job: pair[1].0.start,
             });
         }
     }
-    let mut slots: Vec<Option<&C>> = vec![None; total];
-    for partial in partials {
-        for (offset, cell) in cells(partial).iter().enumerate() {
-            let job = start(partial) + offset;
-            if slots[job].is_some() {
-                return Err(MergeError::Overlap { job });
-            }
-            slots[job] = Some(cell);
+    // Disjoint sorted ranges cover `0..total` iff they tile it.
+    let mut next = 0;
+    for (range, _) in &ranges {
+        if range.start != next {
+            return Err(MergeError::Gap { job: next });
         }
+        next = range.end;
     }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(job, slot)| slot.ok_or(MergeError::Gap { job }))
-        .collect()
-}
-
-/// Merges a disjoint, fully covering set of static partials (in any
-/// order) into the [`SweepReport`] a single-process run of the same
-/// configuration would produce, stripping machine-dependent `wall_ms`
-/// columns. Serializing the result yields byte-identical JSON to
-/// `pombm sweep --json` without `--timings`.
-pub fn merge_static(partials: &[PartialSweepReport]) -> Result<SweepReport, MergeError> {
-    let cells = assemble(
-        partials,
-        STATIC_FLAVOR,
-        |p| &p.flavor,
-        |p| &p.fingerprint,
-        |p| p.total_jobs,
-        |p| p.start,
-        |p| &p.cells,
-        |first, p| {
-            if p.seed != first.seed {
-                Some("seed")
-            } else if p.repetitions != first.repetitions {
-                Some("repetitions")
-            } else {
-                None
-            }
-        },
-    )?;
-    let first = &partials[0];
-    Ok(SweepReport {
-        seed: first.seed,
-        repetitions: first.repetitions,
-        cells: cells
-            .into_iter()
-            .map(|cell| {
-                let mut cell = cell.clone();
-                cell.wall_ms = None;
-                cell
-            })
-            .collect(),
-    })
-}
-
-/// Merges a disjoint, fully covering set of dynamic partials into the
-/// [`DynamicSweepReport`] of a single-process `pombm sweep --dynamic`;
-/// the dynamic counterpart of [`merge_static`].
-pub fn merge_dynamic(
-    partials: &[DynamicPartialSweepReport],
-) -> Result<DynamicSweepReport, MergeError> {
-    let cells = assemble(
-        partials,
-        DYNAMIC_FLAVOR,
-        |p| &p.flavor,
-        |p| &p.fingerprint,
-        |p| p.total_jobs,
-        |p| p.start,
-        |p| &p.cells,
-        |first, p| {
-            if p.seed != first.seed {
-                Some("seed")
-            } else if p.horizon.to_bits() != first.horizon.to_bits() {
-                Some("horizon")
-            } else {
-                None
-            }
-        },
-    )?;
-    let first = &partials[0];
-    Ok(DynamicSweepReport {
-        seed: first.seed,
-        horizon: first.horizon,
-        cells: cells
-            .into_iter()
-            .map(|cell| {
-                let mut cell = cell.clone();
-                cell.wall_ms = None;
-                cell
-            })
-            .collect(),
-    })
+    if next != total {
+        return Err(MergeError::Gap { job: next });
+    }
+    let cells = ranges
+        .iter()
+        .flat_map(|&(_, i)| partials[i].report.cells())
+        .map(|cell| {
+            let mut cell = cell.clone();
+            R::clear_wall_ms(&mut cell);
+            cell
+        })
+        .collect();
+    Ok(first.report.with_cells(cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
-    use crate::sweep::{run_sweep, run_sweep_range, sweep_job_count, PartitionPlan, SweepConfig};
+    use crate::sweep::{
+        run_sweep, run_sweep_range, sweep_job_count, PartitionPlan, SweepConfig, SweepReport,
+    };
 
     fn config() -> SweepConfig {
         SweepConfig {
@@ -327,7 +244,7 @@ mod tests {
                     run_sweep_range(&config, plan.slice(total)).unwrap()
                 })
                 .collect();
-            let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
+            let merged = serde_json::to_string(&merge(&partials).unwrap()).unwrap();
             assert_eq!(full, merged, "n = {n}");
         }
     }
@@ -343,7 +260,7 @@ mod tests {
             })
             .collect();
         partials.reverse();
-        let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
+        let merged = serde_json::to_string(&merge(&partials).unwrap()).unwrap();
         let full = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
         assert_eq!(full, merged);
     }
@@ -352,18 +269,21 @@ mod tests {
     fn empty_overlapping_and_gappy_sets_are_typed_errors() {
         let config = config();
         let total = sweep_job_count(&config).unwrap();
-        assert_eq!(merge_static(&[]).unwrap_err(), MergeError::NoPartials);
+        assert_eq!(
+            merge::<SweepReport>(&[]).unwrap_err(),
+            MergeError::NoPartials
+        );
 
         let a = run_sweep_range(&config, 0..total).unwrap();
         let b = run_sweep_range(&config, 1..2).unwrap();
         assert_eq!(
-            merge_static(&[a.clone(), b]).unwrap_err(),
+            merge(&[a.clone(), b]).unwrap_err(),
             MergeError::Overlap { job: 1 }
         );
 
         let head = run_sweep_range(&config, 0..total - 1).unwrap();
         assert_eq!(
-            merge_static(&[head]).unwrap_err(),
+            merge(&[head]).unwrap_err(),
             MergeError::Gap { job: total - 1 }
         );
 
@@ -371,32 +291,48 @@ mod tests {
         reseeded.base.seed = 5;
         let other = run_sweep_range(&reseeded, 0..1).unwrap();
         assert!(matches!(
-            merge_static(&[a.clone(), other]),
+            merge(&[a.clone(), other]),
             Err(MergeError::FingerprintMismatch { partial: 1, .. })
         ));
 
         let mut wrong = a.clone();
         wrong.flavor = "dynamic".into();
         assert!(matches!(
-            merge_static(&[wrong]),
+            merge(&[wrong]),
             Err(MergeError::WrongFlavor { partial: 0, .. })
         ));
 
         let head = run_sweep_range(&config, 0..2).unwrap();
         let mut tail = run_sweep_range(&config, 2..total).unwrap();
-        tail.seed = 99; // hand-edited: fingerprint still matches
+        tail.report.seed = 99; // hand-edited: fingerprint still matches
         assert_eq!(
-            merge_static(&[head, tail]).unwrap_err(),
+            merge(&[head, tail]).unwrap_err(),
             MergeError::MetadataMismatch {
                 partial: 1,
                 field: "seed"
             }
         );
 
+        // Hand-edited partials: a `start` whose `start + len` would wrap,
+        // and a `total_jobs` no slot vector could be allocated for.
+        let mut wrapping = a.clone();
+        wrapping.start = usize::MAX;
+        assert_eq!(
+            merge(&[wrapping]).unwrap_err(),
+            MergeError::OutOfBounds {
+                partial: 0,
+                end: usize::MAX,
+                total
+            }
+        );
+        let mut huge = a.clone();
+        huge.total_jobs = usize::MAX;
+        assert_eq!(merge(&[huge]).unwrap_err(), MergeError::Gap { job: total });
+
         let mut oob = a;
         oob.start = 1;
         assert!(matches!(
-            merge_static(&[oob]),
+            merge(&[oob]),
             Err(MergeError::OutOfBounds { partial: 0, .. })
         ));
     }

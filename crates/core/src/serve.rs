@@ -88,6 +88,7 @@ use crate::algorithm::{
 };
 use crate::dynamic::EventKind;
 use crate::fault::{FaultPlan, ShedPolicy, DEADLINE_WINDOWS, DEFAULT_FAULT_RATE, FAULT_STREAM};
+use crate::fingerprint::Fnv1a;
 use crate::registry::registry;
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use crate::server::Server;
@@ -477,17 +478,11 @@ impl ServeRequest {
 /// `0` and `Some(w)` as `w + 1`. The serve counterpart of the sweep's
 /// config fingerprint — two runs match iff their assignment sequences do.
 pub fn assignment_fingerprint(assignments: &[(u64, Option<u64>)]) -> String {
-    fn eat(hash: u64, value: u64) -> u64 {
-        value.to_le_bytes().iter().fold(hash, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
-    }
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut hash = Fnv1a::new();
     for &(task, worker) in assignments {
-        hash = eat(hash, task);
-        hash = eat(hash, worker.map_or(0, |w| w + 1));
+        hash.write_u64(task).write_u64(worker.map_or(0, |w| w + 1));
     }
-    format!("{hash:016x}")
+    hash.hex()
 }
 
 /// A task buffered in the current window (or parked for a retry window).
@@ -990,18 +985,7 @@ fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
         Some(name) => ShedPolicy::parse(name)?,
         None => ShedPolicy::DropNewest,
     };
-    let mechanism =
-        registry()
-            .mechanism(&config.mechanism)
-            .ok_or_else(|| PipelineError::UnknownEntry {
-                kind: "mechanism",
-                name: config.mechanism.clone(),
-                known: registry()
-                    .mechanisms()
-                    .iter()
-                    .map(|m| m.name().to_string())
-                    .collect(),
-            })?;
+    let mechanism = registry().require_mechanism(&config.mechanism)?;
     let matcher = registry().require_dynamic_matcher(&config.matcher)?;
     let scenario =
         registry().require_scenario(config.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO))?;

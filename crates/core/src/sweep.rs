@@ -1,78 +1,57 @@
-//! Sharded, registry-wide competitive-ratio sweeps.
+//! Sharded, registry-wide competitive-ratio sweeps: one engine, two
+//! flavours.
 //!
-//! Theorem 3's `O(ε⁻⁴ log N log² k)` bound is a statement about one
-//! algorithm; the registry makes it cheap to ask the empirical question for
-//! *every* `mechanism × matcher` product at once. A sweep takes a set of
-//! mechanisms and matchers (defaulting to the full registry), a grid of
-//! instance sizes and privacy budgets ε, and measures each pairing's
-//! [`RatioReport`] (Definition 8's expectation, estimated by
-//! [`empirical_competitive_ratio`]) on a deterministic synthetic instance
-//! per size.
+//! Theorem 3's `O(ε⁻⁴ log N log² k)` bound is about one algorithm; a sweep
+//! asks the empirical question for every pairing at once. It expands a
+//! configuration into a job list and measures one cell per job:
 //!
-//! # Sharding and determinism
+//! * [`SweepConfig`]: `scenario × mechanism × matcher × size × ε`, each
+//!   cell a [`RatioReport`] from [`empirical_competitive_ratio`];
+//! * [`DynamicSweepConfig`]: `scenario × mechanism × dynamic-matcher ×
+//!   shift-plan × size × ε`, each cell one timeline replayed through
+//!   [`crate::dynamic::run_dynamic_spec`] into a [`DynamicMeasurement`]
+//!   (plus, under `ratio`, the ratio against the clairvoyant `dynamic-opt`
+//!   optimum and drop-latency percentiles).
 //!
-//! The job list — the full `pairing × size × ε` product — is fanned out
-//! over `crossbeam` scoped threads, mirroring [`pombm_privacy::batch`]:
-//! shard `s` takes the `s`-th contiguous chunk of jobs and writes results
-//! through a `parking_lot`-protected output vector, one lock acquisition
-//! per shard. Every job derives its RNG seeds from its *position in the
-//! job list*, never from the shard that happens to execute it, so sweep
-//! output is bit-identical for every shard count: deterministic in `seed`
-//! alone.
+//! Each config is a [`SweepFlavor`] (job list, per-job runner, fingerprint
+//! parts) whose report is a [`FlavorReport`] (flavour tag, cells,
+//! metadata). Everything else exists once, generic over the flavour:
+//! [`run_sweep`], [`sweep_job_count`], [`sweep_fingerprint`],
+//! [`run_sweep_partition`], [`run_sweep_range`], the [`Partial`] report,
+//! checkpointing and [`crate::merge::merge`].
 //!
-//! Cells can additionally parallelize *within* themselves via
-//! [`PipelineConfig::threads`] — the batched obfuscation of
-//! [`crate::algorithm::ReportMechanism::report_batch`] and the blocked
-//! Hungarian behind `offline-opt` and the OPT denominator — without
-//! changing a single output byte, and [`SweepConfig::timings`] records
-//! per-cell wall-clock into a `wall_ms` column that is entirely absent
-//! (not `null`) from the JSON when off, keeping golden byte-compares
-//! exact.
+//! # Determinism
 //!
-//! Incompatible pairings (e.g. the `blind` mechanism with any
-//! location-aware matcher) and degenerate measurements (empty instances,
-//! zero-distance optima) do not abort the sweep: each cell records either
-//! a report or the typed error's message, so a full-registry sweep always
-//! completes.
+//! Jobs fan out over `crossbeam` scoped threads in contiguous shard
+//! chunks. Every job seeds its RNG streams from its *index in the job
+//! list*, and instances, task times and shift plans derive from
+//! `(seed, size)` and `(seed, size, plan)` alone, so output is
+//! bit-identical for every shard count and every pairing in a column faces
+//! the same workload. In-cell threads ([`PipelineConfig::threads`]) never
+//! change a byte either. `timings` adds a `wall_ms` column that is absent
+//! (not `null`) when off, keeping golden byte-compares exact. Incompatible
+//! pairings and degenerate measurements record the typed error's message
+//! in their cell instead of aborting the sweep.
 //!
-//! # The dynamic axis
+//! # Partitions and checkpoints
 //!
-//! [`run_dynamic_sweep`] is the same engine pointed at the event-driven
-//! half of the codebase: a `mechanism × dynamic-matcher × shift-plan ×
-//! size × ε` product where every cell replays one deterministic
-//! shift/task timeline through [`crate::dynamic::run_dynamic_spec`] and
-//! records a [`DynamicMeasurement`] (assignment rate, total distance, peak
-//! availability). Task times and shift plans derive from `(seed, size)`
-//! and `(seed, size, plan)` alone — identical across pairings — while
-//! noise streams derive from the job index, so dynamic sweeps share the
-//! static sweep's shard-count invariance.
-//!
-//! # Partitioned execution and checkpoints
-//!
-//! Because the job list is a pure function of the configuration, the same
-//! invariance extends across *process* boundaries: a [`PartitionPlan`]
-//! (`i/N`) names a contiguous slice of the job-index space, and
-//! [`run_sweep_partition`] / [`run_dynamic_sweep_partition`] compute just
-//! that slice into a self-describing [`PartialSweepReport`] /
-//! [`DynamicPartialSweepReport`] — partition coordinates, a config
-//! [fingerprint](sweep_fingerprint), the covered index range, and the
-//! cells. The [`crate::merge`] module validates a set of partials
-//! (identical fingerprints, disjoint full coverage) and reassembles them
-//! in job-index order into JSON byte-identical to a single-process run,
-//! so scheduling partitions on different machines is just transport.
-//!
-//! Partitioned runs can also checkpoint: with a checkpoint directory,
-//! every completed cell is appended to a fingerprint-keyed JSONL log as
-//! it finishes, and a re-run (same flavour + fingerprint, any partition
-//! spec) resumes from the surviving entries instead of recomputing them.
-//! Resumed output is byte-identical to a fresh run because cells are
-//! deterministic and the JSON encoding round-trips `f64`s exactly.
+//! The job list is a pure function of the configuration, so the invariance
+//! extends across processes: a [`PartitionPlan`] (`i/N`) names a
+//! contiguous slice of job indices, [`run_sweep_partition`] computes it
+//! into a self-describing [`Partial`], and [`crate::merge::merge`]
+//! reassembles a full set into JSON byte-identical to a single-process
+//! run. With a checkpoint directory, each completed cell is appended to a
+//! `{flavor}-{fingerprint}.jsonl` log as it finishes; a re-run under any
+//! partition spec resumes the surviving entries byte-identically, since
+//! cells are deterministic and the JSON encoding round-trips `f64`s
+//! exactly.
 
 use crate::algorithm::{AssignStrategy, DynamicAssignStrategy, PipelineError, ReportMechanism};
 use crate::dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
+use crate::fingerprint::Fnv1a;
 use crate::pipeline::PipelineConfig;
 use crate::ratio::{dynamic_offline_optimum, empirical_competitive_ratio, RatioReport};
-use crate::registry::{registry, AlgorithmSpec, Role, DEFAULT_DYNAMIC_ORACLE};
+use crate::registry::{registry, AlgorithmSpec, CatalogItem, Role, DEFAULT_DYNAMIC_ORACLE};
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use parking_lot::Mutex;
 use pombm_geom::seeded_rng;
@@ -80,7 +59,7 @@ use pombm_matching::HstGreedyEngine;
 use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::ops::Range;
@@ -182,241 +161,116 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
 }
 
-impl SweepReport {
+// ---------------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------------
+
+/// One sweep flavour, implemented by its configuration type: how the
+/// configuration expands into jobs, how one job becomes one cell, and what
+/// of it enters the config fingerprint. Everything else — fan-out,
+/// partitioning, checkpointing, partial reports, merging — is generic over
+/// this trait and exists once.
+pub trait SweepFlavor: Sync {
+    /// One unit of work, fully determined before any thread runs.
+    type Job: Sync;
+    /// The completed sweep (and a [`Partial`]'s payload).
+    type Report: FlavorReport;
+
+    /// Worker threads to fan the job list over.
+    fn shards(&self) -> usize;
+
+    /// Whether cells record the machine-dependent `wall_ms` column.
+    fn timings(&self) -> bool;
+
+    /// Validates the grid shape and resolves names into the full job list,
+    /// each job seeded by its index alone.
+    fn jobs(&self) -> Result<Vec<Self::Job>, PipelineError>;
+
+    /// Everything after the flavour tag that shapes the job list and cell
+    /// content: resolved names (so an empty filter and its explicit
+    /// spelling agree), grids and output-relevant settings — never
+    /// parallelism or timings, so partials produced at different
+    /// parallelism levels merge.
+    fn fingerprint_parts(&self) -> Result<Vec<String>, PipelineError>;
+
+    /// Measures one job.
+    fn run_job(&self, job: &Self::Job) -> <Self::Report as FlavorReport>::Cell;
+
+    /// The report of this configuration over `cells` (in job order).
+    fn report(&self, cells: Vec<<Self::Report as FlavorReport>::Cell>) -> Self::Report;
+}
+
+/// A flavour's report: what [`Partial`] carries after its header and what
+/// [`crate::merge::merge`] reassembles.
+pub trait FlavorReport: Serialize + Deserialize {
+    /// Flavour tag: the first fingerprint part, the checkpoint log prefix
+    /// and a partial's `flavor` field.
+    const FLAVOR: &'static str;
+    /// One cell of the sweep product.
+    type Cell: Clone + Send + Serialize + Deserialize;
+    /// What a measurable cell records.
+    type Measurement;
+
+    /// The cells, in job-index order.
+    fn cells(&self) -> &[Self::Cell];
+
+    /// A cell's measurement and its typed error's message; a well-formed
+    /// cell has exactly one.
+    fn outcome(cell: &Self::Cell) -> (Option<&Self::Measurement>, Option<&str>);
+
     /// Cells that produced a measurement.
-    pub fn measured(&self) -> impl Iterator<Item = (&SweepCell, &RatioReport)> {
-        self.cells
+    fn measured(&self) -> impl Iterator<Item = (&Self::Cell, &Self::Measurement)> {
+        self.cells()
             .iter()
-            .filter_map(|c| Some((c, c.report.as_ref()?)))
+            .filter_map(|c| Some((c, Self::outcome(c).0?)))
     }
 
     /// Cells rejected with a typed error.
-    pub fn failed(&self) -> impl Iterator<Item = &SweepCell> {
-        self.cells.iter().filter(|c| c.error.is_some())
+    fn failed(&self) -> impl Iterator<Item = &Self::Cell> {
+        self.cells().iter().filter(|c| Self::outcome(c).1.is_some())
     }
+
+    /// A report with this report's metadata and the given cells.
+    fn with_cells(&self, cells: Vec<Self::Cell>) -> Self;
+
+    /// The first metadata field on which `other` disagrees with this
+    /// report (cells aside).
+    fn mismatch(&self, other: &Self) -> Option<&'static str>;
+
+    /// Drops the cell's machine-dependent `wall_ms` column.
+    fn clear_wall_ms(cell: &mut Self::Cell);
 }
 
-/// One unit of sweep work, fully determined before any thread runs.
-struct Job {
-    scenario: Arc<dyn Scenario>,
-    spec: AlgorithmSpec,
-    size: usize,
-    epsilon: f64,
-    /// Seed for this job's pipeline/shuffle streams; derived from the job's
-    /// position so it is independent of shard assignment.
-    job_seed: u64,
-}
-
-/// The scenario a sweep cell should record: `None` for the `uniform`
-/// default (keeping the column absent from legacy-shaped JSON), the name
-/// otherwise.
-fn cell_scenario(scenario: &dyn Scenario) -> Option<String> {
-    (scenario.name() != DEFAULT_SCENARIO).then(|| scenario.name().to_string())
-}
-
-/// The workload scenarios a sweep runs: the explicit filter resolved
-/// against the registry (case-insensitively, with a listing-rich error on
-/// unknown names), or just the legacy `uniform` default when empty.
-fn resolve_scenarios(names: &[String]) -> Result<Vec<Arc<dyn Scenario>>, PipelineError> {
-    if names.is_empty() {
-        let uniform = registry()
-            .scenario(DEFAULT_SCENARIO)
-            .expect("the uniform scenario is always registered");
-        return Ok(vec![uniform]);
-    }
-    names
-        .iter()
-        .map(|n| registry().require_scenario(n))
-        .collect()
-}
-
-/// The deterministic instance a sweep uses for `size`: `size` tasks and
-/// `size` workers from the standard synthetic generator, seeded by
-/// `(seed, size)` only.
-pub fn sweep_instance(seed: u64, size: usize) -> Instance {
-    let params = SyntheticParams {
-        num_tasks: size,
-        num_workers: size,
-        ..SyntheticParams::default()
-    };
-    let stream = seed ^ (size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    synthetic::generate(&params, &mut seeded_rng(stream, 0x51EE))
-}
-
-fn resolve_mechanisms(names: &[String]) -> Result<Vec<Arc<dyn ReportMechanism>>, PipelineError> {
-    if names.is_empty() {
-        return Ok(registry().mechanisms().to_vec());
-    }
-    names
-        .iter()
-        .map(|n| {
-            registry()
-                .mechanism(n)
-                .ok_or_else(|| PipelineError::UnknownEntry {
-                    kind: "mechanism",
-                    name: n.clone(),
-                    known: registry()
-                        .mechanisms()
-                        .iter()
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                })
-        })
-        .collect()
-}
-
-fn resolve_matchers(names: &[String]) -> Result<Vec<Arc<dyn AssignStrategy>>, PipelineError> {
-    if names.is_empty() {
-        return Ok(registry().matchers().to_vec());
-    }
-    names
-        .iter()
-        .map(|n| {
-            registry()
-                .matcher(n)
-                .ok_or_else(|| PipelineError::UnknownEntry {
-                    kind: "matcher",
-                    name: n.clone(),
-                    known: registry()
-                        .matchers()
-                        .iter()
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                })
-        })
-        .collect()
-}
-
-fn run_job(job: &Job, base: &PipelineConfig, repetitions: u64, timings: bool) -> SweepCell {
-    // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-    // merge strips wall_ms before fingerprinting.
-    let started = timings.then(std::time::Instant::now);
-    let instance = job.scenario.instance(base.seed, job.size);
-    let config = PipelineConfig {
-        epsilon: job.epsilon,
-        seed: job.job_seed,
-        ..*base
-    };
-    let (report, error) =
-        match empirical_competitive_ratio(&job.spec, &instance, &config, repetitions) {
-            Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e.to_string())),
-        };
-    SweepCell {
-        scenario: cell_scenario(job.scenario.as_ref()),
-        mechanism: job.spec.mechanism.name().to_string(),
-        matcher: job.spec.matcher.name().to_string(),
-        num_tasks: instance.num_tasks(),
-        num_workers: instance.num_workers(),
-        epsilon: job.epsilon,
-        report,
-        error,
-        wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
-    }
-}
-
-/// Validates the static grid shape and resolves names into the full job
-/// list: the `pairing × size × ε` product in mechanism-major order, each
-/// job carrying a seed derived from its index alone.
-fn build_jobs(config: &SweepConfig) -> Result<Vec<Job>, PipelineError> {
-    if config.shards == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "shards",
-            why: "the sweep needs at least one shard",
-        });
-    }
-    if config.repetitions == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "repetitions",
-            why: "the sweep needs at least one repetition per cell",
-        });
-    }
-    if config.sizes.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "sizes",
-            why: "the sweep needs at least one instance size",
-        });
-    }
-    if config.epsilons.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "epsilons",
-            why: "the sweep needs at least one privacy budget",
-        });
-    }
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_matchers(&config.matchers)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-
-    let mut jobs = Vec::new();
-    // Scenario is the outermost axis: a single-scenario sweep enumerates
-    // jobs in exactly the pre-scenario order, so every job index (and
-    // therefore every job seed) is unchanged.
-    for scenario in &scenarios {
-        for mechanism in &mechanisms {
-            for matcher in &matchers {
-                for &size in &config.sizes {
-                    for &epsilon in &config.epsilons {
-                        // Per-job seed from the job index: independent of the
-                        // shard that executes it, so shard count never changes
-                        // any cell.
-                        let job_seed = config.base.seed.wrapping_add(
-                            (jobs.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        );
-                        jobs.push(Job {
-                            scenario: scenario.clone(),
-                            spec: AlgorithmSpec::compose(mechanism.clone(), matcher.clone()),
-                            size,
-                            epsilon,
-                            job_seed,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(jobs)
-}
-
-/// Number of jobs (cells) the static sweep grid expands to — the space a
+/// Number of jobs (cells) the sweep grid expands to — the space a
 /// [`PartitionPlan`] slices. Fails on the same configuration errors as
 /// [`run_sweep`].
-pub fn sweep_job_count(config: &SweepConfig) -> Result<usize, PipelineError> {
-    Ok(build_jobs(config)?.len())
+pub fn sweep_job_count<F: SweepFlavor>(config: &F) -> Result<usize, PipelineError> {
+    Ok(config.jobs()?.len())
 }
 
-/// Runs the sweep, fanning the `pairing × size × ε` product over
-/// `config.shards` scoped threads.
+/// Runs the sweep, fanning the job list over `config.shards()` scoped
+/// threads.
 ///
 /// Fails fast on configuration errors (unknown names, empty grids, zero
 /// shards/repetitions); per-cell measurement failures are recorded in the
 /// cells, not returned.
-pub fn run_sweep(config: &SweepConfig) -> Result<SweepReport, PipelineError> {
-    let jobs = build_jobs(config)?;
-    let range = 0..jobs.len();
-    let cells = execute(&jobs, range, config.shards, None, |job| {
-        run_job(job, &config.base, config.repetitions, config.timings)
+pub fn run_sweep<F: SweepFlavor>(config: &F) -> Result<F::Report, PipelineError> {
+    let jobs = config.jobs()?;
+    let cells = execute(&jobs, 0..jobs.len(), config.shards(), None, |job| {
+        config.run_job(job)
     })?;
-    Ok(SweepReport {
-        seed: config.base.seed,
-        repetitions: config.repetitions,
-        cells,
-    })
+    Ok(config.report(cells))
 }
 
 // ---------------------------------------------------------------------------
 // Partitioned execution
 // ---------------------------------------------------------------------------
 
-/// Flavour tag static partial reports carry in their `flavor` field.
-pub const STATIC_FLAVOR: &str = "static";
-/// Flavour tag dynamic partial reports carry in their `flavor` field.
-pub const DYNAMIC_FLAVOR: &str = "dynamic";
-
 /// A named contiguous `i/N` slice of a sweep's job-index space
 /// (1-based: `1/3`, `2/3`, `3/3`).
 ///
-/// The job list is a pure function of the [`SweepConfig`] /
-/// [`DynamicSweepConfig`], so every process that agrees on the
+/// The job list is a pure function of the configuration
+/// ([`SweepFlavor::jobs`]), so every process that agrees on the
 /// configuration agrees on the job order; a plan only selects *which*
 /// contiguous indices a process computes. Slices are balanced: `total`
 /// jobs split into `N` runs whose lengths differ by at most one, with the
@@ -495,149 +349,44 @@ impl std::fmt::Display for PartitionPlan {
     }
 }
 
-/// 64-bit FNV-1a over length-delimited parts; stable across runs and
-/// platforms (unlike `DefaultHasher`, whose output is unspecified).
+/// FNV-1a over length-delimited parts.
 fn fingerprint_of(parts: &[String]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for part in parts {
-        eat(part.as_bytes());
-        eat(&[0xff]); // part delimiter, not valid UTF-8 inside a part
+        // 0xff delimits parts: it never occurs inside UTF-8 text.
+        hash.write(part.as_bytes()).write(&[0xff]);
     }
-    format!("{hash:016x}")
+    hash.hex()
 }
 
-fn pipeline_fingerprint_parts(base: &PipelineConfig) -> Vec<String> {
-    vec![
-        format!("seed={}", base.seed),
-        format!("grid={}", base.grid_side),
-        format!(
-            "engine={}",
-            match base.engine {
-                HstGreedyEngine::Scan => "scan",
-                HstGreedyEngine::Indexed => "indexed",
-            }
-        ),
-        format!("euclid={}", base.euclid_cells),
-        format!("capacity={}", base.capacity),
-        // `threads`, `shards` and `timings` are deliberately absent: they
-        // never change deterministic cell content, so partials produced at
-        // different parallelism levels must merge.
-    ]
-}
-
-fn epsilon_bits(epsilons: &[f64]) -> String {
-    epsilons
-        .iter()
-        .map(|e| format!("{:016x}", e.to_bits()))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Deterministic fingerprint of everything that shapes a static sweep's
-/// job list and cell content: resolved mechanism/matcher names, the
-/// size/ε grids, repetitions, and the output-relevant [`PipelineConfig`]
-/// fields. Two configs with equal fingerprints produce byte-identical
-/// cells for the same job indices; [`crate::merge`] refuses to combine
-/// partials whose fingerprints differ.
-pub fn sweep_fingerprint(config: &SweepConfig) -> Result<String, PipelineError> {
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_matchers(&config.matchers)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-    let mut parts = vec![
-        STATIC_FLAVOR.to_string(),
-        // Resolved names, so `[]` and an explicit `["uniform"]` (the same
-        // job list) fingerprint identically.
-        scenarios
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        mechanisms
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        matchers
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        config
-            .sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        epsilon_bits(&config.epsilons),
-        format!("reps={}", config.repetitions),
-    ];
-    parts.extend(pipeline_fingerprint_parts(&config.base));
+/// Deterministic fingerprint of everything that shapes a sweep's job list
+/// and cell content: the flavour tag, then
+/// [`SweepFlavor::fingerprint_parts`]. Two configs with equal fingerprints
+/// produce byte-identical cells for the same job indices;
+/// [`crate::merge::merge`] refuses to combine partials whose fingerprints
+/// differ, and checkpoint logs are named after it.
+pub fn sweep_fingerprint<F: SweepFlavor>(config: &F) -> Result<String, PipelineError> {
+    let mut parts = vec![F::Report::FLAVOR.to_string()];
+    parts.extend(config.fingerprint_parts()?);
     Ok(fingerprint_of(&parts))
 }
 
-/// Deterministic fingerprint of a dynamic sweep's job list and cell
-/// content; the dynamic counterpart of [`sweep_fingerprint`].
-pub fn dynamic_sweep_fingerprint(config: &DynamicSweepConfig) -> Result<String, PipelineError> {
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_dynamic_matchers(&config.matchers, config.ratio)?;
-    let plans = resolve_plan_kinds(config)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-    let mut parts = vec![
-        DYNAMIC_FLAVOR.to_string(),
-        // Resolved names, like the static flavour above.
-        scenarios
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        mechanisms
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        matchers
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        plans.join(","),
-        config
-            .sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        epsilon_bits(&config.epsilons),
-        format!("grid={}", config.grid_side),
-        format!("seed={}", config.seed),
-        format!("horizon={:016x}", DYNAMIC_SWEEP_HORIZON.to_bits()),
-    ];
-    if config.ratio {
-        // The resolved oracle name: ratio cells carry extra columns, so a
-        // ratio sweep must never share checkpoints or merge inputs with a
-        // plain sweep of the same grid.
-        parts.push(format!("oracle={DEFAULT_DYNAMIC_ORACLE}"));
-    }
-    Ok(fingerprint_of(&parts))
-}
-
-/// One partition's worth of a static sweep: self-describing enough for
-/// [`crate::merge::merge_static`] to validate and reassemble a full
-/// [`SweepReport`] from a set of these.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PartialSweepReport {
-    /// Always [`STATIC_FLAVOR`]; lets `pombm merge` sniff mixed inputs.
+/// One partition's worth of a sweep: self-describing enough for
+/// [`crate::merge::merge`] to validate and reassemble the full report from
+/// a set of these.
+///
+/// Serializes as one flat object: the header fields below, in order, then
+/// the fields of the flavour's report (`seed`, `repetitions` or `horizon`,
+/// `cells`).
+#[derive(Debug, Clone)]
+pub struct Partial<R> {
+    /// The flavour tag ([`FlavorReport::FLAVOR`]); lets `pombm merge`
+    /// sniff mixed inputs.
     pub flavor: String,
     /// [`sweep_fingerprint`] of the producing configuration.
     pub fingerprint: String,
-    /// 1-based partition number, or `0` for a custom
-    /// [`run_sweep_range`] slice.
+    /// 1-based partition number, or `0` for a custom [`run_sweep_range`]
+    /// slice.
     pub partition_index: usize,
     /// Total partitions, or `0` for a custom slice.
     pub partition_count: usize,
@@ -646,49 +395,52 @@ pub struct PartialSweepReport {
     /// First (global) job index this partial covers; it covers
     /// `start..start + cells.len()`.
     pub start: usize,
-    /// Root seed of the producing configuration.
-    pub seed: u64,
-    /// Repetitions per cell of the producing configuration.
-    pub repetitions: u64,
-    /// The covered cells, in job-index order.
-    pub cells: Vec<SweepCell>,
+    /// The covered cells, in job-index order, with the producing
+    /// configuration's report metadata.
+    pub report: R,
 }
 
-impl PartialSweepReport {
-    /// The global job-index range this partial covers.
+impl<R: FlavorReport> Partial<R> {
+    /// The global job-index range this partial covers (saturating: a
+    /// corrupt `start` cannot overflow here; [`crate::merge::merge`]
+    /// rejects it).
     pub fn covers(&self) -> Range<usize> {
-        self.start..self.start + self.cells.len()
+        self.start..self.start.saturating_add(self.report.cells().len())
     }
 }
 
-/// One partition's worth of a dynamic sweep; the
-/// [`crate::merge::merge_dynamic`] input mirroring [`PartialSweepReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DynamicPartialSweepReport {
-    /// Always [`DYNAMIC_FLAVOR`].
-    pub flavor: String,
-    /// [`dynamic_sweep_fingerprint`] of the producing configuration.
-    pub fingerprint: String,
-    /// 1-based partition number, or `0` for a custom slice.
-    pub partition_index: usize,
-    /// Total partitions, or `0` for a custom slice.
-    pub partition_count: usize,
-    /// Size of the full job-index space this partial was cut from.
-    pub total_jobs: usize,
-    /// First (global) job index this partial covers.
-    pub start: usize,
-    /// Root seed of the producing configuration.
-    pub seed: u64,
-    /// Simulation horizon shared by all cells.
-    pub horizon: f64,
-    /// The covered cells, in job-index order.
-    pub cells: Vec<DynamicSweepCell>,
+impl<R: FlavorReport> Serialize for Partial<R> {
+    fn to_value(&self) -> Value {
+        let header = [
+            ("flavor", self.flavor.to_value()),
+            ("fingerprint", self.fingerprint.to_value()),
+            ("partition_index", self.partition_index.to_value()),
+            ("partition_count", self.partition_count.to_value()),
+            ("total_jobs", self.total_jobs.to_value()),
+            ("start", self.start.to_value()),
+        ];
+        let Value::Object(report) = self.report.to_value() else {
+            unreachable!("sweep reports serialize as objects");
+        };
+        let fields = header.into_iter().map(|(key, v)| (key.to_string(), v));
+        Value::Object(fields.chain(report).collect())
+    }
 }
 
-impl DynamicPartialSweepReport {
-    /// The global job-index range this partial covers.
-    pub fn covers(&self) -> Range<usize> {
-        self.start..self.start + self.cells.len()
+impl<R: FlavorReport> Deserialize for Partial<R> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let header = serde::as_object(v)?;
+        Ok(Partial {
+            flavor: serde::field(header, "flavor")?,
+            fingerprint: serde::field(header, "fingerprint")?,
+            partition_index: serde::field(header, "partition_index")?,
+            partition_count: serde::field(header, "partition_count")?,
+            total_jobs: serde::field(header, "total_jobs")?,
+            start: serde::field(header, "start")?,
+            // The report's fields follow the header in the same object;
+            // field lookup ignores the header keys.
+            report: R::from_value(v)?,
+        })
     }
 }
 
@@ -717,20 +469,25 @@ pub struct PartialRunStats {
     pub computed: usize,
 }
 
-/// Append-only JSONL store of completed cells, keyed by flavour +
-/// config fingerprint so runs of a different configuration can share one
-/// directory without ever resuming each other's cells. Each line is
-/// `[global_job_index, cell]`; a kill can truncate only the final line,
-/// which (like any unparseable line) is simply recomputed on resume.
-struct CheckpointStore<T> {
+/// A checkpointed run's state, threaded through [`execute`]: the
+/// append-only JSONL log of completed cells, the fresh-cell cap, and the
+/// resume counters. The log is keyed by flavour + config fingerprint so
+/// runs of a different configuration can share one directory without ever
+/// resuming each other's cells. Each line is `[global_job_index, cell]`; a
+/// kill can truncate only the final line, which (like any unparseable
+/// line) is simply recomputed on resume.
+struct Checkpoint<T> {
     path: PathBuf,
     file: Mutex<std::fs::File>,
     // lint: allow(DET-HASH) — keyed lookups via remove(&index) only; cells
     // are re-emitted in job order, never in map order.
-    resumed: Mutex<HashMap<usize, T>>,
+    logged: Mutex<HashMap<usize, T>>,
+    max_cells: Option<usize>,
+    resumed: AtomicUsize,
+    computed: AtomicUsize,
 }
 
-impl<T: Serialize + Deserialize> CheckpointStore<T> {
+impl<T: Serialize + Deserialize> Checkpoint<T> {
     /// Opens (or creates) the log for `flavor`+`fingerprint` and loads its
     /// resumable cells. `total_jobs` bounds the persisted indices: a line
     /// whose u64 index does not fit `usize` or falls outside the job list
@@ -741,6 +498,7 @@ impl<T: Serialize + Deserialize> CheckpointStore<T> {
         flavor: &str,
         fingerprint: &str,
         total_jobs: usize,
+        max_cells: Option<usize>,
     ) -> Result<Self, PipelineError> {
         let err = |path: &Path, why: String| PipelineError::Checkpoint {
             path: path.display().to_string(),
@@ -749,29 +507,23 @@ impl<T: Serialize + Deserialize> CheckpointStore<T> {
         std::fs::create_dir_all(dir).map_err(|e| err(dir, e.to_string()))?;
         let path = dir.join(format!("{flavor}-{fingerprint}.jsonl"));
         // lint: allow(DET-HASH) — see the field note: lookups only.
-        let mut resumed = HashMap::new();
+        let mut logged = HashMap::new();
         if path.exists() {
             let text = std::fs::read_to_string(&path).map_err(|e| err(&path, e.to_string()))?;
             for line in text.lines() {
-                let Ok(entry) = serde_json::from_str::<serde::Value>(line) else {
+                let Ok(entry) = serde_json::from_str::<Value>(line) else {
                     continue;
                 };
-                let Some(items) = entry.as_array() else {
+                let Some([index, cell]) = entry.as_array().map(Vec::as_slice) else {
                     continue;
                 };
-                if items.len() != 2 {
-                    continue;
-                }
-                let (Some(index), Ok(cell)) = (items[0].as_u64(), T::from_value(&items[1])) else {
+                let (Some(index), Ok(cell)) = (index.as_u64(), T::from_value(cell)) else {
                     continue;
                 };
-                let Ok(index) = usize::try_from(index) else {
+                let Some(index) = usize::try_from(index).ok().filter(|&i| i < total_jobs) else {
                     continue;
                 };
-                if index >= total_jobs {
-                    continue;
-                }
-                resumed.insert(index, cell);
+                logged.insert(index, cell);
             }
         }
         let file = std::fs::OpenOptions::new()
@@ -779,15 +531,21 @@ impl<T: Serialize + Deserialize> CheckpointStore<T> {
             .append(true)
             .open(&path)
             .map_err(|e| err(&path, e.to_string()))?;
-        Ok(CheckpointStore {
+        Ok(Checkpoint {
             path,
             file: Mutex::new(file),
-            resumed: Mutex::new(resumed),
+            logged: Mutex::new(logged),
+            max_cells,
+            resumed: AtomicUsize::new(0),
+            computed: AtomicUsize::new(0),
         })
     }
 
+    /// The logged cell for `index`, if any, counted as resumed.
     fn take(&self, index: usize) -> Option<T> {
-        self.resumed.lock().remove(&index)
+        let cell = self.logged.lock().remove(&index)?;
+        self.resumed.fetch_add(1, Ordering::SeqCst);
+        Some(cell)
     }
 
     /// Appends one `[index, cell]` line. The line is fully pre-formatted
@@ -799,32 +557,19 @@ impl<T: Serialize + Deserialize> CheckpointStore<T> {
     /// tolerance tests in `tests/partition.rs` (truncated and
     /// garbage-interleaved tails) pin the recovery behaviour.
     fn append(&self, index: usize, cell: &T) -> Result<(), PipelineError> {
-        let entry = serde::Value::Array(vec![serde::Value::UInt(index as u64), cell.to_value()]);
-        let mut line = serde_json::to_string(&entry).map_err(|e| PipelineError::Checkpoint {
+        let err = |why: String| PipelineError::Checkpoint {
             path: self.path.display().to_string(),
-            why: e.to_string(),
-        })?;
+            why,
+        };
+        let entry = Value::Array(vec![Value::UInt(index as u64), cell.to_value()]);
+        let mut line = serde_json::to_string(&entry).map_err(|e| err(e.to_string()))?;
         line.push('\n');
         let mut file = self.file.lock();
         file.write_all(line.as_bytes())
             .and_then(|_| file.flush())
-            .map_err(|e| PipelineError::Checkpoint {
-                path: self.path.display().to_string(),
-                why: e.to_string(),
-            })
+            .map_err(|e| err(e.to_string()))
     }
-}
 
-/// Checkpoint context threaded through [`execute`]: the store, the
-/// fresh-cell cap, and the resume counters.
-struct Checkpointing<T> {
-    store: CheckpointStore<T>,
-    max_cells: Option<usize>,
-    resumed: AtomicUsize,
-    computed: AtomicUsize,
-}
-
-impl<T> Checkpointing<T> {
     fn stats(&self) -> PartialRunStats {
         PartialRunStats {
             resumed: self.resumed.load(Ordering::SeqCst),
@@ -844,7 +589,7 @@ fn execute<J: Sync, T: Send + Serialize + Deserialize>(
     jobs: &[J],
     range: Range<usize>,
     shards: usize,
-    ckpt: Option<&Checkpointing<T>>,
+    ckpt: Option<&Checkpoint<T>>,
     run: impl Fn(&J) -> T + Sync,
 ) -> Result<Vec<T>, PipelineError> {
     let slice = &jobs[range.clone()];
@@ -866,13 +611,8 @@ fn execute<J: Sync, T: Send + Serialize + Deserialize>(
                     }
                     let local = s * chunk + i;
                     let global = start + local;
-                    let cell = match ckpt.and_then(|c| c.store.take(global)) {
-                        Some(resumed) => {
-                            ckpt.expect("take came from ckpt")
-                                .resumed
-                                .fetch_add(1, Ordering::SeqCst);
-                            resumed
-                        }
+                    let cell = match ckpt.and_then(|c| c.take(global)) {
+                        Some(resumed) => resumed,
                         None => {
                             if let Some(c) = ckpt {
                                 // Tickets, not a compare: exactly `cap`
@@ -887,7 +627,7 @@ fn execute<J: Sync, T: Send + Serialize + Deserialize>(
                             }
                             let cell = run(job);
                             if let Some(c) = ckpt {
-                                if let Err(e) = c.store.append(global, &cell) {
+                                if let Err(e) = c.append(global, &cell) {
                                     *fail.lock() = Some(e);
                                     return;
                                 }
@@ -948,38 +688,33 @@ fn check_slice(
 /// `slice_of` maps the job-space size to the covered range, so callers
 /// with an `i/N` plan never build the job list twice just to learn its
 /// length.
-fn run_static_slice(
-    config: &SweepConfig,
+fn run_slice<F: SweepFlavor>(
+    config: &F,
     slice_of: impl FnOnce(usize) -> Range<usize>,
     partition_index: usize,
     partition_count: usize,
     checkpoint: Option<&Path>,
     max_cells: Option<usize>,
-) -> Result<(PartialSweepReport, PartialRunStats), PipelineError> {
-    let jobs = build_jobs(config)?;
+) -> Result<(Partial<F::Report>, PartialRunStats), PipelineError> {
+    let jobs = config.jobs()?;
     let range = slice_of(jobs.len());
     check_slice(&range, jobs.len(), checkpoint, max_cells)?;
     let fingerprint = sweep_fingerprint(config)?;
     let ckpt = checkpoint
-        .map(|dir| -> Result<Checkpointing<SweepCell>, PipelineError> {
-            Ok(Checkpointing {
-                store: CheckpointStore::open(dir, STATIC_FLAVOR, &fingerprint, jobs.len())?,
-                max_cells,
-                resumed: AtomicUsize::new(0),
-                computed: AtomicUsize::new(0),
-            })
-        })
+        .map(|dir| Checkpoint::open(dir, F::Report::FLAVOR, &fingerprint, jobs.len(), max_cells))
         .transpose()?;
-    let mut cells = execute(&jobs, range.clone(), config.shards, ckpt.as_ref(), |job| {
-        run_job(job, &config.base, config.repetitions, config.timings)
-    })?;
-    if !config.timings {
+    let mut cells = execute(
+        &jobs,
+        range.clone(),
+        config.shards(),
+        ckpt.as_ref(),
+        |job| config.run_job(job),
+    )?;
+    if !config.timings() {
         // Resumed cells may carry `wall_ms` from a `--timings` run of the
         // same fingerprint; normalize so resumed output stays
         // byte-identical to a fresh timings-off run.
-        for cell in &mut cells {
-            cell.wall_ms = None;
-        }
+        cells.iter_mut().for_each(F::Report::clear_wall_ms);
     }
     let stats = ckpt.map_or(
         PartialRunStats {
@@ -989,30 +724,28 @@ fn run_static_slice(
         |c| c.stats(),
     );
     Ok((
-        PartialSweepReport {
-            flavor: STATIC_FLAVOR.to_string(),
+        Partial {
+            flavor: F::Report::FLAVOR.to_string(),
             fingerprint,
             partition_index,
             partition_count,
             total_jobs: jobs.len(),
             start: range.start,
-            seed: config.base.seed,
-            repetitions: config.repetitions,
-            cells,
+            report: config.report(cells),
         },
         stats,
     ))
 }
 
-/// Runs one partition of the static sweep (optionally checkpointed),
-/// returning the self-describing partial report plus resume statistics.
+/// Runs one partition of the sweep (optionally checkpointed), returning
+/// the self-describing partial report plus resume statistics.
 /// Deterministic like [`run_sweep`]: the same `(config, plan)` produces
 /// byte-identical partials at any shard count, fresh or resumed.
-pub fn run_sweep_partition(
-    config: &SweepConfig,
+pub fn run_sweep_partition<F: SweepFlavor>(
+    config: &F,
     run: &PartitionRun,
-) -> Result<(PartialSweepReport, PartialRunStats), PipelineError> {
-    run_static_slice(
+) -> Result<(Partial<F::Report>, PartialRunStats), PipelineError> {
+    run_slice(
         config,
         |total| run.plan.slice(total),
         run.plan.index(),
@@ -1022,18 +755,289 @@ pub fn run_sweep_partition(
     )
 }
 
-/// Runs an arbitrary contiguous job-index slice of the static sweep —
-/// the building block for custom (ragged) schedulers; `partition_index` /
+/// Runs an arbitrary contiguous job-index slice of the sweep — the
+/// building block for custom (ragged) schedulers; `partition_index` /
 /// `partition_count` are recorded as `0` ("custom slice").
-pub fn run_sweep_range(
-    config: &SweepConfig,
+pub fn run_sweep_range<F: SweepFlavor>(
+    config: &F,
     range: Range<usize>,
-) -> Result<PartialSweepReport, PipelineError> {
-    run_static_slice(config, move |_| range, 0, 0, None, None).map(|(partial, _)| partial)
+) -> Result<Partial<F::Report>, PipelineError> {
+    run_slice(config, move |_| range, 0, 0, None, None).map(|(partial, _)| partial)
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic-fleet sweeps
+// Shared flavour plumbing
+// ---------------------------------------------------------------------------
+
+/// Resolves a name filter through the registry's typed, listing-rich
+/// lookups (`require`); an empty filter means `default`.
+fn resolve<T: Clone>(
+    names: &[String],
+    default: &[T],
+    require: impl Fn(&str) -> Result<T, PipelineError>,
+) -> Result<Vec<T>, PipelineError> {
+    if names.is_empty() {
+        return Ok(default.to_vec());
+    }
+    names.iter().map(|n| require(n)).collect()
+}
+
+/// The registry axes both flavours share, resolved: scenarios (empty
+/// filter ⇒ just the legacy `uniform` default, NOT every scenario — the
+/// pre-scenario grid shape must survive unchanged), mechanisms (empty ⇒
+/// all) and the flavour's matchers.
+struct Axes<M> {
+    scenarios: Vec<Arc<dyn Scenario>>,
+    mechanisms: Vec<Arc<dyn ReportMechanism>>,
+    matchers: Vec<M>,
+}
+
+impl<M: CatalogItem> Axes<M> {
+    fn resolve(
+        scenarios: &[String],
+        mechanisms: &[String],
+        matchers: impl FnOnce() -> Result<Vec<M>, PipelineError>,
+    ) -> Result<Self, PipelineError> {
+        let mechanisms = resolve(mechanisms, registry().mechanisms(), |n| {
+            registry().require_mechanism(n)
+        })?;
+        let matchers = matchers()?;
+        let uniform = registry().require_scenario(DEFAULT_SCENARIO)?;
+        let scenarios = resolve(scenarios, &[uniform], |n| registry().require_scenario(n))?;
+        Ok(Axes {
+            scenarios,
+            mechanisms,
+            matchers,
+        })
+    }
+
+    /// The resolved names as fingerprint parts, so `[]` and an explicit
+    /// full filter (the same job list) fingerprint identically.
+    fn name_parts(&self) -> [String; 3] {
+        [
+            joined(self.scenarios.iter().map(|s| s.catalog_name())),
+            joined(self.mechanisms.iter().map(|m| m.catalog_name())),
+            joined(self.matchers.iter().map(|m| m.catalog_name())),
+        ]
+    }
+}
+
+fn joined<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
+    items.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+}
+
+fn epsilon_bits(epsilons: &[f64]) -> String {
+    joined(epsilons.iter().map(|e| format!("{:016x}", e.to_bits())))
+}
+
+/// The grid checks both flavours share.
+fn check_grid(shards: usize, sizes: &[usize], epsilons: &[f64]) -> Result<(), PipelineError> {
+    let (field, why) = if shards == 0 {
+        ("shards", "the sweep needs at least one shard")
+    } else if sizes.is_empty() {
+        ("sizes", "the sweep needs at least one instance size")
+    } else if epsilons.is_empty() {
+        ("epsilons", "the sweep needs at least one privacy budget")
+    } else {
+        return Ok(());
+    };
+    Err(PipelineError::InvalidConfig { field, why })
+}
+
+/// Per-job seed from the job index: independent of the shard that
+/// executes it, so shard count never changes any cell.
+fn job_seed(root: u64, index: usize) -> u64 {
+    root.wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The scenario a sweep cell should record: `None` for the `uniform`
+/// default (keeping the column absent from legacy-shaped JSON), the name
+/// otherwise.
+fn cell_scenario(scenario: &dyn Scenario) -> Option<String> {
+    (scenario.name() != DEFAULT_SCENARIO).then(|| scenario.name().to_string())
+}
+
+/// The deterministic instance a sweep uses for `size`: `size` tasks and
+/// `size` workers from the standard synthetic generator, seeded by
+/// `(seed, size)` only.
+pub fn sweep_instance(seed: u64, size: usize) -> Instance {
+    let params = SyntheticParams {
+        num_tasks: size,
+        num_workers: size,
+        ..SyntheticParams::default()
+    };
+    let stream = seed ^ (size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    synthetic::generate(&params, &mut seeded_rng(stream, 0x51EE))
+}
+
+// ---------------------------------------------------------------------------
+// The static flavour
+// ---------------------------------------------------------------------------
+
+/// One unit of static sweep work (opaque: built by
+/// [`SweepFlavor::jobs`]).
+pub struct SweepJob {
+    scenario: Arc<dyn Scenario>,
+    spec: AlgorithmSpec,
+    size: usize,
+    epsilon: f64,
+    /// Seed for this job's pipeline/shuffle streams.
+    job_seed: u64,
+}
+
+impl SweepFlavor for SweepConfig {
+    type Job = SweepJob;
+    type Report = SweepReport;
+
+    fn shards(&self) -> usize {
+        self.shards
+    }
+
+    fn timings(&self) -> bool {
+        self.timings
+    }
+
+    /// The `pairing × size × ε` product in mechanism-major order.
+    fn jobs(&self) -> Result<Vec<SweepJob>, PipelineError> {
+        check_grid(self.shards, &self.sizes, &self.epsilons)?;
+        if self.repetitions == 0 {
+            return Err(PipelineError::InvalidConfig {
+                field: "repetitions",
+                why: "the sweep needs at least one repetition per cell",
+            });
+        }
+        let axes = self.axes()?;
+        let mut jobs = Vec::new();
+        // Scenario is the outermost axis: a single-scenario sweep
+        // enumerates jobs in exactly the pre-scenario order, so every job
+        // index (and therefore every job seed) is unchanged.
+        for scenario in &axes.scenarios {
+            for mechanism in &axes.mechanisms {
+                for matcher in &axes.matchers {
+                    for &size in &self.sizes {
+                        for &epsilon in &self.epsilons {
+                            jobs.push(SweepJob {
+                                scenario: scenario.clone(),
+                                spec: AlgorithmSpec::compose(mechanism.clone(), matcher.clone()),
+                                size,
+                                epsilon,
+                                job_seed: job_seed(self.base.seed, jobs.len()),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Ok(jobs)
+    }
+
+    fn fingerprint_parts(&self) -> Result<Vec<String>, PipelineError> {
+        let base = &self.base;
+        let mut parts = self.axes()?.name_parts().to_vec();
+        parts.extend([
+            joined(self.sizes.iter()),
+            epsilon_bits(&self.epsilons),
+            format!("reps={}", self.repetitions),
+            format!("seed={}", base.seed),
+            format!("grid={}", base.grid_side),
+            format!(
+                "engine={}",
+                match base.engine {
+                    HstGreedyEngine::Scan => "scan",
+                    HstGreedyEngine::Indexed => "indexed",
+                }
+            ),
+            format!("euclid={}", base.euclid_cells),
+            format!("capacity={}", base.capacity),
+        ]);
+        Ok(parts)
+    }
+
+    fn run_job(&self, job: &SweepJob) -> SweepCell {
+        // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
+        // merge strips wall_ms before fingerprinting.
+        let started = self.timings.then(std::time::Instant::now);
+        let instance = job.scenario.instance(self.base.seed, job.size);
+        let config = PipelineConfig {
+            epsilon: job.epsilon,
+            seed: job.job_seed,
+            ..self.base
+        };
+        let (report, error) =
+            match empirical_competitive_ratio(&job.spec, &instance, &config, self.repetitions) {
+                Ok(r) => (Some(r), None),
+                Err(e) => (None, Some(e.to_string())),
+            };
+        SweepCell {
+            scenario: cell_scenario(job.scenario.as_ref()),
+            mechanism: job.spec.mechanism.name().to_string(),
+            matcher: job.spec.matcher.name().to_string(),
+            num_tasks: instance.num_tasks(),
+            num_workers: instance.num_workers(),
+            epsilon: job.epsilon,
+            report,
+            error,
+            wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
+        }
+    }
+
+    fn report(&self, cells: Vec<SweepCell>) -> SweepReport {
+        SweepReport {
+            seed: self.base.seed,
+            repetitions: self.repetitions,
+            cells,
+        }
+    }
+}
+
+impl SweepConfig {
+    fn axes(&self) -> Result<Axes<Arc<dyn AssignStrategy>>, PipelineError> {
+        Axes::resolve(&self.scenarios, &self.mechanisms, || {
+            resolve(&self.matchers, registry().matchers(), |n| {
+                registry().require_matcher(n)
+            })
+        })
+    }
+}
+
+impl FlavorReport for SweepReport {
+    const FLAVOR: &'static str = "static";
+    type Cell = SweepCell;
+    type Measurement = RatioReport;
+
+    fn cells(&self) -> &[SweepCell] {
+        &self.cells
+    }
+
+    fn outcome(cell: &SweepCell) -> (Option<&RatioReport>, Option<&str>) {
+        (cell.report.as_ref(), cell.error.as_deref())
+    }
+
+    fn with_cells(&self, cells: Vec<SweepCell>) -> Self {
+        SweepReport {
+            seed: self.seed,
+            repetitions: self.repetitions,
+            cells,
+        }
+    }
+
+    fn mismatch(&self, other: &Self) -> Option<&'static str> {
+        if self.seed != other.seed {
+            Some("seed")
+        } else if self.repetitions != other.repetitions {
+            Some("repetitions")
+        } else {
+            None
+        }
+    }
+
+    fn clear_wall_ms(cell: &mut SweepCell) {
+        cell.wall_ms = None;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The dynamic flavour
 // ---------------------------------------------------------------------------
 
 /// Fixed simulation horizon of every dynamic sweep cell (seconds). Task
@@ -1246,29 +1250,16 @@ pub struct DynamicSweepReport {
     pub cells: Vec<DynamicSweepCell>,
 }
 
-impl DynamicSweepReport {
-    /// Cells that produced a measurement.
-    pub fn measured(&self) -> impl Iterator<Item = (&DynamicSweepCell, &DynamicMeasurement)> {
-        self.cells
-            .iter()
-            .filter_map(|c| Some((c, c.measurement.as_ref()?)))
-    }
-
-    /// Cells rejected with a typed error.
-    pub fn failed(&self) -> impl Iterator<Item = &DynamicSweepCell> {
-        self.cells.iter().filter(|c| c.error.is_some())
-    }
-}
-
-struct DynamicJob {
+/// One unit of dynamic sweep work (opaque: built by
+/// [`SweepFlavor::jobs`]).
+pub struct DynamicSweepJob {
     scenario: Arc<dyn Scenario>,
     mechanism: Arc<dyn ReportMechanism>,
     matcher: Arc<dyn DynamicAssignStrategy>,
     plan_kind: String,
     size: usize,
     epsilon: f64,
-    /// Seed for this job's noise streams; derived from the job's position
-    /// in the job list, never from the executing shard.
+    /// Seed for this job's noise streams.
     job_seed: u64,
 }
 
@@ -1281,22 +1272,15 @@ fn resolve_dynamic_matchers(
     names: &[String],
     ratio: bool,
 ) -> Result<Vec<Arc<dyn DynamicAssignStrategy>>, PipelineError> {
-    if names.is_empty() {
-        if ratio {
-            return Ok(registry().dynamic_matcher_catalog().all().to_vec());
-        }
-        return Ok(registry().dynamic_matchers());
-    }
-    names
-        .iter()
-        .map(|n| {
-            if ratio {
-                registry().dynamic_matcher_any(n)
-            } else {
-                registry().require_dynamic_matcher(n)
-            }
+    if ratio {
+        resolve(names, registry().dynamic_matcher_catalog().all(), |n| {
+            registry().dynamic_matcher_any(n)
         })
-        .collect()
+    } else {
+        resolve(names, &registry().dynamic_matchers(), |n| {
+            registry().require_dynamic_matcher(n)
+        })
+    }
 }
 
 /// Nearest-rank (p50, p95) of how long each dropped task would have waited
@@ -1388,307 +1372,234 @@ fn oracle_measurement(
     }
 }
 
-fn run_dynamic_job(
-    job: &DynamicJob,
-    grid_side: usize,
-    seed: u64,
-    timings: bool,
-    ratio: bool,
-) -> DynamicSweepCell {
-    // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-    // merge strips wall_ms before fingerprinting.
-    let started = timings.then(std::time::Instant::now);
-    let instance = job.scenario.instance(seed, job.size);
-    let times = job.scenario.task_times(seed, job.size);
-    let plan = job
-        .scenario
-        .shift_plan(&job.plan_kind, job.size, seed)
-        .expect("plan kinds were validated before the fan-out");
-    let config = DynamicConfig {
-        epsilon: job.epsilon,
-        grid_side,
-        seed: job.job_seed,
-    };
-    // The oracle denominator is shared by every repetition of this cell's
-    // timeline; solved at threads=1 so cells stay shard-invariant (the
-    // clairvoyant engine is bit-identical at every thread count anyway).
-    let oracle = ratio.then(|| dynamic_offline_optimum(&instance, &times, &plan));
-    let is_oracle_cell = registry()
-        .dynamic_matcher_catalog()
-        .role_of(job.matcher.name())
-        == Some(Role::OracleOnly);
+impl SweepFlavor for DynamicSweepConfig {
+    type Job = DynamicSweepJob;
+    type Report = DynamicSweepReport;
 
-    type OnlineRun = (f64, std::collections::BTreeSet<usize>);
-    let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
-        match &oracle {
-            Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
-            Some(Err(e)) => Err(e.to_string()),
-            // resolve_dynamic_matchers only admits the oracle under
-            // --ratio, so a ratio-less oracle cell cannot be built by the
-            // sweep; report the role error defensively anyway.
-            None => Err(PipelineError::RoleMismatch {
-                kind: "dynamic matcher",
-                name: job.matcher.name().to_string(),
-                role: "oracle-only",
-                wanted: "pairing",
-            }
-            .to_string()),
-        }
-    } else {
-        match run_dynamic_spec(
-            &instance,
-            &times,
-            &plan,
-            &config,
-            job.mechanism.as_ref(),
-            job.matcher.as_ref(),
-        ) {
-            Ok(out) => {
-                let assigned: std::collections::BTreeSet<usize> =
-                    out.pairs.iter().map(|&(t, _)| t).collect();
-                Ok((
-                    DynamicMeasurement::from_outcome(&out),
-                    Some((out.total_distance, assigned)),
-                ))
-            }
-            Err(e) => Err(e.to_string()),
-        }
-    };
-
-    let (measurement, competitive_ratio, drop_p50, drop_p95, error) = match outcome {
-        Err(e) => (None, None, None, None, Some(e)),
-        Ok((m, online)) => match (&oracle, online) {
-            // Ratio off: the pre-ratio cell, bit for bit.
-            (None, _) => (Some(m), None, None, None, None),
-            (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
-            (Some(Ok(opt)), online) => {
-                let (numerator, dropped): (f64, Vec<usize>) = match online {
-                    Some((total, assigned)) => (
-                        total,
-                        (0..instance.num_tasks())
-                            .filter(|t| !assigned.contains(t))
-                            .collect(),
-                    ),
-                    // The oracle's own cell: numerator = denominator, so
-                    // the ratio divides to exactly 1.0.
-                    None => (opt.total_cost, opt.dropped.clone()),
-                };
-                let (p50, p95) = drop_latency_percentiles(dropped.into_iter(), &times, &plan);
-                (Some(m), Some(numerator / opt.total_cost), p50, p95, None)
-            }
-        },
-    };
-
-    DynamicSweepCell {
-        scenario: cell_scenario(job.scenario.as_ref()),
-        mechanism: job.mechanism.name().to_string(),
-        matcher: job.matcher.name().to_string(),
-        plan: job.plan_kind.clone(),
-        num_tasks: instance.num_tasks(),
-        num_workers: instance.num_workers(),
-        epsilon: job.epsilon,
-        measurement,
-        competitive_ratio,
-        drop_latency_p50: drop_p50,
-        drop_latency_p95: drop_p95,
-        error,
-        wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
+    fn shards(&self) -> usize {
+        self.shards
     }
-}
 
-/// The shift-plan kinds a dynamic sweep replays: the explicit filter, or
-/// all of [`SHIFT_PLAN_KINDS`] when empty — validated upfront so the
-/// fan-out cannot panic.
-fn resolve_plan_kinds(config: &DynamicSweepConfig) -> Result<Vec<String>, PipelineError> {
-    let plans: Vec<String> = if config.shift_plans.is_empty() {
-        SHIFT_PLAN_KINDS.iter().map(|s| s.to_string()).collect()
-    } else {
-        config.shift_plans.clone()
-    };
-    for kind in &plans {
-        dynamic_shift_plan(kind, 1, 0)?;
+    fn timings(&self) -> bool {
+        self.timings
     }
-    Ok(plans)
-}
 
-/// Validates the dynamic grid shape and resolves names into the full job
-/// list (mechanism-major, then matcher, plan, size, ε), each job seeded
-/// by its index alone.
-fn build_dynamic_jobs(config: &DynamicSweepConfig) -> Result<Vec<DynamicJob>, PipelineError> {
-    if config.shards == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "shards",
-            why: "the sweep needs at least one shard",
-        });
-    }
-    if config.sizes.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "sizes",
-            why: "the sweep needs at least one instance size",
-        });
-    }
-    if config.epsilons.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "epsilons",
-            why: "the sweep needs at least one privacy budget",
-        });
-    }
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_dynamic_matchers(&config.matchers, config.ratio)?;
-    let plans = resolve_plan_kinds(config)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-
-    let mut jobs = Vec::new();
-    // Scenario outermost, exactly as in `build_jobs`: a single-scenario
-    // sweep keeps the pre-scenario job order and seeds.
-    for scenario in &scenarios {
-        for mechanism in &mechanisms {
-            for matcher in &matchers {
-                for plan_kind in &plans {
-                    for &size in &config.sizes {
-                        for &epsilon in &config.epsilons {
-                            let job_seed = config.seed.wrapping_add(
-                                (jobs.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                            );
-                            jobs.push(DynamicJob {
-                                scenario: scenario.clone(),
-                                mechanism: mechanism.clone(),
-                                matcher: matcher.clone(),
-                                plan_kind: plan_kind.clone(),
-                                size,
-                                epsilon,
-                                job_seed,
-                            });
+    /// The `pairing × plan × size × ε` product in mechanism-major order.
+    fn jobs(&self) -> Result<Vec<DynamicSweepJob>, PipelineError> {
+        check_grid(self.shards, &self.sizes, &self.epsilons)?;
+        let axes = self.axes()?;
+        let plans = self.plan_kinds()?;
+        let mut jobs = Vec::new();
+        // Scenario outermost, exactly as in the static flavour: a
+        // single-scenario sweep keeps the pre-scenario job order and seeds.
+        for scenario in &axes.scenarios {
+            for mechanism in &axes.mechanisms {
+                for matcher in &axes.matchers {
+                    for plan_kind in &plans {
+                        for &size in &self.sizes {
+                            for &epsilon in &self.epsilons {
+                                jobs.push(DynamicSweepJob {
+                                    scenario: scenario.clone(),
+                                    mechanism: mechanism.clone(),
+                                    matcher: matcher.clone(),
+                                    plan_kind: plan_kind.clone(),
+                                    size,
+                                    epsilon,
+                                    job_seed: job_seed(self.seed, jobs.len()),
+                                });
+                            }
                         }
                     }
                 }
             }
         }
+        Ok(jobs)
     }
-    Ok(jobs)
-}
 
-/// Number of jobs (cells) the dynamic sweep grid expands to.
-pub fn dynamic_sweep_job_count(config: &DynamicSweepConfig) -> Result<usize, PipelineError> {
-    Ok(build_dynamic_jobs(config)?.len())
-}
+    fn fingerprint_parts(&self) -> Result<Vec<String>, PipelineError> {
+        let mut parts = self.axes()?.name_parts().to_vec();
+        parts.extend([
+            self.plan_kinds()?.join(","),
+            joined(self.sizes.iter()),
+            epsilon_bits(&self.epsilons),
+            format!("grid={}", self.grid_side),
+            format!("seed={}", self.seed),
+            format!("horizon={:016x}", DYNAMIC_SWEEP_HORIZON.to_bits()),
+        ]);
+        if self.ratio {
+            // The resolved oracle name: ratio cells carry extra columns, so
+            // a ratio sweep must never share checkpoints or merge inputs
+            // with a plain sweep of the same grid.
+            parts.push(format!("oracle={DEFAULT_DYNAMIC_ORACLE}"));
+        }
+        Ok(parts)
+    }
 
-/// Runs the dynamic sweep, fanning the
-/// `pairing × plan × size × ε` product over `config.shards` scoped
-/// threads. Deterministic in `config.seed` for every shard count, exactly
-/// like [`run_sweep`].
-///
-/// Fails fast on configuration errors (unknown mechanism / dynamic matcher
-/// / plan names, empty grids, zero shards); per-cell failures (e.g. the
-/// blind mechanism into a location-aware pool) are recorded in the cells.
-pub fn run_dynamic_sweep(config: &DynamicSweepConfig) -> Result<DynamicSweepReport, PipelineError> {
-    let jobs = build_dynamic_jobs(config)?;
-    let range = 0..jobs.len();
-    let cells = execute(&jobs, range, config.shards, None, |job| {
-        run_dynamic_job(
-            job,
-            config.grid_side,
-            config.seed,
-            config.timings,
-            config.ratio,
-        )
-    })?;
-    Ok(DynamicSweepReport {
-        seed: config.seed,
-        horizon: DYNAMIC_SWEEP_HORIZON,
-        cells,
-    })
-}
+    fn run_job(&self, job: &DynamicSweepJob) -> DynamicSweepCell {
+        // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
+        // merge strips wall_ms before fingerprinting.
+        let started = self.timings.then(std::time::Instant::now);
+        let instance = job.scenario.instance(self.seed, job.size);
+        let times = job.scenario.task_times(self.seed, job.size);
+        let plan = job
+            .scenario
+            .shift_plan(&job.plan_kind, job.size, self.seed)
+            .expect("plan kinds were validated before the fan-out");
+        let config = DynamicConfig {
+            epsilon: job.epsilon,
+            grid_side: self.grid_side,
+            seed: job.job_seed,
+        };
+        // The oracle denominator is shared by every repetition of this cell's
+        // timeline; solved at threads=1 so cells stay shard-invariant (the
+        // clairvoyant engine is bit-identical at every thread count anyway).
+        let oracle = self
+            .ratio
+            .then(|| dynamic_offline_optimum(&instance, &times, &plan));
+        let is_oracle_cell = registry()
+            .dynamic_matcher_catalog()
+            .role_of(job.matcher.name())
+            == Some(Role::OracleOnly);
 
-/// `slice_of` maps the job-space size to the covered range, mirroring
-/// [`run_static_slice`].
-fn run_dynamic_slice(
-    config: &DynamicSweepConfig,
-    slice_of: impl FnOnce(usize) -> Range<usize>,
-    partition_index: usize,
-    partition_count: usize,
-    checkpoint: Option<&Path>,
-    max_cells: Option<usize>,
-) -> Result<(DynamicPartialSweepReport, PartialRunStats), PipelineError> {
-    let jobs = build_dynamic_jobs(config)?;
-    let range = slice_of(jobs.len());
-    check_slice(&range, jobs.len(), checkpoint, max_cells)?;
-    let fingerprint = dynamic_sweep_fingerprint(config)?;
-    let ckpt = checkpoint
-        .map(
-            |dir| -> Result<Checkpointing<DynamicSweepCell>, PipelineError> {
-                Ok(Checkpointing {
-                    store: CheckpointStore::open(dir, DYNAMIC_FLAVOR, &fingerprint, jobs.len())?,
-                    max_cells,
-                    resumed: AtomicUsize::new(0),
-                    computed: AtomicUsize::new(0),
-                })
+        type OnlineRun = (f64, std::collections::BTreeSet<usize>);
+        let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
+            match &oracle {
+                Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
+                Some(Err(e)) => Err(e.to_string()),
+                // resolve_dynamic_matchers only admits the oracle under
+                // --ratio, so a ratio-less oracle cell cannot be built by the
+                // sweep; report the role error defensively anyway.
+                None => Err(PipelineError::RoleMismatch {
+                    kind: "dynamic matcher",
+                    name: job.matcher.name().to_string(),
+                    role: "oracle-only",
+                    wanted: "pairing",
+                }
+                .to_string()),
+            }
+        } else {
+            match run_dynamic_spec(
+                &instance,
+                &times,
+                &plan,
+                &config,
+                job.mechanism.as_ref(),
+                job.matcher.as_ref(),
+            ) {
+                Ok(out) => {
+                    let assigned: std::collections::BTreeSet<usize> =
+                        out.pairs.iter().map(|&(t, _)| t).collect();
+                    Ok((
+                        DynamicMeasurement::from_outcome(&out),
+                        Some((out.total_distance, assigned)),
+                    ))
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
+
+        let (measurement, competitive_ratio, drop_p50, drop_p95, error) = match outcome {
+            Err(e) => (None, None, None, None, Some(e)),
+            Ok((m, online)) => match (&oracle, online) {
+                // Ratio off: the pre-ratio cell, bit for bit.
+                (None, _) => (Some(m), None, None, None, None),
+                (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
+                (Some(Ok(opt)), online) => {
+                    let (numerator, dropped): (f64, Vec<usize>) = match online {
+                        Some((total, assigned)) => (
+                            total,
+                            (0..instance.num_tasks())
+                                .filter(|t| !assigned.contains(t))
+                                .collect(),
+                        ),
+                        // The oracle's own cell: numerator = denominator, so
+                        // the ratio divides to exactly 1.0.
+                        None => (opt.total_cost, opt.dropped.clone()),
+                    };
+                    let (p50, p95) = drop_latency_percentiles(dropped.into_iter(), &times, &plan);
+                    (Some(m), Some(numerator / opt.total_cost), p50, p95, None)
+                }
             },
-        )
-        .transpose()?;
-    let mut cells = execute(&jobs, range.clone(), config.shards, ckpt.as_ref(), |job| {
-        run_dynamic_job(
-            job,
-            config.grid_side,
-            config.seed,
-            config.timings,
-            config.ratio,
-        )
-    })?;
-    if !config.timings {
-        // Resumed cells may carry `wall_ms` from a `--timings` run of the
-        // same fingerprint; normalize so resumed output stays
-        // byte-identical to a fresh timings-off run.
-        for cell in &mut cells {
-            cell.wall_ms = None;
+        };
+
+        DynamicSweepCell {
+            scenario: cell_scenario(job.scenario.as_ref()),
+            mechanism: job.mechanism.name().to_string(),
+            matcher: job.matcher.name().to_string(),
+            plan: job.plan_kind.clone(),
+            num_tasks: instance.num_tasks(),
+            num_workers: instance.num_workers(),
+            epsilon: job.epsilon,
+            measurement,
+            competitive_ratio,
+            drop_latency_p50: drop_p50,
+            drop_latency_p95: drop_p95,
+            error,
+            wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
         }
     }
-    let stats = ckpt.map_or(
-        PartialRunStats {
-            resumed: 0,
-            computed: cells.len(),
-        },
-        |c| c.stats(),
-    );
-    Ok((
-        DynamicPartialSweepReport {
-            flavor: DYNAMIC_FLAVOR.to_string(),
-            fingerprint,
-            partition_index,
-            partition_count,
-            total_jobs: jobs.len(),
-            start: range.start,
-            seed: config.seed,
+
+    fn report(&self, cells: Vec<DynamicSweepCell>) -> DynamicSweepReport {
+        DynamicSweepReport {
+            seed: self.seed,
             horizon: DYNAMIC_SWEEP_HORIZON,
             cells,
-        },
-        stats,
-    ))
+        }
+    }
 }
 
-/// Runs one partition of the dynamic sweep (optionally checkpointed); the
-/// dynamic counterpart of [`run_sweep_partition`].
-pub fn run_dynamic_sweep_partition(
-    config: &DynamicSweepConfig,
-    run: &PartitionRun,
-) -> Result<(DynamicPartialSweepReport, PartialRunStats), PipelineError> {
-    run_dynamic_slice(
-        config,
-        |total| run.plan.slice(total),
-        run.plan.index(),
-        run.plan.count(),
-        run.checkpoint.as_deref(),
-        run.max_cells,
-    )
+impl DynamicSweepConfig {
+    fn axes(&self) -> Result<Axes<Arc<dyn DynamicAssignStrategy>>, PipelineError> {
+        Axes::resolve(&self.scenarios, &self.mechanisms, || {
+            resolve_dynamic_matchers(&self.matchers, self.ratio)
+        })
+    }
+
+    /// The shift-plan kinds to replay: the explicit filter, or all of
+    /// [`SHIFT_PLAN_KINDS`] when empty — validated upfront so the fan-out
+    /// cannot panic.
+    fn plan_kinds(&self) -> Result<Vec<String>, PipelineError> {
+        let all = SHIFT_PLAN_KINDS.map(String::from);
+        resolve(&self.shift_plans, &all, |kind| {
+            dynamic_shift_plan(kind, 1, 0).map(|_| kind.to_string())
+        })
+    }
 }
 
-/// Runs an arbitrary contiguous job-index slice of the dynamic sweep; the
-/// dynamic counterpart of [`run_sweep_range`].
-pub fn run_dynamic_sweep_range(
-    config: &DynamicSweepConfig,
-    range: Range<usize>,
-) -> Result<DynamicPartialSweepReport, PipelineError> {
-    run_dynamic_slice(config, move |_| range, 0, 0, None, None).map(|(partial, _)| partial)
+impl FlavorReport for DynamicSweepReport {
+    const FLAVOR: &'static str = "dynamic";
+    type Cell = DynamicSweepCell;
+    type Measurement = DynamicMeasurement;
+
+    fn cells(&self) -> &[DynamicSweepCell] {
+        &self.cells
+    }
+
+    fn outcome(cell: &DynamicSweepCell) -> (Option<&DynamicMeasurement>, Option<&str>) {
+        (cell.measurement.as_ref(), cell.error.as_deref())
+    }
+
+    fn with_cells(&self, cells: Vec<DynamicSweepCell>) -> Self {
+        DynamicSweepReport {
+            seed: self.seed,
+            horizon: self.horizon,
+            cells,
+        }
+    }
+
+    fn mismatch(&self, other: &Self) -> Option<&'static str> {
+        if self.seed != other.seed {
+            Some("seed")
+        } else if self.horizon.to_bits() != other.horizon.to_bits() {
+            Some("horizon")
+        } else {
+            None
+        }
+    }
+
+    fn clear_wall_ms(cell: &mut DynamicSweepCell) {
+        cell.wall_ms = None;
+    }
 }
 
 #[cfg(test)]
@@ -1831,7 +1742,7 @@ mod tests {
 
     #[test]
     fn dynamic_sweep_covers_the_product() {
-        let report = run_dynamic_sweep(&small_dynamic_config()).unwrap();
+        let report = run_sweep(&small_dynamic_config()).unwrap();
         assert_eq!(report.cells.len(), 2 * 2 * 2);
         assert_eq!(report.measured().count(), 8);
         assert_eq!(report.failed().count(), 0);
@@ -1857,7 +1768,7 @@ mod tests {
         // every pairing of one cell column faces the same scenario: the
         // identity x hst-greedy and hst x hst-greedy cells must report the
         // same peak availability under the same plan.
-        let report = run_dynamic_sweep(&small_dynamic_config()).unwrap();
+        let report = run_sweep(&small_dynamic_config()).unwrap();
         for plan in ["always-on", "short"] {
             let peaks: Vec<usize> = report
                 .measured()
@@ -1879,7 +1790,7 @@ mod tests {
             shift_plans: vec!["always-on".into()],
             ..small_dynamic_config()
         };
-        let report = run_dynamic_sweep(&config).unwrap();
+        let report = run_sweep(&config).unwrap();
         assert_eq!(report.cells.len(), registry().dynamic_matchers().len());
         let by_matcher = |m: &str| report.cells.iter().find(|c| c.matcher == m).unwrap();
         assert!(by_matcher("hst-greedy").error.is_some());
@@ -1892,7 +1803,7 @@ mod tests {
         let mut config = small_dynamic_config();
         config.matchers = vec!["bogus".into()];
         assert!(matches!(
-            run_dynamic_sweep(&config),
+            run_sweep(&config),
             Err(PipelineError::UnknownEntry {
                 kind: "dynamic matcher",
                 ..
@@ -1901,7 +1812,7 @@ mod tests {
         let mut config = small_dynamic_config();
         config.shift_plans = vec!["bogus".into()];
         assert!(matches!(
-            run_dynamic_sweep(&config),
+            run_sweep(&config),
             Err(PipelineError::UnknownEntry {
                 kind: "shift plan",
                 ..
@@ -1922,7 +1833,7 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                run_dynamic_sweep(&broken),
+                run_sweep(&broken),
                 Err(PipelineError::InvalidConfig { .. })
             ));
         }
@@ -1937,7 +1848,7 @@ mod tests {
             sizes: vec![8],
             ..small_dynamic_config()
         };
-        let report = run_dynamic_sweep(&config).unwrap();
+        let report = run_sweep(&config).unwrap();
         let expected = registry().mechanisms().len()
             * registry().dynamic_matchers().len()
             * SHIFT_PLAN_KINDS.len();
@@ -2033,8 +1944,8 @@ mod tests {
             ..small_dynamic_config()
         };
         assert_ne!(
-            dynamic_sweep_fingerprint(&plain).unwrap(),
-            dynamic_sweep_fingerprint(&with_ratio).unwrap(),
+            sweep_fingerprint(&plain).unwrap(),
+            sweep_fingerprint(&with_ratio).unwrap(),
             "ratio sweeps must not share checkpoints with plain sweeps"
         );
         // Parallelism stays outside the fingerprint either way.
@@ -2044,8 +1955,8 @@ mod tests {
             ..small_dynamic_config()
         };
         assert_eq!(
-            dynamic_sweep_fingerprint(&with_ratio).unwrap(),
-            dynamic_sweep_fingerprint(&sharded).unwrap()
+            sweep_fingerprint(&with_ratio).unwrap(),
+            sweep_fingerprint(&sharded).unwrap()
         );
     }
 }

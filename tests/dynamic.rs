@@ -11,7 +11,8 @@
 //!    `DynamicMeasurement` JSON field names, so the CLI's `--json`
 //!    contract cannot drift silently.
 
-use pombm::sweep::{run_dynamic_sweep, DynamicSweepConfig};
+use pombm::fingerprint::Fnv1a;
+use pombm::sweep::{run_sweep, DynamicSweepConfig, FlavorReport};
 use pombm::{
     dynamic_competitive_ratio, dynamic_offline_optimum, dynamic_offline_optimum_with_threads,
     registry, run_dynamic_spec, run_dynamic_with, ArrivalProcess, DynamicConfig, RatioError,
@@ -32,16 +33,11 @@ fn instance(tasks: usize, workers: usize, seed: u64) -> Instance {
 }
 
 fn fnv(pairs: &[(usize, usize)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for &(t, w) in pairs {
-        for v in [t as u64, w as u64] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        h.write_u64(t as u64).write_u64(w as u64);
     }
-    h
+    h.finish()
 }
 
 /// The golden scenario: 80 tasks over a 500 s window, 60 workers on
@@ -175,10 +171,10 @@ proptest! {
             grid_side: 16,
             seed,
         };
-        let baseline = serde_json::to_string(&run_dynamic_sweep(&config(1)).unwrap()).unwrap();
+        let baseline = serde_json::to_string(&run_sweep(&config(1)).unwrap()).unwrap();
         for shards in [2usize, 7] {
             let sharded =
-                serde_json::to_string(&run_dynamic_sweep(&config(shards)).unwrap()).unwrap();
+                serde_json::to_string(&run_sweep(&config(shards)).unwrap()).unwrap();
             prop_assert_eq!(&baseline, &sharded, "shards = {} changed the sweep", shards);
         }
     }
@@ -202,7 +198,7 @@ fn full_dynamic_registry_product_sweep_completes() {
         grid_side: 16,
         seed: 33,
     };
-    let report = run_dynamic_sweep(&config).unwrap();
+    let report = run_sweep(&config).unwrap();
     let mechanisms = registry().mechanisms().len();
     let matchers = registry().dynamic_matchers().len();
     assert_eq!(report.cells.len(), mechanisms * matchers * 3);
@@ -266,7 +262,7 @@ fn dynamic_sweep_json_fields_are_pinned() {
         grid_side: 16,
         seed: 1,
     };
-    let value = serde_json::to_value(&run_dynamic_sweep(&config).unwrap()).unwrap();
+    let value = serde_json::to_value(&run_sweep(&config).unwrap()).unwrap();
     let keys: Vec<&str> = value
         .as_object()
         .expect("a report serializes as an object")
@@ -538,10 +534,10 @@ fn ratio_sweep_is_shard_invariant_and_pins_the_oracle_row() {
         grid_side: 16,
         seed: 5,
     };
-    let baseline = run_dynamic_sweep(&config(1)).unwrap();
+    let baseline = run_sweep(&config(1)).unwrap();
     let json = serde_json::to_string(&baseline).unwrap();
     for shards in [2usize, 7] {
-        let sharded = serde_json::to_string(&run_dynamic_sweep(&config(shards)).unwrap()).unwrap();
+        let sharded = serde_json::to_string(&run_sweep(&config(shards)).unwrap()).unwrap();
         assert_eq!(json, sharded, "shards = {shards} changed the ratio sweep");
     }
     let oracle_cells: Vec<_> = baseline

@@ -8,6 +8,7 @@
 //!    tasks whenever `workers >= tasks` (unit capacity);
 //! 3. end-to-end coverage of pairings the closed enum could not express.
 
+use pombm::fingerprint::Fnv1a;
 use pombm::{registry, run, run_spec, Algorithm, PipelineConfig};
 use pombm_geom::seeded_rng;
 use pombm_matching::HstGreedyEngine;
@@ -24,16 +25,11 @@ fn instance(tasks: usize, workers: usize, seed: u64) -> Instance {
 }
 
 fn fnv(pairs: &[(usize, usize)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for &(t, w) in pairs {
-        for v in [t as u64, w as u64] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        h.write_u64(t as u64).write_u64(w as u64);
     }
-    h
+    h.finish()
 }
 
 /// Fingerprints recorded from the pre-refactor enum-dispatch pipeline

@@ -2,7 +2,7 @@
 //!
 //! 1. proptest invariants — for every registered scenario, the sweep JSON
 //!    is byte-identical across shard counts {1, 2, 7}, in-cell thread
-//!    counts, and a partitioned run merged back with [`merge_static`], on
+//!    counts, and a partitioned run merged back with [`merge`], on
 //!    both flavours;
 //! 2. the back-compat contract — an empty `scenarios` axis and an explicit
 //!    `["uniform"]` produce byte-identical reports *and* identical config
@@ -12,11 +12,11 @@
 //!    model) fails loudly instead of silently rewriting every downstream
 //!    measurement.
 
-use pombm::merge::{merge_dynamic, merge_static};
+use pombm::fingerprint::fnv1a_hex;
+use pombm::merge::merge;
 use pombm::sweep::{
-    dynamic_sweep_fingerprint, run_dynamic_sweep, run_dynamic_sweep_partition, run_sweep,
-    run_sweep_partition, sweep_fingerprint, DynamicSweepConfig, PartitionPlan, PartitionRun,
-    SweepConfig,
+    run_sweep, run_sweep_partition, sweep_fingerprint, DynamicSweepConfig, PartitionPlan,
+    PartitionRun, SweepConfig,
 };
 use pombm::{registry, PipelineConfig, DEFAULT_SCENARIO};
 use proptest::prelude::*;
@@ -88,7 +88,7 @@ proptest! {
                     run_sweep_partition(&config, &run).unwrap().0
                 })
                 .collect();
-            let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
+            let merged = serde_json::to_string(&merge(&partials).unwrap()).unwrap();
             prop_assert_eq!(&full, &merged, "scenario {}: partition merge", name);
         }
     }
@@ -98,9 +98,9 @@ proptest! {
     fn every_scenario_is_invariant_on_the_dynamic_flavour(seed in 0u64..500) {
         for name in scenario_names() {
             let mut config = dynamic_config(vec![name.to_string()], seed);
-            let full = serde_json::to_string(&run_dynamic_sweep(&config).unwrap()).unwrap();
+            let full = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
             config.shards = 3;
-            let other = serde_json::to_string(&run_dynamic_sweep(&config).unwrap()).unwrap();
+            let other = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
             prop_assert_eq!(&full, &other, "scenario {}: dynamic shards", name);
         }
     }
@@ -133,12 +133,12 @@ fn empty_axis_is_the_uniform_default() {
     let legacy = dynamic_config(Vec::new(), 7);
     let explicit = dynamic_config(vec![DEFAULT_SCENARIO.to_string()], 7);
     assert_eq!(
-        serde_json::to_string(&run_dynamic_sweep(&legacy).unwrap()).unwrap(),
-        serde_json::to_string(&run_dynamic_sweep(&explicit).unwrap()).unwrap(),
+        serde_json::to_string(&run_sweep(&legacy).unwrap()).unwrap(),
+        serde_json::to_string(&run_sweep(&explicit).unwrap()).unwrap(),
     );
     assert_eq!(
-        dynamic_sweep_fingerprint(&legacy).unwrap(),
-        dynamic_sweep_fingerprint(&explicit).unwrap(),
+        sweep_fingerprint(&legacy).unwrap(),
+        sweep_fingerprint(&explicit).unwrap(),
     );
 }
 
@@ -160,34 +160,22 @@ fn multi_scenario_partitions_merge_byte_exactly() {
             run_sweep_partition(&config, &run).unwrap().0
         })
         .collect();
-    let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
+    let merged = serde_json::to_string(&merge(&partials).unwrap()).unwrap();
     assert_eq!(full, merged, "static multi-scenario merge drifted");
 
     let config = dynamic_config(all, 3);
-    let full = serde_json::to_string(&run_dynamic_sweep(&config).unwrap()).unwrap();
+    let full = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
     let partials: Vec<_> = (1..=2)
         .map(|i| {
             let run = PartitionRun {
                 plan: PartitionPlan::new(i, 2).unwrap(),
                 ..PartitionRun::default()
             };
-            run_dynamic_sweep_partition(&config, &run).unwrap().0
+            run_sweep_partition(&config, &run).unwrap().0
         })
         .collect();
-    let merged = serde_json::to_string(&merge_dynamic(&partials).unwrap()).unwrap();
+    let merged = serde_json::to_string(&merge(&partials).unwrap()).unwrap();
     assert_eq!(full, merged, "dynamic multi-scenario merge drifted");
-}
-
-/// FNV-1a over the report bytes — the same construction the sweep uses
-/// for config fingerprints, reimplemented locally so the golden stands
-/// on its own.
-fn fnv64(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("{hash:016x}")
 }
 
 /// One golden output fingerprint per non-default scenario (the default is
@@ -206,7 +194,7 @@ fn scenario_sweep_goldens_are_pinned() {
         let config = static_config(vec![name.to_string()], 42);
         let json = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
         assert_eq!(
-            fnv64(json.as_bytes()),
+            fnv1a_hex(json.as_bytes()),
             expected,
             "scenario `{name}` sweep output drifted; report:\n{json}"
         );
@@ -225,9 +213,9 @@ fn scenario_dynamic_goldens_are_pinned() {
         ("adversarial-cell", "3c2a2969e34e724a"),
     ] {
         let config = dynamic_config(vec![name.to_string()], 42);
-        let json = serde_json::to_string(&run_dynamic_sweep(&config).unwrap()).unwrap();
+        let json = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
         assert_eq!(
-            fnv64(json.as_bytes()),
+            fnv1a_hex(json.as_bytes()),
             expected,
             "scenario `{name}` dynamic output drifted; report:\n{json}"
         );

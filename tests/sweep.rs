@@ -12,7 +12,7 @@
 //!    `--json` contract cannot drift silently.
 
 use pombm::ratio::{empirical_competitive_ratio, offline_optimum, RatioError};
-use pombm::sweep::{run_sweep, sweep_instance, SweepConfig};
+use pombm::sweep::{run_sweep, sweep_instance, FlavorReport, SweepConfig};
 use pombm::{registry, PipelineConfig};
 use pombm_geom::seeded_rng;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
