@@ -24,7 +24,7 @@ fn bench_dynamic_matchers(c: &mut Criterion) {
         grid_side: 32,
         seed: 3,
     };
-    let mechanism = registry().mechanism("hst").unwrap();
+    let mechanism = registry().require_mechanism("hst").unwrap();
     for matcher in registry().dynamic_matchers() {
         group.bench_function(BenchmarkId::new("matcher", matcher.name()), |b| {
             b.iter(|| {

@@ -35,7 +35,7 @@ fn bench_ratio_cell(c: &mut Criterion) {
         ..PipelineConfig::default()
     };
     for name in ["opt", "tbf", "lap-gr"] {
-        let spec = registry().spec(name).unwrap();
+        let spec = &registry().require_spec(name).unwrap();
         group.bench_function(BenchmarkId::new("pairing", name), |b| {
             b.iter(|| {
                 black_box(

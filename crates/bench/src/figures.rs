@@ -8,7 +8,10 @@
 
 use crate::alloc::measure_peak;
 use crate::report::Report;
-use pombm::{run, run_case_study, Algorithm, CaseStudyAlgorithm, PipelineConfig, Server};
+use pombm::{
+    registry, run_case_study, run_spec, AlgorithmSpec, CaseStudyAlgorithm, PipelineConfig,
+    RunResult, Server,
+};
 use pombm_geom::seeded_rng;
 use pombm_matching::hst_greedy::HstGreedyEngine;
 use pombm_matching::reachable::{ProbMatcher, DEFAULT_THRESHOLD};
@@ -21,6 +24,23 @@ use std::time::Instant;
 /// 50 m units (10 km → 200 units) so ε carries the same meaning on synthetic
 /// and real workloads; see `Instance::scaled`.
 pub const REAL_UNIT_METERS: f64 = 50.0;
+
+/// The paper's compared algorithms (Sec. IV-A), by registry name, in its
+/// plotting order.
+const PAPER_ALGORITHMS: [&str; 3] = ["lap-gr", "lap-hg", "tbf"];
+
+/// Resolves a figure algorithm by registry name; the spec carries the
+/// figure label its rows are plotted under.
+fn spec(name: &str) -> AlgorithmSpec {
+    registry()
+        .require_spec(name)
+        .expect("figure algorithms are registered")
+}
+
+/// Runs one registered pairing; every figure pairing is runnable.
+fn run(spec: &AlgorithmSpec, instance: &Instance, pc: &PipelineConfig, rep: u64) -> RunResult {
+    run_spec(spec, instance, pc, rep).expect("figure pairings are runnable")
+}
 
 /// Harness-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -90,8 +110,9 @@ where
     FParams: FnMut(f64, u64) -> Instance,
 {
     let mut report = Report::new();
+    let algos = PAPER_ALGORITHMS.map(spec);
     for &x in xs {
-        for algo in Algorithm::ALL {
+        for algo in &algos {
             let mut dist = 0.0;
             let mut secs = 0.0;
             let mut mem_mb = 0.0;
@@ -584,6 +605,7 @@ pub fn ratio(cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new();
     // OPT is cubic-ish; keep instances modest.
     let (tasks, workers) = if cfg.quick { (40, 60) } else { (200, 300) };
+    let algos = PAPER_ALGORITHMS.map(spec);
     for &eps in &SyntheticParams::EPSILONS {
         let params = SyntheticParams {
             num_tasks: tasks,
@@ -592,12 +614,11 @@ pub fn ratio(cfg: &ExperimentConfig) -> Report {
             ..SyntheticParams::default()
         };
         let instance = synthetic::generate(&params, &mut seeded_rng(cfg.seed, 0x0C));
-        for algo in Algorithm::ALL {
+        for algo in &algos {
             let pc = cfg.pipeline(eps, 0);
-            let r =
-                pombm::empirical_competitive_ratio(algo.spec(), &instance, &pc, cfg.repetitions)
-                    .expect("ratio experiment instances are non-degenerate")
-                    .ratio;
+            let r = pombm::empirical_competitive_ratio(algo, &instance, &pc, cfg.repetitions)
+                .expect("ratio experiment instances are non-degenerate")
+                .ratio;
             report.push(
                 "ratio",
                 "epsilon",
@@ -624,6 +645,7 @@ pub fn grid_sweep(cfg: &ExperimentConfig) -> Report {
         num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
         ..SyntheticParams::default()
     };
+    let tbf = spec("tbf");
     for side in [16usize, 32, 48, 64, 96] {
         let mut dist = 0.0;
         let mut setup = 0.0;
@@ -634,7 +656,7 @@ pub fn grid_sweep(cfg: &ExperimentConfig) -> Report {
                 grid_side: side,
                 ..cfg.pipeline(SyntheticParams::default().epsilon, rep)
             };
-            let result = run(Algorithm::Tbf, &instance, &pc, rep);
+            let result = run(&tbf, &instance, &pc, rep);
             dist += result.metrics.total_distance;
             setup += result.metrics.setup_time.as_secs_f64();
         }
@@ -704,12 +726,7 @@ pub fn distortion(cfg: &ExperimentConfig) -> Report {
 /// choice that Sec. III motivates but never isolates.
 pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new();
-    let algos = [
-        Algorithm::Tbf,
-        Algorithm::ExpHg,
-        Algorithm::LapHg,
-        Algorithm::RandomFloor,
-    ];
+    let algos = ["tbf", "exp-hg", "lap-hg", "random"].map(spec);
     for &eps in &SyntheticParams::EPSILONS {
         let params = SyntheticParams {
             num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
@@ -717,7 +734,7 @@ pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
             epsilon: eps,
             ..SyntheticParams::default()
         };
-        for algo in algos {
+        for algo in &algos {
             let mut dist = 0.0;
             for rep in 0..cfg.repetitions {
                 let instance =
@@ -744,7 +761,7 @@ pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
 /// chain reassignment (Bansal et al.) — total distance and assignment time.
 pub fn ablate_alg(cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new();
-    let algos = [Algorithm::Tbf, Algorithm::TbfRand, Algorithm::TbfChain];
+    let algos = ["tbf", "tbf-rand", "tbf-chain"].map(spec);
     for &eps in &SyntheticParams::EPSILONS {
         let params = SyntheticParams {
             num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
@@ -752,7 +769,7 @@ pub fn ablate_alg(cfg: &ExperimentConfig) -> Report {
             epsilon: eps,
             ..SyntheticParams::default()
         };
-        for algo in algos {
+        for algo in &algos {
             let mut dist = 0.0;
             let mut secs = 0.0;
             for rep in 0..cfg.repetitions {
@@ -808,10 +825,12 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
     let mut dist = vec![0.0f64; epoch_cfg.num_epochs];
     let mut stale = vec![0.0f64; epoch_cfg.num_epochs];
     let mut fresh = vec![0.0f64; epoch_cfg.num_epochs];
+    let hst = registry().require_mechanism("hst").expect("registered");
     for rep in 0..cfg.repetitions {
         let mut c = epoch_cfg;
         c.seed = cfg.seed.wrapping_add(rep.wrapping_mul(0xEAC7));
-        let r = pombm::run_epochs(num_workers, &c);
+        let r = pombm::run_epochs(num_workers, &c, hst.as_ref())
+            .expect("the hst mechanism reports tree leaves");
         for m in &r.per_epoch {
             dist[m.epoch] += m.total_distance;
             stale[m.epoch] += m.avg_report_staleness;
@@ -855,7 +874,7 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
 /// shift length / horizon) and reports assignment rate and mean per-task
 /// distance (see `pombm::dynamic`).
 pub fn dynamic(cfg: &ExperimentConfig) -> Report {
-    use pombm::{run_dynamic, ArrivalProcess, DynamicConfig};
+    use pombm::{run_dynamic_spec, ArrivalProcess, DynamicConfig};
     use pombm_workload::shifts::ShiftPlan;
     let mut report = Report::new();
     let (tasks, workers) = if cfg.quick { (120, 240) } else { (1500, 3000) };
@@ -865,6 +884,10 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
         num_workers: workers,
         ..SyntheticParams::default()
     };
+    let mechanism = registry().require_mechanism("hst").expect("registered");
+    let matcher = registry()
+        .require_dynamic_matcher("hst-greedy")
+        .expect("registered");
     let durations: [(f64, f64); 5] = [
         (25.0, 75.0),
         (100.0, 200.0),
@@ -895,7 +918,15 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
                 grid_side: cfg.grid_side.min(32),
                 seed: cfg.seed.wrapping_add(rep),
             };
-            let out = run_dynamic(&instance, &times, &plan, &dyn_cfg);
+            let out = run_dynamic_spec(
+                &instance,
+                &times,
+                &plan,
+                &dyn_cfg,
+                mechanism.as_ref(),
+                matcher.as_ref(),
+            )
+            .expect("the tbf pairing drives the fleet");
             rate += out.assignment_rate();
             avg_dist += if out.pairs.is_empty() {
                 0.0
@@ -935,13 +966,14 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
 /// `Θ(2^D)` tree distance, which this experiment surfaces as a total-
 /// distance gap.
 pub fn ablate_tree(cfg: &ExperimentConfig) -> Report {
-    use pombm::{run_with_server, TreeConstruction};
+    use pombm::{run_spec_with_server, TreeConstruction};
     let mut report = Report::new();
     let params = SyntheticParams {
         num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
         num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
         ..SyntheticParams::default()
     };
+    let tbf = spec("tbf");
     for &eps in &SyntheticParams::EPSILONS {
         for (label, construction) in [
             ("TBF-FRT", TreeConstruction::Frt),
@@ -958,7 +990,8 @@ pub fn ablate_tree(cfg: &ExperimentConfig) -> Report {
                     construction,
                 );
                 let pc = cfg.pipeline(eps, rep);
-                let r = run_with_server(Algorithm::Tbf, &instance, &pc, Some(&server), rep);
+                let r = run_spec_with_server(&tbf, &instance, &pc, Some(&server), rep)
+                    .expect("tbf runs on a prebuilt server");
                 dist += r.metrics.total_distance;
             }
             report.push(

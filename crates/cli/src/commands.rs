@@ -50,9 +50,6 @@ COMMANDS:
               shown with its [oracle-only] role); scenarios are the named
               spatial+temporal workload models (use with --scenario /
               --scenarios)
-  algorithms  deprecated alias for `pombm list algorithms` (plus fault
-              plans; also available as `pombm run --list-algorithms`)
-  scenarios   deprecated alias for `pombm list scenarios`
   obfuscate   demo the TBF mechanism on one location
               --x F --y F [--epsilon F] [--grid-side N] [--samples N] [--seed N]
   publish     build an HST over a grid and write the wire format
@@ -141,14 +138,6 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
         Some("gen") => gen(args),
         Some("run") => run_cmd(args),
         Some("list") => list_cmd(args),
-        Some("algorithms") => {
-            eprintln!("note: `pombm algorithms` is deprecated; use `pombm list algorithms`");
-            Ok(list_algorithms())
-        }
-        Some("scenarios") => {
-            eprintln!("note: `pombm scenarios` is deprecated; use `pombm list scenarios`");
-            Ok(list_scenarios())
-        }
         Some("obfuscate") => obfuscate(args),
         Some("publish") => publish(args),
         Some("inspect") => inspect(args),
@@ -166,10 +155,8 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
 const LIST_TOPICS: &str = "algorithms fault-plans scenarios all";
 
 /// `pombm list [algorithms|fault-plans|scenarios|all]`: the one
-/// catalog-driven listing surface. `pombm algorithms` and
-/// `pombm scenarios` survive as deprecated aliases over the same
-/// section renderers, so every name printed anywhere comes from the
-/// registry catalogs.
+/// catalog-driven listing surface, so every name printed anywhere comes
+/// from the registry catalogs.
 pub fn list_cmd(args: &Args) -> Result<String, String> {
     args.check_known(&[])?;
     let topic = match args.positionals() {
@@ -272,18 +259,6 @@ fn scenarios_section() -> String {
     out
 }
 
-/// `pombm algorithms` (deprecated alias; also `pombm run
-/// --list-algorithms`): the legacy one-page dump, byte-identical to its
-/// pre-`list` output — algorithms plus fault plans.
-pub fn list_algorithms() -> String {
-    format!("{}\n{}", algorithms_section(), fault_plans_section())
-}
-
-/// `pombm scenarios` (deprecated alias): the scenario catalogue.
-pub fn list_scenarios() -> String {
-    scenarios_section()
-}
-
 /// `pombm gen`: write a synthetic or Chengdu-like instance to JSON.
 pub fn gen(args: &Args) -> Result<String, String> {
     args.check_known(&[
@@ -339,11 +314,7 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
         "threads",
         "json",
         "scan",
-        "list-algorithms",
     ])?;
-    if args.switch("list-algorithms") {
-        return Ok(list_algorithms());
-    }
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let instance = match (args.get("input"), args.get("scenario")) {
@@ -360,7 +331,7 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
         }
         (None, None) => {
             return Err("missing instance: use --input FILE or --scenario NAME \
-                 (see `pombm scenarios`)"
+                 (see `pombm list scenarios`)"
                 .to_string());
         }
     };
@@ -517,7 +488,11 @@ pub fn epochs(args: &Args) -> Result<String, String> {
         seed: args.get_or("seed", 0)?,
         ..EpochConfig::default()
     };
-    let report = pombm::run_epochs(num_workers, &config);
+    let hst = registry()
+        .require_mechanism("hst")
+        .map_err(|e| e.to_string())?;
+    let report =
+        pombm::run_epochs(num_workers, &config, hst.as_ref()).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1533,7 +1508,7 @@ mod tests {
 
     #[test]
     fn algorithms_command_lists_registry() {
-        let out = dispatch(&args("algorithms")).unwrap();
+        let out = dispatch(&args("list algorithms")).unwrap();
         for name in [
             "tbf",
             "lap-gr",
@@ -1547,7 +1522,6 @@ mod tests {
         ] {
             assert!(out.contains(name), "listing missing {name}:\n{out}");
         }
-        assert_eq!(run_cmd(&args("run --list-algorithms")).unwrap(), out);
     }
 
     #[test]
@@ -1575,18 +1549,16 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_aliases_render_from_the_same_catalogs() {
-        let algorithms = dispatch(&args("algorithms")).unwrap();
-        let expected = format!(
-            "{}\n{}",
-            dispatch(&args("list algorithms")).unwrap(),
-            dispatch(&args("list fault-plans")).unwrap()
-        );
-        assert_eq!(algorithms, expected);
-        assert_eq!(
-            dispatch(&args("scenarios")).unwrap(),
-            dispatch(&args("list scenarios")).unwrap()
-        );
+    fn retired_listing_aliases_are_typed_errors() {
+        for retired in ["algorithms", "scenarios"] {
+            let err = dispatch(&args(retired)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown command `{retired}`")),
+                "{err}"
+            );
+        }
+        let err = dispatch(&args("run --list-algorithms")).unwrap_err();
+        assert!(err.starts_with("unknown flag --list-algorithms"), "{err}");
     }
 
     #[test]
@@ -2078,7 +2050,7 @@ mod tests {
 
     #[test]
     fn scenarios_command_lists_the_catalogue() {
-        let out = list_scenarios();
+        let out = dispatch(&args("list scenarios")).unwrap();
         for name in [
             "uniform",
             "normal",

@@ -6,8 +6,8 @@
 //! Laplace baselines, HST leaf codes for the tree-based mechanisms), and a
 //! *matcher* consumes those reports to build an online assignment. This
 //! module encodes each stage as an object-safe trait so any mechanism can
-//! be paired with any matcher — the seven algorithms of
-//! [`crate::Algorithm`] become ordinary entries in the
+//! be paired with any matcher — the paper's compared algorithms and this
+//! repository's ablations are ordinary named entries in the
 //! [`registry`](crate::registry::registry), and new pairings
 //! (e.g. exponential mechanism + chain matcher) need no changes to the
 //! pipeline driver.
@@ -48,7 +48,7 @@
 //!     }
 //! }
 //!
-//! let mech = registry().mechanism("laplace").unwrap();
+//! let mech = registry().require_mechanism("laplace").unwrap();
 //! let spec = AlgorithmSpec::compose(mech, Arc::new(FirstFree));
 //! let instance = pombm_workload::synthetic::generate(
 //!     &pombm_workload::SyntheticParams { num_tasks: 5, num_workers: 9,
@@ -380,7 +380,7 @@ pub trait ReportMechanism: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list-algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the mechanism needs the server's published artifacts.
@@ -456,7 +456,7 @@ pub trait AssignStrategy: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list-algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the matcher needs the server's published artifacts.
@@ -558,7 +558,7 @@ pub trait DynamicAssignStrategy: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `pombm algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the matcher needs the server's published artifacts.

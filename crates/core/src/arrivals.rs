@@ -1,22 +1,12 @@
-//! Timed arrival streams and response-latency accounting.
+//! Timed arrival streams.
 //!
-//! The paper reports that TBF "responds to each task in 0.0015 seconds" and
-//! the case study "in no more than 0.003 seconds" — per-task *latency*
-//! claims, not just totals. This module replays an instance as a timed
-//! stream (Poisson or uniform arrivals over a service window), measures the
-//! wall-clock assignment latency of every task, and reports the percentiles
-//! an operator would put in an SLO.
+//! An [`ArrivalProcess`] lays task arrival timestamps out over a service
+//! window — Poisson or evenly spaced — as the `task_times` of a
+//! caller-built timeline for [`crate::run_dynamic_spec`] and its
+//! clairvoyant oracle.
 
-use crate::pipeline::PipelineConfig;
-use crate::server::Server;
-use pombm_geom::seeded_rng;
-use pombm_hst::LeafCode;
-use pombm_matching::{HstGreedy, Matching};
-use pombm_privacy::{Epsilon, HstMechanism};
-use pombm_workload::Instance;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
 /// How task arrival times are laid out over the service window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,104 +54,10 @@ impl ArrivalProcess {
     }
 }
 
-/// Latency statistics of one simulated stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamReport {
-    /// Number of tasks assigned.
-    pub assigned: usize,
-    /// Total travel distance on true locations.
-    pub total_distance: f64,
-    /// Mean per-task assignment latency.
-    pub mean_latency: Duration,
-    /// Median per-task latency.
-    pub p50_latency: Duration,
-    /// 99th-percentile per-task latency.
-    pub p99_latency: Duration,
-    /// Worst per-task latency.
-    pub max_latency: Duration,
-    /// Generated arrival span (timestamp of the last task), seconds.
-    pub span_secs: f64,
-}
-
-impl StreamReport {
-    fn from_latencies(mut latencies: Vec<Duration>, total_distance: f64, span_secs: f64) -> Self {
-        assert!(!latencies.is_empty(), "stream produced no assignments");
-        latencies.sort_unstable();
-        let n = latencies.len();
-        let sum: Duration = latencies.iter().sum();
-        let pick = |q: f64| latencies[((n - 1) as f64 * q).round() as usize];
-        StreamReport {
-            assigned: n,
-            total_distance,
-            mean_latency: sum / n as u32,
-            p50_latency: pick(0.50),
-            p99_latency: pick(0.99),
-            max_latency: latencies[n - 1],
-            span_secs,
-        }
-    }
-}
-
-/// Replays `instance` as a timed TBF stream: workers obfuscated and
-/// registered upfront, each task obfuscated and assigned at its arrival
-/// timestamp, per-task latency measured around the assignment call.
-///
-/// The simulation is *logical-time*: it does not sleep between arrivals (the
-/// latency of interest is compute latency, and the paper's response-time
-/// claims are per task), but timestamps are generated and reported so
-/// callers can check the stream is feasible (`p99 ≪ mean inter-arrival
-/// gap`).
-pub fn simulate_stream(
-    instance: &Instance,
-    server: &Server,
-    config: &PipelineConfig,
-    process: ArrivalProcess,
-) -> StreamReport {
-    let epsilon = Epsilon::new(config.epsilon);
-    let mechanism = HstMechanism::new(server.hst(), epsilon);
-    let mut rng = seeded_rng(config.seed, 0xA881);
-
-    let reported_workers: Vec<LeafCode> = instance
-        .workers
-        .iter()
-        .map(|w| mechanism.obfuscate(server.hst(), server.snap(w), &mut rng))
-        .collect();
-    let mut matcher = HstGreedy::new(server.hst().ctx(), reported_workers, config.engine);
-
-    let timestamps = process.timestamps(instance.num_tasks(), &mut rng);
-    let span_secs = timestamps.last().copied().unwrap_or(0.0);
-
-    let mut latencies = Vec::with_capacity(instance.num_tasks());
-    let mut matching = Matching::new();
-    for (t_idx, t) in instance.tasks.iter().enumerate() {
-        // The latency window covers what the paper's metric covers: from
-        // receiving the (obfuscated) task to completing the assignment.
-        let reported = mechanism.obfuscate(server.hst(), server.snap(t), &mut rng);
-        // lint: allow(DET-TIME) — per-task latency metric; reported as
-        // measured milliseconds, never fingerprinted.
-        let start = Instant::now();
-        if let Some(w_idx) = matcher.assign(reported) {
-            latencies.push(start.elapsed());
-            matching.pairs.push((t_idx, w_idx));
-        }
-    }
-    let total_distance = matching.total_distance(&instance.tasks, &instance.workers);
-    StreamReport::from_latencies(latencies, total_distance, span_secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pombm_workload::{synthetic, SyntheticParams};
-
-    fn instance() -> Instance {
-        let params = SyntheticParams {
-            num_tasks: 200,
-            num_workers: 400,
-            ..SyntheticParams::default()
-        };
-        synthetic::generate(&params, &mut seeded_rng(1, 0))
-    }
+    use pombm_geom::seeded_rng;
 
     #[test]
     fn poisson_timestamps_are_increasing_with_right_rate() {
@@ -193,68 +89,5 @@ mod tests {
             ArrivalProcess::Uniform { window_secs: 10.0 }.timestamps(1, &mut rng),
             vec![0.0]
         );
-    }
-
-    #[test]
-    fn stream_report_percentiles_are_ordered() {
-        let inst = instance();
-        let server = Server::new(inst.region, 32, 9);
-        let config = PipelineConfig::default();
-        let report = simulate_stream(
-            &inst,
-            &server,
-            &config,
-            ArrivalProcess::Poisson { rate: 100.0 },
-        );
-        assert_eq!(report.assigned, 200);
-        assert!(report.total_distance > 0.0);
-        assert!(report.p50_latency <= report.p99_latency);
-        assert!(report.p99_latency <= report.max_latency);
-        assert!(report.mean_latency <= report.max_latency);
-        assert!(report.span_secs > 0.0);
-    }
-
-    #[test]
-    fn paper_latency_claim_holds_comfortably() {
-        // The paper reports per-task response under 1.5 ms on 2016 hardware
-        // at |T| = 5000, |W| = 7000. Even in a debug build at our smaller
-        // test size, staying under 50 ms per task is a very loose sanity
-        // check that nothing is accidentally quadratic per arrival.
-        let inst = instance();
-        let server = Server::new(inst.region, 32, 10);
-        let config = PipelineConfig::default();
-        let report = simulate_stream(
-            &inst,
-            &server,
-            &config,
-            ArrivalProcess::Uniform { window_secs: 60.0 },
-        );
-        assert!(
-            report.p99_latency < Duration::from_millis(50),
-            "p99 {:?}",
-            report.p99_latency
-        );
-    }
-
-    #[test]
-    fn stream_is_deterministic_in_seed() {
-        let inst = instance();
-        let server = Server::new(inst.region, 32, 11);
-        let config = PipelineConfig::default();
-        let a = simulate_stream(
-            &inst,
-            &server,
-            &config,
-            ArrivalProcess::Poisson { rate: 5.0 },
-        );
-        let b = simulate_stream(
-            &inst,
-            &server,
-            &config,
-            ArrivalProcess::Poisson { rate: 5.0 },
-        );
-        assert_eq!(a.assigned, b.assigned);
-        assert_eq!(a.total_distance, b.total_distance);
-        assert_eq!(a.span_secs, b.span_secs);
     }
 }

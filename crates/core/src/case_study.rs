@@ -80,7 +80,7 @@ pub fn run_case_study(
         CaseStudyAlgorithm::Prob => {
             // The Prob baseline reports through the registered planar
             // Laplace mechanism.
-            let mechanism = registry().mechanism("laplace").expect("registered");
+            let mechanism = registry().require_mechanism("laplace").expect("registered");
             let mut reporter = mechanism
                 .reporter(epsilon, Some(server))
                 .expect("laplace needs no server");
@@ -128,7 +128,7 @@ pub fn run_case_study(
         }
         CaseStudyAlgorithm::Tbf => {
             // TBF reports through the registered HST random-walk mechanism.
-            let mechanism = registry().mechanism("hst").expect("registered");
+            let mechanism = registry().require_mechanism("hst").expect("registered");
             let mut reporter = mechanism
                 .reporter(epsilon, Some(server))
                 .expect("server supplied");

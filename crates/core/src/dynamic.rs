@@ -54,7 +54,7 @@
 //! [`Role::OracleOnly`](crate::registry::Role) role: it can never be
 //! asked to drive this event loop (its `pool()` is a typed
 //! `RoleMismatch`), only to price a revealed timeline via
-//! [`crate::ratio::dynamic_offline_optimum`], which is what
+//! [`crate::ratio::dynamic_offline_optimum_with_threads`], which is what
 //! [`crate::ratio::dynamic_competitive_ratio`] and the dynamic sweep's
 //! `ratio` columns divide by.
 //!
@@ -99,7 +99,6 @@
 //! ```
 
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
-use crate::registry::registry;
 use crate::server::Server;
 use pombm_geom::seeded_rng;
 use pombm_privacy::Epsilon;
@@ -126,23 +125,6 @@ impl Default for DynamicConfig {
             seed: 0,
         }
     }
-}
-
-impl crate::pipeline::CommonConfig for DynamicConfig {
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn grid_side(&self) -> usize {
-        self.grid_side
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    // `threads` stays at the trait's sequential default: the event loop
-    // processes one timeline event at a time and has no parallel path.
 }
 
 /// Outcome of a dynamic simulation.
@@ -182,15 +164,43 @@ pub(crate) enum EventKind {
 /// ShiftStart < ShiftEnd < Task, then by id.
 pub(crate) type TimelineEvent = (f64, u8, usize, EventKind);
 
+/// Checks that `task_times` and `plan` describe a timeline over
+/// `instance`: one finite arrival time per task, and one shift with
+/// finite bounds per worker, each naming a worker of the instance. The
+/// typed guard of every entry point that takes a caller-supplied
+/// timeline ([`run_dynamic_spec`] and the clairvoyant oracle).
+pub(crate) fn check_timeline(
+    instance: &Instance,
+    task_times: &[f64],
+    plan: &ShiftPlan,
+) -> Result<(), PipelineError> {
+    let invalid = |field, why| Err(PipelineError::InvalidConfig { field, why });
+    if task_times.len() != instance.num_tasks() {
+        return invalid("task_times", "one arrival time per task");
+    }
+    if plan.shifts.len() != instance.num_workers() {
+        return invalid("plan", "one shift per worker");
+    }
+    if !task_times.iter().all(|t| t.is_finite()) {
+        return invalid("task_times", "arrival times must be finite");
+    }
+    for s in &plan.shifts {
+        if !(s.start.is_finite() && s.end.is_finite()) {
+            return invalid("plan", "shift times must be finite");
+        }
+        if s.worker >= instance.num_workers() {
+            return invalid("plan", "every shift must name a worker of the instance");
+        }
+    }
+    Ok(())
+}
+
 /// Builds the unified, deterministically ordered shift/task timeline that
 /// both the event-sequential driver ([`run_dynamic_spec`]) and the
 /// micro-batched serve loop ([`crate::serve`]) replay — a pure function
 /// of `(plan, task_times)`, which is what makes a serve run a
-/// byte-checkable artifact.
-///
-/// # Panics
-///
-/// Panics on a non-finite timestamp.
+/// byte-checkable artifact. Timestamps must be finite, which
+/// [`check_timeline`] guarantees for caller-supplied timelines.
 pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<TimelineEvent> {
     let mut events: Vec<TimelineEvent> = Vec::new();
     for s in &plan.shifts {
@@ -209,48 +219,6 @@ pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<Timeli
     events
 }
 
-/// Replays `plan` against the tasks of `instance` (task `i` arrives at
-/// `task_times[i]`) and returns the assignment outcome.
-///
-/// # Panics
-///
-/// Panics if `task_times` and the instance's task count differ, or the
-/// plan's worker count does not match the instance.
-pub fn run_dynamic(
-    instance: &Instance,
-    task_times: &[f64],
-    plan: &ShiftPlan,
-    config: &DynamicConfig,
-) -> DynamicOutcome {
-    let mechanism = registry().mechanism("hst").expect("hst is registered");
-    run_dynamic_with(instance, task_times, plan, config, mechanism.as_ref())
-        .expect("the hst mechanism always produces tree reports")
-}
-
-/// [`run_dynamic`] with an explicit reporting mechanism: any registered
-/// (or custom) [`ReportMechanism`] whose reports can be interpreted on the
-/// published tree — planar reports are snapped, like the paper's Lap-HG.
-/// Stage 2 stays the paper's tree-greedy pool (`hst-greedy`).
-pub fn run_dynamic_with(
-    instance: &Instance,
-    task_times: &[f64],
-    plan: &ShiftPlan,
-    config: &DynamicConfig,
-    mechanism: &dyn ReportMechanism,
-) -> Result<DynamicOutcome, PipelineError> {
-    let matcher = registry()
-        .dynamic_matcher("hst-greedy")
-        .expect("hst-greedy is registered");
-    run_dynamic_spec(
-        instance,
-        task_times,
-        plan,
-        config,
-        mechanism,
-        matcher.as_ref(),
-    )
-}
-
 /// The generic dynamic driver: replays the shift/task timeline of `plan`
 /// and `task_times` through any `mechanism × dynamic-matcher` pairing.
 ///
@@ -260,10 +228,9 @@ pub fn run_dynamic_with(
 /// a dedicated tie-break stream. For the `hst-greedy` matcher this is
 /// seed-for-seed identical to the pre-registry hardwired driver.
 ///
-/// # Panics
-///
-/// Panics if `task_times` and the instance's task count differ, or the
-/// plan's worker count does not match the instance.
+/// A timeline that does not fit the instance (a task-time or shift count
+/// that differs from the task or worker count, a non-finite timestamp) is
+/// a typed [`PipelineError::InvalidConfig`].
 pub fn run_dynamic_spec(
     instance: &Instance,
     task_times: &[f64],
@@ -272,16 +239,7 @@ pub fn run_dynamic_spec(
     mechanism: &dyn ReportMechanism,
     matcher: &dyn DynamicAssignStrategy,
 ) -> Result<DynamicOutcome, PipelineError> {
-    assert_eq!(
-        task_times.len(),
-        instance.num_tasks(),
-        "one arrival time per task"
-    );
-    assert_eq!(
-        plan.shifts.len(),
-        instance.num_workers(),
-        "one shift per worker"
-    );
+    check_timeline(instance, task_times, plan)?;
 
     let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
     let epsilon = Epsilon::new(config.epsilon);
@@ -333,6 +291,8 @@ pub fn run_dynamic_spec(
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
+    use crate::ratio::{dynamic_offline_optimum_with_threads, RatioError};
+    use crate::registry::registry;
     use pombm_workload::{synthetic, SyntheticParams};
 
     fn instance(tasks: usize, workers: usize, seed: u64) -> Instance {
@@ -352,6 +312,32 @@ mod tests {
         .timestamps(n, &mut rng)
     }
 
+    /// Replays the timeline through a registered `mechanism × matcher`.
+    fn run(
+        inst: &Instance,
+        times: &[f64],
+        plan: &ShiftPlan,
+        mechanism: &str,
+        matcher: &str,
+    ) -> Result<DynamicOutcome, PipelineError> {
+        let mechanism = registry().require_mechanism(mechanism)?;
+        let matcher = registry().require_dynamic_matcher(matcher)?;
+        run_dynamic_spec(
+            inst,
+            times,
+            plan,
+            &DynamicConfig::default(),
+            mechanism.as_ref(),
+            matcher.as_ref(),
+        )
+    }
+
+    /// The paper's pairing on a shifting fleet: the HST mechanism over the
+    /// tree-greedy pool.
+    fn tbf(inst: &Instance, times: &[f64], plan: &ShiftPlan) -> DynamicOutcome {
+        run(inst, times, plan, "hst", "hst-greedy").unwrap()
+    }
+
     #[test]
     fn always_on_fleet_drops_nothing() {
         let inst = instance(60, 120, 1);
@@ -360,7 +346,7 @@ mod tests {
         // inside the window.
         let times = uniform_times(60, 100.0, 1);
         let plan = ShiftPlan::always_on(120, 101.0);
-        let out = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
+        let out = tbf(&inst, &times, &plan);
         assert_eq!(out.dropped_tasks, 0);
         assert_eq!(out.pairs.len(), 60);
         assert_eq!(out.assignment_rate(), 1.0);
@@ -375,7 +361,7 @@ mod tests {
         let inst = instance(100, 40, 2);
         let times = uniform_times(100, 1000.0, 2);
         let plan = ShiftPlan::uniform(40, 1000.0, 5.0, 15.0, &mut seeded_rng(3, 0));
-        let out = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
+        let out = tbf(&inst, &times, &plan);
         assert!(
             out.dropped_tasks > 0,
             "expected drops under sparse coverage"
@@ -389,7 +375,7 @@ mod tests {
         let inst = instance(80, 60, 3);
         let times = uniform_times(80, 200.0, 3);
         let plan = ShiftPlan::uniform(60, 200.0, 50.0, 100.0, &mut seeded_rng(4, 0));
-        let out = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
+        let out = tbf(&inst, &times, &plan);
         let mut seen = std::collections::HashSet::new();
         for &(_, w) in &out.pairs {
             assert!(seen.insert(w), "worker {w} assigned twice");
@@ -401,8 +387,8 @@ mod tests {
         let inst = instance(50, 50, 5);
         let times = uniform_times(50, 100.0, 5);
         let plan = ShiftPlan::uniform(50, 100.0, 20.0, 60.0, &mut seeded_rng(6, 0));
-        let a = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
-        let b = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
+        let a = tbf(&inst, &times, &plan);
+        let b = tbf(&inst, &times, &plan);
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.total_distance, b.total_distance);
     }
@@ -413,9 +399,8 @@ mod tests {
         let times = uniform_times(120, 500.0, 7);
         let short = ShiftPlan::uniform(50, 500.0, 10.0, 20.0, &mut seeded_rng(8, 0));
         let long = ShiftPlan::uniform(50, 500.0, 200.0, 400.0, &mut seeded_rng(8, 0));
-        let cfg = DynamicConfig::default();
-        let a = run_dynamic(&inst, &times, &short, &cfg);
-        let b = run_dynamic(&inst, &times, &long, &cfg);
+        let a = tbf(&inst, &times, &short);
+        let b = tbf(&inst, &times, &long);
         assert!(
             b.pairs.len() > a.pairs.len(),
             "longer shifts ({}) should assign more than shorter ({})",
@@ -431,18 +416,10 @@ mod tests {
         let inst = instance(60, 120, 4);
         let times = uniform_times(60, 100.0, 4);
         let plan = ShiftPlan::always_on(120, 101.0);
-        let mechanism = registry().mechanism("laplace").unwrap();
-        let out = run_dynamic_with(
-            &inst,
-            &times,
-            &plan,
-            &DynamicConfig::default(),
-            mechanism.as_ref(),
-        )
-        .unwrap();
+        let out = run(&inst, &times, &plan, "laplace", "hst-greedy").unwrap();
         assert_eq!(out.dropped_tasks, 0);
         assert_eq!(out.pairs.len(), 60);
-        let hst = run_dynamic(&inst, &times, &plan, &DynamicConfig::default());
+        let hst = tbf(&inst, &times, &plan);
         assert_ne!(
             out.pairs, hst.pairs,
             "different mechanisms, different noise"
@@ -454,49 +431,42 @@ mod tests {
         let inst = instance(5, 5, 6);
         let times = uniform_times(5, 10.0, 6);
         let plan = ShiftPlan::always_on(5, 11.0);
-        let mechanism = registry().mechanism("blind").unwrap();
-        let err = run_dynamic_with(
-            &inst,
-            &times,
-            &plan,
-            &DynamicConfig::default(),
-            mechanism.as_ref(),
-        )
-        .unwrap_err();
+        let err = run(&inst, &times, &plan, "blind", "hst-greedy").unwrap_err();
         assert!(err.to_string().contains("location"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "one arrival time per task")]
     fn mismatched_times_rejected() {
         let inst = instance(10, 10, 9);
+        let times = uniform_times(10, 9.0, 9);
         let plan = ShiftPlan::always_on(10, 10.0);
-        let _ = run_dynamic(&inst, &[1.0], &plan, &DynamicConfig::default());
-    }
-
-    #[test]
-    fn spec_driver_with_hst_greedy_matches_legacy_driver() {
-        let inst = instance(70, 50, 12);
-        let times = uniform_times(70, 300.0, 12);
-        let plan = ShiftPlan::uniform(50, 300.0, 40.0, 120.0, &mut seeded_rng(13, 0));
-        let config = DynamicConfig::default();
-        for mech_name in ["hst", "laplace", "exp", "identity"] {
-            let mechanism = registry().mechanism(mech_name).unwrap();
-            let matcher = registry().dynamic_matcher("hst-greedy").unwrap();
-            let legacy =
-                run_dynamic_with(&inst, &times, &plan, &config, mechanism.as_ref()).unwrap();
-            let spec = run_dynamic_spec(
-                &inst,
-                &times,
-                &plan,
-                &config,
-                mechanism.as_ref(),
-                matcher.as_ref(),
-            )
-            .unwrap();
-            assert_eq!(legacy.pairs, spec.pairs, "{mech_name}");
-            assert_eq!(legacy.total_distance, spec.total_distance, "{mech_name}");
-            assert_eq!(legacy.peak_available, spec.peak_available, "{mech_name}");
+        let mut nan_shift = plan.clone();
+        nan_shift.shifts[3].end = f64::NAN;
+        let mut stray_worker = plan.clone();
+        stray_worker.shifts[0].worker = 10;
+        let mut nan_time = times.clone();
+        nan_time[4] = f64::NAN;
+        let short_plan = ShiftPlan::always_on(9, 10.0);
+        let (finite, stray) = (
+            "arrival times must be finite",
+            "every shift must name a worker of the instance",
+        );
+        for (times, plan, field, why) in [
+            (&[1.0][..], &plan, "task_times", "one arrival time per task"),
+            (&times[..], &short_plan, "plan", "one shift per worker"),
+            (&nan_time[..], &plan, "task_times", finite),
+            (&times[..], &nan_shift, "plan", "shift times must be finite"),
+            (&times[..], &stray_worker, "plan", stray),
+        ] {
+            let want = PipelineError::InvalidConfig { field, why };
+            assert_eq!(
+                run(&inst, times, plan, "hst", "hst-greedy").unwrap_err(),
+                want
+            );
+            assert_eq!(
+                dynamic_offline_optimum_with_threads(&inst, times, plan, 1).unwrap_err(),
+                RatioError::Pipeline(want)
+            );
         }
     }
 
@@ -505,17 +475,9 @@ mod tests {
         let inst = instance(60, 120, 4);
         let times = uniform_times(60, 100.0, 4);
         let plan = ShiftPlan::always_on(120, 101.0);
-        let mechanism = registry().mechanism("identity").unwrap();
         for matcher in registry().dynamic_matchers() {
-            let out = run_dynamic_spec(
-                &inst,
-                &times,
-                &plan,
-                &DynamicConfig::default(),
-                mechanism.as_ref(),
-                matcher.as_ref(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", matcher.name()));
+            let out = run(&inst, &times, &plan, "identity", matcher.name())
+                .unwrap_or_else(|e| panic!("{}: {e}", matcher.name()));
             assert_eq!(out.dropped_tasks, 0, "{}", matcher.name());
             assert_eq!(out.pairs.len(), 60, "{}", matcher.name());
             assert_eq!(out.peak_available, 120, "{}", matcher.name());
@@ -535,20 +497,10 @@ mod tests {
         let inst = instance(80, 160, 21);
         let times = uniform_times(80, 100.0, 21);
         let plan = ShiftPlan::always_on(160, 101.0);
-        let config = DynamicConfig::default();
-        let mechanism = registry().mechanism("identity").unwrap();
         let dist = |name: &str| {
-            let matcher = registry().dynamic_matcher(name).unwrap();
-            run_dynamic_spec(
-                &inst,
-                &times,
-                &plan,
-                &config,
-                mechanism.as_ref(),
-                matcher.as_ref(),
-            )
-            .unwrap()
-            .total_distance
+            run(&inst, &times, &plan, "identity", name)
+                .unwrap()
+                .total_distance
         };
         let kd = dist("kd-rebuild");
         let random = dist("random");
@@ -563,30 +515,10 @@ mod tests {
         let inst = instance(30, 30, 6);
         let times = uniform_times(30, 50.0, 6);
         let plan = ShiftPlan::always_on(30, 51.0);
-        let config = DynamicConfig::default();
-        let mechanism = registry().mechanism("blind").unwrap();
-        let random = registry().dynamic_matcher("random").unwrap();
-        let out = run_dynamic_spec(
-            &inst,
-            &times,
-            &plan,
-            &config,
-            mechanism.as_ref(),
-            random.as_ref(),
-        )
-        .unwrap();
+        let out = run(&inst, &times, &plan, "blind", "random").unwrap();
         assert_eq!(out.pairs.len(), 30, "blind x random is measurable");
         for name in ["hst-greedy", "kd-rebuild"] {
-            let matcher = registry().dynamic_matcher(name).unwrap();
-            let err = run_dynamic_spec(
-                &inst,
-                &times,
-                &plan,
-                &config,
-                mechanism.as_ref(),
-                matcher.as_ref(),
-            )
-            .unwrap_err();
+            let err = run(&inst, &times, &plan, "blind", name).unwrap_err();
             assert!(err.to_string().contains("location"), "{name}: {err}");
         }
     }
@@ -599,27 +531,8 @@ mod tests {
         let inst = instance(40, 80, 17);
         let times = uniform_times(40, 100.0, 17);
         let plan = ShiftPlan::always_on(80, 101.0);
-        let config = DynamicConfig::default();
-        let mechanism = registry().mechanism("laplace").unwrap();
-        let random = registry().dynamic_matcher("random").unwrap();
-        let a = run_dynamic_spec(
-            &inst,
-            &times,
-            &plan,
-            &config,
-            mechanism.as_ref(),
-            random.as_ref(),
-        )
-        .unwrap();
-        let b = run_dynamic_spec(
-            &inst,
-            &times,
-            &plan,
-            &config,
-            mechanism.as_ref(),
-            random.as_ref(),
-        )
-        .unwrap();
+        let a = run(&inst, &times, &plan, "laplace", "random").unwrap();
+        let b = run(&inst, &times, &plan, "laplace", "random").unwrap();
         assert_eq!(a.pairs, b.pairs, "randomized matcher must be seeded");
     }
 }

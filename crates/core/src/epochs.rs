@@ -21,7 +21,6 @@
 //! paper scopes out (its mechanism is single-shot by design).
 
 use crate::algorithm::{PipelineError, ReportMechanism};
-use crate::registry::registry;
 use crate::server::Server;
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_hst::LeafCode;
@@ -117,17 +116,11 @@ impl EpochReport {
 /// Runs the multi-epoch simulation described in the module docs.
 ///
 /// `num_workers` workers are spawned from the Normal hotspot at epoch 0;
-/// every epoch they drift, (maybe) re-report, and serve that epoch's
-/// `tasks_per_epoch` arrivals.
-pub fn run_epochs(num_workers: usize, config: &EpochConfig) -> EpochReport {
-    let mechanism = registry().mechanism("hst").expect("hst is registered");
-    run_epochs_with(num_workers, config, mechanism.as_ref())
-        .expect("the hst mechanism always produces tree reports")
-}
-
-/// [`run_epochs`] with an explicit reporting mechanism (planar reports are
-/// snapped onto the published tree, like the paper's Lap-HG).
-pub fn run_epochs_with(
+/// every epoch they drift, (maybe) re-report through `mechanism`, and
+/// serve that epoch's `tasks_per_epoch` arrivals. TBF's mechanism is the
+/// registry's `hst`; planar reports are snapped onto the published tree,
+/// like the paper's Lap-HG, and location-blind reports are a typed error.
+pub fn run_epochs(
     num_workers: usize,
     config: &EpochConfig,
     mechanism: &dyn ReportMechanism,
@@ -238,6 +231,13 @@ pub fn run_epochs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::registry;
+
+    /// The simulation under TBF's mechanism.
+    fn tbf(num_workers: usize, config: &EpochConfig) -> EpochReport {
+        let hst = registry().require_mechanism("hst").unwrap();
+        run_epochs(num_workers, config, hst.as_ref()).unwrap()
+    }
 
     fn quick_config() -> EpochConfig {
         EpochConfig {
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn budget_caps_fresh_reports() {
-        let report = run_epochs(100, &quick_config());
+        let report = tbf(100, &quick_config());
         assert_eq!(report.per_epoch.len(), 6);
         // Epochs 0-2 are fully fresh (3 reports × ε0.6 = 1.8 = lifetime);
         // from epoch 3 on, everyone is stale.
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn ledger_never_exceeds_lifetime() {
         let config = quick_config();
-        let report = run_epochs(50, &config);
+        let report = tbf(50, &config);
         assert!(report.worker_budget_spent <= 50.0 * config.lifetime_epsilon + 1e-9);
         // Exactly 3 charges per worker in this configuration.
         assert!((report.worker_budget_spent - 50.0 * 1.8).abs() < 1e-9);
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn staleness_grows_once_budget_exhausts() {
-        let report = run_epochs(150, &quick_config());
+        let report = tbf(150, &quick_config());
         let early = report.per_epoch[2].avg_report_staleness;
         let late = report.per_epoch[5].avg_report_staleness;
         assert!(
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn every_epoch_matches_all_tasks_when_workers_abound() {
-        let report = run_epochs(200, &quick_config());
+        let report = tbf(200, &quick_config());
         for m in &report.per_epoch {
             assert_eq!(m.matching_size, 80, "epoch {}", m.epoch);
             assert!(m.total_distance > 0.0);
@@ -294,8 +294,8 @@ mod tests {
 
     #[test]
     fn simulation_is_reproducible() {
-        let a = run_epochs(60, &quick_config());
-        let b = run_epochs(60, &quick_config());
+        let a = tbf(60, &quick_config());
+        let b = tbf(60, &quick_config());
         for (x, y) in a.per_epoch.iter().zip(&b.per_epoch) {
             assert_eq!(x.total_distance, y.total_distance);
             assert_eq!(x.fresh_reports, y.fresh_reports);
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn degradation_reflects_distance_growth() {
-        let report = run_epochs(150, &quick_config());
+        let report = tbf(150, &quick_config());
         let deg = report.degradation();
         assert!(deg.is_finite() && deg > 0.0);
     }
@@ -316,8 +316,8 @@ mod tests {
         // identity mechanism both drive the same budget lifecycle.
         let config = quick_config();
         for name in ["laplace", "identity"] {
-            let mechanism = registry().mechanism(name).unwrap();
-            let report = run_epochs_with(80, &config, mechanism.as_ref()).unwrap();
+            let mechanism = registry().require_mechanism(name).unwrap();
+            let report = run_epochs(80, &config, mechanism.as_ref()).unwrap();
             assert_eq!(report.per_epoch.len(), 6, "{name}");
             assert!(
                 (report.worker_budget_spent - 80.0 * 1.8).abs() < 1e-9,
@@ -336,6 +336,6 @@ mod tests {
             num_epochs: 0,
             ..EpochConfig::default()
         };
-        let _ = run_epochs(10, &config);
+        let _ = tbf(10, &config);
     }
 }

@@ -23,11 +23,11 @@
 //! * an [`AssignStrategy`](algorithm::AssignStrategy) consumes the reports
 //!   and produces a [`pombm_matching::Matching`].
 //!
-//! Named pairings — the paper's seven algorithms plus previously impossible
-//! combinations like `exp-chain` — live in the global [`registry()`], and a
+//! Named pairings — the paper's three compared algorithms, this
+//! repository's ablations, and novel combinations like `exp-chain` — live
+//! in the global [`registry()`] under their names and figure labels, and a
 //! single generic driver ([`run_spec`]) executes any of them with uniform
-//! setup/obfuscation/assignment timing. The [`Algorithm`] enum survives as
-//! thin aliases into the registry.
+//! setup/obfuscation/assignment timing.
 //!
 //! The event-driven half mirrors this: shifting fleets pair any mechanism
 //! with any registered [`DynamicAssignStrategy`](algorithm::DynamicAssignStrategy)
@@ -64,7 +64,8 @@
 //! let config = PipelineConfig { epsilon: 0.6, ..Default::default() };
 //!
 //! // Run a registered algorithm by name...
-//! let result = run_spec(registry().spec("tbf").unwrap(), &instance, &config, 1).unwrap();
+//! let tbf = registry().require_spec("tbf").unwrap();
+//! let result = run_spec(&tbf, &instance, &config, 1).unwrap();
 //! assert_eq!(result.matching.size(), 50);
 //!
 //! // ...or compose a pairing the paper never evaluated.
@@ -104,9 +105,9 @@
 //! ```
 //!
 //! The dynamic timeline has the same shape of oracle: `dynamic-opt`
-//! ([`dynamic_offline_optimum`]) is a clairvoyant solver that sees every
-//! arrival time and shift window up front and computes the exact offline
-//! optimum over the time-expanded feasibility graph — Definition 8's
+//! ([`dynamic_offline_optimum_with_threads`]) is a clairvoyant solver that
+//! sees every arrival time and shift window up front and computes the exact
+//! offline optimum over the time-expanded feasibility graph — Definition 8's
 //! denominator under churn. It is catalogued with the dynamic matchers
 //! but carries the [`Role::OracleOnly`] role (it can price a timeline,
 //! never drive the fleet), [`dynamic_competitive_ratio`] returns a
@@ -147,20 +148,17 @@ pub use algorithm::{
     AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, PipelineError, PointReporter, Report,
     ReportMechanism,
 };
-pub use arrivals::{simulate_stream, ArrivalProcess, StreamReport};
+pub use arrivals::ArrivalProcess;
 pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
-pub use dynamic::{run_dynamic, run_dynamic_spec, run_dynamic_with, DynamicConfig, DynamicOutcome};
-pub use epochs::{run_epochs, run_epochs_with, EpochConfig, EpochMetrics, EpochReport};
+pub use dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
+pub use epochs::{run_epochs, EpochConfig, EpochMetrics, EpochReport};
 pub use fault::{FaultPlan, ShedPolicy};
 pub use merge::{merge, MergeError};
-pub use pipeline::{
-    run, run_spec, run_spec_with_server, run_with_server, Algorithm, CommonConfig, PipelineConfig,
-    RunMetrics, RunResult,
-};
+pub use pipeline::{run_spec, run_spec_with_server, PipelineConfig, RunMetrics, RunResult};
 pub use ratio::{
-    dynamic_competitive_ratio, dynamic_offline_optimum, dynamic_offline_optimum_with_threads,
-    empirical_competitive_ratio, offline_optimum, scenario_competitive_ratio, DynamicRatioReport,
-    RatioError, RatioReport, RatioStats,
+    dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, empirical_competitive_ratio,
+    offline_optimum_with_threads, scenario_competitive_ratio, DynamicRatioReport, RatioError,
+    RatioReport, RatioStats,
 };
 pub use registry::{registry, AlgorithmSpec, Catalog, Registry, Role, DEFAULT_DYNAMIC_ORACLE};
 pub use scenario::{Scenario, DEFAULT_SCENARIO};

@@ -5,9 +5,7 @@
 //! single generic function over an [`AlgorithmSpec`] — a named pairing of
 //! a [`ReportMechanism`](crate::algorithm::ReportMechanism) and an
 //! [`AssignStrategy`](crate::algorithm::AssignStrategy) from the
-//! [`registry`] — and the [`Algorithm`] enum survives only as a set of
-//! thin aliases resolving into that registry, so existing callers and
-//! serialized configs keep working.
+//! [`registry`](crate::registry::registry), addressed by name.
 //!
 //! Timing semantics: `obfuscation_time` covers mechanism construction plus
 //! every report; `assign_time` covers worker registration (matcher
@@ -16,7 +14,7 @@
 //! is supplied).
 
 use crate::algorithm::{AssignCtx, PipelineError, Report, ReportSet, Reports};
-use crate::registry::{registry, AlgorithmSpec};
+use crate::registry::AlgorithmSpec;
 use crate::server::Server;
 use pombm_geom::seeded_rng;
 use pombm_matching::{HstGreedyEngine, Matching};
@@ -24,89 +22,6 @@ use pombm_privacy::Epsilon;
 use pombm_workload::Instance;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-
-/// The compared algorithms of the main evaluation (Sec. IV-A), plus the
-/// extension/ablation variants this repository adds.
-///
-/// Soft-deprecated: these are aliases into the [`registry`]; new code
-/// (and new pairings like `exp-chain`) should address specs by name via
-/// [`registry()`][registry] and run them with [`run_spec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Algorithm {
-    /// Lap-GR: planar Laplace mechanism + Euclidean greedy.
-    LapGr,
-    /// Lap-HG: planar Laplace mechanism + HST-greedy (locations snapped to
-    /// the tree after noising).
-    LapHg,
-    /// TBF: the paper's tree-based framework (Alg. 3 mechanism + Alg. 4
-    /// matching).
-    Tbf,
-    /// Exp-HG: exponential mechanism over the predefined points + HST-greedy.
-    /// Same output domain and matcher as TBF but no tree in the *mechanism*
-    /// — the ablation separating "discretize" from "use the tree".
-    ExpHg,
-    /// TBF-Rand: the TBF mechanism + randomized greedy (uniform choice
-    /// among tree-nearest workers, Meyerson et al. style).
-    TbfRand,
-    /// TBF-Chain: the TBF mechanism + the chain-reassignment matcher of
-    /// Bansal et al.
-    TbfChain,
-    /// Random: location-blind uniform assignment on true arrivals; the
-    /// sanity floor (no mechanism — nothing location-dependent is reported).
-    RandomFloor,
-}
-
-impl Algorithm {
-    /// The paper's three algorithms, in its plotting order.
-    pub const ALL: [Algorithm; 3] = [Algorithm::LapGr, Algorithm::LapHg, Algorithm::Tbf];
-
-    /// The extension/ablation variants added by this repository.
-    pub const EXTENDED: [Algorithm; 4] = [
-        Algorithm::ExpHg,
-        Algorithm::TbfRand,
-        Algorithm::TbfChain,
-        Algorithm::RandomFloor,
-    ];
-
-    /// The registry name this variant aliases.
-    pub fn spec_name(&self) -> &'static str {
-        match self {
-            Algorithm::LapGr => "lap-gr",
-            Algorithm::LapHg => "lap-hg",
-            Algorithm::Tbf => "tbf",
-            Algorithm::ExpHg => "exp-hg",
-            Algorithm::TbfRand => "tbf-rand",
-            Algorithm::TbfChain => "tbf-chain",
-            Algorithm::RandomFloor => "random",
-        }
-    }
-
-    /// The registered spec this variant resolves to.
-    pub fn spec(&self) -> &'static AlgorithmSpec {
-        registry()
-            .spec(self.spec_name())
-            .expect("legacy algorithms are always registered")
-    }
-
-    /// The label used in the paper's figures (or our extension labels).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Algorithm::LapGr => "Lap-GR",
-            Algorithm::LapHg => "Lap-HG",
-            Algorithm::Tbf => "TBF",
-            Algorithm::ExpHg => "Exp-HG",
-            Algorithm::TbfRand => "TBF-Rand",
-            Algorithm::TbfChain => "TBF-Chain",
-            Algorithm::RandomFloor => "Random",
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Pipeline configuration shared by all algorithms of one experiment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -145,45 +60,6 @@ impl Default for PipelineConfig {
             seed: 0,
             threads: 1,
         }
-    }
-}
-
-/// The fields every execution surface's configuration repeats —
-/// [`PipelineConfig`], [`crate::DynamicConfig`] and [`crate::ServeConfig`]
-/// each carry their own `epsilon`/`grid_side`/`seed` (and usually
-/// `threads`) because their serialized layouts are pinned by golden JSON
-/// and cannot embed a shared struct without changing bytes. This trait
-/// unifies them behind delegating accessors instead, so generic drivers
-/// and diagnostics can read the common knobs off any config.
-pub trait CommonConfig {
-    /// Privacy budget ε (per workspace unit).
-    fn epsilon(&self) -> f64;
-    /// Predefined-point grid side; `N = grid_side²`.
-    fn grid_side(&self) -> usize;
-    /// Base seed every derived RNG stream descends from.
-    fn seed(&self) -> u64;
-    /// Worker threads for intra-run parallel paths (`0` = auto, `1` =
-    /// sequential); surfaces without such a path report `1`.
-    fn threads(&self) -> usize {
-        1
-    }
-}
-
-impl CommonConfig for PipelineConfig {
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn grid_side(&self) -> usize {
-        self.grid_side
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -344,39 +220,22 @@ fn valid_for(matching: &Matching, reuses_workers: bool) -> bool {
     }
 }
 
-/// Runs a legacy [`Algorithm`] alias, building the server internally.
-pub fn run(
-    algorithm: Algorithm,
-    instance: &Instance,
-    config: &PipelineConfig,
-    repetition: u64,
-) -> RunResult {
-    run_spec(algorithm.spec(), instance, config, repetition)
-        .expect("legacy algorithm specs are always runnable")
-}
-
-/// Runs a legacy [`Algorithm`] alias against a prebuilt [`Server`]
-/// (required for the tree-based variants, ignored for `LapGr`).
-pub fn run_with_server(
-    algorithm: Algorithm,
-    instance: &Instance,
-    config: &PipelineConfig,
-    server: Option<&Server>,
-    repetition: u64,
-) -> RunResult {
-    match run_spec_with_server(algorithm.spec(), instance, config, server, repetition) {
-        Ok(result) => result,
-        Err(PipelineError::MissingServer(who)) => {
-            panic!("{} needs a server: {who}", algorithm.label())
-        }
-        Err(e) => panic!("{}: {e}", algorithm.label()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::registry;
     use pombm_workload::{synthetic, SyntheticParams};
+
+    /// The paper's compared algorithms (Sec. IV-A), in its plotting order.
+    const PAPER: [&str; 3] = ["lap-gr", "lap-hg", "tbf"];
+
+    /// This repository's extension/ablation pairings.
+    const EXTENDED: [&str; 4] = ["exp-hg", "tbf-rand", "tbf-chain", "random"];
+
+    fn run(name: &str, instance: &Instance, config: &PipelineConfig, rep: u64) -> RunResult {
+        let spec = registry().require_spec(name).unwrap();
+        run_spec(&spec, instance, config, rep).unwrap()
+    }
 
     fn small_instance(seed: u64) -> Instance {
         let params = SyntheticParams {
@@ -388,35 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn common_config_unifies_every_surface() {
-        fn summarize(c: &dyn CommonConfig) -> (f64, usize, u64, usize) {
-            (c.epsilon(), c.grid_side(), c.seed(), c.threads())
-        }
-        let pipeline = PipelineConfig {
-            seed: 7,
-            threads: 4,
-            ..PipelineConfig::default()
-        };
-        assert_eq!(summarize(&pipeline), (0.6, 32, 7, 4));
-        let dynamic = crate::DynamicConfig {
-            seed: 9,
-            ..crate::DynamicConfig::default()
-        };
-        // The event loop has no parallel path: threads reports 1.
-        assert_eq!(summarize(&dynamic), (0.6, 32, 9, 1));
-        let serve = crate::ServeConfig {
-            grid_side: 16,
-            threads: 0,
-            ..crate::ServeConfig::default()
-        };
-        assert_eq!(summarize(&serve), (0.6, 16, 0, 0));
-    }
-
-    #[test]
     fn all_algorithms_match_every_task() {
         let instance = small_instance(1);
         let config = PipelineConfig::default();
-        for algo in Algorithm::ALL {
+        for algo in PAPER {
             let r = run(algo, &instance, &config, 0);
             assert_eq!(r.matching.size(), 60, "{algo} must match all tasks");
             assert!(r.matching.is_valid());
@@ -428,7 +262,7 @@ mod tests {
     fn runs_are_reproducible() {
         let instance = small_instance(2);
         let config = PipelineConfig::default();
-        for algo in Algorithm::ALL {
+        for algo in PAPER {
             let a = run(algo, &instance, &config, 3);
             let b = run(algo, &instance, &config, 3);
             assert_eq!(a.matching.pairs, b.matching.pairs, "{algo}");
@@ -440,8 +274,8 @@ mod tests {
     fn repetitions_decorrelate() {
         let instance = small_instance(3);
         let config = PipelineConfig::default();
-        let a = run(Algorithm::Tbf, &instance, &config, 0);
-        let b = run(Algorithm::Tbf, &instance, &config, 1);
+        let a = run("tbf", &instance, &config, 0);
+        let b = run("tbf", &instance, &config, 1);
         assert_ne!(
             a.matching.pairs, b.matching.pairs,
             "different repetitions should use different randomness"
@@ -459,7 +293,7 @@ mod tests {
             engine: HstGreedyEngine::Indexed,
             ..PipelineConfig::default()
         };
-        for algo in [Algorithm::LapHg, Algorithm::Tbf] {
+        for algo in ["lap-hg", "tbf"] {
             let a = run(algo, &instance, &scan, 5);
             let b = run(algo, &instance, &indexed, 5);
             assert_eq!(a.matching.pairs, b.matching.pairs, "{algo}");
@@ -474,8 +308,8 @@ mod tests {
             euclid_cells: 8,
             ..PipelineConfig::default()
         };
-        let a = run(Algorithm::LapGr, &instance, &plain, 6);
-        let b = run(Algorithm::LapGr, &instance, &indexed, 6);
+        let a = run("lap-gr", &instance, &plain, 6);
+        let b = run("lap-gr", &instance, &indexed, 6);
         assert_eq!(a.matching.pairs, b.matching.pairs);
     }
 
@@ -487,7 +321,7 @@ mod tests {
             ..SyntheticParams::default()
         };
         let instance = synthetic::generate(&params, &mut seeded_rng(7, 0));
-        for algo in Algorithm::ALL {
+        for algo in PAPER {
             let r = run(algo, &instance, &PipelineConfig::default(), 0);
             assert_eq!(r.matching.size(), 20, "{algo}: k = min(n, m)");
         }
@@ -498,7 +332,7 @@ mod tests {
         // ε = 0.05 vs ε = 5.0 over several repetitions: the loose budget
         // must win by a wide margin for every algorithm.
         let instance = small_instance(8);
-        for algo in Algorithm::ALL {
+        for algo in PAPER {
             let total = |eps: f64| -> f64 {
                 (0..5)
                     .map(|rep| {
@@ -524,7 +358,7 @@ mod tests {
     fn extended_algorithms_match_every_task() {
         let instance = small_instance(10);
         let config = PipelineConfig::default();
-        for algo in Algorithm::EXTENDED {
+        for algo in EXTENDED {
             let r = run(algo, &instance, &config, 0);
             assert_eq!(r.matching.size(), 60, "{algo} must match all tasks");
             assert!(r.matching.is_valid(), "{algo}");
@@ -536,7 +370,7 @@ mod tests {
     fn extended_runs_are_reproducible() {
         let instance = small_instance(11);
         let config = PipelineConfig::default();
-        for algo in Algorithm::EXTENDED {
+        for algo in EXTENDED {
             let a = run(algo, &instance, &config, 2);
             let b = run(algo, &instance, &config, 2);
             assert_eq!(a.matching.pairs, b.matching.pairs, "{algo}");
@@ -547,21 +381,14 @@ mod tests {
     fn random_floor_loses_to_every_location_aware_algorithm() {
         let instance = small_instance(12);
         let config = PipelineConfig::default();
-        let avg = |algo: Algorithm| -> f64 {
+        let avg = |algo: &str| -> f64 {
             (0..5)
                 .map(|rep| run(algo, &instance, &config, rep).metrics.total_distance)
                 .sum::<f64>()
                 / 5.0
         };
-        let floor = avg(Algorithm::RandomFloor);
-        for algo in [
-            Algorithm::LapGr,
-            Algorithm::LapHg,
-            Algorithm::Tbf,
-            Algorithm::ExpHg,
-            Algorithm::TbfRand,
-            Algorithm::TbfChain,
-        ] {
+        let floor = avg("random");
+        for algo in ["lap-gr", "lap-hg", "tbf", "exp-hg", "tbf-rand", "tbf-chain"] {
             let d = avg(algo);
             assert!(
                 d < floor,
@@ -577,14 +404,14 @@ mod tests {
         // on average) — they optimize the same tree-distance objective.
         let instance = small_instance(13);
         let config = PipelineConfig::default();
-        let avg = |algo: Algorithm| -> f64 {
+        let avg = |algo: &str| -> f64 {
             (0..5)
                 .map(|rep| run(algo, &instance, &config, rep).metrics.total_distance)
                 .sum::<f64>()
                 / 5.0
         };
-        let tbf = avg(Algorithm::Tbf);
-        for algo in [Algorithm::TbfRand, Algorithm::TbfChain] {
+        let tbf = avg("tbf");
+        for algo in ["tbf-rand", "tbf-chain"] {
             let d = avg(algo);
             assert!(
                 d < 2.0 * tbf && d > 0.3 * tbf,
@@ -596,7 +423,7 @@ mod tests {
     #[test]
     fn avg_task_latency_is_consistent() {
         let instance = small_instance(9);
-        let r = run(Algorithm::Tbf, &instance, &PipelineConfig::default(), 0);
+        let r = run("tbf", &instance, &PipelineConfig::default(), 0);
         let avg = r.metrics.avg_task_latency();
         assert!(avg <= r.metrics.assign_time);
         // Duration division truncates, so allow up to 60 lost nanoseconds.
@@ -637,10 +464,9 @@ mod tests {
             capacity: 3,
             ..PipelineConfig::default()
         };
-        let spec = registry().spec("tbf-cap").unwrap();
-        let r = run_spec(spec, &instance, &config, 0).unwrap();
+        let r = run("tbf-cap", &instance, &config, 0);
         assert_eq!(r.matching.size(), 90);
-        let unit = run(Algorithm::Tbf, &instance, &config, 0);
+        let unit = run("tbf", &instance, &config, 0);
         assert_eq!(unit.matching.size(), 40);
     }
 }

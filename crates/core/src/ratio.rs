@@ -22,8 +22,8 @@
 //!
 //! The dynamic engine gets the same instrument. Definition 8's `OPT` knows
 //! every task in advance; under a shifting fleet the honest analogue is the
-//! *clairvoyant* optimum ([`dynamic_offline_optimum`]): with the full
-//! shift/task schedule revealed, the max-cardinality min-total-distance
+//! *clairvoyant* optimum ([`dynamic_offline_optimum_with_threads`]): with
+//! the full shift/task schedule revealed, the max-cardinality min-total-distance
 //! matching on the time-expanded feasibility graph — a task may only use a
 //! worker whose shift covers its arrival instant, exactly the availability
 //! rule the event-sequential driver enforces one event at a time. That is
@@ -36,7 +36,7 @@
 //! report shapes serialize the measurement under identical field names.
 
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
-use crate::dynamic::{run_dynamic_spec, DynamicConfig};
+use crate::dynamic::{check_timeline, run_dynamic_spec, DynamicConfig};
 use crate::pipeline::{run_spec, PipelineConfig};
 use crate::registry::{registry, AlgorithmSpec, Role, DEFAULT_DYNAMIC_ORACLE};
 use pombm_geom::seeded_rng;
@@ -233,13 +233,8 @@ pub struct RatioReport {
 /// task-arrival reshuffling, so the float summation order (and therefore
 /// bit-exact comparability with [`OfflineOptimalStrategy`]
 /// (crate::algorithm::OfflineOptimalStrategy) runs) does not depend on the
-/// arrival permutation.
-pub fn offline_optimum(instance: &Instance) -> Result<f64, RatioError> {
-    offline_optimum_with_threads(instance, 1)
-}
-
-/// [`offline_optimum`] with the Hungarian solve sharded over `threads`
-/// scoped threads (`0` = auto). Bit-identical to the sequential path at
+/// arrival permutation. The Hungarian solve is sharded over `threads`
+/// scoped threads (`0` = auto, `1` = sequential) and is bit-identical at
 /// every thread count, so ratio denominators never depend on the machine.
 pub fn offline_optimum_with_threads(
     instance: &Instance,
@@ -372,43 +367,22 @@ pub struct DynamicRatioReport {
 /// Distances are true-location Euclidean, matching the evaluation side of
 /// every driver. Returns the full [`ClairvoyantAssignment`] so callers can
 /// report the oracle's own assignment/drop split alongside the
-/// denominator. Rejects empty instances, timelines where even full
+/// denominator. Rejects a timeline that does not fit the instance with
+/// the same typed [`PipelineError::InvalidConfig`] as
+/// [`run_dynamic_spec`], then empty instances, timelines where even full
 /// foresight assigns nothing ([`RatioError::InfeasibleTimeline`]), and
 /// zero-distance optima.
 ///
-/// # Panics
-///
-/// Panics if `task_times` and the instance's task count differ, or the
-/// plan's worker count does not match the instance — mirroring
-/// [`run_dynamic_spec`].
-pub fn dynamic_offline_optimum(
-    instance: &Instance,
-    task_times: &[f64],
-    plan: &ShiftPlan,
-) -> Result<ClairvoyantAssignment, RatioError> {
-    dynamic_offline_optimum_with_threads(instance, task_times, plan, 1)
-}
-
-/// [`dynamic_offline_optimum`] with the padded Hungarian solve sharded
-/// over `threads` scoped threads (`0` = auto). Bit-identical to the
-/// sequential path at every thread count, so ratio denominators never
-/// depend on the machine.
+/// The padded Hungarian solve is sharded over `threads` scoped threads
+/// (`0` = auto, `1` = sequential) and is bit-identical at every thread
+/// count, so ratio denominators never depend on the machine.
 pub fn dynamic_offline_optimum_with_threads(
     instance: &Instance,
     task_times: &[f64],
     plan: &ShiftPlan,
     threads: usize,
 ) -> Result<ClairvoyantAssignment, RatioError> {
-    assert_eq!(
-        task_times.len(),
-        instance.num_tasks(),
-        "one arrival time per task"
-    );
-    assert_eq!(
-        plan.shifts.len(),
-        instance.num_workers(),
-        "one shift per worker"
-    );
+    check_timeline(instance, task_times, plan)?;
     if instance.k() == 0 {
         return Err(RatioError::EmptyInstance {
             num_tasks: instance.num_tasks(),
@@ -455,11 +429,6 @@ pub fn dynamic_offline_optimum_with_threads(
 /// how a ratio sweep shows the denominator as a row. Any other
 /// [`crate::registry::Role::OracleOnly`] use of `dynamic-opt` stays a
 /// typed registry error.
-///
-/// # Panics
-///
-/// Panics on mismatched `task_times`/plan lengths, like
-/// [`run_dynamic_spec`].
 pub fn dynamic_competitive_ratio(
     instance: &Instance,
     task_times: &[f64],
@@ -472,7 +441,7 @@ pub fn dynamic_competitive_ratio(
     if repetitions == 0 {
         return Err(RatioError::ZeroRepetitions);
     }
-    let opt = dynamic_offline_optimum(instance, task_times, plan)?;
+    let opt = dynamic_offline_optimum_with_threads(instance, task_times, plan, 1)?;
 
     let is_oracle =
         registry().dynamic_matcher_catalog().role_of(matcher.name()) == Some(Role::OracleOnly);
@@ -516,7 +485,6 @@ pub fn dynamic_competitive_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Algorithm;
     use crate::registry::registry;
     use pombm_geom::{Point, Rect};
     use pombm_workload::{synthetic, SyntheticParams};
@@ -534,8 +502,9 @@ mod tests {
     fn ratio_is_at_least_one() {
         let inst = instance(1);
         let config = PipelineConfig::default();
-        for algo in Algorithm::ALL {
-            let r = empirical_competitive_ratio(algo.spec(), &inst, &config, 3).unwrap();
+        for algo in ["lap-gr", "lap-hg", "tbf"] {
+            let spec = registry().require_spec(algo).unwrap();
+            let r = empirical_competitive_ratio(&spec, &inst, &config, 3).unwrap();
             assert!(
                 r.ratio >= 1.0 - 1e-9,
                 "{algo}: ratio {} (avg {}, opt {}) below 1",
@@ -551,7 +520,7 @@ mod tests {
     #[test]
     fn identity_offline_opt_is_exactly_one() {
         let inst = instance(4);
-        let spec = registry().spec("opt").unwrap();
+        let spec = &registry().require_spec("opt").unwrap();
         let r = empirical_competitive_ratio(spec, &inst, &PipelineConfig::default(), 5).unwrap();
         assert_eq!(r.ratio, 1.0, "oracle pairing must reproduce OPT exactly");
         assert_eq!(r.min_ratio, 1.0);
@@ -569,7 +538,7 @@ mod tests {
             epsilon: 5.0,
             ..PipelineConfig::default()
         };
-        let tbf = registry().spec("tbf").unwrap();
+        let tbf = &registry().require_spec("tbf").unwrap();
         let r_strict = empirical_competitive_ratio(tbf, &inst, &strict, 4)
             .unwrap()
             .ratio;
@@ -585,7 +554,7 @@ mod tests {
     #[test]
     fn zero_repetitions_is_a_typed_error() {
         let inst = instance(3);
-        let spec = registry().spec("tbf").unwrap();
+        let spec = &registry().require_spec("tbf").unwrap();
         assert_eq!(
             empirical_competitive_ratio(spec, &inst, &PipelineConfig::default(), 0).unwrap_err(),
             RatioError::ZeroRepetitions
@@ -595,7 +564,7 @@ mod tests {
     #[test]
     fn empty_instance_is_a_typed_error() {
         let empty = Instance::new(Rect::square(100.0), vec![], vec![Point::new(1.0, 1.0)]);
-        let spec = registry().spec("tbf").unwrap();
+        let spec = &registry().require_spec("tbf").unwrap();
         assert_eq!(
             empirical_competitive_ratio(spec, &empty, &PipelineConfig::default(), 2).unwrap_err(),
             RatioError::EmptyInstance {
@@ -610,7 +579,7 @@ mod tests {
         // Every task coincides with a worker: OPT = 0, ratio undefined.
         let p = Point::new(5.0, 5.0);
         let inst = Instance::new(Rect::square(100.0), vec![p, p], vec![p, p]);
-        let spec = registry().spec("lap-gr").unwrap();
+        let spec = &registry().require_spec("lap-gr").unwrap();
         assert_eq!(
             empirical_competitive_ratio(spec, &inst, &PipelineConfig::default(), 2).unwrap_err(),
             RatioError::DegenerateOptimum { matched: 2 }
@@ -628,12 +597,12 @@ mod tests {
 
     #[test]
     fn scenario_ratio_matches_the_sweep_cell_derivation() {
-        let spec = registry().spec("tbf").unwrap();
+        let spec = &registry().require_spec("tbf").unwrap();
         let config = PipelineConfig {
             seed: 3,
             ..PipelineConfig::default()
         };
-        let uniform = registry().scenario("uniform").unwrap();
+        let uniform = registry().require_scenario("uniform").unwrap();
         let via_scenario =
             scenario_competitive_ratio(spec, uniform.as_ref(), 16, &config, 2).unwrap();
         let direct = empirical_competitive_ratio(
@@ -646,7 +615,7 @@ mod tests {
         assert_eq!(via_scenario.ratio, direct.ratio);
         assert_eq!(via_scenario.distances, direct.distances);
         // A different scenario changes the instance, hence the measurement.
-        let hotspot = registry().scenario("hotspot").unwrap();
+        let hotspot = registry().require_scenario("hotspot").unwrap();
         let other = scenario_competitive_ratio(spec, hotspot.as_ref(), 16, &config, 2).unwrap();
         assert_ne!(other.distances, direct.distances);
     }
@@ -654,7 +623,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let inst = instance(6);
-        let spec = registry().spec("lap-gr").unwrap();
+        let spec = &registry().require_spec("lap-gr").unwrap();
         let r = empirical_competitive_ratio(spec, &inst, &PipelineConfig::default(), 2).unwrap();
         let json = serde_json::to_string(&r).unwrap();
         let back: RatioReport = serde_json::from_str(&json).unwrap();
@@ -688,7 +657,7 @@ mod tests {
         let times = spread_times(30, 100.0);
         let plan = ShiftPlan::always_on(60, 101.0);
         let config = DynamicConfig::default();
-        let mechanism = registry().mechanism("identity").unwrap();
+        let mechanism = registry().require_mechanism("identity").unwrap();
         for matcher in registry().dynamic_matchers() {
             let r = dynamic_competitive_ratio(
                 &inst,
@@ -721,7 +690,7 @@ mod tests {
         let times = spread_times(20, 50.0);
         let plan = ShiftPlan::uniform(25, 50.0, 10.0, 30.0, &mut seeded_rng(13, 0));
         let oracle = registry().dynamic_oracle(DEFAULT_DYNAMIC_ORACLE).unwrap();
-        let mechanism = registry().mechanism("identity").unwrap();
+        let mechanism = registry().require_mechanism("identity").unwrap();
         let r = dynamic_competitive_ratio(
             &inst,
             &times,
@@ -748,7 +717,7 @@ mod tests {
         let times: Vec<f64> = (0..10).map(|i| 50.0 + i as f64).collect();
         let plan = ShiftPlan::uniform(8, 40.0, 5.0, 10.0, &mut seeded_rng(15, 0));
         assert_eq!(
-            dynamic_offline_optimum(&inst, &times, &plan).unwrap_err(),
+            dynamic_offline_optimum_with_threads(&inst, &times, &plan, 1).unwrap_err(),
             RatioError::InfeasibleTimeline { dropped: 10 }
         );
     }
@@ -775,14 +744,14 @@ mod tests {
     #[test]
     fn static_and_dynamic_ratio_fields_share_names() {
         let inst = instance(7);
-        let spec = registry().spec("lap-gr").unwrap();
+        let spec = &registry().require_spec("lap-gr").unwrap();
         let stat = empirical_competitive_ratio(spec, &inst, &PipelineConfig::default(), 2).unwrap();
 
         let dyn_inst = dynamic_instance(15, 20, 18);
         let times = spread_times(15, 60.0);
         let plan = ShiftPlan::always_on(20, 61.0);
-        let mechanism = registry().mechanism("identity").unwrap();
-        let matcher = registry().dynamic_matcher("kd-rebuild").unwrap();
+        let mechanism = registry().require_mechanism("identity").unwrap();
+        let matcher = registry().require_dynamic_matcher("kd-rebuild").unwrap();
         let dynamic = dynamic_competitive_ratio(
             &dyn_inst,
             &times,
@@ -823,8 +792,8 @@ mod tests {
         let inst = dynamic_instance(12, 18, 19);
         let times = spread_times(12, 40.0);
         let plan = ShiftPlan::always_on(18, 41.0);
-        let mechanism = registry().mechanism("hst").unwrap();
-        let matcher = registry().dynamic_matcher("hst-greedy").unwrap();
+        let mechanism = registry().require_mechanism("hst").unwrap();
+        let matcher = registry().require_dynamic_matcher("hst-greedy").unwrap();
         let r = dynamic_competitive_ratio(
             &inst,
             &times,

@@ -1,11 +1,11 @@
 //! Global registry of named mechanisms, matchers and their pairings.
 //!
-//! The paper's seven evaluated algorithms are ordinary entries here; the
-//! registry also exposes the raw mechanism and matcher catalogs so any
-//! `mechanism × matcher` product can be composed by name (the CLI's
-//! `--mechanism X --matcher Y`), including pairings the legacy
-//! [`crate::Algorithm`] enum could not express (e.g. `exp` × `chain`, or
-//! `hst` × `capacity`).
+//! The paper's compared algorithms (Sec. IV-A: `lap-gr`, `lap-hg`, `tbf`)
+//! and this repository's ablations are ordinary named entries here, each
+//! carrying its figure label; the registry also exposes the raw mechanism
+//! and matcher catalogs so any `mechanism × matcher` product can be
+//! composed by name (the CLI's `--mechanism X --matcher Y`), e.g. `exp` ×
+//! `chain` or `hst` × `capacity`.
 //!
 //! # One generic [`Catalog`] per axis
 //!
@@ -268,11 +268,6 @@ impl<T: CatalogItem + Clone> Catalog<T> {
         self.values.iter().position(|v| v.catalog_name() == wanted)
     }
 
-    /// Case-insensitive, alias-aware lookup across every role.
-    pub fn get(&self, name: &str) -> Option<&T> {
-        self.index_of(name).map(|i| &self.values[i])
-    }
-
     /// The role of `name`, if registered.
     pub fn role_of(&self, name: &str) -> Option<Role> {
         self.index_of(name).map(|i| self.roles[i])
@@ -298,9 +293,12 @@ impl<T: CatalogItem + Clone> Catalog<T> {
         }
     }
 
-    /// Lookup across every role, with the typed listing-rich error.
+    /// Case-insensitive, alias-aware lookup across every role, with the
+    /// typed listing-rich error.
     pub fn resolve(&self, name: &str) -> Result<T, PipelineError> {
-        self.get(name).cloned().ok_or_else(|| self.unknown(name))
+        self.index_of(name)
+            .map(|i| self.values[i].clone())
+            .ok_or_else(|| self.unknown(name))
     }
 
     /// Lookup restricted to entries holding `wanted`: a registered name
@@ -359,39 +357,22 @@ impl Registry {
         &self.dynamic_matchers
     }
 
-    /// Case-insensitive, alias-aware spec lookup.
-    pub fn spec(&self, name: &str) -> Option<&AlgorithmSpec> {
-        self.specs.get(name)
-    }
-
-    /// Spec lookup returning a listing-rich error for CLI surfaces.
+    /// Case-insensitive, alias-aware spec lookup; a miss is a typed
+    /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_spec(&self, name: &str) -> Result<AlgorithmSpec, PipelineError> {
         self.specs.resolve(name)
     }
 
-    /// Case-insensitive mechanism lookup.
-    pub fn mechanism(&self, name: &str) -> Option<Arc<dyn ReportMechanism>> {
-        self.mechanisms.get(name).cloned()
-    }
-
-    /// Mechanism lookup returning a listing-rich error for CLI surfaces.
+    /// Case-insensitive, alias-aware mechanism lookup; a miss is a typed
+    /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_mechanism(&self, name: &str) -> Result<Arc<dyn ReportMechanism>, PipelineError> {
         self.mechanisms.resolve(name)
     }
 
-    /// Case-insensitive matcher lookup.
-    pub fn matcher(&self, name: &str) -> Option<Arc<dyn AssignStrategy>> {
-        self.matchers.get(name).cloned()
-    }
-
-    /// Matcher lookup returning a listing-rich error for CLI surfaces.
+    /// Case-insensitive, alias-aware matcher lookup; a miss is a typed
+    /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_matcher(&self, name: &str) -> Result<Arc<dyn AssignStrategy>, PipelineError> {
         self.matchers.resolve(name)
-    }
-
-    /// Case-insensitive dynamic matcher lookup, every role included.
-    pub fn dynamic_matcher(&self, name: &str) -> Option<Arc<dyn DynamicAssignStrategy>> {
-        self.dynamic_matchers.get(name).cloned()
     }
 
     /// All registered workload scenarios (the spatial+temporal axis of
@@ -400,12 +381,8 @@ impl Registry {
         self.scenarios.all()
     }
 
-    /// Case-insensitive scenario lookup.
-    pub fn scenario(&self, name: &str) -> Option<Arc<dyn Scenario>> {
-        self.scenarios.get(name).cloned()
-    }
-
-    /// Scenario lookup returning a listing-rich error for CLI surfaces.
+    /// Case-insensitive, alias-aware scenario lookup; a miss is a typed
+    /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_scenario(&self, name: &str) -> Result<Arc<dyn Scenario>, PipelineError> {
         self.scenarios.resolve(name)
     }
@@ -416,12 +393,8 @@ impl Registry {
         self.fault_plans.all()
     }
 
-    /// Case-insensitive fault-plan lookup.
-    pub fn fault_plan(&self, name: &str) -> Option<Arc<dyn FaultPlan>> {
-        self.fault_plans.get(name).cloned()
-    }
-
-    /// Fault-plan lookup returning a listing-rich error for CLI surfaces.
+    /// Case-insensitive, alias-aware fault-plan lookup; a miss is a typed
+    /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_fault_plan(&self, name: &str) -> Result<Arc<dyn FaultPlan>, PipelineError> {
         self.fault_plans.resolve(name)
     }
@@ -586,9 +559,12 @@ mod tests {
             "TbfChain",
             "random",
         ] {
-            assert!(registry().spec(name).is_some(), "{name} should resolve");
+            assert!(
+                registry().require_spec(name).is_ok(),
+                "{name} should resolve"
+            );
         }
-        assert!(registry().spec("nope").is_none());
+        assert!(registry().require_spec("nope").is_err());
     }
 
     #[test]
@@ -634,13 +610,14 @@ mod tests {
         let matchers = registry().dynamic_matchers();
         let names: Vec<&str> = matchers.iter().map(|m| m.name()).collect();
         assert_eq!(names, ["hst-greedy", "kd-rebuild", "random"]);
-        let hst = registry().dynamic_matcher("HST-Greedy").expect("resolves");
+        let hst = registry()
+            .require_dynamic_matcher("HST-Greedy")
+            .expect("resolves");
         assert!(hst.needs_server());
         assert!(!registry()
-            .dynamic_matcher("kd-rebuild")
+            .require_dynamic_matcher("kd-rebuild")
             .unwrap()
             .needs_server());
-        assert!(registry().dynamic_matcher("bogus").is_none());
         let err = registry()
             .require_dynamic_matcher("bogus")
             .map(|m| m.name())
@@ -718,9 +695,10 @@ mod tests {
                 "adversarial-cell"
             ]
         );
-        let hotspot = registry().scenario("HotSpot").expect("case-insensitive");
+        let hotspot = registry()
+            .require_scenario("HotSpot")
+            .expect("case-insensitive");
         assert_eq!(hotspot.name(), "hotspot");
-        assert!(registry().scenario("bogus").is_none());
         let err = registry()
             .require_scenario("bogus")
             .map(|_| ())
@@ -739,10 +717,9 @@ mod tests {
         let names: Vec<&str> = registry().fault_plans().iter().map(|p| p.name()).collect();
         assert_eq!(names, ["none", "flaky-wire", "dup-storm", "burst"]);
         let flaky = registry()
-            .fault_plan("Flaky-Wire")
+            .require_fault_plan("Flaky-Wire")
             .expect("case-insensitive");
         assert_eq!(flaky.name(), "flaky-wire");
-        assert!(registry().fault_plan("bogus").is_none());
         let err = registry()
             .require_fault_plan("bogus")
             .map(|_| ())
@@ -758,10 +735,12 @@ mod tests {
 
     #[test]
     fn offline_opt_is_registered_as_a_matcher() {
-        let matcher = registry().matcher("offline-opt").expect("registered");
+        let matcher = registry()
+            .require_matcher("offline-opt")
+            .expect("registered");
         assert_eq!(matcher.name(), "offline-opt");
         assert!(!matcher.needs_server());
-        let spec = registry().spec("opt").expect("named pairing");
+        let spec = registry().require_spec("opt").expect("named pairing");
         assert_eq!(spec.mechanism.name(), "identity");
         assert_eq!(spec.matcher.name(), "offline-opt");
         assert!(!spec.needs_server());

@@ -92,7 +92,7 @@ pub trait Scenario: Send + Sync {
     /// Registry name (lower-case; lookup is case-insensitive).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `pombm scenarios`.
+    /// One-line description for `pombm list scenarios`.
     fn summary(&self) -> &'static str;
 
     /// The square sweep instance for `size`: `size` tasks and `size`

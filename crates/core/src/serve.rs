@@ -65,8 +65,9 @@
 //! invariant under QPS pacing and thread counts. The session never aborts
 //! on a bad frame: each decode failure is counted per
 //! [`PipelineError::Transport`] class (a stream that ends without a
-//! shutdown frame counts as [`CHANNEL_CLOSED`]), duplicate deliveries are
-//! absorbed by id, and the session keeps serving.
+//! shutdown frame counts as [`CHANNEL_CLOSED`], a NaN or infinite field
+//! as [`NON_FINITE`]), duplicate deliveries are absorbed by id, and the
+//! session keeps serving.
 //!
 //! With `queue_cap` set, the task backlog becomes a bounded admission
 //! queue: an arriving task that would overflow it is shed per the
@@ -187,24 +188,6 @@ impl Default for ServeConfig {
             queue_cap: None,
             shed_policy: None,
         }
-    }
-}
-
-impl crate::pipeline::CommonConfig for ServeConfig {
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn grid_side(&self) -> usize {
-        self.grid_side
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -346,6 +329,10 @@ pub fn channel_closed() -> PipelineError {
     }
 }
 
+/// The Transport class of a frame whose timestamp or coordinate is NaN
+/// or infinite: no window or pool can place it.
+pub const NON_FINITE: &str = "non-finite timestamp or coordinate";
+
 const OP_CHECK_IN: u8 = 0x01;
 const OP_CHECK_OUT: u8 = 0x02;
 const OP_TASK: u8 = 0x03;
@@ -422,9 +409,26 @@ impl ServeRequest {
     }
 
     /// Decodes one frame, consuming it from `buf`. Truncated frames,
-    /// unknown opcodes and length/opcode mismatches are typed
+    /// unknown opcodes, length/opcode mismatches and non-finite
+    /// timestamps or coordinates ([`NON_FINITE`]) are typed
     /// [`PipelineError::Transport`] errors, never panics.
     pub fn decode(buf: &mut Bytes) -> Result<Self, PipelineError> {
+        let request = Self::decode_fields(buf)?;
+        let finite = match request {
+            ServeRequest::CheckIn { at, x, y, .. } | ServeRequest::Task { at, x, y, .. } => {
+                at.is_finite() && x.is_finite() && y.is_finite()
+            }
+            ServeRequest::CheckOut { at, .. } => at.is_finite(),
+            ServeRequest::Shutdown => true,
+        };
+        if finite {
+            Ok(request)
+        } else {
+            Err(PipelineError::Transport { why: NON_FINITE })
+        }
+    }
+
+    fn decode_fields(buf: &mut Bytes) -> Result<Self, PipelineError> {
         let transport = |why| Err(PipelineError::Transport { why });
         if buf.remaining() < 4 {
             return transport("truncated frame: missing length prefix");

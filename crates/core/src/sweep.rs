@@ -50,7 +50,9 @@ use crate::algorithm::{AssignStrategy, DynamicAssignStrategy, PipelineError, Rep
 use crate::dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
 use crate::fingerprint::Fnv1a;
 use crate::pipeline::PipelineConfig;
-use crate::ratio::{dynamic_offline_optimum, empirical_competitive_ratio, RatioReport};
+use crate::ratio::{
+    dynamic_offline_optimum_with_threads, empirical_competitive_ratio, RatioReport,
+};
 use crate::registry::{registry, AlgorithmSpec, CatalogItem, Role, DEFAULT_DYNAMIC_ORACLE};
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use parking_lot::Mutex;
@@ -1455,7 +1457,7 @@ impl SweepFlavor for DynamicSweepConfig {
         // clairvoyant engine is bit-identical at every thread count anyway).
         let oracle = self
             .ratio
-            .then(|| dynamic_offline_optimum(&instance, &times, &plan));
+            .then(|| dynamic_offline_optimum_with_threads(&instance, &times, &plan, 1));
         let is_oracle_cell = registry()
             .dynamic_matcher_catalog()
             .role_of(job.matcher.name())

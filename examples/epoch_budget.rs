@@ -11,7 +11,7 @@
 //! cargo run --release -p pombm --example epoch_budget
 //! ```
 
-use pombm::{run_epochs, EpochConfig};
+use pombm::{registry, run_epochs, EpochConfig};
 
 fn main() {
     let config = EpochConfig {
@@ -33,7 +33,9 @@ fn main() {
         (config.lifetime_epsilon / config.epoch_epsilon) as u32
     );
 
-    let report = run_epochs(num_workers, &config);
+    // TBF's mechanism: every fresh report is an HST random walk.
+    let hst = registry().require_mechanism("hst").expect("registered");
+    let report = run_epochs(num_workers, &config, hst.as_ref()).expect("hst reports tree leaves");
     println!(
         "{:>5} {:>8} {:>8} {:>11} {:>14}",
         "epoch", "fresh", "stale", "staleness", "total dist"

@@ -10,7 +10,7 @@
 //! cargo run --release -p pombm --example mechanism_tour
 //! ```
 
-use pombm::{run, Algorithm, PipelineConfig, Server};
+use pombm::{registry, run_spec, PipelineConfig, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_privacy::{Epsilon, ExponentialMechanism, HstMechanism, PlanarLaplace};
 use pombm_workload::{synthetic, SyntheticParams};
@@ -87,9 +87,10 @@ fn main() {
     let config = PipelineConfig::default();
     println!("\nsame workload through each mechanism + HST-greedy:");
     println!("{:<8} {:>16}", "algo", "total distance");
-    for algo in [Algorithm::LapHg, Algorithm::ExpHg, Algorithm::Tbf] {
-        let r = run(algo, &instance, &config, 0);
-        println!("{:<8} {:>16.1}", algo.label(), r.metrics.total_distance);
+    for name in ["lap-hg", "exp-hg", "tbf"] {
+        let spec = registry().require_spec(name).expect("registered");
+        let r = run_spec(&spec, &instance, &config, 0).expect("runnable");
+        println!("{:<8} {:>16.1}", spec.label(), r.metrics.total_distance);
     }
     println!("\nTBF wins because its noise respects the tree the matcher uses.");
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p pombm --example privacy_tuning
 //! ```
 
-use pombm::{run, Algorithm, PipelineConfig};
+use pombm::{registry, run_spec, PipelineConfig};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::Hst;
 use pombm_privacy::geo_i::audit_hst_mechanism;
@@ -32,16 +32,23 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>14}",
         "eps", "Lap-GR", "Lap-HG", "TBF"
     );
+    // The paper's three compared algorithms, in its plotting order.
+    let specs = ["lap-gr", "lap-hg", "tbf"].map(|name| registry().require_spec(name).unwrap());
     for eps in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let mut row = format!("{eps:>8}");
-        for algo in Algorithm::ALL {
+        for spec in &specs {
             let config = PipelineConfig {
                 epsilon: eps,
                 ..PipelineConfig::default()
             };
             // Average 3 repetitions to smooth mechanism noise.
             let avg: f64 = (0..3)
-                .map(|rep| run(algo, &instance, &config, rep).metrics.total_distance)
+                .map(|rep| {
+                    run_spec(spec, &instance, &config, rep)
+                        .unwrap()
+                        .metrics
+                        .total_distance
+                })
                 .sum::<f64>()
                 / 3.0;
             row.push_str(&format!(" {avg:>14.1}"));

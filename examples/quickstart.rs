@@ -37,8 +37,8 @@ fn main() {
 
     // The paper's three compared algorithms, straight from the registry...
     for name in ["lap-gr", "lap-hg", "tbf"] {
-        let spec = registry().spec(name).expect("registered");
-        let result = run_spec(spec, &instance, &config, 0).expect("runnable");
+        let spec = registry().require_spec(name).expect("registered");
+        let result = run_spec(&spec, &instance, &config, 0).expect("runnable");
         println!(
             "{:<10} {:<22} {:>16.1} {:>14.2?} {:>12.2?}",
             spec.label(),
@@ -49,7 +49,7 @@ fn main() {
         );
     }
 
-    // ...plus a free pairing the closed Algorithm enum could not express.
+    // ...plus a free pairing the paper never evaluated.
     let novel = registry().compose("exp", "chain").expect("both registered");
     let result = run_spec(&novel, &instance, &config, 0).expect("runnable");
     println!(
@@ -63,6 +63,6 @@ fn main() {
 
     println!(
         "\nLower total distance is better; every mechanism above is \
-         eps-Geo-Indistinguishable. Run `pombm algorithms` for the full catalogue."
+         eps-Geo-Indistinguishable. Run `pombm list algorithms` for the full catalogue."
     );
 }

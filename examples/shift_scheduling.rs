@@ -11,7 +11,7 @@
 //! cargo run --release -p pombm --example shift_scheduling
 //! ```
 
-use pombm::{run_dynamic, ArrivalProcess, DynamicConfig};
+use pombm::{registry, run_dynamic_spec, ArrivalProcess, DynamicConfig};
 use pombm_geom::seeded_rng;
 use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, SyntheticParams};
@@ -31,6 +31,11 @@ fn main() {
     }
     .timestamps(params.num_tasks, &mut seeded_rng(99, 1));
     let config = DynamicConfig::default();
+    // TBF on a shifting fleet: the HST mechanism over the tree-greedy pool.
+    let mechanism = registry().require_mechanism("hst").expect("registered");
+    let matcher = registry()
+        .require_dynamic_matcher("hst-greedy")
+        .expect("registered");
 
     println!(
         "dynamic fleet: {} tasks over {horizon}s, {} workers on random shifts\n",
@@ -56,7 +61,15 @@ fn main() {
             hi,
             &mut seeded_rng(99, 2 + i as u64),
         );
-        let out = run_dynamic(&instance, &times, &plan, &config);
+        let out = run_dynamic_spec(
+            &instance,
+            &times,
+            &plan,
+            &config,
+            mechanism.as_ref(),
+            matcher.as_ref(),
+        )
+        .expect("the hst pairing drives the fleet");
         let avg_dist = if out.pairs.is_empty() {
             0.0
         } else {

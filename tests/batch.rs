@@ -14,7 +14,7 @@
 //!    without perturbing the timing-free JSON.
 
 use pombm::algorithm::{Report, ReportMechanism};
-use pombm::ratio::{offline_optimum, offline_optimum_with_threads};
+use pombm::ratio::offline_optimum_with_threads;
 use pombm::sweep::{run_sweep, SweepConfig};
 use pombm::{registry, run_spec, PipelineConfig, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
@@ -115,7 +115,7 @@ fn offline_optimum_is_thread_count_invariant_past_the_parallel_cutoff() {
     // 1200 × 1200 exceeds the solver's sequential-fallback cutoff, so the
     // blocked parallel scan path really runs.
     let inst = instance(1200, 1200, 23);
-    let baseline = offline_optimum(&inst).expect("measurable");
+    let baseline = offline_optimum_with_threads(&inst, 1).expect("measurable");
     for threads in [0usize, 2, 3, 7] {
         let par = offline_optimum_with_threads(&inst, threads).expect("measurable");
         assert_eq!(

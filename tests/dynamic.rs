@@ -3,7 +3,9 @@
 //! 1. a golden test pinning that `run_dynamic_spec` with the `hst-greedy`
 //!    dynamic matcher reproduces the pre-registry hardwired driver
 //!    seed-for-seed (fingerprints recorded from the last hardwired build,
-//!    same seeds — the same pattern as `tests/registry.rs`);
+//!    same seeds — the same pattern as `tests/registry.rs`), and that an
+//!    event-at-a-time replay through the batch pool entry points serve
+//!    uses reproduces the driver exactly;
 //! 2. proptest invariants — no registered dynamic matcher ever assigns a
 //!    worker outside its shift window or the same worker twice, and the
 //!    dynamic sweep is bit-identical across shard counts `{1, 2, 7}`;
@@ -14,11 +16,12 @@
 use pombm::fingerprint::Fnv1a;
 use pombm::sweep::{run_sweep, DynamicSweepConfig, FlavorReport};
 use pombm::{
-    dynamic_competitive_ratio, dynamic_offline_optimum, dynamic_offline_optimum_with_threads,
-    registry, run_dynamic_spec, run_dynamic_with, ArrivalProcess, DynamicConfig, RatioError,
-    DEFAULT_DYNAMIC_ORACLE,
+    dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, registry, run_dynamic_spec,
+    ArrivalProcess, DynamicAssignStrategy, DynamicConfig, DynamicOutcome, RatioError,
+    ReportMechanism, Server, DEFAULT_DYNAMIC_ORACLE,
 };
 use pombm_geom::{seeded_rng, Point, Rect};
+use pombm_privacy::Epsilon;
 use pombm_workload::shifts::{Shift, ShiftPlan};
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use proptest::prelude::*;
@@ -76,15 +79,11 @@ const GOLDEN: [(&str, u64, u64, usize, usize, usize); 12] = [
 #[test]
 fn hst_greedy_through_the_spec_driver_matches_the_hardwired_driver_exactly() {
     let matcher = registry()
-        .dynamic_matcher("hst-greedy")
+        .require_dynamic_matcher("hst-greedy")
         .expect("registered");
     for (mech_name, seed, want_fnv, want_assigned, want_dropped, want_peak) in GOLDEN {
-        let mechanism = registry().mechanism(mech_name).expect("registered");
+        let mechanism = registry().require_mechanism(mech_name).expect("registered");
         let (inst, times, plan, config) = golden_scenario(seed);
-        // The legacy entry point (now a thin delegation)...
-        let legacy = run_dynamic_with(&inst, &times, &plan, &config, mechanism.as_ref())
-            .unwrap_or_else(|e| panic!("{mech_name}/{seed}: {e}"));
-        // ...and the explicit spec-driver path.
         let spec = run_dynamic_spec(
             &inst,
             &times,
@@ -95,14 +94,6 @@ fn hst_greedy_through_the_spec_driver_matches_the_hardwired_driver_exactly() {
         )
         .unwrap_or_else(|e| panic!("{mech_name}/{seed}: {e}"));
         assert_eq!(
-            legacy.pairs, spec.pairs,
-            "{mech_name}/{seed}: legacy and spec paths diverged"
-        );
-        assert_eq!(
-            legacy.total_distance, spec.total_distance,
-            "{mech_name}/{seed}"
-        );
-        assert_eq!(
             fnv(&spec.pairs),
             want_fnv,
             "{mech_name}/{seed}: drifted from the pre-registry hardwired driver"
@@ -110,6 +101,126 @@ fn hst_greedy_through_the_spec_driver_matches_the_hardwired_driver_exactly() {
         assert_eq!(spec.pairs.len(), want_assigned, "{mech_name}/{seed}");
         assert_eq!(spec.dropped_tasks, want_dropped, "{mech_name}/{seed}");
         assert_eq!(spec.peak_available, want_peak, "{mech_name}/{seed}");
+    }
+}
+
+/// Replays a timeline one event at a time through the batch entry points
+/// serve's engine uses — a fresh one-item `report_batch` per report, then
+/// `insert_batch` / `assign_batch` — on the server and RNG streams of
+/// `run_dynamic_spec`, with the driver's tie order at equal timestamps
+/// (shift starts, then shift ends, then tasks, each by id).
+fn replay_one_event_per_batch(
+    inst: &Instance,
+    times: &[f64],
+    plan: &ShiftPlan,
+    config: &DynamicConfig,
+    mechanism: &dyn ReportMechanism,
+    matcher: &dyn DynamicAssignStrategy,
+) -> DynamicOutcome {
+    let server = Server::new(inst.region, config.grid_side, config.seed ^ 0xD1CE);
+    let epsilon = Epsilon::new(config.epsilon);
+    let mut rng = seeded_rng(config.seed, 0xD1CE_0001);
+    let mut tie_rng = seeded_rng(config.seed, 0xD1CE_0002);
+    let mut events: Vec<(f64, u8, usize)> = plan
+        .shifts
+        .iter()
+        .flat_map(|s| [(s.start, 0, s.worker), (s.end, 1, s.worker)])
+        .chain(times.iter().enumerate().map(|(t, &at)| (at, 2, t)))
+        .collect();
+    events.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap()
+            .then(a.1.cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    });
+    let mut pool = matcher.pool(Some(&server)).unwrap();
+    let report = |location: &Point, rng: &mut _| {
+        mechanism
+            .report_batch(
+                epsilon,
+                Some(&server),
+                std::slice::from_ref(location),
+                rng,
+                1,
+            )
+            .unwrap()
+            .remove(0)
+    };
+    let (mut pairs, mut dropped_tasks, mut peak_available) = (Vec::new(), 0, 0);
+    for (_, kind, id) in events {
+        match kind {
+            0 => {
+                let r = report(&inst.workers[id], &mut rng);
+                pool.insert_batch(vec![(id as u64, r)]).unwrap();
+                peak_available = peak_available.max(pool.available());
+            }
+            1 => {
+                let _ = pool.withdraw(id as u64);
+            }
+            _ => {
+                let r = report(&inst.tasks[id], &mut rng);
+                match pool.assign_batch(vec![r], &mut tie_rng).unwrap()[0] {
+                    Some(w) => pairs.push((id, w as usize)),
+                    None => dropped_tasks += 1,
+                }
+            }
+        }
+    }
+    let total_distance = pairs
+        .iter()
+        .map(|&(t, w)| inst.tasks[t].dist(&inst.workers[w]))
+        .sum();
+    DynamicOutcome {
+        pairs,
+        dropped_tasks,
+        total_distance,
+        peak_available,
+    }
+}
+
+/// One event per batch through fresh one-item `report_batch` calls
+/// reproduces the sequential driver, which keeps one persistent reporter:
+/// a mechanism's per-call state (e.g. `exp`'s alias-table cache) must not
+/// leak into its draws.
+#[test]
+fn event_at_a_time_batch_replay_matches_the_sequential_driver() {
+    let matcher = registry()
+        .require_dynamic_matcher("hst-greedy")
+        .expect("registered");
+    for (mech_name, seed, ..) in GOLDEN {
+        let mechanism = registry().require_mechanism(mech_name).expect("registered");
+        let (inst, times, plan, config) = golden_scenario(seed);
+        let driver = run_dynamic_spec(
+            &inst,
+            &times,
+            &plan,
+            &config,
+            mechanism.as_ref(),
+            matcher.as_ref(),
+        )
+        .unwrap();
+        let replay = replay_one_event_per_batch(
+            &inst,
+            &times,
+            &plan,
+            &config,
+            mechanism.as_ref(),
+            matcher.as_ref(),
+        );
+        assert_eq!(replay.pairs, driver.pairs, "{mech_name}/{seed}");
+        assert_eq!(
+            replay.total_distance.to_bits(),
+            driver.total_distance.to_bits(),
+            "{mech_name}/{seed}"
+        );
+        assert_eq!(
+            replay.peak_available, driver.peak_available,
+            "{mech_name}/{seed}"
+        );
+        assert_eq!(
+            replay.dropped_tasks, driver.dropped_tasks,
+            "{mech_name}/{seed}"
+        );
     }
 }
 
@@ -129,7 +240,7 @@ proptest! {
             .timestamps(tasks, &mut seeded_rng(seed, 99));
         let plan = ShiftPlan::uniform(workers, 300.0, 20.0, 120.0, &mut seeded_rng(seed, 7));
         let config = DynamicConfig { epsilon: 0.6, grid_side: 16, seed };
-        let mechanism = registry().mechanism("identity").unwrap();
+        let mechanism = registry().require_mechanism("identity").unwrap();
         for matcher in registry().dynamic_matchers() {
             let out = run_dynamic_spec(
                 &inst, &times, &plan, &config, mechanism.as_ref(), matcher.as_ref(),
@@ -349,12 +460,12 @@ fn brute_force_optimum(instance: &Instance, times: &[f64], plan: &ShiftPlan) -> 
     best
 }
 
-/// Checks `dynamic_offline_optimum` against [`brute_force_optimum`] on one
-/// timeline, including the typed infeasibility error and bit-identity
-/// across thread counts 2 and 7.
+/// Checks `dynamic_offline_optimum_with_threads` against
+/// [`brute_force_optimum`] on one timeline, including the typed
+/// infeasibility error and bit-identity across thread counts 1, 2 and 7.
 fn check_against_brute_force(instance: &Instance, times: &[f64], plan: &ShiftPlan, label: &str) {
     let (size, cost) = brute_force_optimum(instance, times, plan);
-    match dynamic_offline_optimum(instance, times, plan) {
+    match dynamic_offline_optimum_with_threads(instance, times, plan, 1) {
         Ok(opt) => {
             assert_eq!(opt.size(), size, "{label}: cardinality");
             assert!(
@@ -501,7 +612,7 @@ proptest! {
             .timestamps(24, &mut seeded_rng(seed, 99));
         let plan = ShiftPlan::always_on(30, 200.0);
         let config = DynamicConfig { epsilon: 0.6, grid_side: 16, seed };
-        let mechanism = registry().mechanism("identity").unwrap();
+        let mechanism = registry().require_mechanism("identity").unwrap();
         for matcher in registry().dynamic_matchers() {
             let report = dynamic_competitive_ratio(
                 &inst, &times, &plan, &config, mechanism.as_ref(), matcher.as_ref(), 2,

@@ -2,7 +2,7 @@
 //! exponential mechanism, alias tables, the randomized/chain/capacitated
 //! matchers, the extended pipeline variants, and the epoch simulator.
 
-use pombm::{run, run_epochs, Algorithm, EpochConfig, PipelineConfig};
+use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, RunResult};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};
 use pombm_matching::{
@@ -11,6 +11,16 @@ use pombm_matching::{
 use pombm_privacy::{AliasTable, Epsilon, ExponentialMechanism};
 use pombm_workload::{synthetic, SyntheticParams};
 use proptest::prelude::*;
+
+fn run(
+    algo: &str,
+    instance: &pombm_workload::Instance,
+    config: &PipelineConfig,
+    rep: u64,
+) -> RunResult {
+    let spec = registry().require_spec(algo).unwrap();
+    run_spec(&spec, instance, config, rep).unwrap()
+}
 
 fn small_instance(tasks: usize, workers: usize, seed: u64) -> pombm_workload::Instance {
     let params = SyntheticParams {
@@ -32,7 +42,7 @@ fn mechanism_ablation_ordering_holds_at_strict_epsilon() {
     // the ordering the ablatemech experiment reports.
     let instance = small_instance(150, 250, 1);
     let reps = 4;
-    let avg = |algo: Algorithm| -> f64 {
+    let avg = |algo: &str| -> f64 {
         (0..reps)
             .map(|rep| {
                 let config = PipelineConfig {
@@ -44,9 +54,9 @@ fn mechanism_ablation_ordering_holds_at_strict_epsilon() {
             .sum::<f64>()
             / reps as f64
     };
-    let tbf = avg(Algorithm::Tbf);
-    let exp = avg(Algorithm::ExpHg);
-    let floor = avg(Algorithm::RandomFloor);
+    let tbf = avg("tbf");
+    let exp = avg("exp-hg");
+    let floor = avg("random");
     assert!(
         tbf < exp,
         "TBF ({tbf}) should beat Exp-HG ({exp}) at eps=0.2"
@@ -59,12 +69,7 @@ fn extended_algorithms_respect_k_min_n_m() {
     // More tasks than workers: matching size is min(n, m) for every
     // distance-minimizing variant.
     let instance = small_instance(80, 30, 2);
-    for algo in [
-        Algorithm::ExpHg,
-        Algorithm::TbfRand,
-        Algorithm::TbfChain,
-        Algorithm::RandomFloor,
-    ] {
+    for algo in ["exp-hg", "tbf-rand", "tbf-chain", "random"] {
         let r = run(algo, &instance, &PipelineConfig::default(), 0);
         assert_eq!(r.matching.size(), 30, "{algo}");
         assert!(r.matching.is_valid(), "{algo}");
@@ -82,7 +87,8 @@ fn epoch_simulation_distance_degrades_after_budget_exhaustion() {
         grid_side: 16,
         ..EpochConfig::default()
     };
-    let report = run_epochs(250, &config);
+    let hst = registry().require_mechanism("hst").unwrap();
+    let report = run_epochs(250, &config, hst.as_ref()).unwrap();
     // Average of the fresh-report epochs vs the stale tail.
     let fresh_avg: f64 = report.per_epoch[..2]
         .iter()

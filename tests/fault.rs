@@ -11,10 +11,14 @@
 //!    and `--qps 0` vs 4000 while a fault plan is actively firing;
 //! 3. absorption — `none` plans, oversized caps and duplicate storms all
 //!    leave the assignment fingerprint identical to the clean run;
-//! 4. config validation — every chaos misconfiguration is a typed error.
+//! 4. config validation — every chaos misconfiguration is a typed error;
+//! 5. non-finite frame fields — NaN and ±∞ timestamps or coordinates are
+//!    one typed `Transport` class under every registered dynamic matcher,
+//!    never a panic.
 
 use bytes::Bytes;
-use pombm::{run_serve, PipelineError, ServeConfig, ServeRequest};
+use pombm::serve::NON_FINITE;
+use pombm::{registry, run_serve, serve_frames, PipelineError, ServeConfig, ServeRequest};
 use proptest::prelude::*;
 
 fn chaos(seed: u64) -> ServeConfig {
@@ -301,4 +305,106 @@ fn chaos_misconfigurations_are_typed_errors() {
             ..
         })
     ));
+}
+
+// --- non-finite frame fields ---------------------------------------------
+
+/// A NaN or infinite `at`, `x` or `y` is rejected at decode as the
+/// [`NON_FINITE`] Transport class — before any window, mechanism or pool
+/// sees it — so no frame can panic a session, whatever the pairing. The
+/// intact frames around the bad ones are still served.
+#[test]
+fn non_finite_fields_are_a_typed_transport_class_for_every_matcher() {
+    let bad = [
+        ServeRequest::CheckIn {
+            worker: 10,
+            at: 1.0,
+            x: f64::NAN,
+            y: 50.0,
+        },
+        ServeRequest::CheckIn {
+            worker: 11,
+            at: 1.0,
+            x: 50.0,
+            y: f64::INFINITY,
+        },
+        ServeRequest::CheckIn {
+            worker: 12,
+            at: f64::NAN,
+            x: 50.0,
+            y: 50.0,
+        },
+        ServeRequest::CheckOut {
+            worker: 0,
+            at: f64::NEG_INFINITY,
+        },
+        ServeRequest::Task {
+            task: 7,
+            at: 2.0,
+            x: f64::NEG_INFINITY,
+            y: 50.0,
+        },
+        ServeRequest::Task {
+            task: 8,
+            at: f64::INFINITY,
+            x: 50.0,
+            y: 50.0,
+        },
+        ServeRequest::Task {
+            task: 9,
+            at: 2.0,
+            x: 50.0,
+            y: f64::NAN,
+        },
+    ];
+    for request in bad {
+        assert_eq!(
+            ServeRequest::decode(&mut request.encode()),
+            Err(PipelineError::Transport { why: NON_FINITE }),
+            "{request:?}"
+        );
+    }
+    let mut frames = vec![ServeRequest::CheckIn {
+        worker: 0,
+        at: 0.5,
+        x: 40.0,
+        y: 60.0,
+    }
+    .encode()];
+    frames.extend(bad.iter().map(ServeRequest::encode));
+    frames.push(
+        ServeRequest::Task {
+            task: 1,
+            at: 3.0,
+            x: 45.0,
+            y: 55.0,
+        }
+        .encode(),
+    );
+    frames.push(ServeRequest::Shutdown.encode());
+    for mechanism in ["identity", "laplace", "hst", "exp"] {
+        for matcher in registry().dynamic_matchers() {
+            let config = ServeConfig {
+                mechanism: mechanism.into(),
+                matcher: matcher.name().into(),
+                ..chaos(3)
+            };
+            let label = format!("{mechanism} x {}", matcher.name());
+            let outcome =
+                serve_frames(&config, frames.clone()).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let faults = outcome
+                .report
+                .faults
+                .as_ref()
+                .unwrap_or_else(|| panic!("{label}: corrupt frames force the block"));
+            assert_eq!(faults.corrupt, bad.len(), "{label}");
+            assert_eq!(
+                faults.corrupt_classes.get(NON_FINITE),
+                Some(&bad.len()),
+                "{label}: {:?}",
+                faults.corrupt_classes
+            );
+            assert_eq!(outcome.assignments, [(1, Some(0))], "{label}");
+        }
+    }
 }

@@ -2,14 +2,18 @@
 //! generation → privacy mechanism → online matching → metric collection.
 
 use pombm::{
-    empirical_competitive_ratio, run, run_case_study, Algorithm, CaseStudyAlgorithm,
+    empirical_competitive_ratio, registry, run_case_study, run_spec, CaseStudyAlgorithm,
     PipelineConfig, Server,
 };
 use pombm_geom::seeded_rng;
 use pombm_matching::HstGreedyEngine;
 use pombm_workload::{chengdu, synthetic, SyntheticParams};
 
-fn avg_distance(algo: Algorithm, instance: &pombm_workload::Instance, eps: f64, reps: u64) -> f64 {
+/// The paper's compared algorithms (Sec. IV-A), in its plotting order.
+const PAPER: [&str; 3] = ["lap-gr", "lap-hg", "tbf"];
+
+fn avg_distance(algo: &str, instance: &pombm_workload::Instance, eps: f64, reps: u64) -> f64 {
+    let spec = registry().require_spec(algo).unwrap();
     (0..reps)
         .map(|rep| {
             let config = PipelineConfig {
@@ -18,7 +22,10 @@ fn avg_distance(algo: Algorithm, instance: &pombm_workload::Instance, eps: f64, 
                 euclid_cells: 16,
                 ..PipelineConfig::default()
             };
-            run(algo, instance, &config, rep).metrics.total_distance
+            run_spec(&spec, instance, &config, rep)
+                .unwrap()
+                .metrics
+                .total_distance
         })
         .sum::<f64>()
         / reps as f64
@@ -36,9 +43,9 @@ fn tbf_beats_laplace_baselines_at_tight_epsilon() {
     let instance = synthetic::generate(&params, &mut seeded_rng(11, 0));
     let eps = 0.2;
     let reps = 5;
-    let tbf = avg_distance(Algorithm::Tbf, &instance, eps, reps);
-    let lap_gr = avg_distance(Algorithm::LapGr, &instance, eps, reps);
-    let lap_hg = avg_distance(Algorithm::LapHg, &instance, eps, reps);
+    let tbf = avg_distance("tbf", &instance, eps, reps);
+    let lap_gr = avg_distance("lap-gr", &instance, eps, reps);
+    let lap_hg = avg_distance("lap-hg", &instance, eps, reps);
     assert!(
         tbf < lap_gr && tbf < lap_hg,
         "TBF {tbf} should beat Lap-GR {lap_gr} and Lap-HG {lap_hg} at eps = {eps}"
@@ -56,13 +63,13 @@ fn tbf_is_less_epsilon_sensitive_than_laplace() {
     };
     let instance = synthetic::generate(&params, &mut seeded_rng(12, 0));
     let reps = 5;
-    let sensitivity = |algo: Algorithm| -> f64 {
+    let sensitivity = |algo: &str| -> f64 {
         let tight = avg_distance(algo, &instance, 0.2, reps);
         let loose = avg_distance(algo, &instance, 1.0, reps);
         tight / loose
     };
-    let tbf = sensitivity(Algorithm::Tbf);
-    let lap_gr = sensitivity(Algorithm::LapGr);
+    let tbf = sensitivity("tbf");
+    let lap_gr = sensitivity("lap-gr");
     assert!(
         tbf < lap_gr,
         "TBF ratio (eps 0.2 / eps 1.0) {tbf} should be flatter than Lap-GR {lap_gr}"
@@ -72,7 +79,7 @@ fn tbf_is_less_epsilon_sensitive_than_laplace() {
 /// Fig. 6b: adding workers reduces total distance for every algorithm.
 #[test]
 fn more_workers_shorten_total_distance() {
-    for algo in Algorithm::ALL {
+    for algo in PAPER {
         let dist_for = |workers: usize| -> f64 {
             let params = SyntheticParams {
                 num_tasks: 200,
@@ -98,14 +105,15 @@ fn chengdu_day_runs_through_all_pipelines() {
     let mut instance = chengdu::generate_day(&city, 0, 2000, 5).scaled(1.0 / 50.0);
     instance.tasks.truncate(400);
     instance.validate().unwrap();
-    for algo in Algorithm::ALL {
+    for algo in PAPER {
         let config = PipelineConfig {
             epsilon: 0.6,
             euclid_cells: 16,
             engine: HstGreedyEngine::Indexed,
             ..PipelineConfig::default()
         };
-        let result = run(algo, &instance, &config, 0);
+        let spec = registry().require_spec(algo).unwrap();
+        let result = run_spec(&spec, &instance, &config, 0).unwrap();
         assert_eq!(result.matching.size(), 400, "{algo}");
         assert!(result.matching.is_valid(), "{algo}");
     }
@@ -150,7 +158,8 @@ fn competitive_ratio_is_bounded() {
         epsilon: 0.6,
         ..PipelineConfig::default()
     };
-    let report = empirical_competitive_ratio(Algorithm::Tbf.spec(), &instance, &config, 5).unwrap();
+    let tbf = registry().require_spec("tbf").unwrap();
+    let report = empirical_competitive_ratio(&tbf, &instance, &config, 5).unwrap();
     let (ratio, avg, opt) = (report.ratio, report.mean_distance, report.opt_distance);
     assert!(ratio >= 1.0 - 1e-9);
     assert!(

@@ -1,15 +1,15 @@
 //! Registry-level guarantees of the composable pipeline API:
 //!
-//! 1. a golden test pinning that the seven legacy [`Algorithm`] variants
-//!    produce matchings identical to the pre-refactor enum pipeline
-//!    (fingerprints recorded from the last enum-dispatch build, same
-//!    seeds), through both the enum path and the registry path;
+//! 1. a golden test pinning that the seven legacy pairings (`lap-gr` …
+//!    `random`) produce matchings identical to the pre-refactor enum
+//!    pipeline (fingerprints recorded from the last enum-dispatch build,
+//!    same seeds), run by registry name;
 //! 2. a registry-wide property test: every registered spec matches all
 //!    tasks whenever `workers >= tasks` (unit capacity);
 //! 3. end-to-end coverage of pairings the closed enum could not express.
 
 use pombm::fingerprint::Fnv1a;
-use pombm::{registry, run, run_spec, Algorithm, PipelineConfig};
+use pombm::{registry, run_spec, PipelineConfig};
 use pombm_geom::seeded_rng;
 use pombm_matching::HstGreedyEngine;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
@@ -36,9 +36,9 @@ fn fnv(pairs: &[(usize, usize)]) -> u64 {
 /// (60 tasks, 100 workers, instance seed 42) for repetitions 0 and 3.
 /// Config 0 is `PipelineConfig::default()`; config 1 is
 /// `{epsilon: 1.0, grid_side: 16, engine: Indexed, euclid_cells: 8, seed: 7}`.
-const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
+const GOLDEN: [(&str, [u64; 4]); 7] = [
     (
-        Algorithm::LapGr,
+        "lap-gr",
         [
             0x7A0B362294B9A1C4,
             0x73850A1C4DFFF23E,
@@ -47,7 +47,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::LapHg,
+        "lap-hg",
         [
             0x951AE23BD5DCF805,
             0x7844FCE53234C9C6,
@@ -56,7 +56,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::Tbf,
+        "tbf",
         [
             0x3B8566C396C7C6A5,
             0xCC781D1E3B004EAC,
@@ -65,7 +65,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::ExpHg,
+        "exp-hg",
         [
             0xF7A380A2C85DA188,
             0x1923360CAD0B09DA,
@@ -74,7 +74,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::TbfRand,
+        "tbf-rand",
         [
             0xF8BA6DBDDE44253D,
             0x6A6447A7B4574C65,
@@ -83,7 +83,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::TbfChain,
+        "tbf-chain",
         [
             0x3B8566C396C7C6A5,
             0xCC781D1E3B004EAC,
@@ -92,7 +92,7 @@ const GOLDEN: [(Algorithm, [u64; 4]); 7] = [
         ],
     ),
     (
-        Algorithm::RandomFloor,
+        "random",
         [
             0x09C2724C3718E456,
             0xC0E4C14F1DAFD811,
@@ -121,19 +121,12 @@ fn legacy_variants_match_pre_refactor_matchings_exactly() {
     let inst = instance(60, 100, 42);
     let configs = golden_configs();
     for (algo, expected) in GOLDEN {
+        let spec = registry().require_spec(algo).expect("registered");
         for (ci, config) in configs.iter().enumerate() {
             for (ri, rep) in [0u64, 3].into_iter().enumerate() {
-                // Enum path (thin alias)...
-                let enum_run = run(algo, &inst, config, rep);
-                // ...and explicit registry path.
-                let spec = registry().spec(algo.spec_name()).expect("registered");
-                let spec_run = run_spec(spec, &inst, config, rep).expect("runnable");
+                let spec_run = run_spec(&spec, &inst, config, rep).expect("runnable");
                 assert_eq!(
-                    enum_run.matching.pairs, spec_run.matching.pairs,
-                    "{algo}: enum and registry paths diverged"
-                );
-                assert_eq!(
-                    fnv(&enum_run.matching.pairs),
+                    fnv(&spec_run.matching.pairs),
                     expected[ci * 2 + ri],
                     "{algo} config {ci} rep {rep}: drifted from the \
                      pre-refactor enum pipeline"
@@ -181,8 +174,8 @@ fn novel_pairings_run_end_to_end() {
     };
     // Registered novel pairings...
     for name in ["exp-chain", "tbf-cap", "lap-kd"] {
-        let spec = registry().spec(name).unwrap();
-        let r = run_spec(spec, &inst, &config, 0).expect(name);
+        let spec = registry().require_spec(name).unwrap();
+        let r = run_spec(&spec, &inst, &config, 0).expect(name);
         assert_eq!(r.matching.size(), 50, "{name}");
         assert!(r.metrics.total_distance > 0.0, "{name}");
     }
@@ -245,7 +238,8 @@ fn zero_capacity_is_rejected_not_clamped() {
         capacity: 0,
         ..PipelineConfig::default()
     };
-    let err = run_spec(registry().spec("tbf-cap").unwrap(), &inst, &config, 0).unwrap_err();
+    let tbf_cap = registry().require_spec("tbf-cap").unwrap();
+    let err = run_spec(&tbf_cap, &inst, &config, 0).unwrap_err();
     assert!(err.to_string().contains("capacity"), "{err}");
 }
 

@@ -11,7 +11,7 @@
 //!    names and a seeded deterministic 3-pairing sweep, so the CLI's
 //!    `--json` contract cannot drift silently.
 
-use pombm::ratio::{empirical_competitive_ratio, offline_optimum, RatioError};
+use pombm::ratio::{empirical_competitive_ratio, offline_optimum_with_threads, RatioError};
 use pombm::sweep::{run_sweep, sweep_instance, FlavorReport, SweepConfig};
 use pombm::{registry, PipelineConfig};
 use pombm_geom::seeded_rng;
@@ -74,7 +74,7 @@ proptest! {
         prop_assert_eq!(report.ratio, 1.0, "ratio drifted off the oracle");
         prop_assert_eq!(report.min_ratio, 1.0);
         prop_assert_eq!(report.max_ratio, 1.0);
-        let opt = offline_optimum(&inst).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let opt = offline_optimum_with_threads(&inst, 1).map_err(|e| TestCaseError::fail(e.to_string()))?;
         for d in &report.distances {
             prop_assert_eq!(*d, opt, "a repetition diverged from OPT bitwise");
         }
@@ -166,7 +166,7 @@ fn full_registry_product_sweep_completes() {
 #[test]
 fn ratio_report_json_fields_are_pinned() {
     let inst = instance(10, 12, 3);
-    let spec = registry().spec("tbf").unwrap();
+    let spec = &registry().require_spec("tbf").unwrap();
     let report = empirical_competitive_ratio(spec, &inst, &fast_config(3), 2).unwrap();
     let value = serde_json::to_value(&report).unwrap();
     let keys: Vec<&str> = value
@@ -264,7 +264,7 @@ const GOLDEN_SWEEP_JSON: &str = "{\"seed\":7,\"repetitions\":2,\"cells\":[{\"mec
 /// Degenerate measurements are typed errors end-to-end, not panics.
 #[test]
 fn degenerate_ratio_inputs_are_typed_errors() {
-    let spec = registry().spec("tbf").unwrap();
+    let spec = &registry().require_spec("tbf").unwrap();
     let config = fast_config(0);
 
     let empty = sweep_instance(0, 0);
@@ -273,7 +273,7 @@ fn degenerate_ratio_inputs_are_typed_errors() {
         Err(RatioError::EmptyInstance { .. })
     ));
     assert!(matches!(
-        offline_optimum(&empty),
+        offline_optimum_with_threads(&empty, 1),
         Err(RatioError::EmptyInstance {
             num_tasks: 0,
             num_workers: 0
