@@ -1,5 +1,8 @@
-//! Benchmarks HST construction (Alg. 1): `O(N²·D)` in the number of
-//! predefined points, paid once when the server starts.
+//! Benchmarks HST construction (Alg. 1), paid once when the server starts:
+//! one `O(N²)` pass over squared distances sizes the tree, then each
+//! point's owner cursor scans at most its own rank in the permutation
+//! (`O(N²)` worst case, `N·(N−1)/2` distance evaluations), plus an
+//! `O(N log N)` sort per level.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pombm_geom::{seeded_rng, Grid, Rect};

@@ -5,6 +5,7 @@
 //! is unit-testable without spawning processes.
 
 use crate::args::Args;
+use pombm::server::check_grid_side;
 use pombm::{
     dynamic_competitive_ratio, merge, registry, run_dynamic_spec, run_spec, run_sweep,
     run_sweep_partition, AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicSweepCell,
@@ -396,6 +397,7 @@ pub fn obfuscate(args: &Args) -> Result<String, String> {
     let y: f64 = args.require("y")?;
     let side: f64 = args.get_or("side", 200.0)?;
     let grid_side: usize = args.get_or("grid-side", 32)?;
+    check_grid_side(grid_side).map_err(|e| e.to_string())?;
     let samples: usize = args.get_or("samples", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let epsilon = pombm_privacy::Epsilon::new(args.get_or("epsilon", 0.6)?);
@@ -442,6 +444,7 @@ pub fn obfuscate(args: &Args) -> Result<String, String> {
 pub fn publish(args: &Args) -> Result<String, String> {
     args.check_known(&["grid-side", "side", "seed", "out"])?;
     let grid_side: usize = args.get_or("grid-side", 32)?;
+    check_grid_side(grid_side).map_err(|e| e.to_string())?;
     let side: f64 = args.get_or("side", 200.0)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let out: String = args.require("out")?;

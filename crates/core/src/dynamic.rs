@@ -99,7 +99,7 @@
 //! ```
 
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
-use crate::server::Server;
+use crate::server::{check_grid_side, Server};
 use pombm_geom::seeded_rng;
 use pombm_privacy::Epsilon;
 use pombm_workload::shifts::ShiftPlan;
@@ -230,7 +230,10 @@ pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<Timeli
 ///
 /// A timeline that does not fit the instance (a task-time or shift count
 /// that differs from the task or worker count, a non-finite timestamp) is
-/// a typed [`PipelineError::InvalidConfig`].
+/// a typed [`PipelineError::InvalidConfig`], and so is a zero
+/// `config.grid_side`. The server (grid and HST) is built only when the
+/// mechanism or the matcher reads it; the build draws from its own seeded
+/// stream, so skipping it moves no other draw.
 pub fn run_dynamic_spec(
     instance: &Instance,
     task_times: &[f64],
@@ -240,16 +243,18 @@ pub fn run_dynamic_spec(
     matcher: &dyn DynamicAssignStrategy,
 ) -> Result<DynamicOutcome, PipelineError> {
     check_timeline(instance, task_times, plan)?;
+    check_grid_side(config.grid_side)?;
 
-    let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
+    let server = (mechanism.needs_server() || matcher.needs_server())
+        .then(|| Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE));
     let epsilon = Epsilon::new(config.epsilon);
-    let mut reporter = mechanism.reporter(epsilon, Some(&server))?;
+    let mut reporter = mechanism.reporter(epsilon, server.as_ref())?;
     let mut rng = seeded_rng(config.seed, 0xD1CE_0001);
     let mut tie_rng = seeded_rng(config.seed, 0xD1CE_0002);
 
     let events = build_timeline(plan, task_times);
 
-    let mut pool = matcher.pool(Some(&server))?;
+    let mut pool = matcher.pool(server.as_ref())?;
     let mut pairs = Vec::new();
     let mut dropped = 0usize;
     let mut peak = 0usize;
@@ -468,6 +473,105 @@ mod tests {
                 RatioError::Pipeline(want)
             );
         }
+    }
+
+    #[test]
+    fn zero_grid_side_is_a_typed_error_for_every_pairing() {
+        let inst = instance(10, 10, 9);
+        let times = uniform_times(10, 9.0, 9);
+        let plan = ShiftPlan::always_on(10, 10.0);
+        let config = DynamicConfig {
+            grid_side: 0,
+            ..DynamicConfig::default()
+        };
+        // `laplace × kd-rebuild` builds no server, yet the field is still
+        // checked.
+        for (mechanism, matcher) in [("hst", "hst-greedy"), ("laplace", "kd-rebuild")] {
+            let mechanism = registry().require_mechanism(mechanism).unwrap();
+            let matcher = registry().require_dynamic_matcher(matcher).unwrap();
+            let err = run_dynamic_spec(
+                &inst,
+                &times,
+                &plan,
+                &config,
+                mechanism.as_ref(),
+                matcher.as_ref(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PipelineError::InvalidConfig {
+                        field: "grid_side",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn server_is_built_only_when_the_pairing_reads_it() {
+        use crate::algorithm::DynamicWorkerPool;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// `kd-rebuild` behind a declared server need, recording whether
+        /// `run_dynamic_spec` handed it a server.
+        struct Probe {
+            needs: bool,
+            got_server: AtomicBool,
+        }
+        impl DynamicAssignStrategy for Probe {
+            fn name(&self) -> &'static str {
+                "probe"
+            }
+            fn summary(&self) -> &'static str {
+                "kd-rebuild that records whether it got a server"
+            }
+            fn needs_server(&self) -> bool {
+                self.needs
+            }
+            fn pool<'a>(
+                &self,
+                server: Option<&'a Server>,
+            ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
+                self.got_server.store(server.is_some(), Ordering::Relaxed);
+                registry()
+                    .require_dynamic_matcher("kd-rebuild")?
+                    .pool(server)
+            }
+        }
+
+        let inst = instance(30, 40, 6);
+        let times = uniform_times(30, 50.0, 6);
+        let plan = ShiftPlan::always_on(40, 51.0);
+        let laplace = registry().require_mechanism("laplace").unwrap();
+        let mut outcomes = Vec::new();
+        for needs in [false, true] {
+            let probe = Probe {
+                needs,
+                got_server: AtomicBool::new(!needs),
+            };
+            let out = run_dynamic_spec(
+                &inst,
+                &times,
+                &plan,
+                &DynamicConfig::default(),
+                laplace.as_ref(),
+                &probe,
+            )
+            .unwrap();
+            assert_eq!(probe.got_server.load(Ordering::Relaxed), needs);
+            outcomes.push(out);
+        }
+        // The build draws only from its own stream: skipping it moves
+        // nothing.
+        assert_eq!(outcomes[0].pairs, outcomes[1].pairs);
+        assert_eq!(
+            outcomes[0].total_distance.to_bits(),
+            outcomes[1].total_distance.to_bits()
+        );
     }
 
     #[test]

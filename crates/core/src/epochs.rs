@@ -21,7 +21,7 @@
 //! paper scopes out (its mechanism is single-shot by design).
 
 use crate::algorithm::{PipelineError, ReportMechanism};
-use crate::server::Server;
+use crate::server::{check_grid_side, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_hst::LeafCode;
 use pombm_matching::{HstGreedy, HstGreedyEngine, Matching};
@@ -125,6 +125,7 @@ pub fn run_epochs(
     config: &EpochConfig,
     mechanism: &dyn ReportMechanism,
 ) -> Result<EpochReport, PipelineError> {
+    check_grid_side(config.grid_side)?;
     assert!(config.num_epochs > 0, "need at least one epoch");
     assert!(
         config.epoch_epsilon > 0.0 && config.lifetime_epsilon > 0.0,
@@ -247,6 +248,22 @@ mod tests {
             grid_side: 16,
             ..EpochConfig::default()
         }
+    }
+
+    #[test]
+    fn zero_grid_side_is_a_typed_error() {
+        let config = EpochConfig {
+            grid_side: 0,
+            ..quick_config()
+        };
+        let hst = registry().require_mechanism("hst").unwrap();
+        assert!(matches!(
+            run_epochs(10, &config, hst.as_ref()),
+            Err(PipelineError::InvalidConfig {
+                field: "grid_side",
+                ..
+            })
+        ));
     }
 
     #[test]

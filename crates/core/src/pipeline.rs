@@ -15,7 +15,7 @@
 
 use crate::algorithm::{AssignCtx, PipelineError, Report, ReportSet, Reports};
 use crate::registry::AlgorithmSpec;
-use crate::server::Server;
+use crate::server::{check_grid_side, Server};
 use pombm_geom::seeded_rng;
 use pombm_matching::{HstGreedyEngine, Matching};
 use pombm_privacy::Epsilon;
@@ -112,13 +112,16 @@ pub struct RunResult {
 /// internally when either stage needs them.
 ///
 /// `repetition` decorrelates the randomness of repeated runs: the paper
-/// repeats every experiment 10 times and reports averages.
+/// repeats every experiment 10 times and reports averages. A zero
+/// `config.grid_side` is a typed [`PipelineError::InvalidConfig`] for
+/// every spec.
 pub fn run_spec(
     spec: &AlgorithmSpec,
     instance: &Instance,
     config: &PipelineConfig,
     repetition: u64,
 ) -> Result<RunResult, PipelineError> {
+    check_grid_side(config.grid_side)?;
     // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
     // the sweep strips before fingerprinting.
     let setup_start = Instant::now();
@@ -255,6 +258,28 @@ mod tests {
             assert_eq!(r.matching.size(), 60, "{algo} must match all tasks");
             assert!(r.matching.is_valid());
             assert!(r.metrics.total_distance > 0.0);
+        }
+    }
+
+    #[test]
+    fn zero_grid_side_is_a_typed_error_for_every_spec() {
+        let instance = small_instance(1);
+        let config = PipelineConfig {
+            grid_side: 0,
+            ..PipelineConfig::default()
+        };
+        for algo in PAPER.into_iter().chain(EXTENDED) {
+            let spec = registry().require_spec(algo).unwrap();
+            assert!(
+                matches!(
+                    run_spec(&spec, &instance, &config, 0),
+                    Err(PipelineError::InvalidConfig {
+                        field: "grid_side",
+                        ..
+                    })
+                ),
+                "{algo}"
+            );
         }
     }
 

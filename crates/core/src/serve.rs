@@ -92,7 +92,7 @@ use crate::fault::{FaultPlan, ShedPolicy, DEADLINE_WINDOWS, DEFAULT_FAULT_RATE, 
 use crate::fingerprint::Fnv1a;
 use crate::registry::registry;
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
-use crate::server::Server;
+use crate::server::{check_grid_side, Server};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pombm_geom::{seeded_rng, Point};
 use pombm_privacy::Epsilon;
@@ -948,6 +948,7 @@ struct Resolved {
 /// Validates the config and resolves every registry name — all typed
 /// errors surface here, before any thread spawns.
 fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
+    check_grid_side(config.grid_side)?;
     if !(config.batch_interval.is_finite() && config.batch_interval > 0.0) {
         return Err(PipelineError::InvalidConfig {
             field: "batch-interval",

@@ -1,7 +1,22 @@
 //! The untrusted crowdsourcing server's published artifacts.
 
+use crate::algorithm::PipelineError;
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
 use pombm_hst::{Hst, LeafCode};
+
+/// Rejects a grid side no server can be built on: the predefined grid
+/// needs at least one cell. Every entry point that builds a [`Server`]
+/// calls this first, so a zero `grid_side` is a typed
+/// [`PipelineError::InvalidConfig`], not a panic inside [`Server::new`].
+pub fn check_grid_side(grid_side: usize) -> Result<(), PipelineError> {
+    if grid_side == 0 {
+        return Err(PipelineError::InvalidConfig {
+            field: "grid_side",
+            why: "the predefined grid needs at least one cell",
+        });
+    }
+    Ok(())
+}
 
 /// Step 1 of the paper's workflow: the server constructs an HST upon a
 /// predefined set of points and publishes both.
@@ -33,6 +48,11 @@ impl Server {
     /// Builds the server's artifacts: a `grid_side × grid_side` grid of
     /// predefined points over `region` and a random HST over it, seeded for
     /// reproducibility.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid_side` is 0; entry points reject that first with
+    /// [`check_grid_side`].
     pub fn new(region: Rect, grid_side: usize, seed: u64) -> Self {
         Self::with_construction(region, grid_side, seed, TreeConstruction::Frt)
     }

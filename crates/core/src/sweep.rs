@@ -1726,6 +1726,28 @@ mod tests {
             .contains("non-empty"));
     }
 
+    #[test]
+    fn zero_grid_side_is_a_recorded_cell_error_in_both_flavours() {
+        let want = "invalid config `grid_side`";
+        let mut config = small_config();
+        config.mechanisms.push("hst".into());
+        config.base.grid_side = 0;
+        let report = run_sweep(&config).unwrap();
+        assert_eq!(report.cells.len(), 3 * 2);
+        for cell in &report.cells {
+            assert!(cell.error.as_deref().unwrap().contains(want), "{cell:?}");
+        }
+        let report = run_sweep(&DynamicSweepConfig {
+            grid_side: 0,
+            ..small_dynamic_config()
+        })
+        .unwrap();
+        assert_eq!(report.cells.len(), 2 * 2 * 2);
+        for cell in &report.cells {
+            assert!(cell.error.as_deref().unwrap().contains(want), "{cell:?}");
+        }
+    }
+
     fn small_dynamic_config() -> DynamicSweepConfig {
         DynamicSweepConfig {
             mechanisms: vec!["identity".into(), "hst".into()],

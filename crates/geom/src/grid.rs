@@ -182,7 +182,7 @@ mod tests {
         let g = Grid::square(Rect::square(200.0), 16);
         let ps = g.to_point_set();
         let pitch = 200.0 / 16.0;
-        assert!((ps.min_distance().unwrap() - pitch).abs() < 1e-9);
+        assert!((ps.pair_stats().min_distance.unwrap() - pitch).abs() < 1e-9);
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod rng;
 
 pub use grid::Grid;
 pub use point::Point;
-pub use pointset::{PointId, PointSet};
+pub use pointset::{PairStats, PointId, PointSet};
 pub use rect::Rect;
 pub use rng::seeded_rng;

@@ -7,13 +7,23 @@
 //! at level `i`. Level-0 clusters are singletons (guaranteed because the
 //! metric is pre-scaled so the minimum pairwise distance is at least 1 and
 //! `β < 1`), so each point ends at its own leaf.
+//!
+//! The sweep is evaluated per point, as FRT (Fakcharoenphol, Rao & Talwar,
+//! STOC 2003) define it: point `u` joins the ball of its *owner*, the first
+//! position `k` in `π` with `d(u, π[k]) ≤ β·2^i`. A cluster's children are
+//! its members grouped by owner, in owner order, which is the order the
+//! sweep creates them. Balls shrink going down, so a point's owner only
+//! moves later in `π` from one level to the next, and `π[rank(u)] = u`
+//! always owns `u`. One cursor per point therefore resumes where the level
+//! above stopped and never passes the point's own rank.
 
 use pombm_geom::{PointId, PointSet};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::ops::Range;
 
 /// One node of the *real* (pre-completion) HST.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawNode {
     /// Level of this node; the root is at `depth`, leaves at 0.
     pub level: u32,
@@ -129,9 +139,8 @@ pub struct FixedDraw {
     pub permutation: Vec<PointId>,
 }
 
-/// Runs Alg. 1 with randomness drawn from `rng`.
-///
-/// `O(N²·D)` time, `O(N·D)` transient memory.
+/// Runs Alg. 1 with randomness drawn from `rng`; see [`build_raw_fixed`]
+/// for the cost.
 pub fn build_raw<R: Rng + ?Sized>(points: &PointSet, rng: &mut R) -> RawTree {
     let mut permutation: Vec<PointId> = (0..points.len()).collect();
     permutation.shuffle(rng);
@@ -145,6 +154,12 @@ pub fn build_raw<R: Rng + ?Sized>(points: &PointSet, rng: &mut R) -> RawTree {
 
 /// Runs Alg. 1 with pinned randomness. Panics if `beta ∉ [1/2, 1)` or the
 /// permutation is not a permutation of `0..N`.
+///
+/// Cost: one `O(N²)` pass over squared distances sizes the tree, and the
+/// owner cursors evaluate at most `rank(u) + D` distances for point `u`
+/// (at most `N·(N−1)/2 + N·D` in all). Points that already sit alone in
+/// their cluster are not scanned again. Sorting the clusters by owner adds
+/// `O(N log N)` per level; transient memory is `O(N)`.
 pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
     let n = points.len();
     assert!(
@@ -160,22 +175,23 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
             seen[p] = true;
         }
     }
+    let stats = points.pair_stats();
     assert!(
-        points.all_distinct(),
+        stats.all_distinct,
         "predefined points must be pairwise distinct so each gets its own leaf"
     );
 
     // Scale the metric so the minimum pairwise distance is >= 1 (required for
     // singleton separation at level 0). Sets that already satisfy this are
     // left untouched, matching the paper's worked example exactly.
-    let scale = match points.min_distance() {
+    let scale = match stats.min_distance {
         Some(d) if d < 1.0 => d,
         _ => 1.0,
     };
     let dist = |a: PointId, b: PointId| points.dist(a, b) / scale;
 
     // D = ceil(log2(2 * diameter)), at least 1.
-    let diameter = points.diameter() / scale;
+    let diameter = stats.diameter / scale;
     let depth = if diameter <= 0.0 {
         1
     } else {
@@ -190,44 +206,38 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
         point: None,
     };
     let mut nodes = vec![root];
-    // Clusters at the current level, as (node index, member point ids).
-    let mut frontier: Vec<(usize, Vec<PointId>)> = vec![(0, (0..n).collect())];
+    // Members of the current level's clusters: each frontier entry is a node
+    // index and the range of `order` holding its members. The ranges tile
+    // `order` in node order.
+    let mut order: Vec<PointId> = (0..n).collect();
+    let mut frontier: Vec<(usize, Range<usize>)> = vec![(0, 0..n)];
+    // `owner[u]`: π position of u's owner at the last level u shared a
+    // cluster, the cursor the next level resumes from.
+    let mut owner = vec![0usize; n];
 
     for i in (0..depth).rev() {
         let radius = draw.beta * (1u64 << i) as f64;
         let mut next = Vec::with_capacity(frontier.len());
-        for (node_idx, members) in frontier {
-            if members.len() == 1 {
-                // Singleton clusters pass straight down one level; the ball
-                // around the point itself would reproduce this split.
-                let child_index = nodes[node_idx].children.len() as u32;
-                let child = RawNode {
-                    level: i,
-                    parent: node_idx,
-                    child_index,
-                    children: Vec::new(),
-                    point: (i == 0).then(|| members[0]),
-                };
-                let ci = nodes.len();
-                nodes.push(child);
-                nodes[node_idx].children.push(ci);
-                next.push((ci, members));
-                continue;
+        for (node_idx, range) in frontier {
+            let members = &mut order[range.clone()];
+            // A singleton passes straight down one level; its own ball would
+            // reproduce this split.
+            if members.len() > 1 {
+                // Lines 8-13 of Alg. 1: u joins the first ball in π order
+                // that holds it. The cursor stops at π[rank(u)] = u at the
+                // latest, where the distance is 0. A scaled distance is
+                // never NaN, so `>` is the exact negation of `<=`.
+                for &u in members.iter() {
+                    let k = &mut owner[u];
+                    while dist(u, draw.permutation[*k]) > radius {
+                        *k += 1;
+                    }
+                }
+                // Owner order is the order the sweep creates the children.
+                members.sort_by_key(|&u| owner[u]);
             }
-            let mut remaining = members;
-            // Sweep centers in permutation order; each ball claims the still
-            // unassigned members within `radius` (lines 8-13 of Alg. 1).
-            for &center in &draw.permutation {
-                if remaining.is_empty() {
-                    break;
-                }
-                let (claimed, rest): (Vec<_>, Vec<_>) = remaining
-                    .into_iter()
-                    .partition(|&u| dist(u, center) <= radius);
-                remaining = rest;
-                if claimed.is_empty() {
-                    continue;
-                }
+            let mut start = range.start;
+            for claimed in members.chunk_by(|&a, &b| owner[a] == owner[b]) {
                 let child_index = nodes[node_idx].children.len() as u32;
                 let child = RawNode {
                     level: i,
@@ -239,9 +249,10 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
                 let ci = nodes.len();
                 nodes.push(child);
                 nodes[node_idx].children.push(ci);
-                next.push((ci, claimed));
+                next.push((ci, start..start + claimed.len()));
+                start += claimed.len();
             }
-            debug_assert!(remaining.is_empty(), "ball sweep must cover the cluster");
+            debug_assert_eq!(start, range.end, "ball sweep must cover the cluster");
         }
         frontier = next;
     }
@@ -253,8 +264,9 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
             1,
             "level-0 cluster not a singleton; metric scaling is broken"
         );
-        leaf_of[members[0]] = *node_idx;
-        debug_assert_eq!(nodes[*node_idx].point, Some(members[0]));
+        let p = order[members.start];
+        leaf_of[p] = *node_idx;
+        debug_assert_eq!(nodes[*node_idx].point, Some(p));
     }
 
     let tree = RawTree {
@@ -272,7 +284,198 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pombm_geom::{seeded_rng, Point};
+    use crate::Hst;
+    use pombm_geom::{seeded_rng, Grid, Point, Rect};
+    use proptest::prelude::*;
+
+    /// The ball sweep [`build_raw_fixed`] replaced, kept as its equivalence
+    /// oracle: every cluster sweeps the centers of π in order and each ball
+    /// claims the still unassigned members, after a brute-force pass over
+    /// [`PointSet::dist`] (a square root per pair) sizes the tree.
+    fn build_raw_reference(points: &PointSet, draw: FixedDraw) -> RawTree {
+        let n = points.len();
+        let (mut distinct, mut min_distance, mut diameter) = (true, f64::INFINITY, 0.0f64);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                distinct &= points.point(i) != points.point(j);
+                let d = points.dist(i, j);
+                if d > 0.0 {
+                    min_distance = min_distance.min(d);
+                }
+                diameter = diameter.max(d);
+            }
+        }
+        assert!(
+            distinct,
+            "predefined points must be pairwise distinct so each gets its own leaf"
+        );
+        let scale = if min_distance < 1.0 {
+            min_distance
+        } else {
+            1.0
+        };
+        let dist = |a: PointId, b: PointId| points.dist(a, b) / scale;
+        let diameter = diameter / scale;
+        let depth = if diameter <= 0.0 {
+            1
+        } else {
+            (2.0 * diameter).log2().ceil().max(1.0) as u32
+        };
+
+        let mut nodes = vec![RawNode {
+            level: depth,
+            parent: usize::MAX,
+            child_index: 0,
+            children: Vec::new(),
+            point: None,
+        }];
+        let mut frontier: Vec<(usize, Vec<PointId>)> = vec![(0, (0..n).collect())];
+        for i in (0..depth).rev() {
+            let radius = draw.beta * (1u64 << i) as f64;
+            let mut next = Vec::with_capacity(frontier.len());
+            for (node_idx, members) in frontier {
+                let singleton = members.len() == 1;
+                let mut remaining = members;
+                for &center in &draw.permutation {
+                    if remaining.is_empty() {
+                        break;
+                    }
+                    // A singleton passes straight down one level.
+                    let mut claimed = Vec::new();
+                    remaining.retain(|&u| {
+                        let inside = singleton || dist(u, center) <= radius;
+                        if inside {
+                            claimed.push(u);
+                        }
+                        !inside
+                    });
+                    if claimed.is_empty() {
+                        continue;
+                    }
+                    let child_index = nodes[node_idx].children.len() as u32;
+                    let ci = nodes.len();
+                    nodes.push(RawNode {
+                        level: i,
+                        parent: node_idx,
+                        child_index,
+                        children: Vec::new(),
+                        point: (i == 0 && claimed.len() == 1).then(|| claimed[0]),
+                    });
+                    nodes[node_idx].children.push(ci);
+                    next.push((ci, claimed));
+                }
+                assert!(remaining.is_empty(), "ball sweep must cover the cluster");
+            }
+            frontier = next;
+        }
+        let mut leaf_of = vec![usize::MAX; n];
+        for (node_idx, members) in &frontier {
+            assert_eq!(members.len(), 1, "level-0 cluster not a singleton");
+            leaf_of[members[0]] = *node_idx;
+        }
+        RawTree {
+            nodes,
+            leaf_of,
+            depth,
+            beta: draw.beta,
+            permutation: draw.permutation,
+            scale,
+        }
+    }
+
+    /// A draw the way [`build_raw`] makes one.
+    fn random_draw(n: usize, seed: u64) -> FixedDraw {
+        let mut rng = seeded_rng(seed, 0x0C7);
+        let mut permutation: Vec<PointId> = (0..n).collect();
+        permutation.shuffle(&mut rng);
+        FixedDraw {
+            beta: rng.gen_range(0.5..1.0),
+            permutation,
+        }
+    }
+
+    /// Asserts that both constructions give the same tree, field by field,
+    /// and the same completed leaf codes where `c^D` fits the code space.
+    fn assert_matches_reference(points: &PointSet, draw: FixedDraw) {
+        let got = build_raw_fixed(points, draw.clone());
+        let want = build_raw_reference(points, draw);
+        assert_eq!(got.nodes, want.nodes, "nodes differ");
+        assert_eq!(got.leaf_of, want.leaf_of, "leaf_of differs");
+        assert_eq!(got.depth, want.depth, "depth differs");
+        assert_eq!(got.beta.to_bits(), want.beta.to_bits(), "beta differs");
+        assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "scale differs");
+        assert_eq!(got.permutation, want.permutation, "permutation differs");
+        let branching = u64::from(got.max_branching().max(2));
+        if branching.checked_pow(got.depth).is_none() {
+            return;
+        }
+        let got = Hst::from_raw(got, points.clone(), None);
+        let want = Hst::from_raw(want, points.clone(), None);
+        for p in 0..points.len() {
+            assert_eq!(got.leaf_of(p), want.leaf_of(p), "leaf code of {p} differs");
+        }
+    }
+
+    /// Square grids of sides 1 to 40 over `region`, one draw each.
+    fn assert_grids_match_reference(region: f64) {
+        for side in 1..=40usize {
+            let points = Grid::square(Rect::square(region), side).to_point_set();
+            let seed = region.to_bits() ^ side as u64;
+            assert_matches_reference(&points, random_draw(points.len(), seed));
+        }
+    }
+
+    #[test]
+    fn owner_scan_matches_ball_sweep_on_sub_unit_grids() {
+        // Cells narrower than 1 take the rescaling branch.
+        assert_grids_match_reference(0.01);
+        assert_grids_match_reference(1.0);
+    }
+
+    #[test]
+    fn owner_scan_matches_ball_sweep_on_wide_grids() {
+        assert_grids_match_reference(100.0);
+        assert_grids_match_reference(5000.0);
+    }
+
+    proptest! {
+        #[test]
+        fn owner_scan_matches_ball_sweep_on_random_sets(
+            coords in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..301),
+            magnitude in -3.0f64..4.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let spread = 10f64.powf(magnitude);
+            let points = PointSet::new(
+                coords.iter().map(|&(x, y)| Point::new(x * spread, y * spread)).collect(),
+            );
+            prop_assume!(points.pair_stats().all_distinct);
+            assert_matches_reference(&points, random_draw(points.len(), seed));
+        }
+    }
+
+    #[test]
+    fn owner_scan_matches_ball_sweep_on_boundary_ties() {
+        // With β = 1/2 the level-i radius is 2^(i-1): on lattices of pitch
+        // 1 and 2, neighbours at distance 1, 2, 4, ... sit exactly on a
+        // ball boundary, where `d <= radius` must still claim them.
+        for (w, h) in [(1, 2), (2, 2), (3, 5), (8, 8), (16, 9), (20, 20)] {
+            for pitch in [1.0, 2.0, 3.0] {
+                let points = PointSet::new(
+                    (0..w * h)
+                        .map(|k| Point::new((k % w) as f64 * pitch, (k / w) as f64 * pitch))
+                        .collect(),
+                );
+                for seed in 0..4 {
+                    let draw = FixedDraw {
+                        beta: 0.5,
+                        permutation: random_draw(points.len(), seed).permutation,
+                    };
+                    assert_matches_reference(&points, draw);
+                }
+            }
+        }
+    }
 
     /// The paper's Example 1 point set.
     fn example1() -> PointSet {

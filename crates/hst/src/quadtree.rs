@@ -37,14 +37,15 @@ use pombm_geom::{PointId, PointSet};
 /// Panics if `points` contains duplicates (each point needs its own leaf).
 pub fn build_quadtree(points: &PointSet) -> RawTree {
     let n = points.len();
+    let stats = points.pair_stats();
     assert!(
-        points.all_distinct(),
+        stats.all_distinct,
         "predefined points must be pairwise distinct so each gets its own leaf"
     );
 
     // Scale so the minimum pairwise distance is >= 2: level-0 unit cells
     // are then singletons (unit-cell diameter √2 < 2).
-    let scale = match points.min_distance() {
+    let scale = match stats.min_distance {
         Some(d) if d < 2.0 => d / 2.0,
         _ => 1.0,
     };

@@ -81,7 +81,7 @@ impl Hst {
         Self::from_raw(raw, points.clone(), params.branching)
     }
 
-    fn from_raw(raw: RawTree, points: PointSet, branching: Option<u32>) -> Self {
+    pub(crate) fn from_raw(raw: RawTree, points: PointSet, branching: Option<u32>) -> Self {
         let natural = raw.max_branching().max(2);
         let c = match branching {
             Some(c) => {

@@ -290,6 +290,30 @@ fn degenerate_configs_are_rejected() {
     ));
 }
 
+#[test]
+fn zero_grid_side_is_a_typed_error_for_both_entry_points() {
+    for (mechanism, matcher) in [("hst", "hst-greedy"), ("laplace", "kd-rebuild")] {
+        let config = ServeConfig {
+            mechanism: mechanism.into(),
+            matcher: matcher.into(),
+            grid_side: 0,
+            ..config(0)
+        };
+        for outcome in [run_serve(&config), serve_frames(&config, Vec::new())] {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(PipelineError::InvalidConfig {
+                        field: "grid_side",
+                        ..
+                    })
+                ),
+                "{mechanism} x {matcher}"
+            );
+        }
+    }
+}
+
 // --- report shape ------------------------------------------------------
 
 /// The report's JSON field names and their order are a public contract —
