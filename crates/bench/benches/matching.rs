@@ -1,10 +1,14 @@
-//! Benchmarks the matcher engines (ablation `ablate-nn` / `ablate-grid`):
-//! the paper's linear scans vs the index-accelerated equivalents.
+//! Benchmarks the nearest-free-worker indexes against the paper's scans
+//! (ablation `ablate-nn`): each metric's one production index — the HST
+//! pool's subtree-count walk, the k-d tree — vs the reference scan it
+//! reproduces pair for pair (`hst_greedy::greedy_reference`,
+//! `euclidean::greedy_reference`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pombm_geom::{seeded_rng, Point, Rect};
+use pombm_geom::{seeded_rng, Point};
 use pombm_hst::{CodeContext, LeafCode};
-use pombm_matching::{EuclideanGreedy, HstGreedy, HstGreedyEngine};
+use pombm_matching::kdtree::KdTree;
+use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy};
 use rand::Rng;
 use std::hint::black_box;
 
@@ -29,16 +33,19 @@ fn bench_hst_engines(c: &mut Criterion) {
     for n in [1000usize, 5000] {
         let workers = random_leaves(ctx, n, 11);
         let tasks = random_leaves(ctx, n, 13);
-        for engine in [HstGreedyEngine::Scan, HstGreedyEngine::Indexed] {
-            group.bench_with_input(BenchmarkId::new(format!("{engine:?}"), n), &n, |b, _| {
-                b.iter(|| {
-                    let mut g = HstGreedy::new(ctx, workers.clone(), engine);
-                    for &t in &tasks {
-                        black_box(g.assign(t));
-                    }
-                })
-            });
-        }
+        let capacity = vec![1; n];
+        group.bench_with_input(BenchmarkId::new("Scan", n), &n, |b, _| {
+            b.iter(|| {
+                black_box(hst_greedy::greedy_reference(
+                    ctx, &workers, &capacity, &tasks,
+                ))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("Indexed", n), &n, |b, _| {
+            b.iter(|| {
+                black_box(CapacitatedGreedy::uniform(ctx, workers.clone(), 1).assign_all(&tasks))
+            })
+        });
     }
     group.finish();
 }
@@ -46,33 +53,14 @@ fn bench_hst_engines(c: &mut Criterion) {
 fn bench_euclid_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("euclid_greedy_full_run");
     group.sample_size(10);
-    let region = Rect::square(200.0);
     for n in [1000usize, 5000] {
         let workers = random_points(n, 200.0, 17);
         let tasks = random_points(n, 200.0, 19);
         group.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| {
-                let mut g = EuclideanGreedy::new(workers.clone());
-                for t in &tasks {
-                    black_box(g.assign(t));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cell_index", n), &n, |b, _| {
-            b.iter(|| {
-                let mut g = EuclideanGreedy::with_cell_index(workers.clone(), region, 32);
-                for t in &tasks {
-                    black_box(g.assign(t));
-                }
-            })
+            b.iter(|| black_box(euclidean::greedy_reference(&workers, &tasks)))
         });
         group.bench_with_input(BenchmarkId::new("kd_tree", n), &n, |b, _| {
-            b.iter(|| {
-                let mut g = pombm_matching::kdtree::KdTree::build(workers.clone());
-                for t in &tasks {
-                    black_box(g.take_nearest(t));
-                }
-            })
+            b.iter(|| black_box(KdTree::build(workers.clone()).assign_all(&tasks)))
         });
     }
     group.finish();

@@ -21,11 +21,7 @@ fn bench_pipelines(c: &mut Criterion) {
         ..SyntheticParams::default()
     };
     let instance = synthetic::generate(&params, &mut seeded_rng(23, 0));
-    let config = PipelineConfig {
-        euclid_cells: 32,
-        engine: pombm_matching::HstGreedyEngine::Indexed,
-        ..PipelineConfig::default()
-    };
+    let config = PipelineConfig::default();
     let server = Server::new(instance.region, config.grid_side, 23);
 
     for spec in registry().specs() {

@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};
-use pombm_matching::{
-    CapacitatedGreedy, ChainMatcher, HstGreedy, HstGreedyEngine, RandomizedGreedy,
-};
+use pombm_matching::{CapacitatedGreedy, ChainMatcher, RandomizedGreedy};
 use pombm_privacy::{AliasTable, Epsilon, ExponentialMechanism};
 use rand::Rng;
 use std::hint::black_box;
@@ -30,7 +28,7 @@ fn bench_matcher_variants(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("greedy_indexed", n), |b| {
         b.iter(|| {
-            let mut g = HstGreedy::new(ctx, workers.clone(), HstGreedyEngine::Indexed);
+            let mut g = CapacitatedGreedy::uniform(ctx, workers.clone(), 1);
             for &t in &tasks {
                 black_box(g.assign(t));
             }

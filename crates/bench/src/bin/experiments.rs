@@ -26,14 +26,15 @@
 //!   --plot        also render each figure as an ASCII chart
 //!   --reps N      repetitions per point (default 3; paper uses 10)
 //!   --seed N      base seed (default 2020)
-//!   --scan        paper-literal O(n*D) matcher scan instead of the index
-//!   --paper-engines  --scan plus O(n) Euclidean scan (paper-faithful timing)
 //!   --out DIR     output directory for CSV/JSON (default results/)
+//!
+//! Running times are those of each metric's one nearest-free-worker index
+//! (the HST pool, the k-d tree); the paper's literal scans survive as the
+//! reference functions the `matching` bench times against them.
 //! ```
 
 use pombm_bench::figures::{self, ExperimentConfig};
 use pombm_bench::Report;
-use pombm_matching::hst_greedy::HstGreedyEngine;
 use std::path::PathBuf;
 
 /// Track peak allocations for the paper's memory-usage figures.
@@ -43,7 +44,7 @@ static ALLOC: pombm_bench::CountingAllocator = pombm_bench::CountingAllocator;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <command> [--quick] [--reps N] [--seed N] [--scan] [--paper-engines] [--out DIR]");
+        eprintln!("usage: experiments <command> [--quick] [--reps N] [--seed N] [--out DIR]");
         eprintln!("commands: table1 fig6 fig7eps fig7scale fig7real fig8syn fig8real ratio distortion gridsweep ablatemech ablatealg epochs dynamic ablatetree all");
         std::process::exit(2);
     }
@@ -57,14 +58,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
             "--plot" => plot = true,
-            "--scan" => cfg.engine = HstGreedyEngine::Scan,
-            // Paper-literal engines: O(n*D) HST scan (Alg. 4 as written) and
-            // O(n) Euclidean scan, restoring the paper's running-time
-            // ordering (Lap-GR fastest).
-            "--paper-engines" => {
-                cfg.engine = HstGreedyEngine::Scan;
-                cfg.euclid_cells = 0;
-            }
             "--reps" => {
                 cfg.repetitions = it
                     .next()

@@ -13,7 +13,6 @@ use pombm::{
     RunResult, Server,
 };
 use pombm_geom::seeded_rng;
-use pombm_matching::hst_greedy::HstGreedyEngine;
 use pombm_matching::reachable::{ProbMatcher, DEFAULT_THRESHOLD};
 use pombm_privacy::reach::ReachTable;
 use pombm_privacy::{Epsilon, HstMechanism, PlanarLaplace};
@@ -42,7 +41,9 @@ fn run(spec: &AlgorithmSpec, instance: &Instance, pc: &PipelineConfig, rep: u64)
     run_spec(spec, instance, pc, rep).expect("figure pairings are runnable")
 }
 
-/// Harness-wide configuration.
+/// Harness-wide configuration. No field picks a matching engine: every
+/// figure times the one nearest-free-worker index of each metric (the HST
+/// pool, the k-d tree), which produce the paper's scans' matchings.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Repetitions averaged per point (the paper uses 10).
@@ -51,12 +52,6 @@ pub struct ExperimentConfig {
     pub quick: bool,
     /// Base seed.
     pub seed: u64,
-    /// HST nearest-worker engine. The default `Indexed` produces matchings
-    /// identical to the paper's linear scan but in `O(c·D)` per task; use
-    /// `Scan` to time the paper's literal Alg. 4.
-    pub engine: HstGreedyEngine,
-    /// Euclidean matcher bucket-grid resolution (0 = linear scan).
-    pub euclid_cells: usize,
     /// Predefined-point grid side (N = grid_side²). 64 keeps TBF's snapping
     /// floor well below the Laplace baselines across the whole ε sweep.
     pub grid_side: usize,
@@ -68,8 +63,6 @@ impl Default for ExperimentConfig {
             repetitions: 3,
             quick: false,
             seed: 2020,
-            engine: HstGreedyEngine::Indexed,
-            euclid_cells: 32,
             grid_side: 64,
         }
     }
@@ -88,8 +81,6 @@ impl ExperimentConfig {
         PipelineConfig {
             epsilon,
             grid_side: self.grid_side,
-            engine: self.engine,
-            euclid_cells: self.euclid_cells,
             seed: self.seed.wrapping_add(rep.wrapping_mul(0x51_7E)),
             ..PipelineConfig::default()
         }
@@ -1019,7 +1010,6 @@ mod tests {
             quick: true,
             seed: 1,
             grid_side: 16,
-            ..ExperimentConfig::default()
         }
     }
 

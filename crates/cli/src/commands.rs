@@ -5,7 +5,7 @@
 //! is unit-testable without spawning processes.
 
 use crate::args::Args;
-use pombm::server::check_grid_side;
+use pombm::server::{check_epsilon, check_grid_side};
 use pombm::{
     dynamic_competitive_ratio, merge, registry, run_dynamic_spec, run_spec, run_sweep,
     run_sweep_partition, AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicSweepCell,
@@ -314,7 +314,6 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
         "seed",
         "threads",
         "json",
-        "scan",
     ])?;
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
@@ -339,12 +338,6 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
     let config = PipelineConfig {
         epsilon: args.get_or("epsilon", 0.6)?,
         grid_side: args.get_or("grid-side", 64)?,
-        engine: if args.switch("scan") {
-            pombm_matching::HstGreedyEngine::Scan
-        } else {
-            pombm_matching::HstGreedyEngine::Indexed
-        },
-        euclid_cells: 32,
         capacity: args.get_or("capacity", 1)?,
         seed,
         threads: args.get_or("threads", 1)?,
@@ -395,12 +388,14 @@ pub fn obfuscate(args: &Args) -> Result<String, String> {
     args.check_known(&["x", "y", "epsilon", "grid-side", "samples", "side", "seed"])?;
     let x: f64 = args.require("x")?;
     let y: f64 = args.require("y")?;
-    let side: f64 = args.get_or("side", 200.0)?;
+    let side = workspace_side(args)?;
     let grid_side: usize = args.get_or("grid-side", 32)?;
     check_grid_side(grid_side).map_err(|e| e.to_string())?;
     let samples: usize = args.get_or("samples", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let epsilon = pombm_privacy::Epsilon::new(args.get_or("epsilon", 0.6)?);
+    let epsilon: f64 = args.get_or("epsilon", 0.6)?;
+    check_epsilon("epsilon", epsilon).map_err(|e| e.to_string())?;
+    let epsilon = pombm_privacy::Epsilon::new(epsilon);
 
     let location = Point::new(x, y);
     let server = pombm::Server::new(pombm_geom::Rect::square(side), grid_side, seed);
@@ -445,7 +440,7 @@ pub fn publish(args: &Args) -> Result<String, String> {
     args.check_known(&["grid-side", "side", "seed", "out"])?;
     let grid_side: usize = args.get_or("grid-side", 32)?;
     check_grid_side(grid_side).map_err(|e| e.to_string())?;
-    let side: f64 = args.get_or("side", 200.0)?;
+    let side = workspace_side(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let out: String = args.require("out")?;
     let server = pombm::Server::new(pombm_geom::Rect::square(side), grid_side, seed);
@@ -458,6 +453,19 @@ pub fn publish(args: &Args) -> Result<String, String> {
         server.hst().depth(),
         server.hst().branching(),
     ))
+}
+
+/// `--side`: the side of the square workspace the server publishes over,
+/// a positive, finite number (default 200).
+fn workspace_side(args: &Args) -> Result<f64, String> {
+    let side: f64 = args.get_or("side", 200.0)?;
+    if side.is_finite() && side > 0.0 {
+        Ok(side)
+    } else {
+        Err(format!(
+            "--side must be a positive, finite number, got {side}"
+        ))
+    }
 }
 
 /// `pombm inspect`: decode a published HST file.

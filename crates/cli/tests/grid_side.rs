@@ -1,5 +1,7 @@
-//! `--grid-side 0` through the real `pombm` binary: every command that
-//! builds a server answers with a typed error, never a panic.
+//! Out-of-range inputs through the real `pombm` binary: `--grid-side 0`,
+//! a privacy budget that is not positive and finite, and the other
+//! degenerate knobs each answer with a one-line typed error, never a
+//! panic.
 
 use std::process::{Command, Output};
 
@@ -41,4 +43,49 @@ fn zero_grid_side_is_a_typed_error_in_every_command() {
     assert!(!stderr.contains("panicked"), "{command}: {stderr}");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert_eq!(stdout.matches(TYPED).count(), 4, "{stdout}");
+}
+
+#[test]
+fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
+    let out = std::env::temp_dir().join("pombm-side-zero.hst");
+    let _ = std::fs::remove_file(&out);
+    let publish = format!("publish --side 0 --out {}", out.display());
+    for (command, error) in [
+        (
+            "run --scenario uniform --algo tbf --epsilon 0",
+            "invalid config `epsilon`",
+        ),
+        ("dynamic --epsilon 0", "invalid config `epsilon`"),
+        (
+            "serve --load --epsilon nan --tasks 20 --workers 10",
+            "invalid config `epsilon`",
+        ),
+        (
+            "sweep --mechanisms hst --matchers hst-greedy --sizes 8 --epsilons 0",
+            "invalid config `epsilons`",
+        ),
+        (
+            "obfuscate --x 1 --y 1 --epsilon 0",
+            "invalid config `epsilon`",
+        ),
+        ("epochs --epochs 0", "invalid config `num_epochs`"),
+        ("epochs --lifetime 0.1", "invalid config `lifetime_epsilon`"),
+        (publish.as_str(), "--side must be a positive, finite number"),
+        (
+            "obfuscate --x 1 --y 1 --side -5",
+            "--side must be a positive, finite number",
+        ),
+    ] {
+        let output = pombm(command);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {error}")),
+            "{command}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{command}");
+    }
+    assert!(!out.exists(), "publish must fail before writing");
 }

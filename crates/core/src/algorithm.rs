@@ -62,11 +62,9 @@ use crate::pipeline::PipelineConfig;
 use crate::server::Server;
 use pombm_geom::Point;
 use pombm_hst::LeafCode;
+use pombm_matching::kdtree::KdTree;
 use pombm_matching::offline::OfflineOptimal;
-use pombm_matching::{
-    CapacitatedGreedy, ChainMatcher, EuclideanGreedy, HstGreedy, Matching, RandomAssign,
-    RandomizedGreedy,
-};
+use pombm_matching::{CapacitatedGreedy, ChainMatcher, Matching, RandomAssign, RandomizedGreedy};
 use pombm_privacy::{Epsilon, ExponentialMechanism, HstMechanism, PlanarLaplace};
 use pombm_workload::Instance;
 use rand::rngs::StdRng;
@@ -437,10 +435,10 @@ fn batch_threads(threads: usize, batch_len: usize) -> usize {
 
 /// Mutable context handed to [`AssignStrategy::assign`].
 pub struct AssignCtx<'a> {
-    /// The problem instance (true locations; used only for sizing and the
-    /// region of auxiliary indexes — matchers never see true coordinates).
+    /// The problem instance (true locations; used only for sizing —
+    /// matchers never see true coordinates).
     pub instance: &'a Instance,
-    /// The pipeline configuration (engine, cell index, capacity, ...).
+    /// The pipeline configuration (capacity, threads, ...).
     pub config: &'a PipelineConfig,
     /// The server's published artifacts, when available.
     pub server: Option<&'a Server>,
@@ -797,56 +795,40 @@ impl ReportMechanism for BlindMechanism {
 // Matcher implementations
 // ---------------------------------------------------------------------------
 
-/// Euclidean greedy (Tong et al., PVLDB'16): nearest available worker in
-/// the plane, linear scan or cell index per `config.euclid_cells`.
-pub struct EuclideanGreedyStrategy;
-
-impl AssignStrategy for EuclideanGreedyStrategy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn summary(&self) -> &'static str {
-        "nearest available worker in the plane"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn assign(
-        &self,
-        reports: ReportSet,
-        ctx: &mut AssignCtx<'_>,
-    ) -> Result<Matching, PipelineError> {
-        let workers = reports.workers.into_points(ctx.server, "greedy matcher")?;
-        let tasks = reports.tasks.into_points(ctx.server, "greedy matcher")?;
-        let mut matcher = if ctx.config.euclid_cells > 0 {
-            EuclideanGreedy::with_cell_index(workers, ctx.instance.region, ctx.config.euclid_cells)
-        } else {
-            EuclideanGreedy::new(workers)
-        };
-        let mut matching = Matching::new();
-        for (t_idx, t) in tasks.iter().enumerate() {
-            if let Some(w_idx) = matcher.assign(t) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
-    }
+/// Euclidean greedy (Tong et al., PVLDB'16): each task takes the nearest
+/// available worker in the plane, found on a [`KdTree`] with logical
+/// deletion — the index the `kd-rebuild` pool runs. Registered twice, as
+/// `greedy` (Lap-GR's matcher) and `kd-greedy`; the two names differ only
+/// in summary and error component.
+pub struct KdGreedyStrategy {
+    name: &'static str,
+    summary: &'static str,
+    component: &'static str,
 }
 
-/// Euclidean greedy over a k-d tree with logical deletion; identical
-/// matchings to [`EuclideanGreedyStrategy`], different asymptotics.
-pub struct KdGreedyStrategy;
+impl KdGreedyStrategy {
+    /// The `greedy` registration.
+    pub const GREEDY: Self = KdGreedyStrategy {
+        name: "greedy",
+        summary: "nearest available worker in the plane",
+        component: "greedy matcher",
+    };
+
+    /// The `kd-greedy` registration.
+    pub const KD_GREEDY: Self = KdGreedyStrategy {
+        name: "kd-greedy",
+        summary: "nearest available worker via k-d tree",
+        component: "kd-greedy matcher",
+    };
+}
 
 impl AssignStrategy for KdGreedyStrategy {
     fn name(&self) -> &'static str {
-        "kd-greedy"
+        self.name
     }
 
     fn summary(&self) -> &'static str {
-        "nearest available worker via k-d tree"
+        self.summary
     }
 
     fn needs_server(&self) -> bool {
@@ -858,22 +840,37 @@ impl AssignStrategy for KdGreedyStrategy {
         reports: ReportSet,
         ctx: &mut AssignCtx<'_>,
     ) -> Result<Matching, PipelineError> {
-        let workers = reports
-            .workers
-            .into_points(ctx.server, "kd-greedy matcher")?;
-        let tasks = reports.tasks.into_points(ctx.server, "kd-greedy matcher")?;
-        let mut tree = pombm_matching::kdtree::KdTree::build(workers);
-        let mut matching = Matching::new();
-        for (t_idx, t) in tasks.iter().enumerate() {
-            if let Some(w_idx) = tree.take_nearest(t) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
+        let workers = reports.workers.into_points(ctx.server, self.component)?;
+        let tasks = reports.tasks.into_points(ctx.server, self.component)?;
+        Ok(KdTree::build(workers).assign_all(&tasks))
     }
 }
 
-/// The paper's Alg. 4: nearest available worker on the HST.
+/// Alg. 4 over a static fleet whose workers serve up to `q` tasks each: the
+/// [`CapacitatedGreedy`] walk on the pool index (`q = 1` is the paper's
+/// `hst-greedy`). A zero `q` is rejected only after the reports convert,
+/// so an unusable report set names itself first.
+fn tree_greedy(
+    reports: ReportSet,
+    ctx: &AssignCtx<'_>,
+    component: &'static str,
+    q: u32,
+) -> Result<Matching, PipelineError> {
+    let server = ctx.server.ok_or(PipelineError::MissingServer(component))?;
+    let workers = reports.workers.into_leaves(ctx.server, component)?;
+    let tasks = reports.tasks.into_leaves(ctx.server, component)?;
+    if q == 0 {
+        return Err(PipelineError::InvalidConfig {
+            field: "capacity",
+            why: "the capacity matcher needs at least one slot per worker",
+        });
+    }
+    Ok(CapacitatedGreedy::uniform(server.hst().ctx(), workers, q).assign_all(&tasks))
+}
+
+/// The paper's Alg. 4: nearest available worker on the HST, found by
+/// [`pombm_matching::HstGreedyPool`]'s subtree-count walk (equal pair for
+/// pair to the paper's scan, `pombm_matching::hst_greedy::greedy_reference`).
 pub struct HstGreedyStrategy;
 
 impl AssignStrategy for HstGreedyStrategy {
@@ -894,23 +891,7 @@ impl AssignStrategy for HstGreedyStrategy {
         reports: ReportSet,
         ctx: &mut AssignCtx<'_>,
     ) -> Result<Matching, PipelineError> {
-        let server = ctx
-            .server
-            .ok_or(PipelineError::MissingServer("hst-greedy matcher"))?;
-        let workers = reports
-            .workers
-            .into_leaves(ctx.server, "hst-greedy matcher")?;
-        let tasks = reports
-            .tasks
-            .into_leaves(ctx.server, "hst-greedy matcher")?;
-        let mut matcher = HstGreedy::new(server.hst().ctx(), workers, ctx.config.engine);
-        let mut matching = Matching::new();
-        for (t_idx, &t) in tasks.iter().enumerate() {
-            if let Some(w_idx) = matcher.assign(t) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
+        tree_greedy(reports, ctx, "hst-greedy matcher", 1)
     }
 }
 
@@ -991,7 +972,8 @@ impl AssignStrategy for ChainStrategy {
 }
 
 /// Capacitated HST greedy: each worker serves up to
-/// [`PipelineConfig::capacity`] tasks.
+/// [`PipelineConfig::capacity`] tasks, on the same pool index as
+/// [`HstGreedyStrategy`] (which is this matcher at capacity 1).
 pub struct CapacitatedStrategy;
 
 impl AssignStrategy for CapacitatedStrategy {
@@ -1016,28 +998,7 @@ impl AssignStrategy for CapacitatedStrategy {
         reports: ReportSet,
         ctx: &mut AssignCtx<'_>,
     ) -> Result<Matching, PipelineError> {
-        let server = ctx
-            .server
-            .ok_or(PipelineError::MissingServer("capacity matcher"))?;
-        let workers = reports
-            .workers
-            .into_leaves(ctx.server, "capacity matcher")?;
-        let tasks = reports.tasks.into_leaves(ctx.server, "capacity matcher")?;
-        if ctx.config.capacity == 0 {
-            return Err(PipelineError::InvalidConfig {
-                field: "capacity",
-                why: "the capacity matcher needs at least one slot per worker",
-            });
-        }
-        let q = ctx.config.capacity;
-        let mut matcher = CapacitatedGreedy::uniform(server.hst().ctx(), workers, q);
-        let mut matching = Matching::new();
-        for (t_idx, &t) in tasks.iter().enumerate() {
-            if let Some(w_idx) = matcher.assign(t) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
+        tree_greedy(reports, ctx, "capacity matcher", ctx.config.capacity)
     }
 }
 
@@ -1124,7 +1085,8 @@ impl AssignStrategy for RandomAssignStrategy {
 // ---------------------------------------------------------------------------
 
 /// The paper's Alg. 4 over a shifting fleet: tree-nearest available worker
-/// via [`pombm_matching::DynamicHstGreedy`] (the `O(c·D)` mutable index).
+/// via [`pombm_matching::HstGreedyPool`] (the `O(c·D)` mutable index the
+/// static tree matchers run too).
 pub struct DynamicHstGreedyStrategy;
 
 impl DynamicAssignStrategy for DynamicHstGreedyStrategy {
@@ -1146,7 +1108,7 @@ impl DynamicAssignStrategy for DynamicHstGreedyStrategy {
     ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
         let server = server.ok_or(PipelineError::MissingServer("hst-greedy dynamic matcher"))?;
         struct P<'a> {
-            pool: pombm_matching::DynamicHstGreedy,
+            pool: pombm_matching::HstGreedyPool,
             server: &'a Server,
         }
         impl DynamicWorkerPool for P<'_> {
@@ -1184,7 +1146,7 @@ impl DynamicAssignStrategy for DynamicHstGreedyStrategy {
             }
         }
         Ok(Box::new(P {
-            pool: pombm_matching::DynamicHstGreedy::new(server.hst().ctx()),
+            pool: pombm_matching::HstGreedyPool::new(server.hst().ctx()),
             server,
         }))
     }

@@ -99,7 +99,7 @@
 //! ```
 
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
-use crate::server::{check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, Server};
 use pombm_geom::seeded_rng;
 use pombm_privacy::Epsilon;
 use pombm_workload::shifts::ShiftPlan;
@@ -230,8 +230,9 @@ pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<Timeli
 ///
 /// A timeline that does not fit the instance (a task-time or shift count
 /// that differs from the task or worker count, a non-finite timestamp) is
-/// a typed [`PipelineError::InvalidConfig`], and so is a zero
-/// `config.grid_side`. The server (grid and HST) is built only when the
+/// a typed [`PipelineError::InvalidConfig`], and so are a zero
+/// `config.grid_side` and an `epsilon` that is not positive and finite.
+/// The server (grid and HST) is built only when the
 /// mechanism or the matcher reads it; the build draws from its own seeded
 /// stream, so skipping it moves no other draw.
 pub fn run_dynamic_spec(
@@ -244,6 +245,7 @@ pub fn run_dynamic_spec(
 ) -> Result<DynamicOutcome, PipelineError> {
     check_timeline(instance, task_times, plan)?;
     check_grid_side(config.grid_side)?;
+    check_epsilon("epsilon", config.epsilon)?;
 
     let server = (mechanism.needs_server() || matcher.needs_server())
         .then(|| Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE));
@@ -507,6 +509,40 @@ mod tests {
                     }
                 ),
                 "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_epsilon_is_a_typed_error() {
+        let inst = instance(10, 10, 9);
+        let times = uniform_times(10, 9.0, 9);
+        let plan = ShiftPlan::always_on(10, 10.0);
+        let mechanism = registry().require_mechanism("hst").unwrap();
+        let matcher = registry().require_dynamic_matcher("hst-greedy").unwrap();
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = DynamicConfig {
+                epsilon,
+                ..DynamicConfig::default()
+            };
+            let err = run_dynamic_spec(
+                &inst,
+                &times,
+                &plan,
+                &config,
+                mechanism.as_ref(),
+                matcher.as_ref(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PipelineError::InvalidConfig {
+                        field: "epsilon",
+                        ..
+                    }
+                ),
+                "epsilon {epsilon}: {err}"
             );
         }
     }

@@ -21,10 +21,10 @@
 //! paper scopes out (its mechanism is single-shot by design).
 
 use crate::algorithm::{PipelineError, ReportMechanism};
-use crate::server::{check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_hst::LeafCode;
-use pombm_matching::{HstGreedy, HstGreedyEngine, Matching};
+use pombm_matching::CapacitatedGreedy;
 use pombm_privacy::budget::BudgetLedger;
 use pombm_privacy::Epsilon;
 use rand_distr::{Distribution, Normal};
@@ -52,8 +52,6 @@ pub struct EpochConfig {
     pub sigma: f64,
     /// Predefined-point grid side.
     pub grid_side: usize,
-    /// Nearest-worker engine.
-    pub engine: HstGreedyEngine,
     /// Base seed.
     pub seed: u64,
 }
@@ -69,7 +67,6 @@ impl Default for EpochConfig {
             mu: 100.0,
             sigma: 20.0,
             grid_side: 32,
-            engine: HstGreedyEngine::Indexed,
             seed: 0,
         }
     }
@@ -120,25 +117,45 @@ impl EpochReport {
 /// serve that epoch's `tasks_per_epoch` arrivals. TBF's mechanism is the
 /// registry's `hst`; planar reports are snapped onto the published tree,
 /// like the paper's Lap-HG, and location-blind reports are a typed error.
+///
+/// A config the simulation cannot run is a typed
+/// [`PipelineError::InvalidConfig`] naming its field: zero `num_epochs` or
+/// `grid_side`, a budget that is not positive and finite, a
+/// `lifetime_epsilon` too small for one report at `epoch_epsilon`, or a
+/// non-finite `mu`, `sigma` or `worker_drift`.
 pub fn run_epochs(
     num_workers: usize,
     config: &EpochConfig,
     mechanism: &dyn ReportMechanism,
 ) -> Result<EpochReport, PipelineError> {
+    let invalid = |field, why| PipelineError::InvalidConfig { field, why };
     check_grid_side(config.grid_side)?;
-    assert!(config.num_epochs > 0, "need at least one epoch");
-    assert!(
-        config.epoch_epsilon > 0.0 && config.lifetime_epsilon > 0.0,
-        "budgets must be positive"
-    );
-    let region = Rect::square(2.0 * config.mu.max(100.0));
+    check_epsilon("epoch_epsilon", config.epoch_epsilon)?;
+    check_epsilon("lifetime_epsilon", config.lifetime_epsilon)?;
+    if config.num_epochs == 0 {
+        return Err(invalid(
+            "num_epochs",
+            "the simulation needs at least one epoch",
+        ));
+    }
+    let side = 2.0 * config.mu.max(100.0);
+    if !(config.mu.is_finite() && side.is_finite()) {
+        return Err(invalid(
+            "mu",
+            "the hotspot mean (and the 2·mu workspace) must be finite",
+        ));
+    }
+    let normal = Normal::new(config.mu, config.sigma)
+        .map_err(|_| invalid("sigma", "must be a finite, non-negative standard deviation"))?;
+    let drift = Normal::new(0.0, config.worker_drift.max(1e-9))
+        .map_err(|_| invalid("worker_drift", "must be a finite standard deviation"))?;
+    let region = Rect::square(side);
     let server = Server::new(region, config.grid_side, config.seed ^ 0xE70C);
     let epsilon = Epsilon::new(config.epoch_epsilon);
     let mut reporter = mechanism.reporter(epsilon, Some(&server))?;
     let ledger = BudgetLedger::new(config.lifetime_epsilon);
 
     let mut rng = seeded_rng(config.seed, 0xE70C_0001);
-    let normal = Normal::new(config.mu, config.sigma).expect("sigma > 0");
     let sample_point = |rng: &mut rand::rngs::StdRng| -> Point {
         region.clamp(&Point::new(normal.sample(rng), normal.sample(rng)))
     };
@@ -149,10 +166,13 @@ pub fn run_epochs(
     let mut reports: Vec<LeafCode> = Vec::with_capacity(num_workers);
     let mut report_basis: Vec<Point> = positions.clone();
     for (i, w) in positions.iter().enumerate() {
-        // The registration report; every worker can afford the first one.
-        ledger
-            .charge(i as u64, config.epoch_epsilon)
-            .expect("lifetime must cover at least one report");
+        // The registration report: the lifetime must afford the first one.
+        ledger.charge(i as u64, config.epoch_epsilon).map_err(|_| {
+            invalid(
+                "lifetime_epsilon",
+                "must cover at least one report at epoch_epsilon",
+            )
+        })?;
         reports.push(
             reporter
                 .report(w, &mut rng)
@@ -160,7 +180,6 @@ pub fn run_epochs(
         );
     }
 
-    let drift = Normal::new(0.0, config.worker_drift.max(1e-9)).expect("drift >= 0");
     let mut per_epoch = Vec::with_capacity(config.num_epochs);
 
     for epoch in 0..config.num_epochs {
@@ -204,13 +223,8 @@ pub fn run_epochs(
         }
 
         // Fresh matcher per epoch: workers come back on shift every day.
-        let mut matcher = HstGreedy::new(server.hst().ctx(), reports.clone(), config.engine);
-        let mut matching = Matching::new();
-        for (t_idx, &t) in reported_tasks.iter().enumerate() {
-            if let Some(w_idx) = matcher.assign(t) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
+        let matching = CapacitatedGreedy::uniform(server.hst().ctx(), reports.clone(), 1)
+            .assign_all(&reported_tasks);
         let total_distance = matching.total_distance(&tasks, &positions);
 
         per_epoch.push(EpochMetrics {
@@ -346,13 +360,87 @@ mod tests {
         }
     }
 
+    /// Runs `config` under TBF's mechanism and returns the field a typed
+    /// error names.
+    fn rejected_field(config: EpochConfig) -> &'static str {
+        let hst = registry().require_mechanism("hst").unwrap();
+        match run_epochs(10, &config, hst.as_ref()) {
+            Err(PipelineError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected a typed config error, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "at least one epoch")]
     fn zero_epochs_rejected() {
         let config = EpochConfig {
             num_epochs: 0,
             ..EpochConfig::default()
         };
-        let _ = tbf(10, &config);
+        assert_eq!(rejected_field(config), "num_epochs");
+    }
+
+    #[test]
+    fn unusable_budgets_and_distributions_are_typed_errors() {
+        let base = quick_config();
+        for (config, field) in [
+            (
+                EpochConfig {
+                    epoch_epsilon: 0.0,
+                    ..base
+                },
+                "epoch_epsilon",
+            ),
+            (
+                EpochConfig {
+                    epoch_epsilon: f64::NAN,
+                    ..base
+                },
+                "epoch_epsilon",
+            ),
+            (
+                EpochConfig {
+                    lifetime_epsilon: -1.0,
+                    ..base
+                },
+                "lifetime_epsilon",
+            ),
+            (
+                EpochConfig {
+                    lifetime_epsilon: 0.1,
+                    ..base
+                },
+                "lifetime_epsilon",
+            ),
+            (
+                EpochConfig {
+                    mu: f64::INFINITY,
+                    ..base
+                },
+                "mu",
+            ),
+            (
+                EpochConfig {
+                    mu: f64::MAX,
+                    ..base
+                },
+                "mu",
+            ),
+            (
+                EpochConfig {
+                    sigma: -1.0,
+                    ..base
+                },
+                "sigma",
+            ),
+            (
+                EpochConfig {
+                    worker_drift: f64::INFINITY,
+                    ..base
+                },
+                "worker_drift",
+            ),
+        ] {
+            assert_eq!(rejected_field(config), field);
+        }
     }
 }

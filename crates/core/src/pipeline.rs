@@ -15,26 +15,25 @@
 
 use crate::algorithm::{AssignCtx, PipelineError, Report, ReportSet, Reports};
 use crate::registry::AlgorithmSpec;
-use crate::server::{check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, Server};
 use pombm_geom::seeded_rng;
-use pombm_matching::{HstGreedyEngine, Matching};
+use pombm_matching::Matching;
 use pombm_privacy::Epsilon;
 use pombm_workload::Instance;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Pipeline configuration shared by all algorithms of one experiment.
+///
+/// No field picks a matching engine: each metric has exactly one
+/// nearest-free-worker index (the HST pool's subtree-count walk, the plane's
+/// k-d tree), equal pair for pair to the paper's scans.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Privacy budget ε (per workspace unit).
+    /// Privacy budget ε (per workspace unit); must be positive and finite.
     pub epsilon: f64,
     /// Predefined-point grid side; `N = grid_side²`.
     pub grid_side: usize,
-    /// Nearest-worker engine for the HST matchers.
-    pub engine: HstGreedyEngine,
-    /// Bucket-grid resolution for the Euclidean matcher (cells per axis);
-    /// 0 disables the index (paper-faithful linear scan).
-    pub euclid_cells: usize,
     /// Per-worker task capacity for the `capacity` matcher; ignored by
     /// matchers that assign each worker at most once.
     pub capacity: u32,
@@ -54,8 +53,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             epsilon: 0.6,
             grid_side: 32,
-            engine: HstGreedyEngine::Scan,
-            euclid_cells: 0,
             capacity: 1,
             seed: 0,
             threads: 1,
@@ -113,8 +110,8 @@ pub struct RunResult {
 ///
 /// `repetition` decorrelates the randomness of repeated runs: the paper
 /// repeats every experiment 10 times and reports averages. A zero
-/// `config.grid_side` is a typed [`PipelineError::InvalidConfig`] for
-/// every spec.
+/// `config.grid_side` or an `epsilon` that is not positive and finite is a
+/// typed [`PipelineError::InvalidConfig`] for every spec.
 pub fn run_spec(
     spec: &AlgorithmSpec,
     instance: &Instance,
@@ -122,6 +119,7 @@ pub fn run_spec(
     repetition: u64,
 ) -> Result<RunResult, PipelineError> {
     check_grid_side(config.grid_side)?;
+    check_epsilon("epsilon", config.epsilon)?;
     // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
     // the sweep strips before fingerprinting.
     let setup_start = Instant::now();
@@ -140,7 +138,8 @@ pub fn run_spec(
 
 /// Runs a spec against an optional prebuilt [`Server`] — the single
 /// generic driver behind every algorithm: obfuscate (stage 1), register +
-/// assign (stage 2), evaluate on true locations.
+/// assign (stage 2), evaluate on true locations. An `epsilon` that is not
+/// positive and finite is a typed [`PipelineError::InvalidConfig`].
 pub fn run_spec_with_server(
     spec: &AlgorithmSpec,
     instance: &Instance,
@@ -148,6 +147,7 @@ pub fn run_spec_with_server(
     server: Option<&Server>,
     repetition: u64,
 ) -> Result<RunResult, PipelineError> {
+    check_epsilon("epsilon", config.epsilon)?;
     let epsilon = Epsilon::new(config.epsilon);
     let mut mech_rng = seeded_rng(config.seed.wrapping_add(repetition), 0x0BF5);
 
@@ -308,34 +308,105 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_scan_engines_agree() {
-        let instance = small_instance(4);
-        let scan = PipelineConfig {
-            engine: HstGreedyEngine::Scan,
-            ..PipelineConfig::default()
-        };
-        let indexed = PipelineConfig {
-            engine: HstGreedyEngine::Indexed,
-            ..PipelineConfig::default()
-        };
-        for algo in ["lap-hg", "tbf"] {
-            let a = run(algo, &instance, &scan, 5);
-            let b = run(algo, &instance, &indexed, 5);
-            assert_eq!(a.matching.pairs, b.matching.pairs, "{algo}");
+    fn non_positive_or_non_finite_epsilon_is_a_typed_error() {
+        let instance = small_instance(1);
+        let spec = registry().require_spec("tbf").unwrap();
+        let server = Server::new(instance.region, 16, 0);
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = PipelineConfig {
+                epsilon,
+                ..PipelineConfig::default()
+            };
+            for result in [
+                run_spec(&spec, &instance, &config, 0),
+                run_spec_with_server(&spec, &instance, &config, Some(&server), 0),
+            ] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(PipelineError::InvalidConfig {
+                            field: "epsilon",
+                            ..
+                        })
+                    ),
+                    "epsilon {epsilon}"
+                );
+            }
+        }
+    }
+
+    /// The paper's scan over the very reports [`run_spec_with_server`]
+    /// matched for `spec` at `repetition`: Alg. 4's scan on the tree, the
+    /// Euclidean scan in the plane.
+    fn scan_reference(
+        spec: &AlgorithmSpec,
+        instance: &Instance,
+        config: &PipelineConfig,
+        server: &Server,
+        repetition: u64,
+    ) -> Matching {
+        // Re-derive the reports exactly as the driver does.
+        let mut rng = seeded_rng(config.seed.wrapping_add(repetition), 0x0BF5);
+        let mut locations = instance.workers.clone();
+        locations.extend_from_slice(&instance.tasks);
+        let mut reports = spec
+            .mechanism
+            .report_batch(
+                Epsilon::new(config.epsilon),
+                Some(server),
+                &locations,
+                &mut rng,
+                1,
+            )
+            .unwrap();
+        let tasks = reports.split_off(instance.num_workers());
+        if spec.matcher.needs_server() {
+            let leaf = |r: Report| r.into_leaf(Some(server), "test").unwrap();
+            let workers: Vec<_> = reports.into_iter().map(leaf).collect();
+            let tasks: Vec<_> = tasks.into_iter().map(leaf).collect();
+            let capacity = vec![1; workers.len()];
+            pombm_matching::hst_greedy::greedy_reference(
+                server.hst().ctx(),
+                &workers,
+                &capacity,
+                &tasks,
+            )
+        } else {
+            let point = |r: Report| r.into_point(Some(server), "test").unwrap();
+            let workers: Vec<_> = reports.into_iter().map(point).collect();
+            let tasks: Vec<_> = tasks.into_iter().map(point).collect();
+            pombm_matching::euclidean::greedy_reference(&workers, &tasks)
         }
     }
 
     #[test]
     fn cell_index_matches_plain_scan_for_lapgr() {
+        // lap-gr's plane index (the k-d tree, which replaced the cell
+        // index) pairs exactly as the plain Euclidean scan does.
         let instance = small_instance(5);
-        let plain = PipelineConfig::default();
-        let indexed = PipelineConfig {
-            euclid_cells: 8,
-            ..PipelineConfig::default()
-        };
-        let a = run("lap-gr", &instance, &plain, 6);
-        let b = run("lap-gr", &instance, &indexed, 6);
-        assert_eq!(a.matching.pairs, b.matching.pairs);
+        let config = PipelineConfig::default();
+        let spec = registry().require_spec("lap-gr").unwrap();
+        let server = Server::new(instance.region, config.grid_side, 9);
+        let run = run_spec_with_server(&spec, &instance, &config, Some(&server), 6).unwrap();
+        let scan = scan_reference(&spec, &instance, &config, &server, 6);
+        assert_eq!(run.matching.pairs, scan.pairs);
+    }
+
+    #[test]
+    fn indexed_and_scan_engines_agree() {
+        // Each metric's one index reproduces the paper's scan on the very
+        // reports the pipeline matched: lap-hg and tbf on the tree (the
+        // HST pool vs Alg. 4's scan), lap-gr and lap-kd in the plane (the
+        // k-d tree vs the Euclidean scan).
+        let instance = small_instance(4);
+        let config = PipelineConfig::default();
+        for algo in ["lap-hg", "tbf", "lap-gr", "lap-kd"] {
+            let spec = registry().require_spec(algo).unwrap();
+            let server = Server::new(instance.region, config.grid_side, 9);
+            let run = run_spec_with_server(&spec, &instance, &config, Some(&server), 5).unwrap();
+            let scan = scan_reference(&spec, &instance, &config, &server, 5);
+            assert_eq!(run.matching, scan, "{algo}");
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 use crate::algorithm::{
     AssignStrategy, BlindMechanism, CapacitatedStrategy, ChainStrategy, DynamicAssignStrategy,
     DynamicHstGreedyStrategy, DynamicKdRebuildStrategy, DynamicOptStrategy, DynamicRandomStrategy,
-    EuclideanGreedyStrategy, ExponentialReportMechanism, HstGreedyStrategy, HstWalkMechanism,
-    IdentityMechanism, KdGreedyStrategy, LaplaceMechanism, OfflineOptimalStrategy, PipelineError,
+    ExponentialReportMechanism, HstGreedyStrategy, HstWalkMechanism, IdentityMechanism,
+    KdGreedyStrategy, LaplaceMechanism, OfflineOptimalStrategy, PipelineError,
     RandomAssignStrategy, RandomizedGreedyStrategy, ReportMechanism,
 };
 use crate::fault::{Burst, DupStorm, FaultPlan, FlakyWire, NoFault};
@@ -450,8 +450,9 @@ fn build() -> Registry {
     let identity: Arc<dyn ReportMechanism> = Arc::new(IdentityMechanism);
     let blind: Arc<dyn ReportMechanism> = Arc::new(BlindMechanism);
 
-    let greedy: Arc<dyn AssignStrategy> = Arc::new(EuclideanGreedyStrategy);
-    let kd: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy);
+    // One k-d-tree strategy under both planar names.
+    let greedy: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::GREEDY);
+    let kd: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::KD_GREEDY);
     let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy);
     let hst_rand: Arc<dyn AssignStrategy> = Arc::new(RandomizedGreedyStrategy);
     let chain: Arc<dyn AssignStrategy> = Arc::new(ChainStrategy);

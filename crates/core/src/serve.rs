@@ -92,7 +92,7 @@ use crate::fault::{FaultPlan, ShedPolicy, DEADLINE_WINDOWS, DEFAULT_FAULT_RATE, 
 use crate::fingerprint::Fnv1a;
 use crate::registry::registry;
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
-use crate::server::{check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, Server};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pombm_geom::{seeded_rng, Point};
 use pombm_privacy::Epsilon;
@@ -529,22 +529,12 @@ struct Engine<'a> {
     /// True check-in locations by worker id, for the distance tally (the
     /// frame carries the exact f64 bits the workload generated).
     worker_locations: BTreeMap<u64, Point>,
-    assignments: Vec<(u64, Option<u64>)>,
-    requests: usize,
-    batches: usize,
-    peak_queue: usize,
-    queue_sum: usize,
-    total_distance: f64,
-    corrupt_classes: BTreeMap<String, usize>,
-    duplicates: usize,
-    submitted: usize,
-    shed: usize,
-    retried: usize,
-    expired: usize,
-    latencies_ms: Vec<f64>,
+    /// The running counters, handed back whole when the session ends.
+    stats: SessionStats,
 }
 
 /// What the serve thread hands back when the session ends.
+#[derive(Default)]
 struct SessionStats {
     assignments: Vec<(u64, Option<u64>)>,
     requests: usize,
@@ -563,15 +553,14 @@ struct SessionStats {
 
 impl<'a> Engine<'a> {
     fn new(
-        mechanism: &'a dyn ReportMechanism,
-        matcher: &dyn DynamicAssignStrategy,
+        resolved: &'a Resolved,
         server: &'a Server,
         config: &ServeConfig,
     ) -> Result<Self, PipelineError> {
         Ok(Engine {
-            mechanism,
+            mechanism: resolved.mechanism.as_ref(),
             server,
-            pool: matcher.pool(Some(server))?,
+            pool: resolved.matcher.pool(Some(server))?,
             epsilon: Epsilon::new(config.epsilon),
             threads: config.threads,
             batch_interval: config.batch_interval,
@@ -583,10 +572,7 @@ impl<'a> Engine<'a> {
             tie_rng: seeded_rng(config.seed, 0xD1CE_0002),
             window: None,
             queue_cap: config.queue_cap,
-            shed_policy: match config.shed_policy.as_deref() {
-                Some(name) => ShedPolicy::parse(name)?,
-                None => ShedPolicy::DropNewest,
-            },
+            shed_policy: resolved.shed_policy,
             pending_checkins: Vec::new(),
             pending_checkouts: Vec::new(),
             pending_tasks: Vec::new(),
@@ -594,19 +580,7 @@ impl<'a> Engine<'a> {
             seen_workers: BTreeSet::new(),
             seen_tasks: BTreeSet::new(),
             worker_locations: BTreeMap::new(),
-            assignments: Vec::new(),
-            requests: 0,
-            batches: 0,
-            peak_queue: 0,
-            queue_sum: 0,
-            total_distance: 0.0,
-            corrupt_classes: BTreeMap::new(),
-            duplicates: 0,
-            submitted: 0,
-            shed: 0,
-            retried: 0,
-            expired: 0,
-            latencies_ms: Vec::new(),
+            stats: SessionStats::default(),
         })
     }
 
@@ -617,7 +591,11 @@ impl<'a> Engine<'a> {
 
     /// Counts a Transport-class anomaly; the session keeps serving.
     fn note_corrupt(&mut self, why: &str) {
-        *self.corrupt_classes.entry(why.to_string()).or_insert(0) += 1;
+        *self
+            .stats
+            .corrupt_classes
+            .entry(why.to_string())
+            .or_insert(0) += 1;
     }
 
     /// Earliest window holding a parked retry, if any (the retry queue is
@@ -637,7 +615,7 @@ impl<'a> Engine<'a> {
         }
         let due: Vec<PendingTask> = self.retry_queue.drain(..due).collect();
         for task in due {
-            self.retried += 1;
+            self.stats.retried += 1;
             self.admit(task);
         }
     }
@@ -674,7 +652,7 @@ impl<'a> Engine<'a> {
             },
             _ => self.pending_tasks.push(task),
         }
-        self.peak_queue = self.peak_queue.max(self.pending_tasks.len());
+        self.stats.peak_queue = self.stats.peak_queue.max(self.pending_tasks.len());
     }
 
     /// Parks a shed task for retry at `at + Δt·2^attempt` of *virtual*
@@ -691,9 +669,9 @@ impl<'a> Engine<'a> {
         };
         if terminal {
             if self.shed_policy == ShedPolicy::Deadline {
-                self.expired += 1;
+                self.stats.expired += 1;
             } else {
-                self.shed += 1;
+                self.stats.shed += 1;
             }
             return;
         }
@@ -725,7 +703,7 @@ impl<'a> Engine<'a> {
             self.end_session()?;
             return Ok(false);
         }
-        self.requests += 1;
+        self.stats.requests += 1;
         let window = self.window_of(request.timestamp());
         self.advance_to(window)?;
         match request {
@@ -737,13 +715,13 @@ impl<'a> Engine<'a> {
                 } else {
                     // At-least-once delivery: replays of a known check-in
                     // are absorbed, never double-inserted into the pool.
-                    self.duplicates += 1;
+                    self.stats.duplicates += 1;
                 }
             }
             ServeRequest::CheckOut { worker, .. } => self.pending_checkouts.push(worker),
             ServeRequest::Task { task, at, x, y } => {
                 if self.seen_tasks.insert(task) {
-                    self.submitted += 1;
+                    self.stats.submitted += 1;
                     // lint: allow(DET-TIME) — timings-gated latency sampling
                     // only; the wall_ms precedent. Never reaches assignments
                     // or the deterministic report fields.
@@ -757,7 +735,7 @@ impl<'a> Engine<'a> {
                         ingested,
                     });
                 } else {
-                    self.duplicates += 1;
+                    self.stats.duplicates += 1;
                 }
             }
             ServeRequest::Shutdown => unreachable!("handled above"),
@@ -773,7 +751,7 @@ impl<'a> Engine<'a> {
         {
             return Ok(());
         }
-        self.batches += 1;
+        self.stats.batches += 1;
         // Phase 1: batch-obfuscate and register the window's check-ins.
         if !self.pending_checkins.is_empty() {
             let points: Vec<Point> = self.pending_checkins.iter().map(|&(_, p)| p).collect();
@@ -799,7 +777,7 @@ impl<'a> Engine<'a> {
         // Phase 3: record queue depth, then drain the task queue. (Peak
         // depth is tracked at admission, where a bounded queue binds.)
         let depth = self.pending_tasks.len();
-        self.queue_sum += depth;
+        self.stats.queue_sum += depth;
         if depth > 0 {
             let points: Vec<Point> = self.pending_tasks.iter().map(|t| t.location).collect();
             let reports = self.mechanism.report_batch(
@@ -815,39 +793,22 @@ impl<'a> Engine<'a> {
             // the wall_ms precedent. One drain stamp per window.
             let drained = self.timings.then(std::time::Instant::now);
             for (task, &slot) in tasks.iter().zip(&slots) {
-                self.assignments.push((task.id, slot));
+                self.stats.assignments.push((task.id, slot));
                 if let Some(worker) = slot {
                     // True-location travel distance, from the exact f64
                     // bits the frames carried (bit-identical to summing
                     // over the instance arrays in assignment order).
                     let worker_location = self.worker_locations[&worker];
-                    self.total_distance += task.location.dist(&worker_location);
+                    self.stats.total_distance += task.location.dist(&worker_location);
                 }
                 if let (Some(end), Some(start)) = (drained, task.ingested) {
-                    self.latencies_ms
+                    self.stats
+                        .latencies_ms
                         .push(end.duration_since(start).as_secs_f64() * 1e3);
                 }
             }
         }
         Ok(())
-    }
-
-    fn finish(self) -> SessionStats {
-        SessionStats {
-            assignments: self.assignments,
-            requests: self.requests,
-            batches: self.batches,
-            peak_queue: self.peak_queue,
-            queue_sum: self.queue_sum,
-            total_distance: self.total_distance,
-            corrupt_classes: self.corrupt_classes,
-            duplicates: self.duplicates,
-            submitted: self.submitted,
-            shed: self.shed,
-            retried: self.retried,
-            expired: self.expired,
-            latencies_ms: self.latencies_ms,
-        }
     }
 }
 
@@ -859,20 +820,19 @@ impl<'a> Engine<'a> {
 /// always hands back well-formed stats.
 fn serve_stream<I>(
     frames: I,
-    mechanism: &dyn ReportMechanism,
-    matcher: &dyn DynamicAssignStrategy,
+    resolved: &Resolved,
     server: &Server,
     config: &ServeConfig,
 ) -> Result<SessionStats, PipelineError>
 where
     I: IntoIterator<Item = Bytes>,
 {
-    let mut engine = Engine::new(mechanism, matcher, server, config)?;
+    let mut engine = Engine::new(resolved, server, config)?;
     for mut frame in frames {
         match ServeRequest::decode(&mut frame) {
             Ok(request) => {
                 if !engine.ingest(request)? {
-                    return Ok(engine.finish());
+                    return Ok(engine.stats);
                 }
             }
             // Degraded mode: corrupt frames are counted, never fatal.
@@ -885,7 +845,7 @@ where
     };
     engine.note_corrupt(why);
     engine.end_session()?;
-    Ok(engine.finish())
+    Ok(engine.stats)
 }
 
 /// Encodes the seed-derived workload timeline as transport frames — the
@@ -949,6 +909,7 @@ struct Resolved {
 /// errors surface here, before any thread spawns.
 fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
     check_grid_side(config.grid_side)?;
+    check_epsilon("epsilon", config.epsilon)?;
     if !(config.batch_interval.is_finite() && config.batch_interval > 0.0) {
         return Err(PipelineError::InvalidConfig {
             field: "batch-interval",
@@ -1152,10 +1113,9 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
     crossbeam::thread::scope(|scope| {
         let slot = &result;
         let server = &server;
-        let mechanism = resolved.mechanism.as_ref();
-        let matcher = resolved.matcher.as_ref();
+        let resolved = &resolved;
         scope.spawn(move |_| {
-            *slot.lock() = Some(serve_stream(rx, mechanism, matcher, server, config));
+            *slot.lock() = Some(serve_stream(rx, resolved, server, config));
         });
         for frame in frames {
             if tx.send(frame).is_err() {
@@ -1193,12 +1153,6 @@ pub fn serve_frames(
             .scenario
             .timeline_instance(config.seed, config.num_tasks, config.num_workers);
     let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
-    let stats = serve_stream(
-        frames,
-        resolved.mechanism.as_ref(),
-        resolved.matcher.as_ref(),
-        &server,
-        config,
-    )?;
+    let stats = serve_stream(frames, &resolved, &server, config)?;
     Ok(build_outcome(config, &resolved, stats, 0))
 }

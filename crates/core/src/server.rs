@@ -18,6 +18,21 @@ pub fn check_grid_side(grid_side: usize) -> Result<(), PipelineError> {
     Ok(())
 }
 
+/// Rejects a privacy budget that is not a positive, finite number, naming
+/// the config `field` it came from (`epsilon`, `epsilons`, `epoch_epsilon`,
+/// `lifetime_epsilon`). Drivers call it before building a server, so a bad
+/// budget is a typed error instead of the panic in
+/// [`pombm_privacy::Epsilon::new`].
+pub fn check_epsilon(field: &'static str, epsilon: f64) -> Result<(), PipelineError> {
+    if epsilon.is_finite() && epsilon > 0.0 {
+        return Ok(());
+    }
+    Err(PipelineError::InvalidConfig {
+        field,
+        why: "the privacy budget must be a positive, finite number",
+    })
+}
+
 /// Step 1 of the paper's workflow: the server constructs an HST upon a
 /// predefined set of points and publishes both.
 ///

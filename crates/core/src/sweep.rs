@@ -55,9 +55,9 @@ use crate::ratio::{
 };
 use crate::registry::{registry, AlgorithmSpec, CatalogItem, Role, DEFAULT_DYNAMIC_ORACLE};
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
+use crate::server::check_epsilon;
 use parking_lot::Mutex;
 use pombm_geom::seeded_rng;
-use pombm_matching::HstGreedyEngine;
 use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use rand::Rng;
@@ -832,7 +832,8 @@ fn epsilon_bits(epsilons: &[f64]) -> String {
     joined(epsilons.iter().map(|e| format!("{:016x}", e.to_bits())))
 }
 
-/// The grid checks both flavours share.
+/// The grid checks both flavours share: they run before any job (and so
+/// any thread) exists, so one bad ε fails the whole sweep up front.
 fn check_grid(shards: usize, sizes: &[usize], epsilons: &[f64]) -> Result<(), PipelineError> {
     let (field, why) = if shards == 0 {
         ("shards", "the sweep needs at least one shard")
@@ -841,7 +842,9 @@ fn check_grid(shards: usize, sizes: &[usize], epsilons: &[f64]) -> Result<(), Pi
     } else if epsilons.is_empty() {
         ("epsilons", "the sweep needs at least one privacy budget")
     } else {
-        return Ok(());
+        return epsilons
+            .iter()
+            .try_for_each(|&epsilon| check_epsilon("epsilons", epsilon));
     };
     Err(PipelineError::InvalidConfig { field, why })
 }
@@ -942,14 +945,12 @@ impl SweepFlavor for SweepConfig {
             format!("reps={}", self.repetitions),
             format!("seed={}", base.seed),
             format!("grid={}", base.grid_side),
-            format!(
-                "engine={}",
-                match base.engine {
-                    HstGreedyEngine::Scan => "scan",
-                    HstGreedyEngine::Indexed => "indexed",
-                }
-            ),
-            format!("euclid={}", base.euclid_cells),
+            // Retired engine knobs, frozen at their old defaults: every
+            // engine produced the same cells, and keeping the parts keeps
+            // fingerprints — and so checkpoint logs and partials — written
+            // before the knobs went still matching.
+            "engine=scan".to_string(),
+            "euclid=0".to_string(),
             format!("capacity={}", base.capacity),
         ]);
         Ok(parts)
@@ -1745,6 +1746,29 @@ mod tests {
         assert_eq!(report.cells.len(), 2 * 2 * 2);
         for cell in &report.cells {
             assert!(cell.error.as_deref().unwrap().contains(want), "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn a_bad_epsilon_fails_both_flavours_before_any_job_runs() {
+        let want = |r: Result<(), PipelineError>| {
+            matches!(
+                r,
+                Err(PipelineError::InvalidConfig {
+                    field: "epsilons",
+                    ..
+                })
+            )
+        };
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut config = small_config();
+            config.epsilons = vec![0.6, epsilon];
+            assert!(want(run_sweep(&config).map(drop)), "static {epsilon}");
+            let config = DynamicSweepConfig {
+                epsilons: vec![epsilon],
+                ..small_dynamic_config()
+            };
+            assert!(want(run_sweep(&config).map(drop)), "dynamic {epsilon}");
         }
     }
 

@@ -158,15 +158,6 @@ impl SubtreeCounter {
         }
         LeafCode(prefix)
     }
-
-    /// Removes and returns a nearest leaf in one step; the common pattern in
-    /// greedy matching.
-    pub fn take_nearest(&mut self, query: LeafCode) -> Option<LeafCode> {
-        let found = self.nearest(query)?;
-        let removed = self.remove(found);
-        debug_assert!(removed);
-        Some(found)
-    }
 }
 
 #[cfg(test)]
@@ -175,6 +166,13 @@ mod tests {
 
     fn ctx() -> CodeContext {
         CodeContext::new(2, 4)
+    }
+
+    /// Finds and removes a nearest leaf — the greedy matchers' step.
+    fn take(idx: &mut SubtreeCounter, query: LeafCode) -> Option<LeafCode> {
+        let found = idx.nearest(query)?;
+        assert!(idx.remove(found));
+        Some(found)
     }
 
     /// Brute-force reference: nearest by scanning a vector.
@@ -263,10 +261,10 @@ mod tests {
         }
         // Query 0: distance 0 leaf first, then its level-1 sibling, then the
         // far side of the root.
-        assert_eq!(idx.take_nearest(LeafCode(0)), Some(LeafCode(0)));
-        assert_eq!(idx.take_nearest(LeafCode(0)), Some(LeafCode(1)));
-        assert_eq!(idx.take_nearest(LeafCode(0)), Some(LeafCode(8)));
-        assert_eq!(idx.take_nearest(LeafCode(0)), None);
+        assert_eq!(take(&mut idx, LeafCode(0)), Some(LeafCode(0)));
+        assert_eq!(take(&mut idx, LeafCode(0)), Some(LeafCode(1)));
+        assert_eq!(take(&mut idx, LeafCode(0)), Some(LeafCode(8)));
+        assert_eq!(take(&mut idx, LeafCode(0)), None);
     }
 
     #[test]
@@ -275,9 +273,9 @@ mod tests {
         let mut idx = SubtreeCounter::new(c);
         idx.insert(LeafCode(6));
         idx.insert(LeafCode(6));
-        assert_eq!(idx.take_nearest(LeafCode(6)), Some(LeafCode(6)));
-        assert_eq!(idx.take_nearest(LeafCode(6)), Some(LeafCode(6)));
-        assert_eq!(idx.take_nearest(LeafCode(6)), None);
+        assert_eq!(take(&mut idx, LeafCode(6)), Some(LeafCode(6)));
+        assert_eq!(take(&mut idx, LeafCode(6)), Some(LeafCode(6)));
+        assert_eq!(take(&mut idx, LeafCode(6)), None);
     }
 
     #[test]

@@ -1,28 +1,26 @@
-//! Capacitated HST-greedy: workers that can serve more than one task.
+//! Capacitated HST-greedy: the static tree matcher.
 //!
 //! The paper matches each worker at most once (OMBM is a bipartite
-//! *matching*). Real platforms let a driver take several orders per shift;
-//! this module generalizes Alg. 4 to per-worker capacities — an extension
-//! the paper leaves open. A worker with capacity `q` behaves exactly like
-//! `q` co-located copies of a unit worker, so the ultrametric nearest-free
-//! walk and its guarantees carry over unchanged: the matcher simply keeps a
-//! worker in the pool until its residual capacity reaches zero.
+//! *matching*); real platforms let a driver take several orders per shift.
+//! A worker with capacity `q` behaves exactly like `q` co-located unit
+//! workers, so Alg. 4's nearest-free walk and its guarantees carry over:
+//! the matcher keeps a worker in the pool until its residual capacity
+//! reaches zero. At unit capacity this is Alg. 4 itself, which is how the
+//! registry's `hst-greedy` and the epoch simulation run it.
 
-use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
-use std::collections::BTreeMap;
+use crate::{HstGreedyPool, Matching};
+use pombm_hst::{CodeContext, LeafCode};
 
 /// Online greedy matcher where worker `i` may serve up to `capacity[i]`
-/// tasks. Each arriving task goes to the tree-nearest worker with residual
-/// capacity.
+/// tasks: each task goes to the tree-nearest worker with residual capacity
+/// by [`HstGreedyPool`]'s rule, equal to
+/// [`crate::hst_greedy::greedy_reference`] pair for pair.
 #[derive(Debug, Clone)]
 pub struct CapacitatedGreedy {
-    counter: SubtreeCounter,
-    /// Workers resident at each occupied leaf, lowest index popped first.
-    /// `BTreeMap` so the stack-fixup iteration below is hash-seed free.
-    residents: BTreeMap<LeafCode, Vec<usize>>,
+    /// Workers with residual capacity, keyed by their index.
+    pool: HstGreedyPool,
     workers: Vec<LeafCode>,
     residual: Vec<u32>,
-    remaining_slots: usize,
 }
 
 impl CapacitatedGreedy {
@@ -32,31 +30,17 @@ impl CapacitatedGreedy {
     ///
     /// Panics if the two slices differ in length.
     pub fn new(ctx: CodeContext, workers: Vec<LeafCode>, capacity: Vec<u32>) -> Self {
-        assert_eq!(
-            workers.len(),
-            capacity.len(),
-            "one capacity per worker required"
-        );
-        let mut counter = SubtreeCounter::new(ctx);
-        let mut residents: BTreeMap<LeafCode, Vec<usize>> = BTreeMap::new();
-        let mut remaining_slots = 0usize;
-        for (i, (&w, &q)) in workers.iter().zip(&capacity).enumerate() {
-            if q > 0 {
-                counter.insert(w);
-                residents.entry(w).or_default().push(i);
-                remaining_slots += q as usize;
-            }
-        }
-        // Lower ids pop first (stacks are LIFO).
-        for stack in residents.values_mut() {
-            stack.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(workers.len(), capacity.len(), "one capacity per worker");
+        let mut pool = HstGreedyPool::new(ctx);
+        // Highest index first: each leaf's resident stack is kept
+        // descending, so every insertion lands at its end.
+        for i in (0..workers.len()).rev().filter(|&i| capacity[i] > 0) {
+            pool.add(i as u64, workers[i]);
         }
         CapacitatedGreedy {
-            counter,
-            residents,
+            pool,
             workers,
             residual: capacity,
-            remaining_slots,
         }
     }
 
@@ -67,9 +51,8 @@ impl CapacitatedGreedy {
     }
 
     /// Total unassigned task slots across all workers.
-    #[inline]
     pub fn remaining_slots(&self) -> usize {
-        self.remaining_slots
+        self.residual.iter().map(|&q| q as usize).sum()
     }
 
     /// Residual capacity of worker `i`.
@@ -81,26 +64,24 @@ impl CapacitatedGreedy {
     /// Assigns the tree-nearest worker with residual capacity to the task
     /// leaf `t`. Returns `None` when every worker is saturated.
     pub fn assign(&mut self, t: LeafCode) -> Option<usize> {
-        if self.remaining_slots == 0 {
-            return None;
-        }
-        let leaf = self.counter.nearest(t)?;
-        // Peek the lowest-id resident; only drop it from the pool when its
-        // capacity is exhausted.
-        let stack = self
-            .residents
-            .get_mut(&leaf)
-            .expect("counter and residents agree");
-        let w = *stack.last().expect("non-empty stack for counted leaf");
-        debug_assert!(self.residual[w] > 0);
+        let id = self.pool.assign(t)?;
+        let w = id as usize;
         self.residual[w] -= 1;
-        self.remaining_slots -= 1;
-        if self.residual[w] == 0 {
-            stack.pop();
-            let removed = self.counter.remove(self.workers[w]);
-            debug_assert!(removed);
+        // Re-adding the worker it just took puts the pool back exactly as
+        // it was: same leaf counts, and the lowest id on top of its leaf.
+        if self.residual[w] > 0 {
+            self.pool.add(id, self.workers[w]);
         }
         Some(w)
+    }
+
+    /// Assigns every task leaf in arrival order; the matching lists the
+    /// tasks that found a worker.
+    pub fn assign_all(&mut self, tasks: &[LeafCode]) -> Matching {
+        let take = |(t, &leaf)| Some((t, self.assign(leaf)?));
+        Matching {
+            pairs: tasks.iter().enumerate().filter_map(take).collect(),
+        }
     }
 }
 
@@ -116,6 +97,8 @@ mod tests {
 
     #[test]
     fn capacity_one_equals_plain_greedy() {
+        // At unit capacity no worker is ever re-added: the matcher is the
+        // plain pool, fed the whole fleet before the first task.
         let c = CodeContext::new(3, 4);
         let mut rng = seeded_rng(0, 0);
         let workers: Vec<LeafCode> = (0..40)
@@ -125,9 +108,14 @@ mod tests {
             .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
             .collect();
         let mut cap = CapacitatedGreedy::uniform(c, workers.clone(), 1);
-        let mut plain = crate::HstGreedy::new(c, workers, crate::HstGreedyEngine::Indexed);
+        let mut plain = HstGreedyPool::new(c);
+        plain.add_batch(workers.iter().enumerate().map(|(i, &w)| (i as u64, w)));
         for &t in &tasks {
-            assert_eq!(cap.assign(t), plain.assign(t), "task {t}");
+            assert_eq!(
+                cap.assign(t),
+                plain.assign(t).map(|w| w as usize),
+                "task {t}"
+            );
         }
     }
 

@@ -1,21 +1,18 @@
-//! Dynamic-pool matchers: workers that come and go.
+//! Worker pools: workers that come and go.
 //!
-//! The paper's interaction model registers the full worker set upfront; a
-//! deployed platform sees drivers start and end shifts continuously. The
-//! matchers in this module maintain a *mutable* pool: workers can be added
-//! (shift start, with their obfuscated report) and withdrawn (shift end, if
-//! not yet assigned) at any point between task arrivals.
+//! The paper registers the full worker set upfront; a deployed platform
+//! sees drivers start and end shifts continuously. These pools are
+//! *mutable*: workers are added (shift start, with their obfuscated report)
+//! and withdrawn (shift end, if not yet assigned) between task arrivals. A
+//! static run is the special case that adds every worker first.
 //!
-//! Three pool families cover the main design axes:
-//!
-//! * [`DynamicHstGreedy`] — the same `O(c·D)` nearest-free-worker index as
-//!   [`crate::HstGreedy`]'s indexed engine, over tree-leaf reports. The
-//!   ultrametric walk is oblivious to how the pool got its contents, so
-//!   per-assignment behaviour — nearest available worker on the tree,
-//!   canonical tie-break — is unchanged from the static matcher.
-//! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via a
-//!   k-d tree that is rebuilt lazily after pool mutations (assignments use
-//!   the tree's logical deletion, so only shift churn pays the rebuild).
+//! * [`HstGreedyPool`] — Alg. 4 on the tree: the `O(c·D)` subtree-count
+//!   walk finds the nearest occupied leaf, whose lowest id takes the task.
+//!   The static tree matchers run it too ([`crate::CapacitatedGreedy`]).
+//! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via the
+//!   [`crate::kdtree::KdTree`] the static planar matchers run, rebuilt
+//!   lazily after pool mutations (assignments use its logical deletion, so
+//!   only shift churn pays the rebuild).
 //! * [`DynamicRandomPool`] — uniform draw from the live pool, blind to all
 //!   location information: the sanity floor under fleet churn.
 
@@ -24,12 +21,14 @@ use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Online greedy matcher over a mutable worker pool (see module docs).
+/// Tree-nearest free worker over a mutable pool of leaf reports (see
+/// module docs): ties at equal tree distance go to the lowest leaf code,
+/// then to the lowest id within the leaf.
 ///
 /// Workers are identified by caller-chosen `u64` ids (unique among
 /// *present* workers).
 #[derive(Debug, Clone)]
-pub struct DynamicHstGreedy {
+pub struct HstGreedyPool {
     counter: SubtreeCounter,
     /// Present, unassigned workers resident at each occupied leaf.
     // lint: allow(DET-HASH) — per-leaf lookups only; draws resolve through
@@ -40,10 +39,10 @@ pub struct DynamicHstGreedy {
     leaf_of: HashMap<u64, LeafCode>,
 }
 
-impl DynamicHstGreedy {
+impl HstGreedyPool {
     /// Creates an empty pool for trees with context `ctx`.
     pub fn new(ctx: CodeContext) -> Self {
-        DynamicHstGreedy {
+        HstGreedyPool {
             counter: SubtreeCounter::new(ctx),
             // lint: allow(DET-HASH) — see the field note: lookups only.
             residents: HashMap::new(),
@@ -76,7 +75,7 @@ impl DynamicHstGreedy {
         self.counter.insert(leaf);
         let stack = self.residents.entry(leaf).or_default();
         // Keep each leaf's residents sorted descending so the lowest id
-        // pops first — the same canonical tie-break as the static matcher.
+        // pops first — the canonical tie-break of the reference scan.
         let pos = stack.partition_point(|&other| other > id);
         stack.insert(pos, id);
     }
@@ -123,9 +122,10 @@ impl DynamicHstGreedy {
         let removed = self.counter.remove(leaf);
         debug_assert!(removed);
         let stack = self.residents.get_mut(&leaf).expect("resident stack");
+        // An assignment detaches the stack's last entry: search from there.
         let pos = stack
             .iter()
-            .position(|&other| other == id)
+            .rposition(|&other| other == id)
             .expect("worker listed at its leaf");
         stack.remove(pos);
         if stack.is_empty() {
@@ -141,7 +141,7 @@ impl DynamicHstGreedy {
 /// shift events pays one rebuild, not one per task.
 ///
 /// Tie-breaking is canonical — (distance, lowest id) — independent of
-/// insertion order, mirroring [`DynamicHstGreedy`].
+/// insertion order, mirroring [`HstGreedyPool`].
 #[derive(Debug, Clone, Default)]
 pub struct DynamicKdRebuild {
     /// Present, unassigned workers, sorted ascending by id (so k-d tree
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn add_assign_roundtrip() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(7, LeafCode(3));
         m.add(9, LeafCode(12));
         assert_eq!(m.available(), 2);
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn withdraw_removes_from_consideration() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(1, LeafCode(0));
         m.add(2, LeafCode(15));
         assert!(m.withdraw(1));
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn assigned_worker_cannot_be_withdrawn() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(4, LeafCode(5));
         assert_eq!(m.assign(LeafCode(5)), Some(4));
         assert!(!m.withdraw(4));
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn id_reuse_after_departure_is_allowed() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(1, LeafCode(0));
         assert!(m.withdraw(1));
         m.add(1, LeafCode(8));
@@ -384,34 +384,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "already present")]
     fn duplicate_live_id_panics() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(1, LeafCode(0));
         m.add(1, LeafCode(1));
     }
 
     #[test]
     fn matches_static_indexed_engine_when_pool_is_static() {
-        // With all workers added upfront and none withdrawn, assignment
-        // must be identical to the static indexed matcher.
+        // With all workers added upfront (here one by one, in ascending id
+        // order) and none withdrawn, assignment must be identical to the
+        // static matcher (which adds them in bulk, highest id first) and to
+        // the paper's scan.
         let c = CodeContext::new(3, 4);
         let mut rng = seeded_rng(2, 0);
         let workers: Vec<LeafCode> = (0..30)
             .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
             .collect();
-        let mut dynamic = DynamicHstGreedy::new(c);
+        let tasks: Vec<LeafCode> = (0..30)
+            .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
+            .collect();
+        let mut dynamic = HstGreedyPool::new(c);
         for (i, &w) in workers.iter().enumerate() {
             dynamic.add(i as u64, w);
         }
-        let mut fixed = crate::HstGreedy::new(c, workers, crate::HstGreedyEngine::Indexed);
-        for _ in 0..30 {
-            let t = LeafCode(rng.gen_range(0..c.num_leaves()));
-            assert_eq!(dynamic.assign(t), fixed.assign(t).map(|w| w as u64));
+        let mut fixed = crate::CapacitatedGreedy::uniform(c, workers.clone(), 1);
+        let scan = crate::hst_greedy::greedy_reference(c, &workers, &[1; 30], &tasks);
+        for (t_idx, &t) in tasks.iter().enumerate() {
+            let w = dynamic.assign(t);
+            assert_eq!(w, fixed.assign(t).map(|w| w as u64));
+            assert_eq!(w, Some(scan.pairs[t_idx].1 as u64));
         }
     }
 
     #[test]
     fn interleaved_adds_and_tasks() {
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         assert_eq!(m.assign(LeafCode(0)), None, "empty pool drops the task");
         m.add(10, LeafCode(14));
         assert_eq!(m.assign(LeafCode(1)), Some(10), "only present worker");
@@ -425,11 +432,11 @@ mod tests {
     fn canonical_tie_break_matches_static_matcher() {
         // Two workers at equidistant leaves: lowest leaf code wins; equal
         // leaves: lowest id wins — regardless of insertion order.
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(5, LeafCode(3));
         m.add(4, LeafCode(2));
         assert_eq!(m.assign(LeafCode(0)), Some(4));
-        let mut m = DynamicHstGreedy::new(ctx());
+        let mut m = HstGreedyPool::new(ctx());
         m.add(9, LeafCode(6));
         m.add(3, LeafCode(6));
         assert_eq!(m.assign(LeafCode(6)), Some(3));
@@ -577,9 +584,9 @@ mod tests {
             .map(|i| (i, LeafCode(rng.gen_range(0..c.num_leaves()))))
             .collect();
 
-        let mut batched = DynamicHstGreedy::new(c);
+        let mut batched = HstGreedyPool::new(c);
         batched.add_batch(workers.iter().copied());
-        let mut sequential = DynamicHstGreedy::new(c);
+        let mut sequential = HstGreedyPool::new(c);
         for &(id, leaf) in &workers {
             sequential.add(id, leaf);
         }

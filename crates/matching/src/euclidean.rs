@@ -1,199 +1,50 @@
-//! Online greedy matching in the Euclidean plane.
+//! Online greedy matching in the Euclidean plane, as the baseline writes it.
+//!
+//! The greedy of Tong et al. (PVLDB'16) — Lap-GR's matcher — gives each
+//! arriving task the nearest still-available worker by straight-line
+//! distance over the (obfuscated) coordinates. Every planar matcher runs it
+//! on a [`KdTree`](crate::kdtree::KdTree); this module keeps the `O(n)`
+//! per-task scan as the reference the tree must equal.
 
-use pombm_geom::{Point, Rect};
+use crate::Matching;
+use pombm_geom::Point;
 
-/// The online greedy matcher of the Lap-GR baseline: each arriving task is
-/// assigned to the nearest still-available worker by straight-line distance
-/// over the (obfuscated) coordinates.
+/// The Euclidean greedy as a linear scan: each task, in arrival order,
+/// takes the available worker that minimizes `(distance², index)`.
 ///
-/// Two lookup engines share the same assignment semantics:
-///
-/// * **linear scan** — the paper's `O(n)` per task;
-/// * **cell index** — an optional uniform-grid bucket index bringing the
-///   average case down to the local worker density (an engineering ablation;
-///   see `benches/matching.rs`).
-///
-/// Ties are broken toward the lower worker index in both engines, so the two
-/// produce identical matchings.
-#[derive(Debug, Clone)]
-pub struct EuclideanGreedy {
-    workers: Vec<Point>,
-    available: Vec<bool>,
-    remaining: usize,
-    cells: Option<CellIndex>,
-}
-
-impl EuclideanGreedy {
-    /// Creates a matcher with linear-scan lookup over the reported worker
-    /// locations.
-    pub fn new(workers: Vec<Point>) -> Self {
-        let n = workers.len();
-        EuclideanGreedy {
-            workers,
-            available: vec![true; n],
-            remaining: n,
-            cells: None,
+/// [`KdTree::assign_all`](crate::kdtree::KdTree::assign_all) must reproduce this pair for pair; tests and the
+/// `matching` bench's scan-vs-index ablation call it.
+pub fn greedy_reference(workers: &[Point], tasks: &[Point]) -> Matching {
+    let mut available = vec![true; workers.len()];
+    let mut matching = Matching::new();
+    for (t_idx, t) in tasks.iter().enumerate() {
+        let d = |i: usize| workers[i].dist_sq(t);
+        // `min_by` keeps the first of equal minima: the lowest index.
+        let best = (0..workers.len())
+            .filter(|&i| available[i])
+            .min_by(|&a, &b| d(a).total_cmp(&d(b)));
+        if let Some(i) = best {
+            available[i] = false;
+            matching.pairs.push((t_idx, i));
         }
     }
-
-    /// Creates a matcher with a uniform-grid bucket index over `region`
-    /// (`cells × cells` buckets).
-    pub fn with_cell_index(workers: Vec<Point>, region: Rect, cells: usize) -> Self {
-        let index = CellIndex::build(&workers, region, cells);
-        let n = workers.len();
-        EuclideanGreedy {
-            workers,
-            available: vec![true; n],
-            remaining: n,
-            cells: Some(index),
-        }
-    }
-
-    /// Number of still-unassigned workers.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Assigns the nearest available worker to a task at `t`, removing the
-    /// worker from the pool. Returns `None` when all workers are taken.
-    pub fn assign(&mut self, t: &Point) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let chosen = match &self.cells {
-            None => self.scan(t),
-            Some(index) => index.nearest(t, &self.workers, &self.available),
-        }?;
-        self.available[chosen] = false;
-        self.remaining -= 1;
-        if let Some(index) = &mut self.cells {
-            index.remove(chosen, &self.workers);
-        }
-        Some(chosen)
-    }
-
-    fn scan(&self, t: &Point) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, w) in self.workers.iter().enumerate() {
-            if !self.available[i] {
-                continue;
-            }
-            let d = w.dist_sq(t);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-}
-
-/// Uniform-grid bucket index over worker locations, searched in expanding
-/// rings around the query cell.
-#[derive(Debug, Clone)]
-struct CellIndex {
-    region: Rect,
-    cells: usize,
-    buckets: Vec<Vec<usize>>,
-}
-
-impl CellIndex {
-    fn build(workers: &[Point], region: Rect, cells: usize) -> Self {
-        assert!(cells > 0, "need at least one cell");
-        let mut buckets = vec![Vec::new(); cells * cells];
-        let mut index = CellIndex {
-            region,
-            cells,
-            buckets: Vec::new(),
-        };
-        for (i, w) in workers.iter().enumerate() {
-            buckets[index.cell_of(w)].push(i);
-        }
-        index.buckets = buckets;
-        index
-    }
-
-    fn cell_of(&self, p: &Point) -> usize {
-        let cx = if self.region.width() > 0.0 {
-            (((p.x - self.region.min_x) / self.region.width() * self.cells as f64) as isize)
-                .clamp(0, self.cells as isize - 1) as usize
-        } else {
-            0
-        };
-        let cy = if self.region.height() > 0.0 {
-            (((p.y - self.region.min_y) / self.region.height() * self.cells as f64) as isize)
-                .clamp(0, self.cells as isize - 1) as usize
-        } else {
-            0
-        };
-        cy * self.cells + cx
-    }
-
-    fn remove(&mut self, worker: usize, workers: &[Point]) {
-        let cell = self.cell_of(&workers[worker]);
-        if let Some(pos) = self.buckets[cell].iter().position(|&w| w == worker) {
-            self.buckets[cell].swap_remove(pos);
-        }
-    }
-
-    /// Nearest available worker by ring search: examine cells in growing
-    /// Chebyshev rings around the query; once a candidate is found, finish
-    /// the rings that could still contain something closer.
-    fn nearest(&self, t: &Point, workers: &[Point], available: &[bool]) -> Option<usize> {
-        let cell = self.cell_of(t);
-        let (cx, cy) = ((cell % self.cells) as isize, (cell / self.cells) as isize);
-        let cell_w = self.region.width() / self.cells as f64;
-        let cell_h = self.region.height() / self.cells as f64;
-        let min_pitch = cell_w.min(cell_h).max(f64::MIN_POSITIVE);
-
-        let mut best: Option<(usize, f64)> = None;
-        let max_ring = self.cells as isize;
-        for ring in 0..=max_ring {
-            // Any point in a farther ring is at least (ring-1)*min_pitch
-            // away; stop when that exceeds the current best.
-            if let Some((_, bd)) = best {
-                let lower = ((ring - 1).max(0) as f64) * min_pitch;
-                if lower * lower > bd {
-                    break;
-                }
-            }
-            let visit = |x: isize, y: isize, best: &mut Option<(usize, f64)>| {
-                if x < 0 || y < 0 || x >= self.cells as isize || y >= self.cells as isize {
-                    return;
-                }
-                for &w in &self.buckets[y as usize * self.cells + x as usize] {
-                    if !available[w] {
-                        continue;
-                    }
-                    let d = workers[w].dist_sq(t);
-                    // Tie-break toward the lower worker index to match the
-                    // linear scan exactly.
-                    if best.is_none_or(|(bw, bd)| d < bd || (d == bd && w < bw)) {
-                        *best = Some((w, d));
-                    }
-                }
-            };
-            if ring == 0 {
-                visit(cx, cy, &mut best);
-            } else {
-                for dx in -ring..=ring {
-                    visit(cx + dx, cy - ring, &mut best);
-                    visit(cx + dx, cy + ring, &mut best);
-                }
-                for dy in (1 - ring)..ring {
-                    visit(cx - ring, cy + dy, &mut best);
-                    visit(cx + ring, cy + dy, &mut best);
-                }
-            }
-        }
-        best.map(|(w, _)| w)
-    }
+    matching
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kdtree::KdTree;
     use pombm_geom::seeded_rng;
     use rand::Rng;
+
+    /// Both engines on one input: the scan and the k-d tree.
+    fn both(workers: &[Point], tasks: &[Point]) -> [Matching; 2] {
+        [
+            greedy_reference(workers, tasks),
+            KdTree::build(workers.to_vec()).assign_all(tasks),
+        ]
+    }
 
     #[test]
     fn assigns_nearest_available() {
@@ -202,55 +53,54 @@ mod tests {
             Point::new(5.0, 0.0),
             Point::new(10.0, 0.0),
         ];
-        let mut g = EuclideanGreedy::new(workers);
-        assert_eq!(g.assign(&Point::new(4.0, 0.0)), Some(1));
-        // Worker 1 is gone; next nearest to 4.0 is worker 0.
-        assert_eq!(g.assign(&Point::new(4.0, 0.0)), Some(0));
-        assert_eq!(g.assign(&Point::new(4.0, 0.0)), Some(2));
-        assert_eq!(g.assign(&Point::new(4.0, 0.0)), None);
-        assert_eq!(g.remaining(), 0);
+        // Worker 1 goes first; next nearest to 4.0 is worker 0; the fourth
+        // task finds nobody.
+        let tasks = vec![Point::new(4.0, 0.0); 4];
+        for m in both(&workers, &tasks) {
+            assert_eq!(m.pairs, vec![(0, 1), (1, 0), (2, 2)]);
+        }
     }
 
     #[test]
     fn ties_break_to_lower_index() {
         let workers = vec![Point::new(-1.0, 0.0), Point::new(1.0, 0.0)];
-        let mut g = EuclideanGreedy::new(workers);
-        assert_eq!(g.assign(&Point::new(0.0, 0.0)), Some(0));
-    }
-
-    #[test]
-    fn cell_index_matches_linear_scan() {
-        let region = Rect::square(100.0);
-        let mut rng = seeded_rng(31, 0);
-        let workers: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
-            .collect();
-        let tasks: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
-            .collect();
-        let mut scan = EuclideanGreedy::new(workers.clone());
-        let mut indexed = EuclideanGreedy::with_cell_index(workers, region, 8);
-        for t in &tasks {
-            assert_eq!(scan.assign(t), indexed.assign(t), "divergence at {t}");
+        for m in both(&workers, &[Point::new(0.0, 0.0)]) {
+            assert_eq!(m.pairs, vec![(0, 0)]);
         }
     }
 
     #[test]
-    fn cell_index_handles_out_of_region_tasks() {
-        let region = Rect::square(10.0);
+    fn kd_tree_matches_linear_scan() {
+        let mut rng = seeded_rng(31, 0);
+        let mut draw = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
+                .collect()
+        };
+        let (workers, tasks) = (draw(300), draw(300));
+        let [scan, tree] = both(&workers, &tasks);
+        assert_eq!(scan.size(), 300);
+        assert_eq!(scan, tree);
+    }
+
+    #[test]
+    fn far_away_tasks_still_find_the_nearest_worker() {
         let workers = vec![Point::new(1.0, 1.0), Point::new(9.0, 9.0)];
-        let mut g = EuclideanGreedy::with_cell_index(workers, region, 4);
-        // Task far outside the region still finds the nearest worker.
-        assert_eq!(g.assign(&Point::new(-50.0, -50.0)), Some(0));
-        assert_eq!(g.assign(&Point::new(100.0, 100.0)), Some(1));
+        let tasks = vec![Point::new(-50.0, -50.0), Point::new(100.0, 100.0)];
+        for m in both(&workers, &tasks) {
+            assert_eq!(m.pairs, vec![(0, 0), (1, 1)]);
+        }
     }
 
     #[test]
     fn exhaustion_returns_none_and_stays_consistent() {
-        let mut g =
-            EuclideanGreedy::with_cell_index(vec![Point::new(5.0, 5.0)], Rect::square(10.0), 2);
-        assert_eq!(g.assign(&Point::new(0.0, 0.0)), Some(0));
-        assert_eq!(g.assign(&Point::new(0.0, 0.0)), None);
-        assert_eq!(g.assign(&Point::new(9.0, 9.0)), None);
+        let mut tree = KdTree::build(vec![Point::new(5.0, 5.0)]);
+        assert_eq!(tree.take_nearest(&Point::new(0.0, 0.0)), Some(0));
+        assert_eq!(tree.take_nearest(&Point::new(0.0, 0.0)), None);
+        assert_eq!(tree.take_nearest(&Point::new(9.0, 9.0)), None);
+        let tasks = vec![Point::new(0.0, 0.0), Point::new(9.0, 9.0)];
+        for m in both(&[Point::new(5.0, 5.0)], &tasks) {
+            assert_eq!(m.pairs, vec![(0, 0)]);
+        }
     }
 }

@@ -1,134 +1,49 @@
-//! HST-greedy online matching (Alg. 4 of the paper).
+//! HST-greedy online matching (Alg. 4 of the paper), as the paper writes it.
+//!
+//! Every tree matcher runs Alg. 4 on [`crate::HstGreedyPool`]'s
+//! subtree-count index (a static fleet through
+//! [`crate::CapacitatedGreedy`]). This module keeps the paper's
+//! `O(n·D)`-per-task scan as the reference that index must equal.
 
-use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
-use serde::{Deserialize, Serialize};
+use crate::Matching;
+use pombm_hst::{CodeContext, LeafCode};
 
-/// Which nearest-leaf engine an [`HstGreedy`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum HstGreedyEngine {
-    /// The paper's linear scan over all available workers: `O(n·D)` per
-    /// task (Alg. 4 as written; total `O(D·n·m)`).
-    #[default]
-    Scan,
-    /// Subtree-count index: `O(c·D)` per task. Produces a matching with the
-    /// same per-task tree distances (tie-breaking may select a different
-    /// equidistant worker).
-    Indexed,
-}
-
-/// Online greedy matching on the HST: each arriving task is assigned to the
-/// available worker whose obfuscated leaf is nearest in the tree metric.
+/// Alg. 4 as a linear scan: each task, in arrival order, takes the worker
+/// with residual capacity that minimizes `(tree distance, leaf code,
+/// index)`; worker `i` serves up to `capacity[i]` tasks. Obfuscated leaves
+/// may be *fake* leaves — the tree metric is defined on every code.
 ///
-/// Used by both Lap-HG (Laplace noise, then snap to the tree) and the
-/// paper's TBF (HST mechanism output directly). Workers and tasks are
-/// identified by leaf codes of the same complete tree; note obfuscated
-/// leaves may be *fake* leaves, which is fine — the tree metric is defined
-/// on all codes.
-#[derive(Debug, Clone)]
-pub struct HstGreedy {
+/// [`crate::CapacitatedGreedy`] must reproduce this pair for pair; tests
+/// and the `matching` bench's scan-vs-index ablation call it.
+///
+/// # Panics
+///
+/// Panics if `workers` and `capacity` differ in length.
+pub fn greedy_reference(
     ctx: CodeContext,
-    engine: HstGreedyEngine,
-    workers: Vec<LeafCode>,
-    available: Vec<bool>,
-    remaining: usize,
-    /// Indexed engine state: occupancy counter plus per-leaf stacks of
-    /// worker ids so a found leaf resolves to a concrete worker. A
-    /// `BTreeMap` keyed by leaf code: the stacks are built by iterating
-    /// this map, and hash order must never reach assignment order.
-    counter: Option<SubtreeCounter>,
-    residents: std::collections::BTreeMap<LeafCode, Vec<usize>>,
-}
-
-impl HstGreedy {
-    /// Creates a matcher over the reported (obfuscated) worker leaves.
-    pub fn new(ctx: CodeContext, workers: Vec<LeafCode>, engine: HstGreedyEngine) -> Self {
-        let n = workers.len();
-        let (counter, residents) = match engine {
-            HstGreedyEngine::Scan => (None, std::collections::BTreeMap::new()),
-            HstGreedyEngine::Indexed => {
-                let mut counter = SubtreeCounter::new(ctx);
-                let mut residents: std::collections::BTreeMap<LeafCode, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (i, &w) in workers.iter().enumerate() {
-                    counter.insert(w);
-                    residents.entry(w).or_default().push(i);
-                }
-                // Lower ids pop first to mirror scan tie-breaking within a
-                // leaf.
-                for stack in residents.values_mut() {
-                    stack.reverse();
-                }
-                (Some(counter), residents)
-            }
-        };
-        HstGreedy {
-            ctx,
-            engine,
-            workers,
-            available: vec![true; n],
-            remaining: n,
-            counter,
-            residents,
+    workers: &[LeafCode],
+    capacity: &[u32],
+    tasks: &[LeafCode],
+) -> Matching {
+    assert_eq!(workers.len(), capacity.len(), "one capacity per worker");
+    let mut residual = capacity.to_vec();
+    let mut matching = Matching::new();
+    for (t_idx, &t) in tasks.iter().enumerate() {
+        let best = (0..workers.len())
+            .filter(|&i| residual[i] > 0)
+            .min_by_key(|&i| (ctx.tree_dist_units(t, workers[i]), workers[i].0, i));
+        if let Some(i) = best {
+            residual[i] -= 1;
+            matching.pairs.push((t_idx, i));
         }
     }
-
-    /// The engine in use.
-    pub fn engine(&self) -> HstGreedyEngine {
-        self.engine
-    }
-
-    /// Number of still-unassigned workers.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Assigns the available worker nearest on the tree to the task leaf
-    /// `t`, removing it from the pool. Returns `None` when all workers are
-    /// taken.
-    pub fn assign(&mut self, t: LeafCode) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let chosen = match self.engine {
-            HstGreedyEngine::Scan => self.scan(t)?,
-            HstGreedyEngine::Indexed => {
-                let counter = self.counter.as_mut().expect("indexed engine has counter");
-                let leaf = counter.take_nearest(t)?;
-                let stack = self
-                    .residents
-                    .get_mut(&leaf)
-                    .expect("counter and residents agree");
-                stack.pop().expect("non-empty stack for counted leaf")
-            }
-        };
-        debug_assert!(self.available[chosen]);
-        self.available[chosen] = false;
-        self.remaining -= 1;
-        Some(chosen)
-    }
-
-    fn scan(&self, t: LeafCode) -> Option<usize> {
-        // Tie-break by (distance, leaf code, worker index); the indexed
-        // engine's downward walk picks the minimal occupied leaf code at the
-        // minimal distance, so this makes both engines produce identical
-        // matchings.
-        let mut best: Option<(usize, u64, u64)> = None;
-        for (i, &w) in self.workers.iter().enumerate() {
-            if !self.available[i] {
-                continue;
-            }
-            let d = self.ctx.tree_dist_units(t, w);
-            if best.is_none_or(|(_, bd, bc)| (d, w.0) < (bd, bc)) {
-                best = Some((i, d, w.0));
-            }
-        }
-        best.map(|(i, _, _)| i)
-    }
+    matching
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CapacitatedGreedy;
     use pombm_geom::seeded_rng;
     use rand::Rng;
 
@@ -136,69 +51,66 @@ mod tests {
         CodeContext::new(2, 4)
     }
 
+    fn leaves(codes: &[u64]) -> Vec<LeafCode> {
+        codes.iter().map(|&c| LeafCode(c)).collect()
+    }
+
+    /// The production static matcher at unit capacity (the pool's index).
+    fn indexed(ctx: CodeContext, workers: &[LeafCode], tasks: &[LeafCode]) -> Matching {
+        CapacitatedGreedy::uniform(ctx, workers.to_vec(), 1).assign_all(tasks)
+    }
+
+    fn scan(ctx: CodeContext, workers: &[LeafCode], tasks: &[LeafCode]) -> Matching {
+        greedy_reference(ctx, workers, &vec![1; workers.len()], tasks)
+    }
+
     #[test]
     fn assigns_nearest_on_tree() {
         // Workers at leaves 0, 2, 8 of a depth-4 binary tree. A task at
-        // leaf 1 is closest to worker at 0 (LCA level 1).
-        let mut g = HstGreedy::new(
-            ctx(),
-            vec![LeafCode(0), LeafCode(2), LeafCode(8)],
-            HstGreedyEngine::Scan,
-        );
-        assert_eq!(g.assign(LeafCode(1)), Some(0));
-        // Next task at leaf 1: nearest remaining is leaf 2 (LCA level 2 = 12
-        // units) vs leaf 8 (level 4 = 60 units).
-        assert_eq!(g.assign(LeafCode(1)), Some(1));
-        assert_eq!(g.assign(LeafCode(1)), Some(2));
-        assert_eq!(g.assign(LeafCode(1)), None);
+        // leaf 1 is closest to worker at 0 (LCA level 1); the next one to
+        // leaf 2 (LCA level 2 = 12 units) rather than leaf 8 (level 4 = 60
+        // units); the fourth finds nobody.
+        let (workers, tasks) = (leaves(&[0, 2, 8]), leaves(&[1, 1, 1, 1]));
+        let want = vec![(0, 0), (1, 1), (2, 2)];
+        assert_eq!(scan(ctx(), &workers, &tasks).pairs, want);
+        assert_eq!(indexed(ctx(), &workers, &tasks).pairs, want);
     }
 
     #[test]
     fn scan_ties_break_to_lower_leaf_code() {
         // Workers at leaves 2 and 3 are equidistant from a task at leaf 0
         // (both LCA level 2); the canonical tie-break picks the lower code.
-        let mut g = HstGreedy::new(ctx(), vec![LeafCode(3), LeafCode(2)], HstGreedyEngine::Scan);
-        assert_eq!(g.assign(LeafCode(0)), Some(1));
+        let workers = leaves(&[3, 2]);
+        assert_eq!(scan(ctx(), &workers, &leaves(&[0])).pairs, vec![(0, 1)]);
     }
 
     #[test]
     fn scan_equal_codes_break_to_lower_index() {
-        let mut g = HstGreedy::new(ctx(), vec![LeafCode(2), LeafCode(2)], HstGreedyEngine::Scan);
-        assert_eq!(g.assign(LeafCode(0)), Some(0));
+        let workers = leaves(&[2, 2]);
+        assert_eq!(scan(ctx(), &workers, &leaves(&[0])).pairs, vec![(0, 0)]);
     }
 
     #[test]
     fn engines_produce_identical_matchings() {
         // With the canonical (distance, leaf code, worker index) tie-break,
-        // the scan and indexed engines agree worker-for-worker on any
+        // the scan and the pool's index agree worker-for-worker on any
         // arrival sequence.
         let c = CodeContext::new(3, 5);
         let mut rng = seeded_rng(17, 0);
-        let workers: Vec<LeafCode> = (0..120)
-            .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
-            .collect();
-        let tasks: Vec<LeafCode> = (0..120)
-            .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
-            .collect();
-        let mut scan = HstGreedy::new(c, workers.clone(), HstGreedyEngine::Scan);
-        let mut indexed = HstGreedy::new(c, workers.clone(), HstGreedyEngine::Indexed);
-        for &t in &tasks {
-            let a = scan.assign(t).unwrap();
-            let b = indexed.assign(t).unwrap();
-            assert_eq!(a, b, "engines disagree for task {t}");
-        }
-        assert_eq!(scan.remaining(), 0);
-        assert_eq!(indexed.remaining(), 0);
+        let mut draw = |n: usize| -> Vec<LeafCode> {
+            (0..n)
+                .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
+                .collect()
+        };
+        let (workers, tasks) = (draw(120), draw(120));
+        let a = scan(c, &workers, &tasks);
+        assert_eq!(a.size(), 120);
+        assert_eq!(a, indexed(c, &workers, &tasks));
     }
 
     #[test]
     fn indexed_engine_handles_duplicate_leaves() {
-        let c = ctx();
-        let mut g = HstGreedy::new(
-            c,
-            vec![LeafCode(5), LeafCode(5), LeafCode(5)],
-            HstGreedyEngine::Indexed,
-        );
+        let mut g = CapacitatedGreedy::uniform(ctx(), leaves(&[5, 5, 5]), 1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..3 {
             let w = g.assign(LeafCode(5)).unwrap();
@@ -211,15 +123,17 @@ mod tests {
     fn fake_leaf_tasks_and_workers_are_fine() {
         // Codes needn't correspond to real predefined points; any code in
         // the complete tree works.
-        let c = ctx();
-        let mut g = HstGreedy::new(c, vec![LeafCode(15)], HstGreedyEngine::Scan);
-        assert_eq!(g.assign(LeafCode(14)), Some(0));
+        let (workers, tasks) = (leaves(&[15]), leaves(&[14]));
+        assert_eq!(scan(ctx(), &workers, &tasks).pairs, vec![(0, 0)]);
+        assert_eq!(indexed(ctx(), &workers, &tasks).pairs, vec![(0, 0)]);
     }
 
     #[test]
     fn empty_worker_pool() {
-        let mut g = HstGreedy::new(ctx(), vec![], HstGreedyEngine::Indexed);
+        let tasks = leaves(&[0]);
+        assert_eq!(scan(ctx(), &[], &tasks).size(), 0);
+        let mut g = CapacitatedGreedy::uniform(ctx(), vec![], 1);
         assert_eq!(g.assign(LeafCode(0)), None);
-        assert_eq!(g.remaining(), 0);
+        assert_eq!(g.remaining_slots(), 0);
     }
 }

@@ -1,17 +1,15 @@
-//! A static k-d tree with deletions, the third engine option for Euclidean
-//! greedy matching.
+//! A static k-d tree with deletions: the plane's one nearest-free-worker
+//! index, run directly by the static planar matchers and rebuilt after
+//! shift churn by [`crate::DynamicKdRebuild`].
 //!
-//! The cell index in [`crate::euclidean`] degrades when worker density is
-//! very non-uniform (hotspot workloads): a few buckets hold almost
-//! everything. A k-d tree adapts to the data distribution. Built once over
-//! the reported worker locations (`O(n log n)`), it supports
-//! nearest-available queries with branch-and-bound pruning and *logical*
-//! deletion (subtree live-counters), so a full greedy run is
-//! `O(n log n)` amortized in benign cases.
-//!
-//! Tie-breaking matches the linear scan — (distance, worker index) — so all
-//! three Euclidean engines produce identical matchings.
+//! A k-d tree adapts to the data distribution, so hotspot workloads stay
+//! cheap. Built once over the reported worker locations (`O(n log n)`), it
+//! supports nearest-available queries with branch-and-bound pruning and
+//! *logical* deletion (subtree live-counters), so a full greedy run is
+//! `O(n log n)` amortized in benign cases. Ties break by (distance, worker
+//! index), so it reproduces [`crate::euclidean::greedy_reference`].
 
+use crate::Matching;
 use pombm_geom::Point;
 
 /// Node of the k-d tree, region-splitting on the median by alternating axis.
@@ -190,6 +188,15 @@ impl KdTree {
         debug_assert!(removed);
         Some(w)
     }
+
+    /// The Euclidean greedy: every task in arrival order takes its nearest
+    /// available worker; the matching lists the tasks that found one.
+    pub fn assign_all(&mut self, tasks: &[Point]) -> Matching {
+        let take = |(t, p)| Some((t, self.take_nearest(p)?));
+        Matching {
+            pairs: tasks.iter().enumerate().filter_map(take).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -246,10 +253,9 @@ mod tests {
         let workers = random_points(300, 3);
         let tasks = random_points(300, 4);
         let mut tree = KdTree::build(workers.clone());
-        let mut scan = crate::EuclideanGreedy::new(workers);
-        for t in &tasks {
-            assert_eq!(tree.take_nearest(t), scan.assign(t), "divergence at {t}");
-        }
+        let scan = crate::euclidean::greedy_reference(&workers, &tasks);
+        assert_eq!(tree.assign_all(&tasks), scan);
+        assert_eq!(scan.size(), 300);
         assert_eq!(tree.live(), 0);
     }
 
@@ -283,9 +289,7 @@ mod tests {
         pts.extend((0..30).map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0)));
         let tasks = random_points(300, 7);
         let mut tree = KdTree::build(pts.clone());
-        let mut scan = crate::EuclideanGreedy::new(pts);
-        for t in &tasks {
-            assert_eq!(tree.take_nearest(t), scan.assign(t));
-        }
+        let scan = crate::euclidean::greedy_reference(&pts, &tasks);
+        assert_eq!(tree.assign_all(&tasks), scan);
     }
 }

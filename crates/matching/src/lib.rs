@@ -3,15 +3,17 @@
 
 //! Bipartite matching algorithms for online task assignment.
 //!
-//! The paper evaluates three online matchers plus one case-study pair:
+//! The paper's online step is one rule — give each arriving task the nearest
+//! free worker — in two metrics, each with exactly one index:
 //!
-//! * [`EuclideanGreedy`] — the greedy of Tong et al. (PVLDB'16): assign each
-//!   arriving task to the nearest *available* worker in the Euclidean plane
-//!   (the matcher of the Lap-GR baseline).
-//! * [`HstGreedy`] — Alg. 4: assign each arriving task to the available
-//!   worker nearest *on the HST* (used by both Lap-HG and the paper's TBF).
-//!   Two interchangeable engines: the paper's `O(n·D)` linear scan and an
-//!   `O(c·D)` subtree-count index.
+//! * **Tree** (Alg. 4, Lap-HG and TBF): [`HstGreedyPool`]'s `O(c·D)`
+//!   subtree-count walk; static fleets run it through [`CapacitatedGreedy`]
+//!   (unit capacity is the paper's matcher). [`hst_greedy::greedy_reference`]
+//!   is the paper's `O(n·D)` scan it must equal.
+//! * **Plane** (Tong et al., PVLDB'16 — Lap-GR): [`kdtree::KdTree`], rebuilt
+//!   under churn by [`DynamicKdRebuild`]; [`euclidean::greedy_reference`] is
+//!   the `O(n)` scan it must equal.
+//!
 //! * [`offline::OfflineOptimal`] — an exact min-cost offline matcher
 //!   (successive shortest augmenting paths with potentials), used to measure
 //!   empirical competitive ratios against `OPT`.
@@ -31,31 +33,28 @@
 //!   of Meyerson et al. (the paper's ref \[15\]).
 //! * [`ChainMatcher`] — the chain-reassignment rule of Bansal et al. (the
 //!   paper's ref \[19\]).
-//! * [`CapacitatedGreedy`] — workers serving up to `q` tasks each (a
-//!   future-work generalization).
-//! * [`RandomAssign`] — location-blind uniform assignment, the sanity
-//!   floor every mechanism/matcher pair must clear.
+//! * [`RandomAssign`] / [`DynamicRandomPool`] — location-blind uniform
+//!   assignment, the sanity floor every mechanism/matcher pair must clear.
 //!
-//! The paper-evaluated matchers are deterministic given their inputs;
-//! randomness otherwise lives in the privacy mechanisms, the workload
-//! generators, and the explicitly randomized matchers above (which take an
-//! `Rng` per call).
+//! Randomness lives only in the explicitly randomized matchers above (which
+//! take an `Rng` per call); every other matcher is deterministic.
 //!
 //! # Example
 //!
 //! ```
 //! use pombm_hst::{CodeContext, LeafCode};
-//! use pombm_matching::{HstGreedy, HstGreedyEngine};
+//! use pombm_matching::HstGreedyPool;
 //!
 //! // A complete binary tree of depth 4; workers report (obfuscated) leaves.
-//! let ctx = CodeContext::new(2, 4);
-//! let workers = vec![LeafCode(0), LeafCode(6), LeafCode(15)];
-//! let mut matcher = HstGreedy::new(ctx, workers, HstGreedyEngine::Indexed);
+//! let mut pool = HstGreedyPool::new(CodeContext::new(2, 4));
+//! pool.add(0, LeafCode(0));
+//! pool.add(1, LeafCode(6));
+//! pool.add(2, LeafCode(15));
 //!
 //! // Each arriving task takes the tree-nearest available worker (Alg. 4).
-//! assert_eq!(matcher.assign(LeafCode(1)), Some(0));
-//! assert_eq!(matcher.assign(LeafCode(1)), Some(1));
-//! assert_eq!(matcher.remaining(), 1);
+//! assert_eq!(pool.assign(LeafCode(1)), Some(0));
+//! assert_eq!(pool.assign(LeafCode(1)), Some(1));
+//! assert_eq!(pool.available(), 1);
 //! ```
 
 pub mod capacity;
@@ -73,9 +72,7 @@ pub mod reachable;
 pub use capacity::CapacitatedGreedy;
 pub use chain::{ChainMatcher, ChainOutcome};
 pub use clairvoyant::{ClairvoyantAssignment, ClairvoyantOptimal};
-pub use dynamic::{DynamicHstGreedy, DynamicKdRebuild, DynamicRandomPool};
-pub use euclidean::EuclideanGreedy;
-pub use hst_greedy::{HstGreedy, HstGreedyEngine};
+pub use dynamic::{DynamicKdRebuild, DynamicRandomPool, HstGreedyPool};
 pub use random_assign::RandomAssign;
 pub use randomized::RandomizedGreedy;
 

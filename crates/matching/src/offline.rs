@@ -1498,12 +1498,9 @@ mod tests {
             .collect();
         let opt =
             OfflineOptimal::solve_euclidean(&tasks, &workers).total_distance(&tasks, &workers);
-        let mut greedy = crate::EuclideanGreedy::new(workers.clone());
-        let mut greedy_total = 0.0;
-        for t in &tasks {
-            let w = greedy.assign(t).unwrap();
-            greedy_total += t.dist(&workers[w]);
-        }
+        let greedy = crate::kdtree::KdTree::build(workers.clone()).assign_all(&tasks);
+        assert_eq!(greedy.size(), 40);
+        let greedy_total = greedy.total_distance(&tasks, &workers);
         assert!(
             opt <= greedy_total + 1e-9,
             "OPT {opt} > greedy {greedy_total}"

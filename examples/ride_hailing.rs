@@ -22,8 +22,6 @@ fn main() {
     let drivers = 8000;
     let config = PipelineConfig {
         epsilon: 0.6,
-        euclid_cells: 32,
-        engine: pombm_matching::HstGreedyEngine::Indexed,
         ..PipelineConfig::default()
     };
 

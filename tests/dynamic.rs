@@ -59,7 +59,7 @@ fn golden_scenario(seed: u64) -> (Instance, Vec<f64>, ShiftPlan, DynamicConfig) 
 }
 
 /// Fingerprints recorded from the pre-registry dynamic driver (stage 2
-/// hardwired to `DynamicHstGreedy`): `(mechanism, seed)` →
+/// hardwired to the tree pool, then named `DynamicHstGreedy`): `(mechanism, seed)` →
 /// `(pair fnv, assigned, dropped, peak_available)` on [`golden_scenario`].
 const GOLDEN: [(&str, u64, u64, usize, usize, usize); 12] = [
     ("hst", 0, 0xF3BB46DB5826EF15, 59, 21, 6),

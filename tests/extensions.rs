@@ -6,7 +6,7 @@ use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, RunResu
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};
 use pombm_matching::{
-    CapacitatedGreedy, ChainMatcher, HstGreedy, HstGreedyEngine, RandomizedGreedy,
+    hst_greedy, CapacitatedGreedy, ChainMatcher, HstGreedyPool, RandomizedGreedy,
 };
 use pombm_privacy::{AliasTable, Epsilon, ExponentialMechanism};
 use pombm_workload::{synthetic, SyntheticParams};
@@ -205,8 +205,9 @@ proptest! {
         prop_assert_eq!(matched, n.min(m));
     }
 
-    /// Capacitated greedy with capacity 1 is exactly plain HST-greedy
-    /// (indexed engine) on any input.
+    /// Capacitated greedy with capacity 1 is exactly plain HST-greedy —
+    /// the bare pool fed the whole fleet, and the paper's scan — on any
+    /// input.
     #[test]
     fn capacity_one_equals_greedy(
         ctx in arb_ctx(),
@@ -217,11 +218,16 @@ proptest! {
         use rand::Rng as _;
         let workers: Vec<LeafCode> =
             (0..n).map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
+        let tasks: Vec<LeafCode> =
+            (0..n + 2).map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
         let mut cap = CapacitatedGreedy::uniform(ctx, workers.clone(), 1);
-        let mut plain = HstGreedy::new(ctx, workers, HstGreedyEngine::Indexed);
-        for _ in 0..n + 2 {
-            let t = LeafCode(rng.gen_range(0..ctx.num_leaves()));
-            prop_assert_eq!(cap.assign(t), plain.assign(t));
+        let mut plain = HstGreedyPool::new(ctx);
+        plain.add_batch(workers.iter().enumerate().map(|(i, &w)| (i as u64, w)));
+        let scan = hst_greedy::greedy_reference(ctx, &workers, &vec![1; n], &tasks);
+        for (t_idx, &t) in tasks.iter().enumerate() {
+            let w = cap.assign(t);
+            prop_assert_eq!(w, plain.assign(t).map(|w| w as usize));
+            prop_assert_eq!(w, scan.pairs.get(t_idx).map(|&(_, w)| w));
         }
     }
 

@@ -5,7 +5,7 @@
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
 use pombm_hst::{Hst, LeafCode};
 use pombm_matching::offline::OfflineOptimal;
-use pombm_matching::{HstGreedy, HstGreedyEngine, Matching};
+use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy, Matching};
 use rand::Rng;
 
 fn grid_hst(side: usize, seed: u64) -> Hst {
@@ -29,12 +29,13 @@ fn hst_greedy_vs_offline_optimum_in_tree_metric() {
         .map(|_| hst.leaf_of(rng.gen_range(0..hst.num_points())))
         .collect();
 
-    let mut greedy = HstGreedy::new(hst.ctx(), workers.clone(), HstGreedyEngine::Scan);
-    let mut greedy_total = 0.0;
-    for &t in &tasks {
-        let w = greedy.assign(t).unwrap();
-        greedy_total += hst.tree_dist(t, workers[w]);
-    }
+    let greedy = hst_greedy::greedy_reference(hst.ctx(), &workers, &vec![1; n], &tasks);
+    assert_eq!(greedy.size(), n);
+    let greedy_total: f64 = greedy
+        .pairs
+        .iter()
+        .map(|&(t, w)| hst.tree_dist(tasks[t], workers[w]))
+        .sum();
 
     let opt = OfflineOptimal::solve(tasks.len(), workers.len(), |t, w| {
         hst.tree_dist(tasks[t], workers[w])
@@ -54,7 +55,8 @@ fn hst_greedy_vs_offline_optimum_in_tree_metric() {
     );
 }
 
-/// Engine equivalence on a real tree at moderate scale.
+/// Engine equivalence on a real tree at moderate scale: the pool's index
+/// (through the static matcher) reproduces the paper's scan.
 #[test]
 fn engines_agree_on_real_tree() {
     let hst = grid_hst(16, 3);
@@ -65,11 +67,10 @@ fn engines_agree_on_real_tree() {
     let tasks: Vec<LeafCode> = (0..800)
         .map(|_| LeafCode(rng.gen_range(0..hst.num_leaves())))
         .collect();
-    let mut scan = HstGreedy::new(hst.ctx(), workers.clone(), HstGreedyEngine::Scan);
-    let mut indexed = HstGreedy::new(hst.ctx(), workers, HstGreedyEngine::Indexed);
-    for &t in &tasks {
-        assert_eq!(scan.assign(t), indexed.assign(t));
-    }
+    let scan = hst_greedy::greedy_reference(hst.ctx(), &workers, &[1; 800], &tasks);
+    let indexed = CapacitatedGreedy::uniform(hst.ctx(), workers, 1).assign_all(&tasks);
+    assert_eq!(scan.size(), 800);
+    assert_eq!(scan, indexed);
 }
 
 /// Tree distances dominate Euclidean distances (the HST embedding property),
@@ -83,16 +84,14 @@ fn tree_cost_dominates_euclidean_cost() {
     let task_ids: Vec<usize> = (0..40).map(|_| rng.gen_range(0..points.len())).collect();
     let worker_ids: Vec<usize> = (0..40).map(|_| rng.gen_range(0..points.len())).collect();
 
-    let mut greedy = HstGreedy::new(
+    let leaves = |ids: &[usize]| -> Vec<LeafCode> { ids.iter().map(|&p| hst.leaf_of(p)).collect() };
+    let matching: Matching = hst_greedy::greedy_reference(
         hst.ctx(),
-        worker_ids.iter().map(|&w| hst.leaf_of(w)).collect(),
-        HstGreedyEngine::Scan,
+        &leaves(&worker_ids),
+        &[1; 40],
+        &leaves(&task_ids),
     );
-    let mut matching = Matching::new();
-    for (i, &t) in task_ids.iter().enumerate() {
-        let w = greedy.assign(hst.leaf_of(t)).unwrap();
-        matching.pairs.push((i, w));
-    }
+    assert_eq!(matching.size(), 40);
     for &(t, w) in &matching.pairs {
         let de = points.point(task_ids[t]).dist(&points.point(worker_ids[w]));
         let dt = hst.tree_dist(hst.leaf_of(task_ids[t]), hst.leaf_of(worker_ids[w]));
@@ -115,23 +114,13 @@ fn euclid_and_tree_greedy_are_comparable_on_exact_data() {
         .map(|_| points.point(rng.gen_range(0..points.len())))
         .collect();
 
-    let mut euclid = pombm_matching::EuclideanGreedy::new(workers.clone());
-    let mut euclid_total = 0.0;
-    for t in &tasks {
-        let w = euclid.assign(t).unwrap();
-        euclid_total += t.dist(&workers[w]);
-    }
+    let euclid = euclidean::greedy_reference(&workers, &tasks);
+    let euclid_total = euclid.total_distance(&tasks, &workers);
 
-    let mut tree = HstGreedy::new(
-        hst.ctx(),
-        workers.iter().map(|w| hst.snap(w)).collect(),
-        HstGreedyEngine::Scan,
-    );
-    let mut tree_total = 0.0;
-    for t in &tasks {
-        let w = tree.assign(hst.snap(t)).unwrap();
-        tree_total += t.dist(&workers[w]);
-    }
+    let snap = |ps: &[Point]| -> Vec<LeafCode> { ps.iter().map(|p| hst.snap(p)).collect() };
+    let tree = hst_greedy::greedy_reference(hst.ctx(), &snap(&workers), &[1; 80], &snap(&tasks));
+    let tree_total = tree.total_distance(&tasks, &workers);
+    assert_eq!((euclid.size(), tree.size()), (50, 50));
 
     assert!(euclid_total > 0.0 || tree_total >= 0.0);
     // The tree embedding distorts by O(log N); allow a wide but finite band.
@@ -166,12 +155,13 @@ fn offline_optimum_lower_bounds_greedy_over_orders() {
     for _ in 0..5 {
         use rand::seq::SliceRandom;
         tasks.shuffle(&mut rng);
-        let mut greedy = HstGreedy::new(hst.ctx(), workers.clone(), HstGreedyEngine::Indexed);
-        let mut total = 0.0;
-        for &t in &tasks {
-            let w = greedy.assign(t).unwrap();
-            total += hst.tree_dist(t, workers[w]);
-        }
+        let greedy = CapacitatedGreedy::uniform(hst.ctx(), workers.clone(), 1).assign_all(&tasks);
+        assert_eq!(greedy.size(), 30);
+        let total: f64 = greedy
+            .pairs
+            .iter()
+            .map(|&(t, w)| hst.tree_dist(tasks[t], workers[w]))
+            .sum();
         assert!(total >= opt_total - 1e-9);
     }
 }

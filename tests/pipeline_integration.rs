@@ -6,7 +6,6 @@ use pombm::{
     PipelineConfig, Server,
 };
 use pombm_geom::seeded_rng;
-use pombm_matching::HstGreedyEngine;
 use pombm_workload::{chengdu, synthetic, SyntheticParams};
 
 /// The paper's compared algorithms (Sec. IV-A), in its plotting order.
@@ -18,8 +17,6 @@ fn avg_distance(algo: &str, instance: &pombm_workload::Instance, eps: f64, reps:
         .map(|rep| {
             let config = PipelineConfig {
                 epsilon: eps,
-                engine: HstGreedyEngine::Indexed,
-                euclid_cells: 16,
                 ..PipelineConfig::default()
             };
             run_spec(&spec, instance, &config, rep)
@@ -108,8 +105,6 @@ fn chengdu_day_runs_through_all_pipelines() {
     for algo in PAPER {
         let config = PipelineConfig {
             epsilon: 0.6,
-            euclid_cells: 16,
-            engine: HstGreedyEngine::Indexed,
             ..PipelineConfig::default()
         };
         let spec = registry().require_spec(algo).unwrap();

@@ -1,9 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: leaf-code arithmetic, HST metric properties, subtree-counter
-//! consistency, weight-table normalization and mechanism support.
+//! consistency, weight-table normalization and mechanism support — and the
+//! equivalence oracles that pin every nearest-free-worker matcher to the
+//! paper's reference scan of its metric.
 
-use pombm_geom::{seeded_rng, Point, PointSet};
+use pombm::algorithm::{AssignCtx, ReportSet, Reports};
+use pombm::{registry, PipelineConfig, Server};
+use pombm_geom::{seeded_rng, Point, PointSet, Rect};
 use pombm_hst::{CodeContext, Hst, LeafCode, SubtreeCounter};
+use pombm_matching::kdtree::KdTree;
+use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy, Matching};
 use pombm_privacy::{Epsilon, WeightTable};
 use proptest::prelude::*;
 
@@ -190,10 +196,11 @@ proptest! {
             .iter()
             .map(|&(x, y)| Point::new(x as f64 / 10.0, y as f64 / 10.0))
             .collect();
-        let mut tree = pombm_matching::kdtree::KdTree::build(workers.clone());
-        let mut scan = pombm_matching::EuclideanGreedy::new(workers);
-        for t in &tasks {
-            prop_assert_eq!(tree.take_nearest(t), scan.assign(t));
+        let mut tree = KdTree::build(workers.clone());
+        let scan = euclidean::greedy_reference(&workers, &tasks);
+        for (t_idx, t) in tasks.iter().enumerate() {
+            let want = scan.pairs.iter().find(|&&(t, _)| t == t_idx).map(|&(_, w)| w);
+            prop_assert_eq!(tree.take_nearest(t), want);
         }
     }
 
@@ -236,6 +243,127 @@ proptest! {
         for p in 0..ps.len() {
             let z = mech.obfuscate(&hst, hst.leaf_of(p), &mut rng);
             prop_assert!(hst.ctx().contains(z));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence oracles: each production matcher equals its reference scan.
+// ---------------------------------------------------------------------------
+
+/// Raw leaf draws: [`leaf`] maps each onto a small palette of real and
+/// *fake* leaves (so duplicates and equidistant leaves are common) or,
+/// for every fourth draw, onto any code of the complete tree.
+fn arb_leaves(max: usize) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..u64::MAX, 0..max)
+}
+
+/// The leaf a raw draw of [`arb_leaves`] stands for on `hst`.
+fn leaf(hst: &Hst, draw: u64) -> LeafCode {
+    let n = hst.num_leaves();
+    let palette = [
+        hst.leaf_of(0),
+        hst.leaf_of(4),
+        hst.leaf_of(5),
+        LeafCode(0),
+        LeafCode(1),
+        LeafCode(n - 1),
+    ];
+    match draw % 4 {
+        0 => LeafCode(draw / 4 % n),
+        _ => palette[(draw / 4 % 6) as usize],
+    }
+}
+
+/// Points on a small integer lattice: many exact distance ties.
+fn arb_lattice(max: usize) -> impl Strategy<Value = Vec<Point>> {
+    proptest::collection::vec((0u8..6, 0u8..6), 0..max).prop_map(|v| {
+        v.into_iter()
+            .map(|(x, y)| Point::new(f64::from(x) * 10.0, f64::from(y) * 10.0))
+            .collect()
+    })
+}
+
+/// Runs a registered static matcher on hand-built reports.
+fn run_matcher(
+    name: &str,
+    reports: ReportSet,
+    server: &Server,
+    capacity: u32,
+) -> Result<Matching, TestCaseError> {
+    let instance = pombm_workload::Instance::new(server.region(), Vec::new(), Vec::new());
+    let config = PipelineConfig {
+        capacity,
+        ..PipelineConfig::default()
+    };
+    let (mut mech_rng, mut tie_rng) = (seeded_rng(0, 1), seeded_rng(0, 2));
+    let mut ctx = AssignCtx {
+        instance: &instance,
+        config: &config,
+        server: Some(server),
+        mech_rng: &mut mech_rng,
+        tie_rng: &mut tie_rng,
+    };
+    let matcher = registry()
+        .require_matcher(name)
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    matcher
+        .assign(reports, &mut ctx)
+        .map_err(|e| TestCaseError::fail(e.to_string()))
+}
+
+proptest! {
+    /// The tree: `CapacitatedGreedy` on the pool equals Alg. 4's scan for
+    /// arbitrary per-worker capacities (zeros included), duplicate and
+    /// fake leaves, empty sides and more tasks than workers; and the
+    /// registered `hst-greedy` / `capacity` strategies equal it at unit
+    /// and uniform capacity.
+    #[test]
+    fn tree_matchers_equal_the_reference_scan(
+        workers in arb_leaves(30),
+        tasks in arb_leaves(45),
+        caps in proptest::collection::vec(0u32..4, 30..31),
+        q in 1u32..4,
+        seed in 0u64..64,
+    ) {
+        let server = Server::new(Rect::square(60.0), 3, seed);
+        let ctx = server.hst().ctx();
+        let workers: Vec<LeafCode> = workers.iter().map(|&d| leaf(server.hst(), d)).collect();
+        let tasks: Vec<LeafCode> = tasks.iter().map(|&d| leaf(server.hst(), d)).collect();
+        let caps = &caps[..workers.len()];
+
+        let pooled = CapacitatedGreedy::new(ctx, workers.clone(), caps.to_vec()).assign_all(&tasks);
+        prop_assert_eq!(&pooled, &hst_greedy::greedy_reference(ctx, &workers, caps, &tasks));
+
+        for (name, capacity) in [("hst-greedy", 1), ("capacity", q)] {
+            let reports = ReportSet {
+                workers: Reports::Leaves(workers.clone()),
+                tasks: Reports::Leaves(tasks.clone()),
+            };
+            let got = run_matcher(name, reports, &server, capacity)?;
+            let uniform = vec![capacity; workers.len()];
+            let want = hst_greedy::greedy_reference(ctx, &workers, &uniform, &tasks);
+            prop_assert_eq!(got, want, "{}", name);
+        }
+    }
+
+    /// The plane: the k-d tree and the registered `greedy` / `kd-greedy`
+    /// strategies equal the Euclidean scan on lattice points with exact
+    /// ties, empty sides and more tasks than workers.
+    #[test]
+    fn planar_matchers_equal_the_reference_scan(
+        workers in arb_lattice(30),
+        tasks in arb_lattice(45),
+    ) {
+        let want = euclidean::greedy_reference(&workers, &tasks);
+        prop_assert_eq!(&KdTree::build(workers.clone()).assign_all(&tasks), &want);
+        let server = Server::new(Rect::square(60.0), 3, 0);
+        for name in ["greedy", "kd-greedy"] {
+            let reports = ReportSet {
+                workers: Reports::Planar(workers.clone()),
+                tasks: Reports::Planar(tasks.clone()),
+            };
+            prop_assert_eq!(&run_matcher(name, reports, &server, 1)?, &want, "{}", name);
         }
     }
 }

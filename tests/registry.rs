@@ -9,9 +9,8 @@
 //! 3. end-to-end coverage of pairings the closed enum could not express.
 
 use pombm::fingerprint::Fnv1a;
-use pombm::{registry, run_spec, PipelineConfig};
+use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig};
 use pombm_geom::seeded_rng;
-use pombm_matching::HstGreedyEngine;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use proptest::prelude::*;
 
@@ -35,7 +34,10 @@ fn fnv(pairs: &[(usize, usize)]) -> u64 {
 /// Fingerprints recorded from the pre-refactor enum-dispatch pipeline
 /// (60 tasks, 100 workers, instance seed 42) for repetitions 0 and 3.
 /// Config 0 is `PipelineConfig::default()`; config 1 is
-/// `{epsilon: 1.0, grid_side: 16, engine: Indexed, euclid_cells: 8, seed: 7}`.
+/// `{epsilon: 1.0, grid_side: 16, seed: 7}`. (Config 1 was recorded with the
+/// since-retired indexed tree engine and 8×8 Euclidean cell index, config 0
+/// with the paper's scans; every engine gave the same matchings, so both
+/// now pin each metric's one index.)
 const GOLDEN: [(&str, [u64; 4]); 7] = [
     (
         "lap-gr",
@@ -108,8 +110,6 @@ fn golden_configs() -> [PipelineConfig; 2] {
         PipelineConfig {
             epsilon: 1.0,
             grid_side: 16,
-            engine: HstGreedyEngine::Indexed,
-            euclid_cells: 8,
             seed: 7,
             ..PipelineConfig::default()
         },
@@ -133,6 +133,96 @@ fn legacy_variants_match_pre_refactor_matchings_exactly() {
                 );
             }
         }
+    }
+}
+
+/// Fingerprints of pairings `GOLDEN` leaves out, recorded on the parent
+/// of the change that moved the static nearest-worker matchers onto the
+/// dynamic pools' indexes (while `HstGreedy`, `EuclideanGreedy` and
+/// `CapacitatedGreedy`'s own index still ran them), with the same digest,
+/// configs and repetitions: `lap-kd` on the `GOLDEN` instance, and
+/// `tbf-cap` at capacity 2 and 3 on a 60-task × 25-worker instance
+/// (seed 42), where workers serve several tasks and slots run out.
+const PARENT_PINS: [(&str, u32, [u64; 4]); 3] = [
+    (
+        "lap-kd",
+        1,
+        [
+            0x7A0B362294B9A1C4,
+            0x73850A1C4DFFF23E,
+            0xF5644AA25FA3F35E,
+            0x9BA31C0112274213,
+        ],
+    ),
+    (
+        "tbf-cap",
+        2,
+        [
+            0x47C0394210303924,
+            0x6459D2FE4D13A364,
+            0x670A8491FE370024,
+            0x7DB41553F4DCE824,
+        ],
+    ),
+    (
+        "tbf-cap",
+        3,
+        [
+            0x130706AC104AC452,
+            0xCAB0D2A4DA21146B,
+            0xE619CC6C756FB7BB,
+            0x8348108EDB76A356,
+        ],
+    ),
+];
+
+/// `run_epochs` under TBF's mechanism at `EpochConfig::default()`, for 400
+/// workers (fewer than each epoch's 500 tasks) and 600: a digest of every
+/// epoch's counters and the bits of its distances, then the budget spent.
+/// Recorded on the same parent as `PARENT_PINS`.
+const EPOCH_PINS: [(usize, u64); 2] = [(400, 0xFB9CF9FFDEF67A3C), (600, 0x64E024DFEA75598A)];
+
+#[test]
+fn parent_recorded_pairings_still_match() {
+    let configs = golden_configs();
+    for (algo, capacity, expected) in PARENT_PINS {
+        let inst = match algo {
+            "lap-kd" => instance(60, 100, 42),
+            _ => instance(60, 25, 42),
+        };
+        let spec = registry().require_spec(algo).expect("registered");
+        for (ci, config) in configs.iter().enumerate() {
+            let config = PipelineConfig {
+                capacity,
+                ..*config
+            };
+            for (ri, rep) in [0u64, 3].into_iter().enumerate() {
+                let run = run_spec(&spec, &inst, &config, rep).expect("runnable");
+                assert_eq!(
+                    fnv(&run.matching.pairs),
+                    expected[ci * 2 + ri],
+                    "{algo} capacity {capacity} config {ci} rep {rep}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn epoch_simulation_matches_the_parent_recording() {
+    let hst = registry().require_mechanism("hst").unwrap();
+    for (workers, expected) in EPOCH_PINS {
+        let report = run_epochs(workers, &EpochConfig::default(), hst.as_ref()).unwrap();
+        let mut h = Fnv1a::new();
+        for m in &report.per_epoch {
+            h.write_u64(m.fresh_reports as u64)
+                .write_u64(m.stale_reports as u64)
+                .write_u64(m.matching_size as u64)
+                .write_u64(m.total_distance.to_bits())
+                .write_u64(m.avg_report_staleness.to_bits());
+        }
+        h.write_u64(report.worker_budget_spent.to_bits());
+        assert_eq!(h.finish(), expected, "{workers} workers");
     }
 }
 

@@ -314,6 +314,28 @@ fn zero_grid_side_is_a_typed_error_for_both_entry_points() {
     }
 }
 
+#[test]
+fn non_positive_or_non_finite_epsilon_is_a_typed_error_before_any_thread() {
+    for epsilon in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+        let config = ServeConfig {
+            epsilon,
+            ..config(0)
+        };
+        for outcome in [run_serve(&config), serve_frames(&config, Vec::new())] {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(PipelineError::InvalidConfig {
+                        field: "epsilon",
+                        ..
+                    })
+                ),
+                "epsilon {epsilon}"
+            );
+        }
+    }
+}
+
 // --- report shape ------------------------------------------------------
 
 /// The report's JSON field names and their order are a public contract —
