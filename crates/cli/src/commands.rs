@@ -284,10 +284,12 @@ pub fn gen(args: &Args) -> Result<String, String> {
             ..SyntheticParams::default()
         };
         let mut rng = seeded_rng(seed, 0xC11);
+        let instance = synthetic::try_generate(&params, &mut rng).map_err(|e| e.to_string())?;
         if args.switch("radii") {
-            synthetic::generate_with_radii(&params, &mut rng)
+            let (lo, hi) = SyntheticParams::REACH_RADIUS;
+            instance.with_uniform_radii(lo, hi, &mut rng)
         } else {
-            synthetic::generate(&params, &mut rng)
+            instance
         }
     };
     let out: String = args.require("out")?;

@@ -1,7 +1,9 @@
-//! Out-of-range inputs through the real `pombm` binary: `--grid-side 0`,
-//! a privacy budget that is not positive and finite, and the other
-//! degenerate knobs each answer with a one-line typed error, never a
-//! panic.
+//! Out-of-range inputs through the real `pombm` binary: a zero or
+//! oversized `--grid-side`, an instance region no grid of that side can
+//! cover, a privacy budget that is not positive and finite, `gen`
+//! parameters no workload can be drawn from, and the other degenerate
+//! knobs each answer with a one-line typed error, never a panic, an
+//! allocator abort or a hang.
 
 use std::process::{Command, Output};
 
@@ -45,6 +47,87 @@ fn zero_grid_side_is_a_typed_error_in_every_command() {
     assert_eq!(stdout.matches(TYPED).count(), 4, "{stdout}");
 }
 
+/// Runs `command` and checks it fails with exit 1, nothing on stdout and
+/// one stderr line starting `error: {error}`.
+fn assert_one_line_error(command: &str, error: &str) {
+    let output = pombm(command);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {error}")),
+        "{command}: {stderr}"
+    );
+    assert!(output.stdout.is_empty(), "{command}");
+}
+
+#[test]
+fn oversized_grid_side_is_a_typed_error_before_any_allocation() {
+    let out = std::env::temp_dir().join("pombm-grid-side-huge.hst");
+    let _ = std::fs::remove_file(&out);
+    let publish = format!("publish --grid-side 100000 --out {}", out.display());
+    for command in [
+        publish.as_str(),
+        "obfuscate --x 1 --y 1 --grid-side 257",
+        "run --scenario uniform --size 8 --algo tbf --grid-side 257",
+        "serve --load --tasks 10 --workers 10 --grid-side 100000",
+        "dynamic --tasks 10 --workers 10 --grid-side 100000",
+    ] {
+        assert_one_line_error(
+            command,
+            "invalid config `grid_side`: the predefined grid holds at most 65536 points",
+        );
+    }
+    assert!(!out.exists(), "publish must fail before writing");
+}
+
+#[test]
+fn degenerate_instance_region_fits_only_a_one_cell_grid() {
+    let path = std::env::temp_dir().join("pombm-flat-region.json");
+    std::fs::write(
+        &path,
+        r#"{"region":{"min_x":0.0,"min_y":5.0,"max_x":10.0,"max_y":5.0},
+            "tasks":[{"x":1.0,"y":5.0}],
+            "workers":[{"x":2.0,"y":5.0},{"x":9.0,"y":5.0}],"radii":null}"#,
+    )
+    .expect("temp dir is writable");
+    let run = format!("run --input {}", path.display());
+    assert_one_line_error(&format!("{run} --algo tbf"), "invalid config `region`");
+
+    // A one-cell grid covers the flat region, and a spec that builds no
+    // server never looks at the grid.
+    for tail in ["--algo tbf --grid-side 1", "--algo lap-gr"] {
+        let command = format!("{run} {tail}");
+        let output = pombm(&command);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{command}: {stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("matching size:   1"), "{command}: {stdout}");
+    }
+}
+
+#[test]
+fn gen_rejects_parameters_no_workload_can_be_drawn_from() {
+    let out = std::env::temp_dir().join("pombm-gen-bad.json");
+    let _ = std::fs::remove_file(&out);
+    for (flags, error) in [
+        ("--sigma -1", "invalid sigma -1.0"),
+        ("--sigma 0", "invalid sigma 0.0"),
+        ("--sigma inf", "invalid sigma inf"),
+        ("--mu nan", "invalid mu NaN"),
+        ("--mu -inf", "invalid mu -inf"),
+        (
+            "--mu 1e308",
+            "N(mu = 1e308, sigma = 20.0) put none of 1048576 draws",
+        ),
+    ] {
+        let command = format!("gen --tasks 5 --workers 5 {flags} --out {}", out.display());
+        assert_one_line_error(&command, error);
+    }
+    assert!(!out.exists(), "gen must fail before writing");
+}
+
 #[test]
 fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
     let out = std::env::temp_dir().join("pombm-side-zero.hst");
@@ -76,16 +159,7 @@ fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
             "--side must be a positive, finite number",
         ),
     ] {
-        let output = pombm(command);
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("error: {error}")),
-            "{command}: {stderr}"
-        );
-        assert!(output.stdout.is_empty(), "{command}");
+        assert_one_line_error(command, error);
     }
     assert!(!out.exists(), "publish must fail before writing");
 }

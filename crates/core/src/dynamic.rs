@@ -99,7 +99,7 @@
 //! ```
 
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
-use crate::server::{check_epsilon, check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, check_region, Server};
 use pombm_geom::seeded_rng;
 use pombm_privacy::Epsilon;
 use pombm_workload::shifts::ShiftPlan;
@@ -230,8 +230,9 @@ pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<Timeli
 ///
 /// A timeline that does not fit the instance (a task-time or shift count
 /// that differs from the task or worker count, a non-finite timestamp) is
-/// a typed [`PipelineError::InvalidConfig`], and so are a zero
-/// `config.grid_side` and an `epsilon` that is not positive and finite.
+/// a typed [`PipelineError::InvalidConfig`], and so are a zero or
+/// oversized `config.grid_side`, an `epsilon` that is not positive and
+/// finite, and a region the grid cannot cover when a server is needed.
 /// The server (grid and HST) is built only when the
 /// mechanism or the matcher reads it; the build draws from its own seeded
 /// stream, so skipping it moves no other draw.
@@ -246,9 +247,13 @@ pub fn run_dynamic_spec(
     check_timeline(instance, task_times, plan)?;
     check_grid_side(config.grid_side)?;
     check_epsilon("epsilon", config.epsilon)?;
+    let needs_server = mechanism.needs_server() || matcher.needs_server();
+    if needs_server {
+        check_region(instance.region, config.grid_side)?;
+    }
 
-    let server = (mechanism.needs_server() || matcher.needs_server())
-        .then(|| Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE));
+    let server =
+        needs_server.then(|| Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE));
     let epsilon = Epsilon::new(config.epsilon);
     let mut reporter = mechanism.reporter(epsilon, server.as_ref())?;
     let mut rng = seeded_rng(config.seed, 0xD1CE_0001);

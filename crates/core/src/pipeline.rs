@@ -15,7 +15,7 @@
 
 use crate::algorithm::{AssignCtx, PipelineError, Report, ReportSet, Reports};
 use crate::registry::AlgorithmSpec;
-use crate::server::{check_epsilon, check_grid_side, Server};
+use crate::server::{check_epsilon, check_grid_side, check_region, Server};
 use pombm_geom::seeded_rng;
 use pombm_matching::Matching;
 use pombm_privacy::Epsilon;
@@ -109,9 +109,10 @@ pub struct RunResult {
 /// internally when either stage needs them.
 ///
 /// `repetition` decorrelates the randomness of repeated runs: the paper
-/// repeats every experiment 10 times and reports averages. A zero
-/// `config.grid_side` or an `epsilon` that is not positive and finite is a
-/// typed [`PipelineError::InvalidConfig`] for every spec.
+/// repeats every experiment 10 times and reports averages. A zero or
+/// oversized `config.grid_side` or an `epsilon` that is not positive and
+/// finite is a typed [`PipelineError::InvalidConfig`] for every spec, and
+/// so is a region the grid cannot cover for a spec that builds a server.
 pub fn run_spec(
     spec: &AlgorithmSpec,
     instance: &Instance,
@@ -120,6 +121,9 @@ pub fn run_spec(
 ) -> Result<RunResult, PipelineError> {
     check_grid_side(config.grid_side)?;
     check_epsilon("epsilon", config.epsilon)?;
+    if spec.needs_server() {
+        check_region(instance.region, config.grid_side)?;
+    }
     // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
     // the sweep strips before fingerprinting.
     let setup_start = Instant::now();
@@ -495,9 +499,10 @@ mod tests {
 
     #[test]
     fn tbf_variants_stay_close_to_plain_tbf() {
-        // Randomized tie-breaking and chain hops change individual pairs
-        // but the total distance must stay in the same ballpark (within 2×
-        // on average) — they optimize the same tree-distance objective.
+        // Randomized tie-breaking changes individual pairs but the total
+        // distance must stay in the same ballpark (within 2× on average) —
+        // it optimizes the same tree-distance objective. (Chain hops end at
+        // greedy's worker on the tree, so `tbf-chain` equals `tbf`.)
         let instance = small_instance(13);
         let config = PipelineConfig::default();
         let avg = |algo: &str| -> f64 {

@@ -27,7 +27,7 @@
 //! [`Registry::dynamic_oracle`].
 
 use crate::algorithm::{
-    AssignStrategy, BlindMechanism, CapacitatedStrategy, ChainStrategy, DynamicAssignStrategy,
+    AssignStrategy, BlindMechanism, CapacitatedStrategy, DynamicAssignStrategy,
     DynamicHstGreedyStrategy, DynamicKdRebuildStrategy, DynamicOptStrategy, DynamicRandomStrategy,
     ExponentialReportMechanism, HstGreedyStrategy, HstWalkMechanism, IdentityMechanism,
     KdGreedyStrategy, LaplaceMechanism, OfflineOptimalStrategy, PipelineError,
@@ -450,12 +450,14 @@ fn build() -> Registry {
     let identity: Arc<dyn ReportMechanism> = Arc::new(IdentityMechanism);
     let blind: Arc<dyn ReportMechanism> = Arc::new(BlindMechanism);
 
-    // One k-d-tree strategy under both planar names.
+    // One k-d-tree strategy under both planar names, and one tree-pool
+    // strategy under `hst-greedy` and `chain` (the chain rule ends at
+    // greedy's worker in the tree metric).
     let greedy: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::GREEDY);
     let kd: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::KD_GREEDY);
-    let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy);
+    let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy::HST_GREEDY);
     let hst_rand: Arc<dyn AssignStrategy> = Arc::new(RandomizedGreedyStrategy);
-    let chain: Arc<dyn AssignStrategy> = Arc::new(ChainStrategy);
+    let chain: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy::CHAIN);
     let capacity: Arc<dyn AssignStrategy> = Arc::new(CapacitatedStrategy);
     let random: Arc<dyn AssignStrategy> = Arc::new(RandomAssignStrategy);
     let offline_opt: Arc<dyn AssignStrategy> = Arc::new(OfflineOptimalStrategy);

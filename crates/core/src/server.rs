@@ -4,10 +4,19 @@ use crate::algorithm::PipelineError;
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
 use pombm_hst::{Hst, LeafCode};
 
+/// The most predefined points a server is built on: `N = side² ≤ 2¹⁶`
+/// (side 256). The FRT build grows faster than linearly in `N` — on a
+/// 2-core Xeon VM side 256 builds in 12–14 s and side 512 did not finish
+/// in 4 minutes — and side 100 000 would ask the allocator for about
+/// 160 GB.
+/// Every side the experiments use (at most 64) is far below the cap.
+pub const MAX_GRID_POINTS: usize = 1 << 16;
+
 /// Rejects a grid side no server can be built on: the predefined grid
-/// needs at least one cell. Every entry point that builds a [`Server`]
-/// calls this first, so a zero `grid_side` is a typed
-/// [`PipelineError::InvalidConfig`], not a panic inside [`Server::new`].
+/// needs at least one cell and at most [`MAX_GRID_POINTS`]. Every entry
+/// point that builds a [`Server`] calls this first, so a zero or oversized
+/// `grid_side` is a typed [`PipelineError::InvalidConfig`], not a panic
+/// inside [`Server::new`] or an allocator abort.
 pub fn check_grid_side(grid_side: usize) -> Result<(), PipelineError> {
     if grid_side == 0 {
         return Err(PipelineError::InvalidConfig {
@@ -15,7 +24,31 @@ pub fn check_grid_side(grid_side: usize) -> Result<(), PipelineError> {
             why: "the predefined grid needs at least one cell",
         });
     }
+    if grid_side
+        .checked_mul(grid_side)
+        .is_none_or(|n| n > MAX_GRID_POINTS)
+    {
+        return Err(PipelineError::InvalidConfig {
+            field: "grid_side",
+            why: "the predefined grid holds at most 65536 points (side 256)",
+        });
+    }
     Ok(())
+}
+
+/// Rejects an instance region the `grid_side × grid_side` grid cannot
+/// cover, by [`Grid::new`]'s own condition: a region of zero width or
+/// height fits only a one-cell grid. Drivers call it before building a
+/// [`Server`] over a caller's instance, so such a region is a typed
+/// [`PipelineError::InvalidConfig`], not a panic inside [`Grid::new`].
+pub fn check_region(region: Rect, grid_side: usize) -> Result<(), PipelineError> {
+    if Grid::fits(region, grid_side, grid_side) {
+        return Ok(());
+    }
+    Err(PipelineError::InvalidConfig {
+        field: "region",
+        why: "a region of zero width or height fits only a one-cell grid (grid side 1)",
+    })
 }
 
 /// Rejects a privacy budget that is not a positive, finite number, naming
@@ -66,8 +99,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `grid_side` is 0; entry points reject that first with
-    /// [`check_grid_side`].
+    /// Panics if `grid_side` is 0, or above 1 and `region` has zero width
+    /// or height; entry points reject those first with [`check_grid_side`]
+    /// and [`check_region`].
     pub fn new(region: Rect, grid_side: usize, seed: u64) -> Self {
         Self::with_construction(region, grid_side, seed, TreeConstruction::Frt)
     }
@@ -162,6 +196,22 @@ mod tests {
             .filter(|&id| a.hst().leaf_of(id) == b.hst().leaf_of(id))
             .count();
         assert!(same < a.grid().len(), "trees should differ between seeds");
+    }
+
+    #[test]
+    fn grid_side_and_region_checks_admit_exactly_what_builds() {
+        assert!(check_grid_side(0).is_err());
+        for side in [1, 32, 64, 256] {
+            check_grid_side(side).unwrap();
+        }
+        for side in [257, 100_000, usize::MAX] {
+            assert!(check_grid_side(side).is_err(), "{side}");
+        }
+        let flat = Rect::new(0.0, 5.0, 10.0, 5.0);
+        assert!(check_region(flat, 2).is_err());
+        check_region(flat, 1).unwrap();
+        assert_eq!(Server::new(flat, 1, 3).num_predefined(), 1);
+        check_region(Rect::square(200.0), 256).unwrap();
     }
 
     #[test]

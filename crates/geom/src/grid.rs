@@ -35,7 +35,7 @@ impl Grid {
     pub fn new(region: Rect, cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "grid must have at least one cell");
         assert!(
-            (region.width() > 0.0 || cols == 1) && (region.height() > 0.0 || rows == 1),
+            Grid::fits(region, cols, rows),
             "degenerate region for multi-cell grid"
         );
         Grid {
@@ -45,6 +45,15 @@ impl Grid {
             pitch_x: region.width() / cols as f64,
             pitch_y: region.height() / rows as f64,
         }
+    }
+
+    /// Whether [`Grid::new`] accepts these arguments: at least one cell, and
+    /// a positive width (height) unless the grid has a single column (row).
+    pub fn fits(region: Rect, cols: usize, rows: usize) -> bool {
+        cols > 0
+            && rows > 0
+            && (region.width() > 0.0 || cols == 1)
+            && (region.height() > 0.0 || rows == 1)
     }
 
     /// Square grid with `side × side` cells, the configuration used in all
@@ -191,6 +200,15 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.point(2), Point::new(5.0, 1.0));
         assert_eq!(g.nearest(&Point::new(5.2, 0.4)), 2);
+    }
+
+    #[test]
+    fn fits_is_the_constructor_precondition() {
+        let flat = Rect::new(0.0, 5.0, 10.0, 5.0);
+        assert!(Grid::fits(flat, 1, 1) && Grid::fits(flat, 4, 1));
+        assert_eq!(Grid::new(flat, 4, 1).len(), 4);
+        assert!(!Grid::fits(flat, 4, 4) && !Grid::fits(flat, 1, 2));
+        assert!(!Grid::fits(Rect::square(1.0), 0, 3));
     }
 
     #[test]

@@ -11,20 +11,46 @@
 //!    *from `w₁`'s leaf*, excluding workers already visited by this chain,
 //!    and repeats until an unmatched worker is reached.
 //!
-//! The chain hops are where the competitive-ratio magic lives: a task that
-//! lands in a crowded, exhausted region pays the local detour step by step
-//! rather than jumping straight across the tree. Each hop is a nearest
-//! query over non-visited workers, so a task costs `O(h·n·D)` where `h` is
-//! its chain length; the worst case is slower than greedy but `h` is small
-//! in practice.
+//! Each hop is a nearest query over non-visited workers under the
+//! canonical `(tree distance, leaf code, index)` order, so a task costs
+//! `O(h·n·D)` where `h` is its chain length. The `O(log² k)` bound belongs
+//! to Bansal et al.'s randomized algorithm; this deterministic chain does
+//! not inherit it, because on the tree it reproduces greedy (below).
 //!
-//! This is a baseline/extension for comparing online assignment rules under
-//! the same privacy mechanisms; the paper's own TBF uses plain greedy
-//! (Alg. 4).
+//! # On the tree, the chain ends where greedy does
+//!
+//! The tree distance is an ultrametric, and every subtree is a contiguous
+//! range of leaf codes. Let `S` be the smallest subtree around `t` that
+//! holds a free worker, and `S'` its child holding `t` (which holds no
+//! free worker; empty when `S` is `t`'s own leaf).
+//!
+//! * While a subtree around the chain's position holds an unvisited
+//!   worker, the next hop stays inside it; so the chain visits every
+//!   worker of `S'` (all matched) before it leaves `S'`, and never leaves
+//!   `S` while `S` holds a free worker.
+//! * Once `S'` is exhausted, the hops walk `S \ S'` in `(leaf code,
+//!   index)` order. Say the visited part is a prefix of that order. The
+//!   smallest subtree around the chain's position that holds an unvisited
+//!   worker spans, as a code range, the next worker of the order; all its
+//!   unvisited workers are equally far from the position; so the hop picks
+//!   the one with the lowest `(code, index)`, which is that next worker.
+//!
+//! So the chain stops at the lowest-`(code, index)` free worker of `S`,
+//! which is exactly Alg. 4's pick (every free worker of `S` is at the
+//! same distance from `t`); only the hop count differs. The registered
+//! `chain` matcher therefore runs the greedy tree-pool walk, and
+//! [`ChainMatcher`] is kept as the literal rule: the reference that walk
+//! is tested against, and the counter of chain hops.
 
 use pombm_hst::{CodeContext, LeafCode};
 
-/// Online chain-reassignment matcher on the complete HST (see module docs).
+/// Online chain-reassignment matcher on the complete HST: the literal rule
+/// with its `O(h·n·D)` hop scan.
+///
+/// Its matching equals `crate::hst_greedy::greedy_reference` at unit
+/// capacity (see the module docs for why), so production runs the greedy
+/// walk; this struct is the paper-literal reference for that equivalence
+/// and the one place that counts chain hops ([`ChainOutcome::hops`]).
 #[derive(Debug, Clone)]
 pub struct ChainMatcher {
     ctx: CodeContext,

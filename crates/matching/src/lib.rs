@@ -32,7 +32,10 @@
 //! * [`RandomizedGreedy`] — Alg. 4 with the uniform tie-break randomization
 //!   of Meyerson et al. (the paper's ref \[15\]).
 //! * [`ChainMatcher`] — the chain-reassignment rule of Bansal et al. (the
-//!   paper's ref \[19\]).
+//!   paper's ref \[19\]), kept as the literal `O(h·n·D)` hop scan: on the
+//!   tree it ends at greedy's worker (proof sketch in [`chain`]), so the
+//!   registered `chain` matcher runs the tree pool and this struct is its
+//!   reference and the chain-hop counter.
 //! * [`RandomAssign`] / [`DynamicRandomPool`] — location-blind uniform
 //!   assignment, the sanity floor every mechanism/matcher pair must clear.
 //!

@@ -9,7 +9,7 @@ use pombm::{registry, PipelineConfig, Server};
 use pombm_geom::{seeded_rng, Point, PointSet, Rect};
 use pombm_hst::{CodeContext, Hst, LeafCode, SubtreeCounter};
 use pombm_matching::kdtree::KdTree;
-use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy, Matching};
+use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy, ChainMatcher, Matching};
 use pombm_privacy::{Epsilon, WeightTable};
 use proptest::prelude::*;
 
@@ -315,9 +315,10 @@ fn run_matcher(
 proptest! {
     /// The tree: `CapacitatedGreedy` on the pool equals Alg. 4's scan for
     /// arbitrary per-worker capacities (zeros included), duplicate and
-    /// fake leaves, empty sides and more tasks than workers; and the
-    /// registered `hst-greedy` / `capacity` strategies equal it at unit
-    /// and uniform capacity.
+    /// fake leaves, empty sides and more tasks than workers; the literal
+    /// `ChainMatcher` walk equals it at unit capacity; and the registered
+    /// `hst-greedy` / `chain` / `capacity` strategies equal it at unit,
+    /// unit and uniform capacity.
     #[test]
     fn tree_matchers_equal_the_reference_scan(
         workers in arb_leaves(30),
@@ -335,7 +336,19 @@ proptest! {
         let pooled = CapacitatedGreedy::new(ctx, workers.clone(), caps.to_vec()).assign_all(&tasks);
         prop_assert_eq!(&pooled, &hst_greedy::greedy_reference(ctx, &workers, caps, &tasks));
 
-        for (name, capacity) in [("hst-greedy", 1), ("capacity", q)] {
+        // The literal chain walk ends at greedy's worker on every task.
+        let mut chain = ChainMatcher::new(ctx, workers.clone());
+        let walked = Matching {
+            pairs: tasks
+                .iter()
+                .enumerate()
+                .filter_map(|(t, &leaf)| Some((t, chain.assign(leaf)?.worker)))
+                .collect(),
+        };
+        let unit = vec![1; workers.len()];
+        prop_assert_eq!(&walked, &hst_greedy::greedy_reference(ctx, &workers, &unit, &tasks));
+
+        for (name, capacity) in [("hst-greedy", 1), ("chain", 1), ("capacity", q)] {
             let reports = ReportSet {
                 workers: Reports::Leaves(workers.clone()),
                 tasks: Reports::Leaves(tasks.clone()),
