@@ -30,7 +30,7 @@
 //!
 //! Running times are those of each metric's one nearest-free-worker index
 //! (the HST pool, the k-d tree); the paper's literal scans survive as the
-//! reference functions the `matching` bench times against them.
+//! reference functions the proptests pin those indexes to.
 //! ```
 
 use pombm_bench::figures::{self, ExperimentConfig};

@@ -2,10 +2,8 @@
 //!
 //! This crate regenerates every table and figure of the paper's evaluation
 //! (Sec. IV). The `experiments` binary prints the same series the paper
-//! plots and writes CSV files; Criterion benches in `benches/` cover the
-//! micro-level claims (mechanism latency, construction cost, matcher
-//! engines). See EXPERIMENTS.md at the repository root for the recorded
-//! paper-vs-measured comparison.
+//! plots and writes CSV files. Timing claims belong to the `pombm-perf`
+//! benchmark in `src/bin/pombm-perf/`, a package of its own.
 
 pub mod alloc;
 pub mod figures;

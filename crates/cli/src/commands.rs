@@ -15,7 +15,7 @@ use pombm::{
 };
 use pombm_geom::{seeded_rng, Point};
 use pombm_hst::wire;
-use pombm_workload::{chengdu, synthetic, Instance, SyntheticParams};
+use pombm_workload::{chengdu, synthetic, Instance, RealParams, SyntheticParams};
 use serde::Deserialize as _;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -269,6 +269,12 @@ pub fn gen(args: &Args) -> Result<String, String> {
     let num_workers: usize = args.get_or("workers", SyntheticParams::default().num_workers)?;
     let instance = if args.switch("real") {
         let day: usize = args.get_or("day", 0)?;
+        if day >= RealParams::NUM_DAYS {
+            return Err(format!(
+                "invalid day {day}: the Chengdu-like trace has days 0-{}",
+                RealParams::NUM_DAYS - 1
+            ));
+        }
         let city = chengdu::CityModel::generate(seed);
         if args.switch("radii") {
             chengdu::generate_day_with_radii(&city, day, num_workers, seed)

@@ -121,6 +121,10 @@ fn gen_rejects_parameters_no_workload_can_be_drawn_from() {
             "--mu 1e308",
             "N(mu = 1e308, sigma = 20.0) put none of 1048576 draws",
         ),
+        (
+            "--real --day 30",
+            "invalid day 30: the Chengdu-like trace has days 0-29",
+        ),
     ] {
         let command = format!("gen --tasks 5 --workers 5 {flags} --out {}", out.display());
         assert_one_line_error(&command, error);
@@ -142,6 +146,10 @@ fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
         (
             "serve --load --epsilon nan --tasks 20 --workers 10",
             "invalid config `epsilon`",
+        ),
+        (
+            "serve --load --qps 1e-300 --tasks 20 --workers 10",
+            "invalid config `qps`",
         ),
         (
             "sweep --mechanisms hst --matchers hst-greedy --sizes 8 --epsilons 0",

@@ -403,10 +403,12 @@ pub trait ReportMechanism: Send + Sync {
     ///
     /// The default implementation is the scalar loop itself (correct for
     /// any mechanism, including custom ones with cross-report reporter
-    /// state). The planar-Laplace and HST mechanisms override it to
-    /// dispatch into [`pombm_privacy::batch`], whose snapshot pass gives
-    /// each item its own RNG stream so the expensive sampling parallelizes
-    /// without perturbing the shared stream.
+    /// state). Only planar Laplace overrides it, dispatching into
+    /// [`pombm_privacy::batch`], whose snapshot pass gives each item its own
+    /// RNG stream so the expensive sampling parallelizes without perturbing
+    /// the shared stream. The HST walk keeps the scalar loop: replaying its
+    /// coin flips is most of the walk, so a snapshot pass made two threads
+    /// slower than one.
     fn report_batch(
         &self,
         epsilon: Epsilon,
@@ -420,16 +422,6 @@ pub trait ReportMechanism: Send + Sync {
         let _ = threads;
         let mut reporter = self.reporter(epsilon, server)?;
         Ok(locations.iter().map(|p| reporter.report(p, rng)).collect())
-    }
-}
-
-/// Resolves a [`ReportMechanism::report_batch`] thread request: `0` sizes
-/// the pool from the batch (one thread per ~4096 items, capped by cores).
-fn batch_threads(threads: usize, batch_len: usize) -> usize {
-    if threads == 0 {
-        pombm_privacy::batch::default_threads(batch_len)
-    } else {
-        threads
     }
 }
 
@@ -612,7 +604,12 @@ impl ReportMechanism for LaplaceMechanism {
         threads: usize,
     ) -> Result<Vec<Report>, PipelineError> {
         let mechanism = PlanarLaplace::new(epsilon);
-        let threads = batch_threads(threads, locations.len());
+        // `0` sizes the pool from the batch: one thread per ~4096 items,
+        // capped by cores.
+        let threads = match threads {
+            0 => pombm_privacy::batch::default_threads(locations.len()),
+            n => n,
+        };
         Ok(
             pombm_privacy::batch::obfuscate_points_batch(&mechanism, locations, rng, threads)
                 .into_iter()
@@ -658,32 +655,6 @@ impl ReportMechanism for HstWalkMechanism {
             mechanism: HstMechanism::new(server.hst(), epsilon),
             server,
         }))
-    }
-
-    fn report_batch(
-        &self,
-        epsilon: Epsilon,
-        server: Option<&Server>,
-        locations: &[Point],
-        rng: &mut StdRng,
-        threads: usize,
-    ) -> Result<Vec<Report>, PipelineError> {
-        let server = server.ok_or(PipelineError::MissingServer("hst mechanism"))?;
-        let mechanism = HstMechanism::new(server.hst(), epsilon);
-        // Snapping draws no randomness, so it commutes with the walk's
-        // stream; the walks themselves go through the snapshot batch.
-        let exact: Vec<_> = locations.iter().map(|p| server.snap(p)).collect();
-        let threads = batch_threads(threads, locations.len());
-        Ok(pombm_privacy::batch::obfuscate_leaves_batch(
-            &mechanism,
-            server.hst(),
-            &exact,
-            rng,
-            threads,
-        )
-        .into_iter()
-        .map(Report::Leaf)
-        .collect())
     }
 }
 

@@ -903,6 +903,8 @@ struct Resolved {
     fault_plan: Option<Arc<dyn FaultPlan>>,
     fault_rate: f64,
     shed_policy: ShedPolicy,
+    /// Wall-clock pause between generator frames (`None`: unthrottled).
+    pause: Option<Duration>,
 }
 
 /// Validates the config and resolves every registry name — all typed
@@ -922,6 +924,13 @@ fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
             why: "must be 0 (unthrottled) or a positive, finite rate",
         });
     }
+    let pause = (config.qps > 0.0)
+        .then(|| Duration::try_from_secs_f64(1.0 / config.qps))
+        .transpose()
+        .map_err(|_| PipelineError::InvalidConfig {
+            field: "qps",
+            why: "a rate this low spaces requests further apart than a Duration can hold",
+        })?;
     if config.fault_rate.is_some() && config.fault_plan.is_none() {
         return Err(PipelineError::InvalidConfig {
             field: "fault-rate",
@@ -966,6 +975,7 @@ fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
         fault_plan,
         fault_rate,
         shed_policy,
+        pause,
     })
 }
 
@@ -1107,7 +1117,6 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
 
     let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
     let (tx, rx) = mpsc::channel::<Bytes>();
-    let pause = (config.qps > 0.0).then(|| Duration::from_secs_f64(1.0 / config.qps));
     let result: parking_lot::Mutex<Option<Result<SessionStats, PipelineError>>> =
         parking_lot::Mutex::new(None);
     crossbeam::thread::scope(|scope| {
@@ -1121,7 +1130,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
             if tx.send(frame).is_err() {
                 break; // The service ended early (error path): stop pacing.
             }
-            if let Some(pause) = pause {
+            if let Some(pause) = resolved.pause {
                 std::thread::sleep(pause);
             }
         }

@@ -21,7 +21,7 @@
 //! | `UNSAFE-SAFETY` | Every `unsafe` token (block, fn, impl) is immediately preceded by a `// SAFETY:` comment — same line, or the contiguous comment/attribute run directly above (a blank line breaks the run). |
 //! | `TF-DISPATCH` | Every `#[target_feature(enable = "F")]` fn is an `unsafe fn`, and every mention of it outside its definition is either inside the body of a fn gated on the same feature or within [`rules::TF_GUARD_WINDOW`] lines below an `is_x86_feature_detected!("F")` check in the same file. |
 //! | `DET-HASH` | No `HashMap`/`HashSet` in non-test code without a waiver: their iteration order is seeded per-process, so any iteration that reaches serialized or order-canonical output flakes goldens. Convert to `BTreeMap`/`BTreeSet`, sort explicitly, or waive stating why order never escapes. `use` declarations are exempt. |
-//! | `DET-TIME` | No `Instant::now` / `SystemTime` in non-test code without a waiver: wall-clock belongs only to the timings-gated `wall_ms` path (stripped from golden output) and to the bench/criterion measurement code. |
+//! | `DET-TIME` | No `Instant::now` / `SystemTime` in non-test code without a waiver: wall-clock belongs only to the timings-gated `wall_ms` path (stripped from golden output) and to the bench crate's measurement code. |
 //! | `DET-RNG` | No entropy seeding anywhere — `from_entropy`, `thread_rng`, `OsRng`, `getrandom`, `from_os_rng`. Every RNG state must derive from an explicit seed; this one applies to test code too. |
 //! | `WAIVER-REASON` | Escape hatches must explain themselves: `lint:` pragmas need a justification and must name known rules, and every `#[allow(...)]` attribute needs a `reason = "…"` or an adjacent comment. Not itself waivable. |
 //! | `UNSAFE-BASELINE` | The per-crate `unsafe` count matches `ci/unsafe-baseline.json` exactly (two-sided ratchet); regenerate with `--update-baseline` after an audited change. |

@@ -10,8 +10,8 @@
 //!
 //! The historical formulation re-invoked the cost closure on every probe,
 //! evaluating `O(k²·max(n,m))` Euclidean square roots; it survives as
-//! [`OfflineOptimal::solve_reference`], the equivalence oracle for tests
-//! and `benches/offline_opt.rs`. The production engine instead works
+//! [`OfflineOptimal::solve_reference`], the equivalence oracle for the
+//! tests. The production engine instead works
 //! cache-blocked, in three stacked layers (each bit-identical to the
 //! last):
 //!
@@ -183,8 +183,7 @@ impl OfflineOptimal {
     /// instead of materializing the matrix, single-threaded.
     ///
     /// Kept verbatim as the equivalence oracle — proptests pin the dense
-    /// and parallel paths to its exact pairs, and `benches/offline_opt.rs`
-    /// measures the speedup against it. Not for production use.
+    /// and parallel paths to its exact pairs. Not for production use.
     pub fn solve_reference<F>(num_tasks: usize, num_workers: usize, cost: F) -> Matching
     where
         F: Fn(usize, usize) -> f64,

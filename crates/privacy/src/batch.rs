@@ -6,29 +6,26 @@
 //!
 //! # Determinism contract
 //!
-//! Historically this module was deterministic only in `(seed, shards)`:
-//! each shard owned a derived RNG stream, so changing the shard count
-//! changed the output. The contract is now **shard-invariant per-item RNG
-//! streams**: a cheap sequential pass advances the caller's stream exactly
-//! as the scalar loop would (each mechanism exposes the matching
-//! `advance_obfuscate`), snapshotting the 32-byte generator state at every
-//! item boundary; the expensive sampling then replays each item from its
-//! own snapshot on whatever thread owns it. The result — and the state the
-//! caller's RNG is left in — is **bit-identical to the scalar loop for
-//! every thread count**, which is what lets the generic pipeline driver
-//! dispatch here without disturbing any golden fingerprint.
+//! The contract is **shard-invariant per-item RNG streams**: a cheap
+//! sequential pass advances the caller's stream exactly as the scalar loop
+//! would ([`PlanarLaplace::advance_obfuscate`]), snapshotting the 32-byte
+//! generator state at every item boundary; the expensive sampling then
+//! replays each item from its own snapshot on whatever thread owns it. The
+//! result — and the state the caller's RNG is left in — is **bit-identical
+//! to the scalar loop for every thread count**, which is what lets the
+//! generic pipeline driver dispatch here without disturbing any golden
+//! fingerprint.
 //!
-//! The split pays off because the sequential pass is draw-replay only: two
-//! `next_u64` calls per planar-Laplace item (the trigonometry, `exp` and
-//! Lambert-W work all happen in the parallel pass) and the `O(D)` coin
-//! flips of the HST walk (the descent arithmetic and leaf validation move
-//! off the critical path). `benches/mechanism.rs` measures the crossover.
+//! The split pays off for planar Laplace because its sequential pass is
+//! two `next_u64` calls per item while the trigonometry, `exp` and
+//! Lambert-W work all happen in the parallel pass. The HST walk of Alg. 3
+//! has no such split: replaying its coin flips is most of the walk, so a
+//! snapshot pass ran slower at two threads than the scalar loop at one,
+//! and the `hst` mechanism obfuscates with the scalar loop instead.
 
-use crate::hst_mechanism::HstMechanism;
 use crate::laplace::PlanarLaplace;
 use parking_lot::Mutex;
 use pombm_geom::Point;
-use pombm_hst::{Hst, LeafCode};
 use rand::rngs::StdRng;
 
 /// Number of worker threads to use for a batch of `n` items: one thread
@@ -41,45 +38,46 @@ pub fn default_threads(n: usize) -> usize {
     by_size.min(by_cores)
 }
 
-/// Runs the two-pass snapshot batch: `advance` replays item `i`'s draw
-/// schedule on the shared stream (recording where it starts), `sample`
-/// computes item `i`'s output from its recorded starting state.
-fn snapshot_batch<T, A, S>(
-    n: usize,
+/// Obfuscates a batch of Euclidean locations with the planar Laplace
+/// mechanism, continuing the caller's RNG stream exactly as the scalar loop
+/// [`obfuscate_points_scalar`] would.
+///
+/// Output and final stream state are bit-identical for every `threads ≥ 1`.
+pub fn obfuscate_points_batch(
+    mechanism: &PlanarLaplace,
+    locations: &[Point],
     rng: &mut StdRng,
     threads: usize,
-    mut advance: A,
-    sample: S,
-    zero: T,
-) -> Vec<T>
-where
-    T: Copy + Send,
-    A: FnMut(&mut StdRng),
-    S: Fn(usize, &mut StdRng) -> T + Sync,
-{
+) -> Vec<Point> {
     assert!(threads > 0, "need at least one thread");
-    if n == 0 {
-        return Vec::new();
+    if threads == 1 || locations.is_empty() {
+        return obfuscate_points_scalar(mechanism, locations, rng);
     }
     // Pass 1 (sequential): snapshot the stream at every item boundary.
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
-        states.push(rng.clone());
-        advance(rng);
-    }
+    let states: Vec<StdRng> = locations
+        .iter()
+        .map(|_| {
+            let state = rng.clone();
+            mechanism.advance_obfuscate(rng);
+            state
+        })
+        .collect();
     // Pass 2 (parallel): replay every item from its own snapshot.
-    let chunk = n.div_ceil(threads);
-    let out = Mutex::new(vec![zero; n]);
+    let chunk = locations.len().div_ceil(threads);
+    let out = Mutex::new(vec![Point::ORIGIN; locations.len()]);
     crossbeam::thread::scope(|scope| {
-        for (s, slice) in states.chunks(chunk).enumerate() {
+        for (s, (items, states)) in locations
+            .chunks(chunk)
+            .zip(states.chunks(chunk))
+            .enumerate()
+        {
             let out = &out;
-            let sample = &sample;
             scope.spawn(move |_| {
                 // Compute into a local buffer; take the lock once per chunk.
-                let local: Vec<T> = slice
+                let local: Vec<Point> = items
                     .iter()
-                    .enumerate()
-                    .map(|(k, state)| sample(s * chunk + k, &mut state.clone()))
+                    .zip(states)
+                    .map(|(p, state)| mechanism.obfuscate(p, &mut state.clone()))
                     .collect();
                 let mut guard = out.lock();
                 guard[s * chunk..s * chunk + local.len()].copy_from_slice(&local);
@@ -88,67 +86,6 @@ where
     })
     .expect("obfuscation threads never panic");
     out.into_inner()
-}
-
-/// Obfuscates a batch of HST leaves with Alg. 3, continuing the caller's
-/// RNG stream exactly as the scalar loop
-/// `exact.iter().map(|&x| mechanism.obfuscate(hst, x, rng))` would.
-///
-/// Output and final stream state are bit-identical for every `threads ≥ 1`.
-pub fn obfuscate_leaves_batch(
-    mechanism: &HstMechanism,
-    hst: &Hst,
-    exact: &[LeafCode],
-    rng: &mut StdRng,
-    threads: usize,
-) -> Vec<LeafCode> {
-    if threads == 1 {
-        return obfuscate_leaves_scalar(mechanism, hst, exact, rng);
-    }
-    let depth = hst.depth();
-    snapshot_batch(
-        exact.len(),
-        rng,
-        threads,
-        |rng| mechanism.advance_obfuscate(depth, rng),
-        |i, rng| mechanism.obfuscate(hst, exact[i], rng),
-        LeafCode(0),
-    )
-}
-
-/// The scalar reference loop for [`obfuscate_leaves_batch`]; also the
-/// `threads = 1` fast path (no snapshots, no spawns).
-pub fn obfuscate_leaves_scalar(
-    mechanism: &HstMechanism,
-    hst: &Hst,
-    exact: &[LeafCode],
-    rng: &mut StdRng,
-) -> Vec<LeafCode> {
-    exact
-        .iter()
-        .map(|&x| mechanism.obfuscate(hst, x, rng))
-        .collect()
-}
-
-/// Obfuscates a batch of Euclidean locations with the planar Laplace
-/// mechanism; same contract as [`obfuscate_leaves_batch`].
-pub fn obfuscate_points_batch(
-    mechanism: &PlanarLaplace,
-    locations: &[Point],
-    rng: &mut StdRng,
-    threads: usize,
-) -> Vec<Point> {
-    if threads == 1 {
-        return obfuscate_points_scalar(mechanism, locations, rng);
-    }
-    snapshot_batch(
-        locations.len(),
-        rng,
-        threads,
-        |rng| mechanism.advance_obfuscate(rng),
-        |i, rng| mechanism.obfuscate(&locations[i], rng),
-        Point::ORIGIN,
-    )
 }
 
 /// The scalar reference loop for [`obfuscate_points_batch`]; also the
@@ -167,42 +104,22 @@ pub fn obfuscate_points_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Epsilon;
+    use crate::{Epsilon, HstMechanism};
     use pombm_geom::{seeded_rng, Grid, Rect};
+    use pombm_hst::Hst;
     use rand::Rng;
 
-    fn setup() -> (Hst, HstMechanism) {
-        let grid = Grid::square(Rect::square(200.0), 16);
-        let mut rng = seeded_rng(1, 0);
-        let hst = Hst::build(&grid.to_point_set(), &mut rng);
-        let mech = HstMechanism::new(&hst, Epsilon::new(0.4));
-        (hst, mech)
-    }
-
-    #[test]
-    fn leaf_batch_equals_scalar_loop_at_every_thread_count() {
-        let (hst, mech) = setup();
-        let exact: Vec<LeafCode> = (0..1000).map(|i| hst.leaf_of(i % 256)).collect();
-        let mut scalar_rng = seeded_rng(9, 0);
-        let scalar = obfuscate_leaves_scalar(&mech, &hst, &exact, &mut scalar_rng);
-        for threads in [1, 2, 3, 7] {
-            let mut rng = seeded_rng(9, 0);
-            let par = obfuscate_leaves_batch(&mech, &hst, &exact, &mut rng, threads);
-            assert_eq!(par, scalar, "threads = {threads}");
-            assert_eq!(
-                rng, scalar_rng,
-                "threads = {threads}: stream left in a different state"
-            );
-        }
+    fn locations(n: usize) -> Vec<Point> {
+        let mut loc_rng = seeded_rng(2, 7);
+        (0..n)
+            .map(|_| Point::new(loc_rng.gen::<f64>() * 100.0, loc_rng.gen::<f64>() * 100.0))
+            .collect()
     }
 
     #[test]
     fn point_batch_equals_scalar_loop_at_every_thread_count() {
         let lap = PlanarLaplace::new(Epsilon::new(0.7));
-        let mut loc_rng = seeded_rng(2, 7);
-        let locations: Vec<Point> = (0..800)
-            .map(|_| Point::new(loc_rng.gen::<f64>() * 100.0, loc_rng.gen::<f64>() * 100.0))
-            .collect();
+        let locations = locations(800);
         let mut scalar_rng = seeded_rng(3, 0);
         let scalar = obfuscate_points_scalar(&lap, &locations, &mut scalar_rng);
         for threads in [1, 2, 5, 8] {
@@ -216,8 +133,10 @@ mod tests {
     #[test]
     fn advance_consumes_exactly_the_obfuscation_draws() {
         // The advance replays must stay in lock step with the full
-        // samplers draw-for-draw, or the snapshot batch silently drifts.
-        let (hst, mech) = setup();
+        // samplers draw-for-draw, or a snapshot pass silently drifts.
+        let grid = Grid::square(Rect::square(200.0), 16);
+        let hst = Hst::build(&grid.to_point_set(), &mut seeded_rng(1, 0));
+        let mech = HstMechanism::new(&hst, Epsilon::new(0.4));
         let mut walked = seeded_rng(11, 0);
         let mut advanced = seeded_rng(11, 0);
         for i in 0..500 {
@@ -237,35 +156,24 @@ mod tests {
 
     #[test]
     fn determinism_across_runs() {
-        let (hst, mech) = setup();
-        let exact: Vec<LeafCode> = (0..500).map(|i| hst.leaf_of(i % 200)).collect();
-        let a = obfuscate_leaves_batch(&mech, &hst, &exact, &mut seeded_rng(3, 0), 4);
-        let b = obfuscate_leaves_batch(&mech, &hst, &exact, &mut seeded_rng(3, 0), 4);
+        let lap = PlanarLaplace::new(Epsilon::new(0.7));
+        let locations = locations(500);
+        let a = obfuscate_points_batch(&lap, &locations, &mut seeded_rng(3, 0), 4);
+        let b = obfuscate_points_batch(&lap, &locations, &mut seeded_rng(3, 0), 4);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let (hst, mech) = setup();
-        let exact: Vec<LeafCode> = (0..500).map(|i| hst.leaf_of(i % 200)).collect();
-        let a = obfuscate_leaves_batch(&mech, &hst, &exact, &mut seeded_rng(3, 0), 4);
-        let b = obfuscate_leaves_batch(&mech, &hst, &exact, &mut seeded_rng(4, 0), 4);
+        let lap = PlanarLaplace::new(Epsilon::new(0.7));
+        let locations = locations(500);
+        let a = obfuscate_points_batch(&lap, &locations, &mut seeded_rng(3, 0), 4);
+        let b = obfuscate_points_batch(&lap, &locations, &mut seeded_rng(4, 0), 4);
         assert_ne!(a, b);
     }
 
     #[test]
-    fn outputs_belong_to_tree() {
-        let (hst, mech) = setup();
-        let exact: Vec<LeafCode> = (0..300).map(|i| hst.leaf_of(i % 100)).collect();
-        for z in obfuscate_leaves_batch(&mech, &hst, &exact, &mut seeded_rng(5, 0), 3) {
-            assert!(hst.ctx().contains(z));
-        }
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
-        let (hst, mech) = setup();
-        assert!(obfuscate_leaves_batch(&mech, &hst, &[], &mut seeded_rng(0, 0), 4).is_empty());
         let lap = PlanarLaplace::new(Epsilon::new(1.0));
         assert!(obfuscate_points_batch(&lap, &[], &mut seeded_rng(0, 0), 2).is_empty());
     }
@@ -296,7 +204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let (hst, mech) = setup();
-        let _ = obfuscate_leaves_batch(&mech, &hst, &[hst.leaf_of(0)], &mut seeded_rng(0, 0), 0);
+        let lap = PlanarLaplace::new(Epsilon::new(1.0));
+        let _ = obfuscate_points_batch(&lap, &locations(1), &mut seeded_rng(0, 0), 0);
     }
 }

@@ -145,11 +145,11 @@ impl HstMechanism {
     /// The walk's draw schedule depends only on the stopping level, never
     /// on the exact leaf: the upward phase draws one coin per level until
     /// it stops, and a stop at level `s ≥ 1` consumes one sibling pick
-    /// plus `s − 1` descent draws. Replaying just that schedule is the
-    /// cheap sequential pass of
-    /// [`batch::obfuscate_leaves_batch`](crate::batch::obfuscate_leaves_batch);
-    /// it must consume exactly as many draws as `obfuscate` (pinned by a
-    /// test).
+    /// plus `s − 1` descent draws. No library path replays it: the `hst`
+    /// mechanism obfuscates a batch with the scalar loop. It is kept for
+    /// the pombm-perf benchmark's snapshot-pass probe, which times what a
+    /// sequential pass over the walk would cost. It must consume exactly as
+    /// many draws as `obfuscate` (pinned by a test).
     pub fn advance_obfuscate<R: Rng + ?Sized>(&self, depth: u32, rng: &mut R) {
         let mut stop_level = depth;
         for i in 0..depth {

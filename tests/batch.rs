@@ -2,8 +2,9 @@
 //!
 //! 1. [`ReportMechanism::report_batch`] is bit-identical to the scalar
 //!    report loop — output *and* final RNG state — for every registered
-//!    mechanism at several thread counts (the overridden parallel paths
-//!    included);
+//!    mechanism at several thread counts (the overridden parallel path
+//!    included), on a batch small enough for one auto thread and one
+//!    large enough for two;
 //! 2. the generic driver produces bit-identical `RunResult`s for every
 //!    `PipelineConfig::threads` value, across all registered specs;
 //! 3. the Hungarian `offline-opt` matcher (and the ratio denominator built
@@ -51,30 +52,32 @@ fn report_batch_is_bit_identical_to_the_scalar_loop_for_every_mechanism() {
     let region = Rect::square(200.0);
     let server = Server::new(region, 16, 5);
     let mut loc_rng = seeded_rng(8, 1);
-    let locations: Vec<Point> = (0..600)
-        .map(|_| Point::new(loc_rng.gen::<f64>() * 200.0, loc_rng.gen::<f64>() * 200.0))
-        .collect();
-    for mechanism in registry().mechanisms() {
-        let server_opt = mechanism.needs_server().then_some(&server);
-        let mut scalar_rng = seeded_rng(13, 2);
-        let scalar = scalar_reports(mechanism.as_ref(), server_opt, &locations, &mut scalar_rng);
-        for threads in [0usize, 1, 2, 7] {
-            let mut rng = seeded_rng(13, 2);
-            let batched = mechanism
-                .report_batch(Epsilon::new(0.6), server_opt, &locations, &mut rng, threads)
-                .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
-            assert_eq!(
-                batched,
-                scalar,
-                "{} at {threads} threads: reports drifted",
-                mechanism.name()
-            );
-            assert_eq!(
-                rng,
-                scalar_rng,
-                "{} at {threads} threads: stream state drifted",
-                mechanism.name()
-            );
+    // `threads = 0` gives one thread per ~4096 items, so the second batch
+    // runs the auto path on two threads wherever two cores exist.
+    for n in [600, 4500] {
+        let locations: Vec<Point> = (0..n)
+            .map(|_| Point::new(loc_rng.gen::<f64>() * 200.0, loc_rng.gen::<f64>() * 200.0))
+            .collect();
+        for mechanism in registry().mechanisms() {
+            let name = mechanism.name();
+            let server_opt = mechanism.needs_server().then_some(&server);
+            let mut scalar_rng = seeded_rng(13, 2);
+            let scalar =
+                scalar_reports(mechanism.as_ref(), server_opt, &locations, &mut scalar_rng);
+            for threads in [0usize, 1, 2, 7] {
+                let mut rng = seeded_rng(13, 2);
+                let batched = mechanism
+                    .report_batch(Epsilon::new(0.6), server_opt, &locations, &mut rng, threads)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    batched, scalar,
+                    "{name}, {n} items at {threads} threads: reports drifted"
+                );
+                assert_eq!(
+                    rng, scalar_rng,
+                    "{name}, {n} items at {threads} threads: stream state drifted"
+                );
+            }
         }
     }
 }

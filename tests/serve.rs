@@ -268,9 +268,15 @@ fn degenerate_configs_are_rejected() {
             })
         ));
     }
-    for qps in [-1.0, f64::NAN, f64::INFINITY] {
+    // 1e-300 is finite and positive, but its pause 1/qps overflows a
+    // `Duration`; both entry points reject it before any session starts.
+    for qps in [-1.0, f64::NAN, f64::INFINITY, 1e-300] {
         assert!(matches!(
             run_serve(&ServeConfig { qps, ..config(0) }),
+            Err(PipelineError::InvalidConfig { field: "qps", .. })
+        ));
+        assert!(matches!(
+            serve_frames(&ServeConfig { qps, ..config(0) }, Vec::new()),
             Err(PipelineError::InvalidConfig { field: "qps", .. })
         ));
     }
