@@ -366,7 +366,8 @@ fn case_study_point(
                 cfg.grid_side,
                 cfg.seed ^ rep.wrapping_mul(0x9E37_79B9),
             );
-            let r = run_case_study(algo, instance, &server, eps, cfg.seed.wrapping_add(rep));
+            let r = run_case_study(algo, instance, &server, eps, cfg.seed.wrapping_add(rep))
+                .expect("case-study instances carry radii");
             (r.matching_size as f64, r.assign_time.as_secs_f64())
         }
         CaseStudyAlgorithm::Prob => {

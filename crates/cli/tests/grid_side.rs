@@ -3,9 +3,10 @@
 //! cover, a privacy budget that is not positive and finite, `gen`
 //! parameters no workload can be drawn from, and the other degenerate
 //! knobs each answer with a one-line typed error, never a panic, an
-//! allocator abort or a hang.
+//! allocator abort or a hang. A reader that closes stdout early ends the
+//! command quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const TYPED: &str = "invalid config `grid_side`: the predefined grid needs at least one cell";
 
@@ -170,4 +171,40 @@ fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
         assert_one_line_error(command, error);
     }
     assert!(!out.exists(), "publish must fail before writing");
+}
+
+/// `pombm sweep --json | head -1`: the reader closes the pipe while the
+/// command still has far more than a pipe buffer (64 KiB) to write. The
+/// command stops quietly with exit 0, never a broken-pipe panic. Any other
+/// write error is a one-line error with exit 1.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let command = "sweep --mechanisms identity --matchers greedy --sizes 8 --reps 4000 --json";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pombm"))
+        .args(command.split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the pombm binary runs");
+    // Close the read end before the child writes its ~120 KB report.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("the child exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    assert_eq!(output.status.code(), Some(0), "{command}: {stderr}");
+    assert!(stderr.is_empty(), "{command}: {stderr}");
+
+    // Every write to /dev/full fails with "no space left on device".
+    let Ok(full) = std::fs::File::create("/dev/full") else {
+        return;
+    };
+    let output = Command::new(env!("CARGO_BIN_EXE_pombm"))
+        .arg("list")
+        .stdout(full)
+        .output()
+        .expect("the pombm binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "list > /dev/full: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: writing the output"), "{stderr}");
 }

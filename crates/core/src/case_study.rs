@@ -7,8 +7,9 @@
 //! obfuscated data, can get this wrong; such assignments waste the worker
 //! and do not count toward the matching size).
 
+use crate::algorithm::PipelineError;
 use crate::registry::registry;
-use crate::server::Server;
+use crate::server::{check_epsilon, Server};
 use pombm_geom::{seeded_rng, Point};
 use pombm_hst::LeafCode;
 use pombm_matching::reachable::{ProbMatcher, TbfReachMatcher, DEFAULT_THRESHOLD};
@@ -59,51 +60,49 @@ pub struct CaseStudyResult {
 
 /// Runs a case-study algorithm on an instance carrying radii.
 ///
-/// # Panics
-///
-/// Panics if the instance has no radii.
+/// Fails with [`PipelineError::InvalidConfig`] on an instance without one
+/// radius per worker (`radii`) and on a budget that is not positive and
+/// finite (`epsilon`).
 pub fn run_case_study(
     algorithm: CaseStudyAlgorithm,
     instance: &Instance,
     server: &Server,
     epsilon: f64,
     seed: u64,
-) -> CaseStudyResult {
+) -> Result<CaseStudyResult, PipelineError> {
     let radii = instance
         .radii
         .as_ref()
-        .expect("case study needs reachable radii");
+        .filter(|radii| radii.len() == instance.num_workers())
+        .ok_or(PipelineError::InvalidConfig {
+            field: "radii",
+            why: "the case study needs one reachable radius per worker",
+        })?;
+    check_epsilon("epsilon", epsilon)?;
     let epsilon = Epsilon::new(epsilon);
     let mut rng = seeded_rng(seed, 0xCA5E);
 
-    match algorithm {
+    Ok(match algorithm {
         CaseStudyAlgorithm::Prob => {
             // The Prob baseline reports through the registered planar
             // Laplace mechanism.
-            let mechanism = registry().require_mechanism("laplace").expect("registered");
-            let mut reporter = mechanism
-                .reporter(epsilon, Some(server))
-                .expect("laplace needs no server");
-            let workers: Vec<Point> = instance
+            let mechanism = registry().require_mechanism("laplace")?;
+            let mut reporter = mechanism.reporter(epsilon, Some(server))?;
+            let mut report = |p: &Point| {
+                reporter
+                    .report(p, &mut rng)
+                    .into_point(Some(server), "prob case study")
+            };
+            let workers = instance
                 .workers
                 .iter()
-                .map(|w| {
-                    reporter
-                        .report(w, &mut rng)
-                        .into_point(Some(server), "prob case study")
-                        .expect("laplace reports are planar")
-                })
-                .collect();
-            let tasks: Vec<Point> = instance
+                .map(&mut report)
+                .collect::<Result<Vec<Point>, _>>()?;
+            let tasks = instance
                 .tasks
                 .iter()
-                .map(|t| {
-                    reporter
-                        .report(t, &mut rng)
-                        .into_point(Some(server), "prob case study")
-                        .expect("laplace reports are planar")
-                })
-                .collect();
+                .map(&mut report)
+                .collect::<Result<Vec<Point>, _>>()?;
             let estimator = ReachEstimator::with_defaults(epsilon, seed);
             let mut matcher =
                 ProbMatcher::new(workers, radii.clone(), estimator, DEFAULT_THRESHOLD);
@@ -128,34 +127,27 @@ pub fn run_case_study(
         }
         CaseStudyAlgorithm::Tbf => {
             // TBF reports through the registered HST random-walk mechanism.
-            let mechanism = registry().require_mechanism("hst").expect("registered");
-            let mut reporter = mechanism
-                .reporter(epsilon, Some(server))
-                .expect("server supplied");
-            let workers: Vec<LeafCode> = instance
+            let mechanism = registry().require_mechanism("hst")?;
+            let mut reporter = mechanism.reporter(epsilon, Some(server))?;
+            let mut report = |p: &Point| {
+                reporter
+                    .report(p, &mut rng)
+                    .into_leaf(Some(server), "tbf case study")
+            };
+            let workers = instance
                 .workers
                 .iter()
-                .map(|w| {
-                    reporter
-                        .report(w, &mut rng)
-                        .into_leaf(Some(server), "tbf case study")
-                        .expect("hst reports are leaves")
-                })
-                .collect();
+                .map(&mut report)
+                .collect::<Result<Vec<LeafCode>, _>>()?;
             let worker_pos = workers
                 .iter()
                 .map(|&w| server.hst().representative_point(w))
                 .collect();
-            let tasks: Vec<LeafCode> = instance
+            let tasks = instance
                 .tasks
                 .iter()
-                .map(|t| {
-                    reporter
-                        .report(t, &mut rng)
-                        .into_leaf(Some(server), "tbf case study")
-                        .expect("hst reports are leaves")
-                })
-                .collect();
+                .map(&mut report)
+                .collect::<Result<Vec<LeafCode>, _>>()?;
             // Snapping to the grid moves each endpoint by at most half a
             // cell diagonal (typical error is ~0.38 of a pitch), so half a
             // diagonal of slack balances false admissions (which burn a
@@ -189,7 +181,7 @@ pub fn run_case_study(
                 assign_time: start.elapsed(),
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -211,7 +203,7 @@ mod tests {
         let instance = radii_instance(1, 80, 150);
         let server = Server::new(instance.region, 32, 9);
         for algo in CaseStudyAlgorithm::ALL {
-            let r = run_case_study(algo, &instance, &server, 0.6, 0);
+            let r = run_case_study(algo, &instance, &server, 0.6, 0).unwrap();
             assert!(r.matching_size <= r.attempted, "{algo}");
             assert!(r.attempted <= 80, "{algo}");
         }
@@ -222,24 +214,42 @@ mod tests {
         let instance = radii_instance(2, 50, 100);
         let server = Server::new(instance.region, 32, 9);
         for algo in CaseStudyAlgorithm::ALL {
-            let a = run_case_study(algo, &instance, &server, 0.4, 7);
-            let b = run_case_study(algo, &instance, &server, 0.4, 7);
+            let a = run_case_study(algo, &instance, &server, 0.4, 7).unwrap();
+            let b = run_case_study(algo, &instance, &server, 0.4, 7).unwrap();
             assert_eq!(a.matching_size, b.matching_size, "{algo}");
             assert_eq!(a.attempted, b.attempted, "{algo}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "needs reachable radii")]
-    fn missing_radii_panics() {
+    fn missing_radii_and_bad_budgets_are_typed_errors() {
         let params = SyntheticParams {
             num_tasks: 5,
             num_workers: 5,
             ..SyntheticParams::default()
         };
-        let instance = synthetic::generate(&params, &mut seeded_rng(3, 0));
+        let mut instance = synthetic::generate(&params, &mut seeded_rng(3, 0));
         let server = Server::new(instance.region, 16, 0);
-        let _ = run_case_study(CaseStudyAlgorithm::Tbf, &instance, &server, 0.5, 0);
+        let field_of = |instance: &Instance, epsilon: f64| match run_case_study(
+            CaseStudyAlgorithm::Tbf,
+            instance,
+            &server,
+            epsilon,
+            0,
+        ) {
+            Err(PipelineError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected a typed config error, got {other:?}"),
+        };
+        assert_eq!(field_of(&instance, 0.5), "radii");
+        instance.radii = Some(vec![15.0; 4]);
+        assert_eq!(field_of(&instance, 0.5), "radii", "one radius short");
+        instance.radii = Some(vec![15.0; 5]);
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(field_of(&instance, epsilon), "epsilon", "ε {epsilon}");
+        }
+        for algo in CaseStudyAlgorithm::ALL {
+            assert!(run_case_study(algo, &instance, &server, 0.5, 0).is_ok());
+        }
     }
 
     #[test]
@@ -252,7 +262,11 @@ mod tests {
         for algo in CaseStudyAlgorithm::ALL {
             let avg = |eps: f64| -> f64 {
                 (0..4)
-                    .map(|s| run_case_study(algo, &instance, &server, eps, s).matching_size as f64)
+                    .map(|s| {
+                        run_case_study(algo, &instance, &server, eps, s)
+                            .unwrap()
+                            .matching_size as f64
+                    })
                     .sum::<f64>()
                     / 4.0
             };

@@ -271,7 +271,20 @@ pub fn empirical_competitive_ratio(
         return Err(RatioError::ZeroRepetitions);
     }
     let opt = offline_optimum_with_threads(instance, config.threads)?;
+    competitive_ratio_against(spec, instance, config, repetitions, opt)
+}
 
+/// [`empirical_competitive_ratio`] against a denominator the caller already
+/// solved: `opt` must be [`offline_optimum_with_threads`] of `instance`, and
+/// `repetitions` at least one. A sweep solves each instance's optimum once
+/// and shares it among every cell that divides by it.
+pub(crate) fn competitive_ratio_against(
+    spec: &AlgorithmSpec,
+    instance: &Instance,
+    config: &PipelineConfig,
+    repetitions: u64,
+    opt: f64,
+) -> Result<RatioReport, RatioError> {
     let mut distances = Vec::with_capacity(repetitions as usize);
     for rep in 0..repetitions {
         let mut shuffled = instance.clone();

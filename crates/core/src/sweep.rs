@@ -6,7 +6,9 @@
 //! configuration into a job list and measures one cell per job:
 //!
 //! * [`SweepConfig`]: `scenario × mechanism × matcher × size × ε`, each
-//!   cell a [`RatioReport`] from [`empirical_competitive_ratio`];
+//!   cell a [`RatioReport`] as
+//!   [`empirical_competitive_ratio`](crate::ratio::empirical_competitive_ratio)
+//!   measures it;
 //! * [`DynamicSweepConfig`]: `scenario × mechanism × dynamic-matcher ×
 //!   shift-plan × size × ε`, each cell one timeline replayed through
 //!   [`crate::dynamic::run_dynamic_spec`] into a [`DynamicMeasurement`]
@@ -19,6 +21,19 @@
 //! [`run_sweep`], [`sweep_job_count`], [`sweep_fingerprint`],
 //! [`run_sweep_partition`], [`run_sweep_range`], the [`Partial`] report,
 //! checkpointing and [`crate::merge::merge`].
+//!
+//! # Shared denominators
+//!
+//! A ratio's denominator depends on the cell's instance alone, and the
+//! instance on `(scenario, size)` (plus the shift plan for a dynamic
+//! timeline), never on the mechanism, matcher or ε. So the job list holds
+//! one shared, lazily solved slot per such key: the static flavour's
+//! `d(M_OPT)`, and under `ratio` the dynamic flavour's clairvoyant optimum.
+//! The first cell to reach a key solves it; a cell on another shard that
+//! arrives mid-solve waits for it, and later cells read the stored value.
+//! The slots live and die with one run's job list, and the value is a pure
+//! function of the key, so no byte of output depends on which cell solved
+//! it.
 //!
 //! # Determinism
 //!
@@ -51,13 +66,15 @@ use crate::dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
 use crate::fingerprint::Fnv1a;
 use crate::pipeline::PipelineConfig;
 use crate::ratio::{
-    dynamic_offline_optimum_with_threads, empirical_competitive_ratio, RatioReport,
+    competitive_ratio_against, dynamic_offline_optimum_with_threads, offline_optimum_with_threads,
+    RatioError, RatioReport,
 };
 use crate::registry::{registry, AlgorithmSpec, CatalogItem, Role, DEFAULT_DYNAMIC_ORACLE};
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use crate::server::check_epsilon;
 use parking_lot::Mutex;
 use pombm_geom::seeded_rng;
+use pombm_matching::ClairvoyantAssignment;
 use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use rand::Rng;
@@ -67,7 +84,7 @@ use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What to sweep: the pairing filter, the instance/ε grid, and the
 /// execution parameters.
@@ -146,7 +163,10 @@ pub struct SweepCell {
     /// Wall-clock of this cell's measurement in milliseconds; present only
     /// when the sweep ran with [`SweepConfig::timings`] (and absent — not
     /// `null` — from the JSON otherwise, keeping golden byte-compares
-    /// exact).
+    /// exact). The OPT denominator is shared by every cell of the same
+    /// instance: the cell that solves it carries the solve's cost, a cell
+    /// that waited for another shard's solve carries its wait, and the rest
+    /// carry neither.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub wall_ms: Option<f64>,
 }
@@ -855,6 +875,18 @@ fn job_seed(root: u64, index: usize) -> u64 {
     root.wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// A ratio denominator shared by every job whose cell divides by it. The
+/// first job to reach it solves it; a job on another shard that arrives
+/// mid-solve waits, and later jobs read the stored value. It lives and dies
+/// with one run's job list.
+type Denominator<T> = Arc<OnceLock<T>>;
+
+/// One unsolved [`Denominator`] per key; callers index keys by axis
+/// position, row-major.
+fn denominators<T>(keys: usize) -> Vec<Denominator<T>> {
+    (0..keys).map(|_| Arc::default()).collect()
+}
+
 /// The scenario a sweep cell should record: `None` for the `uniform`
 /// default (keeping the column absent from legacy-shaped JSON), the name
 /// otherwise.
@@ -888,6 +920,9 @@ pub struct SweepJob {
     epsilon: f64,
     /// Seed for this job's pipeline/shuffle streams.
     job_seed: u64,
+    /// `d(M_OPT)` of this job's instance, shared by every job of the same
+    /// `(scenario, size)`.
+    opt: Denominator<Result<f64, RatioError>>,
 }
 
 impl SweepFlavor for SweepConfig {
@@ -912,14 +947,16 @@ impl SweepFlavor for SweepConfig {
             });
         }
         let axes = self.axes()?;
+        // The instance, and so its optimum, depends on (scenario, size) only.
+        let opts = denominators(axes.scenarios.len() * self.sizes.len());
         let mut jobs = Vec::new();
         // Scenario is the outermost axis: a single-scenario sweep
         // enumerates jobs in exactly the pre-scenario order, so every job
         // index (and therefore every job seed) is unchanged.
-        for scenario in &axes.scenarios {
+        for (s, scenario) in axes.scenarios.iter().enumerate() {
             for mechanism in &axes.mechanisms {
                 for matcher in &axes.matchers {
-                    for &size in &self.sizes {
+                    for (z, &size) in self.sizes.iter().enumerate() {
                         for &epsilon in &self.epsilons {
                             jobs.push(SweepJob {
                                 scenario: scenario.clone(),
@@ -927,6 +964,7 @@ impl SweepFlavor for SweepConfig {
                                 size,
                                 epsilon,
                                 job_seed: job_seed(self.base.seed, jobs.len()),
+                                opt: opts[s * self.sizes.len() + z].clone(),
                             });
                         }
                     }
@@ -966,11 +1004,20 @@ impl SweepFlavor for SweepConfig {
             seed: job.job_seed,
             ..self.base
         };
-        let (report, error) =
-            match empirical_competitive_ratio(&job.spec, &instance, &config, self.repetitions) {
-                Ok(r) => (Some(r), None),
-                Err(e) => (None, Some(e.to_string())),
-            };
+        // What `empirical_competitive_ratio` measures, with the optimum
+        // solved once per `(scenario, size)`; `jobs` rejected zero
+        // repetitions.
+        let measured = job
+            .opt
+            .get_or_init(|| offline_optimum_with_threads(&instance, config.threads))
+            .clone()
+            .and_then(|opt| {
+                competitive_ratio_against(&job.spec, &instance, &config, self.repetitions, opt)
+            });
+        let (report, error) = match measured {
+            Ok(r) => (Some(r), None),
+            Err(e) => (None, Some(e.to_string())),
+        };
         SweepCell {
             scenario: cell_scenario(job.scenario.as_ref()),
             mechanism: job.spec.mechanism.name().to_string(),
@@ -1236,7 +1283,11 @@ pub struct DynamicSweepCell {
     /// a location-aware pool).
     pub error: Option<String>,
     /// Wall-clock of this cell's replay in milliseconds; present only
-    /// when the sweep ran with [`DynamicSweepConfig::timings`].
+    /// when the sweep ran with [`DynamicSweepConfig::timings`]. Under
+    /// [`DynamicSweepConfig::ratio`] the oracle is shared by every cell of
+    /// the same timeline, with the same accounting as
+    /// [`SweepCell::wall_ms`]: the solving cell carries its cost, a
+    /// waiting cell its wait.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub wall_ms: Option<f64>,
 }
@@ -1264,6 +1315,10 @@ pub struct DynamicSweepJob {
     epsilon: f64,
     /// Seed for this job's noise streams.
     job_seed: u64,
+    /// The clairvoyant optimum of this job's timeline, shared by every job
+    /// of the same `(scenario, plan, size)`; present only under
+    /// [`DynamicSweepConfig::ratio`].
+    oracle: Option<Denominator<Result<ClairvoyantAssignment, RatioError>>>,
 }
 
 /// Resolves the dynamic-matcher filter. Ratio sweeps admit the
@@ -1392,15 +1447,19 @@ impl SweepFlavor for DynamicSweepConfig {
         check_grid(self.shards, &self.sizes, &self.epsilons)?;
         let axes = self.axes()?;
         let plans = self.plan_kinds()?;
+        // The timeline, and so its oracle, depends on (scenario, plan,
+        // size) only.
+        let oracles = denominators(axes.scenarios.len() * plans.len() * self.sizes.len());
         let mut jobs = Vec::new();
         // Scenario outermost, exactly as in the static flavour: a
         // single-scenario sweep keeps the pre-scenario job order and seeds.
-        for scenario in &axes.scenarios {
+        for (s, scenario) in axes.scenarios.iter().enumerate() {
             for mechanism in &axes.mechanisms {
                 for matcher in &axes.matchers {
-                    for plan_kind in &plans {
-                        for &size in &self.sizes {
+                    for (p, plan_kind) in plans.iter().enumerate() {
+                        for (z, &size) in self.sizes.iter().enumerate() {
                             for &epsilon in &self.epsilons {
+                                let key = (s * plans.len() + p) * self.sizes.len() + z;
                                 jobs.push(DynamicSweepJob {
                                     scenario: scenario.clone(),
                                     mechanism: mechanism.clone(),
@@ -1409,6 +1468,7 @@ impl SweepFlavor for DynamicSweepConfig {
                                     size,
                                     epsilon,
                                     job_seed: job_seed(self.seed, jobs.len()),
+                                    oracle: self.ratio.then(|| oracles[key].clone()),
                                 });
                             }
                         }
@@ -1453,12 +1513,12 @@ impl SweepFlavor for DynamicSweepConfig {
             grid_side: self.grid_side,
             seed: job.job_seed,
         };
-        // The oracle denominator is shared by every repetition of this cell's
-        // timeline; solved at threads=1 so cells stay shard-invariant (the
-        // clairvoyant engine is bit-identical at every thread count anyway).
-        let oracle = self
-            .ratio
-            .then(|| dynamic_offline_optimum_with_threads(&instance, &times, &plan, 1));
+        // The oracle denominator is shared by every cell of this timeline;
+        // solved at threads=1 so cells stay shard-invariant (the clairvoyant
+        // engine is bit-identical at every thread count anyway).
+        let oracle = job.oracle.as_ref().map(|oracle| {
+            oracle.get_or_init(|| dynamic_offline_optimum_with_threads(&instance, &times, &plan, 1))
+        });
         let is_oracle_cell = registry()
             .dynamic_matcher_catalog()
             .role_of(job.matcher.name())
@@ -1466,7 +1526,7 @@ impl SweepFlavor for DynamicSweepConfig {
 
         type OnlineRun = (f64, std::collections::BTreeSet<usize>);
         let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
-            match &oracle {
+            match oracle {
                 Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
                 Some(Err(e)) => Err(e.to_string()),
                 // resolve_dynamic_matchers only admits the oracle under
@@ -1503,7 +1563,7 @@ impl SweepFlavor for DynamicSweepConfig {
 
         let (measurement, competitive_ratio, drop_p50, drop_p95, error) = match outcome {
             Err(e) => (None, None, None, None, Some(e)),
-            Ok((m, online)) => match (&oracle, online) {
+            Ok((m, online)) => match (oracle, online) {
                 // Ratio off: the pre-ratio cell, bit for bit.
                 (None, _) => (Some(m), None, None, None, None),
                 (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
@@ -2005,6 +2065,114 @@ mod tests {
         assert_eq!(
             sweep_fingerprint(&with_ratio).unwrap(),
             sweep_fingerprint(&sharded).unwrap()
+        );
+    }
+
+    /// The distinct denominators of `jobs`, after checking that two jobs
+    /// hold the same one exactly when they have the same key.
+    fn distinct_denominators<'a, J, T, K: PartialEq>(
+        jobs: &'a [J],
+        slot: impl Fn(&'a J) -> &'a Denominator<T>,
+        key: impl Fn(&J) -> K,
+    ) -> Vec<&'a Denominator<T>> {
+        for a in jobs {
+            for b in jobs {
+                assert_eq!(Arc::ptr_eq(slot(a), slot(b)), key(a) == key(b));
+            }
+        }
+        let mut distinct: Vec<&Denominator<T>> = Vec::new();
+        for job in jobs {
+            if !distinct.iter().any(|d| Arc::ptr_eq(d, slot(job))) {
+                distinct.push(slot(job));
+            }
+        }
+        distinct
+    }
+
+    #[test]
+    fn each_static_denominator_key_is_solved_once_per_run() {
+        let config = SweepConfig {
+            scenarios: vec!["uniform".into(), "hotspot".into()],
+            sizes: vec![0, 12],
+            shards: 2,
+            ..small_config()
+        };
+        let jobs = config.jobs().unwrap();
+        let opts = distinct_denominators(&jobs, |j| &j.opt, |j| (j.scenario.name(), j.size));
+        assert_eq!(opts.len(), 2 * 2, "one shared OPT per (scenario, size)");
+        assert!(opts.iter().all(|o| o.get().is_none()));
+
+        let cells = execute(&jobs, 0..jobs.len(), config.shards, None, |job| {
+            config.run_job(job)
+        })
+        .unwrap();
+        assert!(opts.iter().all(|o| o.get().is_some()), "every key solved");
+        for (job, cell) in jobs.iter().zip(&cells) {
+            match job.opt.get().unwrap() {
+                Ok(opt) => assert_eq!(cell.report.as_ref().unwrap().opt_distance, *opt),
+                Err(e) => assert_eq!(cell.error, Some(e.to_string())),
+            }
+        }
+        assert_eq!(
+            serde_json::to_string(&config.report(cells)).unwrap(),
+            serde_json::to_string(&run_sweep(&config).unwrap()).unwrap()
+        );
+    }
+
+    #[test]
+    fn each_dynamic_oracle_key_is_solved_once_per_run() {
+        let config = DynamicSweepConfig {
+            scenarios: vec!["uniform".into(), "hotspot".into()],
+            sizes: vec![12, 16],
+            shards: 2,
+            ratio: true,
+            ..small_dynamic_config()
+        };
+        let plain = DynamicSweepConfig {
+            ratio: false,
+            ..config.clone()
+        };
+        assert!(plain.jobs().unwrap().iter().all(|j| j.oracle.is_none()));
+
+        let jobs = config.jobs().unwrap();
+        let oracles = distinct_denominators(
+            &jobs,
+            |j| j.oracle.as_ref().unwrap(),
+            |j| (j.scenario.name(), j.plan_kind.clone(), j.size),
+        );
+        assert_eq!(
+            oracles.len(),
+            2 * 2 * 2,
+            "one oracle per (scenario, plan, size)"
+        );
+        assert!(oracles.iter().all(|o| o.get().is_none()));
+
+        let cells = execute(&jobs, 0..jobs.len(), config.shards, None, |job| {
+            config.run_job(job)
+        })
+        .unwrap();
+        assert!(
+            oracles.iter().all(|o| o.get().is_some()),
+            "every key solved"
+        );
+        for (job, cell) in jobs.iter().zip(&cells) {
+            let opt = job
+                .oracle
+                .as_ref()
+                .unwrap()
+                .get()
+                .unwrap()
+                .as_ref()
+                .unwrap();
+            let m = cell.measurement.as_ref().unwrap();
+            assert_eq!(
+                cell.competitive_ratio,
+                Some(m.total_distance / opt.total_cost)
+            );
+        }
+        assert_eq!(
+            serde_json::to_string(&config.report(cells)).unwrap(),
+            serde_json::to_string(&run_sweep(&config).unwrap()).unwrap()
         );
     }
 }

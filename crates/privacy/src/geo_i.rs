@@ -6,6 +6,12 @@
 //! over every triple of leaves of a small tree — this is Theorem 1 turned
 //! into an executable test. The check is exposed as a library function so
 //! integration tests, property tests and examples can all call it.
+//!
+//! The check runs in log space. `M(x)(z) = wt_{lvl(lca(x,z))} / WT`, so the
+//! normalizer cancels from every ratio and `ln(M(x1)(z)/M(x2)(z))` is a
+//! difference of two log weights. Dividing the probabilities instead breaks
+//! once ε is large enough for a weight to underflow: a subnormal divisor
+//! overflows the quotient to `inf`, and a zero leaves nothing to compare.
 
 use crate::hst_mechanism::HstMechanism;
 use pombm_hst::{Hst, LeafCode};
@@ -44,7 +50,8 @@ pub fn audit_hst_mechanism(hst: &Hst, mechanism: &HstMechanism) -> GeoIAudit {
         leaves <= 1 << 8,
         "exact audit over {leaves} leaves is infeasible; shrink the tree"
     );
-    let eps_tree = mechanism.table().epsilon().value();
+    let table = mechanism.table();
+    let eps_tree = table.epsilon().value();
     let mut max_rate = 0.0f64;
     let mut triples = 0u64;
     for x1 in 0..leaves {
@@ -56,21 +63,11 @@ pub fn audit_hst_mechanism(hst: &Hst, mechanism: &HstMechanism) -> GeoIAudit {
             let d = hst.tree_dist_units(a, b) as f64;
             for z in 0..leaves {
                 let z = LeafCode(z);
-                let p1 = mechanism.probability(hst, a, z);
-                let p2 = mechanism.probability(hst, b, z);
+                // ln(M(a)(z) / M(b)(z)): `WT` cancels, leaving two log weights.
+                let log_ratio =
+                    table.log_wt(hst.lca_level(a, z)) - table.log_wt(hst.lca_level(b, z));
+                max_rate = max_rate.max(log_ratio / d);
                 triples += 1;
-                if p1 > 0.0 && p2 > 0.0 {
-                    let rate = (p1 / p2).ln() / d;
-                    max_rate = max_rate.max(rate);
-                } else {
-                    // Eq. 3 assigns positive weight to every leaf unless ε is
-                    // so large that wt underflows; then both sides underflow
-                    // identically by symmetry of the level structure.
-                    assert!(
-                        p1 == 0.0 && p2 == 0.0 || d > 0.0,
-                        "one-sided zero probability breaks Geo-I outright"
-                    );
-                }
             }
         }
     }
@@ -85,7 +82,7 @@ pub fn audit_hst_mechanism(hst: &Hst, mechanism: &HstMechanism) -> GeoIAudit {
 mod tests {
     use super::*;
     use crate::Epsilon;
-    use pombm_geom::{seeded_rng, Grid, Rect};
+    use pombm_geom::{seeded_rng, Grid, Point, PointSet, Rect};
 
     /// Builds a small HST (≤ 256 complete-tree leaves) for exact auditing;
     /// skips random draws whose branching factor makes the complete tree too
@@ -134,6 +131,28 @@ mod tests {
             "mechanism wastes budget: rate {} vs ε {eps_tree}",
             audit.max_loss_rate
         );
+    }
+
+    /// Two points 3 apart give a tree of depth 3 with 8 leaves. At ε_tree
+    /// 180 a level-1 leaf's probability is subnormal, and at 200 it is
+    /// zero: dividing probabilities reported `inf` and `0` there. Every
+    /// triple is audited, and the worst one (`z = x1`) spends exactly ε.
+    #[test]
+    fn audit_is_exact_where_leaf_probabilities_underflow() {
+        let points = PointSet::new(vec![Point::new(0.0, 0.0), Point::new(3.0, 0.0)]);
+        let hst = Hst::build(&points, &mut seeded_rng(0, 0));
+        assert_eq!((hst.depth(), hst.num_leaves()), (3, 8));
+        for eps_tree in [180.0, 200.0] {
+            let m = HstMechanism::from_shape(Epsilon::new(eps_tree), hst.branching(), hst.depth());
+            assert!(m.table().leaf_probability(1) < f64::MIN_POSITIVE);
+            let audit = audit_hst_mechanism(&hst, &m);
+            assert_eq!(audit.triples, 8 * 7 * 8);
+            assert!(
+                (audit.max_loss_rate - eps_tree).abs() <= 1e-9 * eps_tree,
+                "ε_tree {eps_tree}: loss rate {}",
+                audit.max_loss_rate
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,11 @@
 use crate::Epsilon;
 use pombm_hst::level_distance;
 
+/// `ln wt_i`: the exponent of the weight of a leaf at LCA level `level`.
+fn log_weight(eps: f64, level: u32) -> f64 {
+    -eps * level_distance(level) as f64
+}
+
 /// Precomputed sampling tables for the HST mechanism over a `(c, D)` tree at
 /// budget ε (Sec. III-C / III-D of the paper).
 ///
@@ -41,7 +46,7 @@ impl WeightTable {
         let mut wt = Vec::with_capacity(depth as usize + 1);
         wt.push(1.0); // wt_0
         for i in 1..=depth {
-            wt.push((-eps * level_distance(i) as f64).exp());
+            wt.push(log_weight(eps, i).exp());
         }
 
         // leaf_count[i] = number of leaves in L_i(x): 1, then (c-1)c^{i-1}.
@@ -92,6 +97,13 @@ impl WeightTable {
     #[inline]
     pub fn wt(&self, level: u32) -> f64 {
         self.wt[level as usize]
+    }
+
+    /// `ln wt_i = −ε·(2^{i+2} − 4)`: the log of [`WeightTable::wt`], finite
+    /// where `wt_i` itself underflows to zero.
+    #[inline]
+    pub fn log_wt(&self, level: u32) -> f64 {
+        log_weight(self.epsilon.value(), level)
     }
 
     /// `WT`: the normalizer (Eq. 4).

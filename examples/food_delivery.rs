@@ -14,7 +14,7 @@ use pombm::{run_case_study, CaseStudyAlgorithm, Server};
 use pombm_geom::seeded_rng;
 use pombm_workload::{synthetic, SyntheticParams};
 
-fn main() {
+fn main() -> Result<(), pombm::PipelineError> {
     let params = SyntheticParams {
         num_tasks: 1000,
         num_workers: 2000,
@@ -33,13 +33,14 @@ fn main() {
     for eps in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let mut sizes = Vec::new();
         for algo in CaseStudyAlgorithm::ALL {
-            let avg: f64 = (0..3)
-                .map(|rep| run_case_study(algo, &instance, &server, eps, rep).matching_size as f64)
-                .sum::<f64>()
-                / 3.0;
-            sizes.push(avg);
+            let mut total = 0.0;
+            for rep in 0..3 {
+                total += run_case_study(algo, &instance, &server, eps, rep)?.matching_size as f64;
+            }
+            sizes.push(total / 3.0);
         }
         println!("{eps:>8} {:>16.1} {:>16.1}", sizes[0], sizes[1]);
     }
     println!("\nHigher is better: matches are only counted when the courier's true\nlocation is within the pickup radius of the order.");
+    Ok(())
 }

@@ -628,8 +628,10 @@ proptest! {
 
 /// A ratio-enabled dynamic sweep over the full matcher catalog (the
 /// `dynamic-opt` oracle included) is bit-identical across shard counts
-/// `{1, 2, 7}`, every oracle cell reports a ratio of exactly 1.0, and
-/// every measured cell carries a ratio.
+/// `{1, 2, 7}`, every measured oracle cell reports a ratio of exactly 1.0
+/// over a total equal to an independent solve of its timeline's optimum,
+/// every measured cell carries a ratio, and the empty size's cells all
+/// carry its error.
 #[test]
 fn ratio_sweep_is_shard_invariant_and_pins_the_oracle_row() {
     let config = |shards: usize| DynamicSweepConfig {
@@ -637,7 +639,7 @@ fn ratio_sweep_is_shard_invariant_and_pins_the_oracle_row() {
         matchers: Vec::new(), // full catalog: the oracle joins the axis
         scenarios: Vec::new(),
         shift_plans: vec!["always-on".into(), "short".into()],
-        sizes: vec![12],
+        sizes: vec![0, 12],
         epsilons: vec![0.6],
         shards,
         timings: false,
@@ -660,13 +662,41 @@ fn ratio_sweep_is_shard_invariant_and_pins_the_oracle_row() {
         !oracle_cells.is_empty(),
         "the oracle must join the matcher axis"
     );
-    for cell in &oracle_cells {
+    let uniform = registry().require_scenario("uniform").unwrap();
+    for cell in oracle_cells.iter().filter(|c| c.num_tasks > 0) {
         assert_eq!(
             cell.competitive_ratio,
             Some(1.0),
             "{}+{}: the oracle against itself must be exactly 1.0",
             cell.mechanism,
             cell.plan
+        );
+        let size = cell.num_tasks;
+        let opt = dynamic_offline_optimum_with_threads(
+            &uniform.instance(5, size),
+            &uniform.task_times(5, size),
+            &uniform.shift_plan(&cell.plan, size, 5).unwrap(),
+            1,
+        )
+        .unwrap();
+        let m = cell.measurement.as_ref().unwrap();
+        assert_eq!(
+            m.total_distance.to_bits(),
+            opt.total_cost.to_bits(),
+            "{}+{}: the oracle row must be its timeline's own optimum",
+            cell.mechanism,
+            cell.plan
+        );
+    }
+    let empty: Vec<_> = baseline.cells.iter().filter(|c| c.num_tasks == 0).collect();
+    assert_eq!(empty.len(), baseline.cells.len() / 2);
+    for cell in empty {
+        assert!(
+            cell.error
+                .as_deref()
+                .unwrap()
+                .contains("non-empty instance"),
+            "{cell:?}"
         );
     }
     for cell in baseline.cells.iter().filter(|c| c.measurement.is_some()) {

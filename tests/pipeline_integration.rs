@@ -127,7 +127,11 @@ fn case_study_tbf_at_least_matches_prob() {
     let server = Server::new(instance.region, 32, 14);
     let avg = |algo: CaseStudyAlgorithm| -> f64 {
         (0..5)
-            .map(|rep| run_case_study(algo, &instance, &server, 0.6, rep).matching_size as f64)
+            .map(|rep| {
+                run_case_study(algo, &instance, &server, 0.6, rep)
+                    .unwrap()
+                    .matching_size as f64
+            })
             .sum::<f64>()
             / 5.0
     };

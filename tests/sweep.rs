@@ -81,24 +81,40 @@ proptest! {
     }
 
     /// Sweep output is a pure function of the seed: shard counts 1, 2 and 7
-    /// serialize to byte-identical JSON.
+    /// serialize to byte-identical JSON. Cells of one instance share its
+    /// optimum, whichever shard solved it: every measured cell divides by
+    /// its own instance's OPT bit for bit, and the empty size's cells all
+    /// carry its error.
     #[test]
     fn sweep_is_bit_identical_across_shard_counts(seed in 0u64..10_000) {
         let config = |shards: usize| SweepConfig {
             mechanisms: vec!["identity".into(), "laplace".into()],
             matchers: vec!["greedy".into(), "offline-opt".into()],
             scenarios: Vec::new(),
-            sizes: vec![8, 12],
+            sizes: vec![0, 8, 12],
             epsilons: vec![0.5],
             repetitions: 2,
             shards,
             timings: false,
             base: fast_config(seed),
         };
-        let baseline = serde_json::to_string(&run_sweep(&config(1)).unwrap()).unwrap();
+        let report = run_sweep(&config(1)).unwrap();
+        let baseline = serde_json::to_string(&report).unwrap();
         for shards in [2usize, 7] {
             let sharded = serde_json::to_string(&run_sweep(&config(shards)).unwrap()).unwrap();
             prop_assert_eq!(&baseline, &sharded, "shards = {} changed the sweep", shards);
+        }
+        let uniform = registry().require_scenario("uniform").unwrap();
+        prop_assert_eq!(report.measured().count(), 2 * 2 * 2);
+        for (cell, r) in report.measured() {
+            let opt = offline_optimum_with_threads(&uniform.instance(seed, cell.num_tasks), 1)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(r.opt_distance.to_bits(), opt.to_bits(), "size {}", cell.num_tasks);
+        }
+        prop_assert_eq!(report.failed().count(), 2 * 2);
+        for cell in report.failed() {
+            prop_assert_eq!(cell.num_tasks, 0);
+            prop_assert!(cell.error.as_deref().unwrap().contains("non-empty instance"));
         }
     }
 }
