@@ -23,6 +23,10 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// ```
 pub struct CountingAllocator;
 
+#[allow(
+    unsafe_code,
+    reason = "a global allocator must implement the unsafe `GlobalAlloc` trait"
+)]
 // SAFETY: delegates directly to `System`; the counter updates do not
 // allocate and are async-signal-safe atomics.
 unsafe impl GlobalAlloc for CountingAllocator {

@@ -154,7 +154,10 @@ fn main() {
 
 fn timed(name: &str, f: impl FnOnce() -> Report) -> Report {
     eprintln!("running {name}...");
-    // lint: allow(DET-TIME) — progress logging on stderr; never serialized.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress logging on stderr; never serialized"
+    )]
     let start = std::time::Instant::now();
     let r = f();
     eprintln!("{name} finished in {:.1}s", start.elapsed().as_secs_f64());

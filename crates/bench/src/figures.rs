@@ -395,8 +395,10 @@ fn case_study_point(
                 cfg.seed,
             );
             let mut matcher = ProbMatcher::new(workers, radii.clone(), table, DEFAULT_THRESHOLD);
-            // lint: allow(DET-TIME) — feeds the figure's running-time axis,
-            // which is measured, not golden-checked.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "feeds the figure's running-time axis, which is measured, not golden-checked"
+            )]
             let start = Instant::now();
             let mut matched = 0usize;
             for (t_idx, t) in tasks.iter().enumerate() {

@@ -1,3 +1,12 @@
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "unit tests produce no compared output"
+    )
+)]
+
 //! Experiment harness for the POMBM reproduction.
 //!
 //! This crate regenerates every table and figure of the paper's evaluation

@@ -38,8 +38,10 @@ impl Report {
     }
 
     /// Appends a row.
-    // One argument per report column; a row struct would just rename them.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per report column; a row struct would just rename them"
+    )]
     pub fn push(
         &mut self,
         figure: &str,

@@ -406,7 +406,8 @@ pub fn obfuscate(args: &Args) -> Result<String, String> {
     let epsilon = pombm_privacy::Epsilon::new(epsilon);
 
     let location = Point::new(x, y);
-    let server = pombm::Server::new(pombm_geom::Rect::square(side), grid_side, seed);
+    let server = pombm::Server::try_new(pombm_geom::Rect::square(side), grid_side, seed)
+        .map_err(|e| e.to_string())?;
     if !server.region().contains(&location) {
         return Err(format!(
             "location ({x}, {y}) outside the {side}x{side} workspace"
@@ -451,7 +452,8 @@ pub fn publish(args: &Args) -> Result<String, String> {
     let side = workspace_side(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let out: String = args.require("out")?;
-    let server = pombm::Server::new(pombm_geom::Rect::square(side), grid_side, seed);
+    let server = pombm::Server::try_new(pombm_geom::Rect::square(side), grid_side, seed)
+        .map_err(|e| e.to_string())?;
     let bytes = wire::encode(server.hst());
     let len = bytes.len();
     std::fs::write(&out, &bytes).map_err(|e| format!("write {out}: {e}"))?;

@@ -1,10 +1,11 @@
 //! Out-of-range inputs through the real `pombm` binary: a zero or
 //! oversized `--grid-side`, an instance region no grid of that side can
-//! cover, a privacy budget that is not positive and finite, `gen`
-//! parameters no workload can be drawn from, and the other degenerate
-//! knobs each answer with a one-line typed error, never a panic, an
-//! allocator abort or a hang. A reader that closes stdout early ends the
-//! command quietly.
+//! cover, a tree whose leaf codes overflow `u64`, a region whose squared
+//! diagonal overflows `f64`, a privacy budget that is not positive and
+//! finite, `gen` parameters no workload can be drawn from, and the other
+//! degenerate knobs each answer with a one-line typed error, never a
+//! panic, an allocator abort or a hang. A reader that closes stdout early
+//! ends the command quietly.
 
 use std::process::{Command, Output, Stdio};
 
@@ -106,6 +107,58 @@ fn degenerate_instance_region_fits_only_a_one_cell_grid() {
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(stdout.contains("matching size:   1"), "{command}: {stdout}");
     }
+}
+
+/// Once the grid pitch reaches 1 the FRT depth grows with the region's
+/// diameter, so over the 10000 × 10000 Chengdu-like region a 64-side grid
+/// needs more than 2^64 leaf codes. A region whose `width² + height²` is
+/// not a finite `f64` would make every distance infinite.
+#[test]
+fn oversized_trees_and_regions_are_one_line_errors() {
+    let dir = std::env::temp_dir();
+    let real = dir.join("pombm-overflow-real.json");
+    let output = pombm(&format!("gen --real --out {}", real.display()));
+    assert!(output.status.success(), "gen --real");
+    let region = |side: f64, worker: f64| {
+        format!(
+            r#"{{"region":{{"min_x":0.0,"min_y":0.0,"max_x":{side:?},"max_y":{side:?}}},
+                "tasks":[{{"x":1.0,"y":1.0}}],
+                "workers":[{{"x":{worker:?},"y":{worker:?}}}],"radii":null}}"#
+        )
+    };
+    let wide = dir.join("pombm-overflow-wide.json");
+    std::fs::write(&wide, region(1e155, 2.0)).expect("temp dir is writable");
+    let widest = dir.join("pombm-overflow-widest.json");
+    std::fs::write(&widest, region(1e308, 1e307)).expect("temp dir is writable");
+    let hst = dir.join("pombm-overflow.hst");
+    let _ = std::fs::remove_file(&hst);
+    let tree = "invalid config `grid_side`: the HST over this grid and region needs more \
+                than 2^64 leaf codes";
+    for (command, error) in [
+        (format!("run --input {} --algo tbf", real.display()), tree),
+        (
+            format!(
+                "publish --grid-side 64 --side 10000 --out {}",
+                hst.display()
+            ),
+            tree,
+        ),
+        (
+            "obfuscate --x 1 --y 1 --side 10000 --grid-side 64".to_string(),
+            tree,
+        ),
+        (
+            format!("run --input {} --algo tbf", wide.display()),
+            "region 1e155 x 1e155 too large",
+        ),
+        (
+            format!("run --input {} --algo opt", widest.display()),
+            "region 1e308 x 1e308 too large",
+        ),
+    ] {
+        assert_one_line_error(&command, error);
+    }
+    assert!(!hst.exists(), "publish must fail before writing");
 }
 
 #[test]

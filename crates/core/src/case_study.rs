@@ -106,8 +106,10 @@ pub fn run_case_study(
             let estimator = ReachEstimator::with_defaults(epsilon, seed);
             let mut matcher =
                 ProbMatcher::new(workers, radii.clone(), estimator, DEFAULT_THRESHOLD);
-            // lint: allow(DET-TIME) — running-time metric of the case study;
-            // measured output, not part of any golden fingerprint.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "running-time metric of the case study; measured output, not part of any golden fingerprint"
+            )]
             let start = Instant::now();
             let mut attempted = 0;
             let mut matched = 0;
@@ -161,8 +163,10 @@ pub fn run_case_study(
                 radii.clone(),
                 slack,
             );
-            // lint: allow(DET-TIME) — running-time metric of the case study;
-            // measured output, not part of any golden fingerprint.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "running-time metric of the case study; measured output, not part of any golden fingerprint"
+            )]
             let start = Instant::now();
             let mut attempted = 0;
             let mut matched = 0;

@@ -252,8 +252,9 @@ pub fn run_dynamic_spec(
         check_region(instance.region, config.grid_side)?;
     }
 
-    let server =
-        needs_server.then(|| Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE));
+    let server = needs_server
+        .then(|| Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE))
+        .transpose()?;
     let epsilon = Epsilon::new(config.epsilon);
     let mut reporter = mechanism.reporter(epsilon, server.as_ref())?;
     let mut rng = seeded_rng(config.seed, 0xD1CE_0001);
@@ -287,10 +288,11 @@ pub fn run_dynamic_spec(
         }
     }
 
+    // From 0.0: `f64`'s `Sum` starts from -0.0, which an empty run keeps.
     let total_distance = pairs
         .iter()
         .map(|&(t, w)| instance.tasks[t].dist(&instance.workers[w]))
-        .sum();
+        .fold(0.0, |s, d| s + d);
     Ok(DynamicOutcome {
         pairs,
         dropped_tasks: dropped,
@@ -348,6 +350,16 @@ mod tests {
     /// tree-greedy pool.
     fn tbf(inst: &Instance, times: &[f64], plan: &ShiftPlan) -> DynamicOutcome {
         run(inst, times, plan, "hst", "hst-greedy").unwrap()
+    }
+
+    #[test]
+    fn an_empty_run_reports_positive_zero_distance() {
+        // No worker, so no pair: the total is +0.0, not `Sum`'s -0.0.
+        let inst = instance(5, 0, 1);
+        let times = uniform_times(5, 10.0, 1);
+        let out = tbf(&inst, &times, &ShiftPlan::always_on(0, 11.0));
+        assert!(out.pairs.is_empty());
+        assert_eq!(out.total_distance.to_bits(), 0);
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn run_epochs(
     let drift = Normal::new(0.0, config.worker_drift.max(1e-9))
         .map_err(|_| invalid("worker_drift", "must be a finite standard deviation"))?;
     let region = Rect::square(side);
-    let server = Server::new(region, config.grid_side, config.seed ^ 0xE70C);
+    let server = Server::try_new(region, config.grid_side, config.seed ^ 0xE70C)?;
     let epsilon = Epsilon::new(config.epoch_epsilon);
     let mut reporter = mechanism.reporter(epsilon, Some(&server))?;
     let ledger = BudgetLedger::new(config.lifetime_epsilon);

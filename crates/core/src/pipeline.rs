@@ -124,16 +124,21 @@ pub fn run_spec(
     if spec.needs_server() {
         check_region(instance.region, config.grid_side)?;
     }
-    // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
-    // the sweep strips before fingerprinting.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timing for RunMetrics.wall_ms, which the sweep strips before fingerprinting"
+    )]
     let setup_start = Instant::now();
-    let server = spec.needs_server().then(|| {
-        Server::new(
-            instance.region,
-            config.grid_side,
-            config.seed ^ (repetition.wrapping_mul(0x9E37_79B9)),
-        )
-    });
+    let server = spec
+        .needs_server()
+        .then(|| {
+            Server::try_new(
+                instance.region,
+                config.grid_side,
+                config.seed ^ (repetition.wrapping_mul(0x9E37_79B9)),
+            )
+        })
+        .transpose()?;
     let setup_time = setup_start.elapsed();
     let mut result = run_spec_with_server(spec, instance, config, server.as_ref(), repetition)?;
     result.metrics.setup_time = setup_time;
@@ -163,8 +168,10 @@ pub fn run_spec_with_server(
     // One concatenated batch, split afterwards: a custom mechanism whose
     // reporter carries cross-report state sees the same single
     // worker-then-task stream the pre-batch driver fed it.
-    // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
-    // the sweep strips before fingerprinting.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timing for RunMetrics.wall_ms, which the sweep strips before fingerprinting"
+    )]
     let obf_start = Instant::now();
     let mut locations = Vec::with_capacity(instance.num_workers() + instance.num_tasks());
     locations.extend_from_slice(&instance.workers);
@@ -189,8 +196,10 @@ pub fn run_spec_with_server(
         mech_rng: &mut mech_rng,
         tie_rng: &mut tie_rng,
     };
-    // lint: allow(DET-TIME) — stage timing for RunMetrics.wall_ms, which
-    // the sweep strips before fingerprinting.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timing for RunMetrics.wall_ms, which the sweep strips before fingerprinting"
+    )]
     let assign_start = Instant::now();
     let matching = spec.matcher.assign(reports, &mut ctx)?;
     let assign_time = assign_start.elapsed();
@@ -219,7 +228,10 @@ pub fn run_spec_with_server(
 /// Tasks must be unique always; workers only for non-capacitated matchers.
 fn valid_for(matching: &Matching, reuses_workers: bool) -> bool {
     if reuses_workers {
-        // lint: allow(DET-HASH) — membership test only; never iterated.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership test only; never iterated"
+        )]
         let mut tasks = std::collections::HashSet::new();
         matching.pairs.iter().all(|&(t, _)| tasks.insert(t))
     } else {
@@ -285,6 +297,46 @@ mod tests {
                 "{algo}"
             );
         }
+    }
+
+    #[test]
+    fn an_empty_run_reports_positive_zero_distance() {
+        let params = SyntheticParams {
+            num_tasks: 0,
+            num_workers: 10,
+            ..SyntheticParams::default()
+        };
+        let instance = synthetic::generate(&params, &mut seeded_rng(1, 0));
+        for algo in PAPER {
+            let r = run(algo, &instance, &PipelineConfig::default(), 0);
+            assert_eq!(r.metrics.total_distance.to_bits(), 0, "{algo}");
+        }
+    }
+
+    #[test]
+    fn a_tree_whose_leaf_codes_overflow_is_a_typed_grid_side_error() {
+        // Once the grid pitch reaches 1 the FRT depth grows with the
+        // region's diameter: over a 10000-wide region a 64-side grid
+        // needs more than 2^64 leaf codes, and a 16-side grid does not.
+        let instance = small_instance(1).scaled(50.0);
+        assert_eq!(instance.region.width(), 10_000.0);
+        let spec = registry().require_spec("tbf").unwrap();
+        let config = PipelineConfig {
+            grid_side: 64,
+            ..PipelineConfig::default()
+        };
+        assert!(matches!(
+            run_spec(&spec, &instance, &config, 0),
+            Err(PipelineError::InvalidConfig {
+                field: "grid_side",
+                ..
+            })
+        ));
+        let config = PipelineConfig {
+            grid_side: 16,
+            ..config
+        };
+        run_spec(&spec, &instance, &config, 0).unwrap();
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! `(seed, size)` must produce byte-identical instances on every shard,
 //! thread, partition, and machine. Derive every stream through
 //! [`pombm_geom::seeded_rng`] with a scenario-specific tag and never touch
-//! ambient state (`tests/scenario.rs` and `pombm-lint` both enforce this).
+//! ambient state (`tests/scenario.rs` and the workspace's clippy lints
+//! both enforce this).
 //! The `uniform` scenario reproduces the pre-scenario derivations
 //! bit-exactly, which is why every legacy golden fingerprint still holds.
 //!

@@ -66,7 +66,8 @@
 //! on a bad frame: each decode failure is counted per
 //! [`PipelineError::Transport`] class (a stream that ends without a
 //! shutdown frame counts as [`CHANNEL_CLOSED`], a NaN or infinite field
-//! as [`NON_FINITE`]), duplicate deliveries are absorbed by id, and the
+//! as [`NON_FINITE`], a timestamp no Δt window index holds as
+//! [`WINDOW_RANGE`]), duplicate deliveries are absorbed by id, and the
 //! session keeps serving.
 //!
 //! With `queue_cap` set, the task backlog becomes a bounded admission
@@ -333,6 +334,14 @@ pub fn channel_closed() -> PipelineError {
 /// or infinite: no window or pool can place it.
 pub const NON_FINITE: &str = "non-finite timestamp or coordinate";
 
+/// The Transport class of a frame whose window index `⌊at/Δt⌋` is
+/// negative or at least 2⁶⁴: no `u64` window holds it, and a saturating
+/// cast would merge it into the first or last window.
+pub const WINDOW_RANGE: &str = "timestamp outside the window range";
+
+/// 2⁶⁴, the first window index past `u64::MAX`.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
 const OP_CHECK_IN: u8 = 0x01;
 const OP_CHECK_OUT: u8 = 0x02;
 const OP_TASK: u8 = 0x03;
@@ -584,7 +593,10 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Δt window index of a virtual timestamp.
+    /// Δt window index of a virtual timestamp. Saturates at the `u64`
+    /// ends: [`Engine::ingest`] skips a frame outside them
+    /// ([`WINDOW_RANGE`]), so only a retry backed off past 2⁶⁴ windows
+    /// can saturate.
     fn window_of(&self, at: f64) -> u64 {
         (at / self.batch_interval).floor() as u64
     }
@@ -703,9 +715,13 @@ impl<'a> Engine<'a> {
             self.end_session()?;
             return Ok(false);
         }
+        let quotient = (request.timestamp() / self.batch_interval).floor();
+        if !(0.0..TWO_POW_64).contains(&quotient) {
+            self.note_corrupt(WINDOW_RANGE);
+            return Ok(true);
+        }
         self.stats.requests += 1;
-        let window = self.window_of(request.timestamp());
-        self.advance_to(window)?;
+        self.advance_to(quotient as u64)?;
         match request {
             ServeRequest::CheckIn { worker, x, y, .. } => {
                 if self.seen_workers.insert(worker) {
@@ -722,9 +738,10 @@ impl<'a> Engine<'a> {
             ServeRequest::Task { task, at, x, y } => {
                 if self.seen_tasks.insert(task) {
                     self.stats.submitted += 1;
-                    // lint: allow(DET-TIME) — timings-gated latency sampling
-                    // only; the wall_ms precedent. Never reaches assignments
-                    // or the deterministic report fields.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "timings-gated latency sampling only; the wall_ms precedent. Never reaches assignments or the deterministic report fields"
+                    )]
                     let ingested = self.timings.then(std::time::Instant::now);
                     self.admit(PendingTask {
                         id: task,
@@ -789,8 +806,10 @@ impl<'a> Engine<'a> {
             )?;
             let tasks: Vec<PendingTask> = self.pending_tasks.drain(..).collect();
             let slots = self.pool.assign_batch(reports, &mut self.tie_rng)?;
-            // lint: allow(DET-TIME) — timings-gated latency sampling only;
-            // the wall_ms precedent. One drain stamp per window.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "timings-gated latency sampling only; the wall_ms precedent. One drain stamp per window"
+            )]
             let drained = self.timings.then(std::time::Instant::now);
             for (task, &slot) in tasks.iter().zip(&slots) {
                 self.stats.assignments.push((task.id, slot));
@@ -1115,7 +1134,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
     // session's ability to end cleanly.
     frames.push(ServeRequest::Shutdown.encode());
 
-    let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
+    let server = Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE)?;
     let (tx, rx) = mpsc::channel::<Bytes>();
     let result: parking_lot::Mutex<Option<Result<SessionStats, PipelineError>>> =
         parking_lot::Mutex::new(None);
@@ -1161,7 +1180,7 @@ pub fn serve_frames(
         resolved
             .scenario
             .timeline_instance(config.seed, config.num_tasks, config.num_workers);
-    let server = Server::new(instance.region, config.grid_side, config.seed ^ 0xD1CE);
+    let server = Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE)?;
     let stats = serve_stream(frames, &resolved, &server, config)?;
     Ok(build_outcome(config, &resolved, stats, 0))
 }

@@ -2,7 +2,9 @@
 
 use crate::algorithm::PipelineError;
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
-use pombm_hst::{Hst, LeafCode};
+use pombm_hst::construct::build_raw;
+use pombm_hst::quadtree::build_quadtree;
+use pombm_hst::{CodeOverflow, Hst, LeafCode};
 
 /// The most predefined points a server is built on: `N = side² ≤ 2¹⁶`
 /// (side 256). The FRT build grows faster than linearly in `N` — on a
@@ -101,9 +103,26 @@ impl Server {
     ///
     /// Panics if `grid_side` is 0, or above 1 and `region` has zero width
     /// or height; entry points reject those first with [`check_grid_side`]
-    /// and [`check_region`].
+    /// and [`check_region`]. Also panics where [`Server::try_new`] returns
+    /// an error.
     pub fn new(region: Rect, grid_side: usize, seed: u64) -> Self {
         Self::with_construction(region, grid_side, seed, TreeConstruction::Frt)
+    }
+
+    /// [`Server::new`], returning [`PipelineError::InvalidConfig`] on
+    /// `grid_side` when the tree's `c^D` leaf codes overflow `u64`. The
+    /// FRT depth grows with the region's diameter once the grid pitch
+    /// reaches 1, so a large region needs a coarser grid: at side 64 a
+    /// 10000 × 10000 region overflows. Every driver builds its server
+    /// through this.
+    pub fn try_new(region: Rect, grid_side: usize, seed: u64) -> Result<Self, PipelineError> {
+        Self::build(region, grid_side, seed, TreeConstruction::Frt).map_err(|_| {
+            PipelineError::InvalidConfig {
+                field: "grid_side",
+                why: "the HST over this grid and region needs more than 2^64 leaf codes; \
+                      use a smaller grid side",
+            }
+        })
     }
 
     /// Builds the server with an explicit HST construction.
@@ -113,15 +132,23 @@ impl Server {
         seed: u64,
         construction: TreeConstruction,
     ) -> Self {
+        Self::build(region, grid_side, seed, construction).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn build(
+        region: Rect,
+        grid_side: usize,
+        seed: u64,
+        construction: TreeConstruction,
+    ) -> Result<Self, CodeOverflow> {
         let grid = Grid::square(region, grid_side);
-        let hst = match construction {
-            TreeConstruction::Frt => {
-                let mut rng = seeded_rng(seed, 0x45F7);
-                Hst::build(&grid.to_point_set(), &mut rng)
-            }
-            TreeConstruction::Quadtree => Hst::from_quadtree(&grid.to_point_set()),
+        let points = grid.to_point_set();
+        let raw = match construction {
+            TreeConstruction::Frt => build_raw(&points, &mut seeded_rng(seed, 0x45F7)),
+            TreeConstruction::Quadtree => build_quadtree(&points),
         };
-        Server { region, grid, hst }
+        let hst = Hst::try_from_raw(raw, points, None)?;
+        Ok(Server { region, grid, hst })
     }
 
     /// The workspace region.

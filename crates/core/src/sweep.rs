@@ -79,6 +79,10 @@ use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the checkpoint's lookup-only `logged` map"
+)]
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::ops::Range;
@@ -501,8 +505,10 @@ pub struct PartialRunStats {
 struct Checkpoint<T> {
     path: PathBuf,
     file: Mutex<std::fs::File>,
-    // lint: allow(DET-HASH) — keyed lookups via remove(&index) only; cells
-    // are re-emitted in job order, never in map order.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups via remove(&index) only; cells are re-emitted in job order, never in map order"
+    )]
     logged: Mutex<HashMap<usize, T>>,
     max_cells: Option<usize>,
     resumed: AtomicUsize,
@@ -528,7 +534,10 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
         };
         std::fs::create_dir_all(dir).map_err(|e| err(dir, e.to_string()))?;
         let path = dir.join(format!("{flavor}-{fingerprint}.jsonl"));
-        // lint: allow(DET-HASH) — see the field note: lookups only.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the `logged` field's map: lookups only"
+        )]
         let mut logged = HashMap::new();
         if path.exists() {
             let text = std::fs::read_to_string(&path).map_err(|e| err(&path, e.to_string()))?;
@@ -995,8 +1004,10 @@ impl SweepFlavor for SweepConfig {
     }
 
     fn run_job(&self, job: &SweepJob) -> SweepCell {
-        // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-        // merge strips wall_ms before fingerprinting.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the timings-gated wall_ms path itself; the merge strips wall_ms before fingerprinting"
+        )]
         let started = self.timings.then(std::time::Instant::now);
         let instance = job.scenario.instance(self.base.seed, job.size);
         let config = PipelineConfig {
@@ -1499,8 +1510,10 @@ impl SweepFlavor for DynamicSweepConfig {
     }
 
     fn run_job(&self, job: &DynamicSweepJob) -> DynamicSweepCell {
-        // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-        // merge strips wall_ms before fingerprinting.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the timings-gated wall_ms path itself; the merge strips wall_ms before fingerprinting"
+        )]
         let started = self.timings.then(std::time::Instant::now);
         let instance = job.scenario.instance(self.seed, job.size);
         let times = job.scenario.task_times(self.seed, job.size);

@@ -80,8 +80,11 @@ impl std::fmt::Display for Point {
 
 /// Sum of Euclidean distances of matched pairs; the paper's primary
 /// effectiveness metric ("total distance", Definition 8 numerator).
+///
+/// Folded from `0.0`: `f64`'s `Sum` starts from `-0.0`, so an empty sum
+/// would report `-0.0`. A non-empty sum is bit-identical either way.
 pub fn total_distance(pairs: &[(Point, Point)]) -> f64 {
-    pairs.iter().map(|(a, b)| a.dist(b)).sum()
+    pairs.iter().map(|(a, b)| a.dist(b)).fold(0.0, |s, d| s + d)
 }
 
 #[cfg(test)]
@@ -124,6 +127,8 @@ mod tests {
             (Point::new(1.0, 1.0), Point::new(1.0, 2.0)),
         ];
         assert!((total_distance(&pairs) - 6.0).abs() < 1e-12);
+        // An empty sum is +0.0, never the -0.0 `Sum` starts from.
+        assert_eq!(total_distance(&[]).to_bits(), 0);
     }
 
     #[test]

@@ -47,22 +47,50 @@ pub struct CodeContext {
     pub depth: u32,
 }
 
+/// A complete tree whose `c^D` leaf codes do not fit in a `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeOverflow {
+    /// Branching factor `c` of the tree.
+    pub branching: u32,
+    /// Depth `D` of the tree.
+    pub depth: u32,
+}
+
+impl std::fmt::Display for CodeOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "c^D = {}^{} must fit in u64; use a coarser predefined point set",
+            self.branching, self.depth
+        )
+    }
+}
+
+impl std::error::Error for CodeOverflow {}
+
 impl CodeContext {
     /// Creates a context, validating that all `c^D` codes fit in a `u64`.
     ///
     /// # Panics
     ///
-    /// Panics if `c < 2`, `D < 1`, or `c^D` overflows `u64`.
+    /// Panics if `c < 2`, `D < 1`, or `c^D` overflows `u64`; see
+    /// [`CodeContext::try_new`] for the last.
     pub fn new(branching: u32, depth: u32) -> Self {
+        Self::try_new(branching, depth).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CodeContext::new`], with an overflowing `c^D` returned as an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c < 2` or `D < 1`.
+    pub fn try_new(branching: u32, depth: u32) -> Result<Self, CodeOverflow> {
         assert!(branching >= 2, "complete HST needs branching >= 2");
         assert!(depth >= 1, "HST needs at least one level");
-        let mut acc: u64 = 1;
-        for _ in 0..depth {
-            acc = acc
-                .checked_mul(branching as u64)
-                .expect("c^D must fit in u64; use a coarser predefined point set");
+        match (branching as u64).checked_pow(depth) {
+            Some(_) => Ok(CodeContext { branching, depth }),
+            None => Err(CodeOverflow { branching, depth }),
         }
-        CodeContext { branching, depth }
     }
 
     /// Total number of leaves `c^D` in the complete tree.
@@ -277,5 +305,21 @@ mod tests {
     #[should_panic(expected = "fit in u64")]
     fn overflowing_context_rejected() {
         let _ = CodeContext::new(u32::MAX, 3);
+    }
+
+    #[test]
+    fn overflowing_context_is_an_error() {
+        let err = CodeContext::try_new(17, 16).unwrap_err();
+        assert_eq!(
+            err,
+            CodeOverflow {
+                branching: 17,
+                depth: 16
+            }
+        );
+        assert!(err.to_string().starts_with("c^D = 17^16 must fit in u64"));
+        // 16^16 = 2^64 is one past the largest code; 16^15 fits.
+        assert!(CodeContext::try_new(16, 16).is_err());
+        assert_eq!(CodeContext::try_new(16, 15).unwrap().num_leaves(), 1 << 60);
     }
 }

@@ -1,6 +1,10 @@
 //! Dynamic nearest-leaf index over the complete HST.
 
 use crate::code::{CodeContext, LeafCode};
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the lookup-only `counts` map"
+)]
 use std::collections::HashMap;
 
 /// A dynamic multiset of complete-tree leaves supporting *nearest-leaf*
@@ -21,8 +25,10 @@ use std::collections::HashMap;
 pub struct SubtreeCounter {
     ctx: CodeContext,
     /// Occupancy count per visited virtual node, keyed by (level, prefix).
-    // lint: allow(DET-HASH) — per-key lookups on the hot assign path; the
-    // map is never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-key lookups on the hot assign path; the map is never iterated"
+    )]
     counts: HashMap<(u32, u64), u32>,
     /// Total number of leaves currently in the multiset (with multiplicity).
     len: usize,
@@ -30,10 +36,13 @@ pub struct SubtreeCounter {
 
 impl SubtreeCounter {
     /// Creates an empty index for trees with context `ctx`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the lookup-only `counts` map"
+    )]
     pub fn new(ctx: CodeContext) -> Self {
         SubtreeCounter {
             ctx,
-            // lint: allow(DET-HASH) — see the field note: lookups only.
             counts: HashMap::new(),
             len: 0,
         }

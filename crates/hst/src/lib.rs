@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "unit tests produce no compared output"
+    )
+)]
 
 //! Hierarchically Well-Separated Trees (HSTs) for the POMBM reproduction.
 //!
@@ -52,7 +60,7 @@ pub mod quadtree;
 pub mod tree;
 pub mod wire;
 
-pub use code::{CodeContext, LeafCode};
+pub use code::{CodeContext, CodeOverflow, LeafCode};
 pub use construct::{FixedDraw, RawTree};
 pub use counter::SubtreeCounter;
 pub use tree::{Hst, HstParams};

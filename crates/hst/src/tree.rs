@@ -1,9 +1,13 @@
 //! The complete c-ary HST with virtual fake nodes.
 
-use crate::code::{CodeContext, LeafCode};
+use crate::code::{CodeContext, CodeOverflow, LeafCode};
 use crate::construct::{build_raw, build_raw_fixed, FixedDraw, RawTree};
 use pombm_geom::{Point, PointId, PointSet};
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the lookup-only code and representative maps"
+)]
 use std::collections::HashMap;
 
 /// Construction parameters for [`Hst::build_with`].
@@ -42,11 +46,17 @@ pub struct Hst {
     /// `leaf_code[p]` is the complete-tree code of point `p`'s leaf.
     leaf_code: Vec<LeafCode>,
     /// Inverse mapping for real leaves.
-    // lint: allow(DET-HASH) — code-to-point lookups only; never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "code-to-point lookups only; never iterated"
+    )]
     point_of: HashMap<LeafCode, PointId>,
     /// Representative real point per occupied virtual node, keyed by
     /// `(level, prefix)`: the lowest-id point whose leaf lies beneath.
-    // lint: allow(DET-HASH) — per-node lookups only; never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-node lookups only; never iterated"
+    )]
     representative: HashMap<(u32, u64), PointId>,
 }
 
@@ -82,6 +92,22 @@ impl Hst {
     }
 
     pub(crate) fn from_raw(raw: RawTree, points: PointSet, branching: Option<u32>) -> Self {
+        Self::try_from_raw(raw, points, branching).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Completes a raw tree over `points` into the complete `c`-ary HST
+    /// (the step every constructor above ends with), returning the
+    /// overflow when its `c^D` leaf codes do not fit in a `u64` instead
+    /// of panicking. `branching` is [`HstParams::branching`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `branching` is below the tree's natural branching.
+    pub fn try_from_raw(
+        raw: RawTree,
+        points: PointSet,
+        branching: Option<u32>,
+    ) -> Result<Self, CodeOverflow> {
         let natural = raw.max_branching().max(2);
         let c = match branching {
             Some(c) => {
@@ -93,12 +119,15 @@ impl Hst {
             }
             None => natural,
         };
-        let ctx = CodeContext::new(c, raw.depth);
+        let ctx = CodeContext::try_new(c, raw.depth)?;
 
         // A real leaf's code concatenates the child indices on the
         // root-to-leaf path, most significant digit first.
         let mut leaf_code = vec![LeafCode(0); points.len()];
-        // lint: allow(DET-HASH) — see the field note: lookups only.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the `point_of` field's map: lookups only"
+        )]
         let mut point_of = HashMap::with_capacity(points.len());
         for (p, code) in leaf_code.iter_mut().enumerate() {
             let mut digits = vec![0u32; raw.depth as usize];
@@ -122,7 +151,10 @@ impl Hst {
         // Representatives: for every ancestor prefix of every real leaf,
         // remember the lowest-id resident point. Fake leaves inherit the
         // representative of their lowest ancestor that contains real leaves.
-        // lint: allow(DET-HASH) — see the field note: lookups only.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the `representative` field's map: lookups only"
+        )]
         let mut representative: HashMap<(u32, u64), PointId> = HashMap::new();
         for (p, &code) in leaf_code.iter().enumerate() {
             for level in 0..=ctx.depth {
@@ -134,14 +166,14 @@ impl Hst {
             }
         }
 
-        Hst {
+        Ok(Hst {
             raw,
             ctx,
             points,
             leaf_code,
             point_of,
             representative,
-        }
+        })
     }
 
     /// The code-arithmetic context `(c, D)` of the complete tree.

@@ -144,18 +144,15 @@ pub fn decode(mut data: Bytes) -> Result<PublishedHst, DecodeError> {
     if n == 0 {
         return Err(DecodeError::Invalid("empty point set"));
     }
-    // Validate (c, D) fits u64 without panicking on hostile input.
-    let mut acc: u64 = 1;
-    for _ in 0..depth {
-        acc = acc
-            .checked_mul(branching as u64)
-            .ok_or(DecodeError::Invalid("c^D overflow"))?;
-    }
-    let ctx = CodeContext::new(branching, depth);
+    let ctx =
+        CodeContext::try_new(branching, depth).map_err(|_| DecodeError::Invalid("c^D overflow"))?;
 
     let mut points = Vec::with_capacity(n);
     let mut leaf_codes = Vec::with_capacity(n);
-    // lint: allow(DET-HASH) — duplicate-code check only; never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate-code check only; never iterated"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     for _ in 0..n {
         let x = data.get_f64();

@@ -195,7 +195,11 @@ where
         .collect();
     let mut by_worker = pairs.clone();
     by_worker.sort_unstable_by_key(|&(_, w)| w);
-    let total_cost = by_worker.iter().map(|&(t, w)| cost(t, w)).sum();
+    // From 0.0: `f64`'s `Sum` starts from -0.0, which an empty set keeps.
+    let total_cost = by_worker
+        .iter()
+        .map(|&(t, w)| cost(t, w))
+        .fold(0.0, |s, c| s + c);
     pairs.sort_unstable();
     let mut matched = vec![false; num_tasks];
     for &(t, _) in &pairs {
@@ -289,8 +293,10 @@ mod tests {
         F: Fn(usize, usize) -> bool,
         C: Fn(usize, usize) -> f64,
     {
-        // Recursive brute force threads its whole search state explicitly.
-        #[allow(clippy::too_many_arguments)]
+        #[allow(
+            clippy::too_many_arguments,
+            reason = "recursive brute force threads its whole search state explicitly"
+        )]
         fn go<F, C>(
             t: usize,
             num_tasks: usize,
@@ -416,6 +422,9 @@ mod tests {
         let b = ClairvoyantOptimal::solve(3, 0, |_, _| true, |_, _| 1.0);
         assert!(b.pairs.is_empty());
         assert_eq!(b.dropped, vec![0, 1, 2]);
+        // An empty optimum costs +0.0, never the -0.0 `Sum` starts from.
+        assert_eq!(a.total_cost.to_bits(), 0);
+        assert_eq!(b.total_cost.to_bits(), 0);
     }
 
     #[test]

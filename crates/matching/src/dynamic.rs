@@ -19,6 +19,10 @@
 use pombm_geom::Point;
 use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the pools' lookup-only maps"
+)]
 use std::collections::HashMap;
 
 /// Tree-nearest free worker over a mutable pool of leaf reports (see
@@ -31,22 +35,29 @@ use std::collections::HashMap;
 pub struct HstGreedyPool {
     counter: SubtreeCounter,
     /// Present, unassigned workers resident at each occupied leaf.
-    // lint: allow(DET-HASH) — per-leaf lookups only; draws resolve through
-    // the counter walk, never through map iteration.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-leaf lookups only; draws resolve through the counter walk, never through map iteration"
+    )]
     residents: HashMap<LeafCode, Vec<u64>>,
     /// Leaf of each present, unassigned worker.
-    // lint: allow(DET-HASH) — per-id lookups only; never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-id lookups only; never iterated"
+    )]
     leaf_of: HashMap<u64, LeafCode>,
 }
 
 impl HstGreedyPool {
     /// Creates an empty pool for trees with context `ctx`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the lookup-only `residents` and `leaf_of` maps"
+    )]
     pub fn new(ctx: CodeContext) -> Self {
         HstGreedyPool {
             counter: SubtreeCounter::new(ctx),
-            // lint: allow(DET-HASH) — see the field note: lookups only.
             residents: HashMap::new(),
-            // lint: allow(DET-HASH) — see the field note: lookups only.
             leaf_of: HashMap::new(),
         }
     }
@@ -261,7 +272,10 @@ pub struct DynamicRandomPool {
     /// (draws are uniform regardless).
     live: Vec<u64>,
     /// Position of each live id in `live`, for O(1) withdrawal.
-    // lint: allow(DET-HASH) — per-id lookups only; draws index `live`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-id lookups only; draws index `live`"
+    )]
     pos_of: HashMap<u64, usize>,
 }
 

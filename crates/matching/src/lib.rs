@@ -1,5 +1,13 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "unit tests produce no compared output"
+    )
+)]
 
 //! Bipartite matching algorithms for online task assignment.
 //!
@@ -104,7 +112,8 @@ impl Matching {
 
     /// Sums `d(tasks[t], workers[w])` over assigned pairs — the paper's
     /// total (travel) distance, computed on whatever coordinates the caller
-    /// passes (true locations for evaluation).
+    /// passes (true locations for evaluation). Empty is `0.0`, not the
+    /// `-0.0` of `f64`'s `Sum`.
     pub fn total_distance(
         &self,
         tasks: &[pombm_geom::Point],
@@ -113,14 +122,20 @@ impl Matching {
         self.pairs
             .iter()
             .map(|&(t, w)| tasks[t].dist(&workers[w]))
-            .sum()
+            .fold(0.0, |s, d| s + d)
     }
 
     /// Checks that no worker and no task appears twice.
     pub fn is_valid(&self) -> bool {
-        // lint: allow(DET-HASH) — membership tests only; never iterated.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership tests only; never iterated"
+        )]
         let mut tasks = std::collections::HashSet::new();
-        // lint: allow(DET-HASH) — membership tests only; never iterated.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership tests only; never iterated"
+        )]
         let mut workers = std::collections::HashSet::new();
         self.pairs
             .iter()

@@ -556,9 +556,14 @@ impl Block<'_> {
 /// The fused dual-update + column-minimum scan over one block.
 /// Dispatches to the widest kernel the CPU has; all kernels perform the
 /// identical per-element operations.
-// The scan consumes the solver's whole working set; separate slice
-// parameters keep the mutable borrows disjoint.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the scan consumes the solver's whole working set; separate slice parameters keep the mutable borrows disjoint"
+)]
+#[allow(
+    unsafe_code,
+    reason = "calls the AVX kernels, each only after detecting its feature at runtime"
+)]
 fn fused_scan(
     v: &mut [f64],
     minv: &mut [f64],
@@ -594,8 +599,10 @@ fn fused_scan(
 
 /// Scalar kernel: the element-wise reference the vector kernels mirror.
 /// `from` supports tail processing after a vectorized prefix.
-// Same working-set signature as `fused_scan`, plus the tail start.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "same working-set signature as `fused_scan`, plus the tail start"
+)]
 fn fused_scan_scalar(
     v: &mut [f64],
     minv: &mut [f64],
@@ -674,8 +681,14 @@ fn fold_lanes(best_arr: &[f64], j_arr: &[i64], tail: (f64, usize)) -> (f64, usiz
 /// so live values are bit-identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// Same working-set signature as the scalar reference kernel.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "same working-set signature as the scalar reference kernel"
+)]
+#[allow(
+    unsafe_code,
+    reason = "AVX2 intrinsics; `fused_scan` calls this only after detecting AVX2"
+)]
 // SAFETY: callers must have detected AVX2 at runtime. Every slice spans
 // the full block, so all lane accesses below `minv.len()` are in bounds.
 unsafe fn fused_scan_avx2(
@@ -696,7 +709,10 @@ unsafe fn fused_scan_avx2(
     // The closure-parameterized inner loop; shares the outer kernel's
     // working set plus the per-lane cost source.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the outer kernel's working set plus the per-lane cost source"
+    )]
     // SAFETY: callers run this with AVX2 enabled and pass `vec_n` no
     // larger than any slice's length; `cost4(k)` must be in bounds for
     // all `k < vec_n`.
@@ -824,8 +840,14 @@ unsafe fn fused_scan_avx2(
 /// compare (`-0.0` is `i64::MIN`), so only the F subset is required.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-// Same working-set signature as the scalar reference kernel.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "same working-set signature as the scalar reference kernel"
+)]
+#[allow(
+    unsafe_code,
+    reason = "AVX-512F intrinsics; `fused_scan` calls this only after detecting AVX-512F"
+)]
 // SAFETY: callers must have detected AVX-512F at runtime. Every slice
 // spans the full block, so all lane accesses below `minv.len()` are in
 // bounds.
@@ -847,7 +869,10 @@ unsafe fn fused_scan_avx512(
     // The closure-parameterized inner loop; shares the outer kernel's
     // working set plus the per-lane cost source.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the outer kernel's working set plus the per-lane cost source"
+    )]
     // SAFETY: callers run this with AVX-512F enabled and pass `vec_n` no
     // larger than any slice's length; `cost8(k)` must be in bounds for
     // all `k < vec_n`.

@@ -31,6 +31,10 @@ use crate::alias::AliasTable;
 use crate::Epsilon;
 use pombm_geom::{PointId, PointSet};
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the lookup-only `tables` memo"
+)]
 use std::collections::HashMap;
 
 /// Exponential mechanism over a predefined [`PointSet`]; see the module
@@ -39,8 +43,10 @@ use std::collections::HashMap;
 pub struct ExponentialMechanism {
     epsilon: Epsilon,
     points: PointSet,
-    // lint: allow(DET-HASH) — per-point memo built via entry(); only ever
-    // read by key lookup, never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-point memo built via entry(); only ever read by key lookup, never iterated"
+    )]
     tables: HashMap<PointId, AliasTable>,
 }
 
@@ -50,12 +56,15 @@ impl ExponentialMechanism {
     /// # Panics
     ///
     /// Panics if `points` is empty.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the lookup-only `tables` memo"
+    )]
     pub fn new(points: PointSet, epsilon: Epsilon) -> Self {
         assert!(!points.is_empty(), "exponential mechanism needs candidates");
         ExponentialMechanism {
             epsilon,
             points,
-            // lint: allow(DET-HASH) — see the field note: lookups only.
             tables: HashMap::new(),
         }
     }

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "unit tests produce no compared output"
+    )
+)]
 
 //! ε-Geo-Indistinguishable privacy mechanisms for spatial crowdsourcing.
 //!

@@ -40,6 +40,14 @@ pub enum InstanceError {
         /// Its recorded value.
         radius: f64,
     },
+    /// The region's `width² + height²` is not a finite `f64`, so distances
+    /// across it would be infinite.
+    RegionTooLarge {
+        /// The region's width.
+        width: f64,
+        /// The region's height.
+        height: f64,
+    },
 }
 
 impl std::fmt::Display for InstanceError {
@@ -55,6 +63,10 @@ impl std::fmt::Display for InstanceError {
             InstanceError::InvalidRadius { radius, .. } => {
                 write!(f, "invalid radius {radius}")
             }
+            InstanceError::RegionTooLarge { width, height } => write!(
+                f,
+                "region {width:e} x {height:e} too large: its squared diagonal overflows f64"
+            ),
         }
     }
 }
@@ -155,9 +167,14 @@ impl Instance {
         }
     }
 
-    /// Validates that every coordinate is finite and inside the region, and
-    /// radii (if any) are positive and one-per-worker.
+    /// Validates that the region's squared diagonal is finite, every
+    /// coordinate is finite and inside the region, and radii (if any) are
+    /// positive and one-per-worker.
     pub fn validate(&self) -> Result<(), InstanceError> {
+        let (width, height) = (self.region.width(), self.region.height());
+        if !(width * width + height * height).is_finite() {
+            return Err(InstanceError::RegionTooLarge { width, height });
+        }
         for (i, p) in self.tasks.iter().enumerate() {
             if !p.is_finite() || !self.region.contains(p) {
                 return Err(InstanceError::TaskOutsideRegion {
@@ -295,6 +312,28 @@ mod tests {
             }
         );
         assert_eq!(err.to_string(), "invalid radius -1");
+    }
+
+    #[test]
+    fn validate_rejects_a_region_whose_diagonal_overflows() {
+        let inside = vec![Point::new(1.0, 1.0)];
+        Instance::new(Rect::square(1e150), inside.clone(), vec![])
+            .validate()
+            .unwrap();
+        let err = Instance::new(Rect::square(1e155), inside, vec![])
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            InstanceError::RegionTooLarge {
+                width: 1e155,
+                height: 1e155,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "region 1e155 x 1e155 too large: its squared diagonal overflows f64"
+        );
     }
 
     #[test]

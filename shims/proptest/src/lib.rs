@@ -152,17 +152,18 @@ pub mod collection {
         size: std::ops::Range<usize>,
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the set type is the caller's choice; generation draws from the seeded StdRng, not from set order"
+    )]
     impl<S: Strategy> Strategy for HashSetStrategy<S>
     where
         S::Value: std::hash::Hash + Eq,
     {
-        // lint: allow(DET-HASH) — the set type is the caller's choice;
-        // generation draws from the seeded StdRng, not from set order.
         type Value = std::collections::HashSet<S::Value>;
 
         fn generate(&self, rng: &mut StdRng) -> Self::Value {
             let target = rng.gen_range(self.size.clone());
-            // lint: allow(DET-HASH) — see the type note above.
             let mut set = std::collections::HashSet::with_capacity(target);
             // Bounded attempts so a too-small value domain degrades to a
             // smaller set instead of hanging.

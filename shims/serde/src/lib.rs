@@ -11,6 +11,10 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "`HashMap` serializes through the key-sorted impl below"
+)]
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -410,8 +414,10 @@ impl Deserialize for Duration {
     }
 }
 
-// lint: allow(DET-HASH) — the pairs are sorted by key below, so the
-// serialized object is independent of hash order.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the pairs are sorted by key below, so the serialized object is independent of hash order"
+)]
 impl<K: Serialize + ToString, V: Serialize> Serialize for HashMap<K, V> {
     fn to_value(&self) -> Value {
         let mut pairs: Vec<(String, Value)> = self

@@ -13,6 +13,12 @@
 //!    `DynamicMeasurement` JSON field names, so the CLI's `--json`
 //!    contract cannot drift silently.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests produce no compared output"
+)]
+
 use pombm::fingerprint::Fnv1a;
 use pombm::sweep::{run_sweep, DynamicSweepConfig, FlavorReport};
 use pombm::{
@@ -426,7 +432,10 @@ fn dynamic_sweep_json_fields_are_pinned() {
 /// maximum cardinality wins, ties broken by minimum total distance —
 /// Definition 8's clairvoyant benchmark, spelled out.
 fn brute_force_optimum(instance: &Instance, times: &[f64], plan: &ShiftPlan) -> (usize, f64) {
-    #[allow(clippy::too_many_arguments)] // explicit search state, as in the solver's own oracle
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "explicit search state, as in the solver's own oracle"
+    )]
     fn go(
         t: usize,
         used: &mut [bool],

@@ -2,6 +2,12 @@
 //! exponential mechanism, alias tables, the randomized/chain/capacitated
 //! matchers, the extended pipeline variants, and the epoch simulator.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests produce no compared output"
+)]
+
 use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, RunResult};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};

@@ -14,10 +14,13 @@
 //! 4. config validation — every chaos misconfiguration is a typed error;
 //! 5. non-finite frame fields — NaN and ±∞ timestamps or coordinates are
 //!    one typed `Transport` class under every registered dynamic matcher,
-//!    never a panic.
+//!    never a panic;
+//! 6. window range — a timestamp whose Δt window index is negative or
+//!    past `u64` is one typed `Transport` class, never clamped into a
+//!    window.
 
 use bytes::Bytes;
-use pombm::serve::NON_FINITE;
+use pombm::serve::{NON_FINITE, WINDOW_RANGE};
 use pombm::{registry, run_serve, serve_frames, PipelineError, ServeConfig, ServeRequest};
 use proptest::prelude::*;
 
@@ -406,5 +409,60 @@ fn non_finite_fields_are_a_typed_transport_class_for_every_matcher() {
             );
             assert_eq!(outcome.assignments, [(1, Some(0))], "{label}");
         }
+    }
+}
+
+// --- window range -------------------------------------------------------
+
+/// A frame whose window index `⌊at/Δt⌋` is negative, or at least 2⁶⁴ at
+/// a tiny Δt, is skipped as the [`WINDOW_RANGE`] Transport class. A
+/// saturating cast would clamp it into window 0 or `u64::MAX` instead,
+/// where it would be served with frames from another time.
+#[test]
+fn out_of_range_windows_are_a_typed_transport_class() {
+    let task = |task, at| {
+        ServeRequest::Task {
+            task,
+            at,
+            x: 45.0,
+            y: 55.0,
+        }
+        .encode()
+    };
+    // (Δt, the in-range task's time, the out-of-range task's time)
+    for (batch_interval, good_at, bad_at) in [(5.0, 3.0, -1.0), (1e-300, 0.0, 1.0)] {
+        let frames = vec![
+            ServeRequest::CheckIn {
+                worker: 0,
+                at: 0.0,
+                x: 40.0,
+                y: 60.0,
+            }
+            .encode(),
+            task(7, bad_at),
+            task(1, good_at),
+            ServeRequest::Shutdown.encode(),
+        ];
+        let config = ServeConfig {
+            batch_interval,
+            ..chaos(3)
+        };
+        let label = format!("Δt {batch_interval}, at {bad_at}");
+        let outcome = serve_frames(&config, frames).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let faults = outcome
+            .report
+            .faults
+            .as_ref()
+            .unwrap_or_else(|| panic!("{label}: a skipped frame forces the block"));
+        assert_eq!(faults.corrupt, 1, "{label}");
+        assert_eq!(
+            faults.corrupt_classes.get(WINDOW_RANGE),
+            Some(&1),
+            "{label}: {:?}",
+            faults.corrupt_classes
+        );
+        assert_eq!(outcome.report.requests, 2, "{label}");
+        assert_eq!(outcome.report.batches, 1, "{label}");
+        assert_eq!(outcome.assignments, [(1, Some(0))], "{label}");
     }
 }

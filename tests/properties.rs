@@ -4,6 +4,12 @@
 //! equivalence oracles that pin every nearest-free-worker matcher to the
 //! paper's reference scan of its metric.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests produce no compared output"
+)]
+
 use pombm::algorithm::{AssignCtx, ReportSet, Reports};
 use pombm::{registry, PipelineConfig, Server};
 use pombm_geom::{seeded_rng, Point, PointSet, Rect};
