@@ -1,7 +1,7 @@
 //! Experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! cargo run --release -p pombm-bench --bin experiments -- <command> [flags]
+//! cargo run --release -p pombm_bench --bin experiments -- <command>... [flags]
 //!
 //! Commands:
 //!   table1      Table I weights/probabilities of the worked example
@@ -24,7 +24,7 @@
 //! Flags:
 //!   --quick       ~10x smaller workloads (smoke run)
 //!   --plot        also render each figure as an ASCII chart
-//!   --reps N      repetitions per point (default 3; paper uses 10)
+//!   --reps N      repetitions per point, at least 1 (default 3; paper uses 10)
 //!   --seed N      base seed (default 2020)
 //!   --out DIR     output directory for CSV/JSON (default results/)
 //!
@@ -41,18 +41,49 @@ use std::path::PathBuf;
 #[global_allocator]
 static ALLOC: pombm_bench::CountingAllocator = pombm_bench::CountingAllocator;
 
+/// What one command regenerates.
+type Figure = fn(&ExperimentConfig) -> Report;
+
+/// Every command, in the order `all` runs them.
+const COMMANDS: [(&str, Figure); 15] = [
+    ("table1", table1),
+    ("fig6", figures::fig6),
+    ("fig7eps", figures::fig7_eps),
+    ("fig7scale", figures::fig7_scale),
+    ("fig7real", figures::fig7_real),
+    ("fig8syn", figures::fig8_syn),
+    ("fig8real", figures::fig8_real),
+    ("ratio", figures::ratio),
+    ("distortion", figures::distortion),
+    ("gridsweep", figures::grid_sweep),
+    ("ablatemech", figures::ablate_mech),
+    ("ablatealg", figures::ablate_alg),
+    ("epochs", figures::epochs),
+    ("dynamic", figures::dynamic),
+    ("ablatetree", figures::ablate_tree),
+];
+
+/// Table I is printed as the paper prints it, not as report rows.
+fn table1(_: &ExperimentConfig) -> Report {
+    println!("{}", figures::table1());
+    Report::new()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <command> [--quick] [--reps N] [--seed N] [--out DIR]");
-        eprintln!("commands: table1 fig6 fig7eps fig7scale fig7real fig8syn fig8real ratio distortion gridsweep ablatemech ablatealg epochs dynamic ablatetree all");
+        let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "usage: experiments <command>... [--quick] [--plot] [--reps N] [--seed N] [--out DIR]"
+        );
+        eprintln!("commands: {} all", names.join(" "));
         std::process::exit(2);
     }
 
     let mut cfg = ExperimentConfig::default();
     let mut plot = false;
     let mut out_dir = PathBuf::from("results");
-    let mut commands: Vec<String> = Vec::new();
+    let mut commands = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -76,53 +107,24 @@ fn main() {
                     .map(PathBuf::from)
                     .unwrap_or_else(|| die("--out needs a path"));
             }
-            cmd if !cmd.starts_with('-') => commands.push(cmd.to_string()),
+            "all" => commands.extend(COMMANDS),
+            cmd if !cmd.starts_with('-') => match COMMANDS.iter().find(|&&(name, _)| name == cmd) {
+                Some(&command) => commands.push(command),
+                None => die(&format!("unknown command {cmd}")),
+            },
             other => die(&format!("unknown flag {other}")),
         }
     }
     if commands.is_empty() {
         die("no command given");
     }
+    if cfg.repetitions == 0 {
+        die("--reps must be at least 1: every point is a mean over repetitions");
+    }
 
     let mut report = Report::new();
-    for cmd in &commands {
-        match cmd.as_str() {
-            "table1" => {
-                println!("{}", figures::table1());
-            }
-            "fig6" => report.extend(timed("fig6", || figures::fig6(&cfg))),
-            "fig7eps" => report.extend(timed("fig7eps", || figures::fig7_eps(&cfg))),
-            "fig7scale" => report.extend(timed("fig7scale", || figures::fig7_scale(&cfg))),
-            "fig7real" => report.extend(timed("fig7real", || figures::fig7_real(&cfg))),
-            "fig8syn" => report.extend(timed("fig8syn", || figures::fig8_syn(&cfg))),
-            "fig8real" => report.extend(timed("fig8real", || figures::fig8_real(&cfg))),
-            "ratio" => report.extend(timed("ratio", || figures::ratio(&cfg))),
-            "distortion" => report.extend(timed("distortion", || figures::distortion(&cfg))),
-            "gridsweep" => report.extend(timed("gridsweep", || figures::grid_sweep(&cfg))),
-            "ablatemech" => report.extend(timed("ablatemech", || figures::ablate_mech(&cfg))),
-            "ablatealg" => report.extend(timed("ablatealg", || figures::ablate_alg(&cfg))),
-            "epochs" => report.extend(timed("epochs", || figures::epochs(&cfg))),
-            "dynamic" => report.extend(timed("dynamic", || figures::dynamic(&cfg))),
-            "ablatetree" => report.extend(timed("ablatetree", || figures::ablate_tree(&cfg))),
-            "all" => {
-                println!("{}", figures::table1());
-                report.extend(timed("fig6", || figures::fig6(&cfg)));
-                report.extend(timed("fig7eps", || figures::fig7_eps(&cfg)));
-                report.extend(timed("fig7scale", || figures::fig7_scale(&cfg)));
-                report.extend(timed("fig7real", || figures::fig7_real(&cfg)));
-                report.extend(timed("fig8syn", || figures::fig8_syn(&cfg)));
-                report.extend(timed("fig8real", || figures::fig8_real(&cfg)));
-                report.extend(timed("ratio", || figures::ratio(&cfg)));
-                report.extend(timed("distortion", || figures::distortion(&cfg)));
-                report.extend(timed("gridsweep", || figures::grid_sweep(&cfg)));
-                report.extend(timed("ablatemech", || figures::ablate_mech(&cfg)));
-                report.extend(timed("ablatealg", || figures::ablate_alg(&cfg)));
-                report.extend(timed("epochs", || figures::epochs(&cfg)));
-                report.extend(timed("dynamic", || figures::dynamic(&cfg)));
-                report.extend(timed("ablatetree", || figures::ablate_tree(&cfg)));
-            }
-            other => die(&format!("unknown command {other}")),
-        }
+    for (name, figure) in commands {
+        report.extend(timed(name, || figure(&cfg)));
     }
 
     // Print every produced figure as a paper-style table (and, with
@@ -141,8 +143,12 @@ fn main() {
     if !report.rows.is_empty() {
         let csv = out_dir.join("experiments.csv");
         let json = out_dir.join("experiments.json");
-        report.write_csv(&csv).expect("write CSV");
-        report.write_json(&json).expect("write JSON");
+        if let Err(e) = report
+            .write_csv(&csv)
+            .and_then(|()| report.write_json(&json))
+        {
+            die(&format!("writing the report to {}: {e}", out_dir.display()));
+        }
         println!(
             "wrote {} rows to {} and {}",
             report.rows.len(),

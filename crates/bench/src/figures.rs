@@ -5,19 +5,23 @@
 //! rows mirror the paper's plotted series. Figure ids follow the paper:
 //! `fig6a`–`fig6l` (synthetic sweeps × {distance, time, memory}), `fig7a`–
 //! `fig7l` (ε, scalability, real data), `fig8a`–`fig8h` (case study).
+//!
+//! Every figure but Table I and `distortion` averages through one loop,
+//! `average`, and supplies only its measurement of one repetition.
+//! Repetition `rep` of a synthetic figure draws its instance from
+//! `seeded_rng(seed + rep, stream)` on the figure's own instance stream.
 
 use crate::alloc::measure_peak;
 use crate::report::Report;
 use pombm::{
-    registry, run_case_study, run_spec, AlgorithmSpec, CaseStudyAlgorithm, PipelineConfig,
-    RunResult, Server,
+    empirical_competitive_ratio, registry, run_case_study, run_spec, AlgorithmSpec,
+    CaseStudyAlgorithm, PipelineConfig, RunResult, Server, TreeConstruction,
 };
-use pombm_geom::seeded_rng;
-use pombm_matching::reachable::{ProbMatcher, DEFAULT_THRESHOLD};
-use pombm_privacy::reach::ReachTable;
-use pombm_privacy::{Epsilon, HstMechanism, PlanarLaplace};
+use pombm_geom::{seeded_rng, Rect};
+use pombm_privacy::{Epsilon, HstMechanism};
 use pombm_workload::{chengdu, synthetic, Instance, RealParams, SyntheticParams};
-use std::time::Instant;
+use rand::rngs::StdRng;
+use std::convert::identity;
 
 /// Chengdu-like traces are generated in meters over 10 km and normalized to
 /// 50 m units (10 km → 200 units) so ε carries the same meaning on synthetic
@@ -36,6 +40,11 @@ fn spec(name: &str) -> AlgorithmSpec {
         .expect("figure algorithms are registered")
 }
 
+/// Registered pairings as series, each plotted under its spec's label.
+fn labelled<const N: usize>(specs: &[AlgorithmSpec; N]) -> [(&str, &AlgorithmSpec); N] {
+    specs.each_ref().map(|spec| (spec.label(), spec))
+}
+
 /// Runs one registered pairing; every figure pairing is runnable.
 fn run(spec: &AlgorithmSpec, instance: &Instance, pc: &PipelineConfig, rep: u64) -> RunResult {
     run_spec(spec, instance, pc, rep).expect("figure pairings are runnable")
@@ -46,7 +55,7 @@ fn run(spec: &AlgorithmSpec, instance: &Instance, pc: &PipelineConfig, rep: u64)
 /// pool, the k-d tree), which produce the paper's scans' matchings.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
-    /// Repetitions averaged per point (the paper uses 10).
+    /// Repetitions averaged per point (the paper uses 10); at least one.
     pub repetitions: u64,
     /// Shrink workloads ~10× for smoke runs.
     pub quick: bool,
@@ -85,469 +94,244 @@ impl ExperimentConfig {
             ..PipelineConfig::default()
         }
     }
+
+    /// Table II's defaults, with |T| and |W| scaled.
+    fn synthetic_params(&self) -> SyntheticParams {
+        let defaults = SyntheticParams::default();
+        SyntheticParams {
+            num_tasks: self.scale_count(defaults.num_tasks),
+            num_workers: self.scale_count(defaults.num_workers),
+            ..defaults
+        }
+    }
+
+    /// Repetition `rep`'s generator on one of a figure's streams: every
+    /// figure draws its instances (and `dynamic` its arrival times and
+    /// shifts) from `seeded_rng(seed + rep, stream)`.
+    fn rng(&self, stream: u64, rep: u64) -> StdRng {
+        seeded_rng(self.seed.wrapping_add(rep), stream)
+    }
+
+    /// Repetition `rep`'s day of the Chengdu-like `city` with `num_workers`
+    /// workers, from `generate` (plain or with reachable radii), in
+    /// [`REAL_UNIT_METERS`] units. Repetitions cycle through `max(reps, 3)`
+    /// days; `--quick` cycles through 2 and keeps a tenth of each day's
+    /// tasks.
+    fn real_day(
+        &self,
+        generate: fn(&chengdu::CityModel, usize, usize, u64) -> Instance,
+        city: &chengdu::CityModel,
+        num_workers: usize,
+        rep: u64,
+    ) -> Instance {
+        let days = if self.quick {
+            2
+        } else {
+            self.repetitions.max(3)
+        };
+        let mut inst = generate(city, (rep % days) as usize, num_workers, self.seed)
+            .scaled(1.0 / REAL_UNIT_METERS);
+        if self.quick {
+            inst.tasks.truncate(self.scale_count(inst.tasks.len()));
+        }
+        inst
+    }
+
+    /// Repetition `rep`'s server, for the figures that build their own.
+    fn server(&self, region: Rect, construction: TreeConstruction, rep: u64) -> Server {
+        let seed = self.seed ^ rep.wrapping_mul(0x9E37_79B9);
+        Server::with_construction(region, self.grid_side, seed, construction)
+    }
 }
 
-/// Runs the three main algorithms over one synthetic parameter sweep,
-/// recording total distance, running time and memory under the three figure
-/// ids of one Fig. 6/7 column.
-fn sweep_main<FParams>(
+/// The one averaging loop behind every figure. For each x-value, then each
+/// series, runs `measure(x, series, rep)` for every repetition, averages
+/// each of its `K` values, and pushes one row per `(figure id, metric)`
+/// pair of `ids` and `metrics`, in that order.
+fn average<S: Copy, const K: usize>(
     cfg: &ExperimentConfig,
-    ids: [&str; 3],
+    ids: [&str; K],
+    metrics: [&str; K],
     x_label: &str,
     xs: &[f64],
-    mut make_instance: FParams,
-) -> Report
-where
-    FParams: FnMut(f64, u64) -> Instance,
-{
+    series: &[(&str, S)],
+    mut measure: impl FnMut(f64, S, u64) -> [f64; K],
+) -> Report {
+    let reps = cfg.repetitions;
     let mut report = Report::new();
-    let algos = PAPER_ALGORITHMS.map(spec);
     for &x in xs {
-        for algo in &algos {
-            let mut dist = 0.0;
-            let mut secs = 0.0;
-            let mut mem_mb = 0.0;
-            for rep in 0..cfg.repetitions {
-                let instance = make_instance(x, rep);
-                let pc = cfg.pipeline(instance_epsilon(&instance, cfg), rep);
-                let (result, peak) = measure_peak(|| run(algo, &instance, &pc, rep));
-                dist += result.metrics.total_distance;
-                secs += result.metrics.assign_time.as_secs_f64();
-                mem_mb += peak as f64 / (1024.0 * 1024.0);
+        for &(label, s) in series {
+            let mut sums = [0.0; K];
+            for rep in 0..reps {
+                for (sum, value) in sums.iter_mut().zip(measure(x, s, rep)) {
+                    *sum += value;
+                }
             }
-            let r = cfg.repetitions as f64;
-            report.push(
-                ids[0],
-                x_label,
-                x,
-                algo.label(),
-                "total_distance",
-                dist / r,
-                cfg.repetitions as u32,
-            );
-            report.push(
-                ids[1],
-                x_label,
-                x,
-                algo.label(),
-                "running_time_s",
-                secs / r,
-                cfg.repetitions as u32,
-            );
-            report.push(
-                ids[2],
-                x_label,
-                x,
-                algo.label(),
-                "memory_mb",
-                mem_mb / r,
-                cfg.repetitions as u32,
-            );
+            for ((id, metric), sum) in ids.into_iter().zip(metrics).zip(sums) {
+                report.push(
+                    id,
+                    x_label,
+                    x,
+                    label,
+                    metric,
+                    sum / reps as f64,
+                    reps as u32,
+                );
+            }
         }
     }
     report
 }
 
-// Epsilon riding along on the instance: sweeps that vary ε stash it in a
-// thread-local; all other sweeps use the default.
-std::thread_local! {
-    static EPSILON_OVERRIDE: std::cell::Cell<Option<f64>> = const { std::cell::Cell::new(None) };
-}
-
-fn with_epsilon<T>(eps: f64, f: impl FnOnce() -> T) -> T {
-    EPSILON_OVERRIDE.with(|c| c.set(Some(eps)));
-    let out = f();
-    EPSILON_OVERRIDE.with(|c| c.set(None));
-    out
-}
-
-fn instance_epsilon(_instance: &Instance, _cfg: &ExperimentConfig) -> f64 {
-    EPSILON_OVERRIDE
-        .with(|c| c.get())
-        .unwrap_or(SyntheticParams::default().epsilon)
+/// One Fig. 6/7 column: the compared algorithms' total distance, running
+/// time and peak memory under figure ids `ids`, on repetition `rep`'s
+/// instance `instance(x, rep)` at budget `eps_of(x)`.
+fn paper_figure(
+    cfg: &ExperimentConfig,
+    ids: [&str; 3],
+    x_label: &str,
+    xs: &[f64],
+    eps_of: impl Fn(f64) -> f64,
+    mut instance: impl FnMut(f64, u64) -> Instance,
+) -> Report {
+    let algos = PAPER_ALGORITHMS.map(spec);
+    let series = labelled(&algos);
+    let metrics = ["total_distance", "running_time_s", "memory_mb"];
+    average(cfg, ids, metrics, x_label, xs, &series, |x, algo, rep| {
+        let instance = instance(x, rep);
+        let pc = cfg.pipeline(eps_of(x), rep);
+        let (result, peak) = measure_peak(|| run(algo, &instance, &pc, rep));
+        let m = result.metrics;
+        let mb = peak as f64 / (1024.0 * 1024.0);
+        [m.total_distance, m.assign_time.as_secs_f64(), mb]
+    })
 }
 
 /// Fig. 6, columns 1–4: varying |T|, |W|, µ and σ on synthetic data.
 pub fn fig6(cfg: &ExperimentConfig) -> Report {
+    let base = cfg.synthetic_params();
+    let scaled = |counts: [usize; 5]| counts.map(|n| cfg.scale_count(n) as f64);
+    let tasks = scaled(SyntheticParams::TASK_COUNTS);
+    let workers = scaled(SyntheticParams::WORKER_COUNTS);
+    let (mus, sigmas) = (SyntheticParams::MUS, SyntheticParams::SIGMAS);
+    let eps = |_| base.epsilon;
     let mut report = Report::new();
-    let gen = |params: SyntheticParams, cfg: &ExperimentConfig, rep: u64| {
-        synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0x6A))
-    };
-
-    // Column 1: |T|.
-    let xs: Vec<f64> = SyntheticParams::TASK_COUNTS
-        .iter()
-        .map(|&t| cfg.scale_count(t) as f64)
-        .collect();
-    report.extend(sweep_main(
-        cfg,
-        ["fig6a", "fig6e", "fig6i"],
-        "|T|",
-        &xs,
-        |x, rep| {
-            let params = SyntheticParams {
-                num_tasks: x as usize,
-                num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-                ..SyntheticParams::default()
-            };
-            gen(params, cfg, rep)
-        },
-    ));
-
-    // Column 2: |W|.
-    let xs: Vec<f64> = SyntheticParams::WORKER_COUNTS
-        .iter()
-        .map(|&w| cfg.scale_count(w) as f64)
-        .collect();
-    report.extend(sweep_main(
-        cfg,
-        ["fig6b", "fig6f", "fig6j"],
-        "|W|",
-        &xs,
-        |x, rep| {
-            let params = SyntheticParams {
-                num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-                num_workers: x as usize,
-                ..SyntheticParams::default()
-            };
-            gen(params, cfg, rep)
-        },
-    ));
-
-    // Column 3: µ.
-    report.extend(sweep_main(
-        cfg,
-        ["fig6c", "fig6g", "fig6k"],
-        "mu",
-        &SyntheticParams::MUS,
-        |x, rep| {
-            let params = SyntheticParams {
-                num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-                num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-                mu: x,
-                ..SyntheticParams::default()
-            };
-            gen(params, cfg, rep)
-        },
-    ));
-
-    // Column 4: σ.
-    report.extend(sweep_main(
-        cfg,
-        ["fig6d", "fig6h", "fig6l"],
-        "sigma",
-        &SyntheticParams::SIGMAS,
-        |x, rep| {
-            let params = SyntheticParams {
-                num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-                num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-                sigma: x,
-                ..SyntheticParams::default()
-            };
-            gen(params, cfg, rep)
-        },
-    ));
-
+    for (ids, x_label, xs) in [
+        (["fig6a", "fig6e", "fig6i"], "|T|", tasks),
+        (["fig6b", "fig6f", "fig6j"], "|W|", workers),
+        (["fig6c", "fig6g", "fig6k"], "mu", mus),
+        (["fig6d", "fig6h", "fig6l"], "sigma", sigmas),
+    ] {
+        report.extend(paper_figure(cfg, ids, x_label, &xs, eps, |x, rep| {
+            let mut params = base;
+            match x_label {
+                "|T|" => params.num_tasks = x as usize,
+                "|W|" => params.num_workers = x as usize,
+                "mu" => params.mu = x,
+                _ => params.sigma = x,
+            }
+            synthetic::generate(&params, &mut cfg.rng(0x6A, rep))
+        }));
+    }
     report
 }
 
 /// Fig. 7, column 1: varying ε on synthetic data.
 pub fn fig7_eps(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
-    for &eps in &SyntheticParams::EPSILONS {
-        let partial = with_epsilon(eps, || {
-            sweep_main(
-                cfg,
-                ["fig7a", "fig7e", "fig7i"],
-                "epsilon",
-                &[eps],
-                |_, rep| {
-                    let params = SyntheticParams {
-                        num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-                        num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-                        epsilon: eps,
-                        ..SyntheticParams::default()
-                    };
-                    synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0x7E))
-                },
-            )
-        });
-        report.extend(partial);
-    }
-    report
+    let mut params = cfg.synthetic_params();
+    let (ids, xs) = (["fig7a", "fig7e", "fig7i"], SyntheticParams::EPSILONS);
+    paper_figure(cfg, ids, "epsilon", &xs, identity, |eps, rep| {
+        params.epsilon = eps;
+        synthetic::generate(&params, &mut cfg.rng(0x7E, rep))
+    })
 }
 
 /// Fig. 7, column 2: scalability (|T| = |W| up to 10⁵).
 pub fn fig7_scale(cfg: &ExperimentConfig) -> Report {
-    let xs: Vec<f64> = SyntheticParams::SCALABILITY
-        .iter()
-        .map(|&n| cfg.scale_count(n) as f64)
-        .collect();
-    sweep_main(
-        cfg,
-        ["fig7b", "fig7f", "fig7j"],
-        "|T|=|W|",
-        &xs,
-        |x, rep| {
-            let params = SyntheticParams {
-                num_tasks: x as usize,
-                num_workers: x as usize,
-                ..SyntheticParams::default()
-            };
-            synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0x5C))
-        },
-    )
+    let defaults = SyntheticParams::default();
+    let eps = |_| defaults.epsilon;
+    let mut params = defaults;
+    let xs = SyntheticParams::SCALABILITY.map(|n| cfg.scale_count(n) as f64);
+    let ids = ["fig7b", "fig7f", "fig7j"];
+    paper_figure(cfg, ids, "|T|=|W|", &xs, eps, |n, rep| {
+        (params.num_tasks, params.num_workers) = (n as usize, n as usize);
+        synthetic::generate(&params, &mut cfg.rng(0x5C, rep))
+    })
 }
 
 /// Fig. 7, columns 3–4: the Chengdu-like real workload, varying |W| and ε.
 ///
 /// Repetitions iterate over simulated days (the paper averages 30 days).
 pub fn fig7_real(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
     let city = chengdu::CityModel::generate(cfg.seed);
-    let days = if cfg.quick { 2 } else { cfg.repetitions.max(3) } as usize;
-
-    // Column 3: |W| sweep at default ε.
-    for &w in &RealParams::WORKER_COUNTS {
-        let w_scaled = cfg.scale_count(w);
-        let partial = sweep_main(
-            cfg,
-            ["fig7c", "fig7g", "fig7k"],
-            "|W|",
-            &[w_scaled as f64],
-            |_, rep| real_day_instance(&city, rep as usize % days, w_scaled, cfg),
-        );
-        report.extend(partial);
-    }
-
-    // Column 4: ε sweep at default |W|.
-    let w_default = cfg.scale_count(RealParams::default().num_workers);
-    for &eps in &RealParams::EPSILONS {
-        let partial = with_epsilon(eps, || {
-            sweep_main(
-                cfg,
-                ["fig7d", "fig7h", "fig7l"],
-                "epsilon",
-                &[eps],
-                |_, rep| real_day_instance(&city, rep as usize % days, w_default, cfg),
-            )
-        });
-        report.extend(partial);
-    }
+    let day = |w: f64, rep| cfg.real_day(chengdu::generate_day, &city, w as usize, rep);
+    let defaults = RealParams::default();
+    let eps = |_| defaults.epsilon;
+    let xs = RealParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
+    let mut report = paper_figure(cfg, ["fig7c", "fig7g", "fig7k"], "|W|", &xs, eps, day);
+    let w_default = cfg.scale_count(defaults.num_workers) as f64;
+    let fixed_w = |_, rep| day(w_default, rep);
+    let (ids, xs) = (["fig7d", "fig7h", "fig7l"], RealParams::EPSILONS);
+    report.extend(paper_figure(cfg, ids, "epsilon", &xs, identity, fixed_w));
     report
 }
 
-fn real_day_instance(
-    city: &chengdu::CityModel,
-    day: usize,
-    num_workers: usize,
-    cfg: &ExperimentConfig,
-) -> Instance {
-    let mut inst =
-        chengdu::generate_day(city, day, num_workers, cfg.seed).scaled(1.0 / REAL_UNIT_METERS);
-    if cfg.quick {
-        inst.tasks.truncate(cfg.scale_count(inst.tasks.len()));
-    }
-    inst
-}
-
-/// Case-study runner shared by `fig8_*`: returns (matching size, seconds).
-fn case_study_point(
-    cfg: &ExperimentConfig,
-    instance: &Instance,
-    algo: CaseStudyAlgorithm,
-    eps: f64,
-    rep: u64,
-) -> (f64, f64) {
-    match algo {
-        CaseStudyAlgorithm::Tbf => {
-            let server = Server::new(
-                instance.region,
-                cfg.grid_side,
-                cfg.seed ^ rep.wrapping_mul(0x9E37_79B9),
-            );
-            let r = run_case_study(algo, instance, &server, eps, cfg.seed.wrapping_add(rep))
-                .expect("case-study instances carry radii");
-            (r.matching_size as f64, r.assign_time.as_secs_f64())
-        }
-        CaseStudyAlgorithm::Prob => {
-            // Table-accelerated Prob (identical decisions up to interpolation
-            // error, O(1) per probability query).
-            let radii = instance.radii.as_ref().expect("case study needs radii");
-            let epsilon = Epsilon::new(eps);
-            let mut rng = seeded_rng(cfg.seed.wrapping_add(rep), 0xCA5E);
-            let laplace = PlanarLaplace::new(epsilon);
-            let workers: Vec<_> = instance
-                .workers
-                .iter()
-                .map(|w| laplace.obfuscate(w, &mut rng))
-                .collect();
-            let tasks: Vec<_> = instance
-                .tasks
-                .iter()
-                .map(|t| laplace.obfuscate(t, &mut rng))
-                .collect();
-            let max_radius = radii.iter().fold(0.0f64, |a, &b| a.max(b));
-            let table = ReachTable::with_defaults(
-                epsilon,
-                instance.region.diameter() + 8.0 / eps,
-                max_radius,
-                cfg.seed,
-            );
-            let mut matcher = ProbMatcher::new(workers, radii.clone(), table, DEFAULT_THRESHOLD);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "feeds the figure's running-time axis, which is measured, not golden-checked"
-            )]
-            let start = Instant::now();
-            let mut matched = 0usize;
-            for (t_idx, t) in tasks.iter().enumerate() {
-                if let Some(w_idx) = matcher.assign(t) {
-                    if instance.tasks[t_idx].dist(&instance.workers[w_idx]) <= radii[w_idx] {
-                        matched += 1;
-                    }
-                }
-            }
-            (matched as f64, start.elapsed().as_secs_f64())
-        }
-    }
-}
-
-fn sweep_case_study<FInst>(
+/// One Fig. 8 column: Prob's and TBF's matching size and running time
+/// under figure ids `ids`, on repetition `rep`'s instance `instance(x, rep)`
+/// at budget `eps_of(x)`. Only TBF builds a server.
+fn case_study_figure(
     cfg: &ExperimentConfig,
     ids: [&str; 2],
     x_label: &str,
     xs: &[f64],
     eps_of: impl Fn(f64) -> f64,
-    mut make_instance: FInst,
-) -> Report
-where
-    FInst: FnMut(f64, u64) -> Instance,
-{
-    let mut report = Report::new();
-    for &x in xs {
-        for algo in CaseStudyAlgorithm::ALL {
-            let mut size = 0.0;
-            let mut secs = 0.0;
-            for rep in 0..cfg.repetitions {
-                let instance = make_instance(x, rep);
-                let (s, t) = case_study_point(cfg, &instance, algo, eps_of(x), rep);
-                size += s;
-                secs += t;
-            }
-            let r = cfg.repetitions as f64;
-            report.push(
-                ids[0],
-                x_label,
-                x,
-                algo.label(),
-                "matching_size",
-                size / r,
-                cfg.repetitions as u32,
-            );
-            report.push(
-                ids[1],
-                x_label,
-                x,
-                algo.label(),
-                "running_time_s",
-                secs / r,
-                cfg.repetitions as u32,
-            );
-        }
-    }
-    report
+    mut instance: impl FnMut(f64, u64) -> Instance,
+) -> Report {
+    let series = CaseStudyAlgorithm::ALL.map(|algo| (algo.label(), algo));
+    let metrics = ["matching_size", "running_time_s"];
+    average(cfg, ids, metrics, x_label, xs, &series, |x, algo, rep| {
+        let instance = instance(x, rep);
+        let server = (algo == CaseStudyAlgorithm::Tbf)
+            .then(|| cfg.server(instance.region, TreeConstruction::Frt, rep));
+        let seed = cfg.seed.wrapping_add(rep);
+        let r = run_case_study(algo, &instance, server.as_ref(), eps_of(x), seed)
+            .expect("case-study instances carry radii");
+        [r.matching_size as f64, r.assign_time.as_secs_f64()]
+    })
 }
 
 /// Fig. 8, columns 1–2: case study on synthetic data (vary |W|, vary ε).
 pub fn fig8_syn(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
-    let default_eps = SyntheticParams::default().epsilon;
-    let gen = |tasks: usize, workers: usize, rep: u64, cfg: &ExperimentConfig| {
-        let params = SyntheticParams {
-            num_tasks: tasks,
-            num_workers: workers,
-            ..SyntheticParams::default()
-        };
-        synthetic::generate_with_radii(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0x8A))
-    };
-
-    let xs: Vec<f64> = SyntheticParams::WORKER_COUNTS
-        .iter()
-        .map(|&w| cfg.scale_count(w) as f64)
-        .collect();
-    report.extend(sweep_case_study(
-        cfg,
-        ["fig8a", "fig8e"],
-        "|W|",
-        &xs,
-        |_| default_eps,
-        |x, rep| {
-            gen(
-                cfg.scale_count(SyntheticParams::default().num_tasks),
-                x as usize,
-                rep,
-                cfg,
-            )
-        },
-    ));
-
-    report.extend(sweep_case_study(
-        cfg,
-        ["fig8b", "fig8f"],
-        "epsilon",
-        &SyntheticParams::EPSILONS,
-        |x| x,
-        |_, rep| {
-            gen(
-                cfg.scale_count(SyntheticParams::default().num_tasks),
-                cfg.scale_count(SyntheticParams::default().num_workers),
-                rep,
-                cfg,
-            )
-        },
-    ));
+    let base = cfg.synthetic_params();
+    let eps = |_| base.epsilon;
+    let instance = |params, rep| synthetic::generate_with_radii(&params, &mut cfg.rng(0x8A, rep));
+    let xs = SyntheticParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
+    let mut report = case_study_figure(cfg, ["fig8a", "fig8e"], "|W|", &xs, eps, |w, rep| {
+        let mut params = base;
+        params.num_workers = w as usize;
+        instance(params, rep)
+    });
+    let fixed_w = |_, rep| instance(base, rep);
+    let (ids, xs) = (["fig8b", "fig8f"], SyntheticParams::EPSILONS);
+    let by_eps = case_study_figure(cfg, ids, "epsilon", &xs, identity, fixed_w);
+    report.extend(by_eps);
     report
 }
 
 /// Fig. 8, columns 3–4: case study on the Chengdu-like workload.
 pub fn fig8_real(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
     let city = chengdu::CityModel::generate(cfg.seed);
-    let days = if cfg.quick { 2 } else { cfg.repetitions.max(3) } as usize;
-    let default_eps = RealParams::default().epsilon;
-    let gen = |workers: usize, rep: u64, cfg: &ExperimentConfig| {
-        let mut inst =
-            chengdu::generate_day_with_radii(&city, rep as usize % days, workers, cfg.seed)
-                .scaled(1.0 / REAL_UNIT_METERS);
-        if cfg.quick {
-            inst.tasks.truncate(cfg.scale_count(inst.tasks.len()));
-        }
-        inst
-    };
-
-    let xs: Vec<f64> = RealParams::WORKER_COUNTS
-        .iter()
-        .map(|&w| cfg.scale_count(w) as f64)
-        .collect();
-    report.extend(sweep_case_study(
-        cfg,
-        ["fig8c", "fig8g"],
-        "|W|",
-        &xs,
-        |_| default_eps,
-        |x, rep| gen(x as usize, rep, cfg),
-    ));
-
-    let w_default = cfg.scale_count(RealParams::default().num_workers);
-    report.extend(sweep_case_study(
-        cfg,
-        ["fig8d", "fig8h"],
-        "epsilon",
-        &RealParams::EPSILONS,
-        |x| x,
-        |_, rep| gen(w_default, rep, cfg),
-    ));
+    let generate = chengdu::generate_day_with_radii;
+    let day = |w: f64, rep| cfg.real_day(generate, &city, w as usize, rep);
+    let defaults = RealParams::default();
+    let eps = |_| defaults.epsilon;
+    let xs = RealParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
+    let mut report = case_study_figure(cfg, ["fig8c", "fig8g"], "|W|", &xs, eps, day);
+    let w_default = cfg.scale_count(defaults.num_workers) as f64;
+    let fixed_w = |_, rep| day(w_default, rep);
+    let (ids, xs) = (["fig8d", "fig8h"], RealParams::EPSILONS);
+    let by_eps = case_study_figure(cfg, ids, "epsilon", &xs, identity, fixed_w);
+    report.extend(by_eps);
     report
 }
 
@@ -596,86 +380,51 @@ pub fn table1() -> String {
 /// Empirical competitive ratios (extension experiment `ratio`): TBF and the
 /// baselines against the exact offline optimum, swept over ε.
 pub fn ratio(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
     // OPT is cubic-ish; keep instances modest.
-    let (tasks, workers) = if cfg.quick { (40, 60) } else { (200, 300) };
+    let (num_tasks, num_workers) = if cfg.quick { (40, 60) } else { (200, 300) };
+    let mut params = SyntheticParams::default();
+    (params.num_tasks, params.num_workers) = (num_tasks, num_workers);
     let algos = PAPER_ALGORITHMS.map(spec);
-    for &eps in &SyntheticParams::EPSILONS {
-        let params = SyntheticParams {
-            num_tasks: tasks,
-            num_workers: workers,
-            epsilon: eps,
-            ..SyntheticParams::default()
-        };
-        let instance = synthetic::generate(&params, &mut seeded_rng(cfg.seed, 0x0C));
-        for algo in &algos {
+    // Repetition 0 of each point solves OPT once and runs every repetition
+    // on shuffled arrivals of one instance; each repetition's measurement
+    // is its own distance over OPT, whose mean is the report's `ratio`.
+    let mut point = None;
+    let measure = |eps, algo, rep: u64| {
+        if rep == 0 {
+            params.epsilon = eps;
+            let instance = synthetic::generate(&params, &mut cfg.rng(0x0C, 0));
             let pc = cfg.pipeline(eps, 0);
-            let r = pombm::empirical_competitive_ratio(algo, &instance, &pc, cfg.repetitions)
-                .expect("ratio experiment instances are non-degenerate")
-                .ratio;
-            report.push(
-                "ratio",
-                "epsilon",
-                eps,
-                algo.label(),
-                "competitive_ratio",
-                r,
-                cfg.repetitions as u32,
-            );
+            let report = empirical_competitive_ratio(algo, &instance, &pc, cfg.repetitions)
+                .expect("ratio experiment instances are non-degenerate");
+            point = Some(report);
         }
-    }
-    report
+        let r = point.as_ref().expect("measured at repetition 0");
+        [r.distances[rep as usize] / r.opt_distance]
+    };
+    let (ids, metrics) = (["ratio"], ["competitive_ratio"]);
+    let (xs, series) = (SyntheticParams::EPSILONS, labelled(&algos));
+    average(cfg, ids, metrics, "epsilon", &xs, &series, measure)
 }
 
 /// Ablation `gridsweep`: TBF total distance and server setup cost as a
-/// function of the predefined-grid resolution (N = side²). This is the knob
-/// behind the loose-ε crossovers recorded in EXPERIMENTS.md: TBF's
+/// function of the predefined-grid resolution (N = side²). TBF's
 /// total-distance floor is the snapping error, which shrinks with N while
-/// the one-time construction cost grows O(N²·D).
+/// the one-time construction cost grows with it; this is the knob behind
+/// TBF's loose-ε crossovers with Lap-GR.
 pub fn grid_sweep(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
-    let params = SyntheticParams {
-        num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-        num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-        ..SyntheticParams::default()
-    };
+    let params = cfg.synthetic_params();
     let tbf = spec("tbf");
-    for side in [16usize, 32, 48, 64, 96] {
-        let mut dist = 0.0;
-        let mut setup = 0.0;
-        for rep in 0..cfg.repetitions {
-            let instance =
-                synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0x9D));
-            let pc = PipelineConfig {
-                grid_side: side,
-                ..cfg.pipeline(SyntheticParams::default().epsilon, rep)
-            };
-            let result = run(&tbf, &instance, &pc, rep);
-            dist += result.metrics.total_distance;
-            setup += result.metrics.setup_time.as_secs_f64();
-        }
-        let r = cfg.repetitions as f64;
-        let n = (side * side) as f64;
-        report.push(
-            "gridsweep",
-            "N",
-            n,
-            "TBF",
-            "total_distance",
-            dist / r,
-            cfg.repetitions as u32,
-        );
-        report.push(
-            "gridsweep",
-            "N",
-            n,
-            "TBF",
-            "setup_time_s",
-            setup / r,
-            cfg.repetitions as u32,
-        );
-    }
-    report
+    let measure = |n: f64, tbf, rep| {
+        let instance = synthetic::generate(&params, &mut cfg.rng(0x9D, rep));
+        let mut pc = cfg.pipeline(params.epsilon, rep);
+        // N is a perfect square, so its square root is exact.
+        pc.grid_side = n.sqrt() as usize;
+        let m = run(tbf, &instance, &pc, rep).metrics;
+        [m.total_distance, m.setup_time.as_secs_f64()]
+    };
+    let xs = [16usize, 32, 48, 64, 96].map(|side| (side * side) as f64);
+    let (ids, metrics) = (["gridsweep"; 2], ["total_distance", "setup_time_s"]);
+    average(cfg, ids, metrics, "N", &xs, &[("TBF", &tbf)], measure)
 }
 
 /// Ablation: tree distance of the obfuscated leaf vs the exact leaf as a
@@ -719,83 +468,34 @@ pub fn distortion(cfg: &ExperimentConfig) -> Report {
 /// predefined points" from "obfuscate *on the tree*" — the paper's design
 /// choice that Sec. III motivates but never isolates.
 pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
+    let mut params = cfg.synthetic_params();
     let algos = ["tbf", "exp-hg", "lap-hg", "random"].map(spec);
-    for &eps in &SyntheticParams::EPSILONS {
-        let params = SyntheticParams {
-            num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-            num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-            epsilon: eps,
-            ..SyntheticParams::default()
-        };
-        for algo in &algos {
-            let mut dist = 0.0;
-            for rep in 0..cfg.repetitions {
-                let instance =
-                    synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xAB));
-                let pc = cfg.pipeline(eps, rep);
-                dist += run(algo, &instance, &pc, rep).metrics.total_distance;
-            }
-            report.push(
-                "ablatemech",
-                "epsilon",
-                eps,
-                algo.label(),
-                "total_distance",
-                dist / cfg.repetitions as f64,
-                cfg.repetitions as u32,
-            );
-        }
-    }
-    report
+    let measure = |eps, algo, rep| {
+        params.epsilon = eps;
+        let instance = synthetic::generate(&params, &mut cfg.rng(0xAB, rep));
+        let m = run(algo, &instance, &cfg.pipeline(eps, rep), rep).metrics;
+        [m.total_distance]
+    };
+    let (ids, metrics) = (["ablatemech"], ["total_distance"]);
+    let (xs, series) = (SyntheticParams::EPSILONS, labelled(&algos));
+    average(cfg, ids, metrics, "epsilon", &xs, &series, measure)
 }
 
 /// Ablation `ablatealg`: online assignment rules under the *same* TBF
 /// mechanism — greedy (Alg. 4), randomized greedy (Meyerson et al.) and
 /// chain reassignment (Bansal et al.) — total distance and assignment time.
 pub fn ablate_alg(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new();
+    let mut params = cfg.synthetic_params();
     let algos = ["tbf", "tbf-rand", "tbf-chain"].map(spec);
-    for &eps in &SyntheticParams::EPSILONS {
-        let params = SyntheticParams {
-            num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-            num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-            epsilon: eps,
-            ..SyntheticParams::default()
-        };
-        for algo in &algos {
-            let mut dist = 0.0;
-            let mut secs = 0.0;
-            for rep in 0..cfg.repetitions {
-                let instance =
-                    synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xA1));
-                let pc = cfg.pipeline(eps, rep);
-                let r = run(algo, &instance, &pc, rep);
-                dist += r.metrics.total_distance;
-                secs += r.metrics.assign_time.as_secs_f64();
-            }
-            let reps = cfg.repetitions as f64;
-            report.push(
-                "ablatealg",
-                "epsilon",
-                eps,
-                algo.label(),
-                "total_distance",
-                dist / reps,
-                cfg.repetitions as u32,
-            );
-            report.push(
-                "ablatealg",
-                "epsilon",
-                eps,
-                algo.label(),
-                "running_time_s",
-                secs / reps,
-                cfg.repetitions as u32,
-            );
-        }
-    }
-    report
+    let measure = |eps, algo, rep| {
+        params.epsilon = eps;
+        let instance = synthetic::generate(&params, &mut cfg.rng(0xA1, rep));
+        let m = run(algo, &instance, &cfg.pipeline(eps, rep), rep).metrics;
+        [m.total_distance, m.assign_time.as_secs_f64()]
+    };
+    let (ids, metrics) = (["ablatealg"; 2], ["total_distance", "running_time_s"]);
+    let (xs, series) = (SyntheticParams::EPSILONS, labelled(&algos));
+    average(cfg, ids, metrics, "epsilon", &xs, &series, measure)
 }
 
 /// Extension `epochs`: multi-epoch deployment under a lifetime budget.
@@ -804,9 +504,8 @@ pub fn ablate_alg(cfg: &ExperimentConfig) -> Report {
 /// staleness as worker budgets exhaust (see `pombm::epochs`).
 pub fn epochs(cfg: &ExperimentConfig) -> Report {
     use pombm::EpochConfig;
-    let mut report = Report::new();
     let num_workers = if cfg.quick { 150 } else { 1000 };
-    let epoch_cfg = EpochConfig {
+    let mut epoch_cfg = EpochConfig {
         num_epochs: 12,
         lifetime_epsilon: 2.4, // 4 fresh reports at the default per-epoch ε
         epoch_epsilon: SyntheticParams::default().epsilon,
@@ -815,53 +514,25 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
         seed: cfg.seed,
         ..EpochConfig::default()
     };
-    // Average over repetitions (different seeds) per epoch index.
-    let mut dist = vec![0.0f64; epoch_cfg.num_epochs];
-    let mut stale = vec![0.0f64; epoch_cfg.num_epochs];
-    let mut fresh = vec![0.0f64; epoch_cfg.num_epochs];
+    let xs: Vec<f64> = (0..epoch_cfg.num_epochs).map(|e| e as f64).collect();
     let hst = registry().require_mechanism("hst").expect("registered");
-    for rep in 0..cfg.repetitions {
-        let mut c = epoch_cfg;
-        c.seed = cfg.seed.wrapping_add(rep.wrapping_mul(0xEAC7));
-        let r = pombm::run_epochs(num_workers, &c, hst.as_ref())
-            .expect("the hst mechanism reports tree leaves");
-        for m in &r.per_epoch {
-            dist[m.epoch] += m.total_distance;
-            stale[m.epoch] += m.avg_report_staleness;
-            fresh[m.epoch] += m.fresh_reports as f64 / num_workers as f64;
+    // One run per repetition measures every epoch; epoch 0's points run
+    // them, the later epochs read them.
+    let mut runs = Vec::new();
+    let measure = |e: f64, (), rep: u64| {
+        if runs.len() == rep as usize {
+            epoch_cfg.seed = cfg.seed.wrapping_add(rep.wrapping_mul(0xEAC7));
+            let run = pombm::run_epochs(num_workers, &epoch_cfg, hst.as_ref())
+                .expect("the hst mechanism reports tree leaves");
+            runs.push(run);
         }
-    }
-    let reps = cfg.repetitions as f64;
-    for e in 0..epoch_cfg.num_epochs {
-        report.push(
-            "epochs",
-            "epoch",
-            e as f64,
-            "TBF",
-            "total_distance",
-            dist[e] / reps,
-            cfg.repetitions as u32,
-        );
-        report.push(
-            "epochs",
-            "epoch",
-            e as f64,
-            "TBF",
-            "avg_staleness",
-            stale[e] / reps,
-            cfg.repetitions as u32,
-        );
-        report.push(
-            "epochs",
-            "epoch",
-            e as f64,
-            "TBF",
-            "fresh_fraction",
-            fresh[e] / reps,
-            cfg.repetitions as u32,
-        );
-    }
-    report
+        let m = &runs[rep as usize].per_epoch[e as usize];
+        let fresh = m.fresh_reports as f64 / num_workers as f64;
+        [m.total_distance, m.avg_report_staleness, fresh]
+    };
+    let (ids, series) = (["epochs"; 3], [("TBF", ())]);
+    let metrics = ["total_distance", "avg_staleness", "fresh_fraction"];
+    average(cfg, ids, metrics, "epoch", &xs, &series, measure)
 }
 
 /// Extension `dynamic`: shift-based fleets. Sweeps fleet coverage (mean
@@ -870,14 +541,10 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
 pub fn dynamic(cfg: &ExperimentConfig) -> Report {
     use pombm::{run_dynamic_spec, ArrivalProcess, DynamicConfig};
     use pombm_workload::shifts::ShiftPlan;
-    let mut report = Report::new();
     let (tasks, workers) = if cfg.quick { (120, 240) } else { (1500, 3000) };
     let horizon = 1000.0;
-    let params = SyntheticParams {
-        num_tasks: tasks,
-        num_workers: workers,
-        ..SyntheticParams::default()
-    };
+    let mut params = SyntheticParams::default();
+    (params.num_tasks, params.num_workers) = (tasks, workers);
     let mechanism = registry().require_mechanism("hst").expect("registered");
     let matcher = registry()
         .require_dynamic_matcher("hst-greedy")
@@ -889,66 +556,40 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
         (600.0, 800.0),
         (900.0, 1000.0),
     ];
-    for (lo, hi) in durations {
-        let mut rate = 0.0;
-        let mut avg_dist = 0.0;
-        let mut coverage = 0.0;
-        for rep in 0..cfg.repetitions {
-            let instance =
-                synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xDF));
-            let times = ArrivalProcess::Uniform {
-                window_secs: horizon * 0.99,
-            }
-            .timestamps(tasks, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xD0));
-            let plan = ShiftPlan::uniform(
-                workers,
-                horizon,
-                lo,
-                hi,
-                &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xD1),
-            );
-            let dyn_cfg = DynamicConfig {
-                epsilon: SyntheticParams::default().epsilon,
-                grid_side: cfg.grid_side.min(32),
-                seed: cfg.seed.wrapping_add(rep),
-            };
-            let out = run_dynamic_spec(
-                &instance,
-                &times,
-                &plan,
-                &dyn_cfg,
-                mechanism.as_ref(),
-                matcher.as_ref(),
-            )
+    // Points are swept by index into `durations` and plotted below at
+    // their mean coverage, which the runs measure.
+    let mut coverage = [0.0f64; 5];
+    let measure = |i: f64, (), rep| {
+        let (lo, hi) = durations[i as usize];
+        let instance = synthetic::generate(&params, &mut cfg.rng(0xDF, rep));
+        let arrivals = ArrivalProcess::Uniform {
+            window_secs: horizon * 0.99,
+        };
+        let times = arrivals.timestamps(tasks, &mut cfg.rng(0xD0, rep));
+        let plan = ShiftPlan::uniform(workers, horizon, lo, hi, &mut cfg.rng(0xD1, rep));
+        let dyn_cfg = DynamicConfig {
+            epsilon: params.epsilon,
+            grid_side: cfg.grid_side.min(32),
+            seed: cfg.seed.wrapping_add(rep),
+        };
+        let (mechanism, matcher) = (mechanism.as_ref(), matcher.as_ref());
+        let out = run_dynamic_spec(&instance, &times, &plan, &dyn_cfg, mechanism, matcher)
             .expect("the tbf pairing drives the fleet");
-            rate += out.assignment_rate();
-            avg_dist += if out.pairs.is_empty() {
-                0.0
-            } else {
-                out.total_distance / out.pairs.len() as f64
-            };
-            coverage += plan.mean_coverage();
-        }
-        let reps = cfg.repetitions as f64;
-        let x = (coverage / reps * 1000.0).round() / 1000.0;
-        report.push(
-            "dynamic",
-            "coverage",
-            x,
-            "TBF",
-            "assignment_rate",
-            rate / reps,
-            cfg.repetitions as u32,
-        );
-        report.push(
-            "dynamic",
-            "coverage",
-            x,
-            "TBF",
-            "avg_task_distance",
-            avg_dist / reps,
-            cfg.repetitions as u32,
-        );
+        coverage[i as usize] += plan.mean_coverage();
+        let pairs = out.pairs.len();
+        let avg_dist = if pairs == 0 {
+            0.0
+        } else {
+            out.total_distance / pairs as f64
+        };
+        [out.assignment_rate(), avg_dist]
+    };
+    let (ids, metrics) = (["dynamic"; 2], ["assignment_rate", "avg_task_distance"]);
+    let (xs, series) = ([0.0, 1.0, 2.0, 3.0, 4.0], [("TBF", ())]);
+    let mut report = average(cfg, ids, metrics, "coverage", &xs, &series, measure);
+    let reps = cfg.repetitions as f64;
+    for row in &mut report.rows {
+        row.x = (coverage[row.x as usize] / reps * 1000.0).round() / 1000.0;
     }
     report
 }
@@ -960,46 +601,23 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
 /// `Θ(2^D)` tree distance, which this experiment surfaces as a total-
 /// distance gap.
 pub fn ablate_tree(cfg: &ExperimentConfig) -> Report {
-    use pombm::{run_spec_with_server, TreeConstruction};
-    let mut report = Report::new();
-    let params = SyntheticParams {
-        num_tasks: cfg.scale_count(SyntheticParams::default().num_tasks),
-        num_workers: cfg.scale_count(SyntheticParams::default().num_workers),
-        ..SyntheticParams::default()
-    };
+    let params = cfg.synthetic_params();
     let tbf = spec("tbf");
-    for &eps in &SyntheticParams::EPSILONS {
-        for (label, construction) in [
-            ("TBF-FRT", TreeConstruction::Frt),
-            ("TBF-Quadtree", TreeConstruction::Quadtree),
-        ] {
-            let mut dist = 0.0;
-            for rep in 0..cfg.repetitions {
-                let instance =
-                    synthetic::generate(&params, &mut seeded_rng(cfg.seed.wrapping_add(rep), 0xA7));
-                let server = Server::with_construction(
-                    instance.region,
-                    cfg.grid_side,
-                    cfg.seed ^ rep.wrapping_mul(0x9E37_79B9),
-                    construction,
-                );
-                let pc = cfg.pipeline(eps, rep);
-                let r = run_spec_with_server(&tbf, &instance, &pc, Some(&server), rep)
-                    .expect("tbf runs on a prebuilt server");
-                dist += r.metrics.total_distance;
-            }
-            report.push(
-                "ablatetree",
-                "epsilon",
-                eps,
-                label,
-                "total_distance",
-                dist / cfg.repetitions as f64,
-                cfg.repetitions as u32,
-            );
-        }
-    }
-    report
+    let measure = |eps, construction, rep| {
+        let instance = synthetic::generate(&params, &mut cfg.rng(0xA7, rep));
+        let server = cfg.server(instance.region, construction, rep);
+        let pc = cfg.pipeline(eps, rep);
+        let r = pombm::run_spec_with_server(&tbf, &instance, &pc, Some(&server), rep)
+            .expect("tbf runs on a prebuilt server");
+        [r.metrics.total_distance]
+    };
+    let series = [
+        ("TBF-FRT", TreeConstruction::Frt),
+        ("TBF-Quadtree", TreeConstruction::Quadtree),
+    ];
+    let (ids, metrics) = (["ablatetree"], ["total_distance"]);
+    let xs = SyntheticParams::EPSILONS;
+    average(cfg, ids, metrics, "epsilon", &xs, &series, measure)
 }
 
 #[cfg(test)]

@@ -72,26 +72,29 @@ impl Args {
         self.flags.get(name).and_then(|v| v.as_deref())
     }
 
-    /// Parses the flag's value into `T`, or returns `default` if absent.
-    pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    /// Parses an optional flag's value into `T`: `None` if the flag is
+    /// absent, an error if it is given without a value or with one that
+    /// does not parse.
+    pub fn get_opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         match self.flags.get(name) {
-            None => Ok(default),
+            None => Ok(None),
             Some(None) => Err(format!("flag --{name} needs a value")),
             Some(Some(v)) => v
                 .parse()
+                .map(Some)
                 .map_err(|_| format!("flag --{name}: cannot parse `{v}`")),
         }
     }
 
+    /// Parses the flag's value into `T`, or returns `default` if absent.
+    pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.get_opt(name)?.unwrap_or(default))
+    }
+
     /// Parses a required flag.
     pub fn require<T: FromStr>(&self, name: &str) -> Result<T, String> {
-        match self.flags.get(name) {
-            None => Err(format!("missing required flag --{name}")),
-            Some(None) => Err(format!("flag --{name} needs a value")),
-            Some(Some(v)) => v
-                .parse()
-                .map_err(|_| format!("flag --{name}: cannot parse `{v}`")),
-        }
+        self.get_opt(name)?
+            .ok_or_else(|| format!("missing required flag --{name}"))
     }
 
     /// Rejects flags outside `allowed` (catches typos early).

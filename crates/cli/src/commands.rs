@@ -325,14 +325,17 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
     ])?;
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let instance = match (args.get("input"), args.get("scenario")) {
+    let instance = match (
+        args.get_opt::<String>("input")?,
+        args.get_opt::<String>("scenario")?,
+    ) {
         (Some(_), Some(_)) => {
             return Err("give either --input or --scenario, not both".to_string());
         }
-        (Some(input), None) => read_instance(Path::new(input))?,
+        (Some(input), None) => read_instance(Path::new(&input))?,
         (None, Some(name)) => {
             let scenario = registry()
-                .require_scenario(name)
+                .require_scenario(&name)
                 .map_err(|e| e.to_string())?;
             let size: usize = args.get_or("size", 48)?;
             scenario.instance(seed, size)
@@ -371,13 +374,13 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
 
 /// Resolves `--algo NAME` or the free `--mechanism M --matcher S` pairing.
 fn parse_spec(args: &Args) -> Result<AlgorithmSpec, String> {
-    let algo = args.get("algo");
-    let mechanism = args.get("mechanism");
-    let matcher = args.get("matcher");
+    let algo = args.get_opt::<String>("algo")?;
+    let mechanism = args.get_opt::<String>("mechanism")?;
+    let matcher = args.get_opt::<String>("matcher")?;
     match (algo, mechanism, matcher) {
-        (Some(name), None, None) => parse_algorithm(name),
+        (Some(name), None, None) => parse_algorithm(&name),
         (None, Some(mech), Some(strat)) => {
-            registry().compose(mech, strat).map_err(|e| e.to_string())
+            registry().compose(&mech, &strat).map_err(|e| e.to_string())
         }
         (None, Some(_), None) | (None, None, Some(_)) => {
             Err("--mechanism and --matcher must be given together".to_string())
@@ -718,29 +721,8 @@ pub fn serve(args: &Args) -> Result<String, String> {
                 .to_string(),
         );
     }
-    let max_requests = match args.get("requests") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("flag --requests: cannot parse `{v}`"))?,
-        ),
-        None => None,
-    };
-    let fault_rate = match args.get("fault-rate") {
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| format!("flag --fault-rate: cannot parse `{v}`"))?,
-        ),
-        None => None,
-    };
-    let queue_cap = match args.get("queue-cap") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("flag --queue-cap: cannot parse `{v}`"))?,
-        ),
-        None => None,
-    };
     let config = pombm::ServeConfig {
-        scenario: args.get("scenario").map(|s| s.to_string()),
+        scenario: args.get_opt("scenario")?,
         mechanism: args.get_or("mechanism", "hst".to_string())?,
         matcher: args.get_or("matcher", "hst-greedy".to_string())?,
         plan: args.get_or("plan", "short".to_string())?,
@@ -751,13 +733,13 @@ pub fn serve(args: &Args) -> Result<String, String> {
         seed: args.get_or("seed", 0)?,
         batch_interval: args.get_or("batch-interval", 5.0)?,
         qps: args.get_or("qps", 0.0)?,
-        max_requests,
+        max_requests: args.get_opt("requests")?,
         threads: args.get_or("threads", 1)?,
         timings: args.switch("timings"),
-        fault_plan: args.get("fault-plan").map(|s| s.to_string()),
-        fault_rate,
-        queue_cap,
-        shed_policy: args.get("shed-policy").map(|s| s.to_string()),
+        fault_plan: args.get_opt("fault-plan")?,
+        fault_rate: args.get_opt("fault-rate")?,
+        queue_cap: args.get_opt("queue-cap")?,
+        shed_policy: args.get_opt("shed-policy")?,
     };
     let outcome = pombm::run_serve(&config).map_err(|e| e.to_string())?;
     let report = outcome.report;
@@ -974,13 +956,7 @@ fn partition_opts(args: &Args) -> Result<Option<PartitionRun>, String> {
         None => None,
     };
     let checkpoint = list_flag(args, "checkpoint")?.map(PathBuf::from);
-    let max_cells = match list_flag(args, "max-cells")? {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("flag --max-cells: cannot parse `{v}`"))?,
-        ),
-        None => None,
-    };
+    let max_cells = args.get_opt("max-cells")?;
     if plan.is_none() && checkpoint.is_none() && max_cells.is_none() {
         return Ok(None);
     }

@@ -2,9 +2,10 @@
 //! oversized `--grid-side`, an instance region no grid of that side can
 //! cover, a tree whose leaf codes overflow `u64`, a region whose squared
 //! diagonal overflows `f64`, a privacy budget that is not positive and
-//! finite, `gen` parameters no workload can be drawn from, and the other
-//! degenerate knobs each answer with a one-line typed error, never a
-//! panic, an allocator abort or a hang. A reader that closes stdout early
+//! finite, `gen` parameters no workload can be drawn from, a flag that
+//! takes a value given without one, and the other degenerate knobs each
+//! answer with a one-line typed error, never a panic, an allocator abort,
+//! a hang or a silently dropped flag. A reader that closes stdout early
 //! ends the command quietly.
 
 use std::process::{Command, Output, Stdio};
@@ -224,6 +225,50 @@ fn bad_budgets_and_degenerate_knobs_are_one_line_errors() {
         assert_one_line_error(command, error);
     }
     assert!(!out.exists(), "publish must fail before writing");
+}
+
+/// An optional flag given without its value is an error, not an absent
+/// flag: without the check, each serve command below printed the same
+/// report as without its last flag, and `run` ran the scenario.
+#[test]
+fn optional_flags_without_values_are_one_line_errors() {
+    let serve = "serve --load --tasks 20 --workers 10";
+    for flag in [
+        "requests",
+        "fault-rate",
+        "queue-cap",
+        "fault-plan",
+        "scenario",
+        "shed-policy",
+    ] {
+        assert_one_line_error(
+            &format!("{serve} --{flag}"),
+            &format!("flag --{flag} needs a value"),
+        );
+    }
+    for (command, flag) in [
+        ("run --input --scenario uniform --algo tbf", "input"),
+        ("run --scenario --input x.json --algo tbf", "scenario"),
+        ("run --scenario uniform --algo", "algo"),
+        (
+            "run --scenario uniform --mechanism --matcher greedy",
+            "mechanism",
+        ),
+        (
+            "run --scenario uniform --mechanism laplace --matcher",
+            "matcher",
+        ),
+        (
+            "sweep --mechanisms hst --matchers hst-greedy --sizes 8 --max-cells",
+            "max-cells",
+        ),
+    ] {
+        assert_one_line_error(command, &format!("flag --{flag} needs a value"));
+    }
+    assert_one_line_error(
+        &format!("{serve} --queue-cap two"),
+        "flag --queue-cap: cannot parse `two`",
+    );
 }
 
 /// `pombm sweep --json | head -1`: the reader closes the pipe while the

@@ -11,9 +11,9 @@ use crate::algorithm::PipelineError;
 use crate::registry::registry;
 use crate::server::{check_epsilon, Server};
 use pombm_geom::{seeded_rng, Point};
-use pombm_hst::LeafCode;
 use pombm_matching::reachable::{ProbMatcher, TbfReachMatcher, DEFAULT_THRESHOLD};
-use pombm_privacy::{Epsilon, ReachEstimator};
+use pombm_privacy::reach::ReachTable;
+use pombm_privacy::Epsilon;
 use pombm_workload::Instance;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -60,13 +60,20 @@ pub struct CaseStudyResult {
 
 /// Runs a case-study algorithm on an instance carrying radii.
 ///
+/// TBF reports leaves of `server`'s tree; Prob reports in the plane and
+/// needs no server. Prob answers its reach queries from a [`ReachTable`]
+/// seeded by `seed`, over separations up to the region's diameter plus
+/// `8/ε` and radii up to the largest one. With no positive radius nothing
+/// is reachable: Prob builds no table and assigns nothing.
+///
 /// Fails with [`PipelineError::InvalidConfig`] on an instance without one
 /// radius per worker (`radii`) and on a budget that is not positive and
-/// finite (`epsilon`).
-pub fn run_case_study(
+/// finite (`epsilon`), and with [`PipelineError::MissingServer`] when TBF
+/// is given no server.
+pub fn run_case_study<'a>(
     algorithm: CaseStudyAlgorithm,
     instance: &Instance,
-    server: &Server,
+    server: impl Into<Option<&'a Server>>,
     epsilon: f64,
     seed: u64,
 ) -> Result<CaseStudyResult, PipelineError> {
@@ -79,112 +86,110 @@ pub fn run_case_study(
             why: "the case study needs one reachable radius per worker",
         })?;
     check_epsilon("epsilon", epsilon)?;
-    let epsilon = Epsilon::new(epsilon);
+    let budget = Epsilon::new(epsilon);
+    let server = server.into();
     let mut rng = seeded_rng(seed, 0xCA5E);
 
-    Ok(match algorithm {
+    match algorithm {
         CaseStudyAlgorithm::Prob => {
             // The Prob baseline reports through the registered planar
             // Laplace mechanism.
-            let mechanism = registry().require_mechanism("laplace")?;
-            let mut reporter = mechanism.reporter(epsilon, Some(server))?;
-            let mut report = |p: &Point| {
-                reporter
-                    .report(p, &mut rng)
-                    .into_point(Some(server), "prob case study")
-            };
-            let workers = instance
-                .workers
-                .iter()
-                .map(&mut report)
-                .collect::<Result<Vec<Point>, _>>()?;
-            let tasks = instance
-                .tasks
-                .iter()
-                .map(&mut report)
-                .collect::<Result<Vec<Point>, _>>()?;
-            let estimator = ReachEstimator::with_defaults(epsilon, seed);
-            let mut matcher =
-                ProbMatcher::new(workers, radii.clone(), estimator, DEFAULT_THRESHOLD);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "running-time metric of the case study; measured output, not part of any golden fingerprint"
-            )]
-            let start = Instant::now();
-            let mut attempted = 0;
-            let mut matched = 0;
-            for (t_idx, t) in tasks.iter().enumerate() {
-                if let Some(w_idx) = matcher.assign(t) {
-                    attempted += 1;
-                    if instance.tasks[t_idx].dist(&instance.workers[w_idx]) <= radii[w_idx] {
-                        matched += 1;
-                    }
-                }
-            }
-            CaseStudyResult {
-                matching_size: matched,
-                attempted,
-                assign_time: start.elapsed(),
-            }
+            let mut reporter = registry()
+                .require_mechanism("laplace")?
+                .reporter(budget, server)?;
+            let max_radius = radii.iter().fold(0.0f64, |a, &b| a.max(b));
+            let table = (max_radius > 0.0).then(|| {
+                let max_separation = instance.region.diameter() + 8.0 / epsilon;
+                ReachTable::with_defaults(budget, max_separation, max_radius, seed)
+            });
+            assign_reports(
+                instance,
+                radii,
+                |p| {
+                    reporter
+                        .report(p, &mut rng)
+                        .into_point(server, "prob case study")
+                },
+                |workers| {
+                    table.map(|table| {
+                        ProbMatcher::new(workers, radii.clone(), table, DEFAULT_THRESHOLD)
+                    })
+                },
+                |matcher, t| matcher.as_mut()?.assign(t),
+            )
         }
         CaseStudyAlgorithm::Tbf => {
             // TBF reports through the registered HST random-walk mechanism.
-            let mechanism = registry().require_mechanism("hst")?;
-            let mut reporter = mechanism.reporter(epsilon, Some(server))?;
-            let mut report = |p: &Point| {
-                reporter
-                    .report(p, &mut rng)
-                    .into_leaf(Some(server), "tbf case study")
-            };
-            let workers = instance
-                .workers
-                .iter()
-                .map(&mut report)
-                .collect::<Result<Vec<LeafCode>, _>>()?;
-            let worker_pos = workers
-                .iter()
-                .map(|&w| server.hst().representative_point(w))
-                .collect();
-            let tasks = instance
-                .tasks
-                .iter()
-                .map(&mut report)
-                .collect::<Result<Vec<LeafCode>, _>>()?;
+            let server = server.ok_or(PipelineError::MissingServer("tbf case study"))?;
+            let mut reporter = registry()
+                .require_mechanism("hst")?
+                .reporter(budget, Some(server))?;
+            let hst = server.hst();
             // Snapping to the grid moves each endpoint by at most half a
             // cell diagonal (typical error is ~0.38 of a pitch), so half a
             // diagonal of slack balances false admissions (which burn a
             // worker on an unreachable task) against false rejections.
             let slack =
                 (server.grid().pitch_x().powi(2) + server.grid().pitch_y().powi(2)).sqrt() / 2.0;
-            let mut matcher = TbfReachMatcher::new(
-                server.hst().ctx(),
-                workers,
-                worker_pos,
-                radii.clone(),
-                slack,
-            );
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "running-time metric of the case study; measured output, not part of any golden fingerprint"
-            )]
-            let start = Instant::now();
-            let mut attempted = 0;
-            let mut matched = 0;
-            for (t_idx, &t) in tasks.iter().enumerate() {
-                let t_pos = server.hst().representative_point(t);
-                if let Some(w_idx) = matcher.assign(t, &t_pos) {
-                    attempted += 1;
-                    if instance.tasks[t_idx].dist(&instance.workers[w_idx]) <= radii[w_idx] {
-                        matched += 1;
-                    }
-                }
-            }
-            CaseStudyResult {
-                matching_size: matched,
-                attempted,
-                assign_time: start.elapsed(),
+            assign_reports(
+                instance,
+                radii,
+                |p| {
+                    reporter
+                        .report(p, &mut rng)
+                        .into_leaf(Some(server), "tbf case study")
+                },
+                |workers| {
+                    let worker_pos = workers
+                        .iter()
+                        .map(|&w| hst.representative_point(w))
+                        .collect();
+                    TbfReachMatcher::new(hst.ctx(), workers, worker_pos, radii.clone(), slack)
+                },
+                |matcher, &t| matcher.assign(t, &hst.representative_point(t)),
+            )
+        }
+    }
+}
+
+/// The loop both algorithms share: reports every worker and then every
+/// task through `report`, builds the matcher over the worker reports,
+/// offers it each task report in arrival order, and counts the
+/// assignments whose true worker–task distance is within the worker's
+/// radius. Only the assignment loop is timed.
+fn assign_reports<R, M>(
+    instance: &Instance,
+    radii: &[f64],
+    mut report: impl FnMut(&Point) -> Result<R, PipelineError>,
+    matcher: impl FnOnce(Vec<R>) -> M,
+    mut assign: impl FnMut(&mut M, &R) -> Option<usize>,
+) -> Result<CaseStudyResult, PipelineError> {
+    let mut report_all = |points: &[Point]| {
+        points
+            .iter()
+            .map(&mut report)
+            .collect::<Result<Vec<R>, _>>()
+    };
+    let mut matcher = matcher(report_all(&instance.workers)?);
+    let tasks = report_all(&instance.tasks)?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "running-time metric of the case study; measured output, not part of any golden fingerprint"
+    )]
+    let start = Instant::now();
+    let (mut attempted, mut matched) = (0, 0);
+    for (task, t) in instance.tasks.iter().zip(&tasks) {
+        if let Some(w) = assign(&mut matcher, t) {
+            attempted += 1;
+            if task.dist(&instance.workers[w]) <= radii[w] {
+                matched += 1;
             }
         }
+    }
+    Ok(CaseStudyResult {
+        matching_size: matched,
+        attempted,
+        assign_time: start.elapsed(),
     })
 }
 
@@ -281,5 +286,24 @@ mod tests {
                 "{algo}: ε=5 size {loose} < ε=0.05 size {strict}"
             );
         }
+    }
+
+    #[test]
+    fn nothing_reachable_is_size_zero_without_a_server_for_prob() {
+        let mut instance = radii_instance(5, 20, 30);
+        instance.radii = Some(vec![0.0; 30]);
+        let no_workers = Instance {
+            workers: Vec::new(),
+            radii: Some(Vec::new()),
+            ..instance.clone()
+        };
+        for instance in [&instance, &no_workers] {
+            let r = run_case_study(CaseStudyAlgorithm::Prob, instance, None, 0.6, 1).unwrap();
+            assert_eq!((r.matching_size, r.attempted), (0, 0));
+        }
+        assert!(matches!(
+            run_case_study(CaseStudyAlgorithm::Tbf, &instance, None, 0.6, 1),
+            Err(PipelineError::MissingServer(_))
+        ));
     }
 }

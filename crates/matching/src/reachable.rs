@@ -19,7 +19,7 @@
 //!   (possibly fake) leaf resolves to a *representative* predefined point
 //!   (`pombm_hst::Hst::representative`), reachability is checked between
 //!   representative positions, and the nearest eligible worker *on the
-//!   tree* wins — see DESIGN.md.
+//!   tree* wins.
 
 use pombm_geom::Point;
 use pombm_hst::{CodeContext, LeafCode};
@@ -29,10 +29,12 @@ use pombm_privacy::ReachEstimator;
 /// Prob: probabilistic reachability assignment over Laplace-obfuscated
 /// coordinates.
 ///
-/// Generic over the probability provider `P`: use
-/// [`pombm_privacy::ReachEstimator`] directly for small instances or a
-/// [`pombm_privacy::reach::ReachTable`] when the `O(n·m)` query volume of a
-/// full experiment makes per-query Monte-Carlo too slow.
+/// Generic over the probability provider `P`. The case study
+/// (`pombm::run_case_study`) runs it on a
+/// [`pombm_privacy::reach::ReachTable`]: Prob asks `O(n·m)` queries per
+/// run, too many for per-query Monte-Carlo.
+/// [`pombm_privacy::ReachEstimator`] answers the same queries directly, for
+/// small instances.
 #[derive(Debug, Clone)]
 pub struct ProbMatcher<P = ReachEstimator> {
     workers: Vec<Point>,

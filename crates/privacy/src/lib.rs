@@ -20,8 +20,10 @@
 //! * [`PlanarLaplace`] — the widely used planar Laplace mechanism of Andrés
 //!   et al. (CCS'13), the privacy layer of the Lap-GR / Lap-HG / Prob
 //!   baselines.
-//! * [`ReachEstimator`] — the reachability-probability computation behind the
-//!   Prob baseline of the paper's case study (To et al., ICDE'18 style).
+//! * [`ReachEstimator`] and [`reach::ReachTable`] — the reachability
+//!   probabilities behind the Prob baseline of the paper's case study (To
+//!   et al., ICDE'18 style). The case study queries the table, which is
+//!   built once per run from the estimator's Monte-Carlo sample.
 //! * [`ExponentialMechanism`] — the exponential mechanism over the
 //!   predefined points; the ablation separating "discretize to the grid"
 //!   from "use the tree" (same output domain as TBF, no HST).

@@ -11,7 +11,9 @@
 //! `P(‖s + n_w − n_t‖ ≤ R)` has no convenient closed form, so we estimate it
 //! by a *fixed, precomputed* Monte-Carlo sample of the noise-difference
 //! distribution — deterministic (seeded), isotropic (only `‖s‖` matters) and
-//! amortized across all queries of an experiment run.
+//! amortized across all queries of an experiment run. The case study
+//! (`pombm::run_case_study`) answers every Prob query from a [`ReachTable`]
+//! built once per run from a [`ReachEstimator`].
 
 use crate::laplace::PlanarLaplace;
 use crate::Epsilon;
@@ -28,7 +30,9 @@ pub trait ReachProbability {
 }
 
 /// Estimator for `P(true distance ≤ radius | obfuscated separation)` under
-/// double planar Laplace noise with budget ε.
+/// double planar Laplace noise with budget ε. Each query scans the whole
+/// sample, so the case study builds a [`ReachTable`] from it and queries
+/// that instead.
 #[derive(Debug, Clone)]
 pub struct ReachEstimator {
     /// Precomputed draws of `n_w − n_t`.
@@ -92,7 +96,8 @@ impl ReachProbability for ReachEstimator {
 }
 
 /// Precomputed `(separation, radius) → probability` grid with bilinear
-/// interpolation, turning each query into O(1).
+/// interpolation, turning each query into O(1). The case study's Prob
+/// baseline runs on it.
 ///
 /// The Prob baseline evaluates a reach probability for every available
 /// worker on every task arrival — `O(n·m)` queries per run — so the

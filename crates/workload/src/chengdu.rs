@@ -17,7 +17,7 @@
 //!
 //! Absolute distances will not match the paper's plots, but the relative
 //! behaviour of the compared mechanisms — which is all the evaluation
-//! interprets — is preserved (see DESIGN.md §4).
+//! interprets — is preserved.
 
 use crate::instance::Instance;
 use crate::params::RealParams;

@@ -10,8 +10,9 @@
 //! * [`chengdu`] — a stand-in for the Didi GAIA Chengdu trip data (Table
 //!   III), which is not redistributable: a seeded hotspot-mixture city model
 //!   over a 10 km × 10 km region producing 30 "days" of 4,245–5,034 task
-//!   origins each. See DESIGN.md §4 for why this preserves the evaluation's
-//!   shape.
+//!   origins each. It keeps what the compared algorithms react to:
+//!   clustered demand, day-to-day variation and workers spread more evenly
+//!   than demand.
 //!
 //! Both produce [`Instance`]s: plain task/worker coordinate lists (plus
 //! optional reachable radii for the case study) with a deterministic arrival

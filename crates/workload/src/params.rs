@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper marks its defaults in bold in the PDF; bolding does not survive
 /// text extraction, so this reproduction uses the mid-values of each range
-/// as defaults (|T| = 3000, |W| = 5000, µ = 100, σ = 20, ε = 0.6) and
-/// records that choice in EXPERIMENTS.md.
+/// as defaults (|T| = 3000, |W| = 5000, µ = 100, σ = 20, ε = 0.6).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SyntheticParams {
     /// Number of tasks |T|.
@@ -55,8 +54,9 @@ impl SyntheticParams {
     pub const REACH_RADIUS: (f64, f64) = (10.0, 20.0);
 }
 
-/// Table III: real-data settings (reproduced against the Chengdu-like
-/// synthetic trace; see DESIGN.md §4).
+/// Table III: real-data settings, reproduced against the Chengdu-like
+/// trace of [`crate::chengdu`] because the Didi data is not
+/// redistributable.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RealParams {
     /// Number of workers |W|.
