@@ -35,6 +35,7 @@
 
 use pombm_bench::figures::{self, ExperimentConfig};
 use pombm_bench::Report;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 
 /// Track peak allocations for the paper's memory-usage figures.
@@ -65,7 +66,7 @@ const COMMANDS: [(&str, Figure); 15] = [
 
 /// Table I is printed as the paper prints it, not as report rows.
 fn table1(_: &ExperimentConfig) -> Report {
-    println!("{}", figures::table1());
+    print(&mut std::io::stdout().lock(), &figures::table1());
     Report::new()
 }
 
@@ -126,15 +127,16 @@ fn main() {
     for (name, figure) in commands {
         report.extend(timed(name, || figure(&cfg)));
     }
+    let mut out = std::io::stdout().lock();
 
     // Print every produced figure as a paper-style table (and, with
     // --plot, as an ASCII chart).
     for figure in report.figures() {
         for metric in report.metrics(&figure) {
-            println!("{}", report.render_figure(&figure, &metric));
+            print(&mut out, &report.render_figure(&figure, &metric));
             if plot {
                 if let Some(chart) = pombm_bench::render_chart(&report, &figure, &metric, 60) {
-                    println!("{chart}");
+                    print(&mut out, &chart);
                 }
             }
         }
@@ -149,12 +151,25 @@ fn main() {
         {
             die(&format!("writing the report to {}: {e}", out_dir.display()));
         }
-        println!(
+        let wrote = format!(
             "wrote {} rows to {} and {}",
             report.rows.len(),
             csv.display(),
             json.display()
         );
+        print(&mut out, &wrote);
+    }
+}
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// early (`experiments ... | head`) wants no more output, so that ends the
+/// program quietly with exit 0; any other write error ends it through
+/// [`die`].
+fn print(out: &mut impl Write, text: &str) {
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(&format!("writing to stdout: {e}")),
     }
 }
 

@@ -1,9 +1,10 @@
 //! Flag misuse through the real `experiments` binary: each ends in one
 //! `error:` line and exit code 2, never a panic. `--reps 0` is rejected
 //! before any figure runs; without the check every figure averaged over
-//! zero repetitions and panicked.
+//! zero repetitions and panicked. A reader that closes stdout early ends
+//! the run quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn experiments(args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -56,5 +57,47 @@ fn unknown_commands_and_unwritable_outputs_are_one_line_errors() {
     assert_error(
         "distortion --quick --out /dev/null/x",
         "writing the report to /dev/null/x",
+    );
+}
+
+/// `experiments table1 fig6 --quick | head -1`: the reader is gone before
+/// Table I is printed, so the run ends there with exit 0 and no error. A
+/// failing stdout of any other kind is one `error:` line.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let out = std::env::temp_dir().join("pombm-experiments-closed-stdout");
+    let command = format!("table1 fig6 --quick --out {}", out.display());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(command.split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the experiments binary runs");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("the child exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{command}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    assert!(!stderr.contains("error:"), "{command}: {stderr}");
+    assert!(!stderr.contains("running fig6"), "{command}: {stderr}");
+
+    // Every write to /dev/full fails with "no space left on device".
+    let Ok(full) = std::fs::File::create("/dev/full") else {
+        return;
+    };
+    let command = format!("distortion --quick --out {}", out.display());
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(command.split_whitespace())
+        .stdout(full)
+        .output()
+        .expect("the experiments binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{command}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with("error: writing to stdout: "),
+        "{stderr}"
     );
 }

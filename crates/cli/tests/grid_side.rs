@@ -1,12 +1,12 @@
 //! Out-of-range inputs through the real `pombm` binary: a zero or
 //! oversized `--grid-side`, an instance region no grid of that side can
-//! cover, a tree whose leaf codes overflow `u64`, a region whose squared
-//! diagonal overflows `f64`, a privacy budget that is not positive and
-//! finite, `gen` parameters no workload can be drawn from, a flag that
-//! takes a value given without one, and the other degenerate knobs each
-//! answer with a one-line typed error, never a panic, an allocator abort,
-//! a hang or a silently dropped flag. A reader that closes stdout early
-//! ends the command quietly.
+//! cover, a grid the tree cannot resolve, a tree whose leaf codes overflow
+//! `u64`, a region whose squared diagonal overflows `f64`, a privacy
+//! budget that is not positive and finite, `gen` parameters no workload
+//! can be drawn from, a flag that takes a value given without one, and the
+//! other degenerate knobs each answer with a one-line typed error, never a
+//! panic, an allocator abort, a hang or a silently dropped flag. A reader
+//! that closes stdout early ends the command quietly.
 
 use std::process::{Command, Output, Stdio};
 
@@ -160,6 +160,58 @@ fn oversized_trees_and_regions_are_one_line_errors() {
         assert_one_line_error(&command, error);
     }
     assert!(!hst.exists(), "publish must fail before writing");
+}
+
+/// A grid the HST cannot resolve: squared distances between adjacent grid
+/// points that underflow to zero or into the subnormal range, grid points
+/// far from the origin that round onto each other, or a squared diagonal
+/// that overflows. Each one panicked inside the build or exhausted the
+/// allocator. A spec that builds no server still runs on the same
+/// instance.
+#[test]
+fn unresolvable_grids_are_one_line_region_errors() {
+    let dir = std::env::temp_dir();
+    let hst = dir.join("pombm-unresolvable.hst");
+    let _ = std::fs::remove_file(&hst);
+    // An instance in [1e15, 1e15 + 1]², where f64 spacing is 1/8: a
+    // 64-side grid's points round onto each other.
+    let far = dir.join("pombm-far-region.json");
+    std::fs::write(
+        &far,
+        r#"{"region":{"min_x":1e15,"min_y":1e15,"max_x":1000000000000001.0,"max_y":1000000000000001.0},
+            "tasks":[{"x":1000000000000000.25,"y":1000000000000000.5},
+                     {"x":1000000000000000.75,"y":1000000000000000.125}],
+            "workers":[{"x":1000000000000000.5,"y":1000000000000000.5},
+                       {"x":1000000000000000.875,"y":1000000000000000.0},
+                       {"x":1000000000000000.0,"y":1000000000000001.0}],"radii":null}"#,
+    )
+    .expect("temp dir is writable");
+    let out = hst.display();
+    for command in [
+        format!("publish --grid-side 64 --side 1e-160 --out {out}"),
+        format!("publish --grid-side 4 --side 3e-162 --out {out}"),
+        format!("publish --grid-side 64 --side 1e-159 --out {out}"),
+        format!("publish --grid-side 2 --side 1e300 --out {out}"),
+        "obfuscate --side 1e-160 --grid-side 64 --x 0 --y 0".to_string(),
+        format!("run --input {} --algo tbf --grid-side 64", far.display()),
+    ] {
+        assert_one_line_error(
+            &command,
+            "invalid config `region`: the HST cannot resolve the grid over this region",
+        );
+    }
+    assert!(!hst.exists(), "publish must fail before writing");
+
+    for command in [
+        format!("run --input {} --algo lap-gr --grid-side 64", far.display()),
+        format!("run --input {} --algo tbf --grid-side 4", far.display()),
+    ] {
+        let output = pombm(&command);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{command}: {stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("matching size:   2"), "{command}: {stdout}");
+    }
 }
 
 #[test]

@@ -4,13 +4,14 @@ use crate::algorithm::PipelineError;
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
 use pombm_hst::construct::build_raw;
 use pombm_hst::quadtree::build_quadtree;
-use pombm_hst::{CodeOverflow, Hst, LeafCode};
+use pombm_hst::{Hst, LeafCode};
 
 /// The most predefined points a server is built on: `N = side² ≤ 2¹⁶`
-/// (side 256). The FRT build grows faster than linearly in `N` — on a
-/// 2-core Xeon VM side 256 builds in 12–14 s and side 512 did not finish
-/// in 4 minutes — and side 100 000 would ask the allocator for about
-/// 160 GB.
+/// (side 256). The FRT build itself is near-linear in `N`: on a 2-core
+/// Xeon VM [`Server::new`] takes about 0.11 s at side 256 and 0.63 s at
+/// side 512. The cap stays for what a run builds on top of the tree: the
+/// exponential mechanism keeps an `O(N)` alias table for every point that
+/// reports, and side 100 000 would ask the allocator for about 160 GB.
 /// Every side the experiments use (at most 64) is far below the cap.
 pub const MAX_GRID_POINTS: usize = 1 << 16;
 
@@ -113,16 +114,13 @@ impl Server {
     /// `grid_side` when the tree's `c^D` leaf codes overflow `u64`. The
     /// FRT depth grows with the region's diameter once the grid pitch
     /// reaches 1, so a large region needs a coarser grid: at side 64 a
-    /// 10000 × 10000 region overflows. Every driver builds its server
-    /// through this.
+    /// 10000 × 10000 region overflows. It returns the error on `region`
+    /// when the tree cannot resolve the grid's points: adjacent points
+    /// that round onto each other or lie closer than a normal `f64`
+    /// squared distance, or a squared diagonal that overflows. Every
+    /// driver builds its server through this.
     pub fn try_new(region: Rect, grid_side: usize, seed: u64) -> Result<Self, PipelineError> {
-        Self::build(region, grid_side, seed, TreeConstruction::Frt).map_err(|_| {
-            PipelineError::InvalidConfig {
-                field: "grid_side",
-                why: "the HST over this grid and region needs more than 2^64 leaf codes; \
-                      use a smaller grid side",
-            }
-        })
+        Self::build(region, grid_side, seed, TreeConstruction::Frt)
     }
 
     /// Builds the server with an explicit HST construction.
@@ -140,14 +138,30 @@ impl Server {
         grid_side: usize,
         seed: u64,
         construction: TreeConstruction,
-    ) -> Result<Self, CodeOverflow> {
+    ) -> Result<Self, PipelineError> {
         let grid = Grid::square(region, grid_side);
         let points = grid.to_point_set();
+        // Points that round onto each other would share a leaf, squares
+        // below the normal range leave the scaled metric few significant
+        // bits or none, and an infinite diameter has no depth.
+        if points.lattice_cols().is_none() {
+            return Err(PipelineError::InvalidConfig {
+                field: "region",
+                why: "the HST cannot resolve the grid over this region: adjacent grid points \
+                      must be a normal f64 squared distance apart and the squared diagonal \
+                      finite",
+            });
+        }
         let raw = match construction {
             TreeConstruction::Frt => build_raw(&points, &mut seeded_rng(seed, 0x45F7)),
             TreeConstruction::Quadtree => build_quadtree(&points),
         };
-        let hst = Hst::try_from_raw(raw, points, None)?;
+        let hst =
+            Hst::try_from_raw(raw, points, None).map_err(|_| PipelineError::InvalidConfig {
+                field: "grid_side",
+                why: "the HST over this grid and region needs more than 2^64 leaf codes; \
+                      use a smaller grid side",
+            })?;
         Ok(Server { region, grid, hst })
     }
 
@@ -239,6 +253,42 @@ mod tests {
         check_region(flat, 1).unwrap();
         assert_eq!(Server::new(flat, 1, 3).num_predefined(), 1);
         check_region(Rect::square(200.0), 256).unwrap();
+    }
+
+    #[test]
+    fn unresolvable_grids_are_a_typed_region_error() {
+        let far = Rect::new(1e15, 1e15, 1e15 + 1.0, 1e15 + 1.0);
+        for (region, side) in [
+            // Squared distances between adjacent points underflow to 0...
+            (Rect::square(1e-160), 64),
+            (Rect::square(3e-162), 4),
+            // ...or are subnormal, ...
+            (Rect::square(1e-159), 64),
+            // ...points round onto each other, ...
+            (far, 64),
+            // ...or the squared diagonal overflows.
+            (Rect::square(1e300), 2),
+            (Rect::square(1.3e154), 64),
+        ] {
+            match Server::try_new(region, side, 1) {
+                Err(PipelineError::InvalidConfig { field, .. }) => {
+                    assert_eq!(field, "region", "{region:?} at side {side}");
+                }
+                other => panic!("{region:?} at side {side}: {other:?}"),
+            }
+        }
+        // The same regions at grids they resolve, and the smallest normal
+        // squares.
+        for (region, side) in [
+            (Rect::square(1e-160), 1),
+            (far, 4),
+            (Rect::square(1e300), 1),
+            (Rect::square(1e-150), 8),
+            (Rect::square(200.0), 64),
+        ] {
+            let server = Server::try_new(region, side, 1).unwrap();
+            assert_eq!(server.num_predefined(), side * side);
+        }
     }
 
     #[test]

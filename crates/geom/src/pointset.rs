@@ -64,15 +64,84 @@ impl PointSet {
         self.points[a].dist(&self.points[b])
     }
 
-    /// Distinctness, smallest nonzero distance and diameter of the set, in
-    /// one brute-force `O(N²)` pass. Used once at HST construction to check,
-    /// scale and size the tree.
+    /// Distinctness, smallest nonzero distance and diameter of the set.
+    /// Used once at HST construction to check, scale and size the tree.
     ///
-    /// The pass compares squared distances and takes one square root per
+    /// A lattice that [`PointSet::lattice_cols`] accepts takes `O(N)`;
+    /// every other set takes one brute-force `O(N²)` pass.
+    ///
+    /// Both compare squared distances and take one square root per
     /// extreme at the end. `sqrt` is correctly rounded and monotone, so
     /// both extremes are bit-identical to the extremes of
     /// [`PointSet::dist`] over all pairs.
     pub fn pair_stats(&self) -> PairStats {
+        match self.lattice_cols() {
+            Some(cols) => self.lattice_pair_stats(cols),
+            None => self.brute_force_pair_stats(),
+        }
+    }
+
+    /// The column count of the set read as a row-major lattice whose
+    /// distances the HST can resolve, or `None` if it is not one.
+    ///
+    /// Such a lattice has x depending only on the column and y only on
+    /// the row, both strictly increasing. Every two axis-adjacent points
+    /// are a normal `f64` squared distance apart, so no pair underflows,
+    /// and the corner pair a finite one, so no pair overflows. Every
+    /// [`crate::Grid::to_point_set`] whose points meet those two bounds is
+    /// one; a grid whose points round onto each other is not.
+    pub fn lattice_cols(&self) -> Option<usize> {
+        let p = &self.points;
+        // The first row ends where x stops increasing.
+        let cols = (1..p.len())
+            .find(|&k| p[k].x <= p[k - 1].x)
+            .unwrap_or(p.len());
+        if !p.len().is_multiple_of(cols) {
+            return None;
+        }
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let on_lattice = p
+            .iter()
+            .enumerate()
+            .all(|(k, q)| same(q.x, p[k % cols].x) && same(q.y, p[k - k % cols].y));
+        // Adjacent points along the first row differ in x only, and along
+        // the first column in y only.
+        let normal = |a: &Point, b: &Point| a.dist_sq(b).is_normal();
+        let resolved = p[..cols].windows(2).all(|w| normal(&w[0], &w[1]))
+            && first_column_steps(p, cols).all(|(a, b)| a.y < b.y && normal(a, b))
+            && p[0].dist_sq(&p[p.len() - 1]).is_finite();
+        (on_lattice && resolved).then_some(cols)
+    }
+
+    /// [`PointSet::pair_stats`] of a row-major lattice with `cols` columns,
+    /// from its `cols + rows − 2` adjacent pairs and one corner pair.
+    ///
+    /// IEEE subtraction, squaring and the addition of non-negative terms
+    /// are monotone, and `fl(a − b) = −fl(b − a)`. So a pair in different
+    /// columns is at least as far apart in x as some two adjacent columns,
+    /// and two points of one row are exactly their x term apart: the
+    /// minimum over all pairs is the minimum over axis-adjacent pairs, all
+    /// of which are positive. No pair is farther apart in x or in y than
+    /// the corner pair, whose distance is therefore the diameter.
+    fn lattice_pair_stats(&self, cols: usize) -> PairStats {
+        let p = &self.points;
+        let min_sq = p[..cols]
+            .windows(2)
+            .map(|w| (&w[0], &w[1]))
+            .chain(first_column_steps(p, cols))
+            .map(|(a, b)| a.dist_sq(b))
+            .fold(f64::INFINITY, f64::min);
+        let min = min_sq.sqrt();
+        PairStats {
+            all_distinct: true,
+            min_distance: (min != f64::INFINITY).then_some(min),
+            diameter: p[0].dist_sq(&p[p.len() - 1]).sqrt(),
+        }
+    }
+
+    /// [`PointSet::pair_stats`] by one pass over all `N·(N−1)/2` pairs, for
+    /// sets that are not lattices.
+    fn brute_force_pair_stats(&self) -> PairStats {
         let mut all_distinct = true;
         let mut min_sq = f64::INFINITY;
         let mut max_sq = 0.0f64;
@@ -120,6 +189,12 @@ impl PointSet {
     }
 }
 
+/// The vertically adjacent pairs of the first column of a row-major
+/// lattice with `cols` columns, top to bottom.
+fn first_column_steps(p: &[Point], cols: usize) -> impl Iterator<Item = (&Point, &Point)> {
+    p.iter().step_by(cols).zip(p[cols..].iter().step_by(cols))
+}
+
 /// Pairwise summary of a [`PointSet`]; see [`PointSet::pair_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairStats {
@@ -137,6 +212,7 @@ pub struct PairStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Grid, Rect};
 
     fn example_set() -> PointSet {
         // The running example of the paper (Example 1):
@@ -236,6 +312,111 @@ mod tests {
                 want.min_distance.map(f64::to_bits)
             );
             assert_eq!(got.diameter.to_bits(), want.diameter.to_bits());
+        }
+    }
+
+    /// The row-major lattice `xs × ys`, one row per y.
+    fn lattice(xs: &[f64], ys: &[f64]) -> PointSet {
+        PointSet::new(
+            ys.iter()
+                .flat_map(|&y| xs.iter().map(move |&x| Point::new(x, y)))
+                .collect(),
+        )
+    }
+
+    fn grid(min: (f64, f64), max: (f64, f64), cols: usize, rows: usize) -> PointSet {
+        Grid::new(Rect::new(min.0, min.1, max.0, max.1), cols, rows).to_point_set()
+    }
+
+    fn assert_same_stats(got: PairStats, want: PairStats, what: &str) {
+        assert_eq!(got.all_distinct, want.all_distinct, "{what}");
+        assert_eq!(
+            got.min_distance.map(f64::to_bits),
+            want.min_distance.map(f64::to_bits),
+            "{what}"
+        );
+        assert_eq!(got.diameter.to_bits(), want.diameter.to_bits(), "{what}");
+    }
+
+    #[test]
+    fn lattice_pair_stats_match_the_brute_force_pass_bit_for_bit() {
+        let lattices = [
+            ("square", grid((0.0, 0.0), (200.0, 200.0), 32, 32)),
+            ("wide 300 x 40", grid((0.0, 0.0), (300.0, 40.0), 40, 24)),
+            (
+                "far offset",
+                grid((1e15, -3e15), (1e15 + 300.0, -3e15 + 40.0), 24, 16),
+            ),
+            (
+                "negative far offset",
+                grid((-7e9, -7e9), (-7e9 + 5.0, -7e9 + 5.0), 20, 20),
+            ),
+            ("sub-unit pitch", grid((0.0, 0.0), (1.0, 1.0), 30, 30)),
+            ("one row", grid((0.0, 0.0), (200.0, 0.0), 17, 1)),
+            ("one column", grid((3.0, 0.0), (3.0, 200.0), 1, 17)),
+            ("one point", grid((0.0, 0.0), (200.0, 200.0), 1, 1)),
+            ("-0.0 first", lattice(&[-0.0, 1.0, 2.5], &[-0.0, 0.5, 4.0])),
+            ("-0.0 last", lattice(&[-2.0, -0.0], &[-1.0, -0.0])),
+            (
+                "uneven pitch",
+                lattice(&[0.0, 0.1, 5.0, 5.3], &[1.0, 1.0 + 1e-9, 9.0]),
+            ),
+            (
+                "normal squares",
+                lattice(&[0.0, 1.5e-154], &[0.0, 1.5e-154]),
+            ),
+        ];
+        for (what, s) in &lattices {
+            assert!(s.lattice_cols().is_some(), "{what} takes the lattice path");
+            assert_same_stats(s.pair_stats(), s.brute_force_pair_stats(), what);
+        }
+    }
+
+    #[test]
+    fn sets_that_are_not_resolvable_lattices_take_the_brute_force_pass() {
+        let mut shuffled = grid((0.0, 0.0), (200.0, 200.0), 5, 5).points().to_vec();
+        shuffled.swap(3, 17);
+        let mut ragged = grid((0.0, 0.0), (200.0, 200.0), 4, 3).points().to_vec();
+        ragged.pop();
+        let mut bent = grid((0.0, 0.0), (200.0, 200.0), 4, 3).points().to_vec();
+        bent[6].y += 1.0;
+        let not_lattices = [
+            // Adjacent squares below the normal range, then zero.
+            (
+                "subnormal squares",
+                grid((0.0, 0.0), (1e-155, 1e-155), 8, 8),
+            ),
+            ("subnormal rows", lattice(&[0.0, 1.0], &[0.0, 1e-160])),
+            (
+                "underflowing squares",
+                grid((0.0, 0.0), (1e-160, 1e-160), 4, 4),
+            ),
+            ("overflowing square", lattice(&[-1e308, 1e308], &[0.0])),
+            (
+                "overflowing diagonal",
+                lattice(&[0.0, 1e154], &[0.0, 1e154]),
+            ),
+            // Grid points that round onto each other.
+            (
+                "collapsed",
+                grid((1e15, 1e15), (1e15 + 1.0, 1e15 + 1.0), 16, 16),
+            ),
+            ("decreasing rows", lattice(&[0.0, 1.0], &[2.0, 1.0])),
+            ("shuffled", PointSet::new(shuffled)),
+            ("ragged", PointSet::new(ragged)),
+            ("bent", PointSet::new(bent)),
+            ("-0.0 and 0.0 in one column", {
+                PointSet::new(vec![
+                    Point::new(0.0, 0.0),
+                    Point::new(1.0, 0.0),
+                    Point::new(-0.0, 1.0),
+                    Point::new(1.0, 1.0),
+                ])
+            }),
+        ];
+        for (what, s) in &not_lattices {
+            assert_eq!(s.lattice_cols(), None, "{what} is not a lattice");
+            assert_same_stats(s.pair_stats(), s.brute_force_pair_stats(), what);
         }
     }
 

@@ -12,10 +12,20 @@
 //! STOC 2003) define it: point `u` joins the ball of its *owner*, the first
 //! position `k` in `π` with `d(u, π[k]) ≤ β·2^i`. A cluster's children are
 //! its members grouped by owner, in owner order, which is the order the
-//! sweep creates them. Balls shrink going down, so a point's owner only
-//! moves later in `π` from one level to the next, and `π[rank(u)] = u`
-//! always owns `u`. One cursor per point therefore resumes where the level
-//! above stopped and never passes the point's own rank.
+//! sweep creates them. Blelloch, Gu & Sun (ICALP 2017) build the same tree
+//! in near-linear time from each point's owner at every level.
+//!
+//! The owner is the lowest `π` position within the radius, so each level
+//! answers it from a bucketing of all points into square cells at least a
+//! radius wide, each cell's points in `π` order: every point within the
+//! radius of `u` lies in the 3 × 3 block of cells around `u`'s, and
+//! scanning each of those cells in `π` order up to the best position found
+//! so far takes `O(1)` expected steps on well-spread sets. Where cells a
+//! radius wide would outnumber the points more than four to one (one pair
+//! far closer than the rest, or the finest levels of a wide region), the
+//! cells are widened until they do not; the 3 × 3 block still holds the
+//! ball. `π[rank(u)] = u` always owns `u`, so the search never passes the
+//! point's own rank.
 
 use pombm_geom::{PointId, PointSet};
 use rand::seq::SliceRandom;
@@ -155,11 +165,18 @@ pub fn build_raw<R: Rng + ?Sized>(points: &PointSet, rng: &mut R) -> RawTree {
 /// Runs Alg. 1 with pinned randomness. Panics if `beta ∉ [1/2, 1)` or the
 /// permutation is not a permutation of `0..N`.
 ///
-/// Cost: one `O(N²)` pass over squared distances sizes the tree, and the
-/// owner cursors evaluate at most `rank(u) + D` distances for point `u`
-/// (at most `N·(N−1)/2 + N·D` in all). Points that already sit alone in
-/// their cluster are not scanned again. Sorting the clusters by owner adds
-/// `O(N log N)` per level; transient memory is `O(N)`.
+/// Cost: [`PointSet::pair_stats`] sizes the tree, in `O(N)` on a lattice
+/// and `O(N²)` otherwise. Each level that still has a cluster of two or
+/// more points buckets all `N` points into at most `4N` cells and answers
+/// each clustered point's owner from its 3 × 3 block of cells. That scan
+/// evaluates at most `rank(u)` distances for point `u`, and `O(1)`
+/// expected when each cell holds `O(1)` points, as on a grid whose two
+/// pitches are within a small factor of each other; sorting the clusters
+/// by owner adds `O(N log N)`. Such a grid therefore builds in
+/// `O(N log N · D)`. On a grid over a `w × h` region with `w ≥ h`, a
+/// widened cell holds about `2·√(w/h)` points. Points that already sit
+/// alone in their cluster are not searched again. Transient memory is
+/// `O(N)`.
 pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
     let n = points.len();
     assert!(
@@ -179,6 +196,11 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
     assert!(
         stats.all_distinct,
         "predefined points must be pairwise distinct so each gets its own leaf"
+    );
+    // An infinite diameter would ask for `u32::MAX` levels.
+    assert!(
+        stats.diameter.is_finite(),
+        "the squared diameter of the predefined points must be a finite f64"
     );
 
     // Scale the metric so the minimum pairwise distance is >= 1 (required for
@@ -212,11 +234,20 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
     let mut order: Vec<PointId> = (0..n).collect();
     let mut frontier: Vec<(usize, Range<usize>)> = vec![(0, 0..n)];
     // `owner[u]`: π position of u's owner at the last level u shared a
-    // cluster, the cursor the next level resumes from.
+    // cluster.
     let mut owner = vec![0usize; n];
+    let mut rank = vec![0usize; n];
+    for (k, &p) in draw.permutation.iter().enumerate() {
+        rank[p] = k;
+    }
+    let mut cells = Cells::new(points);
 
     for i in (0..depth).rev() {
         let radius = draw.beta * (1u64 << i) as f64;
+        // A level whose clusters are all singletons searches no owner.
+        if frontier.iter().any(|(_, members)| members.len() > 1) {
+            cells.bucket(points, &draw.permutation, radius * scale);
+        }
         let mut next = Vec::with_capacity(frontier.len());
         for (node_idx, range) in frontier {
             let members = &mut order[range.clone()];
@@ -224,14 +255,11 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
             // reproduce this split.
             if members.len() > 1 {
                 // Lines 8-13 of Alg. 1: u joins the first ball in π order
-                // that holds it. The cursor stops at π[rank(u)] = u at the
-                // latest, where the distance is 0. A scaled distance is
-                // never NaN, so `>` is the exact negation of `<=`.
+                // that holds it. A scaled distance is never NaN, so `>` is
+                // the exact negation of `<=`.
                 for &u in members.iter() {
-                    let k = &mut owner[u];
-                    while dist(u, draw.permutation[*k]) > radius {
-                        *k += 1;
-                    }
+                    let outside = |v: PointId| dist(u, v) > radius;
+                    owner[u] = cells.owner(u, rank[u], &draw.permutation, outside);
                 }
                 // Owner order is the order the sweep creates the children.
                 members.sort_by_key(|&u| owner[u]);
@@ -279,6 +307,164 @@ pub fn build_raw_fixed(points: &PointSet, draw: FixedDraw) -> RawTree {
     };
     debug_assert_eq!(tree.validate(n), Ok(()));
     tree
+}
+
+/// The most cells per point a level buckets into; wider cells are used
+/// where cells a radius wide would be more. A square grid's finest level
+/// needs just under 4 (cells half a pitch wide when `β` is near 1/2).
+const MAX_CELLS_PER_POINT: usize = 4;
+
+/// Relative padding of the cell side over the unscaled radius; see
+/// [`Cells::bucket`].
+const CELL_PAD: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The narrowest cell [`Cells::bucket`] uses, well above the range where
+/// squared distances lose precision to underflow; see there.
+const MIN_CELL_SIDE: f64 = 1e-150;
+
+/// All points bucketed into square cells of one side, each cell's points
+/// in `π` order: the index one level's owner queries are answered from.
+struct Cells {
+    /// Lower-left corner of the points' bounding box.
+    min_x: f64,
+    min_y: f64,
+    /// Extent of the bounding box, as `fl(max − min)`.
+    width: f64,
+    height: f64,
+    /// Cell columns and rows of the current bucketing.
+    cols: usize,
+    rows: usize,
+    /// `ranks[start[c]..start[c + 1]]` holds the `π` positions of the
+    /// points in cell `c = row · cols + col`, ascending.
+    start: Vec<usize>,
+    ranks: Vec<usize>,
+    /// `cell[u]`: the cell of point `u`.
+    cell: Vec<usize>,
+}
+
+impl Cells {
+    fn new(points: &PointSet) -> Self {
+        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in points.points() {
+            min_x = min_x.min(p.x);
+            min_y = min_y.min(p.y);
+            max_x = max_x.max(p.x);
+            max_y = max_y.max(p.y);
+        }
+        let n = points.len();
+        Cells {
+            min_x,
+            min_y,
+            width: max_x - min_x,
+            height: max_y - min_y,
+            cols: 0,
+            rows: 0,
+            start: Vec::new(),
+            ranks: vec![0; n],
+            cell: vec![0; n],
+        }
+    }
+
+    /// Buckets every point into square cells a padded `reach` wide, where
+    /// `reach` is the level's radius in the points' own (unscaled) units,
+    /// and returns the cell side. A side below [`MIN_CELL_SIDE`] is raised
+    /// to it, and one that needs more than [`MAX_CELLS_PER_POINT`] cells
+    /// per point (or `2^30`) is doubled until it does not, which stops
+    /// within a factor 2 of the narrowest side that fits.
+    ///
+    /// Why every point the owner test accepts lies in the 3 × 3 block
+    /// around `u`'s cell. Write `ε = 2^-53` for the unit roundoff and
+    /// `R = fl(r·scale)` for `reach`. The test accepts `v` when
+    /// `fl(fl(√D)/scale) ≤ r`, with `D = fl(fl(a²) + fl(b²))`,
+    /// `a = fl(x_u − x_v)` and `b = fl(y_u − y_v)`. Rounding is monotone
+    /// and within `ε` relative, except that a square underflowing below the
+    /// normal range loses up to `2^-1075` absolute. So acceptance gives
+    /// `√D ≤ R·(1 + 4ε)`, then `|a| ≤ √D·(1 + ε) + 2^-537`, then
+    /// `|x_u − x_v| ≤ R·(1 + 8ε) + 2^-536`, and the same for y. A cell
+    /// index is `⌊fl(fl(x − min_x)/side)⌋`; the quotient is within `3ε` of
+    /// exact and below `cols ≤ 2^30`, so it is off by at most `2^-21.4`
+    /// cells. Two accepted points are therefore at most
+    /// `(R·(1 + 8ε) + 2^-536)/side + 2^-20.4` cells apart, which is below 1
+    /// for every `side ≥ R·(1 + 2^-20)` that is also at least `10^-150`,
+    /// and their cell indices differ by at most 1 on each axis. The same
+    /// monotonicity keeps every index below `cols` and `rows`. The
+    /// bounding box's extent is finite because the diameter is, so the
+    /// doubling ends by the time one cell covers it.
+    fn bucket(&mut self, points: &PointSet, permutation: &[PointId], reach: f64) -> f64 {
+        let n = points.len();
+        let cap = (MAX_CELLS_PER_POINT * n).min(1 << 30) as f64;
+        let count = |extent: f64, side: f64| (extent / side).floor() + 1.0;
+        let mut side = (reach * (1.0 + CELL_PAD)).max(MIN_CELL_SIDE);
+        while count(self.width, side) * count(self.height, side) > cap {
+            side *= 2.0;
+        }
+        self.cols = count(self.width, side) as usize;
+        self.rows = count(self.height, side) as usize;
+        let cells = self.cols * self.rows;
+        // A counting sort by cell, filled in π order.
+        self.start.clear();
+        self.start.resize(cells + 1, 0);
+        for (u, p) in points.points().iter().enumerate() {
+            let col = ((p.x - self.min_x) / side) as usize;
+            let row = ((p.y - self.min_y) / side) as usize;
+            assert!(
+                col < self.cols && row < self.rows,
+                "a point outside the cells"
+            );
+            self.cell[u] = row * self.cols + col;
+            self.start[self.cell[u] + 1] += 1;
+        }
+        for c in 0..cells {
+            self.start[c + 1] += self.start[c];
+        }
+        for (k, &p) in permutation.iter().enumerate() {
+            let next = &mut self.start[self.cell[p]];
+            self.ranks[*next] = k;
+            *next += 1;
+        }
+        // Filling advanced each cell's start to the next cell's.
+        self.start.copy_within(0..cells, 1);
+        self.start[0] = 0;
+        side
+    }
+
+    /// The `π` position of `u`'s owner: the lowest position whose point is
+    /// not `outside` the level's radius of `u`. `rank_u` is `u`'s own
+    /// position, which always qualifies.
+    fn owner(
+        &self,
+        u: PointId,
+        rank_u: usize,
+        permutation: &[PointId],
+        outside: impl Fn(PointId) -> bool,
+    ) -> usize {
+        let mut best = rank_u;
+        let mut scan = |cell: usize| {
+            for &k in &self.ranks[self.start[cell]..self.start[cell + 1]] {
+                if k >= best {
+                    break;
+                }
+                if !outside(permutation[k]) {
+                    best = k;
+                    break;
+                }
+            }
+        };
+        // u's own cell first: it usually holds the owner, and the rank
+        // found there cuts the neighbours' scans short.
+        let home = self.cell[u];
+        scan(home);
+        let (col, row) = (home % self.cols, home / self.cols);
+        for r in row.saturating_sub(1)..=(row + 1).min(self.rows - 1) {
+            for c in col.saturating_sub(1)..=(col + 1).min(self.cols - 1) {
+                if (r, c) != (row, col) {
+                    scan(r * self.cols + c);
+                }
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +624,107 @@ mod tests {
         assert_grids_match_reference(5000.0);
     }
 
+    #[test]
+    fn owner_search_matches_ball_sweep_on_lattice_shapes() {
+        let grid = |min: (f64, f64), max: (f64, f64), cols: usize, rows: usize| {
+            Grid::new(Rect::new(min.0, min.1, max.0, max.1), cols, rows).to_point_set()
+        };
+        let lattice = |xs: &[f64], ys: &[f64]| {
+            PointSet::new(
+                ys.iter()
+                    .flat_map(|&y| xs.iter().map(move |&x| Point::new(x, y)))
+                    .collect(),
+            )
+        };
+        let shapes = [
+            grid((0.0, 0.0), (200.0, 200.0), 24, 24),
+            // Wide: the finest levels would need more than four cells per
+            // point a radius wide, so they use wider cells.
+            grid((0.0, 0.0), (300.0, 40.0), 32, 32),
+            grid((0.0, 0.0), (300.0, 40.0), 60, 8),
+            grid((1e15, -1e15), (1e15 + 300.0, -1e15 + 300.0), 24, 24),
+            grid((-6e12, 2e12), (-6e12 + 0.5, 2e12 + 0.5), 12, 12),
+            grid((0.0, 0.0), (1.0, 1.0), 30, 30),
+            grid((0.0, 0.0), (200.0, 0.0), 50, 1),
+            grid((7.0, 0.0), (7.0, 200.0), 1, 50),
+            grid((0.0, 0.0), (200.0, 200.0), 1, 1),
+            lattice(&[-0.0, 1.0, 2.5, 4.0], &[-0.0, 0.75, 3.0]),
+            lattice(&[-3.0, -0.0], &[-2.0, -0.0, 5.0]),
+            // Squares in the subnormal range, and normal squares of
+            // points closer than the narrowest cell: both use cells wider
+            // than the radius.
+            grid((0.0, 0.0), (1e-155, 1e-155), 8, 8),
+            grid((0.0, 0.0), (1e-150, 1e-150), 8, 8),
+        ];
+        for (i, points) in shapes.iter().enumerate() {
+            for seed in 0..3 {
+                assert_matches_reference(points, random_draw(points.len(), 31 * i as u64 + seed));
+            }
+        }
+    }
+
+    /// For each level the build searched (one below a cluster of two or
+    /// more points), top first, the cell side over the padded radius (1
+    /// where the cells were not widened) and the cells per point.
+    fn cell_widening(points: &PointSet, draw: &FixedDraw) -> Vec<(f64, f64)> {
+        let tree = build_raw_fixed(points, draw.clone());
+        let mut size = vec![0usize; tree.len()];
+        for &leaf in &tree.leaf_of {
+            size[leaf] = 1;
+        }
+        for v in (1..tree.len()).rev() {
+            size[tree.nodes[v].parent] += size[v];
+        }
+        let mut cells = Cells::new(points);
+        (0..tree.depth)
+            .rev()
+            .filter(|&i| (0..tree.len()).any(|v| tree.nodes[v].level == i + 1 && size[v] > 1))
+            .map(|i| {
+                let reach = draw.beta * (1u64 << i) as f64 * tree.scale;
+                let side = cells.bucket(points, &draw.permutation, reach);
+                let per_point = (cells.cols * cells.rows) as f64 / points.len() as f64;
+                (side / (reach * (1.0 + CELL_PAD)), per_point)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn square_grids_keep_cells_a_radius_wide_and_skewed_sets_widen_them() {
+        for (region, side) in [(200.0, 16), (200.0, 32), (200.0, 64), (3.0, 32), (1e4, 32)] {
+            let points = Grid::square(Rect::square(region), side).to_point_set();
+            for beta in [0.5, 0.75, 0.999] {
+                let mut draw = random_draw(points.len(), side as u64);
+                draw.beta = beta;
+                let levels = cell_widening(&points, &draw);
+                assert!(levels.len() >= 2, "side {side} over {region}");
+                assert!(
+                    levels.iter().all(|&(widened, _)| widened == 1.0),
+                    "side {side} over {region}, β {beta}: {levels:?}"
+                );
+            }
+        }
+        // A wide region's finest levels, and the levels that split a pair
+        // far closer than the rest from its neighbours, would need more
+        // than four cells per point a radius wide. Widened cells number
+        // between one and four per point.
+        let wide = Grid::square(Rect::new(0.0, 0.0, 300.0, 40.0), 32).to_point_set();
+        let mut near = Grid::square(Rect::square(200.0), 16)
+            .to_point_set()
+            .points()
+            .to_vec();
+        near.push(Point::new(near[0].x + 1e-6, near[0].y));
+        let near = PointSet::new(near);
+        for (points, seed) in [(&wide, 3), (&near, 5)] {
+            let levels = cell_widening(points, &random_draw(points.len(), seed));
+            assert!(levels.iter().any(|&(w, _)| w == 1.0), "{levels:?}");
+            assert!(levels.iter().any(|&(w, _)| w > 1.0), "{levels:?}");
+            for &(widened, per_point) in &levels {
+                assert!(per_point <= 4.0, "{levels:?}");
+                assert!(widened == 1.0 || per_point > 1.0, "{levels:?}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn owner_scan_matches_ball_sweep_on_random_sets(
@@ -449,6 +736,29 @@ mod tests {
             let points = PointSet::new(
                 coords.iter().map(|&(x, y)| Point::new(x * spread, y * spread)).collect(),
             );
+            prop_assume!(points.pair_stats().all_distinct);
+            assert_matches_reference(&points, random_draw(points.len(), seed));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn owner_search_matches_ball_sweep_around_a_near_duplicate(
+            coords in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..201),
+            magnitude in -3.0f64..4.0,
+            far in 0usize..3,
+            gap in 1e-9f64..1e-4,
+            seed in 0u64..1_000_000,
+        ) {
+            // One pair far closer than the rest shrinks the scale, so the
+            // finest levels widen their cells far beyond the radius.
+            let spread = 10f64.powf(magnitude);
+            let offset = [0.0, 1e9, -3e12][far];
+            let at = |x: f64, y: f64| Point::new(offset + x * spread, offset + y * spread);
+            let mut points: Vec<Point> = coords.iter().map(|&(x, y)| at(x, y)).collect();
+            let (x, y) = coords[0];
+            points.push(at(x + gap, y));
+            let points = PointSet::new(points);
             prop_assume!(points.pair_stats().all_distinct);
             assert_matches_reference(&points, random_draw(points.len(), seed));
         }
@@ -575,6 +885,13 @@ mod tests {
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build_raw(&ps, &mut rng)));
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "squared diameter")]
+    fn an_overflowing_diameter_is_rejected() {
+        let ps = PointSet::new(vec![Point::new(-1e200, 0.0), Point::new(1e200, 0.0)]);
+        let _ = build_raw(&ps, &mut seeded_rng(0, 0));
     }
 
     #[test]

@@ -4,11 +4,6 @@ use crate::code::{CodeContext, CodeOverflow, LeafCode};
 use crate::construct::{build_raw, build_raw_fixed, FixedDraw, RawTree};
 use pombm_geom::{Point, PointId, PointSet};
 use rand::Rng;
-#[expect(
-    clippy::disallowed_types,
-    reason = "imported for the lookup-only code and representative maps"
-)]
-use std::collections::HashMap;
 
 /// Construction parameters for [`Hst::build_with`].
 #[derive(Debug, Clone, Default)]
@@ -45,19 +40,12 @@ pub struct Hst {
     points: PointSet,
     /// `leaf_code[p]` is the complete-tree code of point `p`'s leaf.
     leaf_code: Vec<LeafCode>,
-    /// Inverse mapping for real leaves.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "code-to-point lookups only; never iterated"
-    )]
-    point_of: HashMap<LeafCode, PointId>,
-    /// Representative real point per occupied virtual node, keyed by
-    /// `(level, prefix)`: the lowest-id point whose leaf lies beneath.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-node lookups only; never iterated"
-    )]
-    representative: HashMap<(u32, u64), PointId>,
+    /// Inverse mapping for real leaves: every real leaf's code with its
+    /// point, sorted by code.
+    point_of: Vec<(LeafCode, PointId)>,
+    /// `representative[v]`: the lowest point id whose leaf lies beneath
+    /// raw node `v`.
+    representative: Vec<PointId>,
 }
 
 impl Hst {
@@ -122,48 +110,29 @@ impl Hst {
         let ctx = CodeContext::try_new(c, raw.depth)?;
 
         // A real leaf's code concatenates the child indices on the
-        // root-to-leaf path, most significant digit first.
-        let mut leaf_code = vec![LeafCode(0); points.len()];
-        #[expect(
-            clippy::disallowed_types,
-            reason = "the `point_of` field's map: lookups only"
-        )]
-        let mut point_of = HashMap::with_capacity(points.len());
-        for (p, code) in leaf_code.iter_mut().enumerate() {
-            let mut digits = vec![0u32; raw.depth as usize];
-            let mut v = raw.leaf_of[p];
-            while raw.nodes[v].parent != usize::MAX {
-                let node = &raw.nodes[v];
-                digits[node.level as usize] = node.child_index;
-                v = node.parent;
-            }
-            // digits[j] is the branch from level j+1 down to level j, which
-            // is exactly the base-c digit at position j.
-            let mut value = 0u64;
-            for j in (0..raw.depth).rev() {
-                value = value * c as u64 + digits[j as usize] as u64;
-            }
-            *code = LeafCode(value);
-            let prev = point_of.insert(LeafCode(value), p);
-            assert!(prev.is_none(), "two points share a leaf code");
+        // root-to-leaf path, most significant digit first. Parents precede
+        // their children in `raw.nodes`, so one forward pass extends each
+        // node's path prefix by its child index, and one reverse pass hands
+        // the lowest point id under each node up to its parent.
+        let nodes = &raw.nodes;
+        let mut prefix = vec![0u64; nodes.len()];
+        for (v, node) in nodes.iter().enumerate().skip(1) {
+            assert!(node.parent < v, "raw tree nodes must follow their parents");
+            prefix[v] = prefix[node.parent] * u64::from(c) + u64::from(node.child_index);
         }
-
-        // Representatives: for every ancestor prefix of every real leaf,
-        // remember the lowest-id resident point. Fake leaves inherit the
-        // representative of their lowest ancestor that contains real leaves.
-        #[expect(
-            clippy::disallowed_types,
-            reason = "the `representative` field's map: lookups only"
-        )]
-        let mut representative: HashMap<(u32, u64), PointId> = HashMap::new();
-        for (p, &code) in leaf_code.iter().enumerate() {
-            for level in 0..=ctx.depth {
-                let key = (level, ctx.ancestor(code, level));
-                representative
-                    .entry(key)
-                    .and_modify(|cur| *cur = (*cur).min(p))
-                    .or_insert(p);
-            }
+        let leaf_code: Vec<LeafCode> = raw.leaf_of.iter().map(|&v| LeafCode(prefix[v])).collect();
+        let mut point_of: Vec<(LeafCode, PointId)> = leaf_code.iter().copied().zip(0..).collect();
+        point_of.sort_unstable();
+        assert!(
+            point_of.windows(2).all(|w| w[0].0 != w[1].0),
+            "two points share a leaf code"
+        );
+        let mut representative = vec![PointId::MAX; nodes.len()];
+        for (p, &v) in raw.leaf_of.iter().enumerate() {
+            representative[v] = p;
+        }
+        for (v, node) in nodes.iter().enumerate().skip(1).rev() {
+            representative[node.parent] = representative[node.parent].min(representative[v]);
         }
 
         Ok(Hst {
@@ -230,31 +199,44 @@ impl Hst {
         self.leaf_code[p]
     }
 
-    /// The predefined point occupying leaf `code`, or `None` for fake leaves.
+    /// The predefined point occupying leaf `code`, or `None` for fake
+    /// leaves. `O(log N)` by binary search.
     #[inline]
     pub fn point_of(&self, code: LeafCode) -> Option<PointId> {
-        self.point_of.get(&code).copied()
+        self.point_of
+            .binary_search_by_key(&code, |&(c, _)| c)
+            .ok()
+            .map(|i| self.point_of[i].1)
     }
 
-    /// Returns `true` iff `code` is a real (non-fake) leaf.
+    /// Returns `true` iff `code` is a real (non-fake) leaf. `O(log N)`.
     #[inline]
     pub fn is_real(&self, code: LeafCode) -> bool {
-        self.point_of.contains_key(&code)
+        self.point_of(code).is_some()
     }
 
     /// The real point standing in for a (possibly fake) leaf: the leaf's own
     /// point if real, otherwise the lowest-id point under the leaf's lowest
     /// ancestor that contains real leaves. Every code resolves (the root
     /// covers all points), and the representative's distance to the true
-    /// position is bounded by the ancestor cluster's diameter.
+    /// position is bounded by the ancestor cluster's diameter. `O(D)`: the
+    /// lookup walks the real tree down the code's digits until a digit
+    /// leaves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` is not a leaf of this tree.
     pub fn representative(&self, code: LeafCode) -> PointId {
-        for level in 0..=self.ctx.depth {
-            let key = (level, self.ctx.ancestor(code, level));
-            if let Some(&p) = self.representative.get(&key) {
-                return p;
+        assert!(self.ctx.contains(code), "{code} is not a leaf of this tree");
+        let nodes = &self.raw.nodes;
+        let mut v = 0;
+        for level in (0..self.ctx.depth).rev() {
+            match nodes[v].children.get(self.ctx.digit(code, level) as usize) {
+                Some(&child) => v = child,
+                None => break,
             }
         }
-        unreachable!("the root always has a representative")
+        self.representative[v]
     }
 
     /// Euclidean coordinates of [`Hst::representative`].
@@ -310,6 +292,7 @@ impl Hst {
 mod tests {
     use super::*;
     use pombm_geom::{seeded_rng, Grid, Rect};
+    use std::collections::BTreeMap;
 
     fn example1_points() -> PointSet {
         PointSet::new(vec![
@@ -472,6 +455,135 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The map lookups [`Hst::try_from_raw`] replaced, kept as the oracle
+    /// for `point_of`, `is_real` and `representative`: the same keys and
+    /// values as the hash maps it filled, in ordered maps.
+    struct MapOracle {
+        ctx: CodeContext,
+        point_of: BTreeMap<LeafCode, PointId>,
+        representative: BTreeMap<(u32, u64), PointId>,
+    }
+
+    impl MapOracle {
+        fn new(hst: &Hst) -> Self {
+            let ctx = hst.ctx();
+            let mut point_of = BTreeMap::new();
+            let mut representative: BTreeMap<(u32, u64), PointId> = BTreeMap::new();
+            for p in 0..hst.num_points() {
+                let code = hst.leaf_of(p);
+                point_of.insert(code, p);
+                for level in 0..=ctx.depth {
+                    let key = (level, ctx.ancestor(code, level));
+                    representative
+                        .entry(key)
+                        .and_modify(|cur| *cur = (*cur).min(p))
+                        .or_insert(p);
+                }
+            }
+            MapOracle {
+                ctx,
+                point_of,
+                representative,
+            }
+        }
+
+        fn representative(&self, code: LeafCode) -> PointId {
+            (0..=self.ctx.depth)
+                .find_map(|level| {
+                    let key = (level, self.ctx.ancestor(code, level));
+                    self.representative.get(&key).copied()
+                })
+                .expect("the root always has a representative")
+        }
+    }
+
+    /// The leaf code of `p` from the digits on its root path, as
+    /// [`Hst::try_from_raw`] computed it before the prefix pass.
+    fn leaf_code_by_digits(hst: &Hst, p: PointId) -> LeafCode {
+        let raw = hst.raw();
+        let mut digits = vec![0u32; raw.depth as usize];
+        let mut v = raw.leaf_of[p];
+        while raw.nodes[v].parent != usize::MAX {
+            digits[raw.nodes[v].level as usize] = raw.nodes[v].child_index;
+            v = raw.nodes[v].parent;
+        }
+        digits.reverse();
+        hst.ctx().from_digits(&digits)
+    }
+
+    #[test]
+    fn lookups_match_the_map_oracle_on_every_code() {
+        let mut trees = vec![example1_hst()];
+        for (region, side) in [(3.0, 3), (4.0, 4), (5.0, 5), (8.0, 8), (0.5, 6), (100.0, 3)] {
+            let points = Grid::square(Rect::square(region), side).to_point_set();
+            trees.push(Hst::from_quadtree(&points));
+            for seed in 0..6 {
+                trees.push(Hst::build(&points, &mut seeded_rng(seed, 11)));
+            }
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for n in [2, 5, 9, 17, 30] {
+            let points = PointSet::new(
+                (0..n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        let x = (state >> 40) as f64 / (1u64 << 24) as f64 * 6.0;
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        let y = (state >> 40) as f64 / (1u64 << 24) as f64 * 6.0;
+                        Point::new(x, y)
+                    })
+                    .collect(),
+            );
+            if points.pair_stats().all_distinct {
+                trees.push(Hst::build(&points, &mut seeded_rng(n as u64, 12)));
+            }
+        }
+        let mut checked = 0;
+        for t in trees.iter().filter(|t| t.num_leaves() <= 1 << 16) {
+            let oracle = MapOracle::new(t);
+            for p in 0..t.num_points() {
+                assert_eq!(t.leaf_of(p), leaf_code_by_digits(t, p));
+            }
+            for v in 0..t.num_leaves() {
+                let code = LeafCode(v);
+                assert_eq!(
+                    t.point_of(code),
+                    oracle.point_of.get(&code).copied(),
+                    "{code}"
+                );
+                assert_eq!(
+                    t.is_real(code),
+                    oracle.point_of.contains_key(&code),
+                    "{code}"
+                );
+                assert_eq!(
+                    t.representative(code),
+                    oracle.representative(code),
+                    "{code}"
+                );
+            }
+            // Codes past the last leaf are no leaf at all.
+            assert_eq!(t.point_of(LeafCode(t.num_leaves())), None);
+            assert!(!t.is_real(LeafCode(u64::MAX)));
+            checked += 1;
+        }
+        assert!(
+            checked >= 30,
+            "only {checked} trees have at most 2^16 leaves"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a leaf of this tree")]
+    fn representative_of_a_code_past_the_last_leaf_panics() {
+        let t = example1_hst();
+        let _ = t.representative(LeafCode(t.num_leaves()));
     }
 
     #[test]
