@@ -23,11 +23,6 @@ use pombm_workload::{chengdu, synthetic, Instance, RealParams, SyntheticParams};
 use rand::rngs::StdRng;
 use std::convert::identity;
 
-/// Chengdu-like traces are generated in meters over 10 km and normalized to
-/// 50 m units (10 km → 200 units) so ε carries the same meaning on synthetic
-/// and real workloads; see `Instance::scaled`.
-pub const REAL_UNIT_METERS: f64 = 50.0;
-
 /// The paper's compared algorithms (Sec. IV-A), by registry name, in its
 /// plotting order.
 const PAPER_ALGORITHMS: [&str; 3] = ["lap-gr", "lap-hg", "tbf"];
@@ -114,7 +109,7 @@ impl ExperimentConfig {
 
     /// Repetition `rep`'s day of the Chengdu-like `city` with `num_workers`
     /// workers, from `generate` (plain or with reachable radii), in
-    /// [`REAL_UNIT_METERS`] units. Repetitions cycle through `max(reps, 3)`
+    /// `chengdu::UNIT_METERS` units. Repetitions cycle through `max(reps, 3)`
     /// days; `--quick` cycles through 2 and keeps a tenth of each day's
     /// tasks.
     fn real_day(
@@ -129,8 +124,7 @@ impl ExperimentConfig {
         } else {
             self.repetitions.max(3)
         };
-        let mut inst = generate(city, (rep % days) as usize, num_workers, self.seed)
-            .scaled(1.0 / REAL_UNIT_METERS);
+        let mut inst = generate(city, (rep % days) as usize, num_workers, self.seed);
         if self.quick {
             inst.tasks.truncate(self.scale_count(inst.tasks.len()));
         }

@@ -4,7 +4,7 @@
 //! zero repetitions and panicked. A reader that closes stdout early ends
 //! the run quietly.
 
-use std::process::{Command, Output, Stdio};
+use std::process::{Command, Output};
 
 fn experiments(args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -67,14 +67,16 @@ fn unknown_commands_and_unwritable_outputs_are_one_line_errors() {
 fn a_closed_stdout_ends_the_run_quietly() {
     let out = std::env::temp_dir().join("pombm-experiments-closed-stdout");
     let command = format!("table1 fig6 --quick --out {}", out.display());
-    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+    // The read end is closed before the child starts, so its first write
+    // fails. Closed after `spawn`, it raced that write: a child that got
+    // Table I into the pipe buffer first went on to run fig6.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(command.split_whitespace())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
+        .stdout(writer)
+        .output()
         .expect("the experiments binary runs");
-    drop(child.stdout.take());
-    let output = child.wait_with_output().expect("the child exits");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "{command}: {stderr}");
     assert!(!stderr.contains("panicked"), "{command}: {stderr}");

@@ -30,6 +30,8 @@ COMMANDS:
   gen         generate a workload instance as JSON
               --tasks N --workers N [--mu F] [--sigma F] [--seed N]
               [--real [--day N]] --out FILE
+              --real writes a day of the Chengdu-like trace in 50 m units
+              (the 10 km city is 200 x 200, like the synthetic space)
   run         run one algorithm on an instance JSON and print metrics
               (--input FILE | --scenario NAME [--size N])
               (--algo NAME | --mechanism M --matcher S)

@@ -111,15 +111,13 @@ fn degenerate_instance_region_fits_only_a_one_cell_grid() {
 }
 
 /// Once the grid pitch reaches 1 the FRT depth grows with the region's
-/// diameter, so over the 10000 × 10000 Chengdu-like region a 64-side grid
-/// needs more than 2^64 leaf codes. A region whose `width² + height²` is
-/// not a finite `f64` would make every distance infinite.
+/// diameter, so over a 10000 × 10000 region (the Chengdu-like city in
+/// meters) a 64-side grid needs more than 2^64 leaf codes. A region whose
+/// `width² + height²` is not a finite `f64` would make every distance
+/// infinite.
 #[test]
 fn oversized_trees_and_regions_are_one_line_errors() {
     let dir = std::env::temp_dir();
-    let real = dir.join("pombm-overflow-real.json");
-    let output = pombm(&format!("gen --real --out {}", real.display()));
-    assert!(output.status.success(), "gen --real");
     let region = |side: f64, worker: f64| {
         format!(
             r#"{{"region":{{"min_x":0.0,"min_y":0.0,"max_x":{side:?},"max_y":{side:?}}},
@@ -127,6 +125,8 @@ fn oversized_trees_and_regions_are_one_line_errors() {
                 "workers":[{{"x":{worker:?},"y":{worker:?}}}],"radii":null}}"#
         )
     };
+    let city = dir.join("pombm-overflow-city.json");
+    std::fs::write(&city, region(10000.0, 2.0)).expect("temp dir is writable");
     let wide = dir.join("pombm-overflow-wide.json");
     std::fs::write(&wide, region(1e155, 2.0)).expect("temp dir is writable");
     let widest = dir.join("pombm-overflow-widest.json");
@@ -136,7 +136,7 @@ fn oversized_trees_and_regions_are_one_line_errors() {
     let tree = "invalid config `grid_side`: the HST over this grid and region needs more \
                 than 2^64 leaf codes";
     for (command, error) in [
-        (format!("run --input {} --algo tbf", real.display()), tree),
+        (format!("run --input {} --algo tbf", city.display()), tree),
         (
             format!(
                 "publish --grid-side 64 --side 10000 --out {}",
@@ -160,6 +160,23 @@ fn oversized_trees_and_regions_are_one_line_errors() {
         assert_one_line_error(&command, error);
     }
     assert!(!hst.exists(), "publish must fail before writing");
+}
+
+/// A Chengdu-like day is written in 50 m units, the synthetic space's
+/// scale, so it runs at the default grid side.
+#[test]
+fn a_real_trace_runs_at_the_default_grid_side() {
+    let real = std::env::temp_dir().join("pombm-real-trace.json");
+    let output = pombm(&format!(
+        "gen --real --workers 200 --out {}",
+        real.display()
+    ));
+    assert!(output.status.success(), "gen --real");
+    let output = pombm(&format!("run --input {} --algo tbf --json", real.display()));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "run --input: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("\"matching_size\": 200"), "{stdout}");
 }
 
 /// A grid the HST cannot resolve: squared distances between adjacent grid

@@ -12,6 +12,11 @@
 //! (e.g. exponential mechanism + chain matcher) need no changes to the
 //! pipeline driver.
 //!
+//! Each online rule has one index, a [`DynamicWorkerPool`]. The paper's
+//! static model is the dynamic one in which every worker checks in before
+//! the first task, so the static matchers ([`PoolStrategy`]) fill the
+//! registered pool of their rule with the whole fleet and then drain it.
+//!
 //! Report kinds are bridged automatically when a [`Server`] is available:
 //! planar reports snap to tree leaves (this is exactly how the paper's
 //! Lap-HG baseline is defined) and leaf reports project to their
@@ -62,9 +67,8 @@ use crate::pipeline::PipelineConfig;
 use crate::server::Server;
 use pombm_geom::Point;
 use pombm_hst::LeafCode;
-use pombm_matching::kdtree::KdTree;
 use pombm_matching::offline::OfflineOptimal;
-use pombm_matching::{CapacitatedGreedy, Matching, RandomAssign, RandomizedGreedy};
+use pombm_matching::{Matching, RandomizedGreedy};
 use pombm_privacy::{Epsilon, ExponentialMechanism, HstMechanism, PlanarLaplace};
 use pombm_workload::Instance;
 use rand::rngs::StdRng;
@@ -766,112 +770,141 @@ impl ReportMechanism for BlindMechanism {
 // Matcher implementations
 // ---------------------------------------------------------------------------
 
-/// Euclidean greedy (Tong et al., PVLDB'16): each task takes the nearest
-/// available worker in the plane, found on a [`KdTree`] with logical
-/// deletion — the index the `kd-rebuild` pool runs. Registered twice, as
-/// `greedy` (Lap-GR's matcher) and `kd-greedy`; the two names differ only
-/// in summary and error component.
-pub struct KdGreedyStrategy {
+/// Which dynamic pool runs an online rule, and how the rule reads its
+/// reports before they enter it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Alg. 4 on the HST: leaf reports (planar ones snapped), after a
+    /// server check, in the `hst-greedy` pool.
+    Tree,
+    /// Euclidean greedy: planar reports (leaves projected) in the
+    /// `kd-rebuild` pool.
+    Plane,
+    /// The location-blind floor: the reports are ignored, and the `random`
+    /// pool draws from the mechanism's stream.
+    Blind,
+}
+
+/// The static online matchers. The paper's static model is the dynamic one
+/// in which every worker checks in before the first task, so each name
+/// fills the registered dynamic pool of its rule with the whole fleet
+/// (ids `0..n` in index order) and drains the tasks in arrival order.
+///
+/// - `hst-greedy` (Alg. 4) and `chain` run the tree pool,
+///   [`pombm_matching::HstGreedyPool`], equal pair for pair to the paper's
+///   scan, `pombm_matching::hst_greedy::greedy_reference`. The
+///   chain-reassignment rule of Bansal et al. (the paper's ref \[19\]) ends,
+///   in the tree metric, at the worker greedy picks (see
+///   [`pombm_matching::chain`]); [`pombm_matching::ChainMatcher`] keeps the
+///   literal rule as the reference the tests pin `chain` to.
+/// - `capacity` is `hst-greedy` whose workers serve up to
+///   [`PipelineConfig::capacity`] tasks each: a worker goes back into the
+///   pool while it has capacity left. A zero capacity is rejected only
+///   after the reports convert, so an unusable report set names itself
+///   first.
+/// - `greedy` (Lap-GR's matcher, Tong et al., PVLDB'16) and `kd-greedy`
+///   run the k-d pool, [`pombm_matching::DynamicKdRebuild`].
+/// - `random`, the location-blind floor, draws uniformly from the live
+///   pool ([`pombm_matching::DynamicRandomPool`]) on
+///   [`AssignCtx::mech_rng`].
+///
+/// Names that share a rule differ only in summary and error component.
+pub struct PoolStrategy {
     name: &'static str,
     summary: &'static str,
     component: &'static str,
+    rule: Rule,
+    /// Reads [`PipelineConfig::capacity`]; otherwise one task per worker.
+    capacitated: bool,
 }
 
-impl KdGreedyStrategy {
+impl PoolStrategy {
     /// The `greedy` registration.
-    pub const GREEDY: Self = KdGreedyStrategy {
+    pub const GREEDY: Self = PoolStrategy {
         name: "greedy",
         summary: "nearest available worker in the plane",
         component: "greedy matcher",
+        rule: Rule::Plane,
+        capacitated: false,
     };
 
     /// The `kd-greedy` registration.
-    pub const KD_GREEDY: Self = KdGreedyStrategy {
+    pub const KD_GREEDY: Self = PoolStrategy {
         name: "kd-greedy",
         summary: "nearest available worker via k-d tree",
         component: "kd-greedy matcher",
+        rule: Rule::Plane,
+        capacitated: false,
     };
-}
 
-impl AssignStrategy for KdGreedyStrategy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn summary(&self) -> &'static str {
-        self.summary
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn assign(
-        &self,
-        reports: ReportSet,
-        ctx: &mut AssignCtx<'_>,
-    ) -> Result<Matching, PipelineError> {
-        let workers = reports.workers.into_points(ctx.server, self.component)?;
-        let tasks = reports.tasks.into_points(ctx.server, self.component)?;
-        Ok(KdTree::build(workers).assign_all(&tasks))
-    }
-}
-
-/// Alg. 4 over a static fleet whose workers serve up to `q` tasks each: the
-/// [`CapacitatedGreedy`] walk on the pool index (`q = 1` is the paper's
-/// `hst-greedy`). A zero `q` is rejected only after the reports convert,
-/// so an unusable report set names itself first.
-fn tree_greedy(
-    reports: ReportSet,
-    ctx: &AssignCtx<'_>,
-    component: &'static str,
-    q: u32,
-) -> Result<Matching, PipelineError> {
-    let server = ctx.server.ok_or(PipelineError::MissingServer(component))?;
-    let workers = reports.workers.into_leaves(ctx.server, component)?;
-    let tasks = reports.tasks.into_leaves(ctx.server, component)?;
-    if q == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "capacity",
-            why: "the capacity matcher needs at least one slot per worker",
-        });
-    }
-    Ok(CapacitatedGreedy::uniform(server.hst().ctx(), workers, q).assign_all(&tasks))
-}
-
-/// The paper's Alg. 4: nearest available worker on the HST, found by
-/// [`pombm_matching::HstGreedyPool`]'s subtree-count walk (equal pair for
-/// pair to the paper's scan, `pombm_matching::hst_greedy::greedy_reference`).
-///
-/// Registered twice, as `hst-greedy` and `chain`; the two names differ only
-/// in summary and error component. The chain-reassignment rule of Bansal et
-/// al. (the paper's ref \[19\]) ends, in the tree metric, at the worker
-/// greedy picks (see [`pombm_matching::chain`]), so `chain` runs the same
-/// walk; [`pombm_matching::ChainMatcher`] keeps the literal rule as the
-/// reference the tests pin this registration to, and as the hop counter.
-pub struct HstGreedyStrategy {
-    name: &'static str,
-    summary: &'static str,
-    component: &'static str,
-}
-
-impl HstGreedyStrategy {
     /// The `hst-greedy` registration.
-    pub const HST_GREEDY: Self = HstGreedyStrategy {
+    pub const HST_GREEDY: Self = PoolStrategy {
         name: "hst-greedy",
         summary: "tree-nearest available worker (Alg. 4)",
         component: "hst-greedy matcher",
+        rule: Rule::Tree,
+        capacitated: false,
     };
 
     /// The `chain` registration.
-    pub const CHAIN: Self = HstGreedyStrategy {
+    pub const CHAIN: Self = PoolStrategy {
         name: "chain",
         summary: "chain-reassignment rule on the tree",
         component: "chain matcher",
+        rule: Rule::Tree,
+        capacitated: false,
     };
+
+    /// The `capacity` registration.
+    pub const CAPACITY: Self = PoolStrategy {
+        name: "capacity",
+        summary: "tree-nearest worker with residual capacity (config.capacity per worker)",
+        component: "capacity matcher",
+        rule: Rule::Tree,
+        capacitated: true,
+    };
+
+    /// The `random` registration.
+    pub const RANDOM: Self = PoolStrategy {
+        name: "random",
+        summary: "uniformly random available worker (location-blind)",
+        component: "random matcher",
+        rule: Rule::Blind,
+        capacitated: false,
+    };
+
+    /// The registered dynamic matcher whose pool runs the rule.
+    fn pool(&self) -> &'static dyn DynamicAssignStrategy {
+        match self.rule {
+            Rule::Tree => &DynamicHstPoolStrategy,
+            Rule::Plane => &DynamicKdRebuildStrategy,
+            Rule::Blind => &DynamicRandomStrategy,
+        }
+    }
+
+    /// One side's reports as the pool takes them.
+    fn convert(
+        &self,
+        reports: Reports,
+        server: Option<&Server>,
+    ) -> Result<Vec<Report>, PipelineError> {
+        Ok(match self.rule {
+            Rule::Tree => reports
+                .into_leaves(server, self.component)?
+                .into_iter()
+                .map(Report::Leaf)
+                .collect(),
+            Rule::Plane => reports
+                .into_points(server, self.component)?
+                .into_iter()
+                .map(Report::Planar)
+                .collect(),
+            Rule::Blind => vec![Report::Blind; reports.len()],
+        })
+    }
 }
 
-impl AssignStrategy for HstGreedyStrategy {
+impl AssignStrategy for PoolStrategy {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -881,7 +914,11 @@ impl AssignStrategy for HstGreedyStrategy {
     }
 
     fn needs_server(&self) -> bool {
-        true
+        self.rule == Rule::Tree
+    }
+
+    fn reuses_workers(&self) -> bool {
+        self.capacitated
     }
 
     fn assign(
@@ -889,7 +926,41 @@ impl AssignStrategy for HstGreedyStrategy {
         reports: ReportSet,
         ctx: &mut AssignCtx<'_>,
     ) -> Result<Matching, PipelineError> {
-        tree_greedy(reports, ctx, self.component, 1)
+        if self.rule == Rule::Tree && ctx.server.is_none() {
+            return Err(PipelineError::MissingServer(self.component));
+        }
+        let workers = self.convert(reports.workers, ctx.server)?;
+        let tasks = self.convert(reports.tasks, ctx.server)?;
+        let capacity = if self.capacitated {
+            ctx.config.capacity
+        } else {
+            1
+        };
+        if capacity == 0 {
+            return Err(PipelineError::InvalidConfig {
+                field: "capacity",
+                why: "the capacity matcher needs at least one slot per worker",
+            });
+        }
+        let mut pool = self.pool().pool(ctx.server)?;
+        pool.insert_batch((0..).zip(workers.iter().copied()).collect())?;
+        let mut served = vec![0; workers.len()];
+        let mut matching = Matching::new();
+        for (t, report) in tasks.into_iter().enumerate() {
+            // Only `random` draws, on the stream the location-blind floor
+            // has always continued.
+            let Some(id) = pool.assign(report, ctx.mech_rng)? else {
+                continue;
+            };
+            let w = id as usize;
+            served[w] += 1;
+            // Re-adding the worker just taken puts the pool back as it was.
+            if served[w] < capacity {
+                pool.insert(id, workers[w])?;
+            }
+            matching.pairs.push((t, w));
+        }
+        Ok(matching)
     }
 }
 
@@ -929,37 +1000,6 @@ impl AssignStrategy for RandomizedGreedyStrategy {
             }
         }
         Ok(matching)
-    }
-}
-
-/// Capacitated HST greedy: each worker serves up to
-/// [`PipelineConfig::capacity`] tasks, on the same pool index as
-/// [`HstGreedyStrategy`] (which is this matcher at capacity 1).
-pub struct CapacitatedStrategy;
-
-impl AssignStrategy for CapacitatedStrategy {
-    fn name(&self) -> &'static str {
-        "capacity"
-    }
-
-    fn summary(&self) -> &'static str {
-        "tree-nearest worker with residual capacity (config.capacity per worker)"
-    }
-
-    fn needs_server(&self) -> bool {
-        true
-    }
-
-    fn reuses_workers(&self) -> bool {
-        true
-    }
-
-    fn assign(
-        &self,
-        reports: ReportSet,
-        ctx: &mut AssignCtx<'_>,
-    ) -> Result<Matching, PipelineError> {
-        tree_greedy(reports, ctx, "capacity matcher", ctx.config.capacity)
     }
 }
 
@@ -1009,48 +1049,16 @@ impl AssignStrategy for OfflineOptimalStrategy {
     }
 }
 
-/// Location-blind uniform assignment: the sanity floor.
-pub struct RandomAssignStrategy;
-
-impl AssignStrategy for RandomAssignStrategy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn summary(&self) -> &'static str {
-        "uniformly random available worker (location-blind)"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn assign(
-        &self,
-        reports: ReportSet,
-        ctx: &mut AssignCtx<'_>,
-    ) -> Result<Matching, PipelineError> {
-        let mut matcher = RandomAssign::new(reports.workers.len());
-        let mut matching = Matching::new();
-        for t_idx in 0..reports.tasks.len() {
-            if let Some(w_idx) = matcher.assign(ctx.mech_rng) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Dynamic matcher implementations
 // ---------------------------------------------------------------------------
 
 /// The paper's Alg. 4 over a shifting fleet: tree-nearest available worker
 /// via [`pombm_matching::HstGreedyPool`] (the `O(c·D)` mutable index the
-/// static tree matchers run too).
-pub struct DynamicHstGreedyStrategy;
+/// static tree matchers fill too).
+pub struct DynamicHstPoolStrategy;
 
-impl DynamicAssignStrategy for DynamicHstGreedyStrategy {
+impl DynamicAssignStrategy for DynamicHstPoolStrategy {
     fn name(&self) -> &'static str {
         "hst-greedy"
     }

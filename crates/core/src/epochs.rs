@@ -24,7 +24,7 @@ use crate::algorithm::{PipelineError, ReportMechanism};
 use crate::server::{check_epsilon, check_grid_side, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_hst::LeafCode;
-use pombm_matching::CapacitatedGreedy;
+use pombm_matching::{HstGreedyPool, Matching};
 use pombm_privacy::budget::BudgetLedger;
 use pombm_privacy::Epsilon;
 use rand_distr::{Distribution, Normal};
@@ -222,9 +222,13 @@ pub fn run_epochs(
             );
         }
 
-        // Fresh matcher per epoch: workers come back on shift every day.
-        let matching = CapacitatedGreedy::uniform(server.hst().ctx(), reports.clone(), 1)
-            .assign_all(&reported_tasks);
+        // A fresh pool per epoch: workers come back on shift every day.
+        let mut pool = HstGreedyPool::new(server.hst().ctx());
+        pool.add_batch((0..).zip(reports.iter().copied()));
+        let take = |(t, &leaf)| Some((t, pool.assign(leaf)? as usize));
+        let matching = Matching {
+            pairs: reported_tasks.iter().enumerate().filter_map(take).collect(),
+        };
         let total_distance = matching.total_distance(&tasks, &positions);
 
         per_epoch.push(EpochMetrics {

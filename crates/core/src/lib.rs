@@ -165,8 +165,7 @@ pub use merge::{merge, MergeError};
 pub use pipeline::{run_spec, run_spec_with_server, PipelineConfig, RunMetrics, RunResult};
 pub use ratio::{
     dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, empirical_competitive_ratio,
-    offline_optimum_with_threads, scenario_competitive_ratio, DynamicRatioReport, RatioError,
-    RatioReport, RatioStats,
+    offline_optimum_with_threads, DynamicRatioReport, RatioError, RatioReport, RatioStats,
 };
 pub use registry::{registry, AlgorithmSpec, Catalog, Registry, Role, DEFAULT_DYNAMIC_ORACLE};
 pub use scenario::{Scenario, DEFAULT_SCENARIO};

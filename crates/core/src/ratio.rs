@@ -314,22 +314,6 @@ pub(crate) fn competitive_ratio_against(
     })
 }
 
-/// [`empirical_competitive_ratio`] on a named workload scenario's sweep
-/// instance (`size` tasks and `size` workers generated by
-/// [`crate::scenario::Scenario::instance`] from `config.seed`) instead of
-/// a caller-supplied one — the `pombm run --scenario` / `--ratio` path,
-/// and exactly what one sweep cell measures.
-pub fn scenario_competitive_ratio(
-    spec: &AlgorithmSpec,
-    scenario: &dyn crate::scenario::Scenario,
-    size: usize,
-    config: &PipelineConfig,
-    repetitions: u64,
-) -> Result<RatioReport, RatioError> {
-    let instance = scenario.instance(config.seed, size);
-    empirical_competitive_ratio(spec, &instance, config, repetitions)
-}
-
 /// The measured ratio-under-churn of one `mechanism × dynamic-matcher`
 /// pairing on one timeline — the dynamic sibling of [`RatioReport`]. The
 /// six statistical fields of [`RatioStats`] appear under identical names
@@ -606,31 +590,6 @@ mod tests {
         let err = empirical_competitive_ratio(&blind_greedy, &inst, &PipelineConfig::default(), 2)
             .unwrap_err();
         assert!(matches!(err, RatioError::Pipeline(_)), "got {err}");
-    }
-
-    #[test]
-    fn scenario_ratio_matches_the_sweep_cell_derivation() {
-        let spec = &registry().require_spec("tbf").unwrap();
-        let config = PipelineConfig {
-            seed: 3,
-            ..PipelineConfig::default()
-        };
-        let uniform = registry().require_scenario("uniform").unwrap();
-        let via_scenario =
-            scenario_competitive_ratio(spec, uniform.as_ref(), 16, &config, 2).unwrap();
-        let direct = empirical_competitive_ratio(
-            spec,
-            &crate::sweep::sweep_instance(config.seed, 16),
-            &config,
-            2,
-        )
-        .unwrap();
-        assert_eq!(via_scenario.ratio, direct.ratio);
-        assert_eq!(via_scenario.distances, direct.distances);
-        // A different scenario changes the instance, hence the measurement.
-        let hotspot = registry().require_scenario("hotspot").unwrap();
-        let other = scenario_competitive_ratio(spec, hotspot.as_ref(), 16, &config, 2).unwrap();
-        assert_ne!(other.distances, direct.distances);
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //! [`Registry::dynamic_oracle`].
 
 use crate::algorithm::{
-    AssignStrategy, BlindMechanism, CapacitatedStrategy, DynamicAssignStrategy,
-    DynamicHstGreedyStrategy, DynamicKdRebuildStrategy, DynamicOptStrategy, DynamicRandomStrategy,
-    ExponentialReportMechanism, HstGreedyStrategy, HstWalkMechanism, IdentityMechanism,
-    KdGreedyStrategy, LaplaceMechanism, OfflineOptimalStrategy, PipelineError,
-    RandomAssignStrategy, RandomizedGreedyStrategy, ReportMechanism,
+    AssignStrategy, BlindMechanism, DynamicAssignStrategy, DynamicHstPoolStrategy,
+    DynamicKdRebuildStrategy, DynamicOptStrategy, DynamicRandomStrategy,
+    ExponentialReportMechanism, HstWalkMechanism, IdentityMechanism, LaplaceMechanism,
+    OfflineOptimalStrategy, PipelineError, PoolStrategy, RandomizedGreedyStrategy, ReportMechanism,
 };
 use crate::fault::{Burst, DupStorm, FaultPlan, FlakyWire, NoFault};
 use crate::scenario::{
@@ -450,16 +449,17 @@ fn build() -> Registry {
     let identity: Arc<dyn ReportMechanism> = Arc::new(IdentityMechanism);
     let blind: Arc<dyn ReportMechanism> = Arc::new(BlindMechanism);
 
-    // One k-d-tree strategy under both planar names, and one tree-pool
-    // strategy under `hst-greedy` and `chain` (the chain rule ends at
-    // greedy's worker in the tree metric).
-    let greedy: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::GREEDY);
-    let kd: Arc<dyn AssignStrategy> = Arc::new(KdGreedyStrategy::KD_GREEDY);
-    let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy::HST_GREEDY);
+    // The online rules fill the dynamic pools registered below: the k-d
+    // pool under both planar names, the tree pool under `hst-greedy`,
+    // `chain` (the chain rule ends at greedy's worker in the tree metric)
+    // and `capacity`, and the random pool under `random`.
+    let greedy: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::GREEDY);
+    let kd: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::KD_GREEDY);
+    let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::HST_GREEDY);
     let hst_rand: Arc<dyn AssignStrategy> = Arc::new(RandomizedGreedyStrategy);
-    let chain: Arc<dyn AssignStrategy> = Arc::new(HstGreedyStrategy::CHAIN);
-    let capacity: Arc<dyn AssignStrategy> = Arc::new(CapacitatedStrategy);
-    let random: Arc<dyn AssignStrategy> = Arc::new(RandomAssignStrategy);
+    let chain: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::CHAIN);
+    let capacity: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::CAPACITY);
+    let random: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::RANDOM);
     let offline_opt: Arc<dyn AssignStrategy> = Arc::new(OfflineOptimalStrategy);
 
     let mut specs = Catalog::new("algorithm");
@@ -517,7 +517,7 @@ fn build() -> Registry {
     }
 
     let mut dynamic_matchers = Catalog::new("dynamic matcher");
-    dynamic_matchers.register(Arc::new(DynamicHstGreedyStrategy) as Arc<dyn DynamicAssignStrategy>);
+    dynamic_matchers.register(Arc::new(DynamicHstPoolStrategy) as Arc<dyn DynamicAssignStrategy>);
     dynamic_matchers.register(Arc::new(DynamicKdRebuildStrategy));
     dynamic_matchers.register(Arc::new(DynamicRandomStrategy));
     // The clairvoyant offline optimum: the ratio-under-churn denominator,

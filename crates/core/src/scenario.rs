@@ -204,10 +204,10 @@ impl Scenario for NormalScenario {
 pub struct HotspotScenario;
 
 impl HotspotScenario {
-    /// Meters-per-unit rescale aligning the 10 km city with the 200-unit
-    /// synthetic space, so a given ε means the same privacy level (the
-    /// same factor [`Instance::scaled`] documents for the real trace).
-    const CITY_SCALE: f64 = 1.0 / 50.0;
+    /// The rescale aligning the 10 km city with the 200-unit synthetic
+    /// space, so a given ε means the same privacy level: the real trace's
+    /// own [`chengdu::UNIT_METERS`].
+    const CITY_SCALE: f64 = 1.0 / chengdu::UNIT_METERS;
 
     fn sample_city(seed: u64, num_tasks: usize, num_workers: usize, rng: &mut StdRng) -> Instance {
         // One fixed city per seed (same seed ⇒ same city, as in the trace

@@ -41,18 +41,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Component-wise translation by `(dx, dy)`.
-    #[inline]
-    pub fn translate(&self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
-    /// Midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
     /// Returns `true` if both coordinates are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -104,13 +92,6 @@ mod tests {
     fn dist_to_self_is_zero() {
         let p = Point::new(1.5, -2.5);
         assert_eq!(p.dist(&p), 0.0);
-    }
-
-    #[test]
-    fn translate_and_midpoint() {
-        let p = Point::new(1.0, 2.0);
-        assert_eq!(p.translate(2.0, -1.0), Point::new(3.0, 1.0));
-        assert_eq!(p.midpoint(&Point::new(3.0, 4.0)), Point::new(2.0, 3.0));
     }
 
     #[test]

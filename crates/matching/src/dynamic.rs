@@ -8,14 +8,17 @@
 //!
 //! * [`HstGreedyPool`] — Alg. 4 on the tree: the `O(c·D)` subtree-count
 //!   walk finds the nearest occupied leaf, whose lowest id takes the task.
-//!   The static tree matchers run it too ([`crate::CapacitatedGreedy`]).
-//! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via the
-//!   [`crate::kdtree::KdTree`] the static planar matchers run, rebuilt
-//!   lazily after pool mutations (assignments use its logical deletion, so
-//!   only shift churn pays the rebuild).
+//! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via a
+//!   [`crate::kdtree::KdTree`], rebuilt lazily after pool mutations
+//!   (assignments use its logical deletion, so only shift churn pays the
+//!   rebuild).
 //! * [`DynamicRandomPool`] — uniform draw from the live pool, blind to all
-//!   location information: the sanity floor under fleet churn.
+//!   location information: the sanity floor.
+//!
+//! The static matchers of each rule run the same pools: they fill one with
+//! the whole fleet, as ids `0..n`, and then drain it.
 
+use crate::kdtree::KdTree;
 use pombm_geom::Point;
 use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
 use rand::Rng;
@@ -91,17 +94,33 @@ impl HstGreedyPool {
         stack.insert(pos, id);
     }
 
-    /// Adds a batch of workers in order — observationally identical to
-    /// calling [`Self::add`] for each pair (per-leaf counter inserts are
-    /// inherently per-item, so this is a convenience, not a fast path).
+    /// Adds a batch of workers — observationally identical to calling
+    /// [`Self::add`] for each pair. Each id is pushed onto its leaf's stack
+    /// and a stack left out of order is sorted once at the end, so a whole
+    /// fleet in ascending id order fills in `O(k log k)`, not the `O(k²)`
+    /// of inserting each id under the larger ones already there.
     ///
     /// # Panics
     ///
     /// Panics like [`Self::add`] if any id is already present (including
     /// duplicates within the batch).
     pub fn add_batch(&mut self, batch: impl IntoIterator<Item = (u64, LeafCode)>) {
+        let mut unsorted = Vec::new();
         for (id, leaf) in batch {
-            self.add(id, leaf);
+            let prev = self.leaf_of.insert(id, leaf);
+            assert!(prev.is_none(), "worker id {id} already present");
+            self.counter.insert(leaf);
+            let stack = self.residents.entry(leaf).or_default();
+            if stack.last().is_some_and(|&top| top < id) {
+                unsorted.push(leaf);
+            }
+            stack.push(id);
+        }
+        unsorted.sort_unstable();
+        unsorted.dedup();
+        for leaf in unsorted {
+            let stack = self.residents.get_mut(&leaf).expect("resident stack");
+            stack.sort_unstable_by(|a, b| b.cmp(a));
         }
     }
 
@@ -146,24 +165,23 @@ impl HstGreedyPool {
 }
 
 /// Euclidean nearest-available matcher over a mutable pool of planar
-/// reports, backed by a [`crate::kdtree::KdTree`] that is rebuilt lazily
-/// after pool *mutations* (adds and withdrawals). Assignments themselves use
-/// the tree's logical deletion, so a burst of task arrivals between two
-/// shift events pays one rebuild, not one per task.
+/// reports, backed by a [`KdTree`] that is rebuilt lazily after pool
+/// *mutations* (adds and withdrawals). Assignments themselves use the
+/// tree's logical deletion, so a burst of task arrivals between two shift
+/// events pays one rebuild, not one per task, and a static fleet drains in
+/// `O(n log n)`.
 ///
 /// Tie-breaking is canonical — (distance, lowest id) — independent of
 /// insertion order, mirroring [`HstGreedyPool`].
 #[derive(Debug, Clone, Default)]
 pub struct DynamicKdRebuild {
-    /// Present, unassigned workers, sorted ascending by id (so k-d tree
-    /// index ties resolve to the lowest id).
-    live: Vec<(u64, Point)>,
-    /// Tree over the `live` snapshot at the last rebuild; entry `i` of the
-    /// snapshot is worker `snapshot[i]`.
-    tree: Option<crate::kdtree::KdTree>,
-    snapshot: Vec<u64>,
-    /// Set when `live` changed since the last rebuild.
-    dirty: bool,
+    /// Workers sorted ascending by id (so k-d tree index ties resolve to
+    /// the lowest id). While `tree` is built, entry `i` is its worker `i`
+    /// and stays here after the tree assigns it; otherwise every entry is
+    /// present and unassigned.
+    workers: Vec<(u64, Point)>,
+    /// Tree over `workers`, built at the first assignment after a mutation.
+    tree: Option<KdTree>,
 }
 
 impl DynamicKdRebuild {
@@ -175,13 +193,28 @@ impl DynamicKdRebuild {
     /// Number of present, unassigned workers.
     #[inline]
     pub fn available(&self) -> usize {
-        self.live.len()
+        self.tree.as_ref().map_or(self.workers.len(), KdTree::live)
     }
 
     /// True iff worker `id` is present and unassigned.
     #[inline]
     pub fn contains(&self, id: u64) -> bool {
-        self.live.binary_search_by_key(&id, |&(w, _)| w).is_ok()
+        match self.workers.binary_search_by_key(&id, |&(w, _)| w) {
+            Ok(i) => self.tree.as_ref().is_none_or(|tree| tree.is_live(i)),
+            Err(_) => false,
+        }
+    }
+
+    /// Drops the tree, and with it the workers it assigned, before a
+    /// mutation: one `O(n)` pass per rebuild instead of one per assignment.
+    fn settle(&mut self) {
+        if let Some(tree) = self.tree.take() {
+            let mut i = 0;
+            self.workers.retain(|_| {
+                i += 1;
+                tree.is_live(i - 1)
+            });
+        }
     }
 
     /// Adds a worker with its reported (obfuscated) planar location.
@@ -191,11 +224,11 @@ impl DynamicKdRebuild {
     /// Panics if `id` is already present — ids must be unique among live
     /// workers (a departed or assigned id may be reused).
     pub fn add(&mut self, id: u64, location: Point) {
-        match self.live.binary_search_by_key(&id, |&(w, _)| w) {
+        self.settle();
+        match self.workers.binary_search_by_key(&id, |&(w, _)| w) {
             Ok(_) => panic!("worker id {id} already present"),
-            Err(pos) => self.live.insert(pos, (id, location)),
+            Err(pos) => self.workers.insert(pos, (id, location)),
         }
-        self.dirty = true;
     }
 
     /// Adds a batch of workers — the pool state afterwards is identical to
@@ -203,69 +236,62 @@ impl DynamicKdRebuild {
     /// (`O((n + k) log (n + k))`) replaces `k` sorted insertions
     /// (`O(k · n)`), which matters for micro-batched arrivals on large
     /// fleets. Validation is atomic: every id is checked (against the live
-    /// pool *and* within the batch) before any mutation.
+    /// pool *and* within the batch, in `O(k log k)`) before any mutation.
     ///
     /// # Panics
     ///
     /// Panics like [`Self::add`] if any id is already present (including
     /// duplicates within the batch).
     pub fn add_batch(&mut self, batch: Vec<(u64, Point)>) {
-        for (i, &(id, _)) in batch.iter().enumerate() {
-            let dup_in_batch = batch[..i].iter().any(|&(other, _)| other == id);
-            if dup_in_batch || self.contains(id) {
-                panic!("worker id {id} already present");
-            }
+        let mut ids: Vec<u64> = batch.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        let dup_in_batch = ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
+        if let Some(id) = dup_in_batch.or_else(|| ids.into_iter().find(|&id| self.contains(id))) {
+            panic!("worker id {id} already present");
         }
         if batch.is_empty() {
             return;
         }
-        self.live.extend(batch);
-        self.live.sort_by_key(|&(w, _)| w);
-        self.dirty = true;
+        self.settle();
+        self.workers.extend(batch);
+        self.workers.sort_by_key(|&(w, _)| w);
     }
 
     /// Withdraws an unassigned worker (shift end). Returns `false` if the
     /// worker is not present (already assigned or never added).
     pub fn withdraw(&mut self, id: u64) -> bool {
-        match self.live.binary_search_by_key(&id, |&(w, _)| w) {
-            Ok(pos) => {
-                self.live.remove(pos);
-                self.dirty = true;
-                true
-            }
-            Err(_) => false,
+        if !self.contains(id) {
+            return false;
         }
+        self.settle();
+        let pos = self
+            .workers
+            .binary_search_by_key(&id, |&(w, _)| w)
+            .expect("present worker is listed");
+        self.workers.remove(pos);
+        true
     }
 
     /// Assigns the Euclidean-nearest available worker to the task location
     /// `t` and removes it from the pool. Returns `None` when the pool is
     /// empty.
     pub fn assign(&mut self, t: &Point) -> Option<u64> {
-        if self.live.is_empty() {
+        if self.available() == 0 {
             return None;
         }
-        if self.dirty || self.tree.is_none() {
-            self.snapshot = self.live.iter().map(|&(w, _)| w).collect();
-            self.tree = Some(crate::kdtree::KdTree::build(
-                self.live.iter().map(|&(_, p)| p).collect(),
-            ));
-            self.dirty = false;
-        }
-        let idx = self.tree.as_mut().expect("just built").take_nearest(t)?;
-        let id = self.snapshot[idx];
-        let pos = self
-            .live
-            .binary_search_by_key(&id, |&(w, _)| w)
-            .expect("assigned worker is live");
-        self.live.remove(pos);
-        // The tree's logical deletion keeps it consistent with `live`
-        // without a rebuild; only shift churn sets `dirty`.
-        Some(id)
+        let workers = &self.workers;
+        let tree = self
+            .tree
+            .get_or_insert_with(|| KdTree::build(workers.iter().map(|&(_, p)| p).collect()));
+        let idx = tree.take_nearest(t)?;
+        Some(self.workers[idx].0)
     }
 }
 
-/// Location-blind uniform assignment over a mutable pool: the dynamic
-/// counterpart of [`crate::RandomAssign`].
+/// Location-blind uniform assignment over a mutable pool. Filled with ids
+/// `0..n` in order and never withdrawn from, it draws worker
+/// `i = rng.gen_range(0..available)` in a list that loses each drawn entry
+/// by swap-remove: the static `random` matcher.
 #[derive(Debug, Clone, Default)]
 pub struct DynamicRandomPool {
     /// Present, unassigned worker ids; order is an implementation detail
@@ -405,10 +431,9 @@ mod tests {
 
     #[test]
     fn matches_static_indexed_engine_when_pool_is_static() {
-        // With all workers added upfront (here one by one, in ascending id
-        // order) and none withdrawn, assignment must be identical to the
-        // static matcher (which adds them in bulk, highest id first) and to
-        // the paper's scan.
+        // With all workers added upfront and none withdrawn, assignment
+        // must be identical to the paper's scan, whatever order the ids
+        // arrive in (here ascending one by one and descending in bulk).
         let c = CodeContext::new(3, 4);
         let mut rng = seeded_rng(2, 0);
         let workers: Vec<LeafCode> = (0..30)
@@ -421,11 +446,12 @@ mod tests {
         for (i, &w) in workers.iter().enumerate() {
             dynamic.add(i as u64, w);
         }
-        let mut fixed = crate::CapacitatedGreedy::uniform(c, workers.clone(), 1);
+        let mut fixed = HstGreedyPool::new(c);
+        fixed.add_batch((0..30).rev().map(|i| (i, workers[i as usize])));
         let scan = crate::hst_greedy::greedy_reference(c, &workers, &[1; 30], &tasks);
         for (t_idx, &t) in tasks.iter().enumerate() {
             let w = dynamic.assign(t);
-            assert_eq!(w, fixed.assign(t).map(|w| w as u64));
+            assert_eq!(w, fixed.assign(t));
             assert_eq!(w, Some(scan.pairs[t_idx].1 as u64));
         }
     }
@@ -468,9 +494,16 @@ mod tests {
         assert!(m.contains(7) && m.contains(9));
         assert_eq!(m.assign(&Point::new(0.0, 0.0)), Some(7), "nearest wins");
         assert!(!m.contains(7), "assigned worker left the pool");
+        assert!(!m.withdraw(7), "an assigned worker cannot be withdrawn");
         assert!(m.withdraw(9));
         assert!(!m.withdraw(9), "second withdraw is a no-op");
         assert_eq!(m.assign(&Point::new(0.0, 0.0)), None);
+        // An assigned id comes back while the tree that assigned it stands.
+        m.add(3, Point::new(5.0, 0.0));
+        assert_eq!(m.assign(&Point::new(0.0, 0.0)), Some(3));
+        m.add(3, Point::new(6.0, 0.0));
+        assert_eq!((m.available(), m.contains(3)), (1, true));
+        assert_eq!(m.assign(&Point::new(0.0, 0.0)), Some(3));
     }
 
     #[test]

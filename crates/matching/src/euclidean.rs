@@ -3,8 +3,9 @@
 //! The greedy of Tong et al. (PVLDB'16) — Lap-GR's matcher — gives each
 //! arriving task the nearest still-available worker by straight-line
 //! distance over the (obfuscated) coordinates. Every planar matcher runs it
-//! on a [`KdTree`](crate::kdtree::KdTree); this module keeps the `O(n)`
-//! per-task scan as the reference the tree must equal.
+//! on [`crate::DynamicKdRebuild`]'s [`KdTree`](crate::kdtree::KdTree); this
+//! module keeps the `O(n)` per-task scan as the reference the pool must
+//! equal.
 
 use crate::Matching;
 use pombm_geom::Point;
@@ -12,8 +13,8 @@ use pombm_geom::Point;
 /// The Euclidean greedy as a linear scan: each task, in arrival order,
 /// takes the available worker that minimizes `(distance², index)`.
 ///
-/// [`KdTree::assign_all`](crate::kdtree::KdTree::assign_all) must reproduce this pair for pair; tests and the
-/// `matching` bench's scan-vs-index ablation call it.
+/// [`crate::DynamicKdRebuild`], filled with the whole fleet first, must
+/// reproduce this pair for pair; the tests call it.
 pub fn greedy_reference(workers: &[Point], tasks: &[Point]) -> Matching {
     let mut available = vec![true; workers.len()];
     let mut matching = Matching::new();
@@ -35,15 +36,20 @@ pub fn greedy_reference(workers: &[Point], tasks: &[Point]) -> Matching {
 mod tests {
     use super::*;
     use crate::kdtree::KdTree;
+    use crate::DynamicKdRebuild;
     use pombm_geom::seeded_rng;
     use rand::Rng;
 
-    /// Both engines on one input: the scan and the k-d tree.
+    /// Both engines on one input: the scan and the k-d pool, filled with
+    /// every worker before the first task.
     fn both(workers: &[Point], tasks: &[Point]) -> [Matching; 2] {
-        [
-            greedy_reference(workers, tasks),
-            KdTree::build(workers.to_vec()).assign_all(tasks),
-        ]
+        let mut pool = DynamicKdRebuild::new();
+        pool.add_batch((0..).zip(workers.iter().copied()).collect());
+        let take = |(t, p)| Some((t, pool.assign(p)? as usize));
+        let pooled = Matching {
+            pairs: tasks.iter().enumerate().filter_map(take).collect(),
+        };
+        [greedy_reference(workers, tasks), pooled]
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! HST-greedy online matching (Alg. 4 of the paper), as the paper writes it.
 //!
 //! Every tree matcher runs Alg. 4 on [`crate::HstGreedyPool`]'s
-//! subtree-count index (a static fleet through
-//! [`crate::CapacitatedGreedy`]). This module keeps the paper's
-//! `O(n·D)`-per-task scan as the reference that index must equal.
+//! subtree-count index (a static fleet fills it before the first task).
+//! This module keeps the paper's `O(n·D)`-per-task scan as the reference
+//! that index must equal.
 
 use crate::Matching;
 use pombm_hst::{CodeContext, LeafCode};
@@ -13,8 +13,9 @@ use pombm_hst::{CodeContext, LeafCode};
 /// index)`; worker `i` serves up to `capacity[i]` tasks. Obfuscated leaves
 /// may be *fake* leaves — the tree metric is defined on every code.
 ///
-/// [`crate::CapacitatedGreedy`] must reproduce this pair for pair; tests
-/// and the `matching` bench's scan-vs-index ablation call it.
+/// [`crate::HstGreedyPool`], filled with the whole fleet first and given
+/// back a worker while it has capacity left, must reproduce this pair for
+/// pair; the tests call it.
 ///
 /// # Panics
 ///
@@ -43,7 +44,7 @@ pub fn greedy_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CapacitatedGreedy;
+    use crate::HstGreedyPool;
     use pombm_geom::seeded_rng;
     use rand::Rng;
 
@@ -55,9 +56,19 @@ mod tests {
         codes.iter().map(|&c| LeafCode(c)).collect()
     }
 
-    /// The production static matcher at unit capacity (the pool's index).
+    /// The pool filled with the whole fleet, at unit capacity.
+    fn filled(ctx: CodeContext, workers: &[LeafCode]) -> HstGreedyPool {
+        let mut pool = HstGreedyPool::new(ctx);
+        pool.add_batch((0..).zip(workers.iter().copied()));
+        pool
+    }
+
     fn indexed(ctx: CodeContext, workers: &[LeafCode], tasks: &[LeafCode]) -> Matching {
-        CapacitatedGreedy::uniform(ctx, workers.to_vec(), 1).assign_all(tasks)
+        let mut pool = filled(ctx, workers);
+        let take = |(t, &leaf)| Some((t, pool.assign(leaf)? as usize));
+        Matching {
+            pairs: tasks.iter().enumerate().filter_map(take).collect(),
+        }
     }
 
     fn scan(ctx: CodeContext, workers: &[LeafCode], tasks: &[LeafCode]) -> Matching {
@@ -110,7 +121,7 @@ mod tests {
 
     #[test]
     fn indexed_engine_handles_duplicate_leaves() {
-        let mut g = CapacitatedGreedy::uniform(ctx(), leaves(&[5, 5, 5]), 1);
+        let mut g = filled(ctx(), &leaves(&[5, 5, 5]));
         let mut seen = std::collections::HashSet::new();
         for _ in 0..3 {
             let w = g.assign(LeafCode(5)).unwrap();
@@ -132,8 +143,8 @@ mod tests {
     fn empty_worker_pool() {
         let tasks = leaves(&[0]);
         assert_eq!(scan(ctx(), &[], &tasks).size(), 0);
-        let mut g = CapacitatedGreedy::uniform(ctx(), vec![], 1);
+        let mut g = filled(ctx(), &[]);
         assert_eq!(g.assign(LeafCode(0)), None);
-        assert_eq!(g.remaining_slots(), 0);
+        assert_eq!(g.available(), 0);
     }
 }

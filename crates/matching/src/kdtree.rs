@@ -1,6 +1,6 @@
 //! A static k-d tree with deletions: the plane's one nearest-free-worker
-//! index, run directly by the static planar matchers and rebuilt after
-//! shift churn by [`crate::DynamicKdRebuild`].
+//! index, which [`crate::DynamicKdRebuild`] builds over its pool and
+//! rebuilds after shift churn.
 //!
 //! A k-d tree adapts to the data distribution, so hotspot workloads stay
 //! cheap. Built once over the reported worker locations (`O(n log n)`), it
@@ -9,7 +9,6 @@
 //! `O(n log n)` amortized in benign cases. Ties break by (distance, worker
 //! index), so it reproduces [`crate::euclidean::greedy_reference`].
 
-use crate::Matching;
 use pombm_geom::Point;
 
 /// Node of the k-d tree, region-splitting on the median by alternating axis.
@@ -96,6 +95,13 @@ impl KdTree {
     /// Number of available workers.
     pub fn live(&self) -> usize {
         self.root.map_or(0, |r| self.nodes[r].live)
+    }
+
+    /// True iff worker `worker` is known and still available.
+    pub fn is_live(&self, worker: usize) -> bool {
+        self.node_of_worker
+            .get(worker)
+            .is_some_and(|&node| self.nodes[node].alive)
     }
 
     /// Marks a worker unavailable. Returns `false` if already removed or
@@ -188,22 +194,23 @@ impl KdTree {
         debug_assert!(removed);
         Some(w)
     }
-
-    /// The Euclidean greedy: every task in arrival order takes its nearest
-    /// available worker; the matching lists the tasks that found one.
-    pub fn assign_all(&mut self, tasks: &[Point]) -> Matching {
-        let take = |(t, p)| Some((t, self.take_nearest(p)?));
-        Matching {
-            pairs: tasks.iter().enumerate().filter_map(take).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matching;
     use pombm_geom::seeded_rng;
     use rand::Rng;
+
+    /// The Euclidean greedy on the tree: every task in arrival order takes
+    /// its nearest available worker.
+    fn greedy(tree: &mut KdTree, tasks: &[Point]) -> Matching {
+        let take = |(t, p)| Some((t, tree.take_nearest(p)?));
+        Matching {
+            pairs: tasks.iter().enumerate().filter_map(take).collect(),
+        }
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = seeded_rng(seed, 0);
@@ -254,7 +261,7 @@ mod tests {
         let tasks = random_points(300, 4);
         let mut tree = KdTree::build(workers.clone());
         let scan = crate::euclidean::greedy_reference(&workers, &tasks);
-        assert_eq!(tree.assign_all(&tasks), scan);
+        assert_eq!(greedy(&mut tree, &tasks), scan);
         assert_eq!(scan.size(), 300);
         assert_eq!(tree.live(), 0);
     }
@@ -290,6 +297,6 @@ mod tests {
         let tasks = random_points(300, 7);
         let mut tree = KdTree::build(pts.clone());
         let scan = crate::euclidean::greedy_reference(&pts, &tasks);
-        assert_eq!(tree.assign_all(&tasks), scan);
+        assert_eq!(greedy(&mut tree, &tasks), scan);
     }
 }

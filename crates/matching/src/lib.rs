@@ -15,12 +15,15 @@
 //! free worker — in two metrics, each with exactly one index:
 //!
 //! * **Tree** (Alg. 4, Lap-HG and TBF): [`HstGreedyPool`]'s `O(c·D)`
-//!   subtree-count walk; static fleets run it through [`CapacitatedGreedy`]
-//!   (unit capacity is the paper's matcher). [`hst_greedy::greedy_reference`]
-//!   is the paper's `O(n·D)` scan it must equal.
-//! * **Plane** (Tong et al., PVLDB'16 — Lap-GR): [`kdtree::KdTree`], rebuilt
-//!   under churn by [`DynamicKdRebuild`]; [`euclidean::greedy_reference`] is
-//!   the `O(n)` scan it must equal.
+//!   subtree-count walk. [`hst_greedy::greedy_reference`] is the paper's
+//!   `O(n·D)` scan it must equal.
+//! * **Plane** (Tong et al., PVLDB'16 — Lap-GR): [`DynamicKdRebuild`]'s
+//!   [`kdtree::KdTree`], rebuilt under churn; [`euclidean::greedy_reference`]
+//!   is the `O(n)` scan it must equal.
+//!
+//! Both are worker *pools* ([`dynamic`]): a static fleet is the special
+//! case whose workers all check in before the first task, so the static
+//! and the shifting-fleet matchers of each rule run the same pool.
 //!
 //! * [`offline::OfflineOptimal`] — an exact min-cost offline matcher
 //!   (successive shortest augmenting paths with potentials), used to measure
@@ -44,8 +47,8 @@
 //!   tree it ends at greedy's worker (proof sketch in [`chain`]), so the
 //!   registered `chain` matcher runs the tree pool and this struct is its
 //!   reference and the chain-hop counter.
-//! * [`RandomAssign`] / [`DynamicRandomPool`] — location-blind uniform
-//!   assignment, the sanity floor every mechanism/matcher pair must clear.
+//! * [`DynamicRandomPool`] — location-blind uniform assignment, the sanity
+//!   floor every mechanism/matcher pair must clear.
 //!
 //! Randomness lives only in the explicitly randomized matchers above (which
 //! take an `Rng` per call); every other matcher is deterministic.
@@ -68,7 +71,6 @@
 //! assert_eq!(pool.available(), 1);
 //! ```
 
-pub mod capacity;
 pub mod chain;
 pub mod clairvoyant;
 pub mod dynamic;
@@ -76,15 +78,12 @@ pub mod euclidean;
 pub mod hst_greedy;
 pub mod kdtree;
 pub mod offline;
-pub mod random_assign;
 pub mod randomized;
 pub mod reachable;
 
-pub use capacity::CapacitatedGreedy;
 pub use chain::{ChainMatcher, ChainOutcome};
 pub use clairvoyant::{ClairvoyantAssignment, ClairvoyantOptimal};
 pub use dynamic::{DynamicKdRebuild, DynamicRandomPool, HstGreedyPool};
-pub use random_assign::RandomAssign;
 pub use randomized::RandomizedGreedy;
 
 /// A (task, worker) assignment produced by an online or offline matcher.

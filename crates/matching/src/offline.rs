@@ -1522,7 +1522,7 @@ mod tests {
             .collect();
         let opt =
             OfflineOptimal::solve_euclidean(&tasks, &workers).total_distance(&tasks, &workers);
-        let greedy = crate::kdtree::KdTree::build(workers.clone()).assign_all(&tasks);
+        let greedy = crate::euclidean::greedy_reference(&workers, &tasks);
         assert_eq!(greedy.size(), 40);
         let greedy_total = greedy.total_distance(&tasks, &workers);
         assert!(

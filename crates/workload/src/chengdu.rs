@@ -15,6 +15,10 @@
 //! * **Worker dispersion** — drivers are spread more evenly than demand: a
 //!   flatter mixture of the same hotspots plus a heavier uniform component.
 //!
+//! The city model works in meters; every generated day is returned in
+//! [`UNIT_METERS`] units, so the 10 km region is the synthetic workloads'
+//! 200 × 200 space and a given ε is the same budget per unit on both.
+//!
 //! Absolute distances will not match the paper's plots, but the relative
 //! behaviour of the compared mechanisms — which is all the evaluation
 //! interprets — is preserved.
@@ -25,6 +29,9 @@ use pombm_geom::{seeded_rng, Point, Rect};
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
+
+/// Meters per workspace unit of a generated day (10 km → 200 units).
+pub const UNIT_METERS: f64 = 50.0;
 
 /// A demand hotspot: an anisotropic Gaussian cluster.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -125,13 +132,33 @@ fn pick_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     weights.len() - 1
 }
 
-/// Generates the instance for one simulated day.
+/// Generates the instance for one simulated day, in [`UNIT_METERS`] units.
 ///
 /// The day index perturbs hotspot weights (±50%) and draws the task count
 /// uniformly from the paper's reported per-day range. Worker locations are
 /// drawn from the flatter worker mixture; `num_workers` comes from the
 /// Table III sweep. Deterministic in `(city seed, day, num_workers)`.
 pub fn generate_day(city: &CityModel, day: usize, num_workers: usize, seed: u64) -> Instance {
+    day_in_meters(city, day, num_workers, seed).scaled(1.0 / UNIT_METERS)
+}
+
+/// Case-study variant of [`generate_day`] with U[500, 1000] m radii, drawn
+/// in meters and returned in [`UNIT_METERS`] units with the day.
+pub fn generate_day_with_radii(
+    city: &CityModel,
+    day: usize,
+    num_workers: usize,
+    seed: u64,
+) -> Instance {
+    let mut rng = seeded_rng(seed, 0xBEEF + day as u64);
+    let (lo, hi) = RealParams::REACH_RADIUS;
+    day_in_meters(city, day, num_workers, seed)
+        .with_uniform_radii(lo, hi, &mut rng)
+        .scaled(1.0 / UNIT_METERS)
+}
+
+/// [`generate_day`] before the rescale: the city model's meters.
+fn day_in_meters(city: &CityModel, day: usize, num_workers: usize, seed: u64) -> Instance {
     assert!(day < RealParams::NUM_DAYS, "day out of range");
     let mut rng = seeded_rng(seed, 0xDA7 + day as u64);
     let (lo, hi) = RealParams::TASKS_PER_DAY;
@@ -152,18 +179,6 @@ pub fn generate_day(city: &CityModel, day: usize, num_workers: usize, seed: u64)
         .map(|_| city.sample(city.worker_background, &base, &mut rng))
         .collect();
     Instance::new(city.region, tasks, workers)
-}
-
-/// Case-study variant of [`generate_day`] with U[500, 1000] m radii.
-pub fn generate_day_with_radii(
-    city: &CityModel,
-    day: usize,
-    num_workers: usize,
-    seed: u64,
-) -> Instance {
-    let mut rng = seeded_rng(seed, 0xBEEF + day as u64);
-    let (lo, hi) = RealParams::REACH_RADIUS;
-    generate_day(city, day, num_workers, seed).with_uniform_radii(lo, hi, &mut rng)
 }
 
 #[cfg(test)]
@@ -188,6 +203,7 @@ mod tests {
         let (lo, hi) = RealParams::TASKS_PER_DAY;
         assert!((lo..=hi).contains(&inst.num_tasks()));
         assert_eq!(inst.num_workers(), 8000);
+        assert_eq!(inst.region, Rect::square(200.0), "the synthetic space");
         inst.validate().unwrap();
     }
 
@@ -204,13 +220,19 @@ mod tests {
     #[test]
     fn tasks_are_more_clustered_than_workers() {
         // Average nearest-hotspot distance should be smaller for tasks than
-        // for workers (workers have a heavier uniform background).
+        // for workers (workers have a heavier uniform background). The
+        // city's hotspots are in meters, the day in units.
         let city = CityModel::generate(3);
         let inst = generate_day(&city, 5, 4000, 3);
+        let centers: Vec<Point> = city
+            .hotspots
+            .iter()
+            .map(|h| Point::new(h.center.x / UNIT_METERS, h.center.y / UNIT_METERS))
+            .collect();
         let nearest_hotspot = |p: &Point| -> f64 {
-            city.hotspots
+            centers
                 .iter()
-                .map(|h| h.center.dist(p))
+                .map(|c| c.dist(p))
                 .fold(f64::INFINITY, f64::min)
         };
         let avg = |pts: &[Point]| -> f64 {
@@ -226,10 +248,11 @@ mod tests {
 
     #[test]
     fn radii_in_meter_range() {
+        // U[500, 1000] m is U[10, 20] units.
         let city = CityModel::generate(4);
         let inst = generate_day_with_radii(&city, 2, 500, 4);
         for r in inst.radii.as_ref().unwrap() {
-            assert!((500.0..=1000.0).contains(r));
+            assert!((10.0..=20.0).contains(r), "radius {r}");
         }
     }
 

@@ -19,7 +19,6 @@
 //! order.
 
 pub mod chengdu;
-pub mod distributions;
 pub mod instance;
 pub mod params;
 pub mod shifts;

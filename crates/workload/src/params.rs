@@ -56,7 +56,8 @@ impl SyntheticParams {
 
 /// Table III: real-data settings, reproduced against the Chengdu-like
 /// trace of [`crate::chengdu`] because the Didi data is not
-/// redistributable.
+/// redistributable. Lengths are in meters, the city model's unit; a
+/// generated day is in [`crate::chengdu::UNIT_METERS`] units.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RealParams {
     /// Number of workers |W|.

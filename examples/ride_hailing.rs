@@ -11,10 +11,7 @@
 //! ```
 
 use pombm::{registry, run_spec, PipelineConfig};
-use pombm_workload::chengdu::{self, CityModel};
-
-/// Meters per workspace unit (10 km -> 200 units, the synthetic scale).
-const UNIT_METERS: f64 = 50.0;
+use pombm_workload::chengdu::{self, CityModel, UNIT_METERS};
 
 fn main() {
     let city = CityModel::generate(2016);
@@ -41,8 +38,7 @@ fn main() {
         let mut total_m = 0.0;
         let mut time = std::time::Duration::ZERO;
         for day in 0..days {
-            let instance =
-                chengdu::generate_day(&city, day, drivers, 2016).scaled(1.0 / UNIT_METERS);
+            let instance = chengdu::generate_day(&city, day, drivers, 2016);
             let result = run_spec(&spec, &instance, &config, day as u64).expect("runnable");
             rides += result.matching.size();
             total_m += result.metrics.total_distance * UNIT_METERS;

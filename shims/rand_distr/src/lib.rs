@@ -1,5 +1,5 @@
-//! Minimal offline stand-in for `rand_distr`: [`Distribution`], [`Normal`]
-//! and [`Exp`], which is all this workspace samples.
+//! Minimal offline stand-in for `rand_distr`: [`Distribution`] and
+//! [`Normal`], which is all this workspace samples.
 
 use rand::{Rng, RngCore};
 
@@ -52,29 +52,6 @@ impl Distribution<f64> for Normal<f64> {
     }
 }
 
-/// Exponential distribution with the given rate (inverse scale).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exp {
-    rate: f64,
-}
-
-impl Exp {
-    /// Creates an Exponential with rate `lambda > 0`.
-    pub fn new(lambda: f64) -> Result<Self, Error> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(Error("Exp requires a positive finite rate"));
-        }
-        Ok(Exp { rate: lambda })
-    }
-}
-
-impl Distribution<f64> for Exp {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,20 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_is_inverse_rate() {
-        let d = Exp::new(0.5).unwrap();
-        let mut r = rng();
-        let n = 200_000;
-        let mean = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(Normal::new(f64::NAN, 1.0).is_err());
         assert!(Normal::new(0.0, -1.0).is_err());
         assert!(Normal::new(0.0, 0.0).is_ok());
-        assert!(Exp::new(0.0).is_err());
-        assert!(Exp::new(f64::INFINITY).is_err());
     }
 }

@@ -11,9 +11,7 @@
 use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, RunResult};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};
-use pombm_matching::{
-    hst_greedy, CapacitatedGreedy, ChainMatcher, HstGreedyPool, RandomizedGreedy,
-};
+use pombm_matching::{ChainMatcher, RandomizedGreedy};
 use pombm_privacy::{AliasTable, Epsilon, ExponentialMechanism};
 use pombm_workload::{synthetic, SyntheticParams};
 use proptest::prelude::*;
@@ -211,55 +209,48 @@ proptest! {
         prop_assert_eq!(matched, n.min(m));
     }
 
-    /// Capacitated greedy with capacity 1 is exactly plain HST-greedy —
-    /// the bare pool fed the whole fleet, and the paper's scan — on any
-    /// input.
+    /// The capacity matcher at capacity 1 is exactly plain HST-greedy:
+    /// `tbf-cap` and `tbf` produce one matching on any instance.
     #[test]
     fn capacity_one_equals_greedy(
-        ctx in arb_ctx(),
         seed in 0u64..10_000,
-        n in 1usize..40,
+        tasks in 1usize..40,
+        workers in 1usize..40,
     ) {
-        let mut rng = seeded_rng(seed, 3);
-        use rand::Rng as _;
-        let workers: Vec<LeafCode> =
-            (0..n).map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
-        let tasks: Vec<LeafCode> =
-            (0..n + 2).map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
-        let mut cap = CapacitatedGreedy::uniform(ctx, workers.clone(), 1);
-        let mut plain = HstGreedyPool::new(ctx);
-        plain.add_batch(workers.iter().enumerate().map(|(i, &w)| (i as u64, w)));
-        let scan = hst_greedy::greedy_reference(ctx, &workers, &vec![1; n], &tasks);
-        for (t_idx, &t) in tasks.iter().enumerate() {
-            let w = cap.assign(t);
-            prop_assert_eq!(w, plain.assign(t).map(|w| w as usize));
-            prop_assert_eq!(w, scan.pairs.get(t_idx).map(|&(_, w)| w));
-        }
+        let instance = small_instance(tasks, workers, seed);
+        let config = PipelineConfig {
+            grid_side: 8,
+            capacity: 1,
+            ..PipelineConfig::default()
+        };
+        let greedy = run("tbf", &instance, &config, seed).matching;
+        prop_assert_eq!(greedy.size(), tasks.min(workers));
+        prop_assert_eq!(run("tbf-cap", &instance, &config, seed).matching, greedy);
     }
 
-    /// Total capacity is conserved: with total slots S, exactly S tasks
-    /// are assigned and the rest rejected.
+    /// Capacity is conserved: at a uniform capacity q the registered
+    /// `capacity` matcher assigns exactly min(tasks, q·workers) tasks, and
+    /// no worker serves more than q.
     #[test]
     fn capacity_slots_conserved(
-        ctx in arb_ctx(),
         seed in 0u64..10_000,
-        caps in proptest::collection::vec(0u32..4, 1..20),
+        tasks in 0usize..60,
+        workers in 1usize..20,
+        q in 1u32..4,
     ) {
-        let mut rng = seeded_rng(seed, 4);
-        use rand::Rng as _;
-        let workers: Vec<LeafCode> = (0..caps.len())
-            .map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
-        let slots: u32 = caps.iter().sum();
-        let mut m = CapacitatedGreedy::new(ctx, workers, caps);
-        let mut assigned = 0u32;
-        for _ in 0..slots + 5 {
-            let t = LeafCode(rng.gen_range(0..ctx.num_leaves()));
-            if m.assign(t).is_some() {
-                assigned += 1;
-            }
+        let instance = small_instance(tasks, workers, seed);
+        let config = PipelineConfig {
+            grid_side: 8,
+            capacity: q,
+            ..PipelineConfig::default()
+        };
+        let pairs = run("tbf-cap", &instance, &config, seed).matching.pairs;
+        prop_assert_eq!(pairs.len(), tasks.min(q as usize * workers));
+        let mut load = vec![0u32; workers];
+        for &(_, w) in &pairs {
+            load[w] += 1;
         }
-        prop_assert_eq!(assigned, slots);
-        prop_assert_eq!(m.remaining_slots(), 0);
+        prop_assert!(load.iter().all(|&l| l <= q), "loads {:?} over {}", load, q);
     }
 
     /// Exponential-mechanism probabilities are monotone in distance: a

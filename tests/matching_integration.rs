@@ -5,13 +5,23 @@
 use pombm_geom::{seeded_rng, Grid, Point, Rect};
 use pombm_hst::{Hst, LeafCode};
 use pombm_matching::offline::OfflineOptimal;
-use pombm_matching::{euclidean, hst_greedy, CapacitatedGreedy, Matching};
+use pombm_matching::{euclidean, hst_greedy, HstGreedyPool, Matching};
 use rand::Rng;
 
 fn grid_hst(side: usize, seed: u64) -> Hst {
     let grid = Grid::square(Rect::square(200.0), side);
     let mut rng = seeded_rng(seed, 0);
     Hst::build(&grid.to_point_set(), &mut rng)
+}
+
+/// Alg. 4 on the pool, filled with every worker before the first task.
+fn pooled_greedy(hst: &Hst, workers: &[LeafCode], tasks: &[LeafCode]) -> Matching {
+    let mut pool = HstGreedyPool::new(hst.ctx());
+    pool.add_batch((0..).zip(workers.iter().copied()));
+    let take = |(t, &leaf)| Some((t, pool.assign(leaf)? as usize));
+    Matching {
+        pairs: tasks.iter().enumerate().filter_map(take).collect(),
+    }
 }
 
 /// HST-greedy on exact (unobfuscated) leaves never does better than the
@@ -56,7 +66,7 @@ fn hst_greedy_vs_offline_optimum_in_tree_metric() {
 }
 
 /// Engine equivalence on a real tree at moderate scale: the pool's index
-/// (through the static matcher) reproduces the paper's scan.
+/// reproduces the paper's scan.
 #[test]
 fn engines_agree_on_real_tree() {
     let hst = grid_hst(16, 3);
@@ -68,7 +78,7 @@ fn engines_agree_on_real_tree() {
         .map(|_| LeafCode(rng.gen_range(0..hst.num_leaves())))
         .collect();
     let scan = hst_greedy::greedy_reference(hst.ctx(), &workers, &[1; 800], &tasks);
-    let indexed = CapacitatedGreedy::uniform(hst.ctx(), workers, 1).assign_all(&tasks);
+    let indexed = pooled_greedy(&hst, &workers, &tasks);
     assert_eq!(scan.size(), 800);
     assert_eq!(scan, indexed);
 }
@@ -103,7 +113,7 @@ fn tree_cost_dominates_euclidean_cost() {
 /// points: both produce perfect matchings of the same size, and on exact
 /// data their total distances are within a log-factor of each other.
 #[test]
-fn euclid_and_tree_greedy_are_comparable_on_exact_data() {
+fn euclid_and_hst_greedy_are_comparable_on_exact_data() {
     let hst = grid_hst(8, 7);
     let points = hst.points().clone();
     let mut rng = seeded_rng(8, 4);
@@ -155,7 +165,7 @@ fn offline_optimum_lower_bounds_greedy_over_orders() {
     for _ in 0..5 {
         use rand::seq::SliceRandom;
         tasks.shuffle(&mut rng);
-        let greedy = CapacitatedGreedy::uniform(hst.ctx(), workers.clone(), 1).assign_all(&tasks);
+        let greedy = pooled_greedy(&hst, &workers, &tasks);
         assert_eq!(greedy.size(), 30);
         let total: f64 = greedy
             .pairs

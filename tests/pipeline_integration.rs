@@ -99,7 +99,7 @@ fn more_workers_shorten_total_distance() {
 #[test]
 fn chengdu_day_runs_through_all_pipelines() {
     let city = chengdu::CityModel::generate(5);
-    let mut instance = chengdu::generate_day(&city, 0, 2000, 5).scaled(1.0 / 50.0);
+    let mut instance = chengdu::generate_day(&city, 0, 2000, 5);
     instance.tasks.truncate(400);
     instance.validate().unwrap();
     for algo in PAPER {

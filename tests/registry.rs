@@ -8,9 +8,10 @@
 //!    tasks whenever `workers >= tasks` (unit capacity);
 //! 3. end-to-end coverage of pairings the closed enum could not express.
 
+use pombm::algorithm::{AssignCtx, ReportSet, Reports};
 use pombm::fingerprint::Fnv1a;
-use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig};
-use pombm_geom::seeded_rng;
+use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, Server};
+use pombm_geom::{seeded_rng, Rect};
 use pombm_workload::{synthetic, Instance, SyntheticParams};
 use proptest::prelude::*;
 
@@ -138,8 +139,8 @@ fn legacy_variants_match_pre_refactor_matchings_exactly() {
 
 /// Fingerprints of pairings `GOLDEN` leaves out, recorded on the parent
 /// of the change that moved the static nearest-worker matchers onto the
-/// dynamic pools' indexes (while `HstGreedy`, `EuclideanGreedy` and
-/// `CapacitatedGreedy`'s own index still ran them), with the same digest,
+/// dynamic pools' indexes (while `HstGreedy`, `EuclideanGreedy` and the
+/// capacitated matcher's own index still ran them), with the same digest,
 /// configs and repetitions: `lap-kd` on the `GOLDEN` instance, and
 /// `tbf-cap` at capacity 2 and 3 on a 60-task × 25-worker instance
 /// (seed 42), where workers serve several tasks and slots run out.
@@ -331,6 +332,89 @@ fn zero_capacity_is_rejected_not_clamped() {
     let tbf_cap = registry().require_spec("tbf-cap").unwrap();
     let err = run_spec(&tbf_cap, &inst, &config, 0).unwrap_err();
     assert!(err.to_string().contains("capacity"), "{err}");
+}
+
+/// What one static matcher makes of a probe in
+/// `static_matchers_check_reports_in_a_fixed_order`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Outcome {
+    /// Every task matched.
+    Matched,
+    /// A location-blind side, named by the matcher's component.
+    Blind,
+    /// No server for reports that need one.
+    NoServer,
+    /// Capacity 0.
+    NoSlots,
+}
+
+/// Every static online matcher's answer to unusable reports, and the order
+/// it checks them in, recorded from the parent of the change that runs
+/// each name through its registered dynamic pool. The texts are the ones
+/// the CI goldens print for blind cells; `random` alone accepts anything.
+#[test]
+fn static_matchers_check_reports_in_a_fixed_order() {
+    use Outcome::*;
+    let server = Server::new(Rect::square(200.0), 4, 1);
+    let leaves = |n| Reports::Leaves(vec![server.hst().leaf_of(0); n]);
+    // (workers, tasks, server, capacity): blind sides with and without a
+    // server, leaf workers before blind tasks without one, and capacity 0
+    // behind usable and unusable reports.
+    let probes = || {
+        [
+            (Reports::Blind(3), Reports::Blind(2), Some(&server), 1),
+            (Reports::Blind(3), Reports::Blind(2), None, 1),
+            (leaves(3), Reports::Blind(2), None, 1),
+            (leaves(3), leaves(2), Some(&server), 0),
+            (Reports::Blind(3), leaves(2), Some(&server), 0),
+        ]
+    };
+    let table = [
+        ("hst-greedy", [Blind, NoServer, NoServer, Matched, Blind]),
+        ("chain", [Blind, NoServer, NoServer, Matched, Blind]),
+        ("capacity", [Blind, NoServer, NoServer, NoSlots, Blind]),
+        ("greedy", [Blind, Blind, NoServer, Matched, Blind]),
+        ("kd-greedy", [Blind, Blind, NoServer, Matched, Blind]),
+        ("random", [Matched; 5]),
+    ];
+    let instance = instance(0, 0, 0);
+    for (name, expected) in table {
+        let matcher = registry().require_matcher(name).unwrap();
+        for (i, ((workers, tasks, server, capacity), want)) in
+            probes().into_iter().zip(expected).enumerate()
+        {
+            let config = PipelineConfig {
+                capacity,
+                ..PipelineConfig::default()
+            };
+            let (mut mech_rng, mut tie_rng) = (seeded_rng(0, 1), seeded_rng(0, 2));
+            let mut ctx = AssignCtx {
+                instance: &instance,
+                config: &config,
+                server,
+                mech_rng: &mut mech_rng,
+                tie_rng: &mut tie_rng,
+            };
+            let got = matcher
+                .assign(ReportSet { workers, tasks }, &mut ctx)
+                .map(|m| m.size())
+                .map_err(|e| e.to_string());
+            let want = match want {
+                Matched => Ok(2),
+                Blind => Err(format!(
+                    "`{name} matcher` cannot consume these reports: needs location \
+                     reports (got location-blind reports)"
+                )),
+                NoServer => Err(format!(
+                    "`{name} matcher` needs a server (published HST), none supplied"
+                )),
+                NoSlots => Err("invalid config `capacity`: the capacity matcher needs \
+                                at least one slot per worker"
+                    .to_string()),
+            };
+            assert_eq!(got, want, "{name}, probe {i}");
+        }
+    }
 }
 
 #[test]
