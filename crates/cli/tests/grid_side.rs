@@ -3,10 +3,11 @@
 //! cover, a grid the tree cannot resolve, a tree whose leaf codes overflow
 //! `u64`, a region whose squared diagonal overflows `f64`, a privacy
 //! budget that is not positive and finite, `gen` parameters no workload
-//! can be drawn from, a flag that takes a value given without one, and the
-//! other degenerate knobs each answer with a one-line typed error, never a
-//! panic, an allocator abort, a hang or a silently dropped flag. A reader
-//! that closes stdout early ends the command quietly.
+//! can be drawn from, a flag that takes a value given without one, JSON
+//! nested past the parser's depth cap, and the other degenerate knobs each
+//! answer with a one-line typed error, never a panic, a stack overflow, an
+//! allocator abort, a hang or a silently dropped flag. A reader that
+//! closes stdout early ends the command quietly.
 
 use std::process::{Command, Output, Stdio};
 
@@ -374,4 +375,59 @@ fn a_closed_stdout_ends_the_command_quietly() {
     assert_eq!(output.status.code(), Some(1), "list > /dev/full: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.starts_with("error: writing the output"), "{stderr}");
+}
+
+/// JSON nested deeper than 128 arrays or objects is one parse error in
+/// every command that reads JSON, never a stack overflow: an instance, a
+/// partial report handed to `merge`, and a checkpoint log line, which is
+/// skipped and recomputed like a torn one.
+#[test]
+fn deeply_nested_json_is_a_one_line_error() {
+    let dir = std::env::temp_dir();
+    let arrays = dir.join("pombm-deep-arrays.json");
+    std::fs::write(&arrays, "[".repeat(200_000)).expect("temp dir is writable");
+    let objects = dir.join("pombm-deep-objects.json");
+    std::fs::write(&objects, r#"{"a":"#.repeat(50_000)).expect("temp dir is writable");
+    for (command, file, offset) in [
+        (
+            format!("run --input {} --algo tbf", arrays.display()),
+            &arrays,
+            128,
+        ),
+        (format!("merge {}", objects.display()), &objects, 640),
+    ] {
+        let error = format!(
+            "parse {}: nesting deeper than 128 at offset {offset}",
+            file.display()
+        );
+        assert_one_line_error(&command, &error);
+    }
+
+    let checkpoint = dir.join("pombm-deep-checkpoint");
+    let _ = std::fs::remove_dir_all(&checkpoint);
+    let sweep = format!(
+        "sweep --mechanisms identity --matchers greedy --sizes 8 --epsilons 0.6,0.9 \
+         --reps 1 --grid-side 16 --json --checkpoint {}",
+        checkpoint.display()
+    );
+    let fresh = pombm(&sweep);
+    assert_eq!(fresh.status.code(), Some(0), "{sweep}");
+    let log = std::fs::read_dir(&checkpoint)
+        .expect("the sweep made its checkpoint directory")
+        .next()
+        .expect("one checkpoint log")
+        .expect("a readable entry")
+        .path();
+    let text = std::fs::read_to_string(&log).expect("the log is readable");
+    let (first, _) = text.split_once('\n').expect("two logged cells");
+    std::fs::write(&log, format!("{first}\n{}\n", "[".repeat(100_000))).expect("log writable");
+    let resumed = pombm(&sweep);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "{sweep}: {stderr}");
+    assert!(
+        stderr.contains("1 cells resumed (skipped recomputation), 1 computed"),
+        "{stderr}"
+    );
+    assert_eq!(resumed.stdout, fresh.stdout, "{sweep}");
+    let _ = std::fs::remove_dir_all(&checkpoint);
 }

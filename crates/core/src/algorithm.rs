@@ -12,10 +12,12 @@
 //! (e.g. exponential mechanism + chain matcher) need no changes to the
 //! pipeline driver.
 //!
-//! Each online rule has one index, a [`DynamicWorkerPool`]. The paper's
+//! Each online rule has one index, a [`DynamicWorkerPool`], and one type,
+//! [`PoolStrategy`], with a constant per registered name. The paper's
 //! static model is the dynamic one in which every worker checks in before
-//! the first task, so the static matchers ([`PoolStrategy`]) fill the
-//! registered pool of their rule with the whole fleet and then drain it.
+//! the first task, so a static matcher fills its rule's pool with the
+//! whole fleet and then drains it, and a dynamic one hands the same pool
+//! to the event loop.
 //!
 //! Report kinds are bridged automatically when a [`Server`] is available:
 //! planar reports snap to tree leaves (this is exactly how the paper's
@@ -68,7 +70,7 @@ use crate::server::Server;
 use pombm_geom::Point;
 use pombm_hst::LeafCode;
 use pombm_matching::offline::OfflineOptimal;
-use pombm_matching::{Matching, RandomizedGreedy};
+use pombm_matching::{DynamicKdRebuild, DynamicRandomPool, HstGreedyPool, Matching};
 use pombm_privacy::{Epsilon, ExponentialMechanism, HstMechanism, PlanarLaplace};
 use pombm_workload::Instance;
 use rand::rngs::StdRng;
@@ -770,25 +772,178 @@ impl ReportMechanism for BlindMechanism {
 // Matcher implementations
 // ---------------------------------------------------------------------------
 
-/// Which dynamic pool runs an online rule, and how the rule reads its
-/// reports before they enter it.
+/// An online rule: which pool runs it, and how it reads its reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rule {
     /// Alg. 4 on the HST: leaf reports (planar ones snapped), after a
-    /// server check, in the `hst-greedy` pool.
+    /// server check, in the tree pool ([`HstGreedyPool::assign`]).
     Tree,
-    /// Euclidean greedy: planar reports (leaves projected) in the
-    /// `kd-rebuild` pool.
+    /// Alg. 4 with the uniform tie-break of Meyerson et al. (the paper's
+    /// ref \[15\]): [`Rule::Tree`]'s reports and pool, drawing the nearest
+    /// worker on [`AssignCtx::tie_rng`] ([`HstGreedyPool::assign_random`]).
+    TreeRandom,
+    /// Euclidean greedy: planar reports (leaves projected) in the k-d pool
+    /// ([`DynamicKdRebuild`]).
     Plane,
-    /// The location-blind floor: the reports are ignored, and the `random`
-    /// pool draws from the mechanism's stream.
+    /// The location-blind floor: the reports are ignored, and the random
+    /// pool ([`DynamicRandomPool`]) draws from the mechanism's stream.
     Blind,
 }
 
-/// The static online matchers. The paper's static model is the dynamic one
-/// in which every worker checks in before the first task, so each name
-/// fills the registered dynamic pool of its rule with the whole fleet
-/// (ids `0..n` in index order) and drains the tasks in arrival order.
+impl Rule {
+    /// True for the rules whose pool lives on the published tree.
+    fn needs_server(self) -> bool {
+        matches!(self, Rule::Tree | Rule::TreeRandom)
+    }
+
+    /// One side's reports as the static matcher `component` hands them to
+    /// the pool.
+    fn convert(
+        self,
+        reports: Reports,
+        server: Option<&Server>,
+        component: &'static str,
+    ) -> Result<Vec<Report>, PipelineError> {
+        Ok(match self {
+            Rule::Tree | Rule::TreeRandom => reports
+                .into_leaves(server, component)?
+                .into_iter()
+                .map(Report::Leaf)
+                .collect(),
+            Rule::Plane => reports
+                .into_points(server, component)?
+                .into_iter()
+                .map(Report::Planar)
+                .collect(),
+            Rule::Blind => vec![Report::Blind; reports.len()],
+        })
+    }
+
+    /// An empty pool of the rule; the tree pools need the server. A report
+    /// that does not convert names `component`, except in the tree pools,
+    /// whose errors have always named `dynamic pool`.
+    fn pool<'a>(
+        self,
+        server: Option<&'a Server>,
+        component: &'static str,
+    ) -> Result<RulePool<'a>, PipelineError> {
+        let (pool, component) = match self {
+            Rule::Tree | Rule::TreeRandom => {
+                let server = server.ok_or(PipelineError::MissingServer(component))?;
+                let pool = HstGreedyPool::new(server.hst().ctx());
+                let random = self == Rule::TreeRandom;
+                (Pool::Tree { pool, random }, "dynamic pool")
+            }
+            Rule::Plane => (Pool::Plane(DynamicKdRebuild::new()), component),
+            Rule::Blind => (Pool::Blind(DynamicRandomPool::new()), component),
+        };
+        Ok(RulePool {
+            pool,
+            server,
+            component,
+        })
+    }
+}
+
+/// The index a [`Rule`] runs.
+enum Pool {
+    /// The tree pool; `random` draws the nearest worker on the caller's
+    /// stream.
+    Tree { pool: HstGreedyPool, random: bool },
+    /// The k-d pool.
+    Plane(DynamicKdRebuild),
+    /// The random pool.
+    Blind(DynamicRandomPool),
+}
+
+/// A rule's pool behind [`DynamicWorkerPool`]: the one adapter
+/// for every static and dynamic online matcher.
+struct RulePool<'a> {
+    pool: Pool,
+    server: Option<&'a Server>,
+    /// The component named when a report does not convert.
+    component: &'static str,
+}
+
+impl DynamicWorkerPool for RulePool<'_> {
+    fn insert(&mut self, id: u64, report: Report) -> Result<(), PipelineError> {
+        match &mut self.pool {
+            Pool::Tree { pool, .. } => pool.add(id, report.into_leaf(self.server, self.component)?),
+            Pool::Plane(pool) => pool.add(id, report.into_point(self.server, self.component)?),
+            Pool::Blind(pool) => pool.add(id),
+        }
+        Ok(())
+    }
+
+    fn insert_batch(&mut self, batch: Vec<(u64, Report)>) -> Result<(), PipelineError> {
+        // Convert every report before the first add: an incompatible report
+        // mid-batch must not leave a half-inserted window behind.
+        let (server, component) = (self.server, self.component);
+        match &mut self.pool {
+            Pool::Tree { pool, .. } => pool.add_batch(
+                batch
+                    .into_iter()
+                    .map(|(id, report)| Ok((id, report.into_leaf(server, component)?)))
+                    .collect::<Result<Vec<_>, PipelineError>>()?,
+            ),
+            Pool::Plane(pool) => pool.add_batch(
+                batch
+                    .into_iter()
+                    .map(|(id, report)| Ok((id, report.into_point(server, component)?)))
+                    .collect::<Result<Vec<_>, PipelineError>>()?,
+            ),
+            Pool::Blind(pool) => {
+                pool.add_batch(&batch.into_iter().map(|(id, _)| id).collect::<Vec<_>>());
+            }
+        }
+        Ok(())
+    }
+
+    fn withdraw(&mut self, id: u64) -> bool {
+        match &mut self.pool {
+            Pool::Tree { pool, .. } => pool.withdraw(id),
+            Pool::Plane(pool) => pool.withdraw(id),
+            Pool::Blind(pool) => pool.withdraw(id),
+        }
+    }
+
+    fn assign(&mut self, report: Report, rng: &mut StdRng) -> Result<Option<u64>, PipelineError> {
+        Ok(match &mut self.pool {
+            Pool::Tree { pool, random } => {
+                let leaf = report.into_leaf(self.server, self.component)?;
+                if *random {
+                    pool.assign_random(leaf, rng)
+                } else {
+                    pool.assign(leaf)
+                }
+            }
+            Pool::Plane(pool) => pool.assign(&report.into_point(self.server, self.component)?),
+            Pool::Blind(pool) => pool.assign(rng),
+        })
+    }
+
+    fn available(&self) -> usize {
+        match &self.pool {
+            Pool::Tree { pool, .. } => pool.available(),
+            Pool::Plane(pool) => pool.available(),
+            Pool::Blind(pool) => pool.available(),
+        }
+    }
+}
+
+/// The online matchers, static and dynamic: one constant per registered
+/// name, each running the pool of its rule.
+///
+/// As a [`DynamicAssignStrategy`], a constant builds its rule's empty pool
+/// for the event loop: `hst-greedy` ([`Self::DYNAMIC_HST_GREEDY`], the tree
+/// pool), `kd-rebuild` ([`Self::KD_REBUILD`], the k-d pool) and `random`
+/// ([`Self::DYNAMIC_RANDOM`], the random pool, drawing on the event loop's tie
+/// stream).
+///
+/// As an [`AssignStrategy`], it runs the paper's static model, the dynamic
+/// one in which every worker checks in before the first task: it fills its
+/// rule's pool with the whole fleet (ids `0..n` in index order) and drains
+/// the tasks in arrival order.
 ///
 /// - `hst-greedy` (Alg. 4) and `chain` run the tree pool,
 ///   [`pombm_matching::HstGreedyPool`], equal pair for pair to the paper's
@@ -797,6 +952,9 @@ enum Rule {
 ///   in the tree metric, at the worker greedy picks (see
 ///   [`pombm_matching::chain`]); [`pombm_matching::ChainMatcher`] keeps the
 ///   literal rule as the reference the tests pin `chain` to.
+/// - `hst-rand` runs the tree pool with Meyerson et al.'s uniform
+///   tie-break ([`pombm_matching::HstGreedyPool::assign_random`]) on
+///   [`AssignCtx::tie_rng`].
 /// - `capacity` is `hst-greedy` whose workers serve up to
 ///   [`PipelineConfig::capacity`] tasks each: a worker goes back into the
 ///   pool while it has capacity left. A zero capacity is rejected only
@@ -846,6 +1004,15 @@ impl PoolStrategy {
         capacitated: false,
     };
 
+    /// The `hst-rand` registration.
+    pub const HST_RAND: Self = PoolStrategy {
+        name: "hst-rand",
+        summary: "tree-nearest worker with randomized tie-breaking",
+        component: "hst-rand matcher",
+        rule: Rule::TreeRandom,
+        capacitated: false,
+    };
+
     /// The `chain` registration.
     pub const CHAIN: Self = PoolStrategy {
         name: "chain",
@@ -873,35 +1040,32 @@ impl PoolStrategy {
         capacitated: false,
     };
 
-    /// The registered dynamic matcher whose pool runs the rule.
-    fn pool(&self) -> &'static dyn DynamicAssignStrategy {
-        match self.rule {
-            Rule::Tree => &DynamicHstPoolStrategy,
-            Rule::Plane => &DynamicKdRebuildStrategy,
-            Rule::Blind => &DynamicRandomStrategy,
-        }
-    }
+    /// The dynamic `hst-greedy` registration.
+    pub const DYNAMIC_HST_GREEDY: Self = PoolStrategy {
+        name: "hst-greedy",
+        summary: "tree-nearest available worker over a shifting fleet (Alg. 4)",
+        component: "hst-greedy dynamic matcher",
+        rule: Rule::Tree,
+        capacitated: false,
+    };
 
-    /// One side's reports as the pool takes them.
-    fn convert(
-        &self,
-        reports: Reports,
-        server: Option<&Server>,
-    ) -> Result<Vec<Report>, PipelineError> {
-        Ok(match self.rule {
-            Rule::Tree => reports
-                .into_leaves(server, self.component)?
-                .into_iter()
-                .map(Report::Leaf)
-                .collect(),
-            Rule::Plane => reports
-                .into_points(server, self.component)?
-                .into_iter()
-                .map(Report::Planar)
-                .collect(),
-            Rule::Blind => vec![Report::Blind; reports.len()],
-        })
-    }
+    /// The dynamic `kd-rebuild` registration.
+    pub const KD_REBUILD: Self = PoolStrategy {
+        name: "kd-rebuild",
+        summary: "Euclidean-nearest worker via a k-d tree rebuilt on pool mutation",
+        component: "kd-rebuild dynamic matcher",
+        rule: Rule::Plane,
+        capacitated: false,
+    };
+
+    /// The dynamic `random` registration.
+    pub const DYNAMIC_RANDOM: Self = PoolStrategy {
+        name: "random",
+        summary: "uniformly random live worker (location-blind floor)",
+        component: "random dynamic matcher",
+        rule: Rule::Blind,
+        capacitated: false,
+    };
 }
 
 impl AssignStrategy for PoolStrategy {
@@ -914,7 +1078,7 @@ impl AssignStrategy for PoolStrategy {
     }
 
     fn needs_server(&self) -> bool {
-        self.rule == Rule::Tree
+        self.rule.needs_server()
     }
 
     fn reuses_workers(&self) -> bool {
@@ -926,11 +1090,15 @@ impl AssignStrategy for PoolStrategy {
         reports: ReportSet,
         ctx: &mut AssignCtx<'_>,
     ) -> Result<Matching, PipelineError> {
-        if self.rule == Rule::Tree && ctx.server.is_none() {
+        if self.rule.needs_server() && ctx.server.is_none() {
             return Err(PipelineError::MissingServer(self.component));
         }
-        let workers = self.convert(reports.workers, ctx.server)?;
-        let tasks = self.convert(reports.tasks, ctx.server)?;
+        let workers = self
+            .rule
+            .convert(reports.workers, ctx.server, self.component)?;
+        let tasks = self
+            .rule
+            .convert(reports.tasks, ctx.server, self.component)?;
         let capacity = if self.capacitated {
             ctx.config.capacity
         } else {
@@ -942,14 +1110,18 @@ impl AssignStrategy for PoolStrategy {
                 why: "the capacity matcher needs at least one slot per worker",
             });
         }
-        let mut pool = self.pool().pool(ctx.server)?;
+        let mut pool = self.rule.pool(ctx.server, self.component)?;
         pool.insert_batch((0..).zip(workers.iter().copied()).collect())?;
+        // `random` draws on the stream the location-blind floor has always
+        // continued, `hst-rand` on the tie stream; the others draw nothing.
+        let rng = match self.rule {
+            Rule::TreeRandom => &mut *ctx.tie_rng,
+            _ => &mut *ctx.mech_rng,
+        };
         let mut served = vec![0; workers.len()];
         let mut matching = Matching::new();
         for (t, report) in tasks.into_iter().enumerate() {
-            // Only `random` draws, on the stream the location-blind floor
-            // has always continued.
-            let Some(id) = pool.assign(report, ctx.mech_rng)? else {
+            let Some(id) = pool.assign(report, rng)? else {
                 continue;
             };
             let w = id as usize;
@@ -964,42 +1136,24 @@ impl AssignStrategy for PoolStrategy {
     }
 }
 
-/// Alg. 4 with uniform tie-break randomization (Meyerson et al.).
-pub struct RandomizedGreedyStrategy;
-
-impl AssignStrategy for RandomizedGreedyStrategy {
+impl DynamicAssignStrategy for PoolStrategy {
     fn name(&self) -> &'static str {
-        "hst-rand"
+        self.name
     }
 
     fn summary(&self) -> &'static str {
-        "tree-nearest worker with randomized tie-breaking"
+        self.summary
     }
 
     fn needs_server(&self) -> bool {
-        true
+        self.rule.needs_server()
     }
 
-    fn assign(
+    fn pool<'a>(
         &self,
-        reports: ReportSet,
-        ctx: &mut AssignCtx<'_>,
-    ) -> Result<Matching, PipelineError> {
-        let server = ctx
-            .server
-            .ok_or(PipelineError::MissingServer("hst-rand matcher"))?;
-        let workers = reports
-            .workers
-            .into_leaves(ctx.server, "hst-rand matcher")?;
-        let tasks = reports.tasks.into_leaves(ctx.server, "hst-rand matcher")?;
-        let mut matcher = RandomizedGreedy::new(server.hst().ctx(), workers);
-        let mut matching = Matching::new();
-        for (t_idx, &t) in tasks.iter().enumerate() {
-            if let Some(w_idx) = matcher.assign(t, ctx.tie_rng) {
-                matching.pairs.push((t_idx, w_idx));
-            }
-        }
-        Ok(matching)
+        server: Option<&'a Server>,
+    ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
+        Ok(Box::new(self.rule.pool(server, self.component)?))
     }
 }
 
@@ -1050,197 +1204,8 @@ impl AssignStrategy for OfflineOptimalStrategy {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic matcher implementations
+// Dynamic oracle
 // ---------------------------------------------------------------------------
-
-/// The paper's Alg. 4 over a shifting fleet: tree-nearest available worker
-/// via [`pombm_matching::HstGreedyPool`] (the `O(c·D)` mutable index the
-/// static tree matchers fill too).
-pub struct DynamicHstPoolStrategy;
-
-impl DynamicAssignStrategy for DynamicHstPoolStrategy {
-    fn name(&self) -> &'static str {
-        "hst-greedy"
-    }
-
-    fn summary(&self) -> &'static str {
-        "tree-nearest available worker over a shifting fleet (Alg. 4)"
-    }
-
-    fn needs_server(&self) -> bool {
-        true
-    }
-
-    fn pool<'a>(
-        &self,
-        server: Option<&'a Server>,
-    ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
-        let server = server.ok_or(PipelineError::MissingServer("hst-greedy dynamic matcher"))?;
-        struct P<'a> {
-            pool: pombm_matching::HstGreedyPool,
-            server: &'a Server,
-        }
-        impl DynamicWorkerPool for P<'_> {
-            fn insert(&mut self, id: u64, report: Report) -> Result<(), PipelineError> {
-                let leaf = report.into_leaf(Some(self.server), "dynamic pool")?;
-                self.pool.add(id, leaf);
-                Ok(())
-            }
-            fn insert_batch(&mut self, batch: Vec<(u64, Report)>) -> Result<(), PipelineError> {
-                // Convert every report before the first add: an
-                // incompatible report mid-batch must not leave a
-                // half-inserted window behind.
-                let leaves = batch
-                    .into_iter()
-                    .map(|(id, report)| {
-                        Ok((id, report.into_leaf(Some(self.server), "dynamic pool")?))
-                    })
-                    .collect::<Result<Vec<_>, PipelineError>>()?;
-                self.pool.add_batch(leaves);
-                Ok(())
-            }
-            fn withdraw(&mut self, id: u64) -> bool {
-                self.pool.withdraw(id)
-            }
-            fn assign(
-                &mut self,
-                report: Report,
-                _tie_rng: &mut StdRng,
-            ) -> Result<Option<u64>, PipelineError> {
-                let leaf = report.into_leaf(Some(self.server), "dynamic pool")?;
-                Ok(self.pool.assign(leaf))
-            }
-            fn available(&self) -> usize {
-                self.pool.available()
-            }
-        }
-        Ok(Box::new(P {
-            pool: pombm_matching::HstGreedyPool::new(server.hst().ctx()),
-            server,
-        }))
-    }
-}
-
-/// Euclidean nearest over planar reports via a k-d tree rebuilt lazily on
-/// pool mutation ([`pombm_matching::DynamicKdRebuild`]). Leaf reports are
-/// projected to their representative predefined points, so tree mechanisms
-/// compose too.
-pub struct DynamicKdRebuildStrategy;
-
-impl DynamicAssignStrategy for DynamicKdRebuildStrategy {
-    fn name(&self) -> &'static str {
-        "kd-rebuild"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Euclidean-nearest worker via a k-d tree rebuilt on pool mutation"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn pool<'a>(
-        &self,
-        server: Option<&'a Server>,
-    ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
-        struct P<'a> {
-            pool: pombm_matching::DynamicKdRebuild,
-            server: Option<&'a Server>,
-        }
-        impl DynamicWorkerPool for P<'_> {
-            fn insert(&mut self, id: u64, report: Report) -> Result<(), PipelineError> {
-                let point = report.into_point(self.server, "kd-rebuild dynamic matcher")?;
-                self.pool.add(id, point);
-                Ok(())
-            }
-            fn insert_batch(&mut self, batch: Vec<(u64, Report)>) -> Result<(), PipelineError> {
-                // Convert first (atomic on incompatible reports), then one
-                // append + re-sort instead of k sorted insertions.
-                let points = batch
-                    .into_iter()
-                    .map(|(id, report)| {
-                        Ok((
-                            id,
-                            report.into_point(self.server, "kd-rebuild dynamic matcher")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, PipelineError>>()?;
-                self.pool.add_batch(points);
-                Ok(())
-            }
-            fn withdraw(&mut self, id: u64) -> bool {
-                self.pool.withdraw(id)
-            }
-            fn assign(
-                &mut self,
-                report: Report,
-                _tie_rng: &mut StdRng,
-            ) -> Result<Option<u64>, PipelineError> {
-                let point = report.into_point(self.server, "kd-rebuild dynamic matcher")?;
-                Ok(self.pool.assign(&point))
-            }
-            fn available(&self) -> usize {
-                self.pool.available()
-            }
-        }
-        Ok(Box::new(P {
-            pool: pombm_matching::DynamicKdRebuild::new(),
-            server,
-        }))
-    }
-}
-
-/// Uniform draw from the live pool ([`pombm_matching::DynamicRandomPool`]):
-/// the location-blind sanity floor under fleet churn. Composes with every
-/// mechanism, including `blind`.
-pub struct DynamicRandomStrategy;
-
-impl DynamicAssignStrategy for DynamicRandomStrategy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn summary(&self) -> &'static str {
-        "uniformly random live worker (location-blind floor)"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn pool<'a>(
-        &self,
-        _server: Option<&'a Server>,
-    ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
-        struct P(pombm_matching::DynamicRandomPool);
-        impl DynamicWorkerPool for P {
-            fn insert(&mut self, id: u64, _report: Report) -> Result<(), PipelineError> {
-                self.0.add(id);
-                Ok(())
-            }
-            fn insert_batch(&mut self, batch: Vec<(u64, Report)>) -> Result<(), PipelineError> {
-                let ids: Vec<u64> = batch.into_iter().map(|(id, _)| id).collect();
-                self.0.add_batch(&ids);
-                Ok(())
-            }
-            fn withdraw(&mut self, id: u64) -> bool {
-                self.0.withdraw(id)
-            }
-            fn assign(
-                &mut self,
-                _report: Report,
-                tie_rng: &mut StdRng,
-            ) -> Result<Option<u64>, PipelineError> {
-                Ok(self.0.assign(tie_rng))
-            }
-            fn available(&self) -> usize {
-                self.0.available()
-            }
-        }
-        Ok(Box::new(P(pombm_matching::DynamicRandomPool::new())))
-    }
-}
 
 /// The clairvoyant offline optimum over the revealed shift/task timeline
 /// ([`pombm_matching::ClairvoyantOptimal`]): the ratio-under-churn

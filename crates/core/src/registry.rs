@@ -27,10 +27,9 @@
 //! [`Registry::dynamic_oracle`].
 
 use crate::algorithm::{
-    AssignStrategy, BlindMechanism, DynamicAssignStrategy, DynamicHstPoolStrategy,
-    DynamicKdRebuildStrategy, DynamicOptStrategy, DynamicRandomStrategy,
+    AssignStrategy, BlindMechanism, DynamicAssignStrategy, DynamicOptStrategy,
     ExponentialReportMechanism, HstWalkMechanism, IdentityMechanism, LaplaceMechanism,
-    OfflineOptimalStrategy, PipelineError, PoolStrategy, RandomizedGreedyStrategy, ReportMechanism,
+    OfflineOptimalStrategy, PipelineError, PoolStrategy, ReportMechanism,
 };
 use crate::fault::{Burst, DupStorm, FaultPlan, FlakyWire, NoFault};
 use crate::scenario::{
@@ -449,14 +448,15 @@ fn build() -> Registry {
     let identity: Arc<dyn ReportMechanism> = Arc::new(IdentityMechanism);
     let blind: Arc<dyn ReportMechanism> = Arc::new(BlindMechanism);
 
-    // The online rules fill the dynamic pools registered below: the k-d
-    // pool under both planar names, the tree pool under `hst-greedy`,
-    // `chain` (the chain rule ends at greedy's worker in the tree metric)
-    // and `capacity`, and the random pool under `random`.
+    // The online rules fill the pools the dynamic matchers below run: the
+    // k-d pool under both planar names, the tree pool under `hst-greedy`,
+    // `hst-rand` (drawing among the nearest workers), `chain` (the chain
+    // rule ends at greedy's worker in the tree metric) and `capacity`, and
+    // the random pool under `random`.
     let greedy: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::GREEDY);
     let kd: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::KD_GREEDY);
     let hst_greedy: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::HST_GREEDY);
-    let hst_rand: Arc<dyn AssignStrategy> = Arc::new(RandomizedGreedyStrategy);
+    let hst_rand: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::HST_RAND);
     let chain: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::CHAIN);
     let capacity: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::CAPACITY);
     let random: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::RANDOM);
@@ -517,9 +517,13 @@ fn build() -> Registry {
     }
 
     let mut dynamic_matchers = Catalog::new("dynamic matcher");
-    dynamic_matchers.register(Arc::new(DynamicHstPoolStrategy) as Arc<dyn DynamicAssignStrategy>);
-    dynamic_matchers.register(Arc::new(DynamicKdRebuildStrategy));
-    dynamic_matchers.register(Arc::new(DynamicRandomStrategy));
+    for m in [
+        PoolStrategy::DYNAMIC_HST_GREEDY,
+        PoolStrategy::KD_REBUILD,
+        PoolStrategy::DYNAMIC_RANDOM,
+    ] {
+        dynamic_matchers.register(Arc::new(m) as Arc<dyn DynamicAssignStrategy>);
+    }
     // The clairvoyant offline optimum: the ratio-under-churn denominator,
     // resolvable only through `dynamic_oracle` / the ratio surfaces.
     dynamic_matchers.register_as(Role::OracleOnly, Arc::new(DynamicOptStrategy));

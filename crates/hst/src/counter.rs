@@ -1,6 +1,7 @@
 //! Dynamic nearest-leaf index over the complete HST.
 
 use crate::code::{CodeContext, LeafCode};
+use rand::{Rng, RngCore};
 #[expect(
     clippy::disallowed_types,
     reason = "imported for the lookup-only `counts` map"
@@ -17,6 +18,11 @@ use std::collections::HashMap;
 /// first ancestor whose subtree holds a worker outside the already-searched
 /// child, walking down through occupied children. This index maintains the
 /// per-(virtual-)node occupancy counts that make the walk possible.
+///
+/// One upward walk serves two descents: [`Self::nearest`] takes the first
+/// occupied child at each level (Alg. 4's deterministic tie-break), and
+/// [`Self::nearest_random`] draws a child weighted by its count, which makes
+/// the leaf uniform over the nearest stored leaves.
 ///
 /// Node keys are `(level, prefix)` where `prefix = code / c^level`; only
 /// nodes on inserted leaves' root paths are stored, so memory is
@@ -107,15 +113,9 @@ impl SubtreeCounter {
 
     /// Occupancy of the virtual node `(level, prefix)`: how many stored
     /// leaves lie in that node's subtree. Level `0` nodes are leaves
-    /// themselves. Public so callers can implement alternative descent
-    /// policies (e.g. the randomized matchers) on top of the same counts.
-    #[inline]
-    pub fn node_count_at(&self, level: u32, prefix: u64) -> u32 {
-        *self.counts.get(&(level, prefix)).unwrap_or(&0)
-    }
-
+    /// themselves.
     fn node_count(&self, level: u32, prefix: u64) -> u32 {
-        self.node_count_at(level, prefix)
+        *self.counts.get(&(level, prefix)).unwrap_or(&0)
     }
 
     /// Finds a stored leaf at minimum tree distance from `query`.
@@ -123,46 +123,83 @@ impl SubtreeCounter {
     /// Ties (same LCA level) are broken toward the smallest child index on
     /// the downward walk, i.e. deterministically. Returns `None` if empty.
     pub fn nearest(&self, query: LeafCode) -> Option<LeafCode> {
+        let (level, node, skip) = self.lowest_occupied(query)?;
+        Some(self.descend(level, node, skip, None))
+    }
+
+    /// Finds a stored leaf at minimum tree distance from `query`, drawn
+    /// uniformly over the stored leaves at that distance (counted with
+    /// multiplicity): the uniform tie-break of Meyerson et al. (SODA'06,
+    /// the paper's ref \[15\]). On an ultrametric every stored leaf under
+    /// the lowest occupied ancestor, outside the already-searched child, is
+    /// equidistant, so the draw never costs tree distance.
+    ///
+    /// The downward walk makes one `rng.gen_range(0..total)` draw (`u32`)
+    /// per level, over the occupied eligible children in child order, and
+    /// takes the child the draw falls in. An empty index or an exact hit
+    /// draws nothing. Returns `None` if empty.
+    pub fn nearest_random(&self, query: LeafCode, rng: &mut dyn RngCore) -> Option<LeafCode> {
+        let (level, node, skip) = self.lowest_occupied(query)?;
+        Some(self.descend(level, node, skip, Some(rng)))
+    }
+
+    /// The upward walk shared by both descents: the lowest ancestor
+    /// `(level, prefix)` of `query` whose subtree holds a stored leaf
+    /// outside the already-searched child, which it returns to skip. That
+    /// subtree holds the nearest leaves, at LCA level exactly `level`
+    /// (distance `2^{level+2} - 4`). A leaf at `query` itself is level 0.
+    /// Returns `None` if empty.
+    fn lowest_occupied(&self, query: LeafCode) -> Option<(u32, u64, Option<u64>)> {
         if self.is_empty() {
             return None;
         }
-        // A leaf at the query position itself has distance 0.
         if self.count(query) > 0 {
-            return Some(query);
+            return Some((0, query.0, None));
         }
-        // Walk upward: the first ancestor level l whose subtree count
-        // exceeds the already-searched child's count holds the nearest leaf
-        // (LCA level exactly l, distance 2^{l+2} - 4).
         for level in 1..=self.ctx.depth {
             let anc = self.ctx.ancestor(query, level);
             let searched_child = self.ctx.ancestor(query, level - 1);
             if self.node_count(level, anc) > self.node_count(level - 1, searched_child) {
-                return Some(self.descend(level, anc, Some(searched_child)));
+                return Some((level, anc, Some(searched_child)));
             }
         }
         unreachable!("non-empty index must yield a nearest leaf")
     }
 
-    /// Descends from node `(level, prefix)` to any stored leaf, skipping the
-    /// child with prefix `skip` (the subtree already known not to contain the
-    /// answer) at the first step.
-    fn descend(&self, mut level: u32, mut prefix: u64, mut skip: Option<u64>) -> LeafCode {
+    /// Descends from node `(level, prefix)` to a stored leaf, skipping the
+    /// child with prefix `skip` (the subtree already known not to contain
+    /// the answer) at the first step. Without `rng` each step takes the
+    /// first occupied child; with it, a child with probability proportional
+    /// to its count (see [`Self::nearest_random`]).
+    fn descend(
+        &self,
+        mut level: u32,
+        mut prefix: u64,
+        mut skip: Option<u64>,
+        mut rng: Option<&mut dyn RngCore>,
+    ) -> LeafCode {
         let c = self.ctx.branching as u64;
         while level > 0 {
-            let mut advanced = false;
-            for j in 0..c {
-                let child = prefix * c + j;
-                if Some(child) == skip {
-                    continue;
-                }
-                if self.node_count(level - 1, child) > 0 {
-                    prefix = child;
-                    level -= 1;
-                    advanced = true;
-                    break;
-                }
-            }
-            assert!(advanced, "count invariant violated during descent");
+            let occupied = (prefix * c..prefix * c + c)
+                .filter(|&child| Some(child) != skip)
+                .map(|child| (child, self.node_count(level - 1, child)))
+                .filter(|&(_, n)| n > 0);
+            let mut pick = match rng.as_deref_mut() {
+                Some(rng) => rng.gen_range(0..occupied.clone().map(|(_, n)| n).sum::<u32>()),
+                None => 0,
+            };
+            prefix = occupied
+                .clone()
+                .find(|&(_, n)| {
+                    let hit = pick < n;
+                    if !hit {
+                        pick -= n;
+                    }
+                    hit
+                })
+                .expect("count invariant violated during descent")
+                .0;
+            level -= 1;
             skip = None;
         }
         LeafCode(prefix)

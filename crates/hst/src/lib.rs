@@ -31,8 +31,9 @@
 //!   ([`LeafCode`]), and all tree-metric queries (LCA level, distance) are
 //!   `O(D)` digit arithmetic.
 //! * [`SubtreeCounter`] — a dynamic multiset of leaves supporting
-//!   nearest-leaf queries in `O(c·D)`, used to accelerate the paper's
-//!   HST-greedy matching beyond its `O(n·D)`-per-task linear scan.
+//!   nearest-leaf queries in `O(c·D)`, deterministic or drawn uniformly
+//!   among the nearest, used to accelerate the paper's HST-greedy matching
+//!   beyond its `O(n·D)`-per-task linear scan.
 //!
 //! # Example
 //!

@@ -7,7 +7,10 @@
 //! static run is the special case that adds every worker first.
 //!
 //! * [`HstGreedyPool`] — Alg. 4 on the tree: the `O(c·D)` subtree-count
-//!   walk finds the nearest occupied leaf, whose lowest id takes the task.
+//!   walk finds the nearest occupied leaf, whose lowest id takes the task;
+//!   [`HstGreedyPool::assign_random`] draws the leaf uniformly among the
+//!   nearest workers instead (Meyerson et al.'s tie-break), and its highest
+//!   id takes the task.
 //! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via a
 //!   [`crate::kdtree::KdTree`], rebuilt lazily after pool mutations
 //!   (assignments use its logical deletion, so only shift churn pays the
@@ -21,28 +24,32 @@
 use crate::kdtree::KdTree;
 use pombm_geom::Point;
 use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
-use rand::Rng;
+use rand::{Rng, RngCore};
 #[expect(
     clippy::disallowed_types,
     reason = "imported for the pools' lookup-only maps"
 )]
 use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Tree-nearest free worker over a mutable pool of leaf reports (see
-/// module docs): ties at equal tree distance go to the lowest leaf code,
-/// then to the lowest id within the leaf.
+/// module docs). [`Self::assign`] breaks ties at equal tree distance toward
+/// the lowest leaf code, then the lowest id within the leaf;
+/// [`Self::assign_random`] draws the leaf uniformly over the nearest
+/// workers and takes the highest id resident there.
 ///
 /// Workers are identified by caller-chosen `u64` ids (unique among
 /// *present* workers).
 #[derive(Debug, Clone)]
 pub struct HstGreedyPool {
     counter: SubtreeCounter,
-    /// Present, unassigned workers resident at each occupied leaf.
+    /// Present, unassigned workers resident at each occupied leaf, in
+    /// ascending id order: both ends leave in `O(1)`.
     #[expect(
         clippy::disallowed_types,
         reason = "per-leaf lookups only; draws resolve through the counter walk, never through map iteration"
     )]
-    residents: HashMap<LeafCode, Vec<u64>>,
+    residents: HashMap<LeafCode, VecDeque<u64>>,
     /// Leaf of each present, unassigned worker.
     #[expect(
         clippy::disallowed_types,
@@ -87,18 +94,16 @@ impl HstGreedyPool {
         let prev = self.leaf_of.insert(id, leaf);
         assert!(prev.is_none(), "worker id {id} already present");
         self.counter.insert(leaf);
-        let stack = self.residents.entry(leaf).or_default();
-        // Keep each leaf's residents sorted descending so the lowest id
-        // pops first — the canonical tie-break of the reference scan.
-        let pos = stack.partition_point(|&other| other > id);
-        stack.insert(pos, id);
+        let residents = self.residents.entry(leaf).or_default();
+        let pos = residents.partition_point(|&other| other < id);
+        residents.insert(pos, id);
     }
 
     /// Adds a batch of workers — observationally identical to calling
-    /// [`Self::add`] for each pair. Each id is pushed onto its leaf's stack
-    /// and a stack left out of order is sorted once at the end, so a whole
-    /// fleet in ascending id order fills in `O(k log k)`, not the `O(k²)`
-    /// of inserting each id under the larger ones already there.
+    /// [`Self::add`] for each pair. Each id is appended to its leaf's list
+    /// and a list left out of order is sorted once at the end, so a whole
+    /// fleet fills in `O(k log k)` whatever order its ids come in, not the
+    /// `O(k²)` of inserting each id among those already there.
     ///
     /// # Panics
     ///
@@ -110,27 +115,32 @@ impl HstGreedyPool {
             let prev = self.leaf_of.insert(id, leaf);
             assert!(prev.is_none(), "worker id {id} already present");
             self.counter.insert(leaf);
-            let stack = self.residents.entry(leaf).or_default();
-            if stack.last().is_some_and(|&top| top < id) {
+            let residents = self.residents.entry(leaf).or_default();
+            if residents.back().is_some_and(|&last| last > id) {
                 unsorted.push(leaf);
             }
-            stack.push(id);
+            residents.push_back(id);
         }
         unsorted.sort_unstable();
         unsorted.dedup();
         for leaf in unsorted {
-            let stack = self.residents.get_mut(&leaf).expect("resident stack");
-            stack.sort_unstable_by(|a, b| b.cmp(a));
+            let residents = self.residents.get_mut(&leaf).expect("resident list");
+            residents.make_contiguous().sort_unstable();
         }
     }
 
     /// Withdraws an unassigned worker (shift end). Returns `false` if the
     /// worker is not present (already assigned or never added).
     pub fn withdraw(&mut self, id: u64) -> bool {
-        let Some(leaf) = self.leaf_of.remove(&id) else {
+        let Some(leaf) = self.leaf_of.get(&id).copied() else {
             return false;
         };
-        self.detach(id, leaf);
+        self.take(leaf, |residents| {
+            let pos = residents
+                .binary_search(&id)
+                .expect("worker listed at its leaf");
+            residents.remove(pos)
+        });
         true
     }
 
@@ -138,29 +148,36 @@ impl HstGreedyPool {
     /// removes it from the pool. Returns `None` when the pool is empty.
     pub fn assign(&mut self, t: LeafCode) -> Option<u64> {
         let leaf = self.counter.nearest(t)?;
-        let id = *self
-            .residents
-            .get(&leaf)
-            .and_then(|stack| stack.last())
-            .expect("counter and residents agree");
-        self.leaf_of.remove(&id);
-        self.detach(id, leaf);
-        Some(id)
+        Some(self.take(leaf, VecDeque::pop_front))
     }
 
-    fn detach(&mut self, id: u64, leaf: LeafCode) {
-        let removed = self.counter.remove(leaf);
-        debug_assert!(removed);
-        let stack = self.residents.get_mut(&leaf).expect("resident stack");
-        // An assignment detaches the stack's last entry: search from there.
-        let pos = stack
-            .iter()
-            .rposition(|&other| other == id)
-            .expect("worker listed at its leaf");
-        stack.remove(pos);
-        if stack.is_empty() {
+    /// Assigns a tree-nearest available worker drawn uniformly on `rng`
+    /// ([`SubtreeCounter::nearest_random`]) and removes it from the pool:
+    /// the drawn leaf gives up its highest id. Returns `None`, drawing
+    /// nothing, when the pool is empty.
+    pub fn assign_random(&mut self, t: LeafCode, rng: &mut dyn RngCore) -> Option<u64> {
+        let leaf = self.counter.nearest_random(t, rng)?;
+        Some(self.take(leaf, VecDeque::pop_back))
+    }
+
+    /// Removes the worker `pick` takes out of the occupied `leaf`'s list.
+    fn take(
+        &mut self,
+        leaf: LeafCode,
+        pick: impl FnOnce(&mut VecDeque<u64>) -> Option<u64>,
+    ) -> u64 {
+        let residents = self
+            .residents
+            .get_mut(&leaf)
+            .expect("counter and residents agree");
+        let id = pick(residents).expect("an occupied leaf has residents");
+        if residents.is_empty() {
             self.residents.remove(&leaf);
         }
+        let removed = self.counter.remove(leaf);
+        debug_assert!(removed);
+        self.leaf_of.remove(&id);
+        id
     }
 }
 
@@ -480,6 +497,146 @@ mod tests {
         m.add(9, LeafCode(6));
         m.add(3, LeafCode(6));
         assert_eq!(m.assign(LeafCode(6)), Some(3));
+    }
+
+    // --- HstGreedyPool::assign_random -----------------------------------
+
+    /// A pool holding `workers` as ids `0..n`, as the static matchers fill it.
+    fn filled(ctx: CodeContext, workers: &[LeafCode]) -> HstGreedyPool {
+        let mut pool = HstGreedyPool::new(ctx);
+        pool.add_batch((0..).zip(workers.iter().copied()));
+        pool
+    }
+
+    #[test]
+    fn random_exact_leaf_hit_is_taken_first() {
+        let mut m = filled(ctx(), &[LeafCode(9), LeafCode(5)]);
+        let mut rng = seeded_rng(0, 0);
+        let before = rng.clone();
+        assert_eq!(m.assign_random(LeafCode(5), &mut rng), Some(1));
+        assert_eq!(rng, before, "an exact hit draws nothing");
+        assert_eq!(m.assign_random(LeafCode(5), &mut rng), Some(0));
+        assert_ne!(rng, before, "a walk down from an ancestor draws");
+        assert_eq!(m.assign_random(LeafCode(5), &mut rng), None);
+        assert_eq!(m.available(), 0);
+    }
+
+    #[test]
+    fn random_assignment_is_nearest_in_the_remaining_pool() {
+        // Whatever the draws, each task gets a worker at minimum tree
+        // distance among the pool's *remaining* workers (pools diverge
+        // across runs once a tie is broken differently, so comparing
+        // distances across runs would be wrong).
+        let c = CodeContext::new(3, 4);
+        let mut rng = seeded_rng(1, 0);
+        for trial in 0..20 {
+            let workers: Vec<LeafCode> = (0..40)
+                .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
+                .collect();
+            let tasks: Vec<LeafCode> = (0..40)
+                .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
+                .collect();
+            let mut pool = filled(c, &workers);
+            let mut available = vec![true; workers.len()];
+            let mut coin = seeded_rng(trial, 7);
+            for &t in &tasks {
+                let b = pool.assign_random(t, &mut coin).unwrap() as usize;
+                assert!(available[b], "trial {trial}: worker {b} reused");
+                let best = workers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| available[i])
+                    .map(|(_, &w)| c.tree_dist_units(t, w))
+                    .min()
+                    .unwrap();
+                assert_eq!(
+                    c.tree_dist_units(t, workers[b]),
+                    best,
+                    "trial {trial}: task {t} not assigned a nearest worker"
+                );
+                available[b] = false;
+            }
+        }
+    }
+
+    #[test]
+    fn random_equidistant_workers_are_chosen_uniformly() {
+        // Workers at leaves 2 and 3 are both at LCA level 2 from a task at
+        // leaf 0; each must win about half the time.
+        let trials = 4000;
+        let wins_2 = (0..trials)
+            .filter(|&seed| {
+                let mut m = filled(ctx(), &[LeafCode(2), LeafCode(3)]);
+                m.assign_random(LeafCode(0), &mut seeded_rng(seed, 11)) == Some(0)
+            })
+            .count();
+        let frac = wins_2 as f64 / trials as f64;
+        assert!(
+            (frac - 0.5).abs() < 0.04,
+            "leaf 2 won {frac} of the time, expected ~0.5"
+        );
+    }
+
+    #[test]
+    fn random_choice_is_uniform_over_workers_not_leaves() {
+        // Two workers at leaf 2, one at leaf 3: leaf 2 must win ~2/3.
+        let trials = 4000;
+        let wins_leaf2 = (0..trials)
+            .filter(|&seed| {
+                let mut m = filled(ctx(), &[LeafCode(2), LeafCode(2), LeafCode(3)]);
+                m.assign_random(LeafCode(0), &mut seeded_rng(seed, 13)) < Some(2)
+            })
+            .count();
+        let frac = wins_leaf2 as f64 / trials as f64;
+        assert!(
+            (frac - 2.0 / 3.0).abs() < 0.04,
+            "leaf 2 won {frac} of the time, expected ~0.667"
+        );
+    }
+
+    #[test]
+    fn random_assignment_is_a_permutation() {
+        let c = CodeContext::new(2, 6);
+        let mut rng = seeded_rng(3, 0);
+        let workers: Vec<LeafCode> = (0..64)
+            .map(|_| LeafCode(rng.gen_range(0..c.num_leaves())))
+            .collect();
+        let mut m = filled(c, &workers);
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..64u64 {
+            let w = m
+                .assign_random(LeafCode(i % c.num_leaves()), &mut rng)
+                .unwrap();
+            assert!(seen.insert(w), "worker {w} assigned twice");
+        }
+        assert_eq!(m.assign_random(LeafCode(0), &mut rng), None);
+    }
+
+    #[test]
+    fn random_empty_pool_returns_none() {
+        let mut m = HstGreedyPool::new(ctx());
+        let mut rng = seeded_rng(4, 0);
+        let before = rng.clone();
+        assert_eq!(m.assign_random(LeafCode(0), &mut rng), None);
+        assert_eq!(rng, before, "an empty pool draws nothing");
+    }
+
+    #[test]
+    fn random_drawn_leaf_gives_up_its_highest_id() {
+        // Greedy takes a leaf's lowest id and the randomized rule its
+        // highest, whatever order the ids arrived in.
+        let mut m = HstGreedyPool::new(ctx());
+        for id in [4, 9, 2] {
+            m.add(id, LeafCode(12));
+        }
+        m.add_batch([(6, LeafCode(12)), (3, LeafCode(12))]);
+        let mut rng = seeded_rng(5, 0);
+        assert_eq!(m.assign_random(LeafCode(0), &mut rng), Some(9));
+        assert_eq!(m.assign(LeafCode(0)), Some(2));
+        assert!(m.withdraw(4));
+        assert_eq!(m.assign_random(LeafCode(12), &mut rng), Some(6));
+        assert_eq!(m.assign_random(LeafCode(0), &mut rng), Some(3));
+        assert_eq!(m.available(), 0);
     }
 
     // --- DynamicKdRebuild ---------------------------------------------

@@ -40,8 +40,9 @@
 //! Beyond the paper's evaluation, the crate ships alternative online rules
 //! for ablations and extensions:
 //!
-//! * [`RandomizedGreedy`] — Alg. 4 with the uniform tie-break randomization
-//!   of Meyerson et al. (the paper's ref \[15\]).
+//! * [`HstGreedyPool::assign_random`] — Alg. 4 with the uniform tie-break
+//!   randomization of Meyerson et al. (the paper's ref \[15\]), on the
+//!   tree pool: the registered `hst-rand` matcher.
 //! * [`ChainMatcher`] — the chain-reassignment rule of Bansal et al. (the
 //!   paper's ref \[19\]), kept as the literal `O(h·n·D)` hop scan: on the
 //!   tree it ends at greedy's worker (proof sketch in [`chain`]), so the
@@ -50,7 +51,7 @@
 //! * [`DynamicRandomPool`] — location-blind uniform assignment, the sanity
 //!   floor every mechanism/matcher pair must clear.
 //!
-//! Randomness lives only in the explicitly randomized matchers above (which
+//! Randomness lives only in the explicitly randomized rules above (which
 //! take an `Rng` per call); every other matcher is deterministic.
 //!
 //! # Example
@@ -78,13 +79,11 @@ pub mod euclidean;
 pub mod hst_greedy;
 pub mod kdtree;
 pub mod offline;
-pub mod randomized;
 pub mod reachable;
 
 pub use chain::{ChainMatcher, ChainOutcome};
 pub use clairvoyant::{ClairvoyantAssignment, ClairvoyantOptimal};
 pub use dynamic::{DynamicKdRebuild, DynamicRandomPool, HstGreedyPool};
-pub use randomized::RandomizedGreedy;
 
 /// A (task, worker) assignment produced by an online or offline matcher.
 ///

@@ -27,15 +27,18 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
 }
 
 /// Parses JSON text into any [`Deserialize`] type (including [`Value`]).
+/// Arrays and objects may nest [`MAX_DEPTH`] deep; deeper text is an
+/// error, not a stack overflow.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(Error::msg(format!(
             "trailing characters at offset {}",
             p.pos
@@ -140,14 +143,22 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// The deepest array/object nesting [`from_str`] accepts, as in upstream
+/// `serde_json`. The parser recurses once per level.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread character; always on a character
+    /// boundary, since every step consumes whole characters.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -157,7 +168,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -178,8 +189,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error::msg(format!(
                 "unexpected input {other:?} at offset {}",
@@ -188,8 +199,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object a level deeper, within [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -223,7 +248,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::msg("truncated \\u escape"))?;
                             let code = u32::from_str_radix(
@@ -246,12 +272,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters, up to the next quote or
+                    // escape: both are ASCII, so the run ends on a
+                    // character boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -273,8 +303,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -401,5 +430,36 @@ mod tests {
     #[test]
     fn non_finite_rejected() {
         assert!(to_string(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn strings_keep_every_character_between_escapes() {
+        let json = r#""plain \"quoted\" é ✓ 😀 back\\slash\ttab\u00e9 end""#;
+        let v: Value = from_str(json).unwrap();
+        assert_eq!(v, "plain \"quoted\" é ✓ 😀 back\\slash\ttabé end");
+        assert!(from_str::<Value>("\"no end é").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for open in ["[", "{\"a\":"] {
+            let close = if open == "[" { "]" } else { "}" };
+            let at_cap = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(from_str::<Value>(&at_cap).is_ok(), "{open}");
+            let over = format!(
+                "{}0{}",
+                open.repeat(MAX_DEPTH + 1),
+                close.repeat(MAX_DEPTH + 1)
+            );
+            let err = from_str::<Value>(&over).unwrap_err().to_string();
+            let offset = MAX_DEPTH * open.len();
+            assert_eq!(err, format!("nesting deeper than 128 at offset {offset}"));
+        }
+        // Far past the cap, the parser stops at the cap, not at the stack.
+        let deep = "[".repeat(200_000);
+        assert_eq!(
+            from_str::<Value>(&deep).unwrap_err().to_string(),
+            "nesting deeper than 128 at offset 128"
+        );
     }
 }

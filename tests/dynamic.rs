@@ -361,6 +361,58 @@ fn full_dynamic_registry_product_sweep_completes() {
     );
 }
 
+/// The dynamic pools' exact error texts, recorded from the parent of the
+/// change that made each dynamic name a `PoolStrategy` constant. Blind
+/// reports name the tree pool `dynamic pool` and the planar one after its
+/// matcher; the dynamic sweep's blind cells print the same texts.
+#[test]
+fn dynamic_pools_keep_their_error_texts() {
+    let inst = instance(4, 4, 2);
+    let times = ArrivalProcess::Uniform { window_secs: 10.0 }.timestamps(4, &mut seeded_rng(2, 1));
+    let plan = ShiftPlan::always_on(4, 11.0);
+    let config = DynamicConfig {
+        epsilon: 0.6,
+        grid_side: 16,
+        seed: 2,
+    };
+    let blind = registry().require_mechanism("blind").unwrap();
+    let location = "cannot consume these reports: needs a location report (got a location-blind \
+                    report)";
+    let no_server = "needs a server (published HST), none supplied";
+    for (name, want) in [
+        ("hst-greedy", format!("`dynamic pool` {location}")),
+        (
+            "kd-rebuild",
+            format!("`kd-rebuild dynamic matcher` {location}"),
+        ),
+    ] {
+        let matcher = registry().require_dynamic_matcher(name).unwrap();
+        let err = run_dynamic_spec(
+            &inst,
+            &times,
+            &plan,
+            &config,
+            blind.as_ref(),
+            matcher.as_ref(),
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), want, "blind x {name}");
+    }
+    let hst_greedy = registry().require_dynamic_matcher("hst-greedy").unwrap();
+    assert_eq!(
+        hst_greedy.pool(None).err().map(|e| e.to_string()),
+        Some(format!("`hst-greedy dynamic matcher` {no_server}"))
+    );
+    // The planar pool needs a server only to project a leaf report.
+    let kd_rebuild = registry().require_dynamic_matcher("kd-rebuild").unwrap();
+    let mut pool = kd_rebuild.pool(None).unwrap();
+    assert_eq!(
+        pool.insert(0, pombm::Report::Leaf(pombm_hst::LeafCode(0)))
+            .map_err(|e| e.to_string()),
+        Err(format!("`kd-rebuild dynamic matcher` {no_server}"))
+    );
+}
+
 /// The `DynamicSweepReport` / `DynamicSweepCell` / `DynamicMeasurement`
 /// JSON field names are a public contract (CLI `--json`, the CI golden
 /// diff): pin them exactly, in declaration order.

@@ -11,7 +11,7 @@
 use pombm::{registry, run_epochs, run_spec, EpochConfig, PipelineConfig, RunResult};
 use pombm_geom::{seeded_rng, Grid, Rect};
 use pombm_hst::{CodeContext, LeafCode};
-use pombm_matching::{ChainMatcher, RandomizedGreedy};
+use pombm_matching::{ChainMatcher, HstGreedyPool};
 use pombm_privacy::{AliasTable, Epsilon, ExponentialMechanism};
 use pombm_workload::{synthetic, SyntheticParams};
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ proptest! {
         }
     }
 
-    /// The randomized greedy matcher always assigns a tree-nearest
+    /// The tree pool's randomized rule always assigns a tree-nearest
     /// available worker and never reuses one.
     #[test]
     fn randomized_greedy_invariants(
@@ -163,11 +163,12 @@ proptest! {
         use rand::Rng as _;
         let workers: Vec<LeafCode> =
             (0..n).map(|_| LeafCode(rng.gen_range(0..ctx.num_leaves()))).collect();
-        let mut m = RandomizedGreedy::new(ctx, workers.clone());
+        let mut m = HstGreedyPool::new(ctx);
+        m.add_batch((0..).zip(workers.iter().copied()));
         let mut available = vec![true; n];
         for _ in 0..n {
             let t = LeafCode(rng.gen_range(0..ctx.num_leaves()));
-            let w = m.assign(t, &mut rng).expect("pool non-empty");
+            let w = m.assign_random(t, &mut rng).expect("pool non-empty") as usize;
             prop_assert!(available[w]);
             let best = workers.iter().enumerate()
                 .filter(|&(i, _)| available[i])
@@ -176,7 +177,7 @@ proptest! {
             prop_assert_eq!(ctx.tree_dist_units(t, workers[w]), best);
             available[w] = false;
         }
-        prop_assert_eq!(m.remaining(), 0);
+        prop_assert_eq!(m.available(), 0);
     }
 
     /// The chain matcher matches min(n, m) tasks, never reuses a worker,

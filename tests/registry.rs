@@ -350,8 +350,10 @@ enum Outcome {
 
 /// Every static online matcher's answer to unusable reports, and the order
 /// it checks them in, recorded from the parent of the change that runs
-/// each name through its registered dynamic pool. The texts are the ones
-/// the CI goldens print for blind cells; `random` alone accepts anything.
+/// each name through its registered dynamic pool (`hst-rand`'s row from
+/// the parent of the change that moved it onto the tree pool). The texts
+/// are the ones the CI goldens print for blind cells; `random` alone
+/// accepts anything.
 #[test]
 fn static_matchers_check_reports_in_a_fixed_order() {
     use Outcome::*;
@@ -371,6 +373,7 @@ fn static_matchers_check_reports_in_a_fixed_order() {
     };
     let table = [
         ("hst-greedy", [Blind, NoServer, NoServer, Matched, Blind]),
+        ("hst-rand", [Blind, NoServer, NoServer, Matched, Blind]),
         ("chain", [Blind, NoServer, NoServer, Matched, Blind]),
         ("capacity", [Blind, NoServer, NoServer, NoSlots, Blind]),
         ("greedy", [Blind, Blind, NoServer, Matched, Blind]),
