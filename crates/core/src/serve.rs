@@ -101,7 +101,7 @@ use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::Instance;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -529,7 +529,9 @@ struct Engine<'a> {
     shed_policy: ShedPolicy,
     pending_checkins: Vec<(u64, Point)>,
     pending_checkouts: Vec<u64>,
-    pending_tasks: Vec<PendingTask>,
+    /// The window's task queue, oldest first: drop-oldest shedding pops
+    /// its front.
+    pending_tasks: VecDeque<PendingTask>,
     /// Shed tasks parked for a later window, sorted by `(at, id)`.
     retry_queue: Vec<PendingTask>,
     /// Worker/task ids already accepted — the at-least-once dedup layer.
@@ -584,7 +586,7 @@ impl<'a> Engine<'a> {
             shed_policy: resolved.shed_policy,
             pending_checkins: Vec::new(),
             pending_checkouts: Vec::new(),
-            pending_tasks: Vec::new(),
+            pending_tasks: VecDeque::new(),
             retry_queue: Vec::new(),
             seen_workers: BTreeSet::new(),
             seen_tasks: BTreeSet::new(),
@@ -656,13 +658,13 @@ impl<'a> Engine<'a> {
         match self.queue_cap {
             Some(cap) if self.pending_tasks.len() >= cap => match self.shed_policy {
                 ShedPolicy::DropOldest => {
-                    let oldest = self.pending_tasks.remove(0);
+                    let oldest = self.pending_tasks.pop_front().expect("the cap is positive");
                     self.shed_task(oldest);
-                    self.pending_tasks.push(task);
+                    self.pending_tasks.push_back(task);
                 }
                 ShedPolicy::DropNewest | ShedPolicy::Deadline => self.shed_task(task),
             },
-            _ => self.pending_tasks.push(task),
+            _ => self.pending_tasks.push_back(task),
         }
         self.stats.peak_queue = self.stats.peak_queue.max(self.pending_tasks.len());
     }

@@ -31,9 +31,11 @@
 //!   ([`LeafCode`]), and all tree-metric queries (LCA level, distance) are
 //!   `O(D)` digit arithmetic.
 //! * [`SubtreeCounter`] — a dynamic multiset of leaves supporting
-//!   nearest-leaf queries in `O(c·D)`, deterministic or drawn uniformly
-//!   among the nearest, used to accelerate the paper's HST-greedy matching
-//!   beyond its `O(n·D)`-per-task linear scan.
+//!   nearest-leaf queries in `O(c·D)` pointer steps, deterministic or drawn
+//!   uniformly among the nearest, used to accelerate the paper's HST-greedy
+//!   matching beyond its `O(n·D)`-per-task linear scan. It is a digit trie
+//!   in one arena: a node per occupied tree node, children linked in digit
+//!   order, freed slots reused.
 //!
 //! # Example
 //!

@@ -17,7 +17,7 @@
 //! crc32(4)
 //! ```
 //!
-//! — `28·N + 25` bytes total, independent of `c^D`. Clients rebuild every
+//! — `24·N + 29` bytes total ([`encoded_size`]), independent of `c^D`. Clients rebuild every
 //! query structure (LCA levels, distances, mechanism tables) from this
 //! header alone; no node list is ever exchanged.
 

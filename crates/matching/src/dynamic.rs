@@ -7,7 +7,8 @@
 //! static run is the special case that adds every worker first.
 //!
 //! * [`HstGreedyPool`] — Alg. 4 on the tree: the `O(c·D)` subtree-count
-//!   walk finds the nearest occupied leaf, whose lowest id takes the task;
+//!   walk ([`SubtreeCounter`], an arena digit trie of the occupied tree
+//!   nodes) finds the nearest occupied leaf, whose lowest id takes the task;
 //!   [`HstGreedyPool::assign_random`] draws the leaf uniformly among the
 //!   nearest workers instead (Meyerson et al.'s tie-break), and its highest
 //!   id takes the task.
@@ -42,6 +43,8 @@ use std::collections::VecDeque;
 /// *present* workers).
 #[derive(Debug, Clone)]
 pub struct HstGreedyPool {
+    /// The occupied leaves, with multiplicity: a digit trie of the occupied
+    /// tree nodes in one arena, walked in `O(c·D)` pointer steps.
     counter: SubtreeCounter,
     /// Present, unassigned workers resident at each occupied leaf, in
     /// ascending id order: both ends leave in `O(1)`.

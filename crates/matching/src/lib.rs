@@ -15,8 +15,10 @@
 //! free worker — in two metrics, each with exactly one index:
 //!
 //! * **Tree** (Alg. 4, Lap-HG and TBF): [`HstGreedyPool`]'s `O(c·D)`
-//!   subtree-count walk. [`hst_greedy::greedy_reference`] is the paper's
-//!   `O(n·D)` scan it must equal.
+//!   subtree-count walk over [`pombm_hst::SubtreeCounter`], a digit trie of
+//!   the occupied tree nodes held in one arena.
+//!   [`hst_greedy::greedy_reference`] is the paper's `O(n·D)` scan it must
+//!   equal.
 //! * **Plane** (Tong et al., PVLDB'16 — Lap-GR): [`DynamicKdRebuild`]'s
 //!   [`kdtree::KdTree`], rebuilt under churn; [`euclidean::greedy_reference`]
 //!   is the `O(n)` scan it must equal.

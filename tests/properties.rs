@@ -18,9 +18,106 @@ use pombm_matching::kdtree::KdTree;
 use pombm_matching::{euclidean, hst_greedy, ChainMatcher, Matching};
 use pombm_privacy::{Epsilon, WeightTable};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn arb_ctx() -> impl Strategy<Value = CodeContext> {
     (2u32..=4, 1u32..=8).prop_map(|(c, d)| CodeContext::new(c, d))
+}
+
+/// Trees as wide as the workloads build (branching 14–21, depth 10), and
+/// narrower ones.
+fn arb_wide_ctx() -> impl Strategy<Value = CodeContext> {
+    (2u32..=24, 1u32..=12).prop_map(|(c, d)| CodeContext::new(c, d))
+}
+
+/// One to four leaves that [`clustered_leaf`] draws around.
+fn cluster_centres(ctx: CodeContext, rng: &mut StdRng) -> Vec<u64> {
+    let count = rng.gen_range(1..=4);
+    (0..count)
+        .map(|_| rng.gen_range(0..ctx.num_leaves()))
+        .collect()
+}
+
+/// A leaf under a cluster centre's ancestor at level 0 to 3: leaves drawn
+/// this way share deep ancestors, so equidistant leaves (ties) and repeated
+/// leaves are common.
+fn clustered_leaf(ctx: CodeContext, centres: &[u64], rng: &mut StdRng) -> LeafCode {
+    let centre = centres[rng.gen_range(0..centres.len())];
+    let spread = ctx.leaves_below(rng.gen_range(0..=ctx.depth.min(3)));
+    LeafCode(centre / spread * spread + rng.gen_range(0..spread))
+}
+
+/// A counter holding 1 to 39 clustered leaves, with the leaves and the
+/// centres they were drawn around.
+fn clustered_counter(
+    ctx: CodeContext,
+    rng: &mut StdRng,
+) -> (Vec<u64>, Vec<LeafCode>, SubtreeCounter) {
+    let centres = cluster_centres(ctx, rng);
+    let count = rng.gen_range(1..40);
+    let stored: Vec<LeafCode> = (0..count)
+        .map(|_| clustered_leaf(ctx, &centres, rng))
+        .collect();
+    let mut counter = SubtreeCounter::new(ctx);
+    for &s in &stored {
+        counter.insert(s);
+    }
+    (centres, stored, counter)
+}
+
+/// A query leaf: a stored one (an exact hit), a clustered one, or any leaf.
+fn arb_query(ctx: CodeContext, centres: &[u64], stored: &[LeafCode], rng: &mut StdRng) -> LeafCode {
+    match rng.gen_range(0..3) {
+        0 if !stored.is_empty() => stored[rng.gen_range(0..stored.len())],
+        1 => clustered_leaf(ctx, centres, rng),
+        _ => LeafCode(rng.gen_range(0..ctx.num_leaves())),
+    }
+}
+
+/// The stored leaf that comes first by (tree distance, code).
+fn reference_nearest(ctx: CodeContext, stored: &[LeafCode], query: LeafCode) -> Option<LeafCode> {
+    stored
+        .iter()
+        .copied()
+        .min_by_key(|&s| (ctx.tree_dist_units(s, query), s))
+}
+
+/// `SubtreeCounter::nearest_random` by brute force over the stored leaves
+/// (with multiplicity): below the lowest level at which the query meets a
+/// stored leaf, each level counts the stored leaves under every child of
+/// the current node, except the query's own child at the first step, and
+/// makes one `u32` draw over the occupied ones in child order.
+fn reference_nearest_random(
+    ctx: CodeContext,
+    stored: &[LeafCode],
+    query: LeafCode,
+    rng: &mut StdRng,
+) -> Option<LeafCode> {
+    let level = stored.iter().map(|&s| ctx.lca_level(s, query)).min()?;
+    let c = u64::from(ctx.branching);
+    let mut prefix = ctx.ancestor(query, level);
+    let mut skip = level.checked_sub(1).map(|below| ctx.ancestor(query, below));
+    for below in (0..level).rev() {
+        let occupied: Vec<(u64, u32)> = (prefix * c..prefix * c + c)
+            .filter(|&child| Some(child) != skip)
+            .map(|child| {
+                let under = stored.iter().filter(|&&s| ctx.ancestor(s, below) == child);
+                (child, under.count() as u32)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let mut pick = rng.gen_range(0..occupied.iter().map(|&(_, n)| n).sum::<u32>());
+        for &(child, n) in &occupied {
+            if pick < n {
+                prefix = child;
+                break;
+            }
+            pick -= n;
+        }
+        skip = None;
+    }
+    Some(LeafCode(prefix))
 }
 
 proptest! {
@@ -66,53 +163,88 @@ proptest! {
         }
     }
 
-    /// SubtreeCounter::nearest returns a stored leaf at the true minimum
-    /// tree distance for arbitrary contents and queries.
+    /// `SubtreeCounter::nearest` returns the stored leaf that comes first
+    /// by (tree distance, code), on trees as wide as the workloads build
+    /// and with clustered leaves, so that equidistant leaves are common.
     #[test]
-    fn counter_nearest_is_minimal(
-        ctx in arb_ctx(),
-        stored in proptest::collection::vec(0u64..1_000_000, 1..20),
-        query in 0u64..1_000_000,
-    ) {
-        let n = ctx.num_leaves();
-        let stored: Vec<LeafCode> = stored.into_iter().map(|v| LeafCode(v % n)).collect();
-        let query = LeafCode(query % n);
-        let mut counter = SubtreeCounter::new(ctx);
-        for &s in &stored {
-            counter.insert(s);
+    fn counter_nearest_is_minimal(ctx in arb_wide_ctx(), seed in 0u64..1_000_000) {
+        let mut rng = seeded_rng(seed, 0);
+        let (centres, stored, counter) = clustered_counter(ctx, &mut rng);
+        for _ in 0..20 {
+            let query = arb_query(ctx, &centres, &stored, &mut rng);
+            prop_assert_eq!(counter.nearest(query), reference_nearest(ctx, &stored, query));
         }
-        let got = counter.nearest(query).expect("non-empty");
-        let got_d = ctx.tree_dist_units(got, query);
-        let best = stored.iter().map(|&s| ctx.tree_dist_units(s, query)).min().unwrap();
-        prop_assert_eq!(got_d, best);
-        prop_assert!(stored.contains(&got));
     }
 
-    /// Insert/remove sequences keep the counter consistent with a reference
-    /// multiset.
+    /// `SubtreeCounter::nearest_random` draws the leaf a brute-force
+    /// reference draws on a clone of the RNG, and leaves the RNG in the
+    /// same state: one `u32` draw per level, none on an exact hit.
     #[test]
-    fn counter_tracks_reference_multiset(
-        ops in proptest::collection::vec((proptest::bool::ANY, 0u64..81), 1..60)
+    fn counter_nearest_random_matches_the_count_weighted_reference(
+        ctx in arb_wide_ctx(),
+        seed in 0u64..1_000_000,
     ) {
-        let ctx = CodeContext::new(3, 4); // 81 leaves
+        let mut rng = seeded_rng(seed, 0);
+        let (centres, stored, counter) = clustered_counter(ctx, &mut rng);
+        let mut draws = seeded_rng(seed, 1);
+        for _ in 0..20 {
+            let query = arb_query(ctx, &centres, &stored, &mut rng);
+            let mut reference = draws.clone();
+            let want = reference_nearest_random(ctx, &stored, query, &mut reference);
+            prop_assert_eq!(counter.nearest_random(query, &mut draws), want);
+            prop_assert_eq!(&draws, &reference);
+        }
+    }
+
+    /// Interleaved inserts, removes and queries keep the counter consistent
+    /// with a reference multiset: every removal's result, every count, and
+    /// both queries against their brute-force references.
+    #[test]
+    fn counter_tracks_reference_multiset(ctx in arb_wide_ctx(), seed in 0u64..1_000_000) {
+        let mut rng = seeded_rng(seed, 0);
+        let centres = cluster_centres(ctx, &mut rng);
         let mut counter = SubtreeCounter::new(ctx);
-        let mut reference: std::collections::HashMap<u64, u32> = Default::default();
-        for (insert, v) in ops {
-            let code = LeafCode(v);
-            if insert {
-                counter.insert(code);
-                *reference.entry(v).or_insert(0) += 1;
-            } else {
-                let expect = reference.get(&v).copied().unwrap_or(0) > 0;
-                prop_assert_eq!(counter.remove(code), expect);
-                if expect {
-                    *reference.get_mut(&v).unwrap() -= 1;
+        let mut stored: Vec<LeafCode> = Vec::new();
+        let mut draws = seeded_rng(seed, 1);
+        for _ in 0..150 {
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let code = clustered_leaf(ctx, &centres, &mut rng);
+                    counter.insert(code);
+                    stored.push(code);
+                }
+                4..=5 if !stored.is_empty() => {
+                    let code = stored.swap_remove(rng.gen_range(0..stored.len()));
+                    prop_assert!(counter.remove(code));
+                    let left = stored.iter().filter(|&&s| s == code).count();
+                    prop_assert_eq!(counter.count(code) as usize, left);
+                }
+                6 => {
+                    // Mostly absent: a clustered code, or one outside the tree.
+                    let code = match rng.gen_range(0..4) {
+                        0 => LeafCode(ctx.num_leaves() + rng.gen_range(0..1000)),
+                        _ => clustered_leaf(ctx, &centres, &mut rng),
+                    };
+                    let present = stored.iter().position(|&s| s == code);
+                    prop_assert_eq!(counter.remove(code), present.is_some());
+                    if let Some(at) = present {
+                        stored.swap_remove(at);
+                    }
+                }
+                _ => {
+                    let query = arb_query(ctx, &centres, &stored, &mut rng);
+                    prop_assert_eq!(counter.nearest(query), reference_nearest(ctx, &stored, query));
+                    let mut reference = draws.clone();
+                    let want = reference_nearest_random(ctx, &stored, query, &mut reference);
+                    prop_assert_eq!(counter.nearest_random(query, &mut draws), want);
+                    prop_assert_eq!(&draws, &reference);
                 }
             }
-            let total: u32 = reference.values().sum();
-            prop_assert_eq!(counter.len(), total as usize);
-            for (&v, &cnt) in &reference {
-                prop_assert_eq!(counter.count(LeafCode(v)), cnt);
+            prop_assert_eq!(counter.len(), stored.len());
+            prop_assert_eq!(counter.is_empty(), stored.is_empty());
+            for &s in &stored {
+                let want = stored.iter().filter(|&&t| t == s).count();
+                prop_assert_eq!(counter.count(s) as usize, want);
             }
         }
     }
