@@ -29,9 +29,10 @@ USAGE: pombm <command> [flags]
 COMMANDS:
   gen         generate a workload instance as JSON
               --tasks N --workers N [--mu F] [--sigma F] [--seed N]
-              [--real [--day N]] --out FILE
+              [--real [--day N]] [--radii] --out FILE
               --real writes a day of the Chengdu-like trace in 50 m units
               (the 10 km city is 200 x 200, like the synthetic space)
+              --radii draws each worker a reachable radius for the case study
   run         run one algorithm on an instance JSON and print metrics
               (--input FILE | --scenario NAME [--size N])
               (--algo NAME | --mechanism M --matcher S)
@@ -54,13 +55,18 @@ COMMANDS:
               spatial+temporal workload models (use with --scenario /
               --scenarios)
   obfuscate   demo the TBF mechanism on one location
-              --x F --y F [--epsilon F] [--grid-side N] [--samples N] [--seed N]
+              --x F --y F [--epsilon F] [--grid-side N] [--samples N]
+              [--side F] [--seed N]
   publish     build an HST over a grid and write the wire format
               --grid-side N [--side F] [--seed N] --out FILE
   inspect     decode a published HST file and print its shape
               --input FILE
   epochs      multi-epoch deployment simulation under a lifetime budget
-              --workers N [--epochs N] [--lifetime F] [--epsilon F] [--seed N]
+              --workers N [--epochs N] [--lifetime F] [--epsilon F]
+              [--drift F] [--tasks N] [--seed N]
+              --drift is the standard deviation of each worker's step
+              between epochs (default 10); --tasks is the tasks arriving
+              per epoch (default 200)
   dynamic     event-driven simulation over a shifting worker fleet: any
               mechanism x dynamic-matcher pairing on one timeline
               [--tasks N] [--workers N] [--plan always-on|short|long]
@@ -129,6 +135,89 @@ COMMANDS:
               <partials..> [--json]    (static or dynamic, not mixed)
   help        this text
 ";
+
+// The flags each command accepts, one list per command; its `USAGE` entry
+// names every one (`usage_lists_every_flag_each_command_accepts`).
+const GEN_FLAGS: &[&str] = &[
+    "tasks", "workers", "mu", "sigma", "seed", "real", "day", "radii", "out",
+];
+const RUN_FLAGS: &[&str] = &[
+    "input",
+    "scenario",
+    "size",
+    "algo",
+    "mechanism",
+    "matcher",
+    "epsilon",
+    "grid-side",
+    "capacity",
+    "seed",
+    "threads",
+    "json",
+];
+const OBFUSCATE_FLAGS: &[&str] = &["x", "y", "epsilon", "grid-side", "samples", "side", "seed"];
+const PUBLISH_FLAGS: &[&str] = &["grid-side", "side", "seed", "out"];
+const INSPECT_FLAGS: &[&str] = &["input"];
+const EPOCHS_FLAGS: &[&str] = &[
+    "workers", "epochs", "lifetime", "epsilon", "drift", "tasks", "seed",
+];
+const DYNAMIC_FLAGS: &[&str] = &[
+    "tasks",
+    "workers",
+    "plan",
+    "scenario",
+    "mechanism",
+    "matcher",
+    "epsilon",
+    "grid-side",
+    "seed",
+    "ratio",
+    "reps",
+    "json",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "load",
+    "tasks",
+    "workers",
+    "plan",
+    "scenario",
+    "mechanism",
+    "matcher",
+    "epsilon",
+    "grid-side",
+    "seed",
+    "batch-interval",
+    "qps",
+    "requests",
+    "threads",
+    "timings",
+    "json",
+    "fault-plan",
+    "fault-rate",
+    "queue-cap",
+    "shed-policy",
+];
+const SWEEP_FLAGS: &[&str] = &[
+    "mechanisms",
+    "matchers",
+    "scenarios",
+    "sizes",
+    "epsilons",
+    "reps",
+    "shards",
+    "threads",
+    "timings",
+    "grid-side",
+    "seed",
+    "json",
+    "dynamic",
+    "shift-plans",
+    "ratio",
+    "partition",
+    "checkpoint",
+    "max-cells",
+];
+const MERGE_FLAGS: &[&str] = &["json"];
 
 /// Dispatches a parsed command line.
 pub fn dispatch(args: &Args) -> Result<String, String> {
@@ -264,9 +353,7 @@ fn scenarios_section() -> String {
 
 /// `pombm gen`: write a synthetic or Chengdu-like instance to JSON.
 pub fn gen(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "tasks", "workers", "mu", "sigma", "seed", "real", "day", "radii", "out",
-    ])?;
+    args.check_known(GEN_FLAGS)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let num_workers: usize = args.get_or("workers", SyntheticParams::default().num_workers)?;
     let instance = if args.switch("real") {
@@ -311,20 +398,7 @@ pub fn gen(args: &Args) -> Result<String, String> {
 
 /// `pombm run`: execute one pipeline on an instance file.
 pub fn run_cmd(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "input",
-        "scenario",
-        "size",
-        "algo",
-        "mechanism",
-        "matcher",
-        "epsilon",
-        "grid-side",
-        "capacity",
-        "seed",
-        "threads",
-        "json",
-    ])?;
+    args.check_known(RUN_FLAGS)?;
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let instance = match (
@@ -398,7 +472,7 @@ fn parse_spec(args: &Args) -> Result<AlgorithmSpec, String> {
 
 /// `pombm obfuscate`: show where the TBF mechanism sends one location.
 pub fn obfuscate(args: &Args) -> Result<String, String> {
-    args.check_known(&["x", "y", "epsilon", "grid-side", "samples", "side", "seed"])?;
+    args.check_known(OBFUSCATE_FLAGS)?;
     let x: f64 = args.require("x")?;
     let y: f64 = args.require("y")?;
     let side = workspace_side(args)?;
@@ -451,7 +525,7 @@ pub fn obfuscate(args: &Args) -> Result<String, String> {
 
 /// `pombm publish`: build an HST and write the paper's compact wire format.
 pub fn publish(args: &Args) -> Result<String, String> {
-    args.check_known(&["grid-side", "side", "seed", "out"])?;
+    args.check_known(PUBLISH_FLAGS)?;
     let grid_side: usize = args.get_or("grid-side", 32)?;
     check_grid_side(grid_side).map_err(|e| e.to_string())?;
     let side = workspace_side(args)?;
@@ -485,7 +559,7 @@ fn workspace_side(args: &Args) -> Result<f64, String> {
 
 /// `pombm inspect`: decode a published HST file.
 pub fn inspect(args: &Args) -> Result<String, String> {
-    args.check_known(&["input"])?;
+    args.check_known(INSPECT_FLAGS)?;
     let input: String = args.require("input")?;
     let data = std::fs::read(&input).map_err(|e| format!("read {input}: {e}"))?;
     let published =
@@ -501,9 +575,7 @@ pub fn inspect(args: &Args) -> Result<String, String> {
 
 /// `pombm epochs`: the multi-epoch budget simulation as a console table.
 pub fn epochs(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "workers", "epochs", "lifetime", "epsilon", "drift", "tasks", "seed",
-    ])?;
+    args.check_known(EPOCHS_FLAGS)?;
     let num_workers: usize = args.get_or("workers", 500)?;
     let config = EpochConfig {
         num_epochs: args.get_or("epochs", 10)?,
@@ -549,20 +621,7 @@ pub fn epochs(args: &Args) -> Result<String, String> {
 /// `pombm dynamic`: one event-driven simulation over a shifting fleet,
 /// through any registered `mechanism × dynamic-matcher` pairing.
 pub fn dynamic(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "tasks",
-        "workers",
-        "plan",
-        "scenario",
-        "mechanism",
-        "matcher",
-        "epsilon",
-        "grid-side",
-        "seed",
-        "ratio",
-        "reps",
-        "json",
-    ])?;
+    args.check_known(DYNAMIC_FLAGS)?;
     let ratio = args.switch("ratio");
     if args.switch("reps") && !ratio {
         return Err("--reps only applies with --ratio \
@@ -683,37 +742,16 @@ pub fn dynamic(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `pombm serve`: the resident micro-batched matching service. The
-/// transport is in-process (length-prefixed frames on an mpsc channel), so
-/// the only ingress is the built-in deterministic load generator —
-/// `--load` is therefore required, making the contract explicit on the
-/// command line. Assignments are a pure function of
+/// `pombm serve`: the resident micro-batched matching service, one loop
+/// on the calling thread that serves length-prefixed frames as the
+/// built-in deterministic load generator yields them. That generator is
+/// the only ingress — `--load` is therefore required, making the contract
+/// explicit on the command line. Assignments are a pure function of
 /// `(seed, plan, batch-interval)`: `--qps` and `--threads` trade wall-clock
 /// only, never results (CI's serve-smoke job byte-compares the JSON across
 /// both).
 pub fn serve(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "load",
-        "tasks",
-        "workers",
-        "plan",
-        "scenario",
-        "mechanism",
-        "matcher",
-        "epsilon",
-        "grid-side",
-        "seed",
-        "batch-interval",
-        "qps",
-        "requests",
-        "threads",
-        "timings",
-        "json",
-        "fault-plan",
-        "fault-rate",
-        "queue-cap",
-        "shed-policy",
-    ])?;
+    args.check_known(SERVE_FLAGS)?;
     if !args.switch("load") {
         return Err(
             "serve's transport is in-process: pass --load to run the built-in \
@@ -823,26 +861,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
 /// `pombm merge`; `--checkpoint DIR` makes any run resumable (the resume
 /// statistics are logged to stderr, keeping stdout a pure report).
 pub fn sweep(args: &Args) -> Result<String, String> {
-    args.check_known(&[
-        "mechanisms",
-        "matchers",
-        "scenarios",
-        "sizes",
-        "epsilons",
-        "reps",
-        "shards",
-        "threads",
-        "timings",
-        "grid-side",
-        "seed",
-        "json",
-        "dynamic",
-        "shift-plans",
-        "ratio",
-        "partition",
-        "checkpoint",
-        "max-cells",
-    ])?;
+    args.check_known(SWEEP_FLAGS)?;
     let shards = match args.get_or("shards", 0usize)? {
         0 => std::thread::available_parallelism()
             .map(|c| c.get())
@@ -1221,7 +1240,7 @@ fn render_partial<R: Render>(partial: &Partial<R>) -> String {
 /// byte-identical to `pombm sweep --json` of the same configuration (any
 /// machine-dependent `wall_ms` columns are stripped).
 pub fn merge_cmd(args: &Args) -> Result<String, String> {
-    args.check_known(&["json"])?;
+    args.check_known(MERGE_FLAGS)?;
     let files = args.positionals();
     if files.is_empty() {
         return Err("merge needs at least one partial-report file \
@@ -1388,6 +1407,51 @@ mod tests {
             assert!(text.contains(cmd), "usage missing {cmd}");
         }
         assert_eq!(dispatch(&args("")).unwrap(), USAGE);
+    }
+
+    /// The `USAGE` entry of `command`: its line under COMMANDS plus the
+    /// indented lines that follow, up to the next command.
+    fn usage_entry(command: &str) -> String {
+        let mut lines = USAGE.lines().skip_while(|line| {
+            line.strip_prefix("  ")
+                .and_then(|rest| rest.strip_prefix(command))
+                .is_none_or(|rest| !rest.starts_with(' '))
+        });
+        let head = lines
+            .next()
+            .unwrap_or_else(|| panic!("no entry for {command}"));
+        let body = lines.take_while(|line| line.starts_with("   "));
+        std::iter::once(head)
+            .chain(body)
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn usage_lists_every_flag_each_command_accepts() {
+        for (command, flags) in [
+            ("gen", GEN_FLAGS),
+            ("run", RUN_FLAGS),
+            ("obfuscate", OBFUSCATE_FLAGS),
+            ("publish", PUBLISH_FLAGS),
+            ("inspect", INSPECT_FLAGS),
+            ("epochs", EPOCHS_FLAGS),
+            ("dynamic", DYNAMIC_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("sweep", SWEEP_FLAGS),
+            ("merge", MERGE_FLAGS),
+        ] {
+            let entry = usage_entry(command);
+            let named: Vec<&str> = entry
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .collect();
+            for flag in flags {
+                assert!(
+                    named.contains(&format!("--{flag}").as_str()),
+                    "`pombm help` does not list {command} --{flag}:\n{entry}"
+                );
+            }
+        }
     }
 
     #[test]

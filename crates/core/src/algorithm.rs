@@ -319,7 +319,7 @@ impl Reports {
 }
 
 impl Report {
-    /// Views one report as a planar point (see [`Reports::to_points`]).
+    /// Views one report as a planar point (see [`Reports::into_points`]).
     pub fn into_point(
         self,
         server: Option<&Server>,
@@ -338,7 +338,7 @@ impl Report {
         }
     }
 
-    /// Views one report as a tree leaf (see [`Reports::to_leaves`]).
+    /// Views one report as a tree leaf (see [`Reports::into_leaves`]).
     pub fn into_leaf(
         self,
         server: Option<&Server>,

@@ -17,10 +17,9 @@
 //! id) so runs are reproducible.
 //!
 //! Unlike the static driver, the dynamic driver does **not** use the
-//! batched obfuscation path
-//! ([`ReportMechanism::report_batch`](crate::algorithm::ReportMechanism::report_batch)):
-//! reports are interleaved with pool mutations on one event-ordered RNG
-//! stream, and that schedule is frozen by the golden fingerprints in
+//! batched obfuscation path ([`ReportMechanism::report_batch`]): reports
+//! are interleaved with pool mutations on one event-ordered RNG stream,
+//! and that schedule is frozen by the golden fingerprints in
 //! `tests/dynamic.rs` — batching across events would reorder draws and
 //! change every pinned outcome. Dynamic cells therefore stay
 //! event-sequential by contract; dynamic *sweeps* parallelize across

@@ -205,8 +205,7 @@ pub fn run_epochs(
         let avg_report_staleness = positions
             .iter()
             .zip(&report_basis)
-            .map(|(p, b)| p.dist(b))
-            .sum::<f64>()
+            .fold(0.0, |sum, (p, b)| sum + p.dist(b))
             / num_workers.max(1) as f64;
 
         // This epoch's tasks: fresh arrivals, always able to pay.
@@ -316,6 +315,17 @@ mod tests {
             "staleness should grow after exhaustion: early {early}, late {late}"
         );
         assert_eq!(report.per_epoch[2].avg_report_staleness, 0.0);
+    }
+
+    #[test]
+    fn an_empty_fleet_reports_positive_zeros() {
+        // An empty f64 `sum` is -0.0, which the CLI prints as -0.00.
+        let report = tbf(0, &quick_config());
+        assert_eq!(report.per_epoch.len(), 6);
+        for m in &report.per_epoch {
+            assert_eq!(m.avg_report_staleness.to_bits(), 0, "epoch {}", m.epoch);
+        }
+        assert_eq!(report.worker_budget_spent.to_bits(), 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! injected fault is a pure function of `(seed, plan name, rate)` — the
 //! same golden-fingerprint treatment the clean path gets, extended to
 //! degraded operation. Plans are catalogued in the
-//! [`crate::registry`] next to mechanisms, matchers and scenarios.
+//! [registry](crate::registry()) next to mechanisms, matchers and
+//! scenarios.
 //!
 //! # Registered fault plans
 //!
@@ -70,7 +71,7 @@ pub const DEADLINE_WINDOWS: f64 = 4.0;
 ///
 /// Object-safe, like the mechanism/matcher/scenario traits: registered
 /// instances live behind `Arc<dyn FaultPlan>` in the
-/// [`crate::registry`]. A plan rewrites the whole frame script before
+/// [registry](crate::registry()). A plan rewrites the whole frame script before
 /// delivery starts, which is what keeps injection invariant under
 /// `--qps` pacing and thread counts: the wire already carries the
 /// faults, however slowly it is replayed.

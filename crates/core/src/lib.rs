@@ -26,10 +26,10 @@
 //!
 //! Every algorithm is a pairing of two open, object-safe traits:
 //!
-//! * a [`ReportMechanism`](algorithm::ReportMechanism) turns true locations
-//!   into obfuscated reports (planar points or HST leaves),
-//! * an [`AssignStrategy`](algorithm::AssignStrategy) consumes the reports
-//!   and produces a [`pombm_matching::Matching`].
+//! * a [`ReportMechanism`] turns true locations into obfuscated reports
+//!   (planar points or HST leaves),
+//! * an [`AssignStrategy`] consumes the reports and produces a
+//!   [`pombm_matching::Matching`].
 //!
 //! Named pairings — the paper's three compared algorithms, this
 //! repository's ablations, and novel combinations like `exp-chain` — live
@@ -38,8 +38,8 @@
 //! setup/obfuscation/assignment timing.
 //!
 //! The event-driven half mirrors this: shifting fleets pair any mechanism
-//! with any registered [`DynamicAssignStrategy`](algorithm::DynamicAssignStrategy)
-//! (`hst-greedy`, `kd-rebuild`, `random`) through [`run_dynamic_spec`], and
+//! with any registered [`DynamicAssignStrategy`] (`hst-greedy`,
+//! `kd-rebuild`, `random`) through [`run_dynamic_spec`], and
 //! [`run_sweep`] over a [`DynamicSweepConfig`] measures the whole product
 //! under named shift plans — see the [`dynamic`] module docs for a worked
 //! example of adding a custom dynamic matcher.

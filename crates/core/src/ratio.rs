@@ -231,9 +231,9 @@ pub struct RatioReport {
 ///
 /// Pairs are summed in worker-index order: worker indices are stable under
 /// task-arrival reshuffling, so the float summation order (and therefore
-/// bit-exact comparability with [`OfflineOptimalStrategy`]
-/// (crate::algorithm::OfflineOptimalStrategy) runs) does not depend on the
-/// arrival permutation. The Hungarian solve is sharded over `threads`
+/// bit-exact comparability with
+/// [`OfflineOptimalStrategy`](crate::algorithm::OfflineOptimalStrategy)
+/// runs) does not depend on the arrival permutation. The Hungarian solve is sharded over `threads`
 /// scoped threads (`0` = auto, `1` = sequential) and is bit-identical at
 /// every thread count, so ratio denominators never depend on the machine.
 pub fn offline_optimum_with_threads(

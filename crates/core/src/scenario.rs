@@ -4,9 +4,9 @@
 //! Table II sweeps Normal synthetics, Table III replays the Chengdu trace.
 //! A [`Scenario`] packages that axis as an object-safe trait — seedable
 //! worker placement, task placement, and the demand curve feeding the
-//! shift-plan machinery — catalogued in [`crate::registry`] next to
-//! mechanisms and matchers, and threaded through every execution surface:
-//! `run`, `ratio`, both sweep flavours, `dynamic`, and `serve`.
+//! shift-plan machinery — catalogued in the [registry](crate::registry())
+//! next to mechanisms and matchers, and threaded through every execution
+//! surface: `run`, `ratio`, both sweep flavours, `dynamic`, and `serve`.
 //!
 //! # Determinism contract
 //!
@@ -85,10 +85,10 @@ const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Object-safe, like [`crate::algorithm::ReportMechanism`] and
 /// [`crate::algorithm::AssignStrategy`]: registered instances live behind
-/// `Arc<dyn Scenario>` in the [`crate::registry`]. The two required
-/// methods cover the spatial axis (where tasks and workers are); the two
-/// provided methods cover the temporal axis (when tasks arrive, when
-/// workers are on shift) and default to the legacy sweep derivations.
+/// `Arc<dyn Scenario>` in the [registry](crate::registry()). The two
+/// required methods cover the spatial axis (where tasks and workers are);
+/// the two provided methods cover the temporal axis (when tasks arrive,
+/// when workers are on shift) and default to the legacy sweep derivations.
 pub trait Scenario: Send + Sync {
     /// Registry name (lower-case; lookup is case-insensitive).
     fn name(&self) -> &'static str;

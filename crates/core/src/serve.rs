@@ -3,10 +3,10 @@
 //! The paper's setting is inherently a *service*: workers and tasks report
 //! obfuscated locations to an untrusted server which matches online. Every
 //! other entry point in this repo is batch; this module is the resident
-//! counterpart. A serve session is a long-running loop on its own thread:
-//! requests arrive over a local framed transport (length-prefixed frames
-//! on the in-repo `bytes` shim — no network crates), are buffered, and are
-//! executed in **Δt micro-batches**: all activity whose *virtual*
+//! counterpart. A serve session is one loop on the caller's thread: it
+//! decodes requests off a framed transport (length-prefixed frames on the
+//! in-repo `bytes` shim — no network crates) as they arrive, buffers them,
+//! and executes them in **Δt micro-batches**: all activity whose *virtual*
 //! timestamp falls into the same `batch_interval` window is applied in one
 //! shot through the pool's batched entry points
 //! ([`DynamicWorkerPool::insert_batch`] / `assign_batch`).
@@ -101,8 +101,9 @@ use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::Instance;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of one serve session (service + load generator).
@@ -316,19 +317,11 @@ pub struct ServeOutcome {
     pub assignments: Vec<(u64, Option<u64>)>,
 }
 
-/// The Transport class recorded when the request stream disconnects
-/// before a shutdown frame (sender dropped, channel closed).
+/// The Transport class recorded when the frame stream ends before a
+/// shutdown frame. The serve loop counts it as a [`FaultReport`] anomaly
+/// and drains the buffered tail, so a truncated stream still yields a
+/// well-formed [`ServeReport`].
 pub const CHANNEL_CLOSED: &str = "channel closed";
-
-/// The typed error for a request channel that disconnects mid-session.
-/// The serve loop absorbs it as a counted [`FaultReport`] anomaly rather
-/// than aborting, so a truncated frame stream still yields a well-formed
-/// [`ServeReport`].
-pub fn channel_closed() -> PipelineError {
-    PipelineError::Transport {
-        why: CHANNEL_CLOSED,
-    }
-}
 
 /// The Transport class of a frame whose timestamp or coordinate is NaN
 /// or infinite: no window or pool can place it.
@@ -534,17 +527,18 @@ struct Engine<'a> {
     pending_tasks: VecDeque<PendingTask>,
     /// Shed tasks parked for a later window, sorted by `(at, id)`.
     retry_queue: Vec<PendingTask>,
-    /// Worker/task ids already accepted — the at-least-once dedup layer.
-    seen_workers: BTreeSet<u64>,
+    /// Task ids already accepted — with `worker_locations`' keys, the
+    /// at-least-once dedup layer.
     seen_tasks: BTreeSet<u64>,
     /// True check-in locations by worker id, for the distance tally (the
-    /// frame carries the exact f64 bits the workload generated).
+    /// frame carries the exact f64 bits the workload generated). No id is
+    /// ever removed, so its keys also dedup replayed check-ins.
     worker_locations: BTreeMap<u64, Point>,
     /// The running counters, handed back whole when the session ends.
     stats: SessionStats,
 }
 
-/// What the serve thread hands back when the session ends.
+/// What the engine hands back when the session ends.
 #[derive(Default)]
 struct SessionStats {
     assignments: Vec<(u64, Option<u64>)>,
@@ -588,7 +582,6 @@ impl<'a> Engine<'a> {
             pending_checkouts: Vec::new(),
             pending_tasks: VecDeque::new(),
             retry_queue: Vec::new(),
-            seen_workers: BTreeSet::new(),
             seen_tasks: BTreeSet::new(),
             worker_locations: BTreeMap::new(),
             stats: SessionStats::default(),
@@ -623,7 +616,7 @@ impl<'a> Engine<'a> {
     fn readmit_due(&mut self, window: u64) {
         let due = self
             .retry_queue
-            .partition_point(|t| (t.at / self.batch_interval).floor() as u64 <= window);
+            .partition_point(|t| self.window_of(t.at) <= window);
         if due == 0 {
             return;
         }
@@ -726,9 +719,8 @@ impl<'a> Engine<'a> {
         self.advance_to(quotient as u64)?;
         match request {
             ServeRequest::CheckIn { worker, x, y, .. } => {
-                if self.seen_workers.insert(worker) {
-                    let location = Point::new(x, y);
-                    self.worker_locations.insert(worker, location);
+                if let Entry::Vacant(slot) = self.worker_locations.entry(worker) {
+                    let location = *slot.insert(Point::new(x, y));
                     self.pending_checkins.push((worker, location));
                 } else {
                     // At-least-once delivery: replays of a known check-in
@@ -833,11 +825,11 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The resident serve loop: decodes frames off any ingress and drives the
-/// engine until shutdown. A frame the transport rejects is counted per
-/// class and the session keeps serving; a stream that ends without a
-/// shutdown frame (the sender hung up — see [`channel_closed`]) is
-/// absorbed the same way before the buffered tail drains, so the session
+/// The resident serve loop: decodes frames off any ingress, in the order
+/// the iterator yields them, and drives the engine until shutdown. A frame
+/// the transport rejects is counted per class and the session keeps
+/// serving; a stream that ends without a shutdown frame is counted as
+/// [`CHANNEL_CLOSED`] before the buffered tail drains, so the session
 /// always hands back well-formed stats.
 fn serve_stream<I>(
     frames: I,
@@ -861,10 +853,7 @@ where
             Err(other) => return Err(other),
         }
     }
-    let PipelineError::Transport { why } = channel_closed() else {
-        unreachable!("channel_closed is a Transport error by construction")
-    };
-    engine.note_corrupt(why);
+    engine.note_corrupt(CHANNEL_CLOSED);
     engine.end_session()?;
     Ok(engine.stats)
 }
@@ -928,8 +917,8 @@ struct Resolved {
     pause: Option<Duration>,
 }
 
-/// Validates the config and resolves every registry name — all typed
-/// errors surface here, before any thread spawns.
+/// Validates the config and resolves every registry name: these typed
+/// errors surface before any workload is derived.
 fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
     check_grid_side(config.grid_side)?;
     check_epsilon("epsilon", config.epsilon)?;
@@ -1095,11 +1084,24 @@ fn build_outcome(
     }
 }
 
-/// Runs one complete serve session: spawns the resident service on a
-/// scoped thread, replays the seed-derived request timeline — rewritten
-/// by the configured fault plan, if any — through the built-in load
-/// generator at [`ServeConfig::qps`], and joins cleanly before returning;
-/// no thread outlives this call.
+/// Derives the session's instance from the configured scenario and builds
+/// the server over its region: the one derivation both ingresses share.
+fn session_server(
+    config: &ServeConfig,
+    resolved: &Resolved,
+) -> Result<(Instance, Server), PipelineError> {
+    let instance =
+        resolved
+            .scenario
+            .timeline_instance(config.seed, config.num_tasks, config.num_workers);
+    let server = Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE)?;
+    Ok((instance, server))
+}
+
+/// Runs one complete serve session on the calling thread: replays the
+/// seed-derived request timeline — rewritten by the configured fault plan,
+/// if any — through the built-in load generator at [`ServeConfig::qps`],
+/// and returns once the shutdown frame has drained the last window.
 ///
 /// The returned assignments are a pure function of
 /// `(seed, plan, batch_interval)` plus the chaos knobs (see the module
@@ -1112,9 +1114,9 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
     // times and shift plan are all pure functions of the seed (and, for
     // the `uniform` default, the exact pre-scenario streams).
     let scenario = &resolved.scenario;
-    let instance = scenario.timeline_instance(config.seed, config.num_tasks, config.num_workers);
-    let task_times = scenario.task_times(config.seed, config.num_tasks);
     let plan = scenario.shift_plan(&config.plan, config.num_workers, config.seed)?;
+    let (instance, server) = session_server(config, &resolved)?;
+    let task_times = scenario.task_times(config.seed, config.num_tasks);
     let mut frames = timeline_frames(&instance, &plan, &task_times, config.max_requests);
     let injected = match resolved.fault_plan.as_deref() {
         Some(fault_plan) => {
@@ -1136,33 +1138,16 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
     // session's ability to end cleanly.
     frames.push(ServeRequest::Shutdown.encode());
 
-    let server = Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE)?;
-    let (tx, rx) = mpsc::channel::<Bytes>();
-    let result: parking_lot::Mutex<Option<Result<SessionStats, PipelineError>>> =
-        parking_lot::Mutex::new(None);
-    crossbeam::thread::scope(|scope| {
-        let slot = &result;
-        let server = &server;
-        let resolved = &resolved;
-        scope.spawn(move |_| {
-            *slot.lock() = Some(serve_stream(rx, resolved, server, config));
-        });
-        for frame in frames {
-            if tx.send(frame).is_err() {
-                break; // The service ended early (error path): stop pacing.
-            }
-            if let Some(pause) = resolved.pause {
-                std::thread::sleep(pause);
-            }
+    // Pacing delays delivery only: each frame after the first waits one
+    // pause before the engine sees it.
+    let pause = resolved.pause;
+    let paced = frames.into_iter().enumerate().map(|(i, frame)| {
+        if let Some(pause) = pause.filter(|_| i > 0) {
+            std::thread::sleep(pause);
         }
-        drop(tx); // Hang up; the service drains its buffers and exits.
-    })
-    .expect("serve threads do not panic");
-    // The scope joined the service thread above, so the session is over
-    // and the slot is filled: clean shutdown is structural.
-    let stats = result
-        .into_inner()
-        .expect("the serve loop always reports")?;
+        frame
+    });
+    let stats = serve_stream(paced, &resolved, &server, config)?;
     Ok(build_outcome(config, &resolved, stats, injected))
 }
 
@@ -1178,11 +1163,7 @@ pub fn serve_frames(
     frames: Vec<Bytes>,
 ) -> Result<ServeOutcome, PipelineError> {
     let resolved = resolve(config)?;
-    let instance =
-        resolved
-            .scenario
-            .timeline_instance(config.seed, config.num_tasks, config.num_workers);
-    let server = Server::try_new(instance.region, config.grid_side, config.seed ^ 0xD1CE)?;
+    let (_, server) = session_server(config, &resolved)?;
     let stats = serve_stream(frames, &resolved, &server, config)?;
     Ok(build_outcome(config, &resolved, stats, 0))
 }

@@ -1648,4 +1648,135 @@ mod tests {
         let seq = OfflineOptimal::solve(32, 1200, cost);
         assert_eq!(auto.pairs, seq.pairs);
     }
+
+    /// A scan kernel's signature: `fused_scan`'s.
+    #[cfg(target_arch = "x86_64")]
+    type Kernel = unsafe fn(
+        &mut [f64],
+        &mut [f64],
+        &[f64],
+        RowData<'_>,
+        &[f64],
+        &[f64],
+        f64,
+        Option<f64>,
+        usize,
+        usize,
+        &[AtomicUsize],
+    ) -> (f64, usize);
+
+    /// `fused_scan` runs only the widest kernel the CPU has, so the
+    /// solver tests alone leave the narrower ones unexercised. Every
+    /// kernel this host detects scans the same random blocks as the
+    /// scalar kernel and must leave bit-equal `v`, `minv` and `way` and
+    /// return a bit-equal `(minimum, column)`: dense and point rows, with
+    /// and without a pending δ, over used columns, tied `minv` values,
+    /// offset blocks and lengths that are not a multiple of 8.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[allow(
+        unsafe_code,
+        reason = "calls each AVX kernel only after detecting its feature"
+    )]
+    fn every_detected_vector_kernel_matches_the_scalar_kernel() {
+        let mut kernels: Vec<(&str, Kernel)> = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx2") {
+            kernels.push(("avx2", fused_scan_avx2));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512f", fused_scan_avx512));
+        }
+        #[allow(clippy::too_many_arguments, reason = "the kernels' shared signature")]
+        fn scalar_kernel(
+            v: &mut [f64],
+            minv: &mut [f64],
+            used_f: &[f64],
+            row: RowData<'_>,
+            col_x: &[f64],
+            col_y: &[f64],
+            u_i0: f64,
+            delta: Option<f64>,
+            j0: usize,
+            lo: usize,
+            way: &[AtomicUsize],
+        ) -> (f64, usize) {
+            fused_scan_scalar(
+                v, minv, used_f, row, col_x, col_y, u_i0, delta, j0, lo, way, 0,
+            )
+        }
+        // Halves in [-3, 3]: sums are exact, and many of them tie.
+        fn half(rng: &mut rand::rngs::StdRng) -> f64 {
+            f64::from(rng.gen_range(-6i32..=6)) * 0.5
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = seeded_rng(47, 0);
+        for n in [1usize, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 31, 40, 67] {
+            // Three bits of the trial pick the block offset, the row kind
+            // and whether a δ is pending.
+            for trial in 0..48 {
+                let lo = if trial & 1 == 0 { 1 } else { 17 };
+                let point_row = trial & 2 != 0;
+                let delta = (trial & 4 != 0).then(|| half(&mut rng).abs());
+                let used_f: Vec<f64> = (0..n)
+                    .map(|_| if rng.gen_range(0..4) == 0 { -0.0 } else { 0.0 })
+                    .collect();
+                // Used columns hold `minv = +∞`, as in the solver; so do
+                // some free ones (a row's first scan).
+                let minv: Vec<f64> = used_f
+                    .iter()
+                    .map(|u| {
+                        if u.is_sign_negative() || rng.gen_range(0..5) == 0 {
+                            f64::INFINITY
+                        } else {
+                            half(&mut rng) + 3.0
+                        }
+                    })
+                    .collect();
+                let v: Vec<f64> = (0..n).map(|_| half(&mut rng)).collect();
+                let dense: Vec<f64> = (0..n).map(|_| half(&mut rng) + 4.0).collect();
+                let (col_x, col_y): (Vec<f64>, Vec<f64>) = if point_row {
+                    (0..n)
+                        .map(|_| (f64::from(rng.gen_range(0..4)), half(&mut rng)))
+                        .unzip()
+                } else {
+                    (Vec::new(), Vec::new())
+                };
+                let row = if point_row {
+                    RowData::Point { x: 1.0, y: 0.5 }
+                } else {
+                    RowData::Slice(&dense)
+                };
+                let u_i0 = half(&mut rng);
+                let j0 = rng.gen_range(0..lo + n);
+                // Runs one kernel on fresh copies of the block and returns
+                // everything it writes or returns, as bits.
+                let scan = |kernel: Kernel| {
+                    let (mut v, mut minv) = (v.clone(), minv.clone());
+                    let way: Vec<AtomicUsize> =
+                        (0..lo + n).map(|j| AtomicUsize::new(1000 + j)).collect();
+                    // SAFETY: a vector kernel is passed only after its
+                    // feature was detected, and every slice spans the
+                    // whole block.
+                    let (best, best_j) = unsafe {
+                        kernel(
+                            &mut v, &mut minv, &used_f, row, &col_x, &col_y, u_i0, delta, j0, lo,
+                            &way,
+                        )
+                    };
+                    let way: Vec<usize> = way.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+                    (bits(&v), bits(&minv), way, (best.to_bits(), best_j))
+                };
+                let expected = scan(scalar_kernel);
+                for &(name, kernel) in &kernels {
+                    let got = scan(kernel);
+                    let case =
+                        format!("{name}: n {n}, lo {lo}, point row {point_row}, δ {delta:?}");
+                    assert_eq!(got.0, expected.0, "v, {case}");
+                    assert_eq!(got.1, expected.1, "minv, {case}");
+                    assert_eq!(got.2, expected.2, "way, {case}");
+                    assert_eq!(got.3, expected.3, "(minimum, column), {case}");
+                }
+            }
+        }
+    }
 }

@@ -106,7 +106,7 @@ impl BudgetLedger {
 
     /// Total budget spent across all participants (an operator-side gauge).
     pub fn total_spent(&self) -> f64 {
-        self.spent.lock().values().sum()
+        self.spent.lock().values().fold(0.0, |sum, e| sum + e)
     }
 
     /// Number of participants that have spent anything.

@@ -234,8 +234,9 @@ fn golden_serve_fingerprints() {
     }
 }
 
-/// `max_requests` bounds the generator (the service drains the buffered
-/// tail on hangup), and the bounded prefix replays deterministically.
+/// `max_requests` bounds the generator (the shutdown frame still follows
+/// and drains the buffered tail), and the bounded prefix replays
+/// deterministically.
 #[test]
 fn bounded_replay_is_deterministic() {
     let bounded = run_serve(&ServeConfig {
@@ -587,17 +588,13 @@ fn truncated_stream_still_yields_a_well_formed_report() {
     assert_eq!(report.assigned + report.dropped, outcome.assignments.len());
 }
 
-/// The hangup error itself is a typed `Transport` variant with a stable
-/// message prefix, so transport failures are matchable, not stringly.
+/// The hangup class is a typed `Transport` variant with a stable message,
+/// so transport failures are matchable, not stringly.
 #[test]
 fn channel_closed_is_a_typed_transport_error() {
-    let error = pombm::serve::channel_closed();
-    assert!(matches!(
-        error,
-        PipelineError::Transport {
-            why: pombm::serve::CHANNEL_CLOSED
-        }
-    ));
+    let error = PipelineError::Transport {
+        why: pombm::serve::CHANNEL_CLOSED,
+    };
     assert_eq!(error.to_string(), "serve transport: channel closed");
 }
 
