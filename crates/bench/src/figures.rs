@@ -27,6 +27,18 @@ use std::convert::identity;
 /// plotting order.
 const PAPER_ALGORITHMS: [&str; 3] = ["lap-gr", "lap-hg", "tbf"];
 
+/// Predefined-point grid side (N = side²). 64 keeps TBF's snapping floor
+/// well below the Laplace baselines across the whole ε sweep.
+const GRID_SIDE: usize = 64;
+
+/// The budget of every figure that does not sweep ε: the default of
+/// Tables II and III, the mid-value of both ε sweeps.
+const EPSILON: f64 = SyntheticParams::EPSILONS[2];
+
+/// The fleet of the real-data figures that do not sweep |W|: Table III's
+/// default, the mid-value of its |W| sweep.
+const REAL_WORKERS: usize = RealParams::WORKER_COUNTS[2];
+
 /// Resolves a figure algorithm by registry name; the spec carries the
 /// figure label its rows are plotted under.
 fn spec(name: &str) -> AlgorithmSpec {
@@ -56,9 +68,6 @@ pub struct ExperimentConfig {
     pub quick: bool,
     /// Base seed.
     pub seed: u64,
-    /// Predefined-point grid side (N = grid_side²). 64 keeps TBF's snapping
-    /// floor well below the Laplace baselines across the whole ε sweep.
-    pub grid_side: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -67,7 +76,6 @@ impl Default for ExperimentConfig {
             repetitions: 3,
             quick: false,
             seed: 2020,
-            grid_side: 64,
         }
     }
 }
@@ -84,7 +92,7 @@ impl ExperimentConfig {
     fn pipeline(&self, epsilon: f64, rep: u64) -> PipelineConfig {
         PipelineConfig {
             epsilon,
-            grid_side: self.grid_side,
+            grid_side: GRID_SIDE,
             seed: self.seed.wrapping_add(rep.wrapping_mul(0x51_7E)),
             ..PipelineConfig::default()
         }
@@ -101,8 +109,8 @@ impl ExperimentConfig {
     }
 
     /// Repetition `rep`'s generator on one of a figure's streams: every
-    /// figure draws its instances (and `dynamic` its arrival times and
-    /// shifts) from `seeded_rng(seed + rep, stream)`.
+    /// figure draws its instances (and `dynamic` its shifts) from
+    /// `seeded_rng(seed + rep, stream)`.
     fn rng(&self, stream: u64, rep: u64) -> StdRng {
         seeded_rng(self.seed.wrapping_add(rep), stream)
     }
@@ -134,7 +142,7 @@ impl ExperimentConfig {
     /// Repetition `rep`'s server, for the figures that build their own.
     fn server(&self, region: Rect, construction: TreeConstruction, rep: u64) -> Server {
         let seed = self.seed ^ rep.wrapping_mul(0x9E37_79B9);
-        Server::with_construction(region, self.grid_side, seed, construction)
+        Server::with_construction(region, GRID_SIDE, seed, construction)
     }
 }
 
@@ -208,7 +216,7 @@ pub fn fig6(cfg: &ExperimentConfig) -> Report {
     let tasks = scaled(SyntheticParams::TASK_COUNTS);
     let workers = scaled(SyntheticParams::WORKER_COUNTS);
     let (mus, sigmas) = (SyntheticParams::MUS, SyntheticParams::SIGMAS);
-    let eps = |_| base.epsilon;
+    let eps = |_| EPSILON;
     let mut report = Report::new();
     for (ids, x_label, xs) in [
         (["fig6a", "fig6e", "fig6i"], "|T|", tasks),
@@ -232,19 +240,17 @@ pub fn fig6(cfg: &ExperimentConfig) -> Report {
 
 /// Fig. 7, column 1: varying ε on synthetic data.
 pub fn fig7_eps(cfg: &ExperimentConfig) -> Report {
-    let mut params = cfg.synthetic_params();
+    let params = cfg.synthetic_params();
     let (ids, xs) = (["fig7a", "fig7e", "fig7i"], SyntheticParams::EPSILONS);
-    paper_figure(cfg, ids, "epsilon", &xs, identity, |eps, rep| {
-        params.epsilon = eps;
+    paper_figure(cfg, ids, "epsilon", &xs, identity, |_, rep| {
         synthetic::generate(&params, &mut cfg.rng(0x7E, rep))
     })
 }
 
 /// Fig. 7, column 2: scalability (|T| = |W| up to 10⁵).
 pub fn fig7_scale(cfg: &ExperimentConfig) -> Report {
-    let defaults = SyntheticParams::default();
-    let eps = |_| defaults.epsilon;
-    let mut params = defaults;
+    let eps = |_| EPSILON;
+    let mut params = SyntheticParams::default();
     let xs = SyntheticParams::SCALABILITY.map(|n| cfg.scale_count(n) as f64);
     let ids = ["fig7b", "fig7f", "fig7j"];
     paper_figure(cfg, ids, "|T|=|W|", &xs, eps, |n, rep| {
@@ -259,11 +265,10 @@ pub fn fig7_scale(cfg: &ExperimentConfig) -> Report {
 pub fn fig7_real(cfg: &ExperimentConfig) -> Report {
     let city = chengdu::CityModel::generate(cfg.seed);
     let day = |w: f64, rep| cfg.real_day(chengdu::generate_day, &city, w as usize, rep);
-    let defaults = RealParams::default();
-    let eps = |_| defaults.epsilon;
+    let eps = |_| EPSILON;
     let xs = RealParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
     let mut report = paper_figure(cfg, ["fig7c", "fig7g", "fig7k"], "|W|", &xs, eps, day);
-    let w_default = cfg.scale_count(defaults.num_workers) as f64;
+    let w_default = cfg.scale_count(REAL_WORKERS) as f64;
     let fixed_w = |_, rep| day(w_default, rep);
     let (ids, xs) = (["fig7d", "fig7h", "fig7l"], RealParams::EPSILONS);
     report.extend(paper_figure(cfg, ids, "epsilon", &xs, identity, fixed_w));
@@ -297,7 +302,7 @@ fn case_study_figure(
 /// Fig. 8, columns 1–2: case study on synthetic data (vary |W|, vary ε).
 pub fn fig8_syn(cfg: &ExperimentConfig) -> Report {
     let base = cfg.synthetic_params();
-    let eps = |_| base.epsilon;
+    let eps = |_| EPSILON;
     let instance = |params, rep| synthetic::generate_with_radii(&params, &mut cfg.rng(0x8A, rep));
     let xs = SyntheticParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
     let mut report = case_study_figure(cfg, ["fig8a", "fig8e"], "|W|", &xs, eps, |w, rep| {
@@ -317,11 +322,10 @@ pub fn fig8_real(cfg: &ExperimentConfig) -> Report {
     let city = chengdu::CityModel::generate(cfg.seed);
     let generate = chengdu::generate_day_with_radii;
     let day = |w: f64, rep| cfg.real_day(generate, &city, w as usize, rep);
-    let defaults = RealParams::default();
-    let eps = |_| defaults.epsilon;
+    let eps = |_| EPSILON;
     let xs = RealParams::WORKER_COUNTS.map(|w| cfg.scale_count(w) as f64);
     let mut report = case_study_figure(cfg, ["fig8c", "fig8g"], "|W|", &xs, eps, day);
-    let w_default = cfg.scale_count(defaults.num_workers) as f64;
+    let w_default = cfg.scale_count(REAL_WORKERS) as f64;
     let fixed_w = |_, rep| day(w_default, rep);
     let (ids, xs) = (["fig8d", "fig8h"], RealParams::EPSILONS);
     let by_eps = case_study_figure(cfg, ids, "epsilon", &xs, identity, fixed_w);
@@ -333,25 +337,18 @@ pub fn fig8_real(cfg: &ExperimentConfig) -> Report {
 /// (ε = 0.1 on the Example 1 tree), rendered as the paper prints them.
 pub fn table1() -> String {
     use pombm_geom::{Point, PointSet};
-    use pombm_hst::{FixedDraw, Hst, HstParams};
+    use pombm_hst::{FixedDraw, Hst};
     let points = PointSet::new(vec![
         Point::new(1.0, 1.0),
         Point::new(2.0, 3.0),
         Point::new(5.0, 3.0),
         Point::new(4.0, 4.0),
     ]);
-    let mut rng = seeded_rng(0, 0);
-    let hst = Hst::build_with(
-        &points,
-        HstParams {
-            fixed: Some(FixedDraw {
-                beta: 0.5,
-                permutation: vec![0, 1, 2, 3],
-            }),
-            branching: None,
-        },
-        &mut rng,
-    );
+    let draw = FixedDraw {
+        beta: 0.5,
+        permutation: vec![0, 1, 2, 3],
+    };
+    let hst = Hst::build_fixed(&points, draw);
     let mech = HstMechanism::new(&hst, Epsilon::new(0.1));
     let mut out = String::from(
         "Table I (eps = 0.1, Example 1 tree)\nlevel  |L_i(o1)|        wt_i   probability\n",
@@ -385,7 +382,6 @@ pub fn ratio(cfg: &ExperimentConfig) -> Report {
     let mut point = None;
     let measure = |eps, algo, rep: u64| {
         if rep == 0 {
-            params.epsilon = eps;
             let instance = synthetic::generate(&params, &mut cfg.rng(0x0C, 0));
             let pc = cfg.pipeline(eps, 0);
             let report = empirical_competitive_ratio(algo, &instance, &pc, cfg.repetitions)
@@ -410,7 +406,7 @@ pub fn grid_sweep(cfg: &ExperimentConfig) -> Report {
     let tbf = spec("tbf");
     let measure = |n: f64, tbf, rep| {
         let instance = synthetic::generate(&params, &mut cfg.rng(0x9D, rep));
-        let mut pc = cfg.pipeline(params.epsilon, rep);
+        let mut pc = cfg.pipeline(EPSILON, rep);
         // N is a perfect square, so its square root is exact.
         pc.grid_side = n.sqrt() as usize;
         let m = run(tbf, &instance, &pc, rep).metrics;
@@ -462,10 +458,9 @@ pub fn distortion(cfg: &ExperimentConfig) -> Report {
 /// predefined points" from "obfuscate *on the tree*" — the paper's design
 /// choice that Sec. III motivates but never isolates.
 pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
-    let mut params = cfg.synthetic_params();
+    let params = cfg.synthetic_params();
     let algos = ["tbf", "exp-hg", "lap-hg", "random"].map(spec);
     let measure = |eps, algo, rep| {
-        params.epsilon = eps;
         let instance = synthetic::generate(&params, &mut cfg.rng(0xAB, rep));
         let m = run(algo, &instance, &cfg.pipeline(eps, rep), rep).metrics;
         [m.total_distance]
@@ -479,10 +474,9 @@ pub fn ablate_mech(cfg: &ExperimentConfig) -> Report {
 /// mechanism — greedy (Alg. 4), randomized greedy (Meyerson et al.) and
 /// chain reassignment (Bansal et al.) — total distance and assignment time.
 pub fn ablate_alg(cfg: &ExperimentConfig) -> Report {
-    let mut params = cfg.synthetic_params();
+    let params = cfg.synthetic_params();
     let algos = ["tbf", "tbf-rand", "tbf-chain"].map(spec);
     let measure = |eps, algo, rep| {
-        params.epsilon = eps;
         let instance = synthetic::generate(&params, &mut cfg.rng(0xA1, rep));
         let m = run(algo, &instance, &cfg.pipeline(eps, rep), rep).metrics;
         [m.total_distance, m.assign_time.as_secs_f64()]
@@ -502,9 +496,8 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
     let mut epoch_cfg = EpochConfig {
         num_epochs: 12,
         lifetime_epsilon: 2.4, // 4 fresh reports at the default per-epoch ε
-        epoch_epsilon: SyntheticParams::default().epsilon,
+        epoch_epsilon: EPSILON,
         tasks_per_epoch: if cfg.quick { 60 } else { 400 },
-        grid_side: cfg.grid_side.min(32),
         seed: cfg.seed,
         ..EpochConfig::default()
     };
@@ -533,7 +526,7 @@ pub fn epochs(cfg: &ExperimentConfig) -> Report {
 /// shift length / horizon) and reports assignment rate and mean per-task
 /// distance (see `pombm::dynamic`).
 pub fn dynamic(cfg: &ExperimentConfig) -> Report {
-    use pombm::{run_dynamic_spec, ArrivalProcess, DynamicConfig};
+    use pombm::{even_task_times, run_dynamic_spec, DynamicConfig};
     use pombm_workload::shifts::ShiftPlan;
     let (tasks, workers) = if cfg.quick { (120, 240) } else { (1500, 3000) };
     let horizon = 1000.0;
@@ -556,14 +549,11 @@ pub fn dynamic(cfg: &ExperimentConfig) -> Report {
     let measure = |i: f64, (), rep| {
         let (lo, hi) = durations[i as usize];
         let instance = synthetic::generate(&params, &mut cfg.rng(0xDF, rep));
-        let arrivals = ArrivalProcess::Uniform {
-            window_secs: horizon * 0.99,
-        };
-        let times = arrivals.timestamps(tasks, &mut cfg.rng(0xD0, rep));
+        let times = even_task_times(tasks, horizon * 0.99);
         let plan = ShiftPlan::uniform(workers, horizon, lo, hi, &mut cfg.rng(0xD1, rep));
         let dyn_cfg = DynamicConfig {
-            epsilon: params.epsilon,
-            grid_side: cfg.grid_side.min(32),
+            epsilon: EPSILON,
+            grid_side: 32,
             seed: cfg.seed.wrapping_add(rep),
         };
         let (mechanism, matcher) = (mechanism.as_ref(), matcher.as_ref());
@@ -624,7 +614,6 @@ mod tests {
             repetitions: 1,
             quick: true,
             seed: 1,
-            grid_side: 16,
         }
     }
 

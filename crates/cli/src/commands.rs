@@ -62,11 +62,12 @@ COMMANDS:
   inspect     decode a published HST file and print its shape
               --input FILE
   epochs      multi-epoch deployment simulation under a lifetime budget
-              --workers N [--epochs N] [--lifetime F] [--epsilon F]
+              [--workers N] [--epochs N] [--lifetime F] [--epsilon F]
               [--drift F] [--tasks N] [--seed N]
-              --drift is the standard deviation of each worker's step
-              between epochs (default 10); --tasks is the tasks arriving
-              per epoch (default 200)
+              --workers is the fleet size (default 500); --drift is the
+              standard deviation of each worker's step between epochs
+              (default 10); --tasks is the tasks arriving per epoch
+              (default 200)
   dynamic     event-driven simulation over a shifting worker fleet: any
               mechanism x dynamic-matcher pairing on one timeline
               [--tasks N] [--workers N] [--plan always-on|short|long]
@@ -376,7 +377,6 @@ pub fn gen(args: &Args) -> Result<String, String> {
             num_workers,
             mu: args.get_or("mu", SyntheticParams::default().mu)?,
             sigma: args.get_or("sigma", SyntheticParams::default().sigma)?,
-            ..SyntheticParams::default()
         };
         let mut rng = seeded_rng(seed, 0xC11);
         let instance = synthetic::try_generate(&params, &mut rng).map_err(|e| e.to_string())?;
@@ -584,7 +584,6 @@ pub fn epochs(args: &Args) -> Result<String, String> {
         worker_drift: args.get_or("drift", 10.0)?,
         tasks_per_epoch: args.get_or("tasks", 200)?,
         seed: args.get_or("seed", 0)?,
-        ..EpochConfig::default()
     };
     let hst = registry()
         .require_mechanism("hst")
@@ -1452,6 +1451,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn epochs_usage_gives_the_fleet_size_it_runs_without_workers() {
+        let entry = usage_entry("epochs");
+        assert!(entry.contains("[--workers N]"), "{entry}");
+        assert!(
+            entry.contains("--workers is the fleet size (default 500)"),
+            "{entry}"
+        );
+        let out = epochs(&args("epochs --epochs 1 --tasks 5")).unwrap();
+        let first = out.lines().nth(1).expect("one row per epoch");
+        let fields: Vec<&str> = first.split_whitespace().take(3).collect();
+        assert_eq!(fields, ["0", "500", "0"], "epoch 0: every worker fresh");
     }
 
     #[test]

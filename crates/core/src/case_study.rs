@@ -11,7 +11,7 @@ use crate::algorithm::PipelineError;
 use crate::registry::registry;
 use crate::server::{check_epsilon, Server};
 use pombm_geom::{seeded_rng, Point};
-use pombm_matching::reachable::{ProbMatcher, TbfReachMatcher, DEFAULT_THRESHOLD};
+use pombm_matching::reachable::{ProbMatcher, TbfReachMatcher};
 use pombm_privacy::reach::ReachTable;
 use pombm_privacy::Epsilon;
 use pombm_workload::Instance;
@@ -110,11 +110,7 @@ pub fn run_case_study<'a>(
                         .report(p, &mut rng)
                         .into_point(server, "prob case study")
                 },
-                |workers| {
-                    table.map(|table| {
-                        ProbMatcher::new(workers, radii.clone(), table, DEFAULT_THRESHOLD)
-                    })
-                },
+                |workers| table.map(|table| ProbMatcher::new(workers, radii.clone(), table)),
                 |matcher, t| matcher.as_mut()?.assign(t),
             )
         }

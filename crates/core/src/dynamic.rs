@@ -150,18 +150,18 @@ impl DynamicOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A timeline event; the payload is the worker or task id. The derived
+/// order is the tie order at equal timestamps: ShiftStart < ShiftEnd <
+/// Task (the variant order), then by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EventKind {
-    // Variant order is the tie order at equal timestamps.
     ShiftStart(usize),
     ShiftEnd(usize),
     Task(usize),
 }
 
-/// One timeline entry: `(timestamp, tie class, id, event)`. The tie class
-/// mirrors the [`EventKind`] variant order so equal-timestamp events sort
-/// ShiftStart < ShiftEnd < Task, then by id.
-pub(crate) type TimelineEvent = (f64, u8, usize, EventKind);
+/// One timeline entry: `(timestamp, event)`.
+pub(crate) type TimelineEvent = (f64, EventKind);
 
 /// Checks that `task_times` and `plan` describe a timeline over
 /// `instance`: one finite arrival time per task, and one shift with
@@ -203,17 +203,16 @@ pub(crate) fn check_timeline(
 pub(crate) fn build_timeline(plan: &ShiftPlan, task_times: &[f64]) -> Vec<TimelineEvent> {
     let mut events: Vec<TimelineEvent> = Vec::new();
     for s in &plan.shifts {
-        events.push((s.start, 0, s.worker, EventKind::ShiftStart(s.worker)));
-        events.push((s.end, 1, s.worker, EventKind::ShiftEnd(s.worker)));
+        events.push((s.start, EventKind::ShiftStart(s.worker)));
+        events.push((s.end, EventKind::ShiftEnd(s.worker)));
     }
     for (t, &at) in task_times.iter().enumerate() {
-        events.push((at, 2, t, EventKind::Task(t)));
+        events.push((at, EventKind::Task(t)));
     }
     events.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .expect("finite timestamps")
             .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
     });
     events
 }
@@ -266,7 +265,7 @@ pub fn run_dynamic_spec(
     let mut dropped = 0usize;
     let mut peak = 0usize;
 
-    for &(_, _, _, kind) in &events {
+    for &(_, kind) in &events {
         match kind {
             EventKind::ShiftStart(w) => {
                 let report = reporter.report(&instance.workers[w], &mut rng);
@@ -303,7 +302,7 @@ pub fn run_dynamic_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::ArrivalProcess;
+    use crate::arrivals::even_task_times;
     use crate::ratio::{dynamic_offline_optimum_with_threads, RatioError};
     use crate::registry::registry;
     use pombm_workload::{synthetic, SyntheticParams};
@@ -315,14 +314,6 @@ mod tests {
             ..SyntheticParams::default()
         };
         synthetic::generate(&params, &mut seeded_rng(seed, 0))
-    }
-
-    fn uniform_times(n: usize, horizon: f64, seed: u64) -> Vec<f64> {
-        let mut rng = seeded_rng(seed, 99);
-        ArrivalProcess::Uniform {
-            window_secs: horizon,
-        }
-        .timestamps(n, &mut rng)
     }
 
     /// Replays the timeline through a registered `mechanism × matcher`.
@@ -355,7 +346,7 @@ mod tests {
     fn an_empty_run_reports_positive_zero_distance() {
         // No worker, so no pair: the total is +0.0, not `Sum`'s -0.0.
         let inst = instance(5, 0, 1);
-        let times = uniform_times(5, 10.0, 1);
+        let times = even_task_times(5, 10.0);
         let out = tbf(&inst, &times, &ShiftPlan::always_on(0, 11.0));
         assert!(out.pairs.is_empty());
         assert_eq!(out.total_distance.to_bits(), 0);
@@ -367,7 +358,7 @@ mod tests {
         // Shifts end (exclusively) at the horizon and departures process
         // before equal-timestamp tasks, so arrivals must stay strictly
         // inside the window.
-        let times = uniform_times(60, 100.0, 1);
+        let times = even_task_times(60, 100.0);
         let plan = ShiftPlan::always_on(120, 101.0);
         let out = tbf(&inst, &times, &plan);
         assert_eq!(out.dropped_tasks, 0);
@@ -382,7 +373,7 @@ mod tests {
         // Short shifts with low coverage: some tasks must find an empty
         // pool.
         let inst = instance(100, 40, 2);
-        let times = uniform_times(100, 1000.0, 2);
+        let times = even_task_times(100, 1000.0);
         let plan = ShiftPlan::uniform(40, 1000.0, 5.0, 15.0, &mut seeded_rng(3, 0));
         let out = tbf(&inst, &times, &plan);
         assert!(
@@ -396,7 +387,7 @@ mod tests {
     #[test]
     fn no_worker_serves_twice_and_only_on_shift_workers_serve() {
         let inst = instance(80, 60, 3);
-        let times = uniform_times(80, 200.0, 3);
+        let times = even_task_times(80, 200.0);
         let plan = ShiftPlan::uniform(60, 200.0, 50.0, 100.0, &mut seeded_rng(4, 0));
         let out = tbf(&inst, &times, &plan);
         let mut seen = std::collections::HashSet::new();
@@ -408,7 +399,7 @@ mod tests {
     #[test]
     fn runs_are_reproducible() {
         let inst = instance(50, 50, 5);
-        let times = uniform_times(50, 100.0, 5);
+        let times = even_task_times(50, 100.0);
         let plan = ShiftPlan::uniform(50, 100.0, 20.0, 60.0, &mut seeded_rng(6, 0));
         let a = tbf(&inst, &times, &plan);
         let b = tbf(&inst, &times, &plan);
@@ -419,7 +410,7 @@ mod tests {
     #[test]
     fn higher_coverage_assigns_more() {
         let inst = instance(120, 50, 7);
-        let times = uniform_times(120, 500.0, 7);
+        let times = even_task_times(120, 500.0);
         let short = ShiftPlan::uniform(50, 500.0, 10.0, 20.0, &mut seeded_rng(8, 0));
         let long = ShiftPlan::uniform(50, 500.0, 200.0, 400.0, &mut seeded_rng(8, 0));
         let a = tbf(&inst, &times, &short);
@@ -437,7 +428,7 @@ mod tests {
         // The dynamic pool accepts any location-reporting mechanism:
         // planar Laplace reports are snapped onto the tree (Lap-HG style).
         let inst = instance(60, 120, 4);
-        let times = uniform_times(60, 100.0, 4);
+        let times = even_task_times(60, 100.0);
         let plan = ShiftPlan::always_on(120, 101.0);
         let out = run(&inst, &times, &plan, "laplace", "hst-greedy").unwrap();
         assert_eq!(out.dropped_tasks, 0);
@@ -452,7 +443,7 @@ mod tests {
     #[test]
     fn blind_mechanism_is_rejected() {
         let inst = instance(5, 5, 6);
-        let times = uniform_times(5, 10.0, 6);
+        let times = even_task_times(5, 10.0);
         let plan = ShiftPlan::always_on(5, 11.0);
         let err = run(&inst, &times, &plan, "blind", "hst-greedy").unwrap_err();
         assert!(err.to_string().contains("location"), "{err}");
@@ -461,7 +452,7 @@ mod tests {
     #[test]
     fn mismatched_times_rejected() {
         let inst = instance(10, 10, 9);
-        let times = uniform_times(10, 9.0, 9);
+        let times = even_task_times(10, 9.0);
         let plan = ShiftPlan::always_on(10, 10.0);
         let mut nan_shift = plan.clone();
         nan_shift.shifts[3].end = f64::NAN;
@@ -496,7 +487,7 @@ mod tests {
     #[test]
     fn zero_grid_side_is_a_typed_error_for_every_pairing() {
         let inst = instance(10, 10, 9);
-        let times = uniform_times(10, 9.0, 9);
+        let times = even_task_times(10, 9.0);
         let plan = ShiftPlan::always_on(10, 10.0);
         let config = DynamicConfig {
             grid_side: 0,
@@ -532,7 +523,7 @@ mod tests {
     #[test]
     fn non_positive_or_non_finite_epsilon_is_a_typed_error() {
         let inst = instance(10, 10, 9);
-        let times = uniform_times(10, 9.0, 9);
+        let times = even_task_times(10, 9.0);
         let plan = ShiftPlan::always_on(10, 10.0);
         let mechanism = registry().require_mechanism("hst").unwrap();
         let matcher = registry().require_dynamic_matcher("hst-greedy").unwrap();
@@ -596,7 +587,7 @@ mod tests {
         }
 
         let inst = instance(30, 40, 6);
-        let times = uniform_times(30, 50.0, 6);
+        let times = even_task_times(30, 50.0);
         let plan = ShiftPlan::always_on(40, 51.0);
         let laplace = registry().require_mechanism("laplace").unwrap();
         let mut outcomes = Vec::new();
@@ -629,7 +620,7 @@ mod tests {
     #[test]
     fn every_registered_dynamic_matcher_drives_the_fleet() {
         let inst = instance(60, 120, 4);
-        let times = uniform_times(60, 100.0, 4);
+        let times = even_task_times(60, 100.0);
         let plan = ShiftPlan::always_on(120, 101.0);
         for matcher in registry().dynamic_matchers() {
             let out = run(&inst, &times, &plan, "identity", matcher.name())
@@ -651,7 +642,7 @@ mod tests {
     #[test]
     fn kd_rebuild_beats_the_random_floor_on_distance() {
         let inst = instance(80, 160, 21);
-        let times = uniform_times(80, 100.0, 21);
+        let times = even_task_times(80, 100.0);
         let plan = ShiftPlan::always_on(160, 101.0);
         let dist = |name: &str| {
             run(&inst, &times, &plan, "identity", name)
@@ -669,7 +660,7 @@ mod tests {
     #[test]
     fn blind_mechanism_pairs_only_with_the_random_dynamic_matcher() {
         let inst = instance(30, 30, 6);
-        let times = uniform_times(30, 50.0, 6);
+        let times = even_task_times(30, 50.0);
         let plan = ShiftPlan::always_on(30, 51.0);
         let out = run(&inst, &times, &plan, "blind", "random").unwrap();
         assert_eq!(out.pairs.len(), 30, "blind x random is measurable");
@@ -685,7 +676,7 @@ mod tests {
         // mechanism's obfuscation noise must be byte-identical to what the
         // deterministic matchers observed under the same seed.
         let inst = instance(40, 80, 17);
-        let times = uniform_times(40, 100.0, 17);
+        let times = even_task_times(40, 100.0);
         let plan = ShiftPlan::always_on(80, 101.0);
         let a = run(&inst, &times, &plan, "laplace", "random").unwrap();
         let b = run(&inst, &times, &plan, "laplace", "random").unwrap();

@@ -21,7 +21,7 @@
 //! paper scopes out (its mechanism is single-shot by design).
 
 use crate::algorithm::{PipelineError, ReportMechanism};
-use crate::server::{check_epsilon, check_grid_side, Server};
+use crate::server::{check_epsilon, Server};
 use pombm_geom::{seeded_rng, Point, Rect};
 use pombm_hst::LeafCode;
 use pombm_matching::{HstGreedyPool, Matching};
@@ -29,6 +29,16 @@ use pombm_privacy::budget::BudgetLedger;
 use pombm_privacy::Epsilon;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
+
+/// Mean of the Normal hotspot, on both axes, that tasks and initial worker
+/// positions are drawn from: Table II's default µ.
+const HOTSPOT_MU: f64 = 100.0;
+/// Standard deviation of that hotspot: Table II's default σ.
+const HOTSPOT_SIGMA: f64 = 20.0;
+/// The simulation's `2µ × 2µ` workspace.
+const SIDE: f64 = 2.0 * HOTSPOT_MU;
+/// Side of the predefined grid the simulation's server is built on.
+const GRID_SIDE: usize = 32;
 
 /// Configuration of a multi-epoch simulation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -44,14 +54,8 @@ pub struct EpochConfig {
     /// in workspace units.
     pub worker_drift: f64,
     /// Tasks arriving per epoch, drawn from the same Normal hotspot as the
-    /// synthetic workloads.
+    /// synthetic workloads (µ = 100, σ = 20).
     pub tasks_per_epoch: usize,
-    /// Mean of the task/initial-worker location distribution.
-    pub mu: f64,
-    /// Standard deviation of the task/initial-worker location distribution.
-    pub sigma: f64,
-    /// Predefined-point grid side.
-    pub grid_side: usize,
     /// Base seed.
     pub seed: u64,
 }
@@ -64,9 +68,6 @@ impl Default for EpochConfig {
             epoch_epsilon: 0.6,
             worker_drift: 10.0,
             tasks_per_epoch: 500,
-            mu: 100.0,
-            sigma: 20.0,
-            grid_side: 32,
             seed: 0,
         }
     }
@@ -112,24 +113,23 @@ impl EpochReport {
 
 /// Runs the multi-epoch simulation described in the module docs.
 ///
-/// `num_workers` workers are spawned from the Normal hotspot at epoch 0;
-/// every epoch they drift, (maybe) re-report through `mechanism`, and
+/// `num_workers` workers are spawned from the Normal hotspot at epoch 0,
+/// in a 200 × 200 workspace whose server publishes an HST over a 32 × 32
+/// grid; every epoch they drift, (maybe) re-report through `mechanism`, and
 /// serve that epoch's `tasks_per_epoch` arrivals. TBF's mechanism is the
 /// registry's `hst`; planar reports are snapped onto the published tree,
 /// like the paper's Lap-HG, and location-blind reports are a typed error.
 ///
 /// A config the simulation cannot run is a typed
-/// [`PipelineError::InvalidConfig`] naming its field: zero `num_epochs` or
-/// `grid_side`, a budget that is not positive and finite, a
-/// `lifetime_epsilon` too small for one report at `epoch_epsilon`, or a
-/// non-finite `mu`, `sigma` or `worker_drift`.
+/// [`PipelineError::InvalidConfig`] naming its field: zero `num_epochs`, a
+/// budget that is not positive and finite, a `lifetime_epsilon` too small
+/// for one report at `epoch_epsilon`, or a non-finite `worker_drift`.
 pub fn run_epochs(
     num_workers: usize,
     config: &EpochConfig,
     mechanism: &dyn ReportMechanism,
 ) -> Result<EpochReport, PipelineError> {
     let invalid = |field, why| PipelineError::InvalidConfig { field, why };
-    check_grid_side(config.grid_side)?;
     check_epsilon("epoch_epsilon", config.epoch_epsilon)?;
     check_epsilon("lifetime_epsilon", config.lifetime_epsilon)?;
     if config.num_epochs == 0 {
@@ -138,19 +138,11 @@ pub fn run_epochs(
             "the simulation needs at least one epoch",
         ));
     }
-    let side = 2.0 * config.mu.max(100.0);
-    if !(config.mu.is_finite() && side.is_finite()) {
-        return Err(invalid(
-            "mu",
-            "the hotspot mean (and the 2·mu workspace) must be finite",
-        ));
-    }
-    let normal = Normal::new(config.mu, config.sigma)
-        .map_err(|_| invalid("sigma", "must be a finite, non-negative standard deviation"))?;
+    let normal = Normal::new(HOTSPOT_MU, HOTSPOT_SIGMA).expect("a finite, positive σ");
     let drift = Normal::new(0.0, config.worker_drift.max(1e-9))
         .map_err(|_| invalid("worker_drift", "must be a finite standard deviation"))?;
-    let region = Rect::square(side);
-    let server = Server::try_new(region, config.grid_side, config.seed ^ 0xE70C)?;
+    let region = Rect::square(SIDE);
+    let server = Server::try_new(region, GRID_SIDE, config.seed ^ 0xE70C)?;
     let epsilon = Epsilon::new(config.epoch_epsilon);
     let mut reporter = mechanism.reporter(epsilon, Some(&server))?;
     let ledger = BudgetLedger::new(config.lifetime_epsilon);
@@ -262,25 +254,8 @@ mod tests {
             num_epochs: 6,
             lifetime_epsilon: 1.8, // 3 fresh reports at ε = 0.6
             tasks_per_epoch: 80,
-            grid_side: 16,
             ..EpochConfig::default()
         }
-    }
-
-    #[test]
-    fn zero_grid_side_is_a_typed_error() {
-        let config = EpochConfig {
-            grid_side: 0,
-            ..quick_config()
-        };
-        let hst = registry().require_mechanism("hst").unwrap();
-        assert!(matches!(
-            run_epochs(10, &config, hst.as_ref()),
-            Err(PipelineError::InvalidConfig {
-                field: "grid_side",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -424,27 +399,6 @@ mod tests {
                     ..base
                 },
                 "lifetime_epsilon",
-            ),
-            (
-                EpochConfig {
-                    mu: f64::INFINITY,
-                    ..base
-                },
-                "mu",
-            ),
-            (
-                EpochConfig {
-                    mu: f64::MAX,
-                    ..base
-                },
-                "mu",
-            ),
-            (
-                EpochConfig {
-                    sigma: -1.0,
-                    ..base
-                },
-                "sigma",
             ),
             (
                 EpochConfig {

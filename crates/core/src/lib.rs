@@ -156,7 +156,7 @@ pub use algorithm::{
     AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, PipelineError, PointReporter, Report,
     ReportMechanism,
 };
-pub use arrivals::ArrivalProcess;
+pub use arrivals::even_task_times;
 pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
 pub use dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
 pub use epochs::{run_epochs, EpochConfig, EpochMetrics, EpochReport};

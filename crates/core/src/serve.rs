@@ -340,6 +340,12 @@ const OP_CHECK_OUT: u8 = 0x02;
 const OP_TASK: u8 = 0x03;
 const OP_SHUTDOWN: u8 = 0x04;
 
+// Each opcode's body size in bytes: the payload after the opcode byte.
+const CHECK_IN_BODY: usize = 32;
+const CHECK_OUT_BODY: usize = 16;
+const TASK_BODY: usize = 32;
+const SHUTDOWN_BODY: usize = 0;
+
 /// One request on the serve transport (see the module docs for the wire
 /// layout).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -381,32 +387,34 @@ pub enum ServeRequest {
 impl ServeRequest {
     /// Encodes the request as one length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::with_capacity(33);
+        let (opcode, body) = match self {
+            ServeRequest::CheckIn { .. } => (OP_CHECK_IN, CHECK_IN_BODY),
+            ServeRequest::CheckOut { .. } => (OP_CHECK_OUT, CHECK_OUT_BODY),
+            ServeRequest::Task { .. } => (OP_TASK, TASK_BODY),
+            ServeRequest::Shutdown => (OP_SHUTDOWN, SHUTDOWN_BODY),
+        };
+        let mut frame = BytesMut::with_capacity(4 + 1 + body);
+        frame.put_u32(1 + body as u32);
+        frame.put_u8(opcode);
         match *self {
-            ServeRequest::CheckIn { worker, at, x, y } => {
-                payload.put_u8(OP_CHECK_IN);
-                payload.put_u64(worker);
-                payload.put_f64(at);
-                payload.put_f64(x);
-                payload.put_f64(y);
+            ServeRequest::CheckIn {
+                worker: id,
+                at,
+                x,
+                y,
+            }
+            | ServeRequest::Task { task: id, at, x, y } => {
+                frame.put_u64(id);
+                frame.put_f64(at);
+                frame.put_f64(x);
+                frame.put_f64(y);
             }
             ServeRequest::CheckOut { worker, at } => {
-                payload.put_u8(OP_CHECK_OUT);
-                payload.put_u64(worker);
-                payload.put_f64(at);
+                frame.put_u64(worker);
+                frame.put_f64(at);
             }
-            ServeRequest::Task { task, at, x, y } => {
-                payload.put_u8(OP_TASK);
-                payload.put_u64(task);
-                payload.put_f64(at);
-                payload.put_f64(x);
-                payload.put_f64(y);
-            }
-            ServeRequest::Shutdown => payload.put_u8(OP_SHUTDOWN),
+            ServeRequest::Shutdown => {}
         }
-        let mut frame = BytesMut::with_capacity(4 + payload.len());
-        frame.put_u32(payload.len() as u32);
-        frame.put_slice(&payload);
         frame.freeze()
     }
 
@@ -445,23 +453,23 @@ impl ServeRequest {
         let opcode = buf.get_u8();
         let body = len - 1;
         match opcode {
-            OP_CHECK_IN if body == 32 => Ok(ServeRequest::CheckIn {
+            OP_CHECK_IN if body == CHECK_IN_BODY => Ok(ServeRequest::CheckIn {
                 worker: buf.get_u64(),
                 at: buf.get_f64(),
                 x: buf.get_f64(),
                 y: buf.get_f64(),
             }),
-            OP_CHECK_OUT if body == 16 => Ok(ServeRequest::CheckOut {
+            OP_CHECK_OUT if body == CHECK_OUT_BODY => Ok(ServeRequest::CheckOut {
                 worker: buf.get_u64(),
                 at: buf.get_f64(),
             }),
-            OP_TASK if body == 32 => Ok(ServeRequest::Task {
+            OP_TASK if body == TASK_BODY => Ok(ServeRequest::Task {
                 task: buf.get_u64(),
                 at: buf.get_f64(),
                 x: buf.get_f64(),
                 y: buf.get_f64(),
             }),
-            OP_SHUTDOWN if body == 0 => Ok(ServeRequest::Shutdown),
+            OP_SHUTDOWN if body == SHUTDOWN_BODY => Ok(ServeRequest::Shutdown),
             OP_CHECK_IN | OP_CHECK_OUT | OP_TASK | OP_SHUTDOWN => {
                 transport("length prefix does not match the opcode's body size")
             }
@@ -872,7 +880,7 @@ fn timeline_frames(
     let events = crate::dynamic::build_timeline(plan, task_times);
     let mut frames: Vec<Bytes> = events
         .iter()
-        .map(|&(at, _, _, kind)| {
+        .map(|&(at, kind)| {
             match kind {
                 EventKind::ShiftStart(w) => ServeRequest::CheckIn {
                     worker: w as u64,

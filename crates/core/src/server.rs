@@ -156,12 +156,11 @@ impl Server {
             TreeConstruction::Frt => build_raw(&points, &mut seeded_rng(seed, 0x45F7)),
             TreeConstruction::Quadtree => build_quadtree(&points),
         };
-        let hst =
-            Hst::try_from_raw(raw, points, None).map_err(|_| PipelineError::InvalidConfig {
-                field: "grid_side",
-                why: "the HST over this grid and region needs more than 2^64 leaf codes; \
-                      use a smaller grid side",
-            })?;
+        let hst = Hst::try_from_raw(raw, points).map_err(|_| PipelineError::InvalidConfig {
+            field: "grid_side",
+            why: "the HST over this grid and region needs more than 2^64 leaf codes; \
+                  use a smaller grid side",
+        })?;
         Ok(Server { region, grid, hst })
     }
 

@@ -1404,7 +1404,7 @@ fn oracle_measurement(
     let mut consumed = vec![false; num_workers];
     let mut available = 0usize;
     let mut peak = 0usize;
-    for &(_, _, _, kind) in &crate::dynamic::build_timeline(plan, times) {
+    for &(_, kind) in &crate::dynamic::build_timeline(plan, times) {
         match kind {
             crate::dynamic::EventKind::ShiftStart(w) => {
                 present[w] = true;

@@ -140,7 +140,8 @@ impl RawTree {
 }
 
 /// Fixed construction parameters, exposed so tests and worked examples (the
-/// paper's Example 1) can pin the randomness.
+/// paper's Example 1) can pin the randomness through
+/// [`Hst::build_fixed`](crate::Hst::build_fixed).
 #[derive(Debug, Clone)]
 pub struct FixedDraw {
     /// Radius factor β ∈ [1/2, 1).
@@ -595,8 +596,8 @@ mod tests {
         if branching.checked_pow(got.depth).is_none() {
             return;
         }
-        let got = Hst::from_raw(got, points.clone(), None);
-        let want = Hst::from_raw(want, points.clone(), None);
+        let got = Hst::from_raw(got, points.clone());
+        let want = Hst::from_raw(want, points.clone());
         for p in 0..points.len() {
             assert_eq!(got.leaf_of(p), want.leaf_of(p), "leaf code of {p} differs");
         }

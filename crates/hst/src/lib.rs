@@ -25,11 +25,13 @@
 //!
 //! This crate implements:
 //!
-//! * [`Hst`] — construction over a [`pombm_geom::PointSet`] (Alg. 1),
-//!   including the completion step. Fake subtrees are **never materialized**:
-//!   leaves of the complete tree are identified by base-`c` *path codes*
-//!   ([`LeafCode`]), and all tree-metric queries (LCA level, distance) are
-//!   `O(D)` digit arithmetic.
+//! * [`Hst`] — construction over a [`pombm_geom::PointSet`] (Alg. 1), with
+//!   the radius factor and permutation drawn from an RNG ([`Hst::build`]) or
+//!   pinned ([`Hst::build_fixed`], as in the paper's Example 1), including
+//!   the completion step at the tree's maximum branching `c`. Fake subtrees
+//!   are **never materialized**: leaves of the complete tree are identified
+//!   by base-`c` *path codes* ([`LeafCode`]), and all tree-metric queries
+//!   (LCA level, distance) are `O(D)` digit arithmetic.
 //! * [`SubtreeCounter`] — a dynamic multiset of leaves supporting
 //!   nearest-leaf queries in `O(c·D)` pointer steps, deterministic or drawn
 //!   uniformly among the nearest, used to accelerate the paper's HST-greedy
@@ -66,7 +68,7 @@ pub mod wire;
 pub use code::{CodeContext, CodeOverflow, LeafCode};
 pub use construct::{FixedDraw, RawTree};
 pub use counter::SubtreeCounter;
-pub use tree::{Hst, HstParams};
+pub use tree::Hst;
 
 /// Tree distance between two leaves whose LCA is at `level`, in *tree units*
 /// (the scaled metric of the construction).

@@ -146,7 +146,7 @@ pub fn build_quadtree(points: &PointSet) -> RawTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{Hst, HstParams};
+    use crate::tree::Hst;
     use pombm_geom::{Grid, Point, Rect};
 
     fn grid_points(side: usize) -> PointSet {
@@ -226,19 +226,5 @@ mod tests {
         let raw = build_quadtree(&ps);
         raw.validate(1).unwrap();
         assert_eq!(raw.depth, 1);
-    }
-
-    #[test]
-    fn params_allow_wider_completion() {
-        let ps = grid_points(4);
-        let hst = Hst::from_quadtree_with(
-            &ps,
-            HstParams {
-                fixed: None,
-                branching: Some(4),
-            },
-        );
-        assert_eq!(hst.branching(), 4);
-        hst.validate_domination().unwrap();
     }
 }

@@ -5,18 +5,6 @@ use crate::construct::{build_raw, build_raw_fixed, FixedDraw, RawTree};
 use pombm_geom::{Point, PointId, PointSet};
 use rand::Rng;
 
-/// Construction parameters for [`Hst::build_with`].
-#[derive(Debug, Clone, Default)]
-pub struct HstParams {
-    /// Pin the radius factor β and the permutation π (used by tests and the
-    /// paper's worked example). `None` draws them from the RNG.
-    pub fixed: Option<FixedDraw>,
-    /// Force a branching factor for the completion step. Must be at least
-    /// the real tree's maximum branching. `None` uses
-    /// `max(2, max_branching)`, the paper's "maximum number of branches".
-    pub branching: Option<u32>,
-}
-
 /// A complete c-ary Hierarchically Well-Separated Tree over a predefined
 /// point set.
 ///
@@ -53,60 +41,35 @@ impl Hst {
     /// virtual completion).
     pub fn build<R: Rng + ?Sized>(points: &PointSet, rng: &mut R) -> Self {
         let raw = build_raw(points, rng);
-        Self::from_raw(raw, points.clone(), None)
+        Self::from_raw(raw, points.clone())
+    }
+
+    /// Builds an HST over `points` with the radius factor β and the
+    /// permutation π pinned by `draw`, as tests and the paper's Example 1
+    /// (Table I) do.
+    pub fn build_fixed(points: &PointSet, draw: FixedDraw) -> Self {
+        let raw = build_raw_fixed(points, draw);
+        Self::from_raw(raw, points.clone())
     }
 
     /// Builds a *deterministic* quadtree HST over `points` (the ablation
     /// construction; see [`crate::quadtree`]).
     pub fn from_quadtree(points: &PointSet) -> Self {
         let raw = crate::quadtree::build_quadtree(points);
-        Self::from_raw(raw, points.clone(), None)
+        Self::from_raw(raw, points.clone())
     }
 
-    /// Quadtree construction with explicit completion parameters.
-    /// `params.fixed` is ignored — the quadtree has no randomness to pin.
-    pub fn from_quadtree_with(points: &PointSet, params: HstParams) -> Self {
-        let raw = crate::quadtree::build_quadtree(points);
-        Self::from_raw(raw, points.clone(), params.branching)
-    }
-
-    /// Builds an HST with explicit parameters; see [`HstParams`].
-    pub fn build_with<R: Rng + ?Sized>(points: &PointSet, params: HstParams, rng: &mut R) -> Self {
-        let raw = match params.fixed {
-            Some(draw) => build_raw_fixed(points, draw),
-            None => build_raw(points, rng),
-        };
-        Self::from_raw(raw, points.clone(), params.branching)
-    }
-
-    pub(crate) fn from_raw(raw: RawTree, points: PointSet, branching: Option<u32>) -> Self {
-        Self::try_from_raw(raw, points, branching).unwrap_or_else(|e| panic!("{e}"))
+    pub(crate) fn from_raw(raw: RawTree, points: PointSet) -> Self {
+        Self::try_from_raw(raw, points).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Completes a raw tree over `points` into the complete `c`-ary HST
-    /// (the step every constructor above ends with), returning the
-    /// overflow when its `c^D` leaf codes do not fit in a `u64` instead
-    /// of panicking. `branching` is [`HstParams::branching`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branching` is below the tree's natural branching.
-    pub fn try_from_raw(
-        raw: RawTree,
-        points: PointSet,
-        branching: Option<u32>,
-    ) -> Result<Self, CodeOverflow> {
-        let natural = raw.max_branching().max(2);
-        let c = match branching {
-            Some(c) => {
-                assert!(
-                    c >= natural,
-                    "requested branching {c} below the tree's natural branching {natural}"
-                );
-                c
-            }
-            None => natural,
-        };
+    /// (the step every constructor above ends with) at the paper's
+    /// "maximum number of branches", `c = max(2, max_branching)`,
+    /// returning the overflow when its `c^D` leaf codes do not fit in a
+    /// `u64` instead of panicking.
+    pub fn try_from_raw(raw: RawTree, points: PointSet) -> Result<Self, CodeOverflow> {
+        let c = raw.max_branching().max(2);
         let ctx = CodeContext::try_new(c, raw.depth)?;
 
         // A real leaf's code concatenates the child indices on the
@@ -305,18 +268,11 @@ mod tests {
 
     /// The pinned Example 1 tree (β = 1/2, π = <o1, o2, o3, o4>).
     pub(crate) fn example1_hst() -> Hst {
-        let mut rng = seeded_rng(0, 0);
-        Hst::build_with(
-            &example1_points(),
-            HstParams {
-                fixed: Some(FixedDraw {
-                    beta: 0.5,
-                    permutation: vec![0, 1, 2, 3],
-                }),
-                branching: None,
-            },
-            &mut rng,
-        )
+        let draw = FixedDraw {
+            beta: 0.5,
+            permutation: vec![0, 1, 2, 3],
+        };
+        Hst::build_fixed(&example1_points(), draw)
     }
 
     #[test]
@@ -584,54 +540,5 @@ mod tests {
     fn representative_of_a_code_past_the_last_leaf_panics() {
         let t = example1_hst();
         let _ = t.representative(LeafCode(t.num_leaves()));
-    }
-
-    #[test]
-    fn forced_branching_widens_tree() {
-        let mut rng = seeded_rng(1, 0);
-        let t = Hst::build_with(
-            &example1_points(),
-            HstParams {
-                fixed: Some(FixedDraw {
-                    beta: 0.5,
-                    permutation: vec![0, 1, 2, 3],
-                }),
-                branching: Some(4),
-            },
-            &mut rng,
-        );
-        assert_eq!(t.branching(), 4);
-        assert_eq!(t.num_leaves(), 256);
-        // Real-leaf relationships are unchanged by completion width.
-        assert_eq!(t.lca_level(t.leaf_of(0), t.leaf_of(1)), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "below the tree's natural branching")]
-    fn too_small_forced_branching_panics() {
-        let mut rng = seeded_rng(1, 0);
-        let grid = Grid::square(Rect::square(100.0), 5);
-        // A 25-point grid will have some node with more than 2 children for
-        // most draws; to make the panic deterministic, force branching 2
-        // while requiring at least one wider split.
-        for seed in 0..50 {
-            let mut r = seeded_rng(seed, 9);
-            let raw = crate::construct::build_raw(&grid.to_point_set(), &mut r);
-            if raw.max_branching() > 2 {
-                let _ = Hst::build_with(
-                    &grid.to_point_set(),
-                    HstParams {
-                        fixed: Some(FixedDraw {
-                            beta: raw.beta,
-                            permutation: raw.permutation.clone(),
-                        }),
-                        branching: Some(2),
-                    },
-                    &mut rng,
-                );
-                return; // the call above must panic
-            }
-        }
-        panic!("below the tree's natural branching (no wide tree found, vacuous)");
     }
 }

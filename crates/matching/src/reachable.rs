@@ -10,7 +10,8 @@
 //! * [`ProbMatcher`] — the Prob baseline (To et al., ICDE'18 style): assign
 //!   the available worker with the highest probability of being truly
 //!   reachable given the observed Laplace-noised separation, skipping the
-//!   task if no worker clears an acceptance threshold.
+//!   task if no worker clears the acceptance threshold
+//!   ([`DEFAULT_THRESHOLD`]).
 //! * [`TbfReachMatcher`] — the paper's TBF adapted to the case study: "for
 //!   each task find the nearest reachable worker on the HST". The paper does
 //!   not pin how reachability is judged on obfuscated tree nodes; judging it
@@ -42,10 +43,9 @@ pub struct ProbMatcher<P = ReachEstimator> {
     available: Vec<bool>,
     remaining: usize,
     estimator: P,
-    threshold: f64,
 }
 
-/// Default acceptance threshold for [`ProbMatcher`]: assign only when the
+/// The acceptance threshold of [`ProbMatcher`]: assign only when the
 /// worker is more likely reachable than not.
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
 
@@ -55,11 +55,9 @@ impl<P: ReachProbability> ProbMatcher<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` and `radii` lengths differ or the threshold is
-    /// outside `[0, 1]`.
-    pub fn new(workers: Vec<Point>, radii: Vec<f64>, estimator: P, threshold: f64) -> Self {
+    /// Panics if `workers` and `radii` lengths differ.
+    pub fn new(workers: Vec<Point>, radii: Vec<f64>, estimator: P) -> Self {
         assert_eq!(workers.len(), radii.len(), "one radius per worker");
-        assert!((0.0..=1.0).contains(&threshold), "threshold in [0,1]");
         let n = workers.len();
         ProbMatcher {
             workers,
@@ -67,7 +65,6 @@ impl<P: ReachProbability> ProbMatcher<P> {
             available: vec![true; n],
             remaining: n,
             estimator,
-            threshold,
         }
     }
 
@@ -78,7 +75,7 @@ impl<P: ReachProbability> ProbMatcher<P> {
 
     /// Attempts to assign the task at obfuscated location `t`: picks the
     /// available worker maximizing the reachability probability, provided it
-    /// reaches the threshold. Ties break to the lower worker index.
+    /// reaches [`DEFAULT_THRESHOLD`]. Ties break to the lower worker index.
     pub fn assign(&mut self, t: &Point) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, w) in self.workers.iter().enumerate() {
@@ -91,7 +88,7 @@ impl<P: ReachProbability> ProbMatcher<P> {
             }
         }
         let (i, p) = best?;
-        if p < self.threshold {
+        if p < DEFAULT_THRESHOLD {
             return None;
         }
         self.available[i] = false;
@@ -189,31 +186,20 @@ mod tests {
             vec![Point::new(0.0, 0.0), Point::new(50.0, 0.0)],
             vec![10.0, 10.0],
             estimator(),
-            0.1,
         );
         assert_eq!(m.assign(&Point::new(1.0, 0.0)), Some(0));
     }
 
     #[test]
     fn prob_skips_hopeless_tasks() {
-        let mut m = ProbMatcher::new(
-            vec![Point::new(0.0, 0.0)],
-            vec![1.0],
-            estimator(),
-            DEFAULT_THRESHOLD,
-        );
+        let mut m = ProbMatcher::new(vec![Point::new(0.0, 0.0)], vec![1.0], estimator());
         // Separation 500 with radius 1: probability ~0 < threshold.
         assert_eq!(m.assign(&Point::new(500.0, 0.0)), None);
         assert_eq!(m.remaining(), 1, "worker is preserved for later tasks");
         // A genuinely close task still succeeds afterwards... with sep 0 and
         // radius 1 at ε=0.5 the reach probability is small too, so use a
         // wide-radius worker for the positive case below.
-        let mut m2 = ProbMatcher::new(
-            vec![Point::new(0.0, 0.0)],
-            vec![50.0],
-            estimator(),
-            DEFAULT_THRESHOLD,
-        );
+        let mut m2 = ProbMatcher::new(vec![Point::new(0.0, 0.0)], vec![50.0], estimator());
         assert_eq!(m2.assign(&Point::new(1.0, 0.0)), Some(0));
     }
 
@@ -223,7 +209,6 @@ mod tests {
             vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)],
             vec![100.0, 100.0],
             estimator(),
-            0.5,
         );
         assert!(m.assign(&Point::new(0.0, 0.0)).is_some());
         assert!(m.assign(&Point::new(0.0, 0.0)).is_some());

@@ -168,7 +168,7 @@ impl HstMechanism {
 mod tests {
     use super::*;
     use pombm_geom::{seeded_rng, Grid, Point, PointSet, Rect};
-    use pombm_hst::HstParams;
+    use pombm_hst::FixedDraw;
     use std::collections::HashMap;
 
     fn example1_hst() -> Hst {
@@ -178,18 +178,11 @@ mod tests {
             Point::new(5.0, 3.0),
             Point::new(4.0, 4.0),
         ]);
-        let mut rng = seeded_rng(0, 0);
-        Hst::build_with(
-            &points,
-            HstParams {
-                fixed: Some(pombm_hst::construct::FixedDraw {
-                    beta: 0.5,
-                    permutation: vec![0, 1, 2, 3],
-                }),
-                branching: None,
-            },
-            &mut rng,
-        )
+        let draw = FixedDraw {
+            beta: 0.5,
+            permutation: vec![0, 1, 2, 3],
+        };
+        Hst::build_fixed(&points, draw)
     }
 
     #[test]

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper marks its defaults in bold in the PDF; bolding does not survive
 /// text extraction, so this reproduction uses the mid-values of each range
-/// as defaults (|T| = 3000, |W| = 5000, µ = 100, σ = 20, ε = 0.6).
+/// as defaults (|T| = 3000, |W| = 5000, µ = 100, σ = 20, ε = 0.6). The
+/// fields are what the generator reads; ε, which only the mechanisms read,
+/// is swept through [`SyntheticParams::EPSILONS`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SyntheticParams {
     /// Number of tasks |T|.
@@ -17,8 +19,6 @@ pub struct SyntheticParams {
     pub mu: f64,
     /// Standard deviation σ of the Normal location distribution.
     pub sigma: f64,
-    /// Privacy budget ε.
-    pub epsilon: f64,
 }
 
 impl Default for SyntheticParams {
@@ -28,7 +28,6 @@ impl Default for SyntheticParams {
             num_workers: 5000,
             mu: 100.0,
             sigma: 20.0,
-            epsilon: 0.6,
         }
     }
 }
@@ -57,26 +56,10 @@ impl SyntheticParams {
 /// Table III: real-data settings, reproduced against the Chengdu-like
 /// trace of [`crate::chengdu`] because the Didi data is not
 /// redistributable. Lengths are in meters, the city model's unit; a
-/// generated day is in [`crate::chengdu::UNIT_METERS`] units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RealParams {
-    /// Number of workers |W|.
-    pub num_workers: usize,
-    /// Privacy budget ε.
-    pub epsilon: f64,
-    /// Index of the simulated day (0..30).
-    pub day: usize,
-}
-
-impl Default for RealParams {
-    fn default() -> Self {
-        RealParams {
-            num_workers: 8000,
-            epsilon: 0.6,
-            day: 0,
-        }
-    }
-}
+/// generated day is in [`crate::chengdu::UNIT_METERS`] units. The defaults
+/// are the mid-values of the sweeps (|W| = 8000, ε = 0.6).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RealParams;
 
 impl RealParams {
     /// Side length of the real-data region (10 km, in meters).
@@ -106,7 +89,6 @@ mod tests {
         assert_eq!(p.num_workers, SyntheticParams::WORKER_COUNTS[2]);
         assert_eq!(p.mu, SyntheticParams::MUS[2]);
         assert_eq!(p.sigma, SyntheticParams::SIGMAS[2]);
-        assert_eq!(p.epsilon, SyntheticParams::EPSILONS[2]);
     }
 
     #[test]
@@ -115,8 +97,7 @@ mod tests {
         // task can be matched.
         let p = SyntheticParams::default();
         assert!(p.num_workers >= p.num_tasks);
-        let r = RealParams::default();
-        assert!(r.num_workers >= RealParams::TASKS_PER_DAY.1);
+        assert!(RealParams::WORKER_COUNTS[2] >= RealParams::TASKS_PER_DAY.1);
     }
 
     #[test]

@@ -140,7 +140,6 @@ mod tests {
             sigma: 10.0,
             num_tasks: 5000,
             num_workers: 10,
-            epsilon: 0.6,
         };
         let inst = generate(&params, &mut rng);
         let mean_x: f64 = inst.tasks.iter().map(|p| p.x).sum::<f64>() / inst.tasks.len() as f64;
@@ -177,7 +176,6 @@ mod tests {
             sigma: 30.0,
             num_tasks: 2000,
             num_workers: 2000,
-            epsilon: 0.6,
         };
         let inst = generate(&params, &mut rng);
         inst.validate().unwrap();
@@ -190,7 +188,6 @@ mod tests {
             sigma,
             num_tasks: 3,
             num_workers: 3,
-            ..SyntheticParams::default()
         };
         let mut rng = seeded_rng(6, 0);
         for mu in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

@@ -11,7 +11,7 @@
 //! cargo run --release -p pombm --example shift_scheduling
 //! ```
 
-use pombm::{registry, run_dynamic_spec, ArrivalProcess, DynamicConfig};
+use pombm::{even_task_times, registry, run_dynamic_spec, DynamicConfig};
 use pombm_geom::seeded_rng;
 use pombm_workload::shifts::ShiftPlan;
 use pombm_workload::{synthetic, SyntheticParams};
@@ -26,10 +26,7 @@ fn main() {
     };
     let instance = synthetic::generate(&params, &mut seeded_rng(99, 0));
     let horizon = 1000.0;
-    let times = ArrivalProcess::Uniform {
-        window_secs: horizon * 0.99,
-    }
-    .timestamps(params.num_tasks, &mut seeded_rng(99, 1));
+    let times = even_task_times(params.num_tasks, horizon * 0.99);
     let config = DynamicConfig::default();
     // TBF on a shifting fleet: the HST mechanism over the tree-greedy pool.
     let mechanism = registry().require_mechanism("hst").expect("registered");

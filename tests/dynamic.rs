@@ -22,8 +22,8 @@
 use pombm::fingerprint::Fnv1a;
 use pombm::sweep::{run_sweep, DynamicSweepConfig, FlavorReport};
 use pombm::{
-    dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, registry, run_dynamic_spec,
-    ArrivalProcess, DynamicAssignStrategy, DynamicConfig, DynamicOutcome, RatioError,
+    dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, even_task_times, registry,
+    run_dynamic_spec, DynamicAssignStrategy, DynamicConfig, DynamicOutcome, RatioError,
     ReportMechanism, Server, DEFAULT_DYNAMIC_ORACLE,
 };
 use pombm_geom::{seeded_rng, Point, Rect};
@@ -53,8 +53,7 @@ fn fnv(pairs: &[(usize, usize)]) -> u64 {
 /// uniform 50–200 s shifts, `grid_side` 16, ε 0.6.
 fn golden_scenario(seed: u64) -> (Instance, Vec<f64>, ShiftPlan, DynamicConfig) {
     let inst = instance(80, 60, seed);
-    let times =
-        ArrivalProcess::Uniform { window_secs: 500.0 }.timestamps(80, &mut seeded_rng(seed, 99));
+    let times = even_task_times(80, 500.0);
     let plan = ShiftPlan::uniform(60, 500.0, 50.0, 200.0, &mut seeded_rng(seed, 7));
     let config = DynamicConfig {
         epsilon: 0.6,
@@ -242,8 +241,7 @@ proptest! {
         workers in 5usize..40,
     ) {
         let inst = instance(tasks, workers, seed);
-        let times = ArrivalProcess::Uniform { window_secs: 300.0 }
-            .timestamps(tasks, &mut seeded_rng(seed, 99));
+        let times = even_task_times(tasks, 300.0);
         let plan = ShiftPlan::uniform(workers, 300.0, 20.0, 120.0, &mut seeded_rng(seed, 7));
         let config = DynamicConfig { epsilon: 0.6, grid_side: 16, seed };
         let mechanism = registry().require_mechanism("identity").unwrap();
@@ -368,7 +366,7 @@ fn full_dynamic_registry_product_sweep_completes() {
 #[test]
 fn dynamic_pools_keep_their_error_texts() {
     let inst = instance(4, 4, 2);
-    let times = ArrivalProcess::Uniform { window_secs: 10.0 }.timestamps(4, &mut seeded_rng(2, 1));
+    let times = even_task_times(4, 10.0);
     let plan = ShiftPlan::always_on(4, 11.0);
     let config = DynamicConfig {
         epsilon: 0.6,
@@ -669,8 +667,7 @@ proptest! {
         seed in 0u64..2_000,
     ) {
         let inst = instance(24, 30, seed);
-        let times = ArrivalProcess::Uniform { window_secs: 200.0 }
-            .timestamps(24, &mut seeded_rng(seed, 99));
+        let times = even_task_times(24, 200.0);
         let plan = ShiftPlan::always_on(30, 200.0);
         let config = DynamicConfig { epsilon: 0.6, grid_side: 16, seed };
         let mechanism = registry().require_mechanism("identity").unwrap();

@@ -88,7 +88,6 @@ fn epoch_simulation_distance_degrades_after_budget_exhaustion() {
         epoch_epsilon: 0.6,
         worker_drift: 12.0,
         tasks_per_epoch: 120,
-        grid_side: 16,
         ..EpochConfig::default()
     };
     let hst = registry().require_mechanism("hst").unwrap();
