@@ -10,8 +10,8 @@ use pombm::{
     dynamic_competitive_ratio, merge, registry, run_dynamic_spec, run_spec, run_sweep,
     run_sweep_partition, AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicSweepCell,
     DynamicSweepConfig, DynamicSweepReport, EpochConfig, FlavorReport, Partial, PartialRunStats,
-    PartitionPlan, PartitionRun, PipelineConfig, Role, SweepCell, SweepConfig, SweepFlavor,
-    SweepReport, DEFAULT_SCENARIO,
+    PartitionPlan, PartitionRun, PipelineConfig, SweepCell, SweepConfig, SweepFlavor, SweepReport,
+    DEFAULT_SCENARIO,
 };
 use pombm_geom::{seeded_rng, Point};
 use pombm_hst::wire;
@@ -28,8 +28,9 @@ USAGE: pombm <command> [flags]
 
 COMMANDS:
   gen         generate a workload instance as JSON
-              --tasks N --workers N [--mu F] [--sigma F] [--seed N]
+              [--tasks N] [--workers N] [--mu F] [--sigma F] [--seed N]
               [--real [--day N]] [--radii] --out FILE
+              --tasks and --workers default to 3000 and 5000
               --real writes a day of the Chengdu-like trace in 50 m units
               (the 10 km city is 200 x 200, like the synthetic space)
               --radii draws each worker a reachable radius for the case study
@@ -51,14 +52,15 @@ COMMANDS:
               [algorithms|fault-plans|scenarios|all]   (default: all)
               algorithms covers --algo pairings, mechanisms, matchers and
               dynamic matchers (the `dynamic-opt` clairvoyant oracle is
-              shown with its [oracle-only] role); scenarios are the named
+              tagged [oracle-only]); scenarios are the named
               spatial+temporal workload models (use with --scenario /
               --scenarios)
   obfuscate   demo the TBF mechanism on one location
               --x F --y F [--epsilon F] [--grid-side N] [--samples N]
               [--side F] [--seed N]
   publish     build an HST over a grid and write the wire format
-              --grid-side N [--side F] [--seed N] --out FILE
+              [--grid-side N] [--side F] [--seed N] --out FILE
+              --grid-side is the grid's side (default 32, N = 1024 points)
   inspect     decode a published HST file and print its shape
               --input FILE
   epochs      multi-epoch deployment simulation under a lifetime budget
@@ -305,15 +307,9 @@ fn algorithms_section() -> String {
         out,
         "\ndynamic matchers (use with `pombm dynamic --matcher` / `pombm sweep --dynamic`):"
     );
-    for (m, role) in reg.dynamic_matcher_catalog().entries() {
-        match role {
-            Role::Pairing => {
-                let _ = writeln!(out, "  {:<10} {}", m.name(), m.summary());
-            }
-            Role::OracleOnly => {
-                let _ = writeln!(out, "  {:<10} [{}] {}", m.name(), role.label(), m.summary());
-            }
-        }
+    for m in reg.dynamic_matcher_catalog().all() {
+        let tag = if m.is_oracle() { "[oracle-only] " } else { "" };
+        let _ = writeln!(out, "  {:<10} {tag}{}", m.name(), m.summary());
     }
     out
 }
@@ -355,6 +351,11 @@ fn scenarios_section() -> String {
 /// `pombm gen`: write a synthetic or Chengdu-like instance to JSON.
 pub fn gen(args: &Args) -> Result<String, String> {
     args.check_known(GEN_FLAGS)?;
+    if args.switch("day") && !args.switch("real") {
+        return Err("--day only applies with --real \
+                    (a synthetic instance has no trace days)"
+            .to_string());
+    }
     let seed: u64 = args.get_or("seed", 0)?;
     let num_workers: usize = args.get_or("workers", SyntheticParams::default().num_workers)?;
     let instance = if args.switch("real") {
@@ -399,6 +400,11 @@ pub fn gen(args: &Args) -> Result<String, String> {
 /// `pombm run`: execute one pipeline on an instance file.
 pub fn run_cmd(args: &Args) -> Result<String, String> {
     args.check_known(RUN_FLAGS)?;
+    if args.switch("size") && !args.switch("scenario") {
+        return Err("--size only applies with --scenario \
+                    (an --input instance has its own size)"
+            .to_string());
+    }
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let instance = match (
@@ -1468,6 +1474,70 @@ mod tests {
     }
 
     #[test]
+    fn gen_and_publish_usage_give_the_defaults_they_run_without_flags() {
+        let defaults = SyntheticParams::default();
+        let entry = usage_entry("gen");
+        assert!(entry.contains("[--tasks N] [--workers N]"), "{entry}");
+        assert!(
+            entry.contains(&format!(
+                "--tasks and --workers default to {} and {}",
+                defaults.num_tasks, defaults.num_workers
+            )),
+            "{entry}"
+        );
+        let path = tmp("defaults.json");
+        let msg = gen(&args(&format!("gen --out {}", path.display()))).unwrap();
+        assert!(
+            msg.starts_with(&format!(
+                "wrote instance: {} tasks, {} workers",
+                defaults.num_tasks, defaults.num_workers
+            )),
+            "{msg}"
+        );
+        let entry = usage_entry("publish");
+        assert!(entry.contains("[--grid-side N]"), "{entry}");
+        assert!(
+            entry.contains("--grid-side is the grid's side (default 32, N = 1024 points)"),
+            "{entry}"
+        );
+        let path = tmp("defaults.hst");
+        let msg = publish(&args(&format!("publish --out {}", path.display()))).unwrap();
+        assert!(msg.contains("N = 1024"), "{msg}");
+    }
+
+    #[test]
+    fn gen_day_without_real_is_an_error_before_writing() {
+        let path = tmp("day-without-real.json");
+        let _ = std::fs::remove_file(&path);
+        let err = gen(&args(&format!(
+            "gen --day 5 --tasks 10 --workers 10 --out {}",
+            path.display()
+        )))
+        .unwrap_err();
+        assert!(err.starts_with("--day only applies with --real"), "{err}");
+        assert!(!path.exists(), "gen must fail before writing");
+    }
+
+    #[test]
+    fn run_size_without_scenario_is_an_error() {
+        let path = tmp("size-without-scenario.json");
+        gen(&args(&format!(
+            "gen --tasks 10 --workers 10 --out {}",
+            path.display()
+        )))
+        .unwrap();
+        let err = run_cmd(&args(&format!(
+            "run --input {} --size 999 --algo tbf",
+            path.display()
+        )))
+        .unwrap_err();
+        assert!(
+            err.starts_with("--size only applies with --scenario"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_command_errors() {
         assert!(dispatch(&args("frobnicate"))
             .unwrap_err()
@@ -1573,13 +1643,16 @@ mod tests {
     fn algorithm_names_parse_case_insensitively() {
         assert_eq!(parse_algorithm("TBF").unwrap().name(), "tbf");
         assert_eq!(parse_algorithm("Tbf-Chain").unwrap().name(), "tbf-chain");
-        assert_eq!(parse_algorithm("LapGr").unwrap().name(), "lap-gr");
         assert_eq!(parse_algorithm("exp-chain").unwrap().name(), "exp-chain");
-        let err = parse_algorithm("nope").unwrap_err();
-        assert!(
-            err.contains("nope") && err.contains("tbf") && err.contains("exp-chain"),
-            "error should list valid names: {err}"
-        );
+        for name in ["nope", "LapGr"] {
+            let err = parse_algorithm(name).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown algorithm `{name}`"))
+                    && err.contains("tbf")
+                    && err.contains("exp-chain"),
+                "error should list valid names: {err}"
+            );
+        }
     }
 
     #[test]

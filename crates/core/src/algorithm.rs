@@ -12,6 +12,7 @@
 //! (e.g. exponential mechanism + chain matcher) need no changes to the
 //! pipeline driver.
 //!
+//! The registered mechanisms are the variants of one enum, [`Mechanism`].
 //! Each online rule has one index, a [`DynamicWorkerPool`], and one type,
 //! [`PoolStrategy`], with a constant per registered name. The paper's
 //! static model is the dynamic one in which every worker checks in before
@@ -108,9 +109,9 @@ pub enum PipelineError {
         /// The valid names (sorted), for the error message.
         known: Vec<String>,
     },
-    /// A registry catalog entry exists but holds the wrong
-    /// [`crate::registry::Role`] for the requesting position (e.g. the
-    /// oracle-only `dynamic-opt` asked to pair like an online matcher).
+    /// A registry catalog entry exists but cannot fill the requesting
+    /// position: a ratio oracle ([`DynamicAssignStrategy::is_oracle`],
+    /// `dynamic-opt`) asked to drive a fleet like an online matcher.
     RoleMismatch {
         /// The catalog axis involved.
         kind: &'static str,
@@ -197,6 +198,19 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+impl PipelineError {
+    /// The [`PipelineError::RoleMismatch`] of the ratio oracle `name` in
+    /// a position only an online dynamic matcher may fill.
+    pub(crate) fn oracle_only(name: &str) -> Self {
+        PipelineError::RoleMismatch {
+            kind: "dynamic matcher",
+            name: name.to_string(),
+            role: "oracle-only",
+            wanted: "pairing",
+        }
+    }
+}
 
 /// One obfuscated location report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -409,7 +423,7 @@ pub trait ReportMechanism: Send + Sync {
     ///
     /// The default implementation is the scalar loop itself (correct for
     /// any mechanism, including custom ones with cross-report reporter
-    /// state). Only planar Laplace overrides it, dispatching into
+    /// state). Only [`Mechanism::Laplace`] leaves it, dispatching into
     /// [`pombm_privacy::batch`], whose snapshot pass gives each item its own
     /// RNG stream so the expensive sampling parallelizes without perturbing
     /// the shared stream. The HST walk keeps the scalar loop: replaying its
@@ -426,9 +440,21 @@ pub trait ReportMechanism: Send + Sync {
         // The scalar loop is what every thread count must reproduce, so
         // the default implementation is thread-count independent.
         let _ = threads;
-        let mut reporter = self.reporter(epsilon, server)?;
-        Ok(locations.iter().map(|p| reporter.report(p, rng)).collect())
+        Ok(report_each(
+            self.reporter(epsilon, server)?.as_mut(),
+            locations,
+            rng,
+        ))
     }
+}
+
+/// The scalar loop every [`ReportMechanism::report_batch`] reproduces.
+fn report_each<R: PointReporter + ?Sized>(
+    reporter: &mut R,
+    locations: &[Point],
+    rng: &mut StdRng,
+) -> Vec<Report> {
+    locations.iter().map(|p| reporter.report(p, rng)).collect()
 }
 
 /// Mutable context handed to [`AssignStrategy::assign`].
@@ -560,6 +586,14 @@ pub trait DynamicAssignStrategy: Send + Sync {
     /// True when the matcher needs the server's published artifacts.
     fn needs_server(&self) -> bool;
 
+    /// True for a ratio oracle: a measurement denominator that sees the
+    /// whole timeline at once, so it builds no pool. Only the ratio
+    /// surfaces admit it; every other position refuses it with a typed
+    /// [`PipelineError::RoleMismatch`].
+    fn is_oracle(&self) -> bool {
+        false
+    }
+
     /// Builds an empty pool for one run.
     fn pool<'a>(
         &self,
@@ -571,200 +605,145 @@ pub trait DynamicAssignStrategy: Send + Sync {
 // Mechanism implementations
 // ---------------------------------------------------------------------------
 
-/// Planar Laplace (Andrés et al., CCS'13): noisy points in the plane.
-pub struct LaplaceMechanism;
+/// The registered privacy mechanisms: one variant per `--mechanism` name.
+///
+/// The paper compares planar Laplace with its HST walk (Alg. 3); the
+/// exponential, identity and blind variants are this repository's
+/// ablations. Each builds its per-run state in a private
+/// [`PointReporter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mechanism {
+    /// `laplace`: planar Laplace (Andrés et al., CCS'13), noisy points in
+    /// the plane.
+    Laplace,
+    /// `hst`: the paper's mechanism (Alg. 3), which snaps to the tree and
+    /// random-walks the leaf.
+    HstWalk,
+    /// `exp`: the exponential mechanism over the predefined points, the
+    /// ablation separating "discretize to the grid" from "use the tree".
+    Exponential,
+    /// `identity`: no privacy, true locations verbatim (the non-private
+    /// ceiling, which prices any matcher's privacy/utility gap).
+    Identity,
+    /// `blind`: perfect privacy, nothing location-dependent (the floor).
+    Blind,
+}
 
-impl ReportMechanism for LaplaceMechanism {
+/// A [`Mechanism`]'s per-run state: weight tables and alias-table caches.
+enum MechanismReporter<'a> {
+    Laplace(PlanarLaplace),
+    HstWalk(HstMechanism, &'a Server),
+    Exponential(ExponentialMechanism, &'a Server),
+    Identity,
+    Blind,
+}
+
+impl PointReporter for MechanismReporter<'_> {
+    fn report(&mut self, location: &Point, rng: &mut StdRng) -> Report {
+        match self {
+            MechanismReporter::Laplace(mechanism) => {
+                Report::Planar(mechanism.obfuscate(location, rng))
+            }
+            MechanismReporter::HstWalk(mechanism, server) => {
+                let leaf = server.snap(location);
+                Report::Leaf(mechanism.obfuscate(server.hst(), leaf, rng))
+            }
+            MechanismReporter::Exponential(mechanism, server) => {
+                let nearest = server.grid().nearest(location);
+                let noisy = mechanism.obfuscate(nearest, rng);
+                Report::Leaf(server.hst().leaf_of(noisy))
+            }
+            MechanismReporter::Identity => Report::Planar(*location),
+            MechanismReporter::Blind => Report::Blind,
+        }
+    }
+}
+
+impl Mechanism {
+    /// The per-run state [`ReportMechanism::reporter`] boxes.
+    fn state<'a>(
+        self,
+        epsilon: Epsilon,
+        server: Option<&'a Server>,
+    ) -> Result<MechanismReporter<'a>, PipelineError> {
+        Ok(match self {
+            Mechanism::Laplace => MechanismReporter::Laplace(PlanarLaplace::new(epsilon)),
+            Mechanism::HstWalk => {
+                let server = server.ok_or(PipelineError::MissingServer("hst mechanism"))?;
+                MechanismReporter::HstWalk(HstMechanism::new(server.hst(), epsilon), server)
+            }
+            Mechanism::Exponential => {
+                let server = server.ok_or(PipelineError::MissingServer("exp mechanism"))?;
+                let points = server.hst().points().clone();
+                MechanismReporter::Exponential(ExponentialMechanism::new(points, epsilon), server)
+            }
+            Mechanism::Identity => MechanismReporter::Identity,
+            Mechanism::Blind => MechanismReporter::Blind,
+        })
+    }
+}
+
+impl ReportMechanism for Mechanism {
     fn name(&self) -> &'static str {
-        "laplace"
+        match self {
+            Mechanism::Laplace => "laplace",
+            Mechanism::HstWalk => "hst",
+            Mechanism::Exponential => "exp",
+            Mechanism::Identity => "identity",
+            Mechanism::Blind => "blind",
+        }
     }
 
     fn summary(&self) -> &'static str {
-        "planar Laplace noise in the plane (Geo-I baseline)"
+        match self {
+            Mechanism::Laplace => "planar Laplace noise in the plane (Geo-I baseline)",
+            Mechanism::HstWalk => "the paper's HST random-walk mechanism (Alg. 3)",
+            Mechanism::Exponential => "exponential mechanism over the predefined points",
+            Mechanism::Identity => "no obfuscation: true locations (non-private ceiling)",
+            Mechanism::Blind => "nothing location-dependent is reported (sanity floor)",
+        }
     }
 
     fn needs_server(&self) -> bool {
-        false
+        matches!(self, Mechanism::HstWalk | Mechanism::Exponential)
     }
 
     fn reporter<'a>(
         &self,
         epsilon: Epsilon,
-        _server: Option<&'a Server>,
+        server: Option<&'a Server>,
     ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        struct R(PlanarLaplace);
-        impl PointReporter for R {
-            fn report(&mut self, location: &Point, rng: &mut StdRng) -> Report {
-                Report::Planar(self.0.obfuscate(location, rng))
-            }
-        }
-        Ok(Box::new(R(PlanarLaplace::new(epsilon))))
+        Ok(Box::new(self.state(epsilon, server)?))
     }
 
     fn report_batch(
         &self,
         epsilon: Epsilon,
-        _server: Option<&Server>,
+        server: Option<&Server>,
         locations: &[Point],
         rng: &mut StdRng,
         threads: usize,
     ) -> Result<Vec<Report>, PipelineError> {
-        let mechanism = PlanarLaplace::new(epsilon);
-        // `0` sizes the pool from the batch: one thread per ~4096 items,
-        // capped by cores.
-        let threads = match threads {
-            0 => pombm_privacy::batch::default_threads(locations.len()),
-            n => n,
-        };
-        Ok(
-            pombm_privacy::batch::obfuscate_points_batch(&mechanism, locations, rng, threads)
-                .into_iter()
-                .map(Report::Planar)
-                .collect(),
-        )
-    }
-}
-
-/// The paper's mechanism (Alg. 3): snap to the tree, random-walk the leaf.
-pub struct HstWalkMechanism;
-
-impl ReportMechanism for HstWalkMechanism {
-    fn name(&self) -> &'static str {
-        "hst"
-    }
-
-    fn summary(&self) -> &'static str {
-        "the paper's HST random-walk mechanism (Alg. 3)"
-    }
-
-    fn needs_server(&self) -> bool {
-        true
-    }
-
-    fn reporter<'a>(
-        &self,
-        epsilon: Epsilon,
-        server: Option<&'a Server>,
-    ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        let server = server.ok_or(PipelineError::MissingServer("hst mechanism"))?;
-        struct R<'a> {
-            mechanism: HstMechanism,
-            server: &'a Server,
+        if *self == Mechanism::Laplace {
+            // `0` sizes the pool from the batch: one thread per ~4096
+            // items, capped by cores.
+            let threads = match threads {
+                0 => pombm_privacy::batch::default_threads(locations.len()),
+                n => n,
+            };
+            let mechanism = PlanarLaplace::new(epsilon);
+            return Ok(pombm_privacy::batch::obfuscate_points_batch(
+                &mechanism, locations, rng, threads,
+            )
+            .into_iter()
+            .map(Report::Planar)
+            .collect());
         }
-        impl PointReporter for R<'_> {
-            fn report(&mut self, location: &Point, rng: &mut StdRng) -> Report {
-                let leaf = self.server.snap(location);
-                Report::Leaf(self.mechanism.obfuscate(self.server.hst(), leaf, rng))
-            }
-        }
-        Ok(Box::new(R {
-            mechanism: HstMechanism::new(server.hst(), epsilon),
-            server,
-        }))
-    }
-}
-
-/// Exponential mechanism over the predefined points (the ablation
-/// separating "discretize to the grid" from "use the tree").
-pub struct ExponentialReportMechanism;
-
-impl ReportMechanism for ExponentialReportMechanism {
-    fn name(&self) -> &'static str {
-        "exp"
-    }
-
-    fn summary(&self) -> &'static str {
-        "exponential mechanism over the predefined points"
-    }
-
-    fn needs_server(&self) -> bool {
-        true
-    }
-
-    fn reporter<'a>(
-        &self,
-        epsilon: Epsilon,
-        server: Option<&'a Server>,
-    ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        let server = server.ok_or(PipelineError::MissingServer("exp mechanism"))?;
-        struct R<'a> {
-            mechanism: ExponentialMechanism,
-            server: &'a Server,
-        }
-        impl PointReporter for R<'_> {
-            fn report(&mut self, location: &Point, rng: &mut StdRng) -> Report {
-                let nearest = self.server.grid().nearest(location);
-                let noisy = self.mechanism.obfuscate(nearest, rng);
-                Report::Leaf(self.server.hst().leaf_of(noisy))
-            }
-        }
-        Ok(Box::new(R {
-            mechanism: ExponentialMechanism::new(server.hst().points().clone(), epsilon),
-            server,
-        }))
-    }
-}
-
-/// No privacy: reports true locations verbatim (the non-private ceiling;
-/// useful for quantifying the privacy/utility gap of any matcher).
-pub struct IdentityMechanism;
-
-impl ReportMechanism for IdentityMechanism {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-
-    fn summary(&self) -> &'static str {
-        "no obfuscation: true locations (non-private ceiling)"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn reporter<'a>(
-        &self,
-        _epsilon: Epsilon,
-        _server: Option<&'a Server>,
-    ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        struct R;
-        impl PointReporter for R {
-            fn report(&mut self, location: &Point, _rng: &mut StdRng) -> Report {
-                Report::Planar(*location)
-            }
-        }
-        Ok(Box::new(R))
-    }
-}
-
-/// Perfect privacy: reports nothing location-dependent (the floor).
-pub struct BlindMechanism;
-
-impl ReportMechanism for BlindMechanism {
-    fn name(&self) -> &'static str {
-        "blind"
-    }
-
-    fn summary(&self) -> &'static str {
-        "nothing location-dependent is reported (sanity floor)"
-    }
-
-    fn needs_server(&self) -> bool {
-        false
-    }
-
-    fn reporter<'a>(
-        &self,
-        _epsilon: Epsilon,
-        _server: Option<&'a Server>,
-    ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        struct R;
-        impl PointReporter for R {
-            fn report(&mut self, _location: &Point, _rng: &mut StdRng) -> Report {
-                Report::Blind
-            }
-        }
-        Ok(Box::new(R))
+        Ok(report_each(
+            &mut self.state(epsilon, server)?,
+            locations,
+            rng,
+        ))
     }
 }
 
@@ -1211,7 +1190,7 @@ impl AssignStrategy for OfflineOptimalStrategy {
 /// ([`pombm_matching::ClairvoyantOptimal`]): the ratio-under-churn
 /// denominator of [`crate::ratio::dynamic_competitive_ratio`].
 ///
-/// Registered [`crate::registry::Role::OracleOnly`]: it is not an online
+/// The one [`DynamicAssignStrategy::is_oracle`] entry: it is not an online
 /// rule — it sees the whole schedule at once — so the event-sequential
 /// [`DynamicWorkerPool`] position is a typed
 /// [`PipelineError::RoleMismatch`], enforced both at registry resolution
@@ -1231,16 +1210,15 @@ impl DynamicAssignStrategy for DynamicOptStrategy {
         false
     }
 
+    fn is_oracle(&self) -> bool {
+        true
+    }
+
     fn pool<'a>(
         &self,
         _server: Option<&'a Server>,
     ) -> Result<Box<dyn DynamicWorkerPool + 'a>, PipelineError> {
-        Err(PipelineError::RoleMismatch {
-            kind: "dynamic matcher",
-            name: self.name().to_string(),
-            role: "oracle-only",
-            wanted: "pairing",
-        })
+        Err(PipelineError::oracle_only(self.name()))
     }
 }
 

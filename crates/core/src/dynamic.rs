@@ -49,8 +49,8 @@
 //! timeline: a clairvoyant solver that sees every arrival time and shift
 //! window up front and picks the assignment maximizing matched tasks,
 //! then minimizing total distance. That solver is registered in the same
-//! dynamic-matcher catalog as `dynamic-opt`, but with the
-//! [`Role::OracleOnly`](crate::registry::Role) role: it can never be
+//! dynamic-matcher catalog as `dynamic-opt`, the one entry whose
+//! [`DynamicAssignStrategy::is_oracle`] holds: it can never be
 //! asked to drive this event loop (its `pool()` is a typed
 //! `RoleMismatch`), only to price a revealed timeline via
 //! [`crate::ratio::dynamic_offline_optimum_with_threads`], which is what

@@ -67,187 +67,169 @@ pub const MAX_RETRIES: u32 = 3;
 /// after `arrival + DEADLINE_WINDOWS * batch_interval`.
 pub const DEADLINE_WINDOWS: f64 = 4.0;
 
-/// A named, seedable frame-stream fault model.
+/// A named, seedable frame-stream fault model, registered in the
+/// [registry](crate::registry()) next to mechanisms, matchers and
+/// scenarios.
 ///
-/// Object-safe, like the mechanism/matcher/scenario traits: registered
-/// instances live behind `Arc<dyn FaultPlan>` in the
-/// [registry](crate::registry()). A plan rewrites the whole frame script before
-/// delivery starts, which is what keeps injection invariant under
-/// `--qps` pacing and thread counts: the wire already carries the
-/// faults, however slowly it is replayed.
-pub trait FaultPlan: Send + Sync {
+/// A plan rewrites the whole frame script before delivery starts, which is
+/// what keeps injection invariant under `--qps` pacing and thread counts:
+/// the wire already carries the faults, however slowly it is replayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPlan {
+    /// `none`: the identity plan (the default when no `--fault-plan` is
+    /// given); `rate` is ignored and the RNG is never drawn from.
+    NoFault,
+    /// `flaky-wire`: per-frame corruption. Exactly one gate draw per frame
+    /// keeps the decision schedule stable; the corruption shape and cut
+    /// point draw only when a fault fires.
+    FlakyWire,
+    /// `dup-storm`: at-least-once delivery — each frame is, with
+    /// probability `rate`, delivered twice back to back.
+    DupStorm,
+    /// `burst`: arrival-time compression. Every decodable frame's
+    /// timestamp is pulled toward the start of its [`BURST_WINDOW`] bucket
+    /// with strength `rate`; relative order within and across buckets is
+    /// preserved, so a time-sorted script stays time-sorted. Draws nothing
+    /// from the RNG: the warp is a pure function of `(at, rate)`.
+    Burst,
+}
+
+impl FaultPlan {
     /// Registry name (lower-case; lookup is case-insensitive).
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultPlan::NoFault => "none",
+            FaultPlan::FlakyWire => "flaky-wire",
+            FaultPlan::DupStorm => "dup-storm",
+            FaultPlan::Burst => "burst",
+        }
+    }
 
     /// One-line description for the CLI catalogue.
-    fn summary(&self) -> &'static str;
+    pub fn summary(self) -> &'static str {
+        match self {
+            FaultPlan::NoFault => "identity plan: every frame is delivered exactly as generated",
+            FaultPlan::FlakyWire => {
+                "corrupts frames in flight: truncation, unknown opcode, lying length prefix"
+            }
+            FaultPlan::DupStorm => {
+                "delivers frames twice at random: at-least-once semantics on the wire"
+            }
+            FaultPlan::Burst => {
+                "compresses arrival times into bursts at bucket starts (overload pressure)"
+            }
+        }
+    }
 
     /// Rewrites the frame script, returning the delivered frames and the
     /// number of frames the plan touched (corrupted, duplicated or
-    /// time-warped). Must be a pure function of `(frames, rate, rng)`
-    /// and total: a frame the plan cannot parse passes through verbatim.
-    fn inject(&self, frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize);
-}
-
-/// `none`: the identity plan (the default when no `--fault-plan` is
-/// given); `rate` is ignored and the RNG is never drawn from.
-pub struct NoFault;
-
-impl FaultPlan for NoFault {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn summary(&self) -> &'static str {
-        "identity plan: every frame is delivered exactly as generated"
-    }
-
-    fn inject(&self, frames: Vec<Bytes>, _rate: f64, _rng: &mut StdRng) -> (Vec<Bytes>, usize) {
-        (frames, 0)
+    /// time-warped). A pure function of `(frames, rate, rng)` and total: a
+    /// frame the plan cannot parse passes through verbatim.
+    pub fn inject(self, frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize) {
+        match self {
+            FaultPlan::NoFault => (frames, 0),
+            FaultPlan::FlakyWire => flaky_wire(frames, rate, rng),
+            FaultPlan::DupStorm => dup_storm(frames, rate, rng),
+            FaultPlan::Burst => burst(frames, rate),
+        }
     }
 }
 
-/// `flaky-wire`: per-frame corruption. Exactly one gate draw per frame
-/// keeps the decision schedule stable; the corruption shape and cut
-/// point draw only when a fault fires.
-pub struct FlakyWire;
-
-impl FaultPlan for FlakyWire {
-    fn name(&self) -> &'static str {
-        "flaky-wire"
-    }
-
-    fn summary(&self) -> &'static str {
-        "corrupts frames in flight: truncation, unknown opcode, lying length prefix"
-    }
-
-    fn inject(&self, frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize) {
-        let mut injected = 0usize;
-        let frames = frames
-            .into_iter()
-            .map(|frame| {
-                if rng.gen::<f64>() >= rate {
-                    return frame;
-                }
-                injected += 1;
-                let mut raw = frame.to_vec();
-                match rng.gen_range(0..3usize) {
-                    // Truncate at a random byte (possibly to nothing):
-                    // decodes to a typed "truncated frame" error.
-                    0 if !raw.is_empty() => {
-                        let cut = rng.gen_range(0..raw.len());
-                        raw.truncate(cut);
-                    }
-                    // Stamp an opcode no decoder knows.
-                    1 if raw.len() >= 5 => raw[4] = 0xEE,
-                    // Lie in the length prefix: one byte longer than the
-                    // payload that actually follows.
-                    2 if raw.len() >= 5 => {
-                        let lie = (raw.len() as u32 - 4) + 1;
-                        raw[..4].copy_from_slice(&lie.to_be_bytes());
-                    }
-                    // Frames too short to carry an opcode or prefix just
-                    // vanish entirely — the plan stays total.
-                    _ => raw.clear(),
-                }
-                Bytes::from(raw)
-            })
-            .collect();
-        (frames, injected)
-    }
-}
-
-/// `dup-storm`: at-least-once delivery — each frame is, with probability
-/// `rate`, delivered twice back to back.
-pub struct DupStorm;
-
-impl FaultPlan for DupStorm {
-    fn name(&self) -> &'static str {
-        "dup-storm"
-    }
-
-    fn summary(&self) -> &'static str {
-        "delivers frames twice at random: at-least-once semantics on the wire"
-    }
-
-    fn inject(&self, frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize) {
-        let mut injected = 0usize;
-        let mut out = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let duplicate = rng.gen::<f64>() < rate;
-            if duplicate {
-                injected += 1;
-                out.push(frame.clone());
+fn flaky_wire(frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize) {
+    let mut injected = 0usize;
+    let frames = frames
+        .into_iter()
+        .map(|frame| {
+            if rng.gen::<f64>() >= rate {
+                return frame;
             }
-            out.push(frame);
-        }
-        (out, injected)
-    }
+            injected += 1;
+            let mut raw = frame.to_vec();
+            match rng.gen_range(0..3usize) {
+                // Truncate at a random byte (possibly to nothing):
+                // decodes to a typed "truncated frame" error.
+                0 if !raw.is_empty() => {
+                    let cut = rng.gen_range(0..raw.len());
+                    raw.truncate(cut);
+                }
+                // Stamp an opcode no decoder knows.
+                1 if raw.len() >= 5 => raw[4] = 0xEE,
+                // Lie in the length prefix: one byte longer than the
+                // payload that actually follows.
+                2 if raw.len() >= 5 => {
+                    let lie = (raw.len() as u32 - 4) + 1;
+                    raw[..4].copy_from_slice(&lie.to_be_bytes());
+                }
+                // Frames too short to carry an opcode or prefix just
+                // vanish entirely — the plan stays total.
+                _ => raw.clear(),
+            }
+            Bytes::from(raw)
+        })
+        .collect();
+    (frames, injected)
 }
 
-/// `burst`: arrival-time compression. Every decodable frame's timestamp
-/// is pulled toward the start of its [`BURST_WINDOW`] bucket with
-/// strength `rate`; relative order within and across buckets is
-/// preserved, so a time-sorted script stays time-sorted. Draws nothing
-/// from the RNG: the warp is a pure function of `(at, rate)`.
-pub struct Burst;
-
-impl FaultPlan for Burst {
-    fn name(&self) -> &'static str {
-        "burst"
-    }
-
-    fn summary(&self) -> &'static str {
-        "compresses arrival times into bursts at bucket starts (overload pressure)"
-    }
-
-    fn inject(&self, frames: Vec<Bytes>, rate: f64, _rng: &mut StdRng) -> (Vec<Bytes>, usize) {
-        if rate <= 0.0 {
-            // Identity strength: skip the decode/re-encode pass outright
-            // (f64 `bucket + (at - bucket)` does not round-trip exactly).
-            return (frames, 0);
+fn dup_storm(frames: Vec<Bytes>, rate: f64, rng: &mut StdRng) -> (Vec<Bytes>, usize) {
+    let mut injected = 0usize;
+    let mut out = Vec::with_capacity(frames.len());
+    for frame in frames {
+        let duplicate = rng.gen::<f64>() < rate;
+        if duplicate {
+            injected += 1;
+            out.push(frame.clone());
         }
-        let warp = |at: f64| {
-            let bucket = (at / BURST_WINDOW).floor() * BURST_WINDOW;
-            bucket + (at - bucket) * (1.0 - rate)
-        };
-        let mut injected = 0usize;
-        let frames = frames
-            .into_iter()
-            .map(|frame| {
-                let mut cursor = frame.clone();
-                let Ok(request) = ServeRequest::decode(&mut cursor) else {
-                    return frame; // total: unparseable frames pass through
-                };
-                let warped = match request {
-                    ServeRequest::CheckIn { worker, at, x, y } => ServeRequest::CheckIn {
-                        worker,
-                        at: warp(at),
-                        x,
-                        y,
-                    },
-                    ServeRequest::CheckOut { worker, at } => ServeRequest::CheckOut {
-                        worker,
-                        at: warp(at),
-                    },
-                    ServeRequest::Task { task, at, x, y } => ServeRequest::Task {
-                        task,
-                        at: warp(at),
-                        x,
-                        y,
-                    },
-                    ServeRequest::Shutdown => ServeRequest::Shutdown,
-                };
-                if warped == request {
-                    frame
-                } else {
-                    injected += 1;
-                    warped.encode()
-                }
-            })
-            .collect();
-        (frames, injected)
+        out.push(frame);
     }
+    (out, injected)
+}
+
+fn burst(frames: Vec<Bytes>, rate: f64) -> (Vec<Bytes>, usize) {
+    if rate <= 0.0 {
+        // Identity strength: skip the decode/re-encode pass outright
+        // (f64 `bucket + (at - bucket)` does not round-trip exactly).
+        return (frames, 0);
+    }
+    let warp = |at: f64| {
+        let bucket = (at / BURST_WINDOW).floor() * BURST_WINDOW;
+        bucket + (at - bucket) * (1.0 - rate)
+    };
+    let mut injected = 0usize;
+    let frames = frames
+        .into_iter()
+        .map(|frame| {
+            let mut cursor = frame.clone();
+            let Ok(request) = ServeRequest::decode(&mut cursor) else {
+                return frame; // total: unparseable frames pass through
+            };
+            let warped = match request {
+                ServeRequest::CheckIn { worker, at, x, y } => ServeRequest::CheckIn {
+                    worker,
+                    at: warp(at),
+                    x,
+                    y,
+                },
+                ServeRequest::CheckOut { worker, at } => ServeRequest::CheckOut {
+                    worker,
+                    at: warp(at),
+                },
+                ServeRequest::Task { task, at, x, y } => ServeRequest::Task {
+                    task,
+                    at: warp(at),
+                    x,
+                    y,
+                },
+                ServeRequest::Shutdown => ServeRequest::Shutdown,
+            };
+            if warped == request {
+                frame
+            } else {
+                injected += 1;
+                warped.encode()
+            }
+        })
+        .collect();
+    (frames, injected)
 }
 
 /// What gives way when the bounded admission queue overflows.
@@ -322,18 +304,14 @@ mod tests {
     fn none_is_the_identity() {
         let frames = script();
         let mut rng = seeded_rng(1, FAULT_STREAM);
-        let (out, injected) = NoFault.inject(frames.clone(), 1.0, &mut rng);
+        let (out, injected) = FaultPlan::NoFault.inject(frames.clone(), 1.0, &mut rng);
         assert_eq!(out, frames);
         assert_eq!(injected, 0);
     }
 
     #[test]
     fn injection_is_a_pure_function_of_seed_plan_rate() {
-        for plan in [
-            &FlakyWire as &dyn FaultPlan,
-            &DupStorm as &dyn FaultPlan,
-            &Burst as &dyn FaultPlan,
-        ] {
+        for plan in [FaultPlan::FlakyWire, FaultPlan::DupStorm, FaultPlan::Burst] {
             let (a, na) = plan.inject(script(), 0.4, &mut seeded_rng(9, FAULT_STREAM));
             let (b, nb) = plan.inject(script(), 0.4, &mut seeded_rng(9, FAULT_STREAM));
             assert_eq!(a, b, "{} must replay byte-identically", plan.name());
@@ -347,7 +325,7 @@ mod tests {
     #[test]
     fn flaky_wire_corruptions_decode_to_typed_transport_errors() {
         let mut rng = seeded_rng(3, FAULT_STREAM);
-        let (frames, injected) = FlakyWire.inject(script(), 1.0, &mut rng);
+        let (frames, injected) = FaultPlan::FlakyWire.inject(script(), 1.0, &mut rng);
         assert_eq!(injected, 64, "rate 1.0 corrupts every frame");
         for mut frame in frames {
             assert!(
@@ -363,7 +341,7 @@ mod tests {
     #[test]
     fn dup_storm_preserves_order_and_only_duplicates() {
         let mut rng = seeded_rng(5, FAULT_STREAM);
-        let (frames, injected) = DupStorm.inject(script(), 0.5, &mut rng);
+        let (frames, injected) = FaultPlan::DupStorm.inject(script(), 0.5, &mut rng);
         assert_eq!(frames.len(), 64 + injected);
         // Every frame decodes, and task ids are non-decreasing (order
         // preserved; duplicates adjacent).
@@ -380,7 +358,7 @@ mod tests {
     #[test]
     fn burst_compresses_but_never_reorders() {
         let mut rng = seeded_rng(7, FAULT_STREAM);
-        let (frames, injected) = Burst.inject(script(), 1.0, &mut rng);
+        let (frames, injected) = FaultPlan::Burst.inject(script(), 1.0, &mut rng);
         assert!(injected > 0);
         let mut previous = f64::NEG_INFINITY;
         for mut frame in frames {
@@ -401,7 +379,7 @@ mod tests {
     fn burst_is_total_over_garbage() {
         let garbage = vec![Bytes::from(vec![0xFFu8; 3])];
         let mut rng = seeded_rng(1, FAULT_STREAM);
-        let (out, injected) = Burst.inject(garbage.clone(), 1.0, &mut rng);
+        let (out, injected) = FaultPlan::Burst.inject(garbage.clone(), 1.0, &mut rng);
         assert_eq!(out, garbage, "unparseable frames pass through verbatim");
         assert_eq!(injected, 0);
     }

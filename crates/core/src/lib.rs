@@ -27,7 +27,8 @@
 //! Every algorithm is a pairing of two open, object-safe traits:
 //!
 //! * a [`ReportMechanism`] turns true locations into obfuscated reports
-//!   (planar points or HST leaves),
+//!   (planar points or HST leaves); the registered ones are the variants
+//!   of [`Mechanism`],
 //! * an [`AssignStrategy`] consumes the reports and produces a
 //!   [`pombm_matching::Matching`].
 //!
@@ -117,8 +118,8 @@
 //! sees every arrival time and shift window up front and computes the exact
 //! offline optimum over the time-expanded feasibility graph — Definition 8's
 //! denominator under churn. It is catalogued with the dynamic matchers
-//! but carries the [`Role::OracleOnly`] role (it can price a timeline,
-//! never drive the fleet), [`dynamic_competitive_ratio`] returns a
+//! but is an oracle ([`DynamicAssignStrategy::is_oracle`]: it can price a
+//! timeline, never drive the fleet), [`dynamic_competitive_ratio`] returns a
 //! [`DynamicRatioReport`] whose statistics fields mirror [`RatioReport`]
 //! name-for-name, and the dynamic sweep's `ratio` switch adds per-cell
 //! `competitive_ratio` and drop-latency percentile columns
@@ -153,8 +154,8 @@ pub mod server;
 pub mod sweep;
 
 pub use algorithm::{
-    AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, PipelineError, PointReporter, Report,
-    ReportMechanism,
+    AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, Mechanism, PipelineError,
+    PointReporter, Report, ReportMechanism,
 };
 pub use arrivals::even_task_times;
 pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
@@ -167,7 +168,7 @@ pub use ratio::{
     dynamic_competitive_ratio, dynamic_offline_optimum_with_threads, empirical_competitive_ratio,
     offline_optimum_with_threads, DynamicRatioReport, RatioError, RatioReport, RatioStats,
 };
-pub use registry::{registry, AlgorithmSpec, Catalog, Registry, Role, DEFAULT_DYNAMIC_ORACLE};
+pub use registry::{registry, AlgorithmSpec, Catalog, Registry, DEFAULT_DYNAMIC_ORACLE};
 pub use scenario::{Scenario, DEFAULT_SCENARIO};
 pub use serve::{
     run_serve, serve_frames, FaultReport, ServeConfig, ServeLatency, ServeOutcome, ServeReport,

@@ -28,7 +28,7 @@
 //! worker whose shift covers its arrival instant, exactly the availability
 //! rule the event-sequential driver enforces one event at a time. That is
 //! the `dynamic-opt` oracle of the
-//! [`registry`](crate::registry::Registry::dynamic_oracle), solved by
+//! [`registry`](crate::registry::Registry::dynamic_matcher_any), solved by
 //! [`pombm_matching::ClairvoyantOptimal`], and
 //! [`dynamic_competitive_ratio`] divides any online
 //! `mechanism × dynamic-matcher` pairing's total distance by it. Static and
@@ -38,7 +38,7 @@
 use crate::algorithm::{DynamicAssignStrategy, PipelineError, ReportMechanism};
 use crate::dynamic::{check_timeline, run_dynamic_spec, DynamicConfig};
 use crate::pipeline::{run_spec, PipelineConfig};
-use crate::registry::{registry, AlgorithmSpec, Role, DEFAULT_DYNAMIC_ORACLE};
+use crate::registry::{AlgorithmSpec, DEFAULT_DYNAMIC_ORACLE};
 use pombm_geom::seeded_rng;
 use pombm_matching::offline::OfflineOptimal;
 use pombm_matching::{ClairvoyantAssignment, ClairvoyantOptimal};
@@ -423,9 +423,9 @@ pub fn dynamic_offline_optimum_with_threads(
 ///
 /// The oracle itself is admitted in matcher position — its "run" *is* the
 /// clairvoyant solution, so its cell reports ratio exactly 1.0 — which is
-/// how a ratio sweep shows the denominator as a row. Any other
-/// [`crate::registry::Role::OracleOnly`] use of `dynamic-opt` stays a
-/// typed registry error.
+/// how a ratio sweep shows the denominator as a row. Any other use of an
+/// oracle ([`DynamicAssignStrategy::is_oracle`]) stays a typed registry
+/// error.
 pub fn dynamic_competitive_ratio(
     instance: &Instance,
     task_times: &[f64],
@@ -440,11 +440,9 @@ pub fn dynamic_competitive_ratio(
     }
     let opt = dynamic_offline_optimum_with_threads(instance, task_times, plan, 1)?;
 
-    let is_oracle =
-        registry().dynamic_matcher_catalog().role_of(matcher.name()) == Some(Role::OracleOnly);
     let mut distances = Vec::with_capacity(repetitions as usize);
     for rep in 0..repetitions {
-        if is_oracle {
+        if matcher.is_oracle() {
             // The oracle's run is the clairvoyant solution itself: the
             // numerator is the denominator, so each term divides to
             // exactly 1.0.
@@ -661,7 +659,10 @@ mod tests {
         let inst = dynamic_instance(20, 25, 12);
         let times = spread_times(20, 50.0);
         let plan = ShiftPlan::uniform(25, 50.0, 10.0, 30.0, &mut seeded_rng(13, 0));
-        let oracle = registry().dynamic_oracle(DEFAULT_DYNAMIC_ORACLE).unwrap();
+        let oracle = registry()
+            .dynamic_matcher_any(DEFAULT_DYNAMIC_ORACLE)
+            .unwrap();
+        assert!(oracle.is_oracle());
         let mechanism = registry().require_mechanism("identity").unwrap();
         let r = dynamic_competitive_ratio(
             &inst,

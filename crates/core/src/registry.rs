@@ -11,27 +11,25 @@
 //!
 //! Every named axis — algorithm specs, mechanisms, static matchers,
 //! dynamic matchers, scenarios, fault plans — is one [`Catalog<T>`]
-//! sharing a single lookup implementation: case-insensitive resolution,
-//! alias awareness (`lapgr` → `lap-gr`, `TBF` → `tbf`), and a typed
-//! [`PipelineError::UnknownEntry`] error that names the axis and lists the
-//! sorted candidates. Adding a new axis is a one-line field plus its
-//! registrations — there is no per-axis lookup code left to copy.
+//! sharing a single lookup implementation: case-insensitive resolution
+//! (`TBF` → `tbf`) and a typed [`PipelineError::UnknownEntry`] error that
+//! names the axis and lists the sorted candidates. Adding a new axis is a
+//! one-line field plus its entries — there is no per-axis lookup code left
+//! to copy.
 //!
-//! Catalog entries carry a [`Role`] capability. Most entries are
-//! [`Role::Pairing`] — free to combine with anything on the other axis.
-//! [`Role::OracleOnly`] marks measurement denominators: `dynamic-opt`, the
-//! clairvoyant offline optimum over the revealed shift/task timeline, is
-//! registered at oracle position so that pairing it like an online matcher
-//! is a typed [`PipelineError::RoleMismatch`] at resolve time instead of a
-//! runtime panic. Ratio surfaces resolve it through
-//! [`Registry::dynamic_oracle`].
+//! The dynamic-matcher catalog also holds `dynamic-opt`, the clairvoyant
+//! offline optimum over the revealed shift/task timeline, the one entry
+//! whose [`DynamicAssignStrategy::is_oracle`] holds. It is a measurement
+//! denominator, not an online rule: [`Registry::require_dynamic_matcher`]
+//! refuses it with a typed [`PipelineError::RoleMismatch`] at resolve time
+//! instead of a runtime panic, and only the ratio surfaces resolve it,
+//! through [`Registry::dynamic_matcher_any`].
 
 use crate::algorithm::{
-    AssignStrategy, BlindMechanism, DynamicAssignStrategy, DynamicOptStrategy,
-    ExponentialReportMechanism, HstWalkMechanism, IdentityMechanism, LaplaceMechanism,
-    OfflineOptimalStrategy, PipelineError, PoolStrategy, ReportMechanism,
+    AssignStrategy, DynamicAssignStrategy, DynamicOptStrategy, Mechanism, OfflineOptimalStrategy,
+    PipelineError, PoolStrategy, ReportMechanism,
 };
-use crate::fault::{Burst, DupStorm, FaultPlan, FlakyWire, NoFault};
+use crate::fault::FaultPlan;
 use crate::scenario::{
     AdversarialCellScenario, HotspotScenario, NormalScenario, PoissonDiskScenario, Scenario,
     UniformScenario,
@@ -105,27 +103,6 @@ impl std::fmt::Debug for AlgorithmSpec {
     }
 }
 
-/// What positions a [`Catalog`] entry may occupy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Freely combinable with the other axis (the default).
-    Pairing,
-    /// A measurement denominator: resolvable only through an oracle
-    /// surface (e.g. [`Registry::dynamic_oracle`]), never paired like an
-    /// online component.
-    OracleOnly,
-}
-
-impl Role {
-    /// Stable label used in error messages and listings.
-    pub fn label(self) -> &'static str {
-        match self {
-            Role::Pairing => "pairing",
-            Role::OracleOnly => "oracle-only",
-        }
-    }
-}
-
 /// Anything a [`Catalog`] can index: a value with a canonical (lower-case)
 /// registry name.
 pub trait CatalogItem {
@@ -157,9 +134,9 @@ impl CatalogItem for Arc<dyn Scenario> {
     }
 }
 
-impl CatalogItem for Arc<dyn FaultPlan> {
+impl CatalogItem for FaultPlan {
     fn catalog_name(&self) -> &str {
-        self.as_ref().name()
+        self.name()
     }
 }
 
@@ -172,50 +149,26 @@ impl CatalogItem for AlgorithmSpec {
 /// One named registry axis: the single, shared lookup implementation
 /// behind every `require_*` surface.
 ///
-/// Lookup is case-insensitive and alias-aware; misses produce a typed
+/// Lookup is case-insensitive; misses produce a typed
 /// [`PipelineError::UnknownEntry`] naming the axis (`kind`) and listing
 /// the sorted candidates.
 pub struct Catalog<T> {
     kind: &'static str,
     values: Vec<T>,
-    roles: Vec<Role>,
-    aliases: Vec<(&'static str, &'static str)>,
-}
-
-fn normalize(name: &str) -> String {
-    name.to_ascii_lowercase()
 }
 
 impl<T: CatalogItem + Clone> Catalog<T> {
-    fn new(kind: &'static str) -> Self {
-        Catalog {
-            kind,
-            values: Vec::new(),
-            roles: Vec::new(),
-            aliases: Vec::new(),
-        }
-    }
-
-    /// Registers a [`Role::Pairing`] entry.
-    fn register(&mut self, value: T) {
-        self.register_as(Role::Pairing, value);
-    }
-
-    /// Registers an entry with an explicit role.
-    fn register_as(&mut self, role: Role, value: T) {
+    fn new(kind: &'static str, values: Vec<T>) -> Self {
+        let catalog = Catalog { kind, values };
         debug_assert!(
-            self.index_of(value.catalog_name()).is_none(),
-            "duplicate {} `{}`",
-            self.kind,
-            value.catalog_name()
+            catalog
+                .values
+                .iter()
+                .enumerate()
+                .all(|(i, v)| catalog.index_of(v.catalog_name()) == Some(i)),
+            "duplicate {kind} name"
         );
-        self.values.push(value);
-        self.roles.push(role);
-    }
-
-    /// Registers a legacy alias resolving to `target`.
-    fn alias(&mut self, from: &'static str, to: &'static str) {
-        self.aliases.push((from, to));
+        catalog
     }
 
     /// The axis name this catalog reports in errors (`mechanism`,
@@ -224,7 +177,7 @@ impl<T: CatalogItem + Clone> Catalog<T> {
         self.kind
     }
 
-    /// Number of registered entries, every role included.
+    /// Number of registered entries.
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -234,41 +187,14 @@ impl<T: CatalogItem + Clone> Catalog<T> {
         self.values.is_empty()
     }
 
-    /// Every entry in registration order, every role included.
+    /// Every entry in registration order.
     pub fn all(&self) -> &[T] {
         &self.values
     }
 
-    /// `(entry, role)` pairs in registration order.
-    pub fn entries(&self) -> impl Iterator<Item = (&T, Role)> {
-        self.values.iter().zip(self.roles.iter().copied())
-    }
-
-    /// Entries holding `role`, in registration order.
-    pub fn with_role(&self, role: Role) -> Vec<T> {
-        self.entries()
-            .filter(|&(_, r)| r == role)
-            .map(|(v, _)| v.clone())
-            .collect()
-    }
-
-    fn canonical(&self, name: &str) -> String {
-        let wanted = normalize(name);
-        self.aliases
-            .iter()
-            .find(|(alias, _)| *alias == wanted)
-            .map(|&(_, target)| target.to_string())
-            .unwrap_or(wanted)
-    }
-
     fn index_of(&self, name: &str) -> Option<usize> {
-        let wanted = self.canonical(name);
+        let wanted = name.to_ascii_lowercase();
         self.values.iter().position(|v| v.catalog_name() == wanted)
-    }
-
-    /// The role of `name`, if registered.
-    pub fn role_of(&self, name: &str) -> Option<Role> {
-        self.index_of(name).map(|i| self.roles[i])
     }
 
     /// Every registered name, sorted — the candidate listing of
@@ -283,36 +209,15 @@ impl<T: CatalogItem + Clone> Catalog<T> {
         names
     }
 
-    fn unknown(&self, name: &str) -> PipelineError {
-        PipelineError::UnknownEntry {
-            kind: self.kind,
-            name: name.to_string(),
-            known: self.sorted_names(),
-        }
-    }
-
-    /// Case-insensitive, alias-aware lookup across every role, with the
-    /// typed listing-rich error.
+    /// Case-insensitive lookup with the typed listing-rich error.
     pub fn resolve(&self, name: &str) -> Result<T, PipelineError> {
         self.index_of(name)
             .map(|i| self.values[i].clone())
-            .ok_or_else(|| self.unknown(name))
-    }
-
-    /// Lookup restricted to entries holding `wanted`: a registered name
-    /// with a different role is a typed [`PipelineError::RoleMismatch`],
-    /// not an unknown entry.
-    pub fn resolve_role(&self, name: &str, wanted: Role) -> Result<T, PipelineError> {
-        let i = self.index_of(name).ok_or_else(|| self.unknown(name))?;
-        if self.roles[i] != wanted {
-            return Err(PipelineError::RoleMismatch {
+            .ok_or_else(|| PipelineError::UnknownEntry {
                 kind: self.kind,
-                name: self.values[i].catalog_name().to_string(),
-                role: self.roles[i].label(),
-                wanted: wanted.label(),
-            });
-        }
-        Ok(self.values[i].clone())
+                name: name.to_string(),
+                known: self.sorted_names(),
+            })
     }
 }
 
@@ -323,7 +228,7 @@ pub struct Registry {
     matchers: Catalog<Arc<dyn AssignStrategy>>,
     dynamic_matchers: Catalog<Arc<dyn DynamicAssignStrategy>>,
     scenarios: Catalog<Arc<dyn Scenario>>,
-    fault_plans: Catalog<Arc<dyn FaultPlan>>,
+    fault_plans: Catalog<FaultPlan>,
 }
 
 impl Registry {
@@ -342,32 +247,37 @@ impl Registry {
         self.matchers.all()
     }
 
-    /// All pairing dynamic matchers (stage 2 of the shifting-fleet
-    /// pipeline, [`crate::dynamic::run_dynamic_spec`]); the oracle-only
-    /// `dynamic-opt` entry is excluded — see
-    /// [`Registry::dynamic_matcher_catalog`] for the full axis.
+    /// All online dynamic matchers (stage 2 of the shifting-fleet
+    /// pipeline, [`crate::dynamic::run_dynamic_spec`]); the `dynamic-opt`
+    /// oracle is excluded — see [`Registry::dynamic_matcher_catalog`] for
+    /// the full axis.
     pub fn dynamic_matchers(&self) -> Vec<Arc<dyn DynamicAssignStrategy>> {
-        self.dynamic_matchers.with_role(Role::Pairing)
+        self.dynamic_matchers
+            .all()
+            .iter()
+            .filter(|m| !m.is_oracle())
+            .cloned()
+            .collect()
     }
 
-    /// The full dynamic-matcher catalog, roles included.
+    /// The full dynamic-matcher catalog, the oracle included.
     pub fn dynamic_matcher_catalog(&self) -> &Catalog<Arc<dyn DynamicAssignStrategy>> {
         &self.dynamic_matchers
     }
 
-    /// Case-insensitive, alias-aware spec lookup; a miss is a typed
+    /// Case-insensitive spec lookup; a miss is a typed
     /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_spec(&self, name: &str) -> Result<AlgorithmSpec, PipelineError> {
         self.specs.resolve(name)
     }
 
-    /// Case-insensitive, alias-aware mechanism lookup; a miss is a typed
+    /// Case-insensitive mechanism lookup; a miss is a typed
     /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_mechanism(&self, name: &str) -> Result<Arc<dyn ReportMechanism>, PipelineError> {
         self.mechanisms.resolve(name)
     }
 
-    /// Case-insensitive, alias-aware matcher lookup; a miss is a typed
+    /// Case-insensitive matcher lookup; a miss is a typed
     /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_matcher(&self, name: &str) -> Result<Arc<dyn AssignStrategy>, PipelineError> {
         self.matchers.resolve(name)
@@ -379,7 +289,7 @@ impl Registry {
         self.scenarios.all()
     }
 
-    /// Case-insensitive, alias-aware scenario lookup; a miss is a typed
+    /// Case-insensitive scenario lookup; a miss is a typed
     /// [`PipelineError::UnknownEntry`] listing the candidates.
     pub fn require_scenario(&self, name: &str) -> Result<Arc<dyn Scenario>, PipelineError> {
         self.scenarios.resolve(name)
@@ -387,44 +297,37 @@ impl Registry {
 
     /// All registered serve fault plans (the deterministic-chaos axis of
     /// [`crate::fault`]).
-    pub fn fault_plans(&self) -> &[Arc<dyn FaultPlan>] {
+    pub fn fault_plans(&self) -> &[FaultPlan] {
         self.fault_plans.all()
     }
 
-    /// Case-insensitive, alias-aware fault-plan lookup; a miss is a typed
+    /// Case-insensitive fault-plan lookup; a miss is a typed
     /// [`PipelineError::UnknownEntry`] listing the candidates.
-    pub fn require_fault_plan(&self, name: &str) -> Result<Arc<dyn FaultPlan>, PipelineError> {
+    pub fn require_fault_plan(&self, name: &str) -> Result<FaultPlan, PipelineError> {
         self.fault_plans.resolve(name)
     }
 
-    /// Dynamic matcher lookup restricted to pairing entries: asking for
-    /// the oracle here is a typed [`PipelineError::RoleMismatch`].
+    /// Dynamic matcher lookup for a position that drives a fleet: asking
+    /// for the oracle here is a typed [`PipelineError::RoleMismatch`].
     pub fn require_dynamic_matcher(
         &self,
         name: &str,
     ) -> Result<Arc<dyn DynamicAssignStrategy>, PipelineError> {
-        self.dynamic_matchers.resolve_role(name, Role::Pairing)
+        let matcher = self.dynamic_matchers.resolve(name)?;
+        if matcher.is_oracle() {
+            return Err(PipelineError::oracle_only(matcher.name()));
+        }
+        Ok(matcher)
     }
 
-    /// Dynamic matcher lookup across every role — the ratio surfaces,
-    /// where the oracle may legitimately sit in matcher position (its cell
-    /// measures the denominator against itself, ratio exactly 1).
+    /// Dynamic matcher lookup across the whole catalog — the ratio
+    /// surfaces, where the oracle may legitimately sit in matcher position
+    /// (its cell measures the denominator against itself, ratio exactly 1).
     pub fn dynamic_matcher_any(
         &self,
         name: &str,
     ) -> Result<Arc<dyn DynamicAssignStrategy>, PipelineError> {
         self.dynamic_matchers.resolve(name)
-    }
-
-    /// Resolves a dynamic ratio oracle by name ([`DEFAULT_DYNAMIC_ORACLE`]
-    /// unless configured otherwise): only [`Role::OracleOnly`] entries
-    /// qualify, so a pairing matcher in oracle position is a typed
-    /// [`PipelineError::RoleMismatch`].
-    pub fn dynamic_oracle(
-        &self,
-        name: &str,
-    ) -> Result<Arc<dyn DynamicAssignStrategy>, PipelineError> {
-        self.dynamic_matchers.resolve_role(name, Role::OracleOnly)
     }
 
     /// Composes a free `mechanism × matcher` pairing by name.
@@ -442,11 +345,11 @@ pub fn registry() -> &'static Registry {
 }
 
 fn build() -> Registry {
-    let laplace: Arc<dyn ReportMechanism> = Arc::new(LaplaceMechanism);
-    let hst: Arc<dyn ReportMechanism> = Arc::new(HstWalkMechanism);
-    let exp: Arc<dyn ReportMechanism> = Arc::new(ExponentialReportMechanism);
-    let identity: Arc<dyn ReportMechanism> = Arc::new(IdentityMechanism);
-    let blind: Arc<dyn ReportMechanism> = Arc::new(BlindMechanism);
+    let laplace: Arc<dyn ReportMechanism> = Arc::new(Mechanism::Laplace);
+    let hst: Arc<dyn ReportMechanism> = Arc::new(Mechanism::HstWalk);
+    let exp: Arc<dyn ReportMechanism> = Arc::new(Mechanism::Exponential);
+    let identity: Arc<dyn ReportMechanism> = Arc::new(Mechanism::Identity);
+    let blind: Arc<dyn ReportMechanism> = Arc::new(Mechanism::Blind);
 
     // The online rules fill the pools the dynamic matchers below run: the
     // k-d pool under both planar names, the tree pool under `hst-greedy`,
@@ -462,8 +365,7 @@ fn build() -> Registry {
     let random: Arc<dyn AssignStrategy> = Arc::new(PoolStrategy::RANDOM);
     let offline_opt: Arc<dyn AssignStrategy> = Arc::new(OfflineOptimalStrategy);
 
-    let mut specs = Catalog::new("algorithm");
-    for spec in [
+    let specs = vec![
         // The paper's compared algorithms (Sec. IV-A)...
         AlgorithmSpec::new("lap-gr", "Lap-GR", laplace.clone(), greedy.clone()),
         AlgorithmSpec::new("lap-hg", "Lap-HG", laplace.clone(), hst_greedy.clone()),
@@ -480,74 +382,51 @@ fn build() -> Registry {
         // The exact offline optimum on true locations: the competitive-ratio
         // denominator as a runnable pairing (ratio = 1.0 by construction).
         AlgorithmSpec::new("opt", "OPT", identity.clone(), offline_opt.clone()),
-    ] {
-        specs.register(spec);
-    }
-    for (from, to) in [
-        ("lapgr", "lap-gr"),
-        ("laphg", "lap-hg"),
-        ("exphg", "exp-hg"),
-        ("tbfrand", "tbf-rand"),
-        ("tbfchain", "tbf-chain"),
-        ("expchain", "exp-chain"),
-        ("tbfcap", "tbf-cap"),
-        ("lapkd", "lap-kd"),
-        ("random-floor", "random"),
-    ] {
-        specs.alias(from, to);
-    }
+    ];
 
-    let mut mechanisms = Catalog::new("mechanism");
-    for m in [laplace, hst, exp, identity, blind] {
-        mechanisms.register(m);
-    }
+    let dynamic_matchers: Vec<Arc<dyn DynamicAssignStrategy>> = vec![
+        Arc::new(PoolStrategy::DYNAMIC_HST_GREEDY),
+        Arc::new(PoolStrategy::KD_REBUILD),
+        Arc::new(PoolStrategy::DYNAMIC_RANDOM),
+        // The clairvoyant offline optimum: the ratio-under-churn
+        // denominator, which only the ratio surfaces resolve.
+        Arc::new(DynamicOptStrategy),
+    ];
 
-    let mut matchers = Catalog::new("matcher");
-    for m in [
-        greedy,
-        kd,
-        hst_greedy,
-        hst_rand,
-        chain,
-        capacity,
-        random,
-        offline_opt,
-    ] {
-        matchers.register(m);
-    }
+    let scenarios: Vec<Arc<dyn Scenario>> = vec![
+        Arc::new(UniformScenario),
+        Arc::new(NormalScenario),
+        Arc::new(HotspotScenario),
+        Arc::new(PoissonDiskScenario),
+        Arc::new(AdversarialCellScenario),
+    ];
 
-    let mut dynamic_matchers = Catalog::new("dynamic matcher");
-    for m in [
-        PoolStrategy::DYNAMIC_HST_GREEDY,
-        PoolStrategy::KD_REBUILD,
-        PoolStrategy::DYNAMIC_RANDOM,
-    ] {
-        dynamic_matchers.register(Arc::new(m) as Arc<dyn DynamicAssignStrategy>);
-    }
-    // The clairvoyant offline optimum: the ratio-under-churn denominator,
-    // resolvable only through `dynamic_oracle` / the ratio surfaces.
-    dynamic_matchers.register_as(Role::OracleOnly, Arc::new(DynamicOptStrategy));
-
-    let mut scenarios = Catalog::new("scenario");
-    scenarios.register(Arc::new(UniformScenario) as Arc<dyn Scenario>);
-    scenarios.register(Arc::new(NormalScenario));
-    scenarios.register(Arc::new(HotspotScenario));
-    scenarios.register(Arc::new(PoissonDiskScenario));
-    scenarios.register(Arc::new(AdversarialCellScenario));
-
-    let mut fault_plans = Catalog::new("fault plan");
-    fault_plans.register(Arc::new(NoFault) as Arc<dyn FaultPlan>);
-    fault_plans.register(Arc::new(FlakyWire));
-    fault_plans.register(Arc::new(DupStorm));
-    fault_plans.register(Arc::new(Burst));
+    let fault_plans = vec![
+        FaultPlan::NoFault,
+        FaultPlan::FlakyWire,
+        FaultPlan::DupStorm,
+        FaultPlan::Burst,
+    ];
 
     Registry {
-        specs,
-        mechanisms,
-        matchers,
-        dynamic_matchers,
-        scenarios,
-        fault_plans,
+        specs: Catalog::new("algorithm", specs),
+        mechanisms: Catalog::new("mechanism", vec![laplace, hst, exp, identity, blind]),
+        matchers: Catalog::new(
+            "matcher",
+            vec![
+                greedy,
+                kd,
+                hst_greedy,
+                hst_rand,
+                chain,
+                capacity,
+                random,
+                offline_opt,
+            ],
+        ),
+        dynamic_matchers: Catalog::new("dynamic matcher", dynamic_matchers),
+        scenarios: Catalog::new("scenario", scenarios),
+        fault_plans: Catalog::new("fault plan", fault_plans),
     }
 }
 
@@ -557,21 +436,19 @@ mod tests {
 
     #[test]
     fn legacy_names_resolve_case_insensitively() {
-        for name in [
-            "tbf",
-            "TBF",
-            "Lap-GR",
-            "lapgr",
-            "tbf-chain",
-            "TbfChain",
-            "random",
-        ] {
+        for name in ["tbf", "TBF", "Lap-GR", "tbf-chain", "random"] {
             assert!(
                 registry().require_spec(name).is_ok(),
                 "{name} should resolve"
             );
         }
-        assert!(registry().require_spec("nope").is_err());
+        for name in ["lapgr", "TbfChain", "nope"] {
+            let err = registry().require_spec(name).unwrap_err();
+            assert!(
+                matches!(err, PipelineError::UnknownEntry { .. }),
+                "{name}: got {err}"
+            );
+        }
     }
 
     #[test]
@@ -635,20 +512,26 @@ mod tests {
 
     #[test]
     fn the_oracle_is_catalogued_but_not_pairable() {
-        // Visible in the full catalog with its role...
+        // Visible in the full catalog as the one oracle...
         let catalog = registry().dynamic_matcher_catalog();
         assert_eq!(catalog.kind(), "dynamic matcher");
         assert_eq!(catalog.len(), 4);
-        assert_eq!(
-            catalog.role_of(DEFAULT_DYNAMIC_ORACLE),
-            Some(Role::OracleOnly)
-        );
-        assert_eq!(catalog.role_of("hst-greedy"), Some(Role::Pairing));
-        // ...resolvable as an oracle (case-insensitively)...
-        let oracle = registry().dynamic_oracle("Dynamic-OPT").expect("resolves");
+        let oracles: Vec<&str> = catalog
+            .all()
+            .iter()
+            .filter(|m| m.is_oracle())
+            .map(|m| m.name())
+            .collect();
+        assert_eq!(oracles, [DEFAULT_DYNAMIC_ORACLE]);
+        // ...resolvable on the ratio surfaces (case-insensitively)...
+        let oracle = registry()
+            .dynamic_matcher_any("Dynamic-OPT")
+            .expect("resolves");
         assert_eq!(oracle.name(), "dynamic-opt");
+        assert!(oracle.is_oracle());
         assert!(!oracle.needs_server());
-        // ...but a typed role error in pairing position, and vice versa.
+        // ...but a typed role error in pairing position, where an online
+        // matcher is no oracle.
         let err = registry()
             .require_dynamic_matcher(DEFAULT_DYNAMIC_ORACLE)
             .map(|m| m.name())
@@ -658,16 +541,13 @@ mod tests {
             "got {err}"
         );
         assert!(err.to_string().contains("oracle-only"), "{err}");
-        let err = registry()
-            .dynamic_oracle("hst-greedy")
-            .map(|m| m.name())
-            .unwrap_err();
-        assert!(
-            matches!(err, PipelineError::RoleMismatch { .. }),
-            "got {err}"
-        );
+        let online = registry().dynamic_matcher_any("hst-greedy").unwrap();
+        assert!(!online.is_oracle());
         // Unknown names still report the axis with sorted candidates.
-        let err = registry().dynamic_oracle("bogus").map(|_| ()).unwrap_err();
+        let err = registry()
+            .dynamic_matcher_any("bogus")
+            .map(|_| ())
+            .unwrap_err();
         assert!(
             matches!(err, PipelineError::UnknownEntry { .. }),
             "got {err}"
@@ -717,6 +597,78 @@ mod tests {
                 && msg.contains("uniform"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn registered_mechanisms_match_their_table() {
+        use crate::algorithm::Report;
+        use pombm_geom::{seeded_rng, Point};
+        use pombm_privacy::{Epsilon, PlanarLaplace};
+
+        let at = Point::new(3.0, 4.0);
+        let epsilon = Epsilon::new(0.6);
+        let noisy = PlanarLaplace::new(epsilon).obfuscate(&at, &mut seeded_rng(1, 0));
+        // Name, needs_server, and what a reporter built without a server
+        // makes of `at`.
+        let table = [
+            ("laplace", false, Ok(Report::Planar(noisy))),
+            (
+                "hst",
+                true,
+                Err(PipelineError::MissingServer("hst mechanism")),
+            ),
+            (
+                "exp",
+                true,
+                Err(PipelineError::MissingServer("exp mechanism")),
+            ),
+            ("identity", false, Ok(Report::Planar(at))),
+            ("blind", false, Ok(Report::Blind)),
+        ];
+        let registered = registry().mechanisms();
+        assert_eq!(registered.len(), table.len());
+        for (mechanism, (name, needs_server, report)) in registered.iter().zip(table) {
+            assert_eq!(mechanism.name(), name);
+            assert_eq!(mechanism.needs_server(), needs_server, "{name}");
+            let made = mechanism
+                .reporter(epsilon, None)
+                .map(|mut reporter| reporter.report(&at, &mut seeded_rng(1, 0)));
+            assert_eq!(made, report, "{name}");
+        }
+    }
+
+    #[test]
+    fn registered_fault_plans_match_their_table() {
+        use crate::fault::FAULT_STREAM;
+        use crate::serve::ServeRequest;
+        use pombm_geom::seeded_rng;
+
+        let script: Vec<_> = (0..16)
+            .map(|task| {
+                let at = task as f64;
+                ServeRequest::Task {
+                    task,
+                    at,
+                    x: 1.0,
+                    y: 2.0,
+                }
+                .encode()
+            })
+            .collect();
+        // Name, and whether injecting at rate 0.5 draws from the RNG.
+        let table = [
+            (FaultPlan::NoFault, "none", false),
+            (FaultPlan::FlakyWire, "flaky-wire", true),
+            (FaultPlan::DupStorm, "dup-storm", true),
+            (FaultPlan::Burst, "burst", false),
+        ];
+        assert_eq!(registry().fault_plans(), table.map(|(plan, ..)| plan));
+        for (plan, name, draws) in table {
+            assert_eq!(plan.name(), name);
+            let mut rng = seeded_rng(3, FAULT_STREAM);
+            plan.inject(script.clone(), 0.5, &mut rng);
+            assert_eq!(rng != seeded_rng(3, FAULT_STREAM), draws, "{name}");
+        }
     }
 
     #[test]

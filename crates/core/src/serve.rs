@@ -918,7 +918,7 @@ struct Resolved {
     mechanism: Arc<dyn ReportMechanism>,
     matcher: Arc<dyn DynamicAssignStrategy>,
     scenario: Arc<dyn Scenario>,
-    fault_plan: Option<Arc<dyn FaultPlan>>,
+    fault_plan: Option<FaultPlan>,
     fault_rate: f64,
     shed_policy: ShedPolicy,
     /// Wall-clock pause between generator frames (`None`: unthrottled).
@@ -1033,7 +1033,7 @@ fn build_outcome(
     let faults =
         (config.fault_plan.is_some() || config.queue_cap.is_some() || anomalies > 0).then(|| {
             FaultReport {
-                plan: resolved.fault_plan.as_ref().map(|p| p.name().to_string()),
+                plan: resolved.fault_plan.map(|p| p.name().to_string()),
                 rate: resolved.fault_plan.is_some().then_some(resolved.fault_rate),
                 queue_cap: config.queue_cap,
                 shed_policy: config
@@ -1126,7 +1126,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeOutcome, PipelineError> {
     let (instance, server) = session_server(config, &resolved)?;
     let task_times = scenario.task_times(config.seed, config.num_tasks);
     let mut frames = timeline_frames(&instance, &plan, &task_times, config.max_requests);
-    let injected = match resolved.fault_plan.as_deref() {
+    let injected = match resolved.fault_plan {
         Some(fault_plan) => {
             // Injection rewrites the script *before* delivery starts, off
             // its own stream: faults are invariant under pacing/threads

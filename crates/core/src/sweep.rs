@@ -69,7 +69,7 @@ use crate::ratio::{
     competitive_ratio_against, dynamic_offline_optimum_with_threads, offline_optimum_with_threads,
     RatioError, RatioReport,
 };
-use crate::registry::{registry, AlgorithmSpec, CatalogItem, Role, DEFAULT_DYNAMIC_ORACLE};
+use crate::registry::{registry, AlgorithmSpec, CatalogItem, DEFAULT_DYNAMIC_ORACLE};
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use crate::server::check_epsilon;
 use parking_lot::Mutex;
@@ -1333,10 +1333,10 @@ pub struct DynamicSweepJob {
 }
 
 /// Resolves the dynamic-matcher filter. Ratio sweeps admit the
-/// [`Role::OracleOnly`](crate::registry::Role) `dynamic-opt` entry — and
+/// `dynamic-opt` oracle ([`DynamicAssignStrategy::is_oracle`]) — and
 /// include it by default, so the denominator shows up as its own
-/// ratio-1.0 row — while plain sweeps stay pairing-only, making oracle
-/// misuse a typed [`PipelineError::RoleMismatch`].
+/// ratio-1.0 row — while plain sweeps take online matchers only, making
+/// oracle misuse a typed [`PipelineError::RoleMismatch`].
 fn resolve_dynamic_matchers(
     names: &[String],
     ratio: bool,
@@ -1532,10 +1532,7 @@ impl SweepFlavor for DynamicSweepConfig {
         let oracle = job.oracle.as_ref().map(|oracle| {
             oracle.get_or_init(|| dynamic_offline_optimum_with_threads(&instance, &times, &plan, 1))
         });
-        let is_oracle_cell = registry()
-            .dynamic_matcher_catalog()
-            .role_of(job.matcher.name())
-            == Some(Role::OracleOnly);
+        let is_oracle_cell = job.matcher.is_oracle();
 
         type OnlineRun = (f64, std::collections::BTreeSet<usize>);
         let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
@@ -1545,13 +1542,7 @@ impl SweepFlavor for DynamicSweepConfig {
                 // resolve_dynamic_matchers only admits the oracle under
                 // --ratio, so a ratio-less oracle cell cannot be built by the
                 // sweep; report the role error defensively anyway.
-                None => Err(PipelineError::RoleMismatch {
-                    kind: "dynamic matcher",
-                    name: job.matcher.name().to_string(),
-                    role: "oracle-only",
-                    wanted: "pairing",
-                }
-                .to_string()),
+                None => Err(PipelineError::oracle_only(job.matcher.name()).to_string()),
             }
         } else {
             match run_dynamic_spec(

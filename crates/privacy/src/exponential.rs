@@ -98,15 +98,13 @@ impl ExponentialMechanism {
 
     /// Obfuscates source point `x`, lazily caching its alias table.
     pub fn obfuscate<R: Rng + ?Sized>(&mut self, x: PointId, rng: &mut R) -> PointId {
-        let eps = self.epsilon.value();
-        let points = &self.points;
-        let table = self.tables.entry(x).or_insert_with(|| {
-            let weights: Vec<f64> = (0..points.len())
-                .map(|z| (-eps * points.dist(x, z) / 2.0).exp())
-                .collect();
-            AliasTable::new(&weights)
-        });
-        table.sample(rng)
+        if let Some(table) = self.tables.get(&x) {
+            return table.sample(rng);
+        }
+        let table = AliasTable::new(&self.weights_for(x));
+        let z = table.sample(rng);
+        self.tables.insert(x, table);
+        z
     }
 
     /// Obfuscates without touching the cache (`O(N)` inverse-CDF walk).
