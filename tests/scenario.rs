@@ -7,8 +7,9 @@
 //! 2. the back-compat contract — an empty `scenarios` axis and an explicit
 //!    `["uniform"]` produce byte-identical reports *and* identical config
 //!    fingerprints, so pre-scenario checkpoints and partials still merge;
-//! 3. golden pins — one output fingerprint per non-default scenario, so a
-//!    drive-by change to any generator (placement, demand curve, city
+//! 3. golden pins — one output fingerprint per non-default scenario and
+//!    flavour, and one per registered scenario over its timeline instance,
+//!    so a drive-by change to any generator (placement, demand curve, city
 //!    model) fails loudly instead of silently rewriting every downstream
 //!    measurement.
 
@@ -201,9 +202,11 @@ fn scenario_sweep_goldens_are_pinned() {
     }
 }
 
-/// The timeline half of each scenario is pinned too: dynamic sweep output
-/// per scenario, covering `timeline_instance`, `task_times` (hotspot's
-/// rush-hour curve included) and the shift-plan derivation.
+/// The dynamic sweep output per scenario is pinned too. The dynamic sweep
+/// replays the square `instance`, so this covers `task_times` (hotspot's
+/// rush-hour curve included) and the shift-plan derivation on top of it;
+/// `timeline_instance` is pinned by
+/// `scenario_timeline_instances_are_pinned`.
 #[test]
 fn scenario_dynamic_goldens_are_pinned() {
     for (name, expected) in [
@@ -218,6 +221,31 @@ fn scenario_dynamic_goldens_are_pinned() {
             fnv1a_hex(json.as_bytes()),
             expected,
             "scenario `{name}` dynamic output drifted; report:\n{json}"
+        );
+    }
+}
+
+/// One pin per registered scenario over its timeline instance, the
+/// placement `pombm dynamic` and `pombm serve --load` draw from. The task
+/// and worker counts differ, so a swap of the two draws shows.
+#[test]
+fn scenario_timeline_instances_are_pinned() {
+    let pins = [
+        ("uniform", "8310f69184fbc3e3"),
+        ("normal", "84815f1ee9a2cbbf"),
+        ("hotspot", "c7296f8096b68f82"),
+        ("poisson-disk", "75d8d0829dde48f2"),
+        ("adversarial-cell", "5aac8dddfea3bdf3"),
+    ];
+    assert_eq!(pins.map(|(name, _)| name).to_vec(), scenario_names());
+    for (name, expected) in pins {
+        let scenario = registry().require_scenario(name).unwrap();
+        let instance = scenario.timeline_instance(42, 30, 20);
+        let json = serde_json::to_string(&instance).unwrap();
+        assert_eq!(
+            fnv1a_hex(json.as_bytes()),
+            expected,
+            "scenario `{name}` timeline instance drifted"
         );
     }
 }
