@@ -32,7 +32,8 @@ COMMANDS:
               [--real [--day N]] [--radii] --out FILE
               --tasks and --workers default to 3000 and 5000
               --real writes a day of the Chengdu-like trace in 50 m units
-              (the 10 km city is 200 x 200, like the synthetic space)
+              (the 10 km city is 200 x 200, like the synthetic space);
+              --tasks, --mu and --sigma apply only without --real
               --radii draws each worker a reachable radius for the case study
   run         run one algorithm on an instance JSON and print metrics
               (--input FILE | --scenario NAME [--size N])
@@ -365,6 +366,13 @@ pub fn gen(args: &Args) -> Result<String, String> {
                 "invalid day {day}: the Chengdu-like trace has days 0-{}",
                 RealParams::NUM_DAYS - 1
             ));
+        }
+        for flag in ["tasks", "mu", "sigma"] {
+            if args.switch(flag) {
+                return Err(format!(
+                    "--{flag} only applies without --real (a trace day has its own tasks)"
+                ));
+            }
         }
         let city = chengdu::CityModel::generate(seed);
         if args.switch("radii") {
@@ -1516,6 +1524,25 @@ mod tests {
         .unwrap_err();
         assert!(err.starts_with("--day only applies with --real"), "{err}");
         assert!(!path.exists(), "gen must fail before writing");
+    }
+
+    #[test]
+    fn gen_synthetic_flags_with_real_are_an_error_before_writing() {
+        let path = tmp("synthetic-with-real.json");
+        let _ = std::fs::remove_file(&path);
+        for flag in ["--tasks 10", "--mu 5", "--sigma 1"] {
+            let err = gen(&args(&format!(
+                "gen --real {flag} --workers 20 --out {}",
+                path.display()
+            )))
+            .unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.starts_with(&format!("{name} only applies without --real")),
+                "{err}"
+            );
+            assert!(!path.exists(), "gen must fail before writing");
+        }
     }
 
     #[test]

@@ -302,9 +302,9 @@ pub fn run_dynamic_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::even_task_times;
     use crate::ratio::{dynamic_offline_optimum_with_threads, RatioError};
     use crate::registry::registry;
+    use crate::scenario::even_task_times;
     use pombm_workload::{synthetic, SyntheticParams};
 
     fn instance(tasks: usize, workers: usize, seed: u64) -> Instance {

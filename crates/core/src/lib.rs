@@ -47,11 +47,11 @@
 //!
 //! Where the workload *comes from* is a third registry axis: a named
 //! [`Scenario`] bundles worker placement, task placement and the demand
-//! curve (`uniform` — bit-identical to the legacy workload — `normal`,
-//! `hotspot`, `poisson-disk`, `adversarial-cell`), threads through every
-//! surface from [`run_spec`] inputs to the [`serve`] load generator, and
-//! enters the sweep's config fingerprint — see the [`scenario`] module
-//! docs.
+//! curve; the registered ones are the variants of [`Workload`] (`uniform`
+//! — bit-identical to the legacy workload — `normal`, `hotspot`,
+//! `poisson-disk`, `adversarial-cell`). It threads through every surface
+//! from [`run_spec`] inputs to the [`serve`] load generator and enters the
+//! sweep's config fingerprint — see the [`scenario`] module docs.
 //!
 //! How the service *misbehaves* is a fourth: a named [`FaultPlan`]
 //! (`none`, `flaky-wire`, `dup-storm`, `burst`) deterministically rewrites
@@ -138,7 +138,6 @@
 //! `pombm merge <partials..>` on the CLI.
 
 pub mod algorithm;
-pub mod arrivals;
 pub mod case_study;
 pub mod dynamic;
 pub mod epochs;
@@ -157,7 +156,6 @@ pub use algorithm::{
     AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, Mechanism, PipelineError,
     PointReporter, Report, ReportMechanism,
 };
-pub use arrivals::even_task_times;
 pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
 pub use dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
 pub use epochs::{run_epochs, EpochConfig, EpochMetrics, EpochReport};
@@ -169,7 +167,7 @@ pub use ratio::{
     offline_optimum_with_threads, DynamicRatioReport, RatioError, RatioReport, RatioStats,
 };
 pub use registry::{registry, AlgorithmSpec, Catalog, Registry, DEFAULT_DYNAMIC_ORACLE};
-pub use scenario::{Scenario, DEFAULT_SCENARIO};
+pub use scenario::{even_task_times, Scenario, Workload, DEFAULT_SCENARIO};
 pub use serve::{
     run_serve, serve_frames, FaultReport, ServeConfig, ServeLatency, ServeOutcome, ServeReport,
     ServeRequest,

@@ -30,10 +30,7 @@ use crate::algorithm::{
     PipelineError, PoolStrategy, ReportMechanism,
 };
 use crate::fault::FaultPlan;
-use crate::scenario::{
-    AdversarialCellScenario, HotspotScenario, NormalScenario, PoissonDiskScenario, Scenario,
-    UniformScenario,
-};
+use crate::scenario::{Scenario, Workload};
 use std::sync::{Arc, OnceLock};
 
 /// The registry name of the default dynamic ratio oracle.
@@ -394,11 +391,11 @@ fn build() -> Registry {
     ];
 
     let scenarios: Vec<Arc<dyn Scenario>> = vec![
-        Arc::new(UniformScenario),
-        Arc::new(NormalScenario),
-        Arc::new(HotspotScenario),
-        Arc::new(PoissonDiskScenario),
-        Arc::new(AdversarialCellScenario),
+        Arc::new(Workload::Uniform),
+        Arc::new(Workload::Normal),
+        Arc::new(Workload::Hotspot),
+        Arc::new(Workload::PoissonDisk),
+        Arc::new(Workload::AdversarialCell),
     ];
 
     let fault_plans = vec![

@@ -70,14 +70,13 @@ use crate::ratio::{
     RatioError, RatioReport,
 };
 use crate::registry::{registry, AlgorithmSpec, CatalogItem, DEFAULT_DYNAMIC_ORACLE};
-use crate::scenario::{Scenario, DEFAULT_SCENARIO};
+use crate::scenario::{
+    dynamic_shift_plan, Scenario, DEFAULT_SCENARIO, DYNAMIC_SWEEP_HORIZON, SHIFT_PLAN_KINDS,
+};
 use crate::server::check_epsilon;
 use parking_lot::Mutex;
-use pombm_geom::seeded_rng;
 use pombm_matching::ClairvoyantAssignment;
 use pombm_workload::shifts::ShiftPlan;
-use pombm_workload::{synthetic, Instance, SyntheticParams};
-use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 #[expect(
     clippy::disallowed_types,
@@ -903,19 +902,6 @@ fn cell_scenario(scenario: &dyn Scenario) -> Option<String> {
     (scenario.name() != DEFAULT_SCENARIO).then(|| scenario.name().to_string())
 }
 
-/// The deterministic instance a sweep uses for `size`: `size` tasks and
-/// `size` workers from the standard synthetic generator, seeded by
-/// `(seed, size)` only.
-pub fn sweep_instance(seed: u64, size: usize) -> Instance {
-    let params = SyntheticParams {
-        num_tasks: size,
-        num_workers: size,
-        ..SyntheticParams::default()
-    };
-    let stream = seed ^ (size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    synthetic::generate(&params, &mut seeded_rng(stream, 0x51EE))
-}
-
 // ---------------------------------------------------------------------------
 // The static flavour
 // ---------------------------------------------------------------------------
@@ -1100,70 +1086,6 @@ impl FlavorReport for SweepReport {
 // ---------------------------------------------------------------------------
 // The dynamic flavour
 // ---------------------------------------------------------------------------
-
-/// Fixed simulation horizon of every dynamic sweep cell (seconds). Task
-/// arrival times and shift windows both live in `[0, horizon)`.
-pub const DYNAMIC_SWEEP_HORIZON: f64 = 1000.0;
-
-/// The named shift-plan shapes a dynamic sweep can replay; an empty
-/// `shift_plans` filter in [`DynamicSweepConfig`] means all of them.
-///
-/// * `always-on` — every worker present for the whole horizon (the paper's
-///   static model as a special case; nothing should drop);
-/// * `short` — uniform random shifts of 5–15% of the horizon (sparse
-///   coverage, the drop-rate stress case);
-/// * `long` — uniform random shifts of 40–80% of the horizon.
-pub const SHIFT_PLAN_KINDS: [&str; 3] = ["always-on", "short", "long"];
-
-/// The deterministic task arrival times a dynamic sweep uses for
-/// `num_tasks` tasks: sorted uniform draws over `[0, horizon)`, seeded by
-/// `(seed, num_tasks)` only — identical for every pairing and plan, so
-/// cells differ only in what they measure.
-pub fn dynamic_task_times(seed: u64, num_tasks: usize) -> Vec<f64> {
-    let stream = seed ^ (num_tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut rng = seeded_rng(stream, 0xD1CE_0005);
-    let mut times: Vec<f64> = (0..num_tasks)
-        .map(|_| rng.gen::<f64>() * DYNAMIC_SWEEP_HORIZON)
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times
-}
-
-/// The deterministic shift plan a dynamic sweep uses for a
-/// `(kind, num_workers)` cell, seeded by `(seed, num_workers, kind)` only.
-/// Fails fast with a listing-rich error on an unknown kind.
-pub fn dynamic_shift_plan(
-    kind: &str,
-    num_workers: usize,
-    seed: u64,
-) -> Result<ShiftPlan, PipelineError> {
-    let stream = seed ^ (num_workers as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let h = DYNAMIC_SWEEP_HORIZON;
-    match kind {
-        // End strictly after the horizon so tasks at t < horizon always
-        // find the full fleet (departures process before same-time tasks).
-        "always-on" => Ok(ShiftPlan::always_on(num_workers, h + 1.0)),
-        "short" => Ok(ShiftPlan::uniform(
-            num_workers,
-            h,
-            0.05 * h,
-            0.15 * h,
-            &mut seeded_rng(stream, 0xD1CE_0003),
-        )),
-        "long" => Ok(ShiftPlan::uniform(
-            num_workers,
-            h,
-            0.4 * h,
-            0.8 * h,
-            &mut seeded_rng(stream, 0xD1CE_0004),
-        )),
-        other => Err(PipelineError::UnknownEntry {
-            kind: "shift plan",
-            name: other.to_string(),
-            known: SHIFT_PLAN_KINDS.iter().map(|s| s.to_string()).collect(),
-        }),
-    }
-}
 
 /// What the dynamic sweep runs: the pairing/plan filters, the instance/ε
 /// grid, and the execution parameters. Mirrors [`SweepConfig`], with shift
@@ -1672,6 +1594,7 @@ impl FlavorReport for DynamicSweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::dynamic_task_times;
 
     fn small_config() -> SweepConfig {
         SweepConfig {

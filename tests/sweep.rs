@@ -12,7 +12,7 @@
 //!    `--json` contract cannot drift silently.
 
 use pombm::ratio::{empirical_competitive_ratio, offline_optimum_with_threads, RatioError};
-use pombm::sweep::{run_sweep, sweep_instance, FlavorReport, SweepConfig};
+use pombm::sweep::{run_sweep, FlavorReport, SweepConfig};
 use pombm::{registry, PipelineConfig};
 use pombm_geom::seeded_rng;
 use pombm_workload::{synthetic, Instance, SyntheticParams};
@@ -283,7 +283,10 @@ fn degenerate_ratio_inputs_are_typed_errors() {
     let spec = &registry().require_spec("tbf").unwrap();
     let config = fast_config(0);
 
-    let empty = sweep_instance(0, 0);
+    let empty = registry()
+        .require_scenario("uniform")
+        .unwrap()
+        .instance(0, 0);
     assert!(matches!(
         empirical_competitive_ratio(spec, &empty, &config, 2),
         Err(RatioError::EmptyInstance { .. })
