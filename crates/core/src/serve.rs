@@ -40,6 +40,16 @@
 //!    batch-obfuscated, and the window drains through `assign_batch` in
 //!    arrival order.
 //!
+//! # Per-request cost
+//!
+//! Outside the flush, a load-generator request costs constant time. The
+//! codec writes and reads a frame as one slice. The session keeps accepted
+//! task ids and checked-in worker locations in tables indexed by id over
+//! `0..num_tasks` and `0..num_workers`, the ids the load generator issues;
+//! any other id (a hand-built script's, a fault plan's, a hostile frame's)
+//! falls back to an ordered map with the same first-write-wins dedup. The
+//! latency percentiles are selected in place, not sorted.
+//!
 //! # Determinism contract
 //!
 //! The assignment sequence is a pure function of
@@ -94,7 +104,7 @@ use crate::fingerprint::Fnv1a;
 use crate::registry::registry;
 use crate::scenario::{Scenario, DEFAULT_SCENARIO};
 use crate::server::{check_epsilon, check_grid_side, Server};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use pombm_geom::{seeded_rng, Point};
 use pombm_privacy::Epsilon;
 use pombm_workload::shifts::ShiftPlan;
@@ -102,7 +112,7 @@ use pombm_workload::Instance;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -387,35 +397,30 @@ pub enum ServeRequest {
 impl ServeRequest {
     /// Encodes the request as one length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let (opcode, body) = match self {
-            ServeRequest::CheckIn { .. } => (OP_CHECK_IN, CHECK_IN_BODY),
-            ServeRequest::CheckOut { .. } => (OP_CHECK_OUT, CHECK_OUT_BODY),
-            ServeRequest::Task { .. } => (OP_TASK, TASK_BODY),
-            ServeRequest::Shutdown => (OP_SHUTDOWN, SHUTDOWN_BODY),
-        };
-        let mut frame = BytesMut::with_capacity(4 + 1 + body);
-        frame.put_u32(1 + body as u32);
-        frame.put_u8(opcode);
-        match *self {
+        // A body is the first `body / 8` of these words, big-endian: the
+        // id, then the bits of `at`, `x` and `y`.
+        let (opcode, body, id, [at, x, y]) = match *self {
             ServeRequest::CheckIn {
                 worker: id,
                 at,
                 x,
                 y,
-            }
-            | ServeRequest::Task { task: id, at, x, y } => {
-                frame.put_u64(id);
-                frame.put_f64(at);
-                frame.put_f64(x);
-                frame.put_f64(y);
-            }
+            } => (OP_CHECK_IN, CHECK_IN_BODY, id, [at, x, y]),
+            ServeRequest::Task { task: id, at, x, y } => (OP_TASK, TASK_BODY, id, [at, x, y]),
             ServeRequest::CheckOut { worker, at } => {
-                frame.put_u64(worker);
-                frame.put_f64(at);
+                (OP_CHECK_OUT, CHECK_OUT_BODY, worker, [at, 0.0, 0.0])
             }
-            ServeRequest::Shutdown => {}
+            ServeRequest::Shutdown => (OP_SHUTDOWN, SHUTDOWN_BODY, 0, [0.0; 3]),
+        };
+        let words = [id, at.to_bits(), x.to_bits(), y.to_bits()];
+        // Prefix, opcode and the largest body (CHECK_IN's and TASK's).
+        let mut frame = [0u8; 5 + CHECK_IN_BODY];
+        frame[..4].copy_from_slice(&(1 + body as u32).to_be_bytes());
+        frame[4] = opcode;
+        for (slot, word) in frame[5..5 + body].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_be_bytes());
         }
-        frame.freeze()
+        Bytes::from(&frame[..5 + body])
     }
 
     /// Decodes one frame, consuming it from `buf`. Truncated frames,
@@ -423,7 +428,9 @@ impl ServeRequest {
     /// timestamps or coordinates ([`NON_FINITE`]) are typed
     /// [`PipelineError::Transport`] errors, never panics.
     pub fn decode(buf: &mut Bytes) -> Result<Self, PipelineError> {
-        let request = Self::decode_fields(buf)?;
+        let (consumed, request) = Self::decode_fields(buf.chunk());
+        buf.advance(consumed);
+        let request = request?;
         let finite = match request {
             ServeRequest::CheckIn { at, x, y, .. } | ServeRequest::Task { at, x, y, .. } => {
                 at.is_finite() && x.is_finite() && y.is_finite()
@@ -438,43 +445,57 @@ impl ServeRequest {
         }
     }
 
-    fn decode_fields(buf: &mut Bytes) -> Result<Self, PipelineError> {
+    /// Reads the frame at the front of `bytes` as one slice. Returns the
+    /// request and how many bytes it consumes: none when the length prefix
+    /// is cut short, the prefix alone when the payload is short or empty,
+    /// prefix and opcode when the opcode is unknown or its body size does
+    /// not match, and the whole frame otherwise.
+    fn decode_fields(bytes: &[u8]) -> (usize, Result<Self, PipelineError>) {
         let transport = |why| Err(PipelineError::Transport { why });
-        if buf.remaining() < 4 {
-            return transport("truncated frame: missing length prefix");
-        }
-        let len = buf.get_u32() as usize;
-        if buf.remaining() < len {
-            return transport("truncated frame: payload shorter than its length prefix");
-        }
-        if len == 0 {
-            return transport("empty payload: a frame needs at least an opcode");
-        }
-        let opcode = buf.get_u8();
-        let body = len - 1;
-        match opcode {
-            OP_CHECK_IN if body == CHECK_IN_BODY => Ok(ServeRequest::CheckIn {
-                worker: buf.get_u64(),
-                at: buf.get_f64(),
-                x: buf.get_f64(),
-                y: buf.get_f64(),
-            }),
-            OP_CHECK_OUT if body == CHECK_OUT_BODY => Ok(ServeRequest::CheckOut {
-                worker: buf.get_u64(),
-                at: buf.get_f64(),
-            }),
-            OP_TASK if body == TASK_BODY => Ok(ServeRequest::Task {
-                task: buf.get_u64(),
-                at: buf.get_f64(),
-                x: buf.get_f64(),
-                y: buf.get_f64(),
-            }),
-            OP_SHUTDOWN if body == SHUTDOWN_BODY => Ok(ServeRequest::Shutdown),
-            OP_CHECK_IN | OP_CHECK_OUT | OP_TASK | OP_SHUTDOWN => {
-                transport("length prefix does not match the opcode's body size")
+        let Some((prefix, rest)) = bytes.split_first_chunk::<4>() else {
+            return (0, transport("truncated frame: missing length prefix"));
+        };
+        let Some(payload) = rest.get(..u32::from_be_bytes(*prefix) as usize) else {
+            return (
+                4,
+                transport("truncated frame: payload shorter than its length prefix"),
+            );
+        };
+        let Some((&opcode, body)) = payload.split_first() else {
+            return (
+                4,
+                transport("empty payload: a frame needs at least an opcode"),
+            );
+        };
+        // The `at`, `x` and `y` fields of a body, after its 8-byte id.
+        let field = |i: usize| f64::from_bits(word(body, 1 + i));
+        let request = match (opcode, body.len()) {
+            (OP_CHECK_IN, CHECK_IN_BODY) => ServeRequest::CheckIn {
+                worker: word(body, 0),
+                at: field(0),
+                x: field(1),
+                y: field(2),
+            },
+            (OP_CHECK_OUT, CHECK_OUT_BODY) => ServeRequest::CheckOut {
+                worker: word(body, 0),
+                at: field(0),
+            },
+            (OP_TASK, TASK_BODY) => ServeRequest::Task {
+                task: word(body, 0),
+                at: field(0),
+                x: field(1),
+                y: field(2),
+            },
+            (OP_SHUTDOWN, SHUTDOWN_BODY) => ServeRequest::Shutdown,
+            (OP_CHECK_IN | OP_CHECK_OUT | OP_TASK | OP_SHUTDOWN, _) => {
+                return (
+                    5,
+                    transport("length prefix does not match the opcode's body size"),
+                );
             }
-            _ => transport("unknown opcode"),
-        }
+            _ => return (5, transport("unknown opcode")),
+        };
+        (5 + body.len(), Ok(request))
     }
 
     fn timestamp(&self) -> f64 {
@@ -485,6 +506,11 @@ impl ServeRequest {
             ServeRequest::Shutdown => f64::INFINITY,
         }
     }
+}
+
+/// The `i`th big-endian 8-byte word of a frame body.
+fn word(body: &[u8], i: usize) -> u64 {
+    u64::from_be_bytes(body[8 * i..8 * i + 8].try_into().expect("8 bytes"))
 }
 
 /// FNV-1a over the assignment sequence: each `(task, worker)` pair
@@ -513,6 +539,53 @@ struct PendingTask {
     ingested: Option<std::time::Instant>,
 }
 
+/// A first-write-wins table keyed by wire id: a vector indexed by the ids
+/// `0..len` the load generator issues (`timeline_frames` numbers workers
+/// and tasks from 0), and an ordered map for any other id, such as a
+/// hand-built script's or a hostile frame's. An id is stored at most once
+/// and never leaves.
+struct IdTable<T> {
+    dense: Vec<Option<T>>,
+    sparse: BTreeMap<u64, T>,
+}
+
+impl<T: Copy> IdTable<T> {
+    /// A table whose vector covers ids `0..len`: the session's configured
+    /// task or worker count, for which the session has already derived
+    /// one instance point each.
+    fn new(len: usize) -> Self {
+        IdTable {
+            dense: vec![None; len],
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// Stores `value` under `id` unless the id is present; returns whether
+    /// it stored it.
+    fn insert_new(&mut self, id: u64, value: T) -> bool {
+        if let Some(slot) = usize::try_from(id).ok().and_then(|i| self.dense.get_mut(i)) {
+            let vacant = slot.is_none();
+            slot.get_or_insert(value);
+            return vacant;
+        }
+        match self.sparse.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
+            Entry::Occupied(_) => false,
+        }
+    }
+
+    /// The value stored under `id`.
+    fn get(&self, id: u64) -> Option<T> {
+        match usize::try_from(id).ok().and_then(|i| self.dense.get(i)) {
+            Some(&slot) => slot,
+            None => self.sparse.get(&id).copied(),
+        }
+    }
+}
+
 /// Aggregates the resident half of a session: the pool, the two RNG
 /// streams, the window buffers and the running counters.
 struct Engine<'a> {
@@ -535,13 +608,14 @@ struct Engine<'a> {
     pending_tasks: VecDeque<PendingTask>,
     /// Shed tasks parked for a later window, sorted by `(at, id)`.
     retry_queue: Vec<PendingTask>,
-    /// Task ids already accepted — with `worker_locations`' keys, the
-    /// at-least-once dedup layer.
-    seen_tasks: BTreeSet<u64>,
+    /// Task ids already accepted — with `worker_locations`' ids, the
+    /// at-least-once dedup layer. Dense over the configured task count.
+    seen_tasks: IdTable<()>,
     /// True check-in locations by worker id, for the distance tally (the
-    /// frame carries the exact f64 bits the workload generated). No id is
-    /// ever removed, so its keys also dedup replayed check-ins.
-    worker_locations: BTreeMap<u64, Point>,
+    /// frame carries the exact f64 bits the workload generated). Dense
+    /// over the configured worker count. No id is ever removed, so it also
+    /// dedups replayed check-ins.
+    worker_locations: IdTable<Point>,
     /// The running counters, handed back whole when the session ends.
     stats: SessionStats,
 }
@@ -555,7 +629,7 @@ struct SessionStats {
     peak_queue: usize,
     queue_sum: usize,
     total_distance: f64,
-    corrupt_classes: BTreeMap<String, usize>,
+    corrupt_classes: BTreeMap<&'static str, usize>,
     duplicates: usize,
     submitted: usize,
     shed: usize,
@@ -590,8 +664,8 @@ impl<'a> Engine<'a> {
             pending_checkouts: Vec::new(),
             pending_tasks: VecDeque::new(),
             retry_queue: Vec::new(),
-            seen_tasks: BTreeSet::new(),
-            worker_locations: BTreeMap::new(),
+            seen_tasks: IdTable::new(config.num_tasks),
+            worker_locations: IdTable::new(config.num_workers),
             stats: SessionStats::default(),
         })
     }
@@ -605,12 +679,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Counts a Transport-class anomaly; the session keeps serving.
-    fn note_corrupt(&mut self, why: &str) {
-        *self
-            .stats
-            .corrupt_classes
-            .entry(why.to_string())
-            .or_insert(0) += 1;
+    fn note_corrupt(&mut self, why: &'static str) {
+        *self.stats.corrupt_classes.entry(why).or_insert(0) += 1;
     }
 
     /// Earliest window holding a parked retry, if any (the retry queue is
@@ -727,8 +797,8 @@ impl<'a> Engine<'a> {
         self.advance_to(quotient as u64)?;
         match request {
             ServeRequest::CheckIn { worker, x, y, .. } => {
-                if let Entry::Vacant(slot) = self.worker_locations.entry(worker) {
-                    let location = *slot.insert(Point::new(x, y));
+                let location = Point::new(x, y);
+                if self.worker_locations.insert_new(worker, location) {
                     self.pending_checkins.push((worker, location));
                 } else {
                     // At-least-once delivery: replays of a known check-in
@@ -738,7 +808,7 @@ impl<'a> Engine<'a> {
             }
             ServeRequest::CheckOut { worker, .. } => self.pending_checkouts.push(worker),
             ServeRequest::Task { task, at, x, y } => {
-                if self.seen_tasks.insert(task) {
+                if self.seen_tasks.insert_new(task, ()) {
                     self.stats.submitted += 1;
                     #[expect(
                         clippy::disallowed_methods,
@@ -819,7 +889,10 @@ impl<'a> Engine<'a> {
                     // True-location travel distance, from the exact f64
                     // bits the frames carried (bit-identical to summing
                     // over the instance arrays in assignment order).
-                    let worker_location = self.worker_locations[&worker];
+                    let worker_location = self
+                        .worker_locations
+                        .get(worker)
+                        .expect("the pool assigns only checked-in workers");
                     self.stats.total_distance += task.location.dist(&worker_location);
                 }
                 if let (Some(end), Some(start)) = (drained, task.ingested) {
@@ -908,9 +981,19 @@ fn timeline_frames(
     frames
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx]
+/// The max, p99, p95 and p50 of `samples` at their nearest ranks, found by
+/// selection in place (the order of `samples` is left unspecified). Each
+/// rank is at most the one before it, so the next selection runs on the
+/// prefix the previous pivot closes, which holds exactly the lower ranks.
+fn select_percentiles(samples: &mut [f64]) -> [f64; 4] {
+    let last = samples.len() - 1;
+    let rank = |p: f64| ((p / 100.0) * last as f64).round() as usize;
+    let mut prefix = samples.len();
+    [last, rank(99.0), rank(95.0), rank(50.0)].map(|rank| {
+        let (_, &mut value, _) = samples[..prefix].select_nth_unstable_by(rank, f64::total_cmp);
+        prefix = rank + 1;
+        value
+    })
 }
 
 /// Everything a session resolves by name, plus the validated chaos knobs.
@@ -1002,7 +1085,7 @@ fn resolve(config: &ServeConfig) -> Result<Resolved, PipelineError> {
 fn build_outcome(
     config: &ServeConfig,
     resolved: &Resolved,
-    stats: SessionStats,
+    mut stats: SessionStats,
     injected: usize,
 ) -> ServeOutcome {
     let assigned = stats
@@ -1012,18 +1095,15 @@ fn build_outcome(
         .count();
     let dropped = stats.assignments.len() - assigned;
     let arrived = stats.assignments.len();
-    let latency = if config.timings && !stats.latencies_ms.is_empty() {
-        let mut sorted = stats.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        Some(ServeLatency {
-            p50_ms: percentile(&sorted, 50.0),
-            p95_ms: percentile(&sorted, 95.0),
-            p99_ms: percentile(&sorted, 99.0),
-            max_ms: sorted[sorted.len() - 1],
-        })
-    } else {
-        None
-    };
+    let latency = (config.timings && !stats.latencies_ms.is_empty()).then(|| {
+        let [max_ms, p99_ms, p95_ms, p50_ms] = select_percentiles(&mut stats.latencies_ms);
+        ServeLatency {
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            max_ms,
+        }
+    });
     let corrupt: usize = stats.corrupt_classes.values().sum();
     let anomalies =
         injected + corrupt + stats.duplicates + stats.shed + stats.retried + stats.expired;
@@ -1042,7 +1122,11 @@ fn build_outcome(
                     .then(|| resolved.shed_policy.name().to_string()),
                 injected,
                 corrupt,
-                corrupt_classes: stats.corrupt_classes.clone(),
+                corrupt_classes: stats
+                    .corrupt_classes
+                    .iter()
+                    .map(|(&class, &count)| (class.to_string(), count))
+                    .collect(),
                 duplicates: stats.duplicates,
                 submitted: stats.submitted,
                 shed: stats.shed,
@@ -1174,4 +1258,45 @@ pub fn serve_frames(
     let (_, server) = session_server(config, &resolved)?;
     let stats = serve_stream(frames, &resolved, &server, config)?;
     Ok(build_outcome(config, &resolved, stats, 0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::select_percentiles;
+    use pombm_geom::seeded_rng;
+    use rand::Rng;
+
+    /// The value at percentile `p`'s nearest rank of a sorted copy.
+    fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
+        let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
+        sorted_ms[idx]
+    }
+
+    /// Selection finds the values a sort puts at the max, p99, p95 and p50
+    /// ranks, for every length from 1 to 300, on samples drawn from a few
+    /// distinct values (so most repeat) and on spread-out samples.
+    #[test]
+    fn selected_percentiles_match_a_sorted_copy() {
+        let mut rng = seeded_rng(32, 0x5E1E);
+        for len in 1..=300 {
+            for distinct in [len.min(1 + len / 10), len] {
+                let mut samples: Vec<f64> = (0..len)
+                    .map(|_| rng.gen_range(0..distinct) as f64 * 0.125)
+                    .collect();
+                let mut sorted = samples.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+                let expected = [
+                    sorted[len - 1],
+                    percentile(&sorted, 99.0),
+                    percentile(&sorted, 95.0),
+                    percentile(&sorted, 50.0),
+                ];
+                assert_eq!(
+                    select_percentiles(&mut samples),
+                    expected,
+                    "length {len}, {distinct} distinct values"
+                );
+            }
+        }
+    }
 }

@@ -17,9 +17,13 @@
 //!    never a panic;
 //! 6. window range — a timestamp whose Δt window index is negative or
 //!    past `u64` is one typed `Transport` class, never clamped into a
-//!    window.
+//!    window;
+//! 7. the codec against a cursor reference — proptests that `encode`
+//!    writes, and `decode` reads and consumes, exactly what the
+//!    `Buf`/`BufMut` cursor codec does, on arbitrary bytes, on runs of
+//!    valid frames with a damaged tail, and on every `f64` bit pattern.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use pombm::serve::{NON_FINITE, WINDOW_RANGE};
 use pombm::{registry, run_serve, serve_frames, PipelineError, ServeConfig, ServeRequest};
 use proptest::prelude::*;
@@ -464,5 +468,213 @@ fn out_of_range_windows_are_a_typed_transport_class() {
         assert_eq!(outcome.report.requests, 2, "{label}");
         assert_eq!(outcome.report.batches, 1, "{label}");
         assert_eq!(outcome.assignments, [(1, Some(0))], "{label}");
+    }
+}
+
+// --- the codec against the cursor reference -------------------------------
+
+/// The frame codec as a `Buf`/`BufMut` cursor: each field is put or got in
+/// turn, and decoding consumes what it reads. `ServeRequest` reads and
+/// writes whole slices; these functions hold it to the same bytes, the same
+/// results and the same consumption.
+mod cursor {
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use pombm::serve::NON_FINITE;
+    use pombm::{PipelineError, ServeRequest};
+
+    const OP_CHECK_IN: u8 = 0x01;
+    const OP_CHECK_OUT: u8 = 0x02;
+    const OP_TASK: u8 = 0x03;
+    const OP_SHUTDOWN: u8 = 0x04;
+
+    const CHECK_IN_BODY: usize = 32;
+    const CHECK_OUT_BODY: usize = 16;
+    const TASK_BODY: usize = 32;
+    const SHUTDOWN_BODY: usize = 0;
+
+    pub fn encode(request: &ServeRequest) -> Bytes {
+        let (opcode, body) = match request {
+            ServeRequest::CheckIn { .. } => (OP_CHECK_IN, CHECK_IN_BODY),
+            ServeRequest::CheckOut { .. } => (OP_CHECK_OUT, CHECK_OUT_BODY),
+            ServeRequest::Task { .. } => (OP_TASK, TASK_BODY),
+            ServeRequest::Shutdown => (OP_SHUTDOWN, SHUTDOWN_BODY),
+        };
+        let mut frame = BytesMut::with_capacity(4 + 1 + body);
+        frame.put_u32(1 + body as u32);
+        frame.put_u8(opcode);
+        match *request {
+            ServeRequest::CheckIn {
+                worker: id,
+                at,
+                x,
+                y,
+            }
+            | ServeRequest::Task { task: id, at, x, y } => {
+                frame.put_u64(id);
+                frame.put_f64(at);
+                frame.put_f64(x);
+                frame.put_f64(y);
+            }
+            ServeRequest::CheckOut { worker, at } => {
+                frame.put_u64(worker);
+                frame.put_f64(at);
+            }
+            ServeRequest::Shutdown => {}
+        }
+        frame.freeze()
+    }
+
+    pub fn decode(buf: &mut Bytes) -> Result<ServeRequest, PipelineError> {
+        let request = decode_fields(buf)?;
+        let finite = match request {
+            ServeRequest::CheckIn { at, x, y, .. } | ServeRequest::Task { at, x, y, .. } => {
+                at.is_finite() && x.is_finite() && y.is_finite()
+            }
+            ServeRequest::CheckOut { at, .. } => at.is_finite(),
+            ServeRequest::Shutdown => true,
+        };
+        if finite {
+            Ok(request)
+        } else {
+            Err(PipelineError::Transport { why: NON_FINITE })
+        }
+    }
+
+    fn decode_fields(buf: &mut Bytes) -> Result<ServeRequest, PipelineError> {
+        let transport = |why| Err(PipelineError::Transport { why });
+        if buf.remaining() < 4 {
+            return transport("truncated frame: missing length prefix");
+        }
+        let len = buf.get_u32() as usize;
+        if buf.remaining() < len {
+            return transport("truncated frame: payload shorter than its length prefix");
+        }
+        if len == 0 {
+            return transport("empty payload: a frame needs at least an opcode");
+        }
+        let opcode = buf.get_u8();
+        let body = len - 1;
+        match opcode {
+            OP_CHECK_IN if body == CHECK_IN_BODY => Ok(ServeRequest::CheckIn {
+                worker: buf.get_u64(),
+                at: buf.get_f64(),
+                x: buf.get_f64(),
+                y: buf.get_f64(),
+            }),
+            OP_CHECK_OUT if body == CHECK_OUT_BODY => Ok(ServeRequest::CheckOut {
+                worker: buf.get_u64(),
+                at: buf.get_f64(),
+            }),
+            OP_TASK if body == TASK_BODY => Ok(ServeRequest::Task {
+                task: buf.get_u64(),
+                at: buf.get_f64(),
+                x: buf.get_f64(),
+                y: buf.get_f64(),
+            }),
+            OP_SHUTDOWN if body == SHUTDOWN_BODY => Ok(ServeRequest::Shutdown),
+            OP_CHECK_IN | OP_CHECK_OUT | OP_TASK | OP_SHUTDOWN => {
+                transport("length prefix does not match the opcode's body size")
+            }
+            _ => transport("unknown opcode"),
+        }
+    }
+}
+
+/// Any `f64` bit pattern: uniform bits, and far more often than uniform
+/// bits would give them, NaNs with any payload and sign, signed zeros and
+/// subnormals, and infinities.
+fn f64_bits() -> impl Strategy<Value = f64> {
+    (0u8..4, 0u64..=u64::MAX).prop_map(|(class, bits)| {
+        let (sign, mantissa) = (bits & (1 << 63), bits & ((1 << 52) - 1));
+        f64::from_bits(match class {
+            0 => bits,
+            1 => sign | 0x7FF0_0000_0000_0000 | mantissa.max(1),
+            2 => sign | mantissa >> (bits % 53),
+            _ => sign | 0x7FF0_0000_0000_0000,
+        })
+    })
+}
+
+/// Any request, with any `u64` id and any bit pattern in its `f64` fields.
+fn request() -> impl Strategy<Value = ServeRequest> {
+    (
+        0u8..4,
+        0u64..=u64::MAX,
+        proptest::array::uniform3(f64_bits()),
+    )
+        .prop_map(|(kind, id, [at, x, y])| match kind {
+            0 => ServeRequest::CheckIn {
+                worker: id,
+                at,
+                x,
+                y,
+            },
+            1 => ServeRequest::CheckOut { worker: id, at },
+            2 => ServeRequest::Task { task: id, at, x, y },
+            _ => ServeRequest::Shutdown,
+        })
+}
+
+/// A damaged frame: a length prefix up to 40, which covers every body
+/// size, an opcode byte up to 7, and up to 48 arbitrary bytes, so short,
+/// empty, mismatched and unknown-opcode frames all occur.
+fn damaged_frame() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u32..=40,
+        0u8..=7,
+        proptest::collection::vec(0u8..=255, 0..48),
+    )
+        .prop_map(|(len, opcode, rest)| {
+            let mut frame = len.to_be_bytes().to_vec();
+            frame.push(opcode);
+            frame.extend(rest);
+            frame
+        })
+}
+
+/// A decode result with its request as the cursor codec's bytes, so that
+/// equal results carry equal `f64` bits.
+fn as_frame(decoded: Result<ServeRequest, PipelineError>) -> Result<Bytes, PipelineError> {
+    decoded.map(|request| cursor::encode(&request))
+}
+
+proptest! {
+    /// Decoding one frame after another, `decode` returns what the cursor
+    /// codec returns (the same request or the same Transport class) and
+    /// leaves as many bytes behind: on arbitrary bytes, and on one to four
+    /// valid frames followed by a damaged one.
+    #[test]
+    fn decode_matches_the_cursor_codec(
+        raw in proptest::collection::vec(0u8..=255, 0..128),
+        frames in proptest::collection::vec(request(), 1..5),
+        tail in damaged_frame(),
+    ) {
+        let mut stream: Vec<u8> = frames.iter().flat_map(|r| cursor::encode(r).to_vec()).collect();
+        stream.extend(tail);
+        for bytes in [raw, stream] {
+            let (mut ours, mut reference) = (Bytes::from(bytes.clone()), Bytes::from(bytes));
+            loop {
+                let before = ours.remaining();
+                prop_assert_eq!(
+                    as_frame(ServeRequest::decode(&mut ours)),
+                    as_frame(cursor::decode(&mut reference))
+                );
+                prop_assert_eq!(ours.remaining(), reference.remaining());
+                if ours.remaining() == 0 || ours.remaining() == before {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// `encode` writes the cursor codec's bytes for any id and any `f64`
+    /// bit pattern, NaN payloads included.
+    #[test]
+    fn encode_matches_the_cursor_codec(
+        requests in proptest::collection::vec(request(), 1..32),
+    ) {
+        for request in requests {
+            prop_assert_eq!(request.encode(), cursor::encode(&request), "{:?}", request);
+        }
     }
 }

@@ -14,12 +14,16 @@
 //!    batch sizes {1, 2, 7, 64}, and that `assign_batch` is the
 //!    sequential drain;
 //! 4. report shape — JSON field names pinned, `latency` absent (not
-//!    `null`) without `--timings`.
+//!    `null`) without `--timings`;
+//! 5. id tables — a script replayed with its worker and task ids shifted
+//!    into the map fallback, or across the dense bound, assigns the same
+//!    pairs, and a replayed id counts once as a duplicate on either side.
 
 use bytes::{Buf, Bytes};
 use pombm::serve::assignment_fingerprint;
 use pombm::{
     registry, run_serve, serve_frames, PipelineError, Report, ServeConfig, ServeRequest, Server,
+    DEFAULT_SCENARIO,
 };
 use pombm_geom::seeded_rng;
 use pombm_workload::{synthetic, SyntheticParams};
@@ -596,6 +600,107 @@ fn channel_closed_is_a_typed_transport_error() {
         why: pombm::serve::CHANNEL_CLOSED,
     };
     assert_eq!(error.to_string(), "serve transport: channel closed");
+}
+
+// --- id tables: dense ids and the map fallback --------------------------
+
+/// `config(7)`'s timeline as a frame script, ordered as the `pombm::dynamic`
+/// docs say (time, then shift starts before shift ends before tasks, then
+/// id), with every worker id raised by `worker_shift` and every task id by
+/// `task_shift`. The first and last check-in and the first and last task
+/// are each delivered twice in a row.
+fn shifted_script(worker_shift: u64, task_shift: u64) -> Vec<Bytes> {
+    let config = config(7);
+    let scenario = registry().require_scenario(DEFAULT_SCENARIO).unwrap();
+    let instance = scenario.timeline_instance(config.seed, config.num_tasks, config.num_workers);
+    let plan = scenario
+        .shift_plan(&config.plan, config.num_workers, config.seed)
+        .unwrap();
+    let times = scenario.task_times(config.seed, config.num_tasks);
+    // (at, 0 shift start | 1 shift end | 2 task, worker or task index)
+    let mut events: Vec<(f64, u8, usize)> = Vec::new();
+    for shift in &plan.shifts {
+        events.push((shift.start, 0, shift.worker));
+        events.push((shift.end, 1, shift.worker));
+    }
+    events.extend(times.iter().enumerate().map(|(t, &at)| (at, 2, t)));
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+    let mut frames = Vec::new();
+    for (at, kind, index) in events {
+        let (request, count) = match kind {
+            0 => (
+                ServeRequest::CheckIn {
+                    worker: index as u64 + worker_shift,
+                    at,
+                    x: instance.workers[index].x,
+                    y: instance.workers[index].y,
+                },
+                config.num_workers,
+            ),
+            1 => (
+                ServeRequest::CheckOut {
+                    worker: index as u64 + worker_shift,
+                    at,
+                },
+                config.num_workers,
+            ),
+            _ => (
+                ServeRequest::Task {
+                    task: index as u64 + task_shift,
+                    at,
+                    x: instance.tasks[index].x,
+                    y: instance.tasks[index].y,
+                },
+                config.num_tasks,
+            ),
+        };
+        frames.push(request.encode());
+        if kind != 1 && (index == 0 || index == count - 1) {
+            frames.push(request.encode());
+        }
+    }
+    frames.push(ServeRequest::Shutdown.encode());
+    frames
+}
+
+/// The session keeps ids the load generator issues (`0..n`) in vectors and
+/// any other id in a map. The script as is must assign what the generator's
+/// own session does. The pools order residents by id, so shifting every id
+/// uniformly — all of them into the map (2⁴⁰), or half of each kind across
+/// the dense bound (`n / 2`) — must assign the same pairs under the shifted
+/// ids, with a bit-equal travel distance. The first check-in and task sit
+/// below the bound in the unshifted and straddling runs, the last ones
+/// above it in the straddling run, and each replay counts once as a
+/// duplicate.
+#[test]
+fn shifted_ids_take_the_map_fallback_with_the_same_assignments() {
+    let config = config(7);
+    let generated = run_serve(&config).unwrap();
+    let (workers, tasks) = (config.num_workers as u64, config.num_tasks as u64);
+    for (worker_shift, task_shift) in [(0, 0), (1 << 40, 1 << 40), (workers / 2, tasks / 2)] {
+        let label = format!("ids shifted by {worker_shift} / {task_shift}");
+        let shifted = serve_frames(&config, shifted_script(worker_shift, task_shift)).unwrap();
+        let unshifted: Vec<(u64, Option<u64>)> = shifted
+            .assignments
+            .iter()
+            .map(|&(task, worker)| (task - task_shift, worker.map(|w| w - worker_shift)))
+            .collect();
+        assert_eq!(unshifted, generated.assignments, "{label}");
+        assert_eq!(
+            shifted.report.total_distance.to_bits(),
+            generated.report.total_distance.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            shifted.report.requests,
+            generated.report.requests + 4,
+            "{label}"
+        );
+        let faults = shifted.report.faults.expect("replays force the block");
+        assert_eq!(faults.duplicates, 4, "{label}");
+        assert_eq!(faults.submitted, config.num_tasks, "{label}");
+        assert_eq!(faults.corrupt, 0, "{label}");
+    }
 }
 
 // --- batched pools (satellite: insert_batch ≡ single inserts) ----------
