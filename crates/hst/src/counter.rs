@@ -1,25 +1,38 @@
 //! Dynamic nearest-leaf index over the complete HST.
+//!
+//! A stored leaf is named by its [`LeafSlot`]: [`SubtreeCounter::insert`]
+//! returns it, both descents end on it, and [`SubtreeCounter::remove`] takes
+//! it and walks up from it. An owner keeps its per-leaf data in a vector
+//! indexed by the slot, with no map from codes. A leaf's slot passes to the
+//! next leaf inserted once the leaf's last occurrence is removed, so such a
+//! vector's entries are reused and it never outgrows the peak number of
+//! distinct leaves stored at once.
 
 use crate::code::{CodeContext, LeafCode};
 use rand::{Rng, RngCore};
 
-/// The root's slot in the arena.
+/// The root's slot in the inner arena.
 const ROOT: u32 = 0;
 
-/// "No node" in a link. The root is no node's child or sibling, so its
-/// slot is free to mean that.
-const NIL: u32 = ROOT;
+/// "No node" in a link. No arena reaches `2^32` slots, so it names none.
+const NIL: u32 = u32::MAX;
 
-/// Room for a leaf code's digits and its root path: `c^D` fits in a `u64`
-/// and `c ≥ 2`, so `D ≤ 63`.
+/// Room for a leaf code's digits: `c^D` fits in a `u64` and `c ≥ 2`, so
+/// `D ≤ 63`.
 const MAX_PATH: usize = 64;
 
-/// An occupied node of the complete tree, 16 bytes.
+/// The slot a link names, or `None` for [`NIL`].
+#[inline]
+fn linked(slot: u32) -> Option<u32> {
+    (slot != NIL).then_some(slot)
+}
+
+/// An occupied node of the complete tree, 20 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Stored leaves in the node's subtree, with multiplicity.
     count: u32,
-    /// The first occupied child, or [`NIL`].
+    /// The first occupied child, or [`NIL`]; always [`NIL`] at a leaf.
     first: u32,
     /// The next occupied sibling in ascending digit order, or [`NIL`]. On
     /// the free list: the next free slot.
@@ -27,6 +40,67 @@ struct Node {
     /// The branch from the parent: the node's code digit one level below
     /// the parent.
     digit: u32,
+    /// The parent's slot in the inner arena, or [`NIL`] at the root.
+    parent: u32,
+}
+
+/// The nodes of one kind, leaves or inner nodes, with the slots they freed
+/// linked through [`Node::next`].
+#[derive(Debug, Clone)]
+struct Arena {
+    nodes: Vec<Node>,
+    /// The first free slot, or [`NIL`].
+    free: u32,
+}
+
+impl Arena {
+    fn new() -> Self {
+        Arena {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Stores `node` in a free slot if there is one, and returns the slot.
+    fn alloc(&mut self, node: Node) -> u32 {
+        if self.free == NIL {
+            let slot = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&slot| slot != NIL)
+                .expect("an arena holds fewer than 2^32 tree nodes");
+            self.nodes.push(node);
+            slot
+        } else {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
+        }
+    }
+
+    /// Puts `slot` on the free list.
+    fn release(&mut self, slot: u32) {
+        self.nodes[slot as usize].next = self.free;
+        self.free = slot;
+    }
+}
+
+/// A stored leaf's handle: its slot in a [`SubtreeCounter`]'s leaf arena.
+///
+/// A slot names its leaf from the insert that stores the leaf until the
+/// removal of its last occurrence; the next leaf inserted may then take it.
+/// Slots are dense: each is below the peak number of distinct leaves the
+/// counter has held at once, so per-leaf data fits a vector indexed by
+/// [`LeafSlot::index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LeafSlot(u32);
+
+impl LeafSlot {
+    /// The slot as a vector index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// A dynamic multiset of complete-tree leaves supporting *nearest-leaf*
@@ -44,52 +118,55 @@ struct Node {
 /// [`Self::nearest`] takes the first occupied child at each level (Alg. 4's
 /// deterministic tie-break), and [`Self::nearest_random`] draws a child
 /// weighted by its count, which makes the leaf uniform over the nearest
-/// stored leaves.
+/// stored leaves. Both end on the stored leaf's [`LeafSlot`].
 ///
-/// The index is a digit trie held in one arena of 16-byte nodes: one node
-/// per occupied node of the complete tree, the root first, and each node's
-/// occupied children linked in ascending digit order, which is ascending
-/// child code. Insert, remove and both queries step along the code's `D`
-/// digits, each step a scan of one child list, with no hashing. A node
-/// whose count reaches 0 is unlinked and its slot goes on a free list that
-/// inserts reuse, so memory is `O(peak stored · D)` regardless of `c^D`.
+/// The index is a digit trie of 20-byte nodes: one node per occupied node
+/// of the complete tree, each node's occupied children linked in ascending
+/// digit order, which is ascending child code, and each node linked to its
+/// parent. Inner nodes (the root first) and leaves live in two arenas, so
+/// leaf slots stay dense. Insert and both queries step down the code's `D`
+/// digits, each step a scan of one child list, with no hashing; a removal
+/// steps up from the leaf's slot. A node whose count reaches 0 is unlinked
+/// and its slot goes on its arena's free list, which inserts reuse, so
+/// memory is `O(peak stored · D)` regardless of `c^D`.
 #[derive(Debug, Clone)]
 pub struct SubtreeCounter {
     ctx: CodeContext,
-    /// The root at [`ROOT`], then the occupied nodes and the free slots.
-    nodes: Vec<Node>,
-    /// The first free slot, linked through `next`, or [`NIL`].
-    free: u32,
+    /// Levels 1 to `D`: the root at [`ROOT`], then the occupied nodes and
+    /// the free slots.
+    inner: Arena,
+    /// Level 0: the occupied leaves and the free slots.
+    leaves: Arena,
 }
 
-/// Where a descent starts: the node at `level` on the query's root path,
-/// and its code prefix.
+/// Where a descent starts: the node at `level` on the query's root path.
 struct Start {
     level: u32,
-    prefix: u64,
     node: u32,
 }
 
 impl SubtreeCounter {
     /// Creates an empty index for trees with context `ctx`.
     pub fn new(ctx: CodeContext) -> Self {
-        let root = Node {
+        let mut inner = Arena::new();
+        inner.alloc(Node {
             count: 0,
             first: NIL,
             next: NIL,
             digit: 0,
-        };
+            parent: NIL,
+        });
         SubtreeCounter {
             ctx,
-            nodes: vec![root],
-            free: NIL,
+            inner,
+            leaves: Arena::new(),
         }
     }
 
     /// Number of leaves currently stored (counting multiplicity).
     #[inline]
     pub fn len(&self) -> usize {
-        self.node(ROOT).count as usize
+        self.inner.nodes[ROOT as usize].count as usize
     }
 
     /// True iff the index is empty.
@@ -98,51 +175,85 @@ impl SubtreeCounter {
         self.len() == 0
     }
 
-    /// Multiplicity of a specific leaf.
-    pub fn count(&self, code: LeafCode) -> u32 {
-        self.path(code).map_or(0, |path| self.node(path[0]).count)
+    /// Multiplicity of the leaf at `slot`: 0 once its last occurrence is
+    /// removed.
+    pub fn count(&self, slot: LeafSlot) -> u32 {
+        self.leaves.nodes[slot.index()].count
     }
 
-    /// Inserts one occurrence of `code`.
+    /// The code of the stored leaf at `slot`, read off the digits on its
+    /// root path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` holds no stored leaf.
+    pub fn code(&self, slot: LeafSlot) -> LeafCode {
+        let leaf = self.stored(slot);
+        let c = u64::from(self.ctx.branching);
+        let (mut code, mut scale, mut node) = (u64::from(leaf.digit), c, leaf.parent);
+        for level in 1..self.ctx.depth {
+            let inner = self.node(level, node);
+            code += u64::from(inner.digit) * scale;
+            scale *= c;
+            node = inner.parent;
+        }
+        LeafCode(code)
+    }
+
+    /// Inserts one occurrence of `code` and returns its leaf's slot.
     ///
     /// # Panics
     ///
     /// Panics if the code does not belong to the tree, or if the index
-    /// would occupy more than `2^32` tree nodes.
-    pub fn insert(&mut self, code: LeafCode) {
+    /// would occupy `2^32` leaves or inner nodes.
+    pub fn insert(&mut self, code: LeafCode) -> LeafSlot {
         let digits = self.digits(code).expect("code outside tree");
         let mut node = ROOT;
-        self.nodes[ROOT as usize].count += 1;
-        for level in (0..self.ctx.depth as usize).rev() {
-            node = self.child_or_insert(node, digits[level]);
-            self.nodes[node as usize].count += 1;
+        self.inner.nodes[ROOT as usize].count += 1;
+        for level in (1..=self.ctx.depth).rev() {
+            node = self.child_or_insert(level, node, digits[level as usize - 1]);
+            self.arena_mut(level - 1).nodes[node as usize].count += 1;
         }
+        LeafSlot(node)
     }
 
-    /// Removes one occurrence of `code`. Returns `false` (and changes
-    /// nothing) if the leaf is not present.
-    pub fn remove(&mut self, code: LeafCode) -> bool {
-        let Some(path) = self.path(code) else {
-            return false;
-        };
-        let depth = self.ctx.depth as usize;
-        for &node in &path[..=depth] {
-            self.nodes[node as usize].count -= 1;
-        }
-        // A node counts at least what its child does, so the emptied nodes
-        // are the path's lowest levels: free the highest and those below.
-        let emptied = path[..depth]
-            .iter()
-            .take_while(|&&node| self.node(node).count == 0)
-            .count();
-        if emptied > 0 {
-            self.unlink(path[emptied], path[emptied - 1]);
-            for &node in &path[..emptied] {
-                self.nodes[node as usize].next = self.free;
-                self.free = node;
+    /// Removes one occurrence of the stored leaf at `slot`, walking up its
+    /// parent links. The last occurrence frees the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` holds no stored leaf.
+    pub fn remove(&mut self, slot: LeafSlot) {
+        // An empty slot's count would wrap.
+        self.stored(slot);
+        let depth = self.ctx.depth;
+        // A node counts at least what its child does, so the nodes that
+        // reach 0 are the lowest on the path: `top` is the highest of them
+        // below the root, with its level.
+        let mut top = None;
+        let (mut level, mut node) = (0, slot.0);
+        while node != NIL {
+            let n = &mut self.arena_mut(level).nodes[node as usize];
+            n.count -= 1;
+            if n.count == 0 && level < depth {
+                top = Some((level, node));
             }
+            (level, node) = (level + 1, n.parent);
         }
-        true
+        let Some((top_level, top)) = top else {
+            return;
+        };
+        self.unlink(top_level + 1, self.node(top_level, top).parent, top);
+        // Free the emptied nodes, from the leaf up to `top`.
+        let (mut level, mut node) = (0, slot.0);
+        loop {
+            let parent = self.node(level, node).parent;
+            self.arena_mut(level).release(node);
+            if level == top_level {
+                break;
+            }
+            (level, node) = (level + 1, parent);
+        }
     }
 
     /// The code-arithmetic context this index was built for.
@@ -156,7 +267,7 @@ impl SubtreeCounter {
     /// Ties (same LCA level) are broken toward the smallest child index on
     /// the downward walk, i.e. deterministically: the leaf that comes
     /// first by (tree distance, code). Returns `None` if empty.
-    pub fn nearest(&self, query: LeafCode) -> Option<LeafCode> {
+    pub fn nearest(&self, query: LeafCode) -> Option<LeafSlot> {
         let start = self.lowest_occupied(query)?;
         Some(self.descend(start, None))
     }
@@ -172,7 +283,7 @@ impl SubtreeCounter {
     /// per level, over the occupied eligible children in child order, and
     /// takes the child the draw falls in. An empty index or an exact hit
     /// draws nothing. Returns `None` if empty.
-    pub fn nearest_random(&self, query: LeafCode, rng: &mut dyn RngCore) -> Option<LeafCode> {
+    pub fn nearest_random(&self, query: LeafCode, rng: &mut dyn RngCore) -> Option<LeafSlot> {
         let start = self.lowest_occupied(query)?;
         Some(self.descend(start, Some(rng)))
     }
@@ -194,67 +305,81 @@ impl SubtreeCounter {
             return None;
         }
         let digits = self.digits(query).expect("code outside tree");
-        let c = u64::from(self.ctx.branching);
-        let (mut node, mut prefix) = (ROOT, 0);
+        let mut node = ROOT;
         let mut lowest = None;
         for level in (1..=self.ctx.depth).rev() {
-            let digit = digits[level as usize - 1];
-            let child = self.child(node, digit);
-            if self.node(node).count > child.map_or(0, |child| self.node(child).count) {
-                lowest = Some(Start {
-                    level,
-                    prefix,
-                    node,
-                });
+            let child = self.child(level, node, digits[level as usize - 1]);
+            let below = child.map_or(0, |child| self.node(level - 1, child).count);
+            if self.node(level, node).count > below {
+                lowest = Some(Start { level, node });
             }
             let Some(child) = child else {
                 return lowest;
             };
             node = child;
-            prefix = prefix * c + u64::from(digit);
         }
-        Some(Start {
-            level: 0,
-            prefix,
-            node,
-        })
+        Some(Start { level: 0, node })
     }
 
     /// Descends from `start` to a stored leaf. Without `rng` each step takes
     /// the first occupied child; with it, a child with probability
     /// proportional to its count (see [`Self::nearest_random`]).
-    fn descend(&self, start: Start, mut rng: Option<&mut dyn RngCore>) -> LeafCode {
-        let c = u64::from(self.ctx.branching);
+    fn descend(&self, start: Start, mut rng: Option<&mut dyn RngCore>) -> LeafSlot {
         let Start {
             mut level,
-            mut prefix,
             mut node,
         } = start;
         while level > 0 {
-            let mut pick = match rng.as_deref_mut() {
-                Some(rng) => rng.gen_range(0..self.node(node).count),
-                None => 0,
+            node = match rng.as_deref_mut() {
+                None => self.node(level, node).first,
+                Some(rng) => {
+                    let mut pick = rng.gen_range(0..self.node(level, node).count);
+                    self.children(level, node)
+                        .find(|&child| {
+                            let n = self.node(level - 1, child).count;
+                            let hit = pick < n;
+                            if !hit {
+                                pick -= n;
+                            }
+                            hit
+                        })
+                        .expect("count invariant violated during descent")
+                }
             };
-            node = self
-                .children(node)
-                .find(|&child| {
-                    let n = self.node(child).count;
-                    let hit = pick < n;
-                    if !hit {
-                        pick -= n;
-                    }
-                    hit
-                })
-                .expect("count invariant violated during descent");
-            prefix = prefix * c + u64::from(self.node(node).digit);
             level -= 1;
         }
-        LeafCode(prefix)
+        LeafSlot(node)
+    }
+
+    /// The arena of the nodes at `level`.
+    #[inline]
+    fn arena(&self, level: u32) -> &Arena {
+        if level == 0 {
+            &self.leaves
+        } else {
+            &self.inner
+        }
     }
 
     #[inline]
-    fn node(&self, slot: u32) -> &Node {
-        &self.nodes[slot as usize]
+    fn arena_mut(&mut self, level: u32) -> &mut Arena {
+        if level == 0 {
+            &mut self.leaves
+        } else {
+            &mut self.inner
+        }
+    }
+
+    #[inline]
+    fn node(&self, level: u32, slot: u32) -> &Node {
+        &self.arena(level).nodes[slot as usize]
+    }
+
+    /// The leaf at `slot`, which must be stored.
+    fn stored(&self, slot: LeafSlot) -> &Node {
+        let leaf = &self.leaves.nodes[slot.index()];
+        assert!(leaf.count > 0, "{slot:?} holds no stored leaf");
+        leaf
     }
 
     /// `code`'s base-`c` digits, `digits[level]` being the branch from its
@@ -271,77 +396,66 @@ impl SubtreeCounter {
         (rest == 0).then_some(digits)
     }
 
-    /// The slot of each node on stored leaf `code`'s root path, `path[level]`
-    /// at `level` (the root at `D`), or `None` if `code` is not stored.
-    fn path(&self, code: LeafCode) -> Option<[u32; MAX_PATH]> {
-        let digits = self.digits(code)?;
-        let mut path = [ROOT; MAX_PATH];
-        for level in (0..self.ctx.depth as usize).rev() {
-            path[level] = self.child(path[level + 1], digits[level])?;
-        }
-        Some(path)
-    }
-
-    /// `parent`'s occupied children, in ascending digit order.
-    fn children(&self, parent: u32) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors(Some(self.node(parent).first), |&child| {
-            Some(self.node(child).next)
+    /// The occupied children of `parent`, a node at `level ≥ 1`, in
+    /// ascending digit order.
+    fn children(&self, level: u32, parent: u32) -> impl Iterator<Item = u32> + '_ {
+        let below = self.arena(level - 1);
+        std::iter::successors(linked(self.node(level, parent).first), |&child| {
+            linked(below.nodes[child as usize].next)
         })
-        .take_while(|&child| child != NIL)
     }
 
-    /// `parent`'s occupied child on branch `digit`, if any.
-    fn child(&self, parent: u32, digit: u32) -> Option<u32> {
-        self.children(parent)
-            .find(|&child| self.node(child).digit >= digit)
-            .filter(|&child| self.node(child).digit == digit)
+    /// The occupied child on branch `digit` of `parent`, a node at
+    /// `level ≥ 1`, if any.
+    fn child(&self, level: u32, parent: u32, digit: u32) -> Option<u32> {
+        let below = self.arena(level - 1);
+        self.children(level, parent)
+            .find(|&child| below.nodes[child as usize].digit >= digit)
+            .filter(|&child| below.nodes[child as usize].digit == digit)
     }
 
-    /// `parent`'s child on branch `digit`, linked in at its place in digit
-    /// order (in a free slot, if there is one) when it is not occupied yet.
-    fn child_or_insert(&mut self, parent: u32, digit: u32) -> u32 {
-        let (mut prev, mut next) = (NIL, self.node(parent).first);
-        while next != NIL && self.node(next).digit < digit {
-            (prev, next) = (next, self.node(next).next);
+    /// The child on branch `digit` of `parent`, a node at `level ≥ 1`,
+    /// linked in at its place in digit order (in a free slot, if there is
+    /// one) when it is not occupied yet.
+    fn child_or_insert(&mut self, level: u32, parent: u32, digit: u32) -> u32 {
+        let below = self.arena(level - 1);
+        let (mut prev, mut next) = (NIL, self.node(level, parent).first);
+        while next != NIL && below.nodes[next as usize].digit < digit {
+            (prev, next) = (next, below.nodes[next as usize].next);
         }
-        if next != NIL && self.node(next).digit == digit {
+        if next != NIL && below.nodes[next as usize].digit == digit {
             return next;
         }
-        let node = Node {
+        let below = self.arena_mut(level - 1);
+        let child = below.alloc(Node {
             count: 0,
             first: NIL,
             next,
             digit,
-        };
-        let child = if self.free == NIL {
-            let slot = u32::try_from(self.nodes.len()).expect("at most 2^32 occupied tree nodes");
-            self.nodes.push(node);
-            slot
-        } else {
-            let slot = self.free;
-            self.free = self.node(slot).next;
-            self.nodes[slot as usize] = node;
-            slot
-        };
+            parent,
+        });
         match prev {
-            NIL => self.nodes[parent as usize].first = child,
-            prev => self.nodes[prev as usize].next = child,
+            NIL => self.inner.nodes[parent as usize].first = child,
+            prev => below.nodes[prev as usize].next = child,
         }
         child
     }
 
-    /// Unlinks `child` from `parent`'s child list.
-    fn unlink(&mut self, parent: u32, child: u32) {
-        let next = self.node(child).next;
-        if self.node(parent).first == child {
-            self.nodes[parent as usize].first = next;
+    /// Unlinks `child` from the child list of `parent`, a node at
+    /// `level ≥ 1`.
+    fn unlink(&mut self, level: u32, parent: u32, child: u32) {
+        let first = self.node(level, parent).first;
+        let below = self.arena_mut(level - 1);
+        let next = below.nodes[child as usize].next;
+        if first == child {
+            self.inner.nodes[parent as usize].first = next;
             return;
         }
-        let mut prev = self.node(parent).first;
-        while self.node(prev).next != child {
-            prev = self.node(prev).next;
+        let mut prev = first;
+        while below.nodes[prev as usize].next != child {
+            prev = below.nodes[prev as usize].next;
         }
-        self.nodes[prev as usize].next = next;
+        below.nodes[prev as usize].next = next;
     }
 }
 
@@ -355,16 +469,18 @@ mod tests {
 
     /// Finds and removes a nearest leaf — the greedy matchers' step.
     fn take(idx: &mut SubtreeCounter, query: LeafCode) -> Option<LeafCode> {
-        let found = idx.nearest(query)?;
-        assert!(idx.remove(found));
-        Some(found)
+        let slot = idx.nearest(query)?;
+        let code = idx.code(slot);
+        idx.remove(slot);
+        Some(code)
     }
 
-    /// Slots on the free list.
-    fn free_slots(idx: &SubtreeCounter) -> usize {
-        std::iter::successors(Some(idx.free), |&slot| Some(idx.node(slot).next))
-            .take_while(|&slot| slot != NIL)
-            .count()
+    /// Slots on an arena's free list.
+    fn free_slots(arena: &Arena) -> usize {
+        std::iter::successors(linked(arena.free), |&slot| {
+            linked(arena.nodes[slot as usize].next)
+        })
+        .count()
     }
 
     /// Brute-force reference: nearest by scanning a vector.
@@ -373,6 +489,13 @@ mod tests {
             .iter()
             .copied()
             .min_by_key(|&s| (ctx.tree_dist_units(LeafCode(s), LeafCode(query)), s))
+    }
+
+    /// An index holding `stored`, with the slot each insert returned.
+    fn filled(ctx: CodeContext, stored: &[u64]) -> (SubtreeCounter, Vec<LeafSlot>) {
+        let mut idx = SubtreeCounter::new(ctx);
+        let slots = stored.iter().map(|&s| idx.insert(LeafCode(s))).collect();
+        (idx, slots)
     }
 
     #[test]
@@ -385,25 +508,48 @@ mod tests {
     #[test]
     fn exact_hit_has_distance_zero() {
         let mut idx = SubtreeCounter::new(ctx());
-        idx.insert(LeafCode(5));
-        assert_eq!(idx.nearest(LeafCode(5)), Some(LeafCode(5)));
+        let slot = idx.insert(LeafCode(5));
+        assert_eq!(idx.nearest(LeafCode(5)), Some(slot));
+        assert_eq!(idx.code(slot), LeafCode(5));
     }
 
     #[test]
     fn insert_remove_roundtrip() {
         let mut idx = SubtreeCounter::new(ctx());
-        idx.insert(LeafCode(3));
-        idx.insert(LeafCode(3));
-        assert_eq!(idx.count(LeafCode(3)), 2);
+        let slot = idx.insert(LeafCode(3));
+        assert_eq!(idx.insert(LeafCode(3)), slot, "one slot per stored leaf");
+        assert_eq!(idx.count(slot), 2);
         assert_eq!(idx.len(), 2);
-        assert!(idx.remove(LeafCode(3)));
-        assert_eq!(idx.count(LeafCode(3)), 1);
-        assert!(idx.remove(LeafCode(3)));
-        assert!(!idx.remove(LeafCode(3)), "third removal must fail");
+        idx.remove(slot);
+        assert_eq!(idx.count(slot), 1);
+        idx.remove(slot);
+        assert_eq!(idx.count(slot), 0);
         assert!(idx.is_empty());
-        // Only the root is left: every other slot is back on the free list.
-        assert_eq!(idx.nodes[ROOT as usize].first, NIL);
-        assert_eq!(free_slots(&idx) + 1, idx.nodes.len());
+        // Only the root is left: every other slot is back on a free list.
+        assert_eq!(idx.inner.nodes[ROOT as usize].first, NIL);
+        assert_eq!(free_slots(&idx.inner) + 1, idx.inner.nodes.len());
+        assert_eq!(free_slots(&idx.leaves), idx.leaves.nodes.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no stored leaf")]
+    fn removing_an_emptied_slot_panics() {
+        let mut idx = SubtreeCounter::new(ctx());
+        let slot = idx.insert(LeafCode(3));
+        idx.remove(slot);
+        idx.remove(slot);
+    }
+
+    #[test]
+    fn emptied_slots_go_to_the_next_leaves_inserted() {
+        let mut idx = SubtreeCounter::new(ctx());
+        let (a, b) = (idx.insert(LeafCode(3)), idx.insert(LeafCode(12)));
+        idx.remove(a);
+        let c = idx.insert(LeafCode(9));
+        assert_eq!(c, a, "the freed leaf slot is reused");
+        assert_eq!((idx.code(b), idx.code(c)), (LeafCode(12), LeafCode(9)));
+        assert_eq!(idx.nearest(LeafCode(8)), Some(c));
+        assert_eq!(idx.nearest(LeafCode(13)), Some(b));
     }
 
     #[test]
@@ -412,32 +558,30 @@ mod tests {
         let mut idx = SubtreeCounter::new(c);
         // 15 625 leaves visited in a scattered order, 32 stored at a time.
         let code = |i: u64| LeafCode(i * 7919 % c.num_leaves());
-        for i in 0..32 {
-            idx.insert(code(i));
-        }
+        let mut live: std::collections::VecDeque<LeafSlot> =
+            (0..32).map(|i| idx.insert(code(i))).collect();
         for i in 32..5000 {
-            assert!(idx.remove(code(i - 32)));
-            idx.insert(code(i));
+            idx.remove(live.pop_front().unwrap());
+            let slot = idx.insert(code(i));
+            assert_eq!(idx.code(slot), code(i));
+            live.push_back(slot);
         }
         assert_eq!(idx.len(), 32);
-        // At most D nodes per stored leaf, plus the root.
-        assert!(
-            idx.nodes.len() <= 1 + 32 * 6,
-            "arena grew to {}",
-            idx.nodes.len()
-        );
+        // At most D - 1 inner nodes per stored leaf, plus the root, and one
+        // leaf slot per stored leaf.
+        let inner = idx.inner.nodes.len();
+        assert!(inner <= 1 + 32 * 5, "inner arena grew to {inner}");
+        let leaves = idx.leaves.nodes.len();
+        assert!(leaves <= 32, "leaf arena grew to {leaves}");
     }
 
     #[test]
     fn nearest_matches_brute_force_binary() {
         let c = ctx();
         let stored = [0u64, 3, 9, 14, 15];
-        let mut idx = SubtreeCounter::new(c);
-        for &s in &stored {
-            idx.insert(LeafCode(s));
-        }
+        let (idx, _) = filled(c, &stored);
         for q in 0..16u64 {
-            let got = idx.nearest(LeafCode(q)).unwrap().0;
+            let got = idx.code(idx.nearest(LeafCode(q)).unwrap()).0;
             let want_dist = c.tree_dist_units(
                 LeafCode(brute_nearest(&c, &stored, q).unwrap()),
                 LeafCode(q),
@@ -450,17 +594,25 @@ mod tests {
 
     #[test]
     fn nearest_matches_brute_force_ternary() {
+        // Each slot insert returns reads back its code, the greedy descent
+        // ends on the slot of the brute-force answer's leaf, and the random
+        // one on a stored leaf's slot at the same distance.
         let c = CodeContext::new(3, 3);
-        let stored = [1u64, 7, 13, 26, 26];
-        let mut idx = SubtreeCounter::new(c);
-        for &s in &stored {
-            idx.insert(LeafCode(s));
+        let stored = [1u64, 7, 13, 26, 26, 4];
+        let (idx, slots) = filled(c, &stored);
+        for (&s, &slot) in stored.iter().zip(&slots) {
+            assert_eq!(idx.code(slot), LeafCode(s));
         }
+        let slot_of = |code: u64| slots[stored.iter().position(|&s| s == code).unwrap()];
+        let mut rng = pombm_geom::seeded_rng(9, 0);
         for q in 0..27u64 {
-            let got = idx.nearest(LeafCode(q)).unwrap().0;
             let want = brute_nearest(&c, &stored, q).unwrap();
+            assert_eq!(idx.nearest(LeafCode(q)), Some(slot_of(want)), "query {q}");
+            let drawn = idx.nearest_random(LeafCode(q), &mut rng).unwrap();
+            let code = idx.code(drawn);
+            assert_eq!(drawn, slot_of(code.0), "query {q}");
             assert_eq!(
-                c.tree_dist_units(LeafCode(got), LeafCode(q)),
+                c.tree_dist_units(code, LeafCode(q)),
                 c.tree_dist_units(LeafCode(want), LeafCode(q)),
                 "query {q}"
             );
@@ -470,10 +622,7 @@ mod tests {
     #[test]
     fn take_nearest_depletes_in_distance_order() {
         let c = ctx();
-        let mut idx = SubtreeCounter::new(c);
-        for s in [0u64, 1, 8] {
-            idx.insert(LeafCode(s));
-        }
+        let (mut idx, _) = filled(c, &[0, 1, 8]);
         // Query 0: distance 0 leaf first, then its level-1 sibling, then the
         // far side of the root.
         assert_eq!(take(&mut idx, LeafCode(0)), Some(LeafCode(0)));
@@ -485,9 +634,7 @@ mod tests {
     #[test]
     fn multiplicity_survives_take() {
         let c = ctx();
-        let mut idx = SubtreeCounter::new(c);
-        idx.insert(LeafCode(6));
-        idx.insert(LeafCode(6));
+        let (mut idx, _) = filled(c, &[6, 6]);
         assert_eq!(take(&mut idx, LeafCode(6)), Some(LeafCode(6)));
         assert_eq!(take(&mut idx, LeafCode(6)), Some(LeafCode(6)));
         assert_eq!(take(&mut idx, LeafCode(6)), None);

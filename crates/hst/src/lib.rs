@@ -36,8 +36,10 @@
 //!   nearest-leaf queries in `O(c·D)` pointer steps, deterministic or drawn
 //!   uniformly among the nearest, used to accelerate the paper's HST-greedy
 //!   matching beyond its `O(n·D)`-per-task linear scan. It is a digit trie
-//!   in one arena: a node per occupied tree node, children linked in digit
-//!   order, freed slots reused.
+//!   in two arenas, inner nodes and leaves: a node per occupied tree node,
+//!   children linked in digit order, each node linked to its parent, freed
+//!   slots reused. A stored leaf's [`LeafSlot`] is its handle: insert
+//!   returns it, both queries end on it, removal walks up from it.
 //!
 //! # Example
 //!
@@ -67,7 +69,7 @@ pub mod wire;
 
 pub use code::{CodeContext, CodeOverflow, LeafCode};
 pub use construct::{FixedDraw, RawTree};
-pub use counter::SubtreeCounter;
+pub use counter::{LeafSlot, SubtreeCounter};
 pub use tree::Hst;
 
 /// Tree distance between two leaves whose LCA is at `level`, in *tree units*

@@ -7,11 +7,14 @@
 //! static run is the special case that adds every worker first.
 //!
 //! * [`HstGreedyPool`] — Alg. 4 on the tree: the `O(c·D)` subtree-count
-//!   walk ([`SubtreeCounter`], an arena digit trie of the occupied tree
-//!   nodes) finds the nearest occupied leaf, whose lowest id takes the task;
+//!   walk ([`SubtreeCounter`], a digit trie of the occupied tree nodes)
+//!   ends on the nearest occupied leaf's [`LeafSlot`], whose lowest id
+//!   takes the task, and the counter's removal walks up from that slot;
 //!   [`HstGreedyPool::assign_random`] draws the leaf uniformly among the
 //!   nearest workers instead (Meyerson et al.'s tie-break), and its highest
-//!   id takes the task.
+//!   id takes the task. Each occupied leaf's ids sit in a list stored at
+//!   its slot; a list that empties keeps its capacity for the next leaf
+//!   that takes the slot.
 //! * [`DynamicKdRebuild`] — Euclidean nearest over planar reports via a
 //!   [`crate::kdtree::KdTree`], rebuilt lazily after pool mutations
 //!   (assignments use its logical deletion, so only shift churn pays the
@@ -24,8 +27,9 @@
 
 use crate::kdtree::KdTree;
 use pombm_geom::Point;
-use pombm_hst::{CodeContext, LeafCode, SubtreeCounter};
+use pombm_hst::{CodeContext, LeafCode, LeafSlot, SubtreeCounter};
 use rand::{Rng, RngCore};
+use std::collections::hash_map::Entry;
 #[expect(
     clippy::disallowed_types,
     reason = "imported for the pools' lookup-only maps"
@@ -44,33 +48,33 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct HstGreedyPool {
     /// The occupied leaves, with multiplicity: a digit trie of the occupied
-    /// tree nodes in one arena, walked in `O(c·D)` pointer steps.
+    /// tree nodes, walked in `O(c·D)` pointer steps. Its [`LeafSlot`]s
+    /// address `residents`.
     counter: SubtreeCounter,
     /// Present, unassigned workers resident at each occupied leaf, in
-    /// ascending id order: both ends leave in `O(1)`.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-leaf lookups only; draws resolve through the counter walk, never through map iteration"
-    )]
-    residents: HashMap<LeafCode, VecDeque<u64>>,
-    /// Leaf of each present, unassigned worker.
+    /// ascending id order, at the leaf's slot: both ends leave in `O(1)`.
+    /// A list that empties stays, with its capacity, for the next leaf that
+    /// takes its slot, so there are as many lists as the peak number of
+    /// occupied leaves.
+    residents: Vec<VecDeque<u64>>,
+    /// Leaf slot of each present, unassigned worker.
     #[expect(
         clippy::disallowed_types,
         reason = "per-id lookups only; never iterated"
     )]
-    leaf_of: HashMap<u64, LeafCode>,
+    leaf_of: HashMap<u64, LeafSlot>,
 }
 
 impl HstGreedyPool {
     /// Creates an empty pool for trees with context `ctx`.
     #[expect(
         clippy::disallowed_types,
-        reason = "builds the lookup-only `residents` and `leaf_of` maps"
+        reason = "builds the lookup-only `leaf_of` map"
     )]
     pub fn new(ctx: CodeContext) -> Self {
         HstGreedyPool {
             counter: SubtreeCounter::new(ctx),
-            residents: HashMap::new(),
+            residents: Vec::new(),
             leaf_of: HashMap::new(),
         }
     }
@@ -94,10 +98,7 @@ impl HstGreedyPool {
     /// Panics if `id` is already present — ids must be unique among live
     /// workers (a departed or assigned id may be reused).
     pub fn add(&mut self, id: u64, leaf: LeafCode) {
-        let prev = self.leaf_of.insert(id, leaf);
-        assert!(prev.is_none(), "worker id {id} already present");
-        self.counter.insert(leaf);
-        let residents = self.residents.entry(leaf).or_default();
+        let (_, residents) = self.enter(id, leaf);
         let pos = residents.partition_point(|&other| other < id);
         residents.insert(pos, id);
     }
@@ -115,30 +116,43 @@ impl HstGreedyPool {
     pub fn add_batch(&mut self, batch: impl IntoIterator<Item = (u64, LeafCode)>) {
         let mut unsorted = Vec::new();
         for (id, leaf) in batch {
-            let prev = self.leaf_of.insert(id, leaf);
-            assert!(prev.is_none(), "worker id {id} already present");
-            self.counter.insert(leaf);
-            let residents = self.residents.entry(leaf).or_default();
+            let (slot, residents) = self.enter(id, leaf);
             if residents.back().is_some_and(|&last| last > id) {
-                unsorted.push(leaf);
+                unsorted.push(slot);
             }
             residents.push_back(id);
         }
         unsorted.sort_unstable();
         unsorted.dedup();
-        for leaf in unsorted {
-            let residents = self.residents.get_mut(&leaf).expect("resident list");
-            residents.make_contiguous().sort_unstable();
+        for slot in unsorted {
+            self.residents[slot.index()]
+                .make_contiguous()
+                .sort_unstable();
         }
+    }
+
+    /// Records worker `id` at `leaf` in `leaf_of` and the counter, and
+    /// returns the leaf's slot and resident list, which `id` is not in yet.
+    fn enter(&mut self, id: u64, leaf: LeafCode) -> (LeafSlot, &mut VecDeque<u64>) {
+        let Entry::Vacant(entry) = self.leaf_of.entry(id) else {
+            panic!("worker id {id} already present");
+        };
+        let slot = entry.insert(self.counter.insert(leaf));
+        if slot.index() == self.residents.len() {
+            self.residents.push(VecDeque::new());
+        }
+        (*slot, &mut self.residents[slot.index()])
     }
 
     /// Withdraws an unassigned worker (shift end). Returns `false` if the
     /// worker is not present (already assigned or never added).
     pub fn withdraw(&mut self, id: u64) -> bool {
-        let Some(leaf) = self.leaf_of.get(&id).copied() else {
+        // Most check-outs name a worker already assigned, and a `get` misses
+        // in about half the time a `remove` does.
+        let Some(&slot) = self.leaf_of.get(&id) else {
             return false;
         };
-        self.take(leaf, |residents| {
+        self.take(slot, |residents| {
             let pos = residents
                 .binary_search(&id)
                 .expect("worker listed at its leaf");
@@ -150,8 +164,8 @@ impl HstGreedyPool {
     /// Assigns the tree-nearest available worker to the task leaf `t` and
     /// removes it from the pool. Returns `None` when the pool is empty.
     pub fn assign(&mut self, t: LeafCode) -> Option<u64> {
-        let leaf = self.counter.nearest(t)?;
-        Some(self.take(leaf, VecDeque::pop_front))
+        let slot = self.counter.nearest(t)?;
+        Some(self.take(slot, VecDeque::pop_front))
     }
 
     /// Assigns a tree-nearest available worker drawn uniformly on `rng`
@@ -159,26 +173,20 @@ impl HstGreedyPool {
     /// the drawn leaf gives up its highest id. Returns `None`, drawing
     /// nothing, when the pool is empty.
     pub fn assign_random(&mut self, t: LeafCode, rng: &mut dyn RngCore) -> Option<u64> {
-        let leaf = self.counter.nearest_random(t, rng)?;
-        Some(self.take(leaf, VecDeque::pop_back))
+        let slot = self.counter.nearest_random(t, rng)?;
+        Some(self.take(slot, VecDeque::pop_back))
     }
 
-    /// Removes the worker `pick` takes out of the occupied `leaf`'s list.
+    /// Removes the worker `pick` takes out of the list at the occupied
+    /// `slot`, one occurrence of the slot's leaf from the counter, and the
+    /// worker's `leaf_of` entry.
     fn take(
         &mut self,
-        leaf: LeafCode,
+        slot: LeafSlot,
         pick: impl FnOnce(&mut VecDeque<u64>) -> Option<u64>,
     ) -> u64 {
-        let residents = self
-            .residents
-            .get_mut(&leaf)
-            .expect("counter and residents agree");
-        let id = pick(residents).expect("an occupied leaf has residents");
-        if residents.is_empty() {
-            self.residents.remove(&leaf);
-        }
-        let removed = self.counter.remove(leaf);
-        debug_assert!(removed);
+        let id = pick(&mut self.residents[slot.index()]).expect("an occupied leaf has residents");
+        self.counter.remove(slot);
         self.leaf_of.remove(&id);
         id
     }
@@ -447,6 +455,31 @@ mod tests {
         let mut m = HstGreedyPool::new(ctx());
         m.add(1, LeafCode(0));
         m.add(1, LeafCode(1));
+    }
+
+    #[test]
+    fn churn_at_fixed_occupancy_does_not_grow_resident_storage() {
+        let c = CodeContext::new(5, 6);
+        let mut m = HstGreedyPool::new(c);
+        // 2 500 leaves visited in a scattered order, two workers each, 32
+        // workers present at a time: at most 17 leaves are occupied at once.
+        let leaf = |id: u64| LeafCode(id / 2 * 7919 % c.num_leaves());
+        m.add_batch((0..32).map(|id| (id, leaf(id))));
+        for id in 32..5000 {
+            let oldest = id - 32;
+            if id % 3 == 0 {
+                assert_eq!(m.assign(leaf(oldest)), Some(oldest));
+            } else {
+                assert!(m.withdraw(oldest));
+            }
+            m.add(id, leaf(id));
+        }
+        assert_eq!(m.available(), 32);
+        assert!(
+            m.residents.len() <= 17,
+            "{} resident lists after 5000 inserts",
+            m.residents.len()
+        );
     }
 
     #[test]

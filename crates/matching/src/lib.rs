@@ -16,7 +16,8 @@
 //!
 //! * **Tree** (Alg. 4, Lap-HG and TBF): [`HstGreedyPool`]'s `O(c·D)`
 //!   subtree-count walk over [`pombm_hst::SubtreeCounter`], a digit trie of
-//!   the occupied tree nodes held in one arena.
+//!   the occupied tree nodes whose leaf slots address the pool's resident
+//!   lists.
 //!   [`hst_greedy::greedy_reference`] is the paper's `O(n·D)` scan it must
 //!   equal.
 //! * **Plane** (Tong et al., PVLDB'16 — Lap-GR): [`DynamicKdRebuild`]'s

@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: leaf-code arithmetic, HST metric properties, subtree-counter
-//! consistency, weight-table normalization and mechanism support — and the
-//! equivalence oracles that pin every nearest-free-worker matcher to the
-//! paper's reference scan of its metric.
+//! and tree-pool consistency, weight-table normalization and mechanism
+//! support — and the equivalence oracles that pin every nearest-free-worker
+//! matcher to the paper's reference scan of its metric.
 
 #![allow(
     clippy::disallowed_types,
@@ -13,9 +13,9 @@
 use pombm::algorithm::{AssignCtx, ReportSet, Reports};
 use pombm::{registry, PipelineConfig, Server};
 use pombm_geom::{seeded_rng, Point, PointSet, Rect};
-use pombm_hst::{CodeContext, Hst, LeafCode, SubtreeCounter};
+use pombm_hst::{CodeContext, Hst, LeafCode, LeafSlot, SubtreeCounter};
 use pombm_matching::kdtree::KdTree;
-use pombm_matching::{euclidean, hst_greedy, ChainMatcher, Matching};
+use pombm_matching::{euclidean, hst_greedy, ChainMatcher, HstGreedyPool, Matching};
 use pombm_privacy::{Epsilon, WeightTable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -66,6 +66,11 @@ fn clustered_counter(
     (centres, stored, counter)
 }
 
+/// The code of the leaf at a slot a counter's query ended on.
+fn code_at(counter: &SubtreeCounter, slot: Option<LeafSlot>) -> Option<LeafCode> {
+    slot.map(|slot| counter.code(slot))
+}
+
 /// A query leaf: a stored one (an exact hit), a clustered one, or any leaf.
 fn arb_query(ctx: CodeContext, centres: &[u64], stored: &[LeafCode], rng: &mut StdRng) -> LeafCode {
     match rng.gen_range(0..3) {
@@ -81,6 +86,30 @@ fn reference_nearest(ctx: CodeContext, stored: &[LeafCode], query: LeafCode) -> 
         .iter()
         .copied()
         .min_by_key(|&s| (ctx.tree_dist_units(s, query), s))
+}
+
+/// The worker `HstGreedyPool::assign` takes: the first by (tree distance,
+/// leaf code, id).
+fn reference_assign(ctx: CodeContext, live: &[(u64, LeafCode)], task: LeafCode) -> Option<u64> {
+    live.iter()
+        .min_by_key(|&&(id, leaf)| (ctx.tree_dist_units(leaf, task), leaf, id))
+        .map(|&(id, _)| id)
+}
+
+/// The worker `HstGreedyPool::assign_random` takes: the highest id at the
+/// leaf [`reference_nearest_random`] draws over the live workers' leaves.
+fn reference_assign_random(
+    ctx: CodeContext,
+    live: &[(u64, LeafCode)],
+    task: LeafCode,
+    rng: &mut StdRng,
+) -> Option<u64> {
+    let leaves: Vec<LeafCode> = live.iter().map(|&(_, leaf)| leaf).collect();
+    let drawn = reference_nearest_random(ctx, &leaves, task, rng)?;
+    live.iter()
+        .filter(|&&(_, leaf)| leaf == drawn)
+        .map(|&(id, _)| id)
+        .max()
 }
 
 /// `SubtreeCounter::nearest_random` by brute force over the stored leaves
@@ -172,7 +201,7 @@ proptest! {
         let (centres, stored, counter) = clustered_counter(ctx, &mut rng);
         for _ in 0..20 {
             let query = arb_query(ctx, &centres, &stored, &mut rng);
-            prop_assert_eq!(counter.nearest(query), reference_nearest(ctx, &stored, query));
+            prop_assert_eq!(code_at(&counter, counter.nearest(query)), reference_nearest(ctx, &stored, query));
         }
     }
 
@@ -191,60 +220,142 @@ proptest! {
             let query = arb_query(ctx, &centres, &stored, &mut rng);
             let mut reference = draws.clone();
             let want = reference_nearest_random(ctx, &stored, query, &mut reference);
-            prop_assert_eq!(counter.nearest_random(query, &mut draws), want);
+            let drawn = counter.nearest_random(query, &mut draws);
+            prop_assert_eq!(code_at(&counter, drawn), want);
             prop_assert_eq!(&draws, &reference);
         }
     }
 
     /// Interleaved inserts, removes and queries keep the counter consistent
-    /// with a reference multiset: every removal's result, every count, and
-    /// both queries against their brute-force references.
+    /// with a reference multiset of (code, slot) pairs: each stored leaf has
+    /// one slot, which reads back its code and multiplicity, removals walk
+    /// up from the slot (some empty a leaf, whose slot the next leaves
+    /// inserted take), and both queries end on the slot of their
+    /// brute-force reference's leaf.
     #[test]
     fn counter_tracks_reference_multiset(ctx in arb_wide_ctx(), seed in 0u64..1_000_000) {
         let mut rng = seeded_rng(seed, 0);
         let centres = cluster_centres(ctx, &mut rng);
         let mut counter = SubtreeCounter::new(ctx);
-        let mut stored: Vec<LeafCode> = Vec::new();
+        let mut stored: Vec<(LeafCode, LeafSlot)> = Vec::new();
         let mut draws = seeded_rng(seed, 1);
+        let slot_of = |stored: &[(LeafCode, LeafSlot)], code: LeafCode| {
+            stored.iter().find(|&&(s, _)| s == code).map(|&(_, slot)| slot)
+        };
         for _ in 0..150 {
             match rng.gen_range(0..10) {
                 0..=3 => {
                     let code = clustered_leaf(ctx, &centres, &mut rng);
-                    counter.insert(code);
-                    stored.push(code);
+                    let slot = counter.insert(code);
+                    prop_assert_eq!(counter.code(slot), code);
+                    let held = slot_of(&stored, code);
+                    prop_assert!(held.is_none_or(|held| held == slot), "a stored leaf keeps its slot");
+                    stored.push((code, slot));
                 }
                 4..=5 if !stored.is_empty() => {
-                    let code = stored.swap_remove(rng.gen_range(0..stored.len()));
-                    prop_assert!(counter.remove(code));
-                    let left = stored.iter().filter(|&&s| s == code).count();
-                    prop_assert_eq!(counter.count(code) as usize, left);
+                    let (code, slot) = stored.swap_remove(rng.gen_range(0..stored.len()));
+                    counter.remove(slot);
+                    let left = stored.iter().filter(|&&(s, _)| s == code).count();
+                    prop_assert_eq!(counter.count(slot) as usize, left);
                 }
-                6 => {
-                    // Mostly absent: a clustered code, or one outside the tree.
-                    let code = match rng.gen_range(0..4) {
-                        0 => LeafCode(ctx.num_leaves() + rng.gen_range(0..1000)),
-                        _ => clustered_leaf(ctx, &centres, &mut rng),
-                    };
-                    let present = stored.iter().position(|&s| s == code);
-                    prop_assert_eq!(counter.remove(code), present.is_some());
-                    if let Some(at) = present {
+                6 if !stored.is_empty() => {
+                    // Every occurrence of one leaf: its slot is freed.
+                    let (code, slot) = stored[rng.gen_range(0..stored.len())];
+                    while let Some(at) = stored.iter().position(|&(s, _)| s == code) {
                         stored.swap_remove(at);
+                        counter.remove(slot);
                     }
+                    prop_assert_eq!(counter.count(slot), 0);
                 }
                 _ => {
-                    let query = arb_query(ctx, &centres, &stored, &mut rng);
-                    prop_assert_eq!(counter.nearest(query), reference_nearest(ctx, &stored, query));
+                    let codes: Vec<LeafCode> = stored.iter().map(|&(s, _)| s).collect();
+                    let query = arb_query(ctx, &centres, &codes, &mut rng);
+                    let want = reference_nearest(ctx, &codes, query);
+                    prop_assert_eq!(counter.nearest(query), want.and_then(|code| slot_of(&stored, code)));
                     let mut reference = draws.clone();
-                    let want = reference_nearest_random(ctx, &stored, query, &mut reference);
-                    prop_assert_eq!(counter.nearest_random(query, &mut draws), want);
+                    let want = reference_nearest_random(ctx, &codes, query, &mut reference);
+                    let drawn = counter.nearest_random(query, &mut draws);
+                    prop_assert_eq!(drawn, want.and_then(|code| slot_of(&stored, code)));
                     prop_assert_eq!(&draws, &reference);
                 }
             }
             prop_assert_eq!(counter.len(), stored.len());
             prop_assert_eq!(counter.is_empty(), stored.is_empty());
-            for &s in &stored {
-                let want = stored.iter().filter(|&&t| t == s).count();
-                prop_assert_eq!(counter.count(s) as usize, want);
+            for &(s, slot) in &stored {
+                let want = stored.iter().filter(|&&(t, _)| t == s).count();
+                prop_assert_eq!(counter.count(slot) as usize, want);
+                prop_assert_eq!(counter.code(slot), s);
+            }
+        }
+    }
+
+    /// Random interleavings of `add`, `add_batch` (ids descending),
+    /// `withdraw`, `assign` and `assign_random` keep `HstGreedyPool` equal to
+    /// a live (id, leaf) list: `assign` takes the first worker by (tree
+    /// distance, leaf code, id), and `assign_random` the highest id at the
+    /// leaf the count-weighted reference draws, on a copy of the tie
+    /// stream. Ids come from a small range, so departed and assigned ids
+    /// come back; leaves are clustered, so several workers share a leaf;
+    /// and leaves empty, so their slots go to other leaves. Every step
+    /// compares the returned ids, `available()`, `contains()` and the tie
+    /// stream.
+    #[test]
+    fn pool_tracks_reference_model(ctx in arb_wide_ctx(), seed in 0u64..1_000_000) {
+        const IDS: u64 = 24;
+        let mut rng = seeded_rng(seed, 0);
+        let centres = cluster_centres(ctx, &mut rng);
+        let mut pool = HstGreedyPool::new(ctx);
+        let mut live: Vec<(u64, LeafCode)> = Vec::new();
+        let (mut draws, mut reference) = (seeded_rng(seed, 1), seeded_rng(seed, 1));
+        for _ in 0..150 {
+            let mut absent: Vec<u64> = (0..IDS).filter(|&id| live.iter().all(|&(w, _)| w != id)).collect();
+            match rng.gen_range(0..10) {
+                0..=2 if !absent.is_empty() => {
+                    let id = absent[rng.gen_range(0..absent.len())];
+                    let leaf = clustered_leaf(ctx, &centres, &mut rng);
+                    pool.add(id, leaf);
+                    live.push((id, leaf));
+                }
+                3 if !absent.is_empty() => {
+                    let keep = rng.gen_range(1..=absent.len().min(6));
+                    while absent.len() > keep {
+                        absent.swap_remove(rng.gen_range(0..absent.len()));
+                    }
+                    absent.sort_unstable_by(|a, b| b.cmp(a));
+                    let batch: Vec<(u64, LeafCode)> = absent
+                        .iter()
+                        .map(|&id| (id, clustered_leaf(ctx, &centres, &mut rng)))
+                        .collect();
+                    pool.add_batch(batch.iter().copied());
+                    live.extend(batch);
+                }
+                4 => {
+                    let id = rng.gen_range(0..IDS);
+                    let at = live.iter().position(|&(w, _)| w == id);
+                    prop_assert_eq!(pool.withdraw(id), at.is_some());
+                    if let Some(at) = at {
+                        live.swap_remove(at);
+                    }
+                }
+                step => {
+                    let leaves: Vec<LeafCode> = live.iter().map(|&(_, leaf)| leaf).collect();
+                    let task = arb_query(ctx, &centres, &leaves, &mut rng);
+                    let (got, want) = if step < 7 {
+                        (pool.assign(task), reference_assign(ctx, &live, task))
+                    } else {
+                        (
+                            pool.assign_random(task, &mut draws),
+                            reference_assign_random(ctx, &live, task, &mut reference),
+                        )
+                    };
+                    prop_assert_eq!(got, want);
+                    live.retain(|&(w, _)| Some(w) != want);
+                }
+            }
+            prop_assert_eq!(&draws, &reference);
+            prop_assert_eq!(pool.available(), live.len());
+            for id in 0..IDS {
+                prop_assert_eq!(pool.contains(id), live.iter().any(|&(w, _)| w == id));
             }
         }
     }
