@@ -196,7 +196,9 @@ fn batch_interval_is_part_of_the_identity() {
 /// Golden fingerprints, one per (mechanism, matcher, plan, Δt) spread —
 /// any change to the serve RNG schedule, the window phases, the pool
 /// batch ops or the timeline builder shows up here. Recorded from the
-/// first build of the serve engine.
+/// first build of the serve engine; the `exp` row, whose reporter caches
+/// alias tables across reports, was recorded before a session built one
+/// reporter for all its windows.
 #[test]
 fn golden_serve_fingerprints() {
     const GOLDEN: &[(&str, &str, &str, f64, u64, &str)] = &[
@@ -211,6 +213,7 @@ fn golden_serve_fingerprints() {
             7,
             "3d767fe963d7016b",
         ),
+        ("exp", "hst-greedy", "short", 1.0, 5, "7920fdcdf94bb29e"),
     ];
     for &(mechanism, matcher, plan, batch_interval, seed, expected) in GOLDEN {
         let outcome = run_serve(&ServeConfig {
