@@ -130,8 +130,9 @@ COMMANDS:
               the job space into a self-describing partial report for
               `pombm merge`; --checkpoint DIR appends finished cells to a
               resumable fingerprint-keyed log (re-runs skip them, logged
-              to stderr); --max-cells N stops a checkpointed run after N
-              fresh cells (exit nonzero; re-run to resume)
+              to stderr); --max-cells N computes only the first N cells
+              the log lacks, in job order, and exits nonzero if more
+              remain (re-run to resume)
   merge       validate partitioned sweep partials (disjoint full coverage,
               identical config fingerprints) and reassemble the
               single-process report — with --json, byte-identical to the

@@ -388,6 +388,36 @@ pub struct ReportSet {
 pub trait PointReporter {
     /// Obfuscates one true location into a report.
     fn report(&mut self, location: &Point, rng: &mut StdRng) -> Report;
+
+    /// Obfuscates a whole batch, continuing `rng` exactly as the scalar
+    /// loop `locations.iter().map(|p| self.report(p, rng))` would.
+    ///
+    /// **Contract:** output and final `rng` state are bit-identical to
+    /// that scalar loop for every `threads` value (`0` = auto-size from
+    /// the batch, `1` = scalar) — `threads` trades wall-clock for cores,
+    /// never results. The generic driver ([`crate::run_spec`]) dispatches
+    /// every mechanism through this entry point, which is why golden
+    /// fingerprints recorded against the scalar driver stay valid.
+    ///
+    /// The default implementation is the scalar loop itself (correct for
+    /// any reporter, including custom ones with cross-report state). Only
+    /// [`Mechanism::Laplace`]'s reporter leaves it, dispatching into
+    /// [`pombm_privacy::batch`], whose snapshot pass gives each item its own
+    /// RNG stream so the expensive sampling parallelizes without perturbing
+    /// the shared stream. The HST walk keeps the scalar loop: replaying its
+    /// coin flips is most of the walk, so a snapshot pass made two threads
+    /// slower than one.
+    fn report_batch(
+        &mut self,
+        locations: &[Point],
+        rng: &mut StdRng,
+        threads: usize,
+    ) -> Vec<Report> {
+        // The scalar loop is what every thread count must reproduce, so
+        // the default implementation is thread-count independent.
+        let _ = threads;
+        locations.iter().map(|p| self.report(p, rng)).collect()
+    }
 }
 
 /// Stage 1 of the framework: turns true locations into obfuscated reports.
@@ -411,24 +441,9 @@ pub trait ReportMechanism: Send + Sync {
         server: Option<&'a Server>,
     ) -> Result<Box<dyn PointReporter + 'a>, PipelineError>;
 
-    /// Obfuscates a whole batch, continuing `rng` exactly as the scalar
-    /// loop `locations.iter().map(|p| reporter.report(p, rng))` would.
-    ///
-    /// **Contract:** output and final `rng` state are bit-identical to
-    /// that scalar loop for every `threads` value (`0` = auto-size from
-    /// the batch, `1` = scalar) — `threads` trades wall-clock for cores,
-    /// never results. The generic driver ([`crate::run_spec`]) dispatches
-    /// every mechanism through this entry point, which is why golden
-    /// fingerprints recorded against the scalar driver stay valid.
-    ///
-    /// The default implementation is the scalar loop itself (correct for
-    /// any mechanism, including custom ones with cross-report reporter
-    /// state). Only [`Mechanism::Laplace`] leaves it, dispatching into
-    /// [`pombm_privacy::batch`], whose snapshot pass gives each item its own
-    /// RNG stream so the expensive sampling parallelizes without perturbing
-    /// the shared stream. The HST walk keeps the scalar loop: replaying its
-    /// coin flips is most of the walk, so a snapshot pass made two threads
-    /// slower than one.
+    /// Obfuscates one batch through a fresh reporter's
+    /// [`PointReporter::report_batch`], under its contract. A caller with
+    /// many batches builds one reporter and keeps it.
     fn report_batch(
         &self,
         epsilon: Epsilon,
@@ -437,24 +452,10 @@ pub trait ReportMechanism: Send + Sync {
         rng: &mut StdRng,
         threads: usize,
     ) -> Result<Vec<Report>, PipelineError> {
-        // The scalar loop is what every thread count must reproduce, so
-        // the default implementation is thread-count independent.
-        let _ = threads;
-        Ok(report_each(
-            self.reporter(epsilon, server)?.as_mut(),
-            locations,
-            rng,
-        ))
+        Ok(self
+            .reporter(epsilon, server)?
+            .report_batch(locations, rng, threads))
     }
-}
-
-/// The scalar loop every [`ReportMechanism::report_batch`] reproduces.
-fn report_each<R: PointReporter + ?Sized>(
-    reporter: &mut R,
-    locations: &[Point],
-    rng: &mut StdRng,
-) -> Vec<Report> {
-    locations.iter().map(|p| reporter.report(p, rng)).collect()
 }
 
 /// Mutable context handed to [`AssignStrategy::assign`].
@@ -657,29 +658,26 @@ impl PointReporter for MechanismReporter<'_> {
             MechanismReporter::Blind => Report::Blind,
         }
     }
-}
 
-impl Mechanism {
-    /// The per-run state [`ReportMechanism::reporter`] boxes.
-    fn state<'a>(
-        self,
-        epsilon: Epsilon,
-        server: Option<&'a Server>,
-    ) -> Result<MechanismReporter<'a>, PipelineError> {
-        Ok(match self {
-            Mechanism::Laplace => MechanismReporter::Laplace(PlanarLaplace::new(epsilon)),
-            Mechanism::HstWalk => {
-                let server = server.ok_or(PipelineError::MissingServer("hst mechanism"))?;
-                MechanismReporter::HstWalk(HstMechanism::new(server.hst(), epsilon), server)
-            }
-            Mechanism::Exponential => {
-                let server = server.ok_or(PipelineError::MissingServer("exp mechanism"))?;
-                let points = server.hst().points().clone();
-                MechanismReporter::Exponential(ExponentialMechanism::new(points, epsilon), server)
-            }
-            Mechanism::Identity => MechanismReporter::Identity,
-            Mechanism::Blind => MechanismReporter::Blind,
-        })
+    fn report_batch(
+        &mut self,
+        locations: &[Point],
+        rng: &mut StdRng,
+        threads: usize,
+    ) -> Vec<Report> {
+        let MechanismReporter::Laplace(mechanism) = self else {
+            return locations.iter().map(|p| self.report(p, rng)).collect();
+        };
+        // `0` sizes the pool from the batch: one thread per ~4096 items,
+        // capped by cores.
+        let threads = match threads {
+            0 => pombm_privacy::batch::default_threads(locations.len()),
+            n => n,
+        };
+        pombm_privacy::batch::obfuscate_points_batch(mechanism, locations, rng, threads)
+            .into_iter()
+            .map(Report::Planar)
+            .collect()
     }
 }
 
@@ -713,37 +711,20 @@ impl ReportMechanism for Mechanism {
         epsilon: Epsilon,
         server: Option<&'a Server>,
     ) -> Result<Box<dyn PointReporter + 'a>, PipelineError> {
-        Ok(Box::new(self.state(epsilon, server)?))
-    }
-
-    fn report_batch(
-        &self,
-        epsilon: Epsilon,
-        server: Option<&Server>,
-        locations: &[Point],
-        rng: &mut StdRng,
-        threads: usize,
-    ) -> Result<Vec<Report>, PipelineError> {
-        if *self == Mechanism::Laplace {
-            // `0` sizes the pool from the batch: one thread per ~4096
-            // items, capped by cores.
-            let threads = match threads {
-                0 => pombm_privacy::batch::default_threads(locations.len()),
-                n => n,
-            };
-            let mechanism = PlanarLaplace::new(epsilon);
-            return Ok(pombm_privacy::batch::obfuscate_points_batch(
-                &mechanism, locations, rng, threads,
-            )
-            .into_iter()
-            .map(Report::Planar)
-            .collect());
-        }
-        Ok(report_each(
-            &mut self.state(epsilon, server)?,
-            locations,
-            rng,
-        ))
+        Ok(Box::new(match self {
+            Mechanism::Laplace => MechanismReporter::Laplace(PlanarLaplace::new(epsilon)),
+            Mechanism::HstWalk => {
+                let server = server.ok_or(PipelineError::MissingServer("hst mechanism"))?;
+                MechanismReporter::HstWalk(HstMechanism::new(server.hst(), epsilon), server)
+            }
+            Mechanism::Exponential => {
+                let server = server.ok_or(PipelineError::MissingServer("exp mechanism"))?;
+                let points = server.hst().points().clone();
+                MechanismReporter::Exponential(ExponentialMechanism::new(points, epsilon), server)
+            }
+            Mechanism::Identity => MechanismReporter::Identity,
+            Mechanism::Blind => MechanismReporter::Blind,
+        }))
     }
 }
 

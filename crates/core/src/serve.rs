@@ -32,8 +32,9 @@
 //! three phases:
 //!
 //! 1. **check-ins** — all buffered worker locations are obfuscated in one
-//!    [`ReportMechanism::report_batch`] call (bit-identical to the scalar
-//!    loop at any thread count) and registered via `insert_batch`;
+//!    [`PointReporter::report_batch`] call on the session's one reporter
+//!    (bit-identical to the scalar loop at any thread count) and
+//!    registered via `insert_batch`;
 //! 2. **check-outs** — buffered withdrawals are applied (no-ops for
 //!    workers already assigned);
 //! 3. **tasks** — the queue depth is recorded, task locations are
@@ -96,7 +97,7 @@
 //! pinned fingerprints.
 
 use crate::algorithm::{
-    DynamicAssignStrategy, DynamicWorkerPool, PipelineError, Report, ReportMechanism,
+    DynamicAssignStrategy, DynamicWorkerPool, PipelineError, PointReporter, Report, ReportMechanism,
 };
 use crate::dynamic::EventKind;
 use crate::fault::{FaultPlan, ShedPolicy, DEADLINE_WINDOWS, DEFAULT_FAULT_RATE, FAULT_STREAM};
@@ -589,10 +590,9 @@ impl<T: Copy> IdTable<T> {
 /// Aggregates the resident half of a session: the pool, the two RNG
 /// streams, the window buffers and the running counters.
 struct Engine<'a> {
-    mechanism: &'a dyn ReportMechanism,
-    server: &'a Server,
+    /// The mechanism's per-run state, built once for the session.
+    reporter: Box<dyn PointReporter + 'a>,
     pool: Box<dyn DynamicWorkerPool + 'a>,
-    epsilon: Epsilon,
     threads: usize,
     batch_interval: f64,
     timings: bool,
@@ -644,11 +644,10 @@ impl<'a> Engine<'a> {
         server: &'a Server,
         config: &ServeConfig,
     ) -> Result<Self, PipelineError> {
+        let epsilon = Epsilon::new(config.epsilon);
         Ok(Engine {
-            mechanism: resolved.mechanism.as_ref(),
-            server,
+            reporter: resolved.mechanism.reporter(epsilon, Some(server))?,
             pool: resolved.matcher.pool(Some(server))?,
-            epsilon: Epsilon::new(config.epsilon),
             threads: config.threads,
             batch_interval: config.batch_interval,
             timings: config.timings,
@@ -844,13 +843,9 @@ impl<'a> Engine<'a> {
         // Phase 1: batch-obfuscate and register the window's check-ins.
         if !self.pending_checkins.is_empty() {
             let points: Vec<Point> = self.pending_checkins.iter().map(|&(_, p)| p).collect();
-            let reports = self.mechanism.report_batch(
-                self.epsilon,
-                Some(self.server),
-                &points,
-                &mut self.mech_rng,
-                self.threads,
-            )?;
+            let reports = self
+                .reporter
+                .report_batch(&points, &mut self.mech_rng, self.threads);
             let batch: Vec<(u64, Report)> = self
                 .pending_checkins
                 .drain(..)
@@ -869,13 +864,9 @@ impl<'a> Engine<'a> {
         self.stats.queue_sum += depth;
         if depth > 0 {
             let points: Vec<Point> = self.pending_tasks.iter().map(|t| t.location).collect();
-            let reports = self.mechanism.report_batch(
-                self.epsilon,
-                Some(self.server),
-                &points,
-                &mut self.mech_rng,
-                self.threads,
-            )?;
+            let reports = self
+                .reporter
+                .report_batch(&points, &mut self.mech_rng, self.threads);
             let tasks: Vec<PendingTask> = self.pending_tasks.drain(..).collect();
             let slots = self.pool.assign_batch(reports, &mut self.tie_rng)?;
             #[expect(

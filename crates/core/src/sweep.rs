@@ -38,11 +38,11 @@
 //! # Determinism
 //!
 //! Jobs fan out over `crossbeam` scoped threads in contiguous shard
-//! chunks. Every job seeds its RNG streams from its *index in the job
-//! list*, and instances, task times and shift plans derive from
-//! `(seed, size)` and `(seed, size, plan)` alone, so output is
-//! bit-identical for every shard count and every pairing in a column faces
-//! the same workload. In-cell threads ([`PipelineConfig::threads`]) never
+//! chunks, each shard writing only its own chunk of the output. Every job
+//! seeds its RNG streams from its *index in the job list*, and instances,
+//! task times and shift plans derive from `(seed, size)` and `(seed, size,
+//! plan)` alone, so output is bit-identical for every shard count and
+//! every pairing in a column faces the same workload. In-cell threads ([`PipelineConfig::threads`]) never
 //! change a byte either. `timings` adds a `wall_ms` column that is absent
 //! (not `null`) when off, keeping golden byte-compares exact. Incompatible
 //! pairings and degenerate measurements record the typed error's message
@@ -55,11 +55,13 @@
 //! contiguous slice of job indices, [`run_sweep_partition`] computes it
 //! into a self-describing [`Partial`], and [`crate::merge::merge`]
 //! reassembles a full set into JSON byte-identical to a single-process
-//! run. With a checkpoint directory, each completed cell is appended to a
-//! `{flavor}-{fingerprint}.jsonl` log as it finishes; a re-run under any
-//! partition spec resumes the surviving entries byte-identically, since
-//! cells are deterministic and the JSON encoding round-trips `f64`s
-//! exactly.
+//! run. With a checkpoint directory, a run plans before it fans out: it
+//! reads the `{flavor}-{fingerprint}.jsonl` log once, only the slice's
+//! jobs the log lacks go to the shards, and each fresh cell is appended to
+//! the log as it finishes. A `max_cells` cap keeps the first `N` missing
+//! jobs in job order, at every shard count. A re-run under any partition
+//! spec resumes the logged cells byte-identically, since cells are
+//! deterministic and the JSON encoding round-trips `f64`s exactly.
 
 use crate::algorithm::{AssignStrategy, DynamicAssignStrategy, PipelineError, ReportMechanism};
 use crate::dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
@@ -78,15 +80,10 @@ use parking_lot::Mutex;
 use pombm_matching::ClairvoyantAssignment;
 use pombm_workload::shifts::ShiftPlan;
 use serde::{Deserialize, Serialize, Value};
-#[expect(
-    clippy::disallowed_types,
-    reason = "imported for the checkpoint's lookup-only `logged` map"
-)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What to sweep: the pairing filter, the instance/ε grid, and the
@@ -281,9 +278,7 @@ pub fn sweep_job_count<F: SweepFlavor>(config: &F) -> Result<usize, PipelineErro
 /// cells, not returned.
 pub fn run_sweep<F: SweepFlavor>(config: &F) -> Result<F::Report, PipelineError> {
     let jobs = config.jobs()?;
-    let cells = execute(&jobs, 0..jobs.len(), config.shards(), None, |job| {
-        config.run_job(job)
-    })?;
+    let cells = execute(&jobs, config.shards(), |job| Ok(config.run_job(job)))?;
     Ok(config.report(cells))
 }
 
@@ -479,8 +474,9 @@ pub struct PartitionRun {
     /// fingerprint-keyed JSONL log as they finish, and cells already in
     /// the log are resumed instead of recomputed.
     pub checkpoint: Option<PathBuf>,
-    /// Stop (with [`PipelineError::CellCap`]) after this many *freshly
-    /// computed* cells; requires `checkpoint` so the work survives.
+    /// Compute only the first this-many cells the log lacks, in job order,
+    /// and stop with [`PipelineError::CellCap`] if any remain; requires
+    /// `checkpoint` so the work survives.
     pub max_cells: Option<usize>,
 }
 
@@ -494,50 +490,38 @@ pub struct PartialRunStats {
     pub computed: usize,
 }
 
-/// A checkpointed run's state, threaded through [`execute`]: the
-/// append-only JSONL log of completed cells, the fresh-cell cap, and the
-/// resume counters. The log is keyed by flavour + config fingerprint so
-/// runs of a different configuration can share one directory without ever
-/// resuming each other's cells. Each line is `[global_job_index, cell]`; a
-/// kill can truncate only the final line, which (like any unparseable
-/// line) is simply recomputed on resume.
-struct Checkpoint<T> {
+/// A checkpointed run's append-only JSONL log of completed cells, keyed by
+/// flavour + config fingerprint so runs of a different configuration can
+/// share one directory without ever resuming each other's cells. Each
+/// line is `[global_job_index, cell]`. [`run_slice`] reads the log once,
+/// before any thread starts; the shards then append their fresh cells
+/// through the one file lock. A kill can truncate only the final line,
+/// which (like any unparseable line) is simply recomputed on resume.
+struct Checkpoint {
     path: PathBuf,
     file: Mutex<std::fs::File>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed lookups via remove(&index) only; cells are re-emitted in job order, never in map order"
-    )]
-    logged: Mutex<HashMap<usize, T>>,
-    max_cells: Option<usize>,
-    resumed: AtomicUsize,
-    computed: AtomicUsize,
 }
 
-impl<T: Serialize + Deserialize> Checkpoint<T> {
-    /// Opens (or creates) the log for `flavor`+`fingerprint` and loads its
-    /// resumable cells. `total_jobs` bounds the persisted indices: a line
+impl Checkpoint {
+    /// Opens (or creates) the log for `flavor`+`fingerprint` and reads its
+    /// resumable cells by job index; a later line for an index replaces an
+    /// earlier one. `total_jobs` bounds the persisted indices: a line
     /// whose u64 index does not fit `usize` or falls outside the job list
     /// is corrupt or foreign and is skipped — recomputed like a torn line,
     /// never a panic or a silent misplacement.
-    fn open(
+    fn open<T: Deserialize>(
         dir: &Path,
         flavor: &str,
         fingerprint: &str,
         total_jobs: usize,
-        max_cells: Option<usize>,
-    ) -> Result<Self, PipelineError> {
+    ) -> Result<(Self, BTreeMap<usize, T>), PipelineError> {
         let err = |path: &Path, why: String| PipelineError::Checkpoint {
             path: path.display().to_string(),
             why,
         };
         std::fs::create_dir_all(dir).map_err(|e| err(dir, e.to_string()))?;
         let path = dir.join(format!("{flavor}-{fingerprint}.jsonl"));
-        #[expect(
-            clippy::disallowed_types,
-            reason = "the `logged` field's map: lookups only"
-        )]
-        let mut logged = HashMap::new();
+        let mut logged = BTreeMap::new();
         if path.exists() {
             let text = std::fs::read_to_string(&path).map_err(|e| err(&path, e.to_string()))?;
             for line in text.lines() {
@@ -561,21 +545,8 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
             .append(true)
             .open(&path)
             .map_err(|e| err(&path, e.to_string()))?;
-        Ok(Checkpoint {
-            path,
-            file: Mutex::new(file),
-            logged: Mutex::new(logged),
-            max_cells,
-            resumed: AtomicUsize::new(0),
-            computed: AtomicUsize::new(0),
-        })
-    }
-
-    /// The logged cell for `index`, if any, counted as resumed.
-    fn take(&self, index: usize) -> Option<T> {
-        let cell = self.logged.lock().remove(&index)?;
-        self.resumed.fetch_add(1, Ordering::SeqCst);
-        Some(cell)
+        let file = Mutex::new(file);
+        Ok((Checkpoint { path, file }, logged))
     }
 
     /// Appends one `[index, cell]` line. The line is fully pre-formatted
@@ -586,7 +557,7 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
     /// as recompute. Never split this into multiple writes; the resume
     /// tolerance tests in `tests/partition.rs` (truncated and
     /// garbage-interleaved tails) pin the recovery behaviour.
-    fn append(&self, index: usize, cell: &T) -> Result<(), PipelineError> {
+    fn append<T: Serialize>(&self, index: usize, cell: &T) -> Result<(), PipelineError> {
         let err = |why: String| PipelineError::Checkpoint {
             path: self.path.display().to_string(),
             why,
@@ -599,91 +570,39 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
             .and_then(|_| file.flush())
             .map_err(|e| err(e.to_string()))
     }
-
-    fn stats(&self) -> PartialRunStats {
-        PartialRunStats {
-            resumed: self.resumed.load(Ordering::SeqCst),
-            computed: self.computed.load(Ordering::SeqCst),
-        }
-    }
 }
 
-/// Fans `jobs[range]` over `shards` scoped threads: shard `s` takes the
-/// `s`-th contiguous chunk of the slice and computes (or resumes from the
-/// checkpoint) one cell per job, appending fresh cells to the checkpoint
-/// as they finish. Output order equals job order for every shard count —
-/// the shared execution core of both sweep flavours and their partitioned
-/// variants. Checkpoint entries are keyed by *global* job index, so a log
-/// written under one partition spec resumes under any other.
-fn execute<J: Sync, T: Send + Serialize + Deserialize>(
-    jobs: &[J],
-    range: Range<usize>,
+/// Fans `items` over `shards` scoped threads and returns `run`'s outputs
+/// in item order: shard `s` takes the `s`-th contiguous chunk of the items
+/// and writes the `s`-th chunk of the output, which no other shard
+/// touches. A shard stops at its own first error, so the error returned is
+/// the first in item order at every shard count. The one fan-out of both
+/// sweep flavours, whole or partitioned.
+fn execute<I: Sync, T: Send>(
+    items: &[I],
     shards: usize,
-    ckpt: Option<&Checkpoint<T>>,
-    run: impl Fn(&J) -> T + Sync,
+    run: impl Fn(&I) -> Result<T, PipelineError> + Sync,
 ) -> Result<Vec<T>, PipelineError> {
-    let slice = &jobs[range.clone()];
-    let chunk = slice.len().div_ceil(shards).max(1);
-    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..slice.len()).map(|_| None).collect());
-    let fail: Mutex<Option<PipelineError>> = Mutex::new(None);
-    let capped = AtomicBool::new(false);
+    let chunk = items.len().div_ceil(shards).max(1);
+    let mut out: Vec<Option<Result<T, PipelineError>>> = items.iter().map(|_| None).collect();
+    let run = &run;
     crossbeam::thread::scope(|scope| {
-        for (s, shard_jobs) in slice.chunks(chunk).enumerate() {
-            let out = &out;
-            let fail = &fail;
-            let capped = &capped;
-            let run = &run;
-            let start = range.start;
+        for (items, slots) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move |_| {
-                for (i, job) in shard_jobs.iter().enumerate() {
-                    if capped.load(Ordering::SeqCst) || fail.lock().is_some() {
+                for (item, slot) in items.iter().zip(slots) {
+                    if slot.insert(run(item)).is_err() {
                         return;
                     }
-                    let local = s * chunk + i;
-                    let global = start + local;
-                    let cell = match ckpt.and_then(|c| c.take(global)) {
-                        Some(resumed) => resumed,
-                        None => {
-                            if let Some(c) = ckpt {
-                                // Tickets, not a compare: exactly `cap`
-                                // fresh cells get computed even when
-                                // several shards race for the last one.
-                                let ticket = c.computed.fetch_add(1, Ordering::SeqCst);
-                                if c.max_cells.is_some_and(|cap| ticket >= cap) {
-                                    c.computed.fetch_sub(1, Ordering::SeqCst);
-                                    capped.store(true, Ordering::SeqCst);
-                                    return;
-                                }
-                            }
-                            let cell = run(job);
-                            if let Some(c) = ckpt {
-                                if let Err(e) = c.append(global, &cell) {
-                                    *fail.lock() = Some(e);
-                                    return;
-                                }
-                            }
-                            cell
-                        }
-                    };
-                    out.lock()[local] = Some(cell);
                 }
             });
         }
     })
     .expect("sweep shards never panic");
-    if let Some(e) = fail.into_inner() {
-        return Err(e);
-    }
-    if capped.load(Ordering::SeqCst) {
-        return Err(PipelineError::CellCap {
-            computed: ckpt.map_or(0, |c| c.computed.load(Ordering::SeqCst)),
-        });
-    }
-    Ok(out
-        .into_inner()
-        .into_iter()
-        .map(|c| c.expect("every job produces exactly one cell"))
-        .collect())
+    // A shard leaves slots empty only after its own error, and `collect`
+    // stops at the first error in item order, before any empty slot.
+    out.into_iter()
+        .map(|slot| slot.expect("only an error leaves a shard's later slots empty"))
+        .collect()
 }
 
 /// Validates a custom slice against the job space and the
@@ -730,29 +649,42 @@ fn run_slice<F: SweepFlavor>(
     let range = slice_of(jobs.len());
     check_slice(&range, jobs.len(), checkpoint, max_cells)?;
     let fingerprint = sweep_fingerprint(config)?;
-    let ckpt = checkpoint
-        .map(|dir| Checkpoint::open(dir, F::Report::FLAVOR, &fingerprint, jobs.len(), max_cells))
-        .transpose()?;
-    let mut cells = execute(
-        &jobs,
-        range.clone(),
-        config.shards(),
-        ckpt.as_ref(),
-        |job| config.run_job(job),
-    )?;
+    let (ckpt, logged) = checkpoint
+        .map(|dir| Checkpoint::open(dir, F::Report::FLAVOR, &fingerprint, jobs.len()))
+        .transpose()?
+        .unzip();
+    let mut logged = logged.unwrap_or_default();
+    // The plan, fixed before any thread starts: the slice's jobs the log
+    // lacks, in job order, and of those the first `max_cells`.
+    let missing: Vec<usize> = range.clone().filter(|i| !logged.contains_key(i)).collect();
+    let work = &missing[..missing.len().min(max_cells.unwrap_or(usize::MAX))];
+    let fresh = execute(work, config.shards(), |&index| {
+        let cell = config.run_job(&jobs[index]);
+        if let Some(ckpt) = &ckpt {
+            ckpt.append(index, &cell)?;
+        }
+        Ok(cell)
+    })?;
+    if work.len() < missing.len() {
+        return Err(PipelineError::CellCap {
+            computed: work.len(),
+        });
+    }
+    let stats = PartialRunStats {
+        resumed: range.len() - missing.len(),
+        computed: work.len(),
+    };
+    logged.extend(work.iter().copied().zip(fresh));
+    let mut cells: Vec<_> = range
+        .clone()
+        .map(|index| logged.remove(&index).expect("each job is logged or fresh"))
+        .collect();
     if !config.timings() {
         // Resumed cells may carry `wall_ms` from a `--timings` run of the
         // same fingerprint; normalize so resumed output stays
         // byte-identical to a fresh timings-off run.
         cells.iter_mut().for_each(F::Report::clear_wall_ms);
     }
-    let stats = ckpt.map_or(
-        PartialRunStats {
-            resumed: 0,
-            computed: cells.len(),
-        },
-        |c| c.stats(),
-    );
     Ok((
         Partial {
             flavor: F::Report::FLAVOR.to_string(),
@@ -1288,10 +1220,8 @@ fn drop_latency_percentiles(
     let mut latencies: Vec<f64> = dropped
         .filter_map(|t| {
             let at = times[t];
-            starts
-                .iter()
-                .find(|&&start| start > at)
-                .map(|start| start - at)
+            let next = starts.partition_point(|&start| start <= at);
+            starts.get(next).map(|start| start - at)
         })
         .collect();
     if latencies.is_empty() {
@@ -1456,8 +1386,7 @@ impl SweepFlavor for DynamicSweepConfig {
         });
         let is_oracle_cell = job.matcher.is_oracle();
 
-        type OnlineRun = (f64, std::collections::BTreeSet<usize>);
-        let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
+        let outcome = if is_oracle_cell {
             match oracle {
                 Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
                 Some(Err(e)) => Err(e.to_string()),
@@ -1475,14 +1404,7 @@ impl SweepFlavor for DynamicSweepConfig {
                 job.mechanism.as_ref(),
                 job.matcher.as_ref(),
             ) {
-                Ok(out) => {
-                    let assigned: std::collections::BTreeSet<usize> =
-                        out.pairs.iter().map(|&(t, _)| t).collect();
-                    Ok((
-                        DynamicMeasurement::from_outcome(&out),
-                        Some((out.total_distance, assigned)),
-                    ))
-                }
+                Ok(out) => Ok((DynamicMeasurement::from_outcome(&out), Some(out))),
                 Err(e) => Err(e.to_string()),
             }
         };
@@ -1495,12 +1417,14 @@ impl SweepFlavor for DynamicSweepConfig {
                 (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
                 (Some(Ok(opt)), online) => {
                     let (numerator, dropped): (f64, Vec<usize>) = match online {
-                        Some((total, assigned)) => (
-                            total,
-                            (0..instance.num_tasks())
-                                .filter(|t| !assigned.contains(t))
-                                .collect(),
-                        ),
+                        Some(out) => {
+                            let mut assigned = vec![false; instance.num_tasks()];
+                            for &(t, _) in &out.pairs {
+                                assigned[t] = true;
+                            }
+                            let dropped = (0..assigned.len()).filter(|&t| !assigned[t]);
+                            (out.total_distance, dropped.collect())
+                        }
                         // The oracle's own cell: numerator = denominator, so
                         // the ratio divides to exactly 1.0.
                         None => (opt.total_cost, opt.dropped.clone()),
@@ -1995,6 +1919,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn execute_keeps_item_order_and_returns_the_first_error() {
+        let items: Vec<usize> = (0..23).collect();
+        // Each planted error carries its item's index.
+        let planted = |bad: &'static [usize]| {
+            move |&i: &usize| {
+                if bad.contains(&i) {
+                    Err(PipelineError::CellCap { computed: i })
+                } else {
+                    Ok(i * 10)
+                }
+            }
+        };
+        let want: Vec<usize> = items.iter().map(|i| i * 10).collect();
+        for shards in [1, 2, 3, 7, items.len() + 5] {
+            assert_eq!(execute(&items, shards, planted(&[])).unwrap(), want);
+            assert!(execute(&[] as &[usize], shards, planted(&[]))
+                .unwrap()
+                .is_empty());
+            // Errors in one chunk or several, listed in any order, and a
+            // later chunk failing on its first item while an earlier one
+            // fails further in: the lowest index wins at every shard count.
+            for bad in [&[12][..], &[5, 6, 17, 22], &[22, 9, 0], &[12, 9]] {
+                let lowest = *bad.iter().min().unwrap();
+                match execute(&items, shards, planted(bad)) {
+                    Err(PipelineError::CellCap { computed }) => {
+                        assert_eq!(computed, lowest, "shards {shards}, errors at {bad:?}")
+                    }
+                    other => panic!("shards {shards}: expected an error, got {other:?}"),
+                }
+            }
+        }
+    }
+
     /// The distinct denominators of `jobs`, after checking that two jobs
     /// hold the same one exactly when they have the same key.
     fn distinct_denominators<'a, J, T, K: PartialEq>(
@@ -2029,10 +1987,7 @@ mod tests {
         assert_eq!(opts.len(), 2 * 2, "one shared OPT per (scenario, size)");
         assert!(opts.iter().all(|o| o.get().is_none()));
 
-        let cells = execute(&jobs, 0..jobs.len(), config.shards, None, |job| {
-            config.run_job(job)
-        })
-        .unwrap();
+        let cells = execute(&jobs, config.shards, |job| Ok(config.run_job(job))).unwrap();
         assert!(opts.iter().all(|o| o.get().is_some()), "every key solved");
         for (job, cell) in jobs.iter().zip(&cells) {
             match job.opt.get().unwrap() {
@@ -2074,10 +2029,7 @@ mod tests {
         );
         assert!(oracles.iter().all(|o| o.get().is_none()));
 
-        let cells = execute(&jobs, 0..jobs.len(), config.shards, None, |job| {
-            config.run_job(job)
-        })
-        .unwrap();
+        let cells = execute(&jobs, config.shards, |job| Ok(config.run_job(job))).unwrap();
         assert!(
             oracles.iter().all(|o| o.get().is_some()),
             "every key solved"

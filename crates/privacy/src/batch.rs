@@ -10,11 +10,12 @@
 //! sequential pass advances the caller's stream exactly as the scalar loop
 //! would ([`PlanarLaplace::advance_obfuscate`]), snapshotting the 32-byte
 //! generator state at every item boundary; the expensive sampling then
-//! replays each item from its own snapshot on whatever thread owns it. The
-//! result — and the state the caller's RNG is left in — is **bit-identical
-//! to the scalar loop for every thread count**, which is what lets the
-//! generic pipeline driver dispatch here without disturbing any golden
-//! fingerprint.
+//! runs on `threads` scoped threads, each replaying one contiguous chunk
+//! of items from their snapshots straight into its own chunk of the
+//! output, so no thread waits on another. The result — and the state the
+//! caller's RNG is left in — is **bit-identical to the scalar loop for
+//! every thread count**, which is what lets the generic pipeline driver
+//! dispatch here without disturbing any golden fingerprint.
 //!
 //! The split pays off for planar Laplace because its sequential pass is
 //! two `next_u64` calls per item while the trigonometry, `exp` and
@@ -24,7 +25,6 @@
 //! and the `hst` mechanism obfuscates with the scalar loop instead.
 
 use crate::laplace::PlanarLaplace;
-use parking_lot::Mutex;
 use pombm_geom::Point;
 use rand::rngs::StdRng;
 
@@ -54,7 +54,7 @@ pub fn obfuscate_points_batch(
         return obfuscate_points_scalar(mechanism, locations, rng);
     }
     // Pass 1 (sequential): snapshot the stream at every item boundary.
-    let states: Vec<StdRng> = locations
+    let mut states: Vec<StdRng> = locations
         .iter()
         .map(|_| {
             let state = rng.clone();
@@ -62,30 +62,25 @@ pub fn obfuscate_points_batch(
             state
         })
         .collect();
-    // Pass 2 (parallel): replay every item from its own snapshot.
+    // Pass 2 (parallel): thread `s` replays the `s`-th chunk of items,
+    // each from its own snapshot, into the `s`-th chunk of the output.
     let chunk = locations.len().div_ceil(threads);
-    let out = Mutex::new(vec![Point::ORIGIN; locations.len()]);
+    let mut out = vec![Point::ORIGIN; locations.len()];
     crossbeam::thread::scope(|scope| {
-        for (s, (items, states)) in locations
+        for ((items, states), out) in locations
             .chunks(chunk)
-            .zip(states.chunks(chunk))
-            .enumerate()
+            .zip(states.chunks_mut(chunk))
+            .zip(out.chunks_mut(chunk))
         {
-            let out = &out;
             scope.spawn(move |_| {
-                // Compute into a local buffer; take the lock once per chunk.
-                let local: Vec<Point> = items
-                    .iter()
-                    .zip(states)
-                    .map(|(p, state)| mechanism.obfuscate(p, &mut state.clone()))
-                    .collect();
-                let mut guard = out.lock();
-                guard[s * chunk..s * chunk + local.len()].copy_from_slice(&local);
+                for ((p, state), slot) in items.iter().zip(states).zip(out) {
+                    *slot = mechanism.obfuscate(p, state);
+                }
             });
         }
     })
     .expect("obfuscation threads never panic");
-    out.into_inner()
+    out
 }
 
 /// The scalar reference loop for [`obfuscate_points_batch`]; also the

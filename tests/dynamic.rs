@@ -109,9 +109,9 @@ fn hst_greedy_through_the_spec_driver_matches_the_hardwired_driver_exactly() {
     }
 }
 
-/// Replays a timeline one event at a time through the batch entry points
-/// serve's engine uses — a fresh one-item `report_batch` per report, then
-/// `insert_batch` / `assign_batch` — on the server and RNG streams of
+/// Replays a timeline one event at a time through the batch entry points —
+/// a one-item `report_batch` per report, each on a fresh reporter, then
+/// serve's `insert_batch` / `assign_batch` — on the server and RNG streams of
 /// `run_dynamic_spec`, with the driver's tie order at equal timestamps
 /// (shift starts, then shift ends, then tasks, each by id).
 fn replay_one_event_per_batch(

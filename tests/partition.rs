@@ -452,16 +452,27 @@ fn checkpoint_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A capped checkpointed run stops with the typed `CellCap` error; the
-/// re-run resumes exactly the persisted cells (stats prove it) and its
-/// output is byte-identical to a fresh uncheckpointed run — even when the
-/// resume happens under a different partition spec, because checkpoint
-/// entries are keyed by global job index. Holds for both flavours,
-/// ratio columns included.
+/// A capped checkpointed run stops with the typed `CellCap` error after
+/// logging exactly the first `max_cells` missing jobs, at every shard
+/// count; the re-run resumes exactly the persisted cells (stats prove it)
+/// and its output is byte-identical to a fresh uncheckpointed run — even
+/// when the resume happens under a different partition spec, because
+/// checkpoint entries are keyed by global job index. Holds for both
+/// flavours, ratio columns included.
 #[test]
 fn checkpointed_runs_resume_byte_identically() {
-    resume_byte_identically(&static_config(11), "static-resume");
-    resume_byte_identically(&ratio_config(11), "ratio-resume");
+    for shards in [1, 2, 7] {
+        let config = SweepConfig {
+            shards,
+            ..static_config(11)
+        };
+        resume_byte_identically(&config, &format!("static-resume-{shards}"));
+        let config = DynamicSweepConfig {
+            shards,
+            ..ratio_config(11)
+        };
+        resume_byte_identically(&config, &format!("ratio-resume-{shards}"));
+    }
 }
 
 fn resume_byte_identically<F: SweepFlavor>(config: &F, dir_name: &str) {
@@ -476,6 +487,22 @@ fn resume_byte_identically<F: SweepFlavor>(config: &F, dir_name: &str) {
         Err(PipelineError::CellCap { computed }) => assert_eq!(computed, 2),
         other => panic!("expected CellCap, got {:?}", other.map(|_| ())),
     }
+    let log = dir.join(format!(
+        "{}-{}.jsonl",
+        F::Report::FLAVOR,
+        sweep_fingerprint(config).unwrap()
+    ));
+    let mut logged: Vec<String> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|line| line.split_once(',').unwrap().0.to_string())
+        .collect();
+    logged.sort();
+    assert_eq!(
+        logged,
+        ["[0", "[1"],
+        "{dir_name}: the cap keeps jobs 0 and 1"
+    );
 
     // Resume under a 2-way partition spec: together the two partials see
     // both persisted cells.
